@@ -7,7 +7,7 @@ the disc-covering constants tied to the hexagonal minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .lattice import (
     hexagonal_lattice,
     lattice_from_generator,
     lattice_from_tau,
+    reduce_to_fundamental,
     square_lattice,
 )
 from .optimize import minimize_over_cell, minimize_torus
@@ -35,8 +36,8 @@ from .theta import (
     ChargedSumEvaluator,
     ShiftedSumEvaluator,
     TruncationPolicy,
+    _box_ranges,
     _cell_half_diameter,
-    _index_box,
     lattice_gaussian_sum,
     theta_charged,
 )
@@ -136,16 +137,14 @@ def heat_kernel_torus(
     """
     if t <= 0:
         raise NonPositiveT(f"t must be positive, got {t}")
-    alpha = 1.0 / (4.0 * math.pi * t)
-    if route == "gaussian":
-        inner = lattice_gaussian_sum(lattice, z, alpha, pol, use_functional_equation=False)
-    elif route == "spectral":
-        inner = lattice_gaussian_sum(lattice, z, alpha, pol, use_functional_equation=True)
-    else:
+    if route not in ("gaussian", "spectral"):
         raise ValueError(f"unknown route {route!r}")
-    scale = 1.0 / (4.0 * math.pi * t)
+    alpha = 1.0 / (4.0 * math.pi * t)
+    # k = alpha * E, so E is asked for tol / alpha
+    pol = replace(pol, target_tol=pol.target_tol / alpha)
+    inner = lattice_gaussian_sum(lattice, z, alpha, pol, route == "spectral")
     return CertifiedValue(
-        inner.value * scale, inner.tail_bound * scale, inner.terms_used, inner.converged
+        inner.value * alpha, inner.tail_bound * alpha, inner.terms_used, inner.converged
     )
 
 
@@ -161,8 +160,7 @@ def temperature_extremes(
     alpha = 1.0 / (4.0 * math.pi * t)
     res = minimize_over_cell(lattice, alpha, grid_n, pol)
     at_origin = lattice_gaussian_sum(lattice, PhasePoint(0.0, 0.0), alpha, pol)
-    scale = 1.0 / (4.0 * math.pi * t)
-    return res.value.value * scale, at_origin.value * scale
+    return res.value.value * alpha, at_origin.value * alpha
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +225,11 @@ class CMPotential:
         return CMPotential(nodes, label=f"riesz(s={s})")
 
 
+def _node_policy(pol: TruncationPolicy, n: int, weight: float) -> TruncationPolicy:
+    """Policy for one of n nodes, so that the weighted node tails sum to at most pol's."""
+    return TruncationPolicy(pol.target_tol / (n * max(weight, 1e-300)), pol.max_radius)
+
+
 def cm_lattice_energy(
     p: CMPotential,
     lattice: Lattice,
@@ -242,14 +245,18 @@ def cm_lattice_energy(
     terms = 0
     converged = True
     for alpha, weight in p.nodes:
-        node_tol = pol.target_tol / (n * max(weight, 1e-300))
-        node_pol = TruncationPolicy(target_tol=node_tol, max_radius=pol.max_radius)
-        e = lattice_gaussian_sum(lattice, z, alpha, node_pol)
+        e = lattice_gaussian_sum(lattice, z, alpha, _node_policy(pol, n, weight))
         value += weight * e.value
         tail += weight * e.tail_bound
         terms += e.terms_used
         converged &= e.converged
     return CertifiedValue(value, tail, terms, converged)
+
+
+def _shortest_dual_sq(lattice: Lattice) -> float:
+    """Squared length of the shortest nonzero dual vector: 1/(y covol) for
+    the reduced shape y, which the dual shares, at dual covolume 1/covol."""
+    return 1.0 / (reduce_to_fundamental(lattice.tau).tau_out.imag * lattice.covolume)
 
 
 class CMEnergyEvaluator:
@@ -268,10 +275,7 @@ class CMEnergyEvaluator:
     ) -> None:
         if not p.nodes:
             raise EmptyQuadrature("potential has no quadrature nodes")
-        dual_gen = np.linalg.inv(lattice.gen).T
-        idx = _index_box(dual_gen, np.zeros(2), 4.0 * _cell_half_diameter(dual_gen) + 2.0)
-        norms = np.einsum("ij,ij->i", idx @ dual_gen.T, idx @ dual_gen.T)
-        shortest_dual_sq = float(np.min(norms[norms > 1e-12]))
+        shortest_dual_sq = _shortest_dual_sq(lattice)
         covol = lattice.covolume
         self.value_offset = 0.0
         self._parts: list[tuple[float, ShiftedSumEvaluator]] = []
@@ -282,9 +286,7 @@ class CMEnergyEvaluator:
                 # frequency side is a single constant at working precision
                 self.value_offset += weight / (alpha * covol)
                 continue
-            node_tol = pol.target_tol / (n * max(weight, 1e-300))
-            node_pol = TruncationPolicy(target_tol=node_tol, max_radius=pol.max_radius)
-            ev = ShiftedSumEvaluator(lattice, alpha, node_pol)
+            ev = ShiftedSumEvaluator(lattice, alpha, _node_policy(pol, n, weight))
             self.value_offset += weight * ev.value_offset
             self.tail_bound += weight * ev.tail_bound
             self._parts.append((weight, ev))
@@ -360,20 +362,13 @@ def epstein_zeta_shifted(
     radius = float(min(max(radius, 10.0 * h + 10.0), radius_cap))
     center = gen @ np.array([zl.u, zl.v])
 
-    inv = np.linalg.inv(gen)
-    mid = -inv @ center
-    row = np.linalg.norm(inv, axis=1)
-    k_lo = math.floor(mid[0] - radius * row[0]) - 1
-    k_hi = math.ceil(mid[0] + radius * row[0]) + 1
-    l_lo = math.floor(mid[1] - radius * row[1]) - 1
-    l_hi = math.ceil(mid[1] + radius * row[1]) + 1
-    ls = np.arange(l_lo, l_hi + 1)
+    all_ks, ls = _box_ranges(gen, center, radius)
     base = ls * gen[0, 1] + center[0], ls * gen[1, 1] + center[1]
     total = 0.0
     count = 0
     r2 = radius * radius
-    for k0 in range(k_lo, k_hi + 1, 256):
-        ks = np.arange(k0, min(k0 + 256, k_hi + 1))
+    for k0 in range(0, len(all_ks), 256):
+        ks = all_ks[k0 : k0 + 256]
         px = ks[:, None] * gen[0, 0] + base[0][None, :]
         py = ks[:, None] * gen[1, 0] + base[1][None, :]
         q = px * px + py * py

@@ -182,8 +182,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _sweep_cell(payload) -> list[tuple]:
-    x, y, alphas, grid_n, tol, exploratory = payload
-    pol = TruncationPolicy(target_tol=tol)
+    x, y, alphas, grid_n, pol, exploratory = payload
     lat = lattice_from_tau(x, y)
     rows = []
     for alpha in alphas:
@@ -206,7 +205,7 @@ def _cmd_sweep(args) -> int:
         for y in ys:
             if y <= 0:
                 raise LatSumError(f"lattice parameter y must be positive, got {y}")
-            cells.append((x, y, tuple(alphas), args.grid_n, args.tol, args.exploratory))
+            cells.append((x, y, tuple(alphas), args.grid_n, _policy(args), args.exploratory))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             chunks = list(pool.map(_sweep_cell, cells))

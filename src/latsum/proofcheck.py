@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NonPositiveT
 from .theta import (
@@ -256,25 +255,20 @@ def check_q1_growth(box_radius: int = 30) -> LemmaReport:
 # Growth and derivative lemmas
 # ---------------------------------------------------------------------------
 
-def min_phi_f(k: int, l: int, y_cap: float = 50.0) -> float:
+def min_phi_f(k: int, l: int) -> float:
     """min of phi_f(k, l, .) over y >= sqrt(3)/2.
 
-    phi_f has a unique interior critical point (a minimum) whose square
-    is available in closed form; a bounded 1D minimization around it
-    serves as a safety net.
+    The numerator of phi_f_d1 is a quadratic in y^2 with constant term -3
+    and leading coefficient 16 (2l+1)^2 > 0, so it has exactly one positive
+    root y*^2, given in closed form below.  phi_f decreases before y* and
+    increases after it: y* is the only critical point on y > 0 and the
+    global minimum there, and the minimum over y >= sqrt(3)/2 sits at
+    max(y*, sqrt(3)/2).
     """
     c = 8 * k * k + 8 * k * (l + 1) + 2 * l * (l + 1) + 1
     s = float(2 * l + 1)
-    y_star_sq = (c + math.hypot(c, SQRT3 * s)) / (4.0 * s * s)
-    y_star = math.sqrt(y_star_sq) if y_star_sq > 0 else 0.0
-    if y_star <= Y_HEX:
-        return float(phi_f(k, l, Y_HEX))
-    closed = float(phi_f(k, l, y_star))
-    hi = min(max(2.0 * y_star, Y_HEX + 1.0), y_cap)
-    res = minimize_scalar(
-        lambda y: float(phi_f(k, l, y)), bounds=(Y_HEX, hi), method="bounded"
-    )
-    return min(closed, float(res.fun))
+    y_star = math.sqrt((c + math.hypot(c, SQRT3 * s)) / (4.0 * s * s))
+    return float(phi_f(k, l, max(y_star, Y_HEX)))
 
 
 def growth1_min_ratio(k_max: int = 20) -> tuple[float, list[tuple[int, int]]]:

@@ -10,7 +10,7 @@ are deterministic across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -247,22 +247,53 @@ def _select_radius(
     return r, _ball_tail(r, alpha, covol, h), False
 
 
-def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Integer pairs (k, l) with |gen @ (k, l) + center| <= radius."""
+def _box_ranges(gen: np.ndarray, center: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
+    """Ranges of k and of l holding every (k, l) with |gen @ (k, l) + center| <= radius."""
     inv = np.linalg.inv(gen)
     mid = -inv @ center
-    row_norms = np.linalg.norm(inv, axis=1)
-    k_lo = math.floor(mid[0] - radius * row_norms[0]) - 1
-    k_hi = math.ceil(mid[0] + radius * row_norms[0]) + 1
-    l_lo = math.floor(mid[1] - radius * row_norms[1]) - 1
-    l_hi = math.ceil(mid[1] + radius * row_norms[1]) + 1
-    ks = np.arange(k_lo, k_hi + 1)
-    ls = np.arange(l_lo, l_hi + 1)
-    kk, ll = np.meshgrid(ks, ls, indexing="ij")
+    half = radius * np.linalg.norm(inv, axis=1)
+    ks = np.arange(math.floor(mid[0] - half[0]) - 1, math.ceil(mid[0] + half[0]) + 2)
+    ls = np.arange(math.floor(mid[1] - half[1]) - 1, math.ceil(mid[1] + half[1]) + 2)
+    return ks, ls
+
+
+def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Integer pairs (k, l) with |gen @ (k, l) + center| <= radius."""
+    kk, ll = np.meshgrid(*_box_ranges(gen, center, radius), indexing="ij")
     idx = np.column_stack([kk.ravel(), ll.ravel()])
     pts = idx @ gen.T + center
     mask = np.einsum("ij,ij->i", pts, pts) <= radius * radius
     return idx[mask]
+
+
+def _ball(
+    gen: np.ndarray, center: np.ndarray, alpha: float, tol: float, max_radius: float, pad=0.0
+) -> tuple[np.ndarray, float, bool]:
+    """Truncate sum exp(-pi alpha |gen @ (k, l) + center|^2) to the smallest ball,
+    capped at max_radius, whose certified tail is below tol.  Returns the index
+    pairs in that ball widened by ``pad``, the tail and whether it meets tol."""
+    covol = float(gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0])
+    r, tail, ok = _select_radius(alpha, covol, _cell_half_diameter(gen), tol, max_radius)
+    return _index_box(gen, center, r + pad), tail, ok
+
+
+def _dual_ball(lattice: Lattice, alpha: float, pol: TruncationPolicy):
+    """Frequency side E(z; alpha) = scale * sum exp(-pi |k|^2 / alpha) cos(2 pi k.z):
+    dual index pairs, |k|^2, scale = 1/(alpha covol), the tail times scale, ok."""
+    dual_gen = np.linalg.inv(lattice.gen).T
+    scale = 1.0 / (alpha * lattice.covolume)
+    tol = pol.target_tol / scale
+    idx, tail, ok = _ball(dual_gen, np.zeros(2), 1.0 / alpha, tol, pol.max_radius)
+    pts = idx @ dual_gen.T
+    return idx, np.einsum("ij,ij->i", pts, pts), scale, tail * scale, ok
+
+
+def _use_fe(alpha: float, use_functional_equation: bool | None) -> bool:
+    """Reject alpha <= 0; by default route alpha < 1 through the functional
+    equation, whose other side decays faster there."""
+    if alpha <= 0:
+        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+    return alpha < 1.0 if use_functional_equation is None else use_functional_equation
 
 
 def _sorted_fsum(values: np.ndarray, radii: np.ndarray, idx: np.ndarray) -> float:
@@ -283,42 +314,35 @@ def lattice_gaussian_sum(
     For alpha < 1 the sum is evaluated through its frequency-side form
     (faster decay) unless ``use_functional_equation`` is set to False.
     """
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-    use_fe = alpha < 1.0 if use_functional_equation is None else use_functional_equation
+    use_fe = _use_fe(alpha, use_functional_equation)
     zl = z.to_lattice(lattice).canonical()
-    gen = lattice.gen
-    covol = lattice.covolume
-
     if use_fe:
-        dual_gen = np.linalg.inv(gen).T
-        dual_alpha = 1.0 / alpha
-        h = _cell_half_diameter(dual_gen)
-        r, tail, ok = _select_radius(
-            dual_alpha, 1.0 / covol, h, pol.target_tol * alpha * covol, pol.max_radius
-        )
-        idx = _index_box(dual_gen, np.zeros(2), r)
-        pts = idx @ dual_gen.T
-        q = np.einsum("ij,ij->i", pts, pts)
-        phases = TWO_PI * (idx @ np.array([zl.u, zl.v]))
-        terms = np.exp(-math.pi * dual_alpha * q) * np.cos(phases)
-        value = _sorted_fsum(terms, q, idx) / (alpha * covol)
-        return CertifiedValue(value, tail / (alpha * covol), len(terms), ok)
+        idx, q, scale, tail, ok = _dual_ball(lattice, alpha, pol)
+        terms = np.exp(-math.pi / alpha * q) * np.cos(TWO_PI * (idx @ np.array([zl.u, zl.v])))
+        return CertifiedValue(_sorted_fsum(terms, q, idx) * scale, tail, len(terms), ok)
 
+    gen = lattice.gen
     center = gen @ np.array([zl.u, zl.v])
-    h = _cell_half_diameter(gen)
-    r, tail, ok = _select_radius(alpha, covol, h, pol.target_tol, pol.max_radius)
-    idx = _index_box(gen, center, r)
+    idx, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
     pts = idx @ gen.T + center
     q = np.einsum("ij,ij->i", pts, pts)
     terms = np.exp(-math.pi * alpha * q)
-    value = _sorted_fsum(terms, q, idx)
-    return CertifiedValue(value, tail, len(terms), ok)
+    return CertifiedValue(_sorted_fsum(terms, q, idx), tail, len(terms), ok)
 
 
 def _as_lattice_coords(lattice: Lattice, b: PhasePoint) -> tuple[float, float]:
     bl = b.to_lattice(lattice).canonical()
     return bl.u, bl.v
+
+
+def _other_side(family, lattice, b, alpha, pol) -> CertifiedValue:
+    """family(b; 1/alpha) / alpha summed directly, as the functional equation
+    gives it; asked for tol * alpha, its tail meets tol after the division."""
+    pol = replace(pol, target_tol=pol.target_tol * alpha)
+    inner = family(lattice, b, 1.0 / alpha, pol, use_functional_equation=False)
+    return CertifiedValue(
+        inner.value / alpha, inner.tail_bound / alpha, inner.terms_used, inner.converged
+    )
 
 
 def theta_shifted(
@@ -333,27 +357,18 @@ def theta_shifted(
     Equals the Gaussian sum at the Cartesian shift gen @ b; implemented
     on the shape parameters directly, which gives an independent route.
     """
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-    use_fe = alpha < 1.0 if use_functional_equation is None else use_functional_equation
-    if use_fe:
-        inner = theta_charged(lattice, b, 1.0 / alpha, pol, use_functional_equation=False)
-        return CertifiedValue(
-            inner.value / alpha, inner.tail_bound / alpha, inner.terms_used, inner.converged
-        )
+    if _use_fe(alpha, use_functional_equation):
+        return _other_side(theta_charged, lattice, b, alpha, pol)
     x, y = lattice.x, lattice.y
     b1, b2 = _as_lattice_coords(lattice, b)
     gen = lattice_from_tau(x, y).gen
     center = gen @ np.array([b1, b2])
-    h = _cell_half_diameter(gen)
-    r, tail, ok = _select_radius(alpha, 1.0, h, pol.target_tol, pol.max_radius)
-    idx = _index_box(gen, center, r)
+    idx, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
     u = idx[:, 0] + b1
     v = idx[:, 1] + b2
     q = (u * u + 2.0 * x * u * v + (x * x + y * y) * v * v) / y
     terms = np.exp(-math.pi * alpha * q)
-    value = _sorted_fsum(terms, q, idx)
-    return CertifiedValue(value, tail, len(terms), ok)
+    return CertifiedValue(_sorted_fsum(terms, q, idx), tail, len(terms), ok)
 
 
 def theta_charged(
@@ -364,26 +379,17 @@ def theta_charged(
     use_functional_equation: bool | None = None,
 ) -> CertifiedValue:
     """Charged family: Gaussian weights with skew-form phase factors."""
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-    use_fe = alpha < 1.0 if use_functional_equation is None else use_functional_equation
-    if use_fe:
-        inner = theta_shifted(lattice, b, 1.0 / alpha, pol, use_functional_equation=False)
-        return CertifiedValue(
-            inner.value / alpha, inner.tail_bound / alpha, inner.terms_used, inner.converged
-        )
+    if _use_fe(alpha, use_functional_equation):
+        return _other_side(theta_shifted, lattice, b, alpha, pol)
     x, y = lattice.x, lattice.y
     b1, b2 = _as_lattice_coords(lattice, b)
     gen = lattice_from_tau(x, y).gen
-    h = _cell_half_diameter(gen)
-    r, tail, ok = _select_radius(alpha, 1.0, h, pol.target_tol, pol.max_radius)
-    idx = _index_box(gen, np.zeros(2), r)
+    idx, tail, ok = _ball(gen, np.zeros(2), alpha, pol.target_tol, pol.max_radius)
     k = idx[:, 0].astype(float)
     l = idx[:, 1].astype(float)
     q = (k * k + 2.0 * x * k * l + (x * x + y * y) * l * l) / y
     terms = np.exp(-math.pi * alpha * q) * np.cos(TWO_PI * (k * b2 - l * b1))
-    value = _sorted_fsum(terms, q, idx)
-    return CertifiedValue(value, tail, len(terms), ok)
+    return CertifiedValue(_sorted_fsum(terms, q, idx), tail, len(terms), ok)
 
 
 def functional_equation_residual(
@@ -433,43 +439,27 @@ class ShiftedSumEvaluator:
         pol: TruncationPolicy = DEFAULT_POLICY,
         use_functional_equation: bool | None = None,
     ) -> None:
-        if alpha <= 0:
-            raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+        self.use_fe = _use_fe(alpha, use_functional_equation)
         self.lattice = lattice
         self.alpha = alpha
-        self.use_fe = alpha < 1.0 if use_functional_equation is None else use_functional_equation
-        gen = lattice.gen
-        covol = lattice.covolume
         if self.use_fe:
-            dual_gen = np.linalg.inv(gen).T
-            dual_alpha = 1.0 / alpha
-            h = _cell_half_diameter(dual_gen)
-            r, tail, ok = _select_radius(
-                dual_alpha, 1.0 / covol, h, pol.target_tol * alpha * covol, pol.max_radius
-            )
-            idx = _index_box(dual_gen, np.zeros(2), r)
-            origin = np.all(idx == 0, axis=1)
-            idx = idx[~origin]
-            pts = idx @ dual_gen.T
-            q = np.einsum("ij,ij->i", pts, pts)
-            self._idx = idx.astype(float)
-            self._weights = np.exp(-math.pi * dual_alpha * q) / (alpha * covol)
+            idx, q, scale, tail, ok = _dual_ball(lattice, alpha, pol)
+            keep = np.any(idx != 0, axis=1)
+            self._idx = idx[keep].astype(float)
+            self._weights = np.exp(-math.pi / alpha * q[keep]) * scale
             # constant zero-frequency term, kept apart so that the
             # oscillating remainder retains full relative precision
-            self.value_offset = 1.0 / (alpha * covol)
-            self.tail_bound = tail / (alpha * covol)
+            self.value_offset = scale
         else:
-            corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+            gen = lattice.gen
             center = gen @ np.array([0.5, 0.5])
-            spread = max(np.linalg.norm(c @ gen.T - center) for c in corners)
-            h = _cell_half_diameter(gen)
-            r, tail, ok = _select_radius(alpha, covol, h, pol.target_tol, pol.max_radius)
-            idx = _index_box(gen, center, r + spread)
+            pad = _cell_half_diameter(gen)  # farthest a cell corner is from the center
+            idx, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius, pad)
             self._idx = idx.astype(float)
-            g = gen.T @ gen
+            g = lattice.gram
             self._g00, self._g01, self._g11 = g[0, 0], g[0, 1], g[1, 1]
             self.value_offset = 0.0
-            self.tail_bound = tail
+        self.tail_bound = tail
         self.converged = ok
         self.terms = len(self._idx)
 
@@ -490,7 +480,11 @@ class ShiftedSumEvaluator:
 
 
 class ChargedSumEvaluator:
-    """Vectorized charged sums over batches of charges b in [0, 1)^2."""
+    """Vectorized charged sums over batches of charges b in [0, 1)^2.
+
+    By the functional equation: the shifted evaluator of the tau lattice at
+    1/alpha on the other route, divided by alpha.  The charged direct series
+    is the shifted frequency-side series with (k, l) -> (-l, k)."""
 
     def __init__(
         self,
@@ -499,43 +493,21 @@ class ChargedSumEvaluator:
         pol: TruncationPolicy = DEFAULT_POLICY,
         use_functional_equation: bool | None = None,
     ) -> None:
-        if alpha <= 0:
-            raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+        use_fe = _use_fe(alpha, use_functional_equation)
         self.alpha = alpha
-        self.use_fe = alpha < 1.0 if use_functional_equation is None else use_functional_equation
-        if self.use_fe:
-            self._inner = ShiftedSumEvaluator(
-                lattice, 1.0 / alpha, pol, use_functional_equation=False
-            )
-            self.value_offset = self._inner.value_offset / alpha
-            self.tail_bound = self._inner.tail_bound / alpha
-            self.converged = self._inner.converged
-            self.terms = self._inner.terms
-            return
-        x, y = lattice.x, lattice.y
-        gen = lattice_from_tau(x, y).gen
-        h = _cell_half_diameter(gen)
-        r, tail, ok = _select_radius(alpha, 1.0, h, pol.target_tol, pol.max_radius)
-        idx = _index_box(gen, np.zeros(2), r)
-        origin = np.all(idx == 0, axis=1)
-        idx = idx[~origin]
-        k = idx[:, 0].astype(float)
-        l = idx[:, 1].astype(float)
-        q = (k * k + 2.0 * x * k * l + (x * x + y * y) * l * l) / y
-        self._weights = np.exp(-math.pi * alpha * q)
-        # phase of (k, l) at charge b is k*b2 - l*b1
-        self._coeff = np.column_stack([-l, k])
-        self.value_offset = 1.0
-        self.tail_bound = tail
-        self.converged = ok
-        self.terms = len(k)
+        self._shifted = ShiftedSumEvaluator(
+            lattice_from_tau(lattice.x, lattice.y),
+            1.0 / alpha,
+            replace(pol, target_tol=pol.target_tol * alpha),
+            use_functional_equation=not use_fe,
+        )
+        self.value_offset = self._shifted.value_offset / alpha
+        self.tail_bound = self._shifted.tail_bound / alpha
+        self.converged = self._shifted.converged
+        self.terms = self._shifted.terms
 
     def values_centered(self, bs: np.ndarray) -> np.ndarray:
-        bs = np.atleast_2d(np.asarray(bs, dtype=float))
-        if self.use_fe:
-            return self._inner.values_centered(bs) / self.alpha
-        phases = TWO_PI * (bs @ self._coeff.T)
-        return np.cos(phases) @ self._weights
+        return self._shifted.values_centered(bs) / self.alpha
 
     def values(self, bs: np.ndarray) -> np.ndarray:
         return self.value_offset + self.values_centered(bs)

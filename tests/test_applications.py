@@ -14,7 +14,7 @@ from latsum.errors import (
 )
 from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.optimize import minimize_over_cell
-from latsum.theta import lattice_gaussian_sum
+from latsum.theta import _cell_half_diameter, _index_box, lattice_gaussian_sum
 
 from conftest import Y_HEX, random_domain_lattice
 
@@ -118,7 +118,28 @@ class TestHeatKernel:
             assert int(np.argmin(b_vals)) == 3
 
 
+def brute_shortest_dual_sq(lattice):
+    """Box search for the shortest nonzero dual vector: |v1| <= 2h, so the
+    ball of radius 4h + 2 about the origin holds it."""
+    dual_gen = np.linalg.inv(lattice.gen).T
+    idx = _index_box(dual_gen, np.zeros(2), 4.0 * _cell_half_diameter(dual_gen) + 2.0)
+    pts = idx @ dual_gen.T
+    norms = np.einsum("ij,ij->i", pts, pts)
+    return float(np.min(norms[norms > 1e-12]))
+
+
 class TestCMPotential:
+    def test_shortest_dual_closed_form(self, rng):
+        for _ in range(200):
+            x, y = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            c, s = math.cos(angle), math.sin(angle)
+            rot = np.array([[c, -s], [s, c]])
+            scale = rng.uniform(0.2, 5.0)
+            lat = lattice_from_generator(scale * rot @ lattice_from_tau(x, y).gen)
+            got = app._shortest_dual_sq(lat)
+            assert got == pytest.approx(brute_shortest_dual_sq(lat), rel=1e-12)
+
     def test_single_node_is_plain_sum(self, hexl, rng):
         p = app.CMPotential.gaussian(1.0)
         z = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))

@@ -97,6 +97,14 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][-2:] == ["value_at_a", "value_at_b"]
 
+    def test_max_radius_caps_the_ball(self, capsys):
+        caps = ["--tol", "1e-14", "--max-radius", "1"]
+        _, out, _ = run(capsys, ["sweep", "--x", "0.5:0.5:1", "--y", f"{Y_HEX}:{Y_HEX}:1"] + caps)
+        swept = json.loads(out)[0]["tail_bound"]
+        _, out, _ = run(capsys, ["minimize", "--lattice", f"0.5,{Y_HEX}"] + caps)
+        assert swept == json.loads(out)["tail_bound"]
+        assert swept > 1.0
+
     def test_parallel_matches_serial(self, capsys):
         serial = run(capsys, self.ARGS[:-2] + ["--grid-n", "12"])[1]
         parallel = run(capsys, self.ARGS[:-2] + ["--grid-n", "12", "--jobs", "2"])[1]

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from latsum.applications import heat_kernel_torus
 from latsum.errors import NonPositiveAlpha, NonPositiveT, TailNotMet
-from latsum.lattice import PhasePoint, special_point_b
+from latsum.lattice import PhasePoint, lattice_from_tau, special_point_b
 from latsum.theta import (
     ChargedSumEvaluator,
     ShiftedSumEvaluator,
@@ -365,3 +366,23 @@ class TestBatchEvaluators:
             for b, val in zip(bs, batch):
                 ref = theta_charged(lat, PhasePoint(b[0], b[1]), alpha)
                 assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-12])
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.9, 2.0, 5.0])
+def test_converged_tail_meets_tolerance(hexl, alpha, tol):
+    """converged => tail_bound <= target_tol, on every route, including
+    the functional-equation reroutes that divide the inner tail by alpha."""
+    pol = TruncationPolicy(tol)
+    b = PhasePoint(0.3, 0.1)
+    t = 1.0 / (4.0 * math.pi * alpha)
+    results = [heat_kernel_torus(hexl, b, t, pol, route) for route in ("gaussian", "spectral")]
+    pointwise = (lattice_gaussian_sum, theta_shifted, theta_charged)
+    evaluators = (ShiftedSumEvaluator, ChargedSumEvaluator)
+    for lat in (hexl, lattice_from_tau(0.2, 1.3)):
+        for fe in (None, True, False):
+            results += [fn(lat, b, alpha, pol, fe) for fn in pointwise]
+            results += [cls(lat, alpha, pol, fe) for cls in evaluators]
+    for res in results:
+        assert res.converged
+        assert res.tail_bound <= tol
