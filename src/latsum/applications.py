@@ -358,7 +358,8 @@ def epstein_zeta_shifted(
     covol = lattice.covolume
     h = _cell_half_diameter(gen)
     coef = (4.0 * math.pi * h / covol) * (1.0 + 2.0 * s / (2.0 * s - 1.0))
-    radius = (coef / pol.target_tol) ** (1.0 / (2.0 * s - 1.0))
+    # the bound below is (coef + 2/R) R^(1-2s), and R >= 10 makes 2/R <= 0.2
+    radius = ((coef + 0.2) / pol.target_tol) ** (1.0 / (2.0 * s - 1.0))
     radius = float(min(max(radius, 10.0 * h + 10.0), radius_cap))
     center = gen @ np.array([zl.u, zl.v])
 

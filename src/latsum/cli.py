@@ -134,6 +134,11 @@ def _policy(args) -> TruncationPolicy:
     return TruncationPolicy(target_tol=args.tol, max_radius=args.max_radius)
 
 
+def _exit_code(converged: bool) -> int:
+    """Exit code of a command whose result carries a convergence flag."""
+    return EXIT_OK if converged else EXIT_TOLERANCE
+
+
 def _certified_row(cv, extra: dict | None = None) -> dict:
     row = {
         "value": cv.value,
@@ -160,7 +165,7 @@ def _cmd_theta(args) -> int:
     fn = theta_charged if args.charged else theta_shifted
     cv = fn(lat, b, args.alpha, _policy(args))
     _emit([_certified_row(cv)], args, single=True)
-    return EXIT_OK if cv.converged else EXIT_TOLERANCE
+    return _exit_code(cv.converged)
 
 
 def _cmd_minimize(args) -> int:
@@ -178,22 +183,25 @@ def _cmd_minimize(args) -> int:
         "refinement_steps": res.refinement_steps,
     }
     _emit([row], args, single=True)
-    return EXIT_OK if res.value.converged else EXIT_TOLERANCE
+    return _exit_code(res.value.converged)
 
 
-def _sweep_cell(payload) -> list[tuple]:
+def _sweep_cell(payload) -> tuple[list[tuple], bool]:
+    """One lattice cell's rows, and whether every minimum in it converged."""
     x, y, alphas, grid_n, pol, exploratory = payload
     lat = lattice_from_tau(x, y)
     rows = []
+    converged = True
     for alpha in alphas:
         res = minimize_over_cell(lat, alpha, grid_n, pol)
+        converged &= res.value.converged
         row = (x, y, alpha, res.value.value, res.argmin.u, res.argmin.v, res.value.tail_bound)
         if exploratory:
             va = theta_shifted(lat, special_point_a(x, y), alpha, pol).value
             vb = theta_shifted(lat, special_point_b(x, y), alpha, pol).value
             row = row + (va, vb)
         rows.append(row)
-    return rows
+    return rows, converged
 
 
 def _cmd_sweep(args) -> int:
@@ -214,9 +222,9 @@ def _cmd_sweep(args) -> int:
     header = ["x", "y", "alpha", "min_value", "argmin_u", "argmin_v", "tail_bound"]
     if args.exploratory:
         header += ["value_at_a", "value_at_b"]
-    rows = [dict(zip(header, row)) for chunk in chunks for row in chunk]
+    rows = [dict(zip(header, row)) for chunk, _ in chunks for row in chunk]
     _emit(rows, args)
-    return EXIT_OK
+    return _exit_code(all(converged for _, converged in chunks))
 
 
 def _cmd_frame_bounds(args) -> int:
@@ -243,7 +251,7 @@ def _cmd_heat(args) -> int:
         lattice_from_tau(x, y), PhasePoint(u, v), args.t, _policy(args), route=args.route
     )
     _emit([_certified_row(cv, {"route": args.route, "t": args.t})], args, single=True)
-    return EXIT_OK if cv.converged else EXIT_TOLERANCE
+    return _exit_code(cv.converged)
 
 
 def _cmd_zeta(args) -> int:
@@ -253,7 +261,7 @@ def _cmd_zeta(args) -> int:
         lattice_from_tau(x, y), PhasePoint(u, v), args.s, _policy(args), method=args.method
     )
     _emit([_certified_row(cv, {"method": args.method, "s": args.s})], args, single=True)
-    return EXIT_OK
+    return _exit_code(cv.converged)
 
 
 def _cmd_born(args) -> int:

@@ -61,14 +61,24 @@ class QuadFormLedger:
 # Quadratic forms and exponent families on the line x = 1/2
 # ---------------------------------------------------------------------------
 
+def _box(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index arrays (k, l) over |k|, |l| <= radius, in k-major order.
+
+    The families below take such arrays as well as scalars.  Checkers keep
+    their alpha and y grids as Python loops, so no array outgrows the box.
+    """
+    side = np.arange(-radius, radius + 1)
+    return np.repeat(side, side.size), np.tile(side, side.size)
+
+
 def q1(k: int, l: int) -> float:
     """Ellipse form collecting shifted-family exponents at the hexagonal point."""
     return (2.0 / SQRT3) * (k + (l + 1.0) / 2.0) ** 2 + (SQRT3 / 2.0) * (l + 1.0 / 3.0) ** 2
 
 
 def q2(k: int, l: int) -> float:
-    """Hexagonal norm form k^2 + k*l + l^2."""
-    return float(k * k + k * l + l * l)
+    """Hexagonal norm form k^2 + k*l + l^2, as a float."""
+    return 1.0 * (k * k + k * l + l * l)
 
 
 def phi_f(k, l, y):
@@ -173,37 +183,30 @@ def enumerate_form(form_id: str, box_radius: int) -> QuadFormLedger:
     form_id = form_id.upper()
     if form_id not in ("Q1", "Q2"):
         raise ValueError("form_id must be 'Q1' or 'Q2'")
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for k in range(-box_radius, box_radius + 1):
-        for l in range(-box_radius, box_radius + 1):
-            if form_id == "Q1":
-                v = q1(k, l)
-                key = round(v / Q1_UNIT)
-                if abs(v / Q1_UNIT - key) > 1e-9:
-                    raise ValueError(f"Q1({k},{l}) not an integer multiple of the unit")
-                if v < Q1_UNIT - 1e-12 or v < Q1_UNIT * (k * k + l * l) - 1e-9:
-                    raise ValueError(f"Q1 growth bound violated at ({k},{l})")
-            else:
-                v = q2(k, l)
-                key = round(v)
-                if v < 0.5 * (k * k + l * l) - 1e-12:
-                    raise ValueError(f"Q2 growth bound violated at ({k},{l})")
-            groups.setdefault(key, []).append((k, l))
-    entries = []
-    unit = Q1_UNIT if form_id == "Q1" else 1.0
-    for key in sorted(groups):
-        entries.append((key * unit, tuple(sorted(groups[key]))))
-    return QuadFormLedger(form_id=form_id, entries=tuple(entries))
+    k, l = _box(box_radius)
+    n2 = k * k + l * l
+    if form_id == "Q1":
+        unit, v = Q1_UNIT, q1(k, l)
+        off_unit = np.abs(v / unit - np.rint(v / unit)) > 1e-9
+        bad = off_unit | (v < unit - 1e-12) | (v < unit * n2 - 1e-9)
+    else:
+        unit, v = 1.0, q2(k, l)
+        bad = v < 0.5 * n2 - 1e-12
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"{form_id}({k[i]},{l[i]}) breaks its unit or growth bound")
+    groups: dict[float, list[tuple[int, int]]] = {}
+    for key, pair in zip(np.rint(v / unit).tolist(), zip(k.tolist(), l.tolist())):
+        groups.setdefault(key, []).append(pair)
+    entries = tuple((key * unit, tuple(groups[key])) for key in sorted(groups))
+    return QuadFormLedger(form_id=form_id, entries=entries)
 
 
 def q1_min_outside(box_limit: int, search_radius: int = 60) -> float:
     """min Q1(k, l) over max(|k|, |l|) > box_limit."""
-    best = math.inf
-    for k in range(-search_radius, search_radius + 1):
-        for l in range(-search_radius, search_radius + 1):
-            if max(abs(k), abs(l)) > box_limit:
-                best = min(best, q1(k, l))
-    return best
+    k, l = _box(search_radius)
+    v = q1(k, l)
+    return float(np.min(v[(np.abs(k) > box_limit) | (np.abs(l) > box_limit)], initial=math.inf))
 
 
 def check_q1_ledger() -> LemmaReport:
@@ -235,12 +238,9 @@ def check_q2_ledger() -> LemmaReport:
 
 def check_q1_growth(box_radius: int = 30) -> LemmaReport:
     """Q1 >= u and Q1 >= u (k^2+l^2), plus the outside-box thresholds."""
-    margin = math.inf
-    for k in range(-box_radius, box_radius + 1):
-        for l in range(-box_radius, box_radius + 1):
-            v = q1(k, l)
-            margin = min(margin, v - Q1_UNIT + 1e-9)
-            margin = min(margin, v - Q1_UNIT * (k * k + l * l) + 1e-9)
+    k, l = _box(box_radius)
+    v = q1(k, l)
+    margin = min(np.min(v - Q1_UNIT + 1e-9), np.min(v - Q1_UNIT * (k * k + l * l) + 1e-9))
     for limit, mult in ((1, 14), (5, 146)):
         observed = q1_min_outside(limit)
         margin = min(margin, 1e-9 - abs(observed - mult / (3.0 * SQRT3)))
@@ -266,24 +266,18 @@ def min_phi_f(k: int, l: int) -> float:
     max(y*, sqrt(3)/2).
     """
     c = 8 * k * k + 8 * k * (l + 1) + 2 * l * (l + 1) + 1
-    s = float(2 * l + 1)
-    y_star = math.sqrt((c + math.hypot(c, SQRT3 * s)) / (4.0 * s * s))
-    return float(phi_f(k, l, max(y_star, Y_HEX)))
+    s = 2 * l + 1.0
+    y_star = np.sqrt((c + np.hypot(c, SQRT3 * s)) / (4.0 * s * s))
+    return phi_f(k, l, np.maximum(y_star, Y_HEX))
 
 
 def growth1_min_ratio(k_max: int = 20) -> tuple[float, list[tuple[int, int]]]:
-    """Smallest min_phi_f / sqrt(Q1) over the index box and its attaining pairs."""
-    best = math.inf
-    attaining: list[tuple[int, int]] = []
-    for k in range(-k_max, k_max + 1):
-        for l in range(-k_max, k_max + 1):
-            ratio = min_phi_f(k, l) / math.sqrt(q1(k, l))
-            if ratio < best - 1e-9:
-                best = ratio
-                attaining = [(k, l)]
-            elif ratio < best + 1e-9:
-                attaining.append((k, l))
-    return best, sorted(attaining)
+    """Smallest min_phi_f / sqrt(Q1) over the index box and the pairs within 1e-9 of it."""
+    k, l = _box(k_max)
+    ratio = min_phi_f(k, l) / np.sqrt(q1(k, l))
+    best = float(np.min(ratio))
+    near = ratio < best + 1e-9
+    return best, list(zip(k[near].tolist(), l[near].tolist()))
 
 
 def check_growth_lemma_1(k_max: int = 20) -> LemmaReport:
@@ -306,32 +300,31 @@ def check_derivative_bounds(
     ys = np.linspace(Y_HEX, 10.0, 200) if y_grid is None else np.asarray(y_grid)
     if ys.min() < Y_HEX - 1e-12 or ys.max() > 10.0 + 1e-12:
         raise ValueError("grid must lie within [sqrt(3)/2, 10]")
-    margin = math.inf
-    for k in range(-k_max, k_max + 1):
-        for l in range(-k_max, k_max + 1):
-            qq = q1(k, l)
-            margin = min(margin, float(np.min(2.0 * qq - np.abs(phi_f_d1(k, l, ys)))))
-            margin = min(margin, float(np.min(3.0 * qq - np.abs(phi_f_d2(k, l, ys)))))
+    k, l = _box(k_max)
+    qq = q1(k, l)
+    first = min(np.min(2.0 * qq - np.abs(phi_f_d1(k, l, y))) for y in ys)
+    second = min(np.min(3.0 * qq - np.abs(phi_f_d2(k, l, y))) for y in ys)
     return LemmaReport(
-        "derivative_bounds", f"|k|,|l| <= {k_max}, {len(ys)}-point y-grid", margin
+        "derivative_bounds", f"|k|,|l| <= {k_max}, {len(ys)}-point y-grid", min(first, second)
     )
 
 
 def check_growth11_composite(alphas=(5.0, 10.0), k_max: int = 15) -> LemmaReport:
     """|d^2/dy^2 exp(-pi a phi_f)| <= 5 pi^2 a^2 Q1^2 exp(-pi a sqrt(Q1)/2)."""
     ys = np.linspace(Y_HEX, 8.0, 160)
+    k, l = _box(k_max)
+    qq = q1(k, l)
     margin = math.inf
     for alpha in alphas:
         if alpha < 5.0:
             raise ValueError("composite bound requires alpha >= 5")
-        for k in range(-k_max, k_max + 1):
-            for l in range(-k_max, k_max + 1):
-                qq = q1(k, l)
-                bound = 5.0 * math.pi**2 * alpha**2 * qq * qq * math.exp(
-                    -0.5 * math.pi * alpha * math.sqrt(qq)
-                )
-                worst = float(np.max(np.abs(shifted_term_d2(k, l, ys, alpha))))
-                margin = min(margin, (bound - worst) / bound)
+        bound = 5.0 * math.pi**2 * alpha**2 * qq * qq * np.exp(
+            -0.5 * math.pi * alpha * np.sqrt(qq)
+        )
+        worst = np.zeros_like(qq)
+        for y in ys:
+            np.maximum(worst, np.abs(shifted_term_d2(k, l, y, alpha)), out=worst)
+        margin = min(margin, np.min((bound - worst) / bound))
     return LemmaReport(
         "growth11", f"alphas {tuple(alphas)}, |k|,|l| <= {k_max}, relative slack", margin
     )
@@ -339,26 +332,22 @@ def check_growth11_composite(alphas=(5.0, 10.0), k_max: int = 15) -> LemmaReport
 
 def min_phi_g(k: int, l: int) -> float:
     """min over y >= sqrt(3)/2 of phi_g(k, l, .), for l != 0."""
-    if l == 0:
+    if np.any(np.asarray(l) == 0):
         raise ValueError("the charged growth bound needs l != 0")
     a = (2 * k + l) ** 2 / 4.0
-    b = float(l * l)
-    y0 = math.sqrt(a / b) if a > 0 else 0.0
-    if y0 <= Y_HEX:
-        return float(phi_g(k, l, Y_HEX))
-    return 2.0 * math.sqrt(a * b)
+    b = l * l
+    y0 = np.sqrt(a / b)
+    # [()] turns the 0-d result of scalar input back into a scalar
+    return np.where(y0 <= Y_HEX, phi_g(k, l, Y_HEX), 2.0 * np.sqrt(a * b))[()]
 
 
 def check_growth_lemma_2(k_max: int = 20) -> LemmaReport:
     """min_y phi_g >= sqrt(Q2) for l != 0."""
     if k_max < 10:
         raise ValueError("k_max must be at least 10")
-    margin = math.inf
-    for k in range(-k_max, k_max + 1):
-        for l in range(-k_max, k_max + 1):
-            if l == 0:
-                continue
-            margin = min(margin, min_phi_g(k, l) - math.sqrt(q2(k, l)))
+    k, l = _box(k_max)
+    k, l = k[l != 0], l[l != 0]
+    margin = np.min(min_phi_g(k, l) - np.sqrt(q2(k, l)))
     return LemmaReport("growth2", f"|k|,|l| <= {k_max}, l != 0", margin)
 
 
@@ -379,10 +368,7 @@ def check_dominant_concavity(alphas=(6.0, 10.0, 50.0)) -> LemmaReport:
     for alpha in alphas:
         if alpha < 6.0:
             raise ValueError("dominant concavity window needs alpha >= 6")
-        ys = _concavity_window(alpha, 3.0)
-        scale = alpha * math.exp(-TWO_PI * alpha / (3.0 * SQRT3))
-        worst = float(np.max(shifted_term_d2(0, 0, ys, alpha))) / scale
-        margin = min(margin, -0.84 - worst)
+        margin = min(margin, -0.84 - dominant_concavity_extreme(alpha))
     return LemmaReport(
         "dominant_concavity", f"alphas {tuple(alphas)}, normalized slack", margin
     )
@@ -395,12 +381,11 @@ def dominant_concavity_extreme(alpha: float = 6.0) -> float:
     return float(np.max(shifted_term_d2(0, 0, ys, alpha))) / scale
 
 
-def _nine_term_shifted_d2(ys: np.ndarray, alpha: float) -> np.ndarray:
-    total = np.zeros_like(ys)
-    for k in (-1, 0, 1):
-        for l in (-1, 0, 1):
-            total += shifted_term_d2(k, l, ys, alpha)
-    return total
+def _nine_term_d2(term_d2, ys: np.ndarray, alpha: float) -> np.ndarray:
+    """Sum of a term family over |k|, |l| <= 1 on a y-grid; the sum over the
+    leading axis adds the nine rows one after another in k-major order."""
+    k, l = _box(1)
+    return term_d2(k[:, None], l[:, None], ys, alpha).sum(axis=0)
 
 
 def check_nine_term_concavity(alphas=(6.0, 10.0)) -> LemmaReport:
@@ -409,13 +394,13 @@ def check_nine_term_concavity(alphas=(6.0, 10.0)) -> LemmaReport:
     for alpha in alphas:
         ys = _concavity_window(alpha, 3.0)
         scale = alpha * math.exp(-TWO_PI * alpha / (3.0 * SQRT3))
-        nine = _nine_term_shifted_d2(ys, alpha) / scale
+        nine = _nine_term_d2(shifted_term_d2, ys, alpha) / scale
         margin = min(margin, -2.5 - float(np.max(nine)))
     # extra-term contribution at alpha = 6 stays near 1e-6
     ys = _concavity_window(6.0, 3.0)
     scale = 6.0 * math.exp(-TWO_PI * 6.0 / (3.0 * SQRT3))
     extra = np.abs(
-        _nine_term_shifted_d2(ys, 6.0) - 3.0 * shifted_term_d2(0, 0, ys, 6.0)
+        _nine_term_d2(shifted_term_d2, ys, 6.0) - 3.0 * shifted_term_d2(0, 0, ys, 6.0)
     ) / scale
     margin = min(margin, 1e-5 - float(np.max(extra)))
     return LemmaReport(
@@ -423,14 +408,6 @@ def check_nine_term_concavity(alphas=(6.0, 10.0)) -> LemmaReport:
         f"alphas {tuple(alphas)}; extra-term contribution < 1e-5 at alpha 6",
         margin,
     )
-
-
-def _nine_term_charged_d2(ys: np.ndarray, alpha: float) -> np.ndarray:
-    total = np.zeros_like(ys)
-    for k in (-1, 0, 1):
-        for l in (-1, 0, 1):
-            total += charged_term_d2(k, l, ys, alpha)
-    return total
 
 
 def check_charged_nine_term(alphas=(5.0, 8.0)) -> LemmaReport:
@@ -441,7 +418,7 @@ def check_charged_nine_term(alphas=(5.0, 8.0)) -> LemmaReport:
             raise ValueError("charged nine-term bound needs alpha >= 5")
         ys = np.linspace(Y_HEX, 1.0, 160)
         scale = math.pi**2 * alpha**2 * np.exp(math.pi * alpha * (ys - 2.0))
-        ratio = _nine_term_charged_d2(ys, alpha) / scale
+        ratio = _nine_term_d2(charged_term_d2, ys, alpha) / scale
         margin = min(margin, -0.6 - float(np.max(ratio)))
     return LemmaReport(
         "charged_nine_term", f"alphas {tuple(alphas)}, y in [sqrt3/2, 1]", margin
@@ -451,13 +428,11 @@ def check_charged_nine_term(alphas=(5.0, 8.0)) -> LemmaReport:
 def charged_sum_d2(y: np.ndarray, alpha: float, k_max: int = 25) -> np.ndarray:
     """Closed-form second y-derivative of the full charged profile g_alpha."""
     ys = np.asarray(y, dtype=float)
-    total = np.zeros_like(ys)
-    for k in range(-k_max, k_max + 1):
-        for l in range(-k_max, k_max + 1):
-            if k == 0 and l == 0:
-                continue
-            total += charged_term_d2(k, l, ys, alpha)
-    return total
+    k, l = _box(k_max)
+    off = (k != 0) | (l != 0)
+    k, l = k[off], l[off]
+    total = [np.sum(charged_term_d2(k, l, yi, alpha)) for yi in ys.flat]
+    return np.reshape(total, ys.shape)
 
 
 def check_charged_concavity_small_alpha(alphas=(2.0, 3.5, 5.0)) -> LemmaReport:
@@ -649,80 +624,60 @@ def check_montgomery_sandwich(
     )
 
 
-def _sum_over_box(fn, radius: int = 40) -> float:
-    total = 0.0
-    for k in range(-radius, radius + 1):
-        for l in range(-radius, radius + 1):
-            total += fn(k, l)
-    return total
+def _threshold_table() -> dict:
+    """Tail-sum threshold inequalities: id -> (stated alpha0, usage floor,
+    lhs(a), rhs(a)).  Each lhs is a masked sum over |k|, |l| <= 40."""
+    pi = math.pi
+    k, l = _box(40)
+    cheb = np.maximum(np.abs(k), np.abs(l))
+    n2 = k * k + l * l
+    r1, r2 = q1(k, l), q2(k, l)
+    s1, s2 = np.sqrt(r1), np.sqrt(r2)
+    ks = np.arange(2, 40)
 
+    def box_sum(c, s, mask, weight=None):
+        # sum over the mask of weight * exp(c a s)
+        s, w = s[mask], 1.0 if weight is None else weight[mask]
+        return lambda a: float(np.sum(w * np.exp(c * a * s)))
 
-def _threshold_inequalities() -> dict[str, tuple[float, float]]:
-    """Named tail inequalities as (lhs, rhs) callables plus usage floors.
+    def dominant(a):
+        return math.exp(-TWO_PI * a / (3 * SQRT3))
 
-    Returns id -> (stated_alpha0, usage_alpha); each entry in
-    ``_THRESHOLD_FUNCS`` maps the id to the lhs/rhs pair.
-    """
+    composite = box_sum(-0.5 * pi, s1, cheb > 1, r1 * r1)
+    charged = box_sum(-pi, s2, (l != 0) & (cheb > 1), r2 * r2)
     return {
-        "square_tail": (0.5, 0.5),
-        "far_q1": (1.0, 1.0),
-        "nondominant_q1": (0.7, 6.0),
-        "composite_q1": (6.0, 6.0),
-        "charged_far": (1.3, 1.5),
-        "charged_composite": (1.1, 5.0),
+        "square_tail": (0.5, 0.5, box_sum(-pi, n2, n2 >= 2), lambda a: math.exp(-pi * a)),
+        "far_q1": (1.0, 1.0, box_sum(-0.5 * pi, s1, cheb > 5), lambda a: dominant(a) / 200.0),
+        "nondominant_q1": (
+            0.7, 6.0, box_sum(-0.5 * pi, s1, r1 >= 8.0 / (3.0 * SQRT3) - 1e-9),
+            lambda a: 0.3 * dominant(a),
+        ),
+        "composite_q1": (
+            6.0, 6.0, lambda a: 5.0 * pi**2 * a**2 * composite(a), lambda a: 2.5 * a * dominant(a)
+        ),
+        "charged_far": (
+            1.3, 1.5, box_sum(-pi, s2, (l != 0) & (r2 > 1)),
+            lambda a: (2.0 * math.sqrt(a) / 3.0) * math.exp(-TWO_PI * a / SQRT3),
+        ),
+        "charged_composite": (
+            1.1, 5.0,
+            lambda a: 40.0 * math.fsum(a * a * ks**4 * np.exp(-pi * a * ks * ks))
+            + 3.0 * pi**2 * a**2 * charged(a),
+            lambda a: 0.6 * pi**2 * a**2 * math.exp(pi * a * (Y_HEX - 2.0)),
+        ),
     }
 
 
-def _threshold_lhs_rhs(name: str, a: float) -> tuple[float, float]:
-    pi = math.pi
-    if name == "square_tail":
-        lhs = _sum_over_box(
-            lambda k, l: math.exp(-pi * a * (k * k + l * l)) if k * k + l * l >= 2 else 0.0
-        )
-        return lhs, math.exp(-pi * a)
-    if name == "far_q1":
-        lhs = _sum_over_box(
-            lambda k, l: math.exp(-0.5 * pi * a * math.sqrt(q1(k, l)))
-            if max(abs(k), abs(l)) > 5
-            else 0.0
-        )
-        return lhs, math.exp(-TWO_PI * a / (3 * SQRT3)) / 200.0
-    if name == "nondominant_q1":
-        lhs = _sum_over_box(
-            lambda k, l: math.exp(-0.5 * pi * a * math.sqrt(q1(k, l)))
-            if q1(k, l) >= 8.0 / (3.0 * SQRT3) - 1e-9
-            else 0.0
-        )
-        return lhs, 0.3 * math.exp(-TWO_PI * a / (3 * SQRT3))
-    if name == "composite_q1":
-        lhs = 5.0 * pi**2 * a**2 * _sum_over_box(
-            lambda k, l: q1(k, l) ** 2 * math.exp(-0.5 * pi * a * math.sqrt(q1(k, l)))
-            if max(abs(k), abs(l)) > 1
-            else 0.0
-        )
-        return lhs, 2.5 * a * math.exp(-TWO_PI * a / (3 * SQRT3))
-    if name == "charged_far":
-        lhs = _sum_over_box(
-            lambda k, l: math.exp(-pi * a * math.sqrt(q2(k, l)))
-            if l != 0 and q2(k, l) > 1
-            else 0.0
-        )
-        return lhs, (2.0 * math.sqrt(a) / 3.0) * math.exp(-TWO_PI * a / SQRT3)
-    if name == "charged_composite":
-        lhs = 40.0 * math.fsum(a * a * k**4 * math.exp(-pi * a * k * k) for k in range(2, 40))
-        lhs += 3.0 * pi**2 * a**2 * _sum_over_box(
-            lambda k, l: q2(k, l) ** 2 * math.exp(-pi * a * math.sqrt(q2(k, l)))
-            if l != 0 and max(abs(k), abs(l)) > 1
-            else 0.0
-        )
-        return lhs, 0.6 * pi**2 * a**2 * math.exp(pi * a * (Y_HEX - 2.0))
-    raise ValueError(f"unknown threshold id {name!r}")
+_THRESHOLDS = _threshold_table()
 
 
 def empirical_threshold(name: str, a_max: float = 10.0, step: float = 0.05) -> float:
     """Smallest alpha (on a grid) from which lhs < rhs holds onward."""
+    if name not in _THRESHOLDS:
+        raise ValueError(f"unknown threshold id {name!r}")
+    _, _, lhs, rhs = _THRESHOLDS[name]
     grid = np.arange(step, a_max + step, step)
-    holds = np.array([(lambda p: p[0] < p[1])(_threshold_lhs_rhs(name, float(a))) for a in grid])
+    holds = np.array([lhs(a) < rhs(a) for a in grid.tolist()])
     if not holds[-1]:
         return math.inf
     last_fail = np.where(~holds)[0]
@@ -740,12 +695,11 @@ def check_alpha_thresholds() -> LemmaReport:
     """
     margin = math.inf
     notes = []
-    for name, (stated, usage) in _threshold_inequalities().items():
+    for name, (stated, usage, lhs, rhs) in _THRESHOLDS.items():
         emp = empirical_threshold(name)
         a_check = max(stated, usage, math.ceil(emp * 10.0) / 10.0)
         for a in (a_check, 2.0 * a_check):
-            lhs, rhs = _threshold_lhs_rhs(name, a)
-            margin = min(margin, (rhs - lhs) / abs(rhs))
+            margin = min(margin, (rhs(a) - lhs(a)) / abs(rhs(a)))
         notes.append(f"{name}: stated {stated}, empirical {emp:.2f}, checked {a_check}")
     return LemmaReport("alpha_thresholds", "; ".join(notes), margin)
 

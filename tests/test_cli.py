@@ -105,6 +105,14 @@ class TestSweep:
         assert swept == json.loads(out)["tail_bound"]
         assert swept > 1.0
 
+    def test_unconverged_cell_exits_three(self, capsys):
+        argv = ["sweep", "--x", "0.5:0.5:1", "--y", f"{Y_HEX}:{Y_HEX}:1",
+                "--tol", "1e-14", "--max-radius", "1"]
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, argv + ["--jobs", jobs])
+            assert code == 3
+            assert json.loads(out)[0]["tail_bound"] > 1e-14
+
     def test_parallel_matches_serial(self, capsys):
         serial = run(capsys, self.ARGS[:-2] + ["--grid-n", "12"])[1]
         parallel = run(capsys, self.ARGS[:-2] + ["--grid-n", "12", "--jobs", "2"])[1]
@@ -159,9 +167,28 @@ class TestOtherCommands:
         assert v1 == pytest.approx(v2, abs=1e-10)
 
     def test_zeta(self, capsys):
-        code, out, _ = run(capsys, ["zeta", "--s", "2", "--lattice", "0,1", "--z", "0.5,0.5"])
+        argv = ["zeta", "--s", "2", "--lattice", "0,1", "--z", "0.5,0.5"]
+        # the direct route's radius cap leaves a tail above the default 1e-10
+        code, out, _ = run(capsys, argv)
+        assert code == 3
+        capped = json.loads(out)
+        assert capped["converged"] is False
+        assert capped["value"] == pytest.approx(18.0804361, abs=1e-6)
+        code, out, _ = run(capsys, argv + ["--tol", "1e-8"])
         assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(18.0804361, abs=1e-6)
+        met = json.loads(out)
+        assert met["converged"] is True
+        assert met["tail_bound"] <= 1e-8
+        assert met["value"] == pytest.approx(capped["value"], abs=1e-6)
+
+    def test_zeta_tail_not_met_exits_three(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["zeta", "--lattice", "0.5,0.8660254", "--z", "0.3333333,0.3333333",
+             "--s", "1.5", "--tol", "1e-9"],
+        )
+        assert code == 3
+        assert json.loads(out)["tail_bound"] > 1e-9
 
     def test_born_honeycomb(self, capsys):
         code, out, _ = run(capsys, ["born", "--period", "3"])

@@ -13,6 +13,61 @@ U = 2.0 / (3.0 * SQRT3)
 Y_HEX = SQRT3 / 2.0
 
 
+def _box_loop(fn, radius=40):
+    """Scalar double loop over |k|, |l| <= radius: the reference for the
+    broadcast box sums."""
+    total = 0.0
+    for k in range(-radius, radius + 1):
+        for l in range(-radius, radius + 1):
+            total += fn(k, l)
+    return total
+
+
+def _ref_threshold_lhs(name, a):
+    pi = math.pi
+    q1, q2 = pc.q1, pc.q2
+    if name == "square_tail":
+        return _box_loop(
+            lambda k, l: math.exp(-pi * a * (k * k + l * l)) if k * k + l * l >= 2 else 0.0
+        )
+    if name == "far_q1":
+        return _box_loop(
+            lambda k, l: math.exp(-0.5 * pi * a * math.sqrt(q1(k, l)))
+            if max(abs(k), abs(l)) > 5
+            else 0.0
+        )
+    if name == "nondominant_q1":
+        return _box_loop(
+            lambda k, l: math.exp(-0.5 * pi * a * math.sqrt(q1(k, l)))
+            if q1(k, l) >= 8.0 / (3.0 * SQRT3) - 1e-9
+            else 0.0
+        )
+    if name == "composite_q1":
+        return 5.0 * pi**2 * a**2 * _box_loop(
+            lambda k, l: q1(k, l) ** 2 * math.exp(-0.5 * pi * a * math.sqrt(q1(k, l)))
+            if max(abs(k), abs(l)) > 1
+            else 0.0
+        )
+    if name == "charged_far":
+        return _box_loop(
+            lambda k, l: math.exp(-pi * a * math.sqrt(q2(k, l)))
+            if l != 0 and q2(k, l) > 1
+            else 0.0
+        )
+    assert name == "charged_composite"
+    lhs = 40.0 * math.fsum(a * a * k**4 * math.exp(-pi * a * k * k) for k in range(2, 40))
+    return lhs + 3.0 * pi**2 * a**2 * _box_loop(
+        lambda k, l: q2(k, l) ** 2 * math.exp(-pi * a * math.sqrt(q2(k, l)))
+        if l != 0 and max(abs(k), abs(l)) > 1
+        else 0.0
+    )
+
+
+THRESHOLD_IDS = [
+    "square_tail", "far_q1", "nondominant_q1", "composite_q1", "charged_far", "charged_composite",
+]
+
+
 class TestQuadraticForms:
     def test_q1_point_values(self):
         assert pc.q1(0, 0) == pytest.approx(U, abs=1e-15)
@@ -54,6 +109,22 @@ class TestQuadraticForms:
     def test_ledger_validates_radius(self):
         with pytest.raises(ValueError):
             pc.enumerate_form("Q1", 0)
+
+    def test_families_take_index_arrays(self):
+        k, l = pc._box(6)
+        pairs = list(zip(k.tolist(), l.tolist()))
+        assert pairs == [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+        assert np.array_equal(pc.q1(k, l), [pc.q1(a, b) for a, b in pairs])
+        assert np.array_equal(pc.q2(k, l), [pc.q2(a, b) for a, b in pairs])
+        assert np.array_equal(pc.min_phi_f(k, l), [pc.min_phi_f(a, b) for a, b in pairs])
+        k, l = k[l != 0], l[l != 0]
+        assert np.array_equal(
+            pc.min_phi_g(k, l), [pc.min_phi_g(a, b) for a, b in zip(k.tolist(), l.tolist())]
+        )
+        for value in (pc.q1(2, -1), pc.q2(2, -1), pc.min_phi_f(2, -1), pc.min_phi_g(2, -1)):
+            assert isinstance(value, float)
+        with pytest.raises(ValueError):
+            pc.min_phi_g(k, np.where(l == 1, 0, l))
 
 
 class TestExponentFamilies:
@@ -188,6 +259,22 @@ class TestConcavity:
     def test_charged_small_alpha_window(self):
         assert pc.check_charged_concavity_small_alpha().passed
 
+    @pytest.mark.parametrize("alpha", [2.0, 3.5, 5.0])
+    def test_charged_sum_d2_matches_scalar_loop(self, alpha):
+        ys = np.linspace(Y_HEX, 1.5, 120)
+        total = np.zeros_like(ys)
+        size = np.zeros_like(ys)
+        for k in range(-25, 26):
+            for l in range(-25, 26):
+                if k == 0 and l == 0:
+                    continue
+                term = pc.charged_term_d2(k, l, ys, alpha)
+                total += term
+                size += np.abs(term)
+        # two summation orders of 2600 terms differ by at most 2600 eps sum|term|
+        bound = 2600 * np.finfo(float).eps * size
+        assert np.all(np.abs(pc.charged_sum_d2(ys, alpha) - total) <= bound)
+
     def test_window_requires_large_alpha(self):
         with pytest.raises(ValueError):
             pc.check_dominant_concavity((4.0,))
@@ -293,7 +380,25 @@ class TestSuite:
     def test_thresholds(self):
         rep = pc.check_alpha_thresholds()
         assert rep.passed
-        assert "empirical" in rep.params_tested
+        assert rep.params_tested == (
+            "square_tail: stated 0.5, empirical 0.50, checked 0.5; "
+            "far_q1: stated 1.0, empirical 1.15, checked 1.2; "
+            "nondominant_q1: stated 0.7, empirical 3.45, checked 6.0; "
+            "composite_q1: stated 6.0, empirical 6.00, checked 6.0; "
+            "charged_far: stated 1.3, empirical 1.30, checked 1.5; "
+            "charged_composite: stated 1.1, empirical 2.85, checked 5.0"
+        )
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.85, 6.0])
+    @pytest.mark.parametrize("name", THRESHOLD_IDS)
+    def test_threshold_lhs_matches_scalar_loop(self, name, a):
+        lhs = pc._THRESHOLDS[name][2]
+        assert lhs(a) == pytest.approx(_ref_threshold_lhs(name, a), rel=1e-13, abs=0.0)
+
+    def test_threshold_table_ids(self):
+        assert list(pc._THRESHOLDS) == THRESHOLD_IDS
+        with pytest.raises(ValueError):
+            pc.empirical_threshold("nope")
 
     def test_default_suite_all_pass(self):
         reports = pc.run_default_suite()
