@@ -83,7 +83,7 @@ def gabor_frame_bounds(
     n = density // 2
     lat = lattice_from_tau(x, y)
     ev = ChargedSumEvaluator(lat, float(n), pol)
-    point, _, _ = minimize_torus(ev.values_centered, grid_n)
+    point, _, _ = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
     argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE)
     min_val = theta_charged(lat, argmin, float(n), pol).value
     max_val = theta_charged(lat, PhasePoint(0.0, 0.0), float(n), pol).value
@@ -298,6 +298,15 @@ class CMEnergyEvaluator:
             out += weight * ev.values_centered(zs)
         return out
 
+    def derivatives_centered(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Centered values, gradients and Hessians: the weighted node sums."""
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        out = [np.zeros(len(zs)), np.zeros((len(zs), 2)), np.zeros((len(zs), 2, 2))]
+        for weight, ev in self._parts:
+            for acc, d in zip(out, ev.derivatives_centered(zs)):
+                acc += weight * d
+        return tuple(out)
+
     def values(self, zs: np.ndarray) -> np.ndarray:
         return self.value_offset + self.values_centered(zs)
 
@@ -310,7 +319,7 @@ def minimize_cm_energy(
 ) -> tuple[PhasePoint, float]:
     """Argmin and minimum of the CM lattice energy over one torus cell."""
     ev = CMEnergyEvaluator(p, lattice, pol)
-    point, _, _ = minimize_torus(ev.values_centered, grid_n)
+    point, _, _ = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
     argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE)
     return argmin, cm_lattice_energy(p, lattice, argmin, pol).value
 
@@ -340,8 +349,10 @@ def epstein_zeta_shifted(
 
     ``direct`` sums a ball and adds the integral estimate of the tail;
     its certified bound comes from a rigorous perimeter-type count of
-    lattice points in annuli.  ``quadrature`` routes the power kernel
-    through its Gaussian mixture.
+    lattice points in annuli; the ball's radius is capped at
+    ``min(radius_cap, pol.max_radius)``, and a capped ball reports its
+    honest tail.  ``quadrature`` routes the power kernel through its
+    Gaussian mixture.
     """
     if s <= 1.0:
         raise ValueError("absolute convergence requires s > 1")
@@ -360,7 +371,7 @@ def epstein_zeta_shifted(
     coef = (4.0 * math.pi * h / covol) * (1.0 + 2.0 * s / (2.0 * s - 1.0))
     # the bound below is (coef + 2/R) R^(1-2s), and R >= 10 makes 2/R <= 0.2
     radius = ((coef + 0.2) / pol.target_tol) ** (1.0 / (2.0 * s - 1.0))
-    radius = float(min(max(radius, 10.0 * h + 10.0), radius_cap))
+    radius = float(min(max(radius, 10.0 * h + 10.0), radius_cap, pol.max_radius))
     center = gen @ np.array([zl.u, zl.v])
 
     all_ks, ls = _box_ranges(gen, center, radius)

@@ -1,7 +1,9 @@
 """Global minimization of lattice Gaussian sums over the torus, and sweeps.
 
-The minimizer runs a coarse grid scan in lattice coordinates followed by
-derivative-free pattern search from the best cells.  Sweep routines
+The minimizer runs a coarse grid scan of the half cell in lattice
+coordinates (every function minimized here is even), then polishes the
+best cells together by saddle-free Newton steps on the series' own
+gradient and Hessian, term by term differentiated.  Sweep routines
 evaluate the minimum across a family of lattice shapes; derivative scans
 probe the lattice-shape gradient of the shifted and charged families at
 the moving special points.
@@ -35,7 +37,9 @@ from .theta import (
     theta_shifted,
 )
 
-_STEP_TOL = 1e-9
+_NEWTON_ITERATIONS = 60  # cap on the batched Newton loop
+_EIG_FLOOR = 1e-12  # smallest |Hessian eigenvalue| kept, relative to the largest
+_ROUNDING = 64.0 * np.finfo(float).eps  # decrement at which a start stops, per unit value
 
 
 class CriticalRule(Enum):
@@ -47,6 +51,10 @@ class CriticalRule(Enum):
 
 @dataclass(frozen=True)
 class MinResult:
+    """A torus minimum: its argmin in lattice coordinates, the certified
+    value there, the scan grid size and the number of Newton iterations
+    (``refinement_steps``) of the polish that located it."""
+
     argmin: PhasePoint
     value: CertifiedValue
     grid_resolution: int
@@ -64,69 +72,82 @@ class SweepRecord:
     tail_bound: float
 
 
-def _pattern_search(
-    batch: Callable[[np.ndarray], np.ndarray],
-    start: np.ndarray,
-    step0: float,
-    step_tol: float = _STEP_TOL,
-) -> tuple[np.ndarray, float, int]:
-    """Compass search with shrinking steps on the unit torus.
+def _newton_polish(
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    points: np.ndarray,
+    radius: float,
+    tol: float,
+) -> tuple[np.ndarray, int]:
+    """Saddle-free Newton on the unit torus from every row of ``points`` at once.
 
-    A move is accepted only on sufficient decrease (a few ulps of the
-    incumbent), which stops roundoff-level drift along flat valleys.
+    Each step solves with the Hessian whose eigenvalues are replaced by their
+    absolute values, floored at ``_EIG_FLOOR`` times the largest, so that it
+    descends at saddles and along near-flat valleys.  The step is cut to a
+    per-start trust radius, which starts at ``radius``, doubles (up to 1/2)
+    after an accepted cut step and drops to half a rejected step; a step is
+    accepted when it lowers the value.  A start stops after the step whose
+    Newton decrement g^T |H|^-1 g is at most ``tol``, taken without a further
+    evaluation.  Returns the points and the number of iterations.
     """
-    moves = np.array(
-        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]],
-        dtype=float,
-    )
-    point = np.asarray(start, dtype=float)
-    best = float(batch(point[None, :])[0])
-    step = step0
+    points = np.array(points, dtype=float)
+    f, g, h = derivatives(points)
+    radii = np.full(len(points), radius)
+    live = np.arange(len(points))
     iterations = 0
-    moves_at_level = 0
-    while step >= step_tol and iterations < 20_000:
-        candidates = (point[None, :] + step * moves) % 1.0
-        vals = batch(candidates)
-        j = int(np.argmin(vals))
+    while live.size and iterations < _NEWTON_ITERATIONS:
         iterations += 1
-        accept = vals[j] < best - 4.0 * abs(best) * np.finfo(float).eps
-        if accept and moves_at_level < 500:
-            best = float(vals[j])
-            point = candidates[j]
-            moves_at_level += 1
-        else:
-            step *= 0.5
-            moves_at_level = 0
-    return point % 1.0, best, iterations
+        lam, vec = np.linalg.eigh(h[live])
+        lam = np.abs(lam)
+        lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True) + np.finfo(float).tiny)
+        gv = np.einsum("nij,ni->nj", vec, g[live])
+        step = -np.einsum("nij,nj->ni", vec, gv / lam)
+        length = np.hypot(step[:, 0], step[:, 1])
+        cut = length > radii[live]
+        step[cut] *= (radii[live][cut] / length[cut])[:, None]
+        trial = (points[live] + step) % 1.0
+        done = np.einsum("nj,nj->n", gv, gv / lam) <= tol
+        points[live[done]] = trial[done]
+        live, trial, length, cut = live[~done], trial[~done], length[~done], cut[~done]
+        if not live.size:
+            break
+        ft, gt, ht = derivatives(trial)
+        better = ft < f[live]
+        moved = live[better]
+        points[moved], f[moved], g[moved], h[moved] = trial[better], ft[better], gt[better], ht[better]
+        grow = better & cut
+        radii[live[grow]] = np.minimum(2.0 * radii[live[grow]], 0.5)
+        radii[live[~better]] = 0.5 * np.minimum(length[~better], radii[live[~better]])
+    return points, iterations
 
 
 def minimize_torus(
     batch: Callable[[np.ndarray], np.ndarray],
     grid_n: int,
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     n_starts: int = 5,
-    v_max: float = 1.0,
-    step_tol: float = _STEP_TOL,
 ) -> tuple[np.ndarray, float, int]:
-    """Grid scan plus multistart refinement of a batch-evaluable torus function."""
+    """Minimize an even function on the unit torus: grid scan, then Newton polish.
+
+    ``batch`` maps an (n, 2) array of lattice coordinates to values and
+    ``derivatives`` maps it to (values, gradients (n, 2), Hessians (n, 2, 2)).
+    The function must be even, f(-z) = f(z), so the scan covers only the half
+    cell v <= 1/2 + 1.5/grid_n.  The ``n_starts`` lowest grid points are
+    polished together by ``_newton_polish``, which stops each at a Newton
+    decrement of rounding level, ``_ROUNDING`` times the largest scanned |value|.
+    Returns the best polished point, its value and the Newton iteration count.
+    """
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     us = np.arange(grid_n) / grid_n
-    n_v = max(int(round(grid_n * v_max)), 1)
-    vs = np.arange(n_v) / grid_n
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
+    uu, vv = np.meshgrid(us, us[us <= 0.5 + 1.5 / grid_n], indexing="ij")
     grid = np.column_stack([uu.ravel(), vv.ravel()])
     vals = batch(grid)
-    order = np.argsort(vals, kind="stable")[:n_starts]
-    best_point = grid[order[0]]
-    best_val = float(vals[order[0]])
-    total_iters = 0
-    for j in order:
-        point, val, iters = _pattern_search(batch, grid[j], 1.0 / grid_n, step_tol)
-        total_iters += iters
-        if val < best_val:
-            best_val = val
-            best_point = point
-    return best_point, best_val, total_iters
+    starts = grid[np.argsort(vals, kind="stable")[:n_starts]]
+    tol = _ROUNDING * float(np.max(np.abs(vals)))
+    points, iterations = _newton_polish(derivatives, starts, 1.0 / grid_n, tol)
+    polished = batch(points)
+    j = int(np.argmin(polished))
+    return points[j], float(polished[j]), iterations
 
 
 def minimize_over_cell(
@@ -138,16 +159,16 @@ def minimize_over_cell(
 ) -> MinResult:
     """Global minimum of E(.; alpha) over one torus cell.
 
-    The search runs in lattice coordinates on [0, 1)^2.  On the boundary
-    shapes x in {0, 1/2} the central symmetry z -> -z is exploited to
-    halve the scanned cell.
+    The search runs in lattice coordinates on [0, 1)^2 through
+    ``minimize_torus``; the central symmetry E(-z) = E(z) halves the
+    scanned cell for every shape.
     """
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
     ev = ShiftedSumEvaluator(lattice, alpha, pol)
-    x = lattice.x
-    v_max = 0.5 + 1.5 / grid_n if (abs(x) < 1e-12 or abs(x - 0.5) < 1e-12) else 1.0
-    point, _, iters = minimize_torus(ev.values_centered, grid_n, n_starts, v_max)
+    point, _, iters = minimize_torus(
+        ev.values_centered, grid_n, ev.derivatives_centered, n_starts
+    )
     argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE).canonical()
     value = lattice_gaussian_sum(lattice, argmin, alpha, pol)
     return MinResult(argmin, value, grid_n, iters)

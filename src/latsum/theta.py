@@ -474,6 +474,37 @@ class ShiftedSumEvaluator:
         q = self._g00 * w1 * w1 + 2.0 * self._g01 * w1 * w2 + self._g11 * w2 * w2
         return np.exp(-math.pi * self.alpha * q).sum(axis=1)
 
+    def derivatives_centered(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Centered values (n,), gradients (n, 2) and Hessians (n, 2, 2) in
+        lattice coordinates, each series differentiated term by term."""
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        if self.use_fe:
+            # d/dz cos(2 pi k.z) = -2 pi k sin(.), d2/dz2 = -4 pi^2 k k^T cos(.)
+            phases = TWO_PI * (zs @ self._idx.T)
+            wc = np.cos(phases) * self._weights
+            ws = np.sin(phases) * self._weights
+            k1, k2 = self._idx[:, 0], self._idx[:, 1]
+            values = wc.sum(axis=1)
+            grad = -TWO_PI * (ws @ self._idx)
+            h11, h12, h22 = -(TWO_PI**2) * (wc @ np.column_stack([k1 * k1, k1 * k2, k2 * k2])).T
+        else:
+            # exp(-pi alpha w^T G w) has gradient -c e Gw and Hessian
+            # e (c^2 Gw (Gw)^T - c G), with c = 2 pi alpha and w = idx + z
+            w1 = self._idx[:, 0][None, :] + zs[:, 0][:, None]
+            w2 = self._idx[:, 1][None, :] + zs[:, 1][:, None]
+            a = self._g00 * w1 + self._g01 * w2
+            b = self._g01 * w1 + self._g11 * w2
+            e = np.exp(-math.pi * self.alpha * (w1 * a + w2 * b))
+            c = TWO_PI * self.alpha
+            ea, eb = e * a, e * b
+            values = e.sum(axis=1)
+            grad = -c * np.column_stack([ea.sum(axis=1), eb.sum(axis=1)])
+            h11 = c * c * (ea * a).sum(axis=1) - c * self._g00 * values
+            h12 = c * c * (ea * b).sum(axis=1) - c * self._g01 * values
+            h22 = c * c * (eb * b).sum(axis=1) - c * self._g11 * values
+        hess = np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
+        return values, grad, hess
+
     def values(self, zs: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, 2) array of lattice-coordinate shifts."""
         return self.value_offset + self.values_centered(zs)
@@ -508,6 +539,10 @@ class ChargedSumEvaluator:
 
     def values_centered(self, bs: np.ndarray) -> np.ndarray:
         return self._shifted.values_centered(bs) / self.alpha
+
+    def derivatives_centered(self, bs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Centered values, gradients and Hessians in the charge b."""
+        return tuple(d / self.alpha for d in self._shifted.derivatives_centered(bs))
 
     def values(self, bs: np.ndarray) -> np.ndarray:
         return self.value_offset + self.values_centered(bs)

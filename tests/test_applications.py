@@ -16,7 +16,7 @@ from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.optimize import minimize_over_cell
 from latsum.theta import _cell_half_diameter, _index_box, lattice_gaussian_sum
 
-from conftest import Y_HEX, random_domain_lattice
+from conftest import Y_HEX, assert_derivatives_match_differences, random_domain_lattice
 
 
 class TestFrameBounds:
@@ -139,6 +139,13 @@ class TestCMPotential:
             lat = lattice_from_generator(scale * rot @ lattice_from_tau(x, y).gen)
             got = app._shortest_dual_sq(lat)
             assert got == pytest.approx(brute_shortest_dual_sq(lat), rel=1e-12)
+
+    def test_evaluator_derivatives_match_differences(self, rng):
+        # nodes on both routes: alpha = 0.25 on the frequency side, 1 and 8 direct
+        p = app.CMPotential(((0.25, 0.3), (1.0, 0.5), (8.0, 2.0)))
+        for _ in range(6):
+            ev = app.CMEnergyEvaluator(p, random_domain_lattice(rng))
+            assert_derivatives_match_differences(ev, rng.uniform(0.01, 0.99, (5, 2)))
 
     def test_single_node_is_plain_sum(self, hexl, rng):
         p = app.CMPotential.gaussian(1.0)

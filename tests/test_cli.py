@@ -190,6 +190,18 @@ class TestOtherCommands:
         assert code == 3
         assert json.loads(out)["tail_bound"] > 1e-9
 
+    def test_zeta_max_radius_caps_the_ball(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["zeta", "--s", "2", "--lattice", "0,1", "--z", "0.5,0.5",
+             "--tol", "1e-8", "--max-radius", "1"],
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert payload["terms_used"] <= 4
+        assert payload["tail_bound"] > 1e-8
+
     def test_born_honeycomb(self, capsys):
         code, out, _ = run(capsys, ["born", "--period", "3"])
         assert code == 0

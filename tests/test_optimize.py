@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from latsum.errors import NonPositiveAlpha
-from latsum.lattice import PhasePoint
+from latsum.lattice import PhasePoint, lattice_from_tau
 from latsum.optimize import (
     CriticalRule,
     RidgeFamily,
     gradient_at_point,
     minimize_over_cell,
+    minimize_torus,
     ridge_profile,
     sweep_fundamental_domain,
     verify_max_at_origin,
@@ -59,6 +60,48 @@ class TestMinimize:
         lat = random_domain_lattice(rng)
         res = minimize_over_cell(lat, 2.0, 16)
         assert 0 <= res.argmin.u < 1 and 0 <= res.argmin.v < 1
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_hexagonal_argmin_to_rounding(self, hexl, alpha):
+        res = minimize_over_cell(hexl, alpha, 48)
+        assert abs(res.argmin.u - 1 / 3) < 1e-9
+        assert abs(res.argmin.v - 1 / 3) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 8.0])
+    @pytest.mark.parametrize("y", [1.27, 2.09, 2.5])
+    def test_elongated_shapes_below_dense_scan(self, y, alpha):
+        # x = 1/2 and large y: the Hessian is indefinite and nearly singular
+        # across much of the cell
+        lat = lattice_from_tau(0.5, y)
+        res = minimize_over_cell(lat, alpha, 32)
+        assert res.refinement_steps <= 30
+        ev = ShiftedSumEvaluator(lat, alpha)
+        us = np.arange(256) / 256
+        uu, vv = np.meshgrid(us, us, indexing="ij")
+        grid = np.column_stack([uu.ravel(), vv.ravel()])
+        dense = min(float(ev.values(chunk).min()) for chunk in np.array_split(grid, 64))
+        assert res.value.value <= dense + res.value.tail_bound + ev.tail_bound
+
+    def test_half_cell_matches_full_cell(self, rng):
+        """The scan covers v <= 1/2 + 1.5/grid_n only, since E is even; the
+        full-cell minimum joins that scan of E and of E shifted by (0, 1/2)."""
+        for alpha in (0.25, 1.0, 8.0):
+            for _ in range(3):
+                lat = random_domain_lattice(rng)
+                res = minimize_over_cell(lat, alpha, 32)
+                ev = ShiftedSumEvaluator(lat, alpha)
+                halves = []
+                for shift in (np.zeros(2), np.array([0.0, 0.5])):
+                    point, _, _ = minimize_torus(
+                        lambda zs: ev.values_centered((zs + shift) % 1.0),
+                        32,
+                        lambda zs: ev.derivatives_centered((zs + shift) % 1.0),
+                    )
+                    u, v = (point + shift) % 1.0
+                    halves.append(lattice_gaussian_sum(lat, PhasePoint(u, v), alpha))
+                best = min(halves, key=lambda cv: cv.value)
+                tails = res.value.tail_bound + best.tail_bound
+                assert abs(res.value.value - best.value) <= tails + 1e-15 * best.value
 
     def test_nonpositive_alpha(self, hexl):
         with pytest.raises(NonPositiveAlpha):

@@ -23,7 +23,7 @@ from latsum.theta import (
     theta_shifted,
 )
 
-from conftest import Y_HEX, random_domain_lattice
+from conftest import Y_HEX, assert_derivatives_match_differences, random_domain_lattice
 
 
 def brute_theta1d(beta: float, t: float, radius: int = 10) -> float:
@@ -366,6 +366,35 @@ class TestBatchEvaluators:
             for b, val in zip(bs, batch):
                 ref = theta_charged(lat, PhasePoint(b[0], b[1]), alpha)
                 assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 8.0])
+@pytest.mark.parametrize("use_fe", [False, True])
+@pytest.mark.parametrize("cls", [ShiftedSumEvaluator, ChargedSumEvaluator])
+def test_evaluator_derivatives_match_differences(rng, cls, use_fe, alpha):
+    for _ in range(4):
+        ev = cls(random_domain_lattice(rng), alpha, use_functional_equation=use_fe)
+        # inside the cell, where the direct-side index set is built for
+        assert_derivatives_match_differences(ev, rng.uniform(0.01, 0.99, (5, 2)))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 8.0])
+def test_shifted_derivatives_agree_across_routes(rng, alpha):
+    """Direct and frequency-side derivatives of E agree within the tails.  At
+    tol 1e-14 the tails are below rounding, so each difference is allowed
+    the tails plus 1e-13 of the largest value or derivative it is made of."""
+    pol = TruncationPolicy(1e-14)
+    for _ in range(4):
+        lat = random_domain_lattice(rng)
+        direct = ShiftedSumEvaluator(lat, alpha, pol, use_functional_equation=False)
+        dual = ShiftedSumEvaluator(lat, alpha, pol, use_functional_equation=True)
+        tails = direct.tail_bound + dual.tail_bound
+        zs = rng.random((6, 2))
+        (vd, gd, hd), (vf, gf, hf) = direct.derivatives_centered(zs), dual.derivatives_centered(zs)
+        scale = float(direct.values(np.zeros((1, 2)))[0])
+        assert np.abs(vd + direct.value_offset - vf - dual.value_offset).max() <= tails + 1e-13 * scale
+        for d, f in ((gd, gf), (hd, hf)):
+            assert np.abs(d - f).max() <= tails + 1e-13 * max(np.abs(d).max(), scale)
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-12])
