@@ -239,9 +239,10 @@ def _cmd_frame_bounds(args) -> int:
         "ratio": fb.ratio,
         "argmin_u": fb.argmin_z.u,
         "argmin_v": fb.argmin_z.v,
+        "converged": fb.converged,
     }
     _emit([row], args, single=True)
-    return EXIT_OK
+    return _exit_code(fb.converged)
 
 
 def _cmd_heat(args) -> int:
@@ -293,7 +294,7 @@ def _cmd_landau(args) -> int:
     lc = app.landau_constants(_policy(args))
     row = dataclasses.asdict(lc)
     _emit([row], args, single=True)
-    return EXIT_OK
+    return _exit_code(lc.converged)
 
 
 def _cmd_verify_lemmas(args) -> int:

@@ -247,19 +247,14 @@ def _select_radius(
     return r, _ball_tail(r, alpha, covol, h), False
 
 
-def _box_ranges(gen: np.ndarray, center: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
-    """Ranges of k and of l holding every (k, l) with |gen @ (k, l) + center| <= radius."""
+def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Integer pairs (k, l) with |gen @ (k, l) + center| <= radius."""
     inv = np.linalg.inv(gen)
     mid = -inv @ center
     half = radius * np.linalg.norm(inv, axis=1)
     ks = np.arange(math.floor(mid[0] - half[0]) - 1, math.ceil(mid[0] + half[0]) + 2)
     ls = np.arange(math.floor(mid[1] - half[1]) - 1, math.ceil(mid[1] + half[1]) + 2)
-    return ks, ls
-
-
-def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Integer pairs (k, l) with |gen @ (k, l) + center| <= radius."""
-    kk, ll = np.meshgrid(*_box_ranges(gen, center, radius), indexing="ij")
+    kk, ll = np.meshgrid(ks, ls, indexing="ij")
     idx = np.column_stack([kk.ravel(), ll.ravel()])
     pts = idx @ gen.T + center
     mask = np.einsum("ij,ij->i", pts, pts) <= radius * radius
@@ -268,24 +263,52 @@ def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
 
 def _ball(
     gen: np.ndarray, center: np.ndarray, alpha: float, tol: float, max_radius: float, pad=0.0
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[np.ndarray, float, float, bool]:
     """Truncate sum exp(-pi alpha |gen @ (k, l) + center|^2) to the smallest ball,
     capped at max_radius, whose certified tail is below tol.  Returns the index
-    pairs in that ball widened by ``pad``, the tail and whether it meets tol."""
+    pairs in that ball widened by ``pad``, its radius (every discarded point lies
+    beyond it), the tail and whether it meets tol."""
     covol = float(gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0])
     r, tail, ok = _select_radius(alpha, covol, _cell_half_diameter(gen), tol, max_radius)
-    return _index_box(gen, center, r + pad), tail, ok
+    return _index_box(gen, center, r + pad), r, tail, ok
 
 
 def _dual_ball(lattice: Lattice, alpha: float, pol: TruncationPolicy):
     """Frequency side E(z; alpha) = scale * sum exp(-pi |k|^2 / alpha) cos(2 pi k.z):
-    dual index pairs, |k|^2, scale = 1/(alpha covol), the tail times scale, ok."""
+    dual index pairs, |k|^2, scale = 1/(alpha covol), the ball radius, the tail
+    times scale, ok."""
     dual_gen = np.linalg.inv(lattice.gen).T
     scale = 1.0 / (alpha * lattice.covolume)
     tol = pol.target_tol / scale
-    idx, tail, ok = _ball(dual_gen, np.zeros(2), 1.0 / alpha, tol, pol.max_radius)
+    idx, r, tail, ok = _ball(dual_gen, np.zeros(2), 1.0 / alpha, tol, pol.max_radius)
     pts = idx @ dual_gen.T
-    return idx, np.einsum("ij,ij->i", pts, pts), scale, tail * scale, ok
+    return idx, np.einsum("ij,ij->i", pts, pts), scale, r, tail * scale, ok
+
+
+def _nearest_sq(gen: np.ndarray, center: np.ndarray) -> float:
+    """Squared distance from -center to the nearest point gen @ (k, l): the cells
+    gen @ ([k, l] + [-1/2, 1/2]^2) tile the plane, so one point lies within
+    the cell half-diameter."""
+    idx = _index_box(gen, center, _cell_half_diameter(gen) * (1.0 + 1e-12))
+    pts = idx @ gen.T + center
+    return float(np.einsum("ij,ij->i", pts, pts).min())
+
+
+def _power_tail(gen: np.ndarray, radius: float, s: float) -> float:
+    """Upper bound on sum |gen @ (k, l) + center|^(-2s) over the points beyond
+    ``radius``, any center, s > 1.
+
+    With N(r) the number of points within r and h the cell half-diameter,
+    |N(r) - pi r^2 / covol| <= pi (2 r h + h^2) / covol.  Summation by parts
+    against f(r) = r^(-2s) puts the sum within
+    pi/covol ((4 R h + 2 h^2) f(R) + 2 h R^(1-2s) / (2s - 1)) of the integral
+    2 pi/covol R^(2-2s) / (2s - 2); the bound is their sum."""
+    covol = float(gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0])
+    h = _cell_half_diameter(gen)
+    r = radius
+    f = r ** (-2.0 * s)
+    spread = (4.0 * r * h + 2.0 * h * h) * f + 2.0 * h * r * f / (2.0 * s - 1.0)
+    return math.pi / covol * (r * r * f / (s - 1.0) + spread)
 
 
 def _use_fe(alpha: float, use_functional_equation: bool | None) -> bool:
@@ -317,13 +340,13 @@ def lattice_gaussian_sum(
     use_fe = _use_fe(alpha, use_functional_equation)
     zl = z.to_lattice(lattice).canonical()
     if use_fe:
-        idx, q, scale, tail, ok = _dual_ball(lattice, alpha, pol)
+        idx, q, scale, _, tail, ok = _dual_ball(lattice, alpha, pol)
         terms = np.exp(-math.pi / alpha * q) * np.cos(TWO_PI * (idx @ np.array([zl.u, zl.v])))
         return CertifiedValue(_sorted_fsum(terms, q, idx) * scale, tail, len(terms), ok)
 
     gen = lattice.gen
     center = gen @ np.array([zl.u, zl.v])
-    idx, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
+    idx, _, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
     pts = idx @ gen.T + center
     q = np.einsum("ij,ij->i", pts, pts)
     terms = np.exp(-math.pi * alpha * q)
@@ -363,7 +386,7 @@ def theta_shifted(
     b1, b2 = _as_lattice_coords(lattice, b)
     gen = lattice_from_tau(x, y).gen
     center = gen @ np.array([b1, b2])
-    idx, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
+    idx, _, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
     u = idx[:, 0] + b1
     v = idx[:, 1] + b2
     q = (u * u + 2.0 * x * u * v + (x * x + y * y) * v * v) / y
@@ -384,7 +407,7 @@ def theta_charged(
     x, y = lattice.x, lattice.y
     b1, b2 = _as_lattice_coords(lattice, b)
     gen = lattice_from_tau(x, y).gen
-    idx, tail, ok = _ball(gen, np.zeros(2), alpha, pol.target_tol, pol.max_radius)
+    idx, _, tail, ok = _ball(gen, np.zeros(2), alpha, pol.target_tol, pol.max_radius)
     k = idx[:, 0].astype(float)
     l = idx[:, 1].astype(float)
     q = (k * k + 2.0 * x * k * l + (x * x + y * y) * l * l) / y
@@ -443,7 +466,7 @@ class ShiftedSumEvaluator:
         self.lattice = lattice
         self.alpha = alpha
         if self.use_fe:
-            idx, q, scale, tail, ok = _dual_ball(lattice, alpha, pol)
+            idx, q, scale, _, tail, ok = _dual_ball(lattice, alpha, pol)
             keep = np.any(idx != 0, axis=1)
             self._idx = idx[keep].astype(float)
             self._weights = np.exp(-math.pi / alpha * q[keep]) * scale
@@ -454,7 +477,7 @@ class ShiftedSumEvaluator:
             gen = lattice.gen
             center = gen @ np.array([0.5, 0.5])
             pad = _cell_half_diameter(gen)  # farthest a cell corner is from the center
-            idx, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius, pad)
+            idx, _, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius, pad)
             self._idx = idx.astype(float)
             g = lattice.gram
             self._g00, self._g01, self._g11 = g[0, 0], g[0, 1], g[1, 1]

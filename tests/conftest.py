@@ -71,3 +71,34 @@ def assert_derivatives_match_differences(ev, zs):
     assert np.abs(grad - grad_fd).max() <= 1e-7 * max(np.abs(grad).max(), scale)
     assert np.abs(hess - hess_fd).max() <= 2e-5 * max(np.abs(hess).max(), scale)
     assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+
+def brute_force_zeta(lattice, z, s, radius):
+    """Oracle for the shifted Epstein zeta sum |p + z|^(-2s): the points within
+    ``radius`` summed one by one, plus the integral estimate
+    2 pi / covol R^(2-2s) / (2s - 2) of the rest.  Returns the value and a
+    bound on its error.  The number N(r) of points within r differs from
+    pi r^2 / covol by at most pi (2 r h + h^2) / covol (h the cell
+    half-diameter), and summation by parts turns that into
+    pi / covol ((4 R h + 2 h^2) R^(-2s) + 2 h R^(1-2s) / (2s - 1)); the bound
+    adds (terms + 8 (s + 2)) eps sum |term| for rounding.  Squared distances
+    come from lattice coordinates, so the terms near a lattice point keep
+    full relative precision."""
+    zl = z.to_lattice(lattice).canonical()
+    gen = lattice.gen
+    covol = lattice.covolume
+    h = 0.5 * max(np.linalg.norm(gen[:, 0] + gen[:, 1]), np.linalg.norm(gen[:, 0] - gen[:, 1]))
+    reach = np.ceil(radius * np.linalg.norm(np.linalg.inv(gen), axis=1)) + 1
+    kk, ll = np.meshgrid(
+        np.arange(-reach[0], reach[0] + 1), np.arange(-reach[1], reach[1] + 1), indexing="ij"
+    )
+    w = np.column_stack([kk.ravel() + zl.u, ll.ravel() + zl.v])
+    q = np.einsum("ij,jk,ik->i", w, lattice.gram, w)
+    terms = q[q <= radius * radius] ** -s
+    r = radius
+    value = math.fsum(terms.tolist()) + 2.0 * math.pi / covol * r ** (2 - 2 * s) / (2 * s - 2)
+    bound = math.pi / covol * (
+        (4 * r * h + 2 * h * h) * r ** (-2 * s) + 2 * h * r ** (1 - 2 * s) / (2 * s - 1)
+    )
+    bound += (len(terms) + 8 * (s + 2)) * np.finfo(float).eps * float(terms.sum())
+    return value, bound

@@ -14,9 +14,19 @@ from latsum.errors import (
 )
 from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.optimize import minimize_over_cell
-from latsum.theta import _cell_half_diameter, _index_box, lattice_gaussian_sum
+from latsum.theta import (
+    TruncationPolicy,
+    _cell_half_diameter,
+    _index_box,
+    lattice_gaussian_sum,
+)
 
-from conftest import Y_HEX, assert_derivatives_match_differences, random_domain_lattice
+from conftest import (
+    Y_HEX,
+    assert_derivatives_match_differences,
+    brute_force_zeta,
+    random_domain_lattice,
+)
 
 
 class TestFrameBounds:
@@ -222,6 +232,74 @@ class TestEpsteinZeta:
     def test_convergence_precondition(self, sq):
         with pytest.raises(ValueError):
             app.epstein_zeta_shifted(sq, PhasePoint(0.5, 0.5), 1.0)
+        with pytest.raises(ValueError):
+            app.epstein_zeta_shifted(sq, PhasePoint(0.5, 0.5), 2.0, radius_cap=0.5)
+
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 2.5, 3.0, 5.0])
+    def test_upper_gamma_matches_mpmath(self, s):
+        # a = 1 - s reaches -1, -2 and -4; x < 2 on the dual side is what
+        # elongated shapes (y = 10: x >= pi / 10) reach
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        xs = np.geomspace(1e-4, 60.0, 240)
+        for a in (s, 1.0 - s):
+            got = app._upper_gamma(a, xs)
+            for x, g in zip(xs, got):
+                ref = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(float(x)))
+                assert abs((mpmath.mpf(float(g)) - ref) / ref) <= app._UPPER_GAMMA_REL
+
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 3.0])
+    def test_ewald_matches_brute_force_oracle(self, s, rng):
+        shapes = [random_domain_lattice(rng, y_max=4.0) for _ in range(3)]
+        shapes.append(lattice_from_tau(0.1, 10.0))
+        for lat in shapes:
+            shifts = [PhasePoint(*rng.uniform(0.0, 1.0, 2))]
+            # Cartesian offsets at squared distance 1e-2, 1e-4 and 1e-6 from a lattice point
+            for d in (1e-1, 1e-2, 1e-3):
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                u, v = np.linalg.solve(lat.gen, d * np.array([math.cos(theta), math.sin(theta)]))
+                shifts.append(PhasePoint(u % 1.0, v % 1.0))
+            for z in shifts:
+                ewald = app.epstein_zeta_shifted(lat, z, s)
+                value, bound = brute_force_zeta(lat, z, s, 40.0)
+                assert abs(ewald.value - value) <= ewald.tail_bound + bound
+                # truncation at tol 1e-12; the rest is the rounding of the value
+                assert ewald.tail_bound <= 1e-12 + 1e-13 * ewald.value
+
+    @pytest.mark.parametrize("s, cap", [(3.0, 1.0), (5.0, 1.0), (5.0, 1.5), (2.0, 2.0)])
+    def test_capped_ball_keeps_an_honest_tail(self, s, cap, rng):
+        # a cap below X = 2(s - 1) switches the lattice side to the power-law tail
+        lat = random_domain_lattice(rng)
+        z = PhasePoint(0.37, 0.21)
+        capped = app.epstein_zeta_shifted(lat, z, s, radius_cap=cap)
+        value, bound = brute_force_zeta(lat, z, s, 40.0)
+        assert abs(capped.value - value) <= capped.tail_bound + bound
+        assert not capped.converged
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_periodic_and_even_in_the_shift(self, s, rng):
+        for _ in range(4):
+            lat = random_domain_lattice(rng)
+            u, v = rng.uniform(0.05, 0.95, 2)
+            base = app.epstein_zeta_shifted(lat, PhasePoint(u, v), s)
+            for zz in (PhasePoint(u + 1.0, v), PhasePoint(u, v + 1.0), PhasePoint(-u, -v)):
+                other = app.epstein_zeta_shifted(lat, zz, s)
+                assert abs(other.value - base.value) <= base.tail_bound + other.tail_bound
+
+    def test_hexagon_meets_tight_tolerance(self, hexl):
+        cv = app.epstein_zeta_shifted(hexl, PhasePoint(1 / 3, 1 / 3), 1.5, TruncationPolicy(1e-12))
+        assert cv.converged and cv.tail_bound <= 1e-12
+        assert cv.terms_used < 200
+
+    def test_quadrature_near_a_lattice_point(self):
+        # the Riesz mixture must resolve the squared distance 0.0036 from z to
+        # the origin; built for 0.05, it returned 9.97e6 here
+        lat = lattice_from_tau(0.2, 1.3)
+        z = PhasePoint(0.05, 0.03)
+        quad = app.epstein_zeta_shifted(lat, z, 3.0, method="quadrature")
+        ewald = app.epstein_zeta_shifted(lat, z, 3.0)
+        assert ewald.value == pytest.approx(2.1753e7, rel=1e-4)
+        assert abs(quad.value - ewald.value) <= 1e-9 * ewald.value
 
     def test_hexagon_maximizes_minimum_small_grid(self):
         shapes = [(0.5, Y_HEX), (0.0, 1.0), (0.3, 1.05), (0.5, 1.3), (0.15, 1.6)]

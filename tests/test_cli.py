@@ -124,11 +124,17 @@ class TestFrameBounds:
         code, out, _ = run(capsys, ["frame-bounds", "--shape", "0.5,0.8660254", "--density", "2"])
         assert code == 0
         assert json.loads(out)["ratio"] == pytest.approx(1.259921, abs=1e-6)
+        assert json.loads(out)["converged"] is True
 
     def test_odd_density_exits_two(self, capsys):
         code, _, err = run(capsys, ["frame-bounds", "--density", "3"])
         assert code == 2
         assert "density" in err
+
+    def test_max_radius_exits_three(self, capsys):
+        code, out, _ = run(capsys, ["frame-bounds", "--density", "2", "--max-radius", "1"])
+        assert code == 3
+        assert json.loads(out)["converged"] is False
 
 
 class TestVerifyLemmas:
@@ -168,27 +174,29 @@ class TestOtherCommands:
 
     def test_zeta(self, capsys):
         argv = ["zeta", "--s", "2", "--lattice", "0,1", "--z", "0.5,0.5"]
-        # the direct route's radius cap leaves a tail above the default 1e-10
+        # the default --tol 1e-10 is met
         code, out, _ = run(capsys, argv)
-        assert code == 3
-        capped = json.loads(out)
-        assert capped["converged"] is False
-        assert capped["value"] == pytest.approx(18.0804361, abs=1e-6)
+        assert code == 0
+        default = json.loads(out)
+        assert default["converged"] is True
+        assert default["tail_bound"] <= 1e-10
+        assert default["value"] == pytest.approx(18.0804361, abs=1e-6)
         code, out, _ = run(capsys, argv + ["--tol", "1e-8"])
         assert code == 0
         met = json.loads(out)
         assert met["converged"] is True
         assert met["tail_bound"] <= 1e-8
-        assert met["value"] == pytest.approx(capped["value"], abs=1e-6)
+        assert met["value"] == pytest.approx(default["value"], abs=1e-8)
 
     def test_zeta_tail_not_met_exits_three(self, capsys):
+        # a tolerance below the rounding term of a sum near 18.7
         code, out, _ = run(
             capsys,
             ["zeta", "--lattice", "0.5,0.8660254", "--z", "0.3333333,0.3333333",
-             "--s", "1.5", "--tol", "1e-9"],
+             "--s", "1.5", "--tol", "1e-18"],
         )
         assert code == 3
-        assert json.loads(out)["tail_bound"] > 1e-9
+        assert json.loads(out)["tail_bound"] > 1e-18
 
     def test_zeta_max_radius_caps_the_ball(self, capsys):
         code, out, _ = run(
@@ -199,7 +207,9 @@ class TestOtherCommands:
         assert code == 3
         payload = json.loads(out)
         assert payload["converged"] is False
-        assert payload["terms_used"] <= 4
+        # the radius-1 balls: the four nearest lattice points and the four
+        # shortest nonzero dual vectors
+        assert payload["terms_used"] == 4 + 4
         assert payload["tail_bound"] > 1e-8
 
     def test_born_honeycomb(self, capsys):
@@ -222,6 +232,12 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["l_hex"] == pytest.approx(0.543259, abs=1e-6)
         assert payload["product"] == pytest.approx(0.5, abs=1e-6)
+        assert payload["converged"] is True
+
+    def test_landau_max_radius_exits_three(self, capsys):
+        code, out, _ = run(capsys, ["landau", "--max-radius", "1"])
+        assert code == 3
+        assert json.loads(out)["converged"] is False
 
     def test_human_format(self, capsys):
         code, out, _ = run(capsys, ["landau", "--human"])
