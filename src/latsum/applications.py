@@ -26,7 +26,6 @@ from .lattice import (
     hexagonal_lattice,
     lattice_from_generator,
     lattice_from_tau,
-    reduce_to_fundamental,
     square_lattice,
 )
 from .optimize import minimize_over_cell, minimize_torus
@@ -34,9 +33,10 @@ from .theta import (
     DEFAULT_POLICY,
     CertifiedValue,
     ChargedSumEvaluator,
-    ShiftedSumEvaluator,
     TruncationPolicy,
     _ball,
+    _cell_ball,
+    _cosine_derivatives,
     _dual_ball,
     _nearest_sq,
     _power_tail,
@@ -45,6 +45,9 @@ from .theta import (
 )
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
+# exponents below this are clipped: exp is ~16 times slower where it underflows
+_EXP_FLOOR = -700.0
 
 
 # ---------------------------------------------------------------------------
@@ -231,46 +234,43 @@ class CMPotential:
         return CMPotential(nodes, label=f"riesz(s={s})")
 
 
-def _node_policy(pol: TruncationPolicy, n: int, weight: float) -> TruncationPolicy:
-    """Policy for one of n nodes, so that the weighted node tails sum to at most pol's."""
-    return TruncationPolicy(pol.target_tol / (n * max(weight, 1e-300)), pol.max_radius)
-
-
-def cm_lattice_energy(
-    p: CMPotential,
-    lattice: Lattice,
-    z: PhasePoint,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> CertifiedValue:
-    """Lattice energy sum_points p(|point + z|^2) via the node mixture."""
-    if not p.nodes:
-        raise EmptyQuadrature("potential has no quadrature nodes")
-    n = len(p.nodes)
-    value = 0.0
-    tail = 0.0
-    terms = 0
-    converged = True
-    for alpha, weight in p.nodes:
-        e = lattice_gaussian_sum(lattice, z, alpha, _node_policy(pol, n, weight))
-        value += weight * e.value
-        tail += weight * e.tail_bound
-        terms += e.terms_used
-        converged &= e.converged
-    return CertifiedValue(value, tail, terms, converged)
-
-
-def _shortest_dual_sq(lattice: Lattice) -> float:
-    """Squared length of the shortest nonzero dual vector: 1/(y covol) for
-    the reduced shape y, which the dual shares, at dual covolume 1/covol."""
-    return 1.0 / (reduce_to_fundamental(lattice.tau).tau_out.imag * lattice.covolume)
+def _exponent_rounding(lattice: Lattice) -> float:
+    """kappa such that every exponent X = c |x|^2 the mixture evaluator computes
+    carries a relative error of at most kappa eps, on either side.  A squared
+    length taken from the Gram form of w = idx + z (lattice side) or from the
+    Cartesian dual points (dual side) is within 12 cond(G) eps of its value,
+    since the absolute parts of either form are at most 2 cond(G) times the
+    form; the product with c adds at most 8 eps."""
+    lo, hi = np.linalg.eigvalsh(lattice.gram)
+    return 12.0 * hi / lo + 8.0
 
 
 class CMEnergyEvaluator:
-    """Batch evaluator for a completely monotone lattice energy.
+    """A completely monotone lattice energy sum_p p(|p + z|^2), with
+    p(rho) = sum_j w_j exp(-pi alpha_j rho), split at lam = 1/covol (Ewald).
 
-    Nodes whose Gaussians are flat across the torus at working
-    precision only shift the energy by a constant and are folded into
-    ``value_offset``.
+    Lattice side, the nodes with alpha_j >= lam: one radial kernel
+    K(rho) = sum_j w_j exp(-pi alpha_j rho), summed over one cell-wide
+    ``theta._ball``, that of the smallest such alpha_j.  Beyond the ball's
+    radius R every such node is at most exp(-pi (alpha_j - alpha_min) R^2)
+    times that ball's Gaussian, so the tail is the ball's ring-count tail
+    times sum_j w_j exp(-pi (alpha_j - alpha_min) R^2), at most sum_j w_j;
+    the radius is chosen with that factor.
+
+    Dual side, the nodes with alpha_j < lam: by Poisson summation, one
+    cosine series sum_k g(k) cos(2 pi k.z) whose weights
+    g(k) = sum_j w_j exp(-pi |k|^2 / alpha_j) / (alpha_j covol) do not depend
+    on z.  They are built once over one ``theta._dual_ball``, that of the
+    largest such alpha_j, with the ring-count tail times
+    sum_j w_j / (alpha_j covol).  Flat nodes underflow off k != 0 and land in
+    g(0), which is kept apart as ``value_offset``.
+
+    Each side is asked for a quarter of the tolerance; ``tail_bound`` is the
+    sum of both truncation tails, uniform over the cell, and ``converged``
+    says both balls met their share.  ``certified`` adds each value's
+    rounding.  Only (points x terms) arrays are built: the kernel and its
+    derivatives are accumulated node by node.  Exponents below ``_EXP_FLOOR``
+    are clipped, and the term they overstate goes into the rounding.
     """
 
     def __init__(
@@ -281,40 +281,158 @@ class CMEnergyEvaluator:
     ) -> None:
         if not p.nodes:
             raise EmptyQuadrature("potential has no quadrature nodes")
-        shortest_dual_sq = _shortest_dual_sq(lattice)
         covol = lattice.covolume
-        self.value_offset = 0.0
-        self._parts: list[tuple[float, ShiftedSumEvaluator]] = []
+        alphas, weights = np.array(p.nodes).T
+        near = alphas >= 1.0 / covol
+        self.tol = pol.target_tol
+        self._kappa = _exponent_rounding(lattice)
+        g = lattice.gram
+        self._g00, self._g01, self._g11 = g[0, 0], g[0, 1], g[1, 1]
+
+        self._rates = math.pi * alphas[near]
+        self._weights = weights[near]
         self.tail_bound = 0.0
-        n = len(p.nodes)
-        for alpha, weight in p.nodes:
-            if alpha < 1.0 and math.pi * shortest_dual_sq / alpha > 45.0:
-                # frequency side is a single constant at working precision
-                self.value_offset += weight / (alpha * covol)
-                continue
-            ev = ShiftedSumEvaluator(lattice, alpha, _node_policy(pol, n, weight))
-            self.value_offset += weight * ev.value_offset
-            self.tail_bound += weight * ev.tail_bound
-            self._parts.append((weight, ev))
+        self.converged = True
+        self._idx = np.zeros((0, 2))
+        self._fixed_rounding = 0.0
+        if near.any():
+            # beyond radius r, node j decays faster than the slowest by
+            # exp(-(rate_j - rate_min) r^2), which weights its share of the tail
+            excess = self._rates - self._rates.min()
+
+            def tail_weight(r: float) -> float:
+                return float(self._weights @ np.exp(-excess * (r * r)))
+
+            idx, g_tail, ok = _cell_ball(
+                lattice.gen, alphas[near].min(), pol.target_tol / 4.0, pol.max_radius, tail_weight
+            )
+            self._idx = idx.astype(float)
+            self.tail_bound += g_tail
+            self.converged &= ok
+            # a clipped exponent overstates its term by less than w_j e^_EXP_FLOOR
+            self._fixed_rounding = len(idx) * float(self._weights.sum()) * math.exp(_EXP_FLOOR)
+
+        self.value_offset = 0.0
+        self._kidx = np.zeros((0, 2))
+        self._ghat = np.zeros(0)
+        if not near.all():
+            far_alphas = alphas[~near]
+            scales = weights[~near] / (far_alphas * covol)
+            s_sum = float(scales.sum())
+            top = float(far_alphas.max())
+            top_scale = 1.0 / (top * covol)
+            tol_g = pol.target_tol / 4.0 / max(s_sum, 1e-300)
+            kidx, kq, _, _, k_tail, ok = _dual_ball(
+                lattice, top, replace(pol, target_tol=tol_g * top_scale)
+            )
+            self.tail_bound += s_sum * k_tail / top_scale
+            self.converged &= ok
+            # (nodes x dual terms), independent of z
+            x = np.outer(math.pi / far_alphas, kq)
+            e = np.exp(np.maximum(-x, _EXP_FLOOR))
+            ghat = scales @ e
+            x_err = scales @ (x * e)  # sum_j scale_j X_jk exp(-X_jk)
+            nonzero = np.any(kidx != 0, axis=1)
+            self._kidx = kidx[nonzero].astype(float)
+            self._ghat = ghat[nonzero]
+            self.value_offset = s_sum
+            # g(k): the nodes' sum and the scales, (nodes + 5) eps g, and the
+            # exponents, kappa eps X e^-X; cos(2 pi k.z): its phase, computed from
+            # z in [0, 1)^2, is off by at most 8 pi (|k1| + |k2|) eps
+            n_far = len(far_alphas)
+            phase = 8.0 * math.pi * np.abs(self._kidx).sum(axis=1)
+            self._fixed_rounding += _EPS * (
+                (n_far + 5.0) * s_sum
+                + float(((n_far + 6.0 + phase) * self._ghat).sum())
+                + self._kappa * float(x_err.sum())
+            ) + len(kq) * s_sum * math.exp(_EXP_FLOOR)
+        self.terms = len(self._idx) + len(self._kidx)
+
+    def _radial(self, zs: np.ndarray, order: int):
+        """Offsets w = idx + z, their images Gw and squared lengths rho, each
+        (points x terms), and the sums sum_j w_j (pi alpha_j)^m exp(-pi alpha_j rho)
+        for m = 0 .. order: K, -K' and K''."""
+        w1 = self._idx[:, 0][None, :] + zs[:, 0][:, None]
+        w2 = self._idx[:, 1][None, :] + zs[:, 1][:, None]
+        a = self._g00 * w1 + self._g01 * w2
+        b = self._g01 * w1 + self._g11 * w2
+        rho = w1 * a + w2 * b
+        sums = [np.zeros_like(rho) for _ in range(order + 1)]
+        e = np.empty_like(rho)
+        for rate, weight in zip(self._rates, self._weights):
+            np.multiply(rho, -rate, out=e)
+            np.maximum(e, _EXP_FLOOR, out=e)
+            np.exp(e, out=e)
+            e *= weight
+            sums[0] += e
+            for m in range(1, order + 1):
+                e *= rate
+                sums[m] += e
+        return a, b, rho, sums
 
     def values_centered(self, zs: np.ndarray) -> np.ndarray:
+        """Values minus ``value_offset`` at an (n, 2) batch of lattice-coordinate shifts."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        out = np.zeros(len(zs))
-        for weight, ev in self._parts:
-            out += weight * ev.values_centered(zs)
-        return out
+        _, _, _, (k,) = self._radial(zs, 0)
+        return k.sum(axis=1) + np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat
 
     def derivatives_centered(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Centered values, gradients and Hessians: the weighted node sums."""
+        """Centered values (n,), gradients (n, 2) and Hessians (n, 2, 2) in
+        lattice coordinates.  Lattice side: grad rho = 2 Gw and
+        Hess rho = 2 G give grad = K'(rho) 2 Gw and
+        Hess = K''(rho) 4 Gw (Gw)^T + K'(rho) 2 G, term by term; dual side:
+        the cosine series differentiated term by term."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        out = [np.zeros(len(zs)), np.zeros((len(zs), 2)), np.zeros((len(zs), 2, 2))]
-        for weight, ev in self._parts:
-            for acc, d in zip(out, ev.derivatives_centered(zs)):
-                acc += weight * d
-        return tuple(out)
+        a, b, _, (k0, k1, k2) = self._radial(zs, 2)
+        k1_sum = k1.sum(axis=1)
+        k2a, k2b = k2 * a, k2 * b
+        values, grad, hess = _cosine_derivatives(zs, self._kidx, self._ghat)
+        values = values + k0.sum(axis=1)
+        grad = grad - 2.0 * np.column_stack([(k1 * a).sum(axis=1), (k1 * b).sum(axis=1)])
+        h11 = 4.0 * (k2a * a).sum(axis=1) - 2.0 * self._g00 * k1_sum
+        h12 = 4.0 * (k2a * b).sum(axis=1) - 2.0 * self._g01 * k1_sum
+        h22 = 4.0 * (k2b * b).sum(axis=1) - 2.0 * self._g11 * k1_sum
+        hess = hess + np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
+        return values, grad, hess
 
     def values(self, zs: np.ndarray) -> np.ndarray:
         return self.value_offset + self.values_centered(zs)
+
+    def certified(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values at an (n, 2) batch of shifts in [0, 1)^2 and a bound on each
+        one's error: both truncation tails plus the rounding.  A lattice-side
+        term sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps times itself
+        plus kappa eps sum_j w_j X_j e^(-X_j) = kappa eps rho (-K'(rho)); adding
+        the terms and the two sides costs (terms + 4) eps sum |term|."""
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        _, _, rho, (k0, k1) = self._radial(zs, 1)
+        values = self.value_offset + (
+            k0.sum(axis=1) + np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat
+        )
+        size = self.value_offset + k0.sum(axis=1) + self._ghat.sum()
+        rounding = _EPS * (
+            (len(self._rates) + self.terms + 6.0) * size + self._kappa * (rho * k1).sum(axis=1)
+        )
+        return values, self.tail_bound + self._fixed_rounding + rounding
+
+
+def _certified_at(ev: CMEnergyEvaluator, z: PhasePoint, lattice: Lattice) -> CertifiedValue:
+    zl = z.to_lattice(lattice).canonical()
+    values, tails = ev.certified(np.array([[zl.u, zl.v]]))
+    tail = float(tails[0])
+    return CertifiedValue(float(values[0]), tail, ev.terms, ev.converged and tail <= ev.tol)
+
+
+def cm_lattice_energy(
+    p: CMPotential,
+    lattice: Lattice,
+    z: PhasePoint,
+    pol: TruncationPolicy = DEFAULT_POLICY,
+) -> CertifiedValue:
+    """Lattice energy sum_points p(|point + z|^2), split at lam = 1/covol by
+    ``CMEnergyEvaluator``; ``terms_used`` counts the lattice-side and the
+    nonzero dual-side terms."""
+    return _certified_at(CMEnergyEvaluator(p, lattice, pol), z, lattice)
 
 
 def minimize_cm_energy(
@@ -327,14 +445,12 @@ def minimize_cm_energy(
     ev = CMEnergyEvaluator(p, lattice, pol)
     point, _, _ = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
     argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE)
-    return argmin, cm_lattice_energy(p, lattice, argmin, pol).value
+    return argmin, _certified_at(ev, argmin, lattice).value
 
 
 # ---------------------------------------------------------------------------
 # Shifted Epstein zeta
 # ---------------------------------------------------------------------------
-
-_EPS = float(np.finfo(float).eps)
 
 # Relative error bound of _upper_gamma, about 90 eps; the 40-digit oracle
 # test over a in {s, 1 - s : 1.1 <= s <= 5} and 1e-4 <= x <= 60 holds it
@@ -345,11 +461,15 @@ _UPPER_GAMMA_REL = 2e-14
 def _gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
     """Gamma(a, x) = e^-x x^a / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...)),
     evaluated by the modified Lentz method; for x >= max(2, a + 1) it
-    converges within ~60 steps."""
+    converges within ~60 steps.  Each element is frozen at the first step
+    with |delta - 1| <= eps, as it would be alone: some elements then sit a
+    few ulp off 1 for good, so a common stopping step may never come."""
     b = x + 1.0 - a
     c = np.full_like(x, 1e300)
     d = 1.0 / b
     h = d
+    live = np.arange(len(x))
+    out = np.empty_like(x)
     for i in range(1, 1000):
         an = -i * (i - a)
         b = b + 2.0
@@ -357,8 +477,13 @@ def _gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
         c = b + an / c
         delta = d * c
         h = h * delta
-        if i % 4 == 0 and np.max(np.abs(delta - 1.0)) <= _EPS:
-            return np.exp(-x) * x**a * h
+        done = np.abs(delta - 1.0) <= _EPS
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+            if not len(live):
+                return np.exp(-x) * x**a * out
     raise ArithmeticError(f"incomplete gamma continued fraction stalled at a = {a}")
 
 
@@ -451,7 +576,7 @@ def epstein_zeta_shifted(
 
     ``quadrature`` routes the power kernel through its Gaussian mixture,
     built accurate down to the squared distance min(0.05, rho) of z from
-    the nearest lattice point.
+    the nearest lattice point, and split at lam by ``CMEnergyEvaluator``.
     """
     if s <= 1.0:
         raise ValueError("absolute convergence requires s > 1")
@@ -567,6 +692,22 @@ def epsilon_opt_hexagonal(n: int) -> ChargeDistribution:
     return ChargeDistribution(period_N=n, weights=weights)
 
 
+def _born_table(
+    lattice: Lattice,
+    n: int,
+    p: CMPotential,
+    pol: TruncationPolicy = DEFAULT_POLICY,
+) -> tuple[np.ndarray, bool]:
+    """``born_interaction_table`` and whether every entry met the tolerance:
+    the n^2 shifts are one batch of one mixture evaluator on the n-scaled
+    lattice."""
+    big = lattice_from_generator(n * lattice.gen)
+    ev = CMEnergyEvaluator(p, big, pol)
+    d1, d2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    values, tails = ev.certified(np.column_stack([d1.ravel(), d2.ravel()]) / n)
+    return values.reshape(n, n), bool(ev.converged and tails.max() <= pol.target_tol)
+
+
 def born_interaction_table(
     lattice: Lattice,
     n: int,
@@ -577,15 +718,7 @@ def born_interaction_table(
 
     The pair interaction between residues a and b is S[(a - b) mod n].
     """
-    if not p.nodes:
-        raise EmptyQuadrature("potential has no quadrature nodes")
-    big = lattice_from_generator(n * lattice.gen)
-    table = np.zeros((n, n))
-    for d1 in range(n):
-        for d2 in range(n):
-            z = PhasePoint(d1 / n, d2 / n, Frame.LATTICE)
-            table[d1, d2] = cm_lattice_energy(p, big, z, pol).value
-    return table
+    return _born_table(lattice, n, p, pol)[0]
 
 
 def born_energy_from_table(table: np.ndarray, eps: ChargeDistribution) -> float:

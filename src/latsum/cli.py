@@ -276,7 +276,9 @@ def _cmd_born(args) -> int:
         m1, m2 = np.meshgrid(np.arange(args.period), np.arange(args.period), indexing="ij")
         eps = app.ChargeDistribution(args.period, np.where((m1 + m2) % 2 == 0, 1.0, -1.0))
     p = app.CMPotential.gaussian(args.node_alpha)
-    energy = app.born_energy(lat, eps, p, _policy(args))
+    eps.validate()
+    table, converged = app._born_table(lat, eps.period_N, p, _policy(args))
+    energy = app.born_energy_from_table(table, eps)
     row = {
         "pattern": args.pattern,
         "period": args.period,
@@ -285,9 +287,10 @@ def _cmd_born(args) -> int:
         "interaction_energy": energy - p.at_zero(),
         "charge_sum": float(np.sum(eps.weights)),
         "charge_norm_sq": float(np.sum(eps.weights**2)),
+        "converged": converged,
     }
     _emit([row], args, single=True)
-    return EXIT_OK
+    return _exit_code(converged)
 
 
 def _cmd_landau(args) -> int:

@@ -227,24 +227,30 @@ def _ball_tail(radius: float, alpha: float, covol: float, h: float) -> float:
 
 
 def _select_radius(
-    alpha: float, covol: float, h: float, tol: float, max_radius: float = math.inf
+    alpha: float, covol: float, h: float, tol: float, max_radius: float = math.inf, weight=None
 ) -> tuple[float, float, bool]:
     """Smallest ball radius whose certified tail is below tol.
 
     ``max_radius`` caps the ball (in units of length, one unit per ring);
-    hitting the cap returns the honest tail with a failure flag.
+    hitting the cap returns the honest tail with a failure flag.  ``weight``,
+    if given, maps a radius r to a factor on the tail beyond r.
     """
+
+    def tail_at(r: float) -> float:
+        tail = _ball_tail(r, alpha, covol, h)
+        return tail if weight is None else tail * weight(r)
+
     r = math.sqrt(max(math.log(max(4.0 / tol, 4.0)), 1.0) / (math.pi * alpha))
     r = max(r, 1.0)
     for _ in range(400):
         if r > max_radius:
             r = max_radius
-            return r, _ball_tail(r, alpha, covol, h), False
-        tail = _ball_tail(r, alpha, covol, h)
+            return r, tail_at(r), False
+        tail = tail_at(r)
         if tail <= tol:
             return r, tail, True
         r *= 1.12
-    return r, _ball_tail(r, alpha, covol, h), False
+    return r, tail_at(r), False
 
 
 def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -262,15 +268,34 @@ def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
 
 
 def _ball(
-    gen: np.ndarray, center: np.ndarray, alpha: float, tol: float, max_radius: float, pad=0.0
+    gen: np.ndarray,
+    center: np.ndarray,
+    alpha: float,
+    tol: float,
+    max_radius: float,
+    pad=0.0,
+    weight=None,
 ) -> tuple[np.ndarray, float, float, bool]:
     """Truncate sum exp(-pi alpha |gen @ (k, l) + center|^2) to the smallest ball,
-    capped at max_radius, whose certified tail is below tol.  Returns the index
-    pairs in that ball widened by ``pad``, its radius (every discarded point lies
-    beyond it), the tail and whether it meets tol."""
+    capped at max_radius, whose certified tail (times ``weight``, see
+    ``_select_radius``) is below tol.  Returns the index pairs in that ball
+    widened by ``pad``, its radius (every discarded point lies beyond it), the
+    tail and whether it meets tol."""
     covol = float(gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0])
-    r, tail, ok = _select_radius(alpha, covol, _cell_half_diameter(gen), tol, max_radius)
+    h = _cell_half_diameter(gen)
+    r, tail, ok = _select_radius(alpha, covol, h, tol, max_radius, weight)
     return _index_box(gen, center, r + pad), r, tail, ok
+
+
+def _cell_ball(
+    gen: np.ndarray, alpha: float, tol: float, max_radius: float, weight=None
+) -> tuple[np.ndarray, float, bool]:
+    """The ``_ball`` of one index set that serves every shift z in [0, 1]^2: centred
+    on the cell and widened by the cell half-diameter, the farthest a corner lies
+    from the centre.  Returns the index pairs, the tail (uniform over the cell) and ok."""
+    pad = _cell_half_diameter(gen)
+    idx, _, tail, ok = _ball(gen, gen @ np.array([0.5, 0.5]), alpha, tol, max_radius, pad, weight)
+    return idx, tail, ok
 
 
 def _dual_ball(lattice: Lattice, alpha: float, pol: TruncationPolicy):
@@ -447,6 +472,23 @@ def combined_functional_tails(
 # Batch evaluators (shared by the torus minimizers)
 # ---------------------------------------------------------------------------
 
+def _cosine_derivatives(
+    zs: np.ndarray, idx: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Values (n,), gradients (n, 2) and Hessians (n, 2, 2) of the cosine series
+    sum_k weights_k cos(2 pi k.z) at an (n, 2) batch of z, term by term:
+    d/dz cos(2 pi k.z) = -2 pi k sin(.), d2/dz2 = -4 pi^2 k k^T cos(.)."""
+    phases = TWO_PI * (zs @ idx.T)
+    wc = np.cos(phases) * weights
+    ws = np.sin(phases) * weights
+    k1, k2 = idx[:, 0], idx[:, 1]
+    values = wc.sum(axis=1)
+    grad = -TWO_PI * (ws @ idx)
+    h11, h12, h22 = -(TWO_PI**2) * (wc @ np.column_stack([k1 * k1, k1 * k2, k2 * k2])).T
+    hess = np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
+    return values, grad, hess
+
+
 class ShiftedSumEvaluator:
     """Vectorized E(z; alpha) over batches of lattice-coordinate shifts.
 
@@ -474,10 +516,7 @@ class ShiftedSumEvaluator:
             # oscillating remainder retains full relative precision
             self.value_offset = scale
         else:
-            gen = lattice.gen
-            center = gen @ np.array([0.5, 0.5])
-            pad = _cell_half_diameter(gen)  # farthest a cell corner is from the center
-            idx, _, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius, pad)
+            idx, tail, ok = _cell_ball(lattice.gen, alpha, pol.target_tol, pol.max_radius)
             self._idx = idx.astype(float)
             g = lattice.gram
             self._g00, self._g01, self._g11 = g[0, 0], g[0, 1], g[1, 1]
@@ -502,29 +541,21 @@ class ShiftedSumEvaluator:
         lattice coordinates, each series differentiated term by term."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         if self.use_fe:
-            # d/dz cos(2 pi k.z) = -2 pi k sin(.), d2/dz2 = -4 pi^2 k k^T cos(.)
-            phases = TWO_PI * (zs @ self._idx.T)
-            wc = np.cos(phases) * self._weights
-            ws = np.sin(phases) * self._weights
-            k1, k2 = self._idx[:, 0], self._idx[:, 1]
-            values = wc.sum(axis=1)
-            grad = -TWO_PI * (ws @ self._idx)
-            h11, h12, h22 = -(TWO_PI**2) * (wc @ np.column_stack([k1 * k1, k1 * k2, k2 * k2])).T
-        else:
-            # exp(-pi alpha w^T G w) has gradient -c e Gw and Hessian
-            # e (c^2 Gw (Gw)^T - c G), with c = 2 pi alpha and w = idx + z
-            w1 = self._idx[:, 0][None, :] + zs[:, 0][:, None]
-            w2 = self._idx[:, 1][None, :] + zs[:, 1][:, None]
-            a = self._g00 * w1 + self._g01 * w2
-            b = self._g01 * w1 + self._g11 * w2
-            e = np.exp(-math.pi * self.alpha * (w1 * a + w2 * b))
-            c = TWO_PI * self.alpha
-            ea, eb = e * a, e * b
-            values = e.sum(axis=1)
-            grad = -c * np.column_stack([ea.sum(axis=1), eb.sum(axis=1)])
-            h11 = c * c * (ea * a).sum(axis=1) - c * self._g00 * values
-            h12 = c * c * (ea * b).sum(axis=1) - c * self._g01 * values
-            h22 = c * c * (eb * b).sum(axis=1) - c * self._g11 * values
+            return _cosine_derivatives(zs, self._idx, self._weights)
+        # exp(-pi alpha w^T G w) has gradient -c e Gw and Hessian
+        # e (c^2 Gw (Gw)^T - c G), with c = 2 pi alpha and w = idx + z
+        w1 = self._idx[:, 0][None, :] + zs[:, 0][:, None]
+        w2 = self._idx[:, 1][None, :] + zs[:, 1][:, None]
+        a = self._g00 * w1 + self._g01 * w2
+        b = self._g01 * w1 + self._g11 * w2
+        e = np.exp(-math.pi * self.alpha * (w1 * a + w2 * b))
+        c = TWO_PI * self.alpha
+        ea, eb = e * a, e * b
+        values = e.sum(axis=1)
+        grad = -c * np.column_stack([ea.sum(axis=1), eb.sum(axis=1)])
+        h11 = c * c * (ea * a).sum(axis=1) - c * self._g00 * values
+        h12 = c * c * (ea * b).sum(axis=1) - c * self._g01 * values
+        h22 = c * c * (eb * b).sum(axis=1) - c * self._g11 * values
         hess = np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
         return values, grad, hess
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latsum.lattice import hexagonal_lattice, lattice_from_tau, square_lattice
+from latsum.theta import TruncationPolicy, lattice_gaussian_sum
 
 Y_HEX = math.sqrt(3.0) / 2.0
 
@@ -102,3 +103,20 @@ def brute_force_zeta(lattice, z, s, radius):
     )
     bound += (len(terms) + 8 * (s + 2)) * np.finfo(float).eps * float(terms.sum())
     return value, bound
+
+
+def per_node_cm_energy(p, lattice, z, pol):
+    """Reference for the mixture split: the per-node loop it replaced.  Each
+    node is its own certified Gaussian sum, on the route ``lattice_gaussian_sum``
+    picks by alpha < 1, asked for tol / (n w_j) so that the weighted tails sum
+    to at most tol.  Returns the value, that truncation bound and the rounding
+    of the accumulation, (nodes + 16) eps sum_j w_j |E_j|."""
+    n = len(p.nodes)
+    value = tail = size = 0.0
+    for alpha, weight in p.nodes:
+        node_pol = TruncationPolicy(pol.target_tol / (n * max(weight, 1e-300)), pol.max_radius)
+        e = lattice_gaussian_sum(lattice, z, alpha, node_pol)
+        value += weight * e.value
+        tail += weight * e.tail_bound
+        size += weight * abs(e.value)
+    return value, tail, (n + 16) * np.finfo(float).eps * size

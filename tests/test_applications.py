@@ -14,17 +14,13 @@ from latsum.errors import (
 )
 from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.optimize import minimize_over_cell
-from latsum.theta import (
-    TruncationPolicy,
-    _cell_half_diameter,
-    _index_box,
-    lattice_gaussian_sum,
-)
+from latsum.theta import TruncationPolicy, _nearest_sq, lattice_gaussian_sum
 
 from conftest import (
     Y_HEX,
     assert_derivatives_match_differences,
     brute_force_zeta,
+    per_node_cm_energy,
     random_domain_lattice,
 )
 
@@ -128,33 +124,16 @@ class TestHeatKernel:
             assert int(np.argmin(b_vals)) == 3
 
 
-def brute_shortest_dual_sq(lattice):
-    """Box search for the shortest nonzero dual vector: |v1| <= 2h, so the
-    ball of radius 4h + 2 about the origin holds it."""
-    dual_gen = np.linalg.inv(lattice.gen).T
-    idx = _index_box(dual_gen, np.zeros(2), 4.0 * _cell_half_diameter(dual_gen) + 2.0)
-    pts = idx @ dual_gen.T
-    norms = np.einsum("ij,ij->i", pts, pts)
-    return float(np.min(norms[norms > 1e-12]))
-
-
 class TestCMPotential:
-    def test_shortest_dual_closed_form(self, rng):
-        for _ in range(200):
-            x, y = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            c, s = math.cos(angle), math.sin(angle)
-            rot = np.array([[c, -s], [s, c]])
-            scale = rng.uniform(0.2, 5.0)
-            lat = lattice_from_generator(scale * rot @ lattice_from_tau(x, y).gen)
-            got = app._shortest_dual_sq(lat)
-            assert got == pytest.approx(brute_shortest_dual_sq(lat), rel=1e-12)
-
     def test_evaluator_derivatives_match_differences(self, rng):
-        # nodes on both routes: alpha = 0.25 on the frequency side, 1 and 8 direct
-        p = app.CMPotential(((0.25, 0.3), (1.0, 0.5), (8.0, 2.0)))
-        for _ in range(6):
-            ev = app.CMEnergyEvaluator(p, random_domain_lattice(rng))
+        # nodes on both sides: at covolume 1, alpha = 0.05 and 0.25 on the dual
+        # side, 1 and 8 on the lattice side; at covolume 9, lam = 1/9 falls
+        # between 0.05 and 0.25
+        p = app.CMPotential(((0.05, 0.2), (0.25, 0.3), (1.0, 0.5), (8.0, 2.0)))
+        lattices = [random_domain_lattice(rng) for _ in range(6)]
+        lattices += [lattice_from_generator(3.0 * random_domain_lattice(rng).gen) for _ in range(2)]
+        for lat in lattices:
+            ev = app.CMEnergyEvaluator(p, lat)
             assert_derivatives_match_differences(ev, rng.uniform(0.01, 0.99, (5, 2)))
 
     def test_single_node_is_plain_sum(self, hexl, rng):
@@ -206,6 +185,63 @@ class TestCMPotential:
         assert abs(quad - direct) < 1e-6
 
 
+def shift_near_origin(rng, lattice, rho):
+    """A shift at squared distance rho from the origin with both lattice
+    coordinates positive, so that the reference's Cartesian offsets do not
+    cancel."""
+    while True:
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        offset = math.sqrt(rho) * np.array([math.cos(theta), math.sin(theta)])
+        u, v = np.linalg.solve(lattice.gen, offset)
+        if u > 0.0 and v > 0.0:
+            return PhasePoint(u, v)
+
+
+class TestMixtureSplit:
+    """The mixture split at lam = 1/covol against the per-node loop it replaced."""
+
+    def assert_matches_reference(self, p, lat, z, pol=TruncationPolicy(1e-9)):
+        split = app.cm_lattice_energy(p, lat, z, pol)
+        value, tail, rounding = per_node_cm_energy(p, lat, z, pol)
+        assert abs(split.value - value) <= split.tail_bound + tail + rounding
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_riesz_on_domain_shapes(self, s, rng):
+        for _ in range(3):
+            lat = random_domain_lattice(rng)
+            shifts = [PhasePoint(*rng.uniform(0.0, 1.0, 2))]
+            shifts += [shift_near_origin(rng, lat, rho) for rho in (1e-2, 1e-4)]
+            for z in shifts:
+                rho = _nearest_sq(lat.gen, lat.gen @ np.array([z.u, z.v]))
+                p = app.CMPotential.riesz(2.0 * s, tol=1e-9, rho_min=min(0.05, rho))
+                self.assert_matches_reference(p, lat, z)
+
+    @pytest.mark.parametrize("scale", [3.0, 0.5, 4.0])
+    def test_non_unit_covolume(self, scale, rng):
+        for s in (1.5, 3.0):
+            p = app.CMPotential.riesz(2.0 * s, tol=1e-9)
+            for _ in range(2):
+                lat = lattice_from_generator(scale * random_domain_lattice(rng).gen)
+                self.assert_matches_reference(p, lat, PhasePoint(*rng.uniform(0.15, 0.85, 2)))
+
+    def test_node_sets_straddling_lambda(self, rng):
+        for scale in (1.0, 3.0, 0.5):
+            lat = lattice_from_generator(scale * random_domain_lattice(rng).gen)
+            lam = 1.0 / lat.covolume
+            alphas = lam * np.array([1e-3, 0.3, 0.9, 1.0, 1.1, 4.0, 50.0])
+            weights = rng.uniform(0.1, 2.0, len(alphas))
+            p = app.CMPotential(tuple((float(a), float(w)) for a, w in zip(alphas, weights)))
+            for _ in range(3):
+                self.assert_matches_reference(p, lat, PhasePoint(*rng.uniform(0.0, 1.0, 2)))
+
+    def test_one_side_only(self, hexl):
+        # every node on one side: the other side is empty
+        z = PhasePoint(0.3, 0.2)
+        for nodes in (((2.0, 1.0), (5.0, 0.5)), ((0.2, 1.0), (0.5, 0.5))):
+            p = app.CMPotential(nodes)
+            self.assert_matches_reference(p, hexl, z)
+
+
 class TestEpsteinZeta:
     def test_square_corner_two_routes(self, sq):
         z = PhasePoint(0.5, 0.5)
@@ -247,6 +283,21 @@ class TestEpsteinZeta:
             for x, g in zip(xs, got):
                 ref = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(float(x)))
                 assert abs((mpmath.mpf(float(g)) - ref) / ref) <= app._UPPER_GAMMA_REL
+
+    @pytest.mark.parametrize("a", [1.5, -0.5, -2.0, 3.0])
+    def test_upper_gamma_batch_matches_single(self, a):
+        # without a per-element stop a batch this size stalls: some elements
+        # sit a few ulp off convergence while others arrive
+        xs = np.random.default_rng(0).uniform(2.5, 30.0, 10_000)
+        got = app._upper_gamma(a, xs)
+        for x, g in zip(xs[::25], got[::25]):
+            alone = app._upper_gamma(a, np.array([x]))[0]
+            assert abs(g - alone) <= app._UPPER_GAMMA_REL * abs(alone)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for x, g in zip(xs[::100], got[::100]):
+            ref = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(float(x)))
+            assert abs((mpmath.mpf(float(g)) - ref) / ref) <= app._UPPER_GAMMA_REL
 
     @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 3.0])
     def test_ewald_matches_brute_force_oracle(self, s, rng):

@@ -218,6 +218,12 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["charge_sum"] == pytest.approx(0.0, abs=1e-12)
         assert payload["charge_norm_sq"] == pytest.approx(9.0, abs=1e-12)
+        assert payload["converged"] is True
+
+    def test_born_max_radius_exits_three(self, capsys):
+        code, out, _ = run(capsys, ["born", "--period", "3", "--max-radius", "1"])
+        assert code == 3
+        assert json.loads(out)["converged"] is False
 
     def test_born_alternating_interaction_negative(self, capsys):
         code, out, _ = run(
