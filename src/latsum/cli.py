@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .lattice import (
     special_point_a,
     special_point_b,
 )
-from .optimize import minimize_over_cell
+from .optimize import minimize_over_cell, sweep_fundamental_domain
 from .theta import TruncationPolicy, theta_charged, theta_shifted
 
 EXIT_OK = 0
@@ -59,9 +58,12 @@ def _pair(text: str) -> tuple[float, float]:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p]
+        values = [float(p) for p in text.split(",") if p]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _linspace_triple(text: str) -> list[float]:
@@ -186,45 +188,20 @@ def _cmd_minimize(args) -> int:
     return _exit_code(res.value.converged)
 
 
-def _sweep_cell(payload) -> tuple[list[tuple], bool]:
-    """One lattice cell's rows, and whether every minimum in it converged."""
-    x, y, alphas, grid_n, pol, exploratory = payload
-    lat = lattice_from_tau(x, y)
-    rows = []
-    converged = True
-    for alpha in alphas:
-        res = minimize_over_cell(lat, alpha, grid_n, pol)
-        converged &= res.value.converged
-        row = (x, y, alpha, res.value.value, res.argmin.u, res.argmin.v, res.value.tail_bound)
-        if exploratory:
-            va = theta_shifted(lat, special_point_a(x, y), alpha, pol).value
-            vb = theta_shifted(lat, special_point_b(x, y), alpha, pol).value
-            row = row + (va, vb)
-        rows.append(row)
-    return rows, converged
-
-
 def _cmd_sweep(args) -> int:
-    alphas = sorted(args.alpha)
-    xs = sorted(args.x)
-    ys = sorted(args.y)
-    cells = []
-    for x in xs:
-        for y in ys:
-            if y <= 0:
-                raise LatSumError(f"lattice parameter y must be positive, got {y}")
-            cells.append((x, y, tuple(alphas), args.grid_n, _policy(args), args.exploratory))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_sweep_cell, cells))
-    else:
-        chunks = [_sweep_cell(c) for c in cells]
-    header = ["x", "y", "alpha", "min_value", "argmin_u", "argmin_v", "tail_bound"]
-    if args.exploratory:
-        header += ["value_at_a", "value_at_b"]
-    rows = [dict(zip(header, row)) for chunk, _ in chunks for row in chunk]
+    pol = _policy(args)
+    records = sweep_fundamental_domain(args.alpha, args.x, args.y, args.grid_n, pol)
+    rows = []
+    for r in records:
+        row = dataclasses.asdict(r)
+        del row["converged"]
+        if args.exploratory:
+            lat = lattice_from_tau(r.x, r.y)
+            row["value_at_a"] = theta_shifted(lat, special_point_a(r.x, r.y), r.alpha, pol).value
+            row["value_at_b"] = theta_shifted(lat, special_point_b(r.x, r.y), r.alpha, pol).value
+        rows.append(row)
     _emit(rows, args)
-    return _exit_code(all(converged for _, converged in chunks))
+    return _exit_code(all(r.converged for r in records))
 
 
 def _cmd_frame_bounds(args) -> int:
@@ -366,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_linspace_triple, required=True, metavar="START:STOP:COUNT")
     p.add_argument("--y", type=_linspace_triple, required=True, metavar="START:STOP:COUNT")
     p.add_argument("--grid-n", type=int, default=32)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--exploratory", action="store_true",
                    help="append values at the moving points a and b (no pass/fail)")
     _add_common(p)

@@ -22,7 +22,6 @@ from .lattice import (
     Frame,
     Lattice,
     PhasePoint,
-    in_fundamental_domain_plus,
     lattice_from_tau,
     special_point_a,
     special_point_b,
@@ -38,6 +37,7 @@ from .theta import (
 )
 
 _NEWTON_ITERATIONS = 60  # cap on the batched Newton loop
+_N_STARTS = 5  # lowest grid points polished by each torus minimization
 _EIG_FLOOR = 1e-12  # smallest |Hessian eigenvalue| kept, relative to the largest
 _ROUNDING = 64.0 * np.finfo(float).eps  # decrement at which a start stops, per unit value
 
@@ -63,6 +63,8 @@ class MinResult:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One torus minimum of a sweep; ``converged`` is its certified value's flag."""
+
     x: float
     y: float
     alpha: float
@@ -70,6 +72,7 @@ class SweepRecord:
     argmin_u: float
     argmin_v: float
     tail_bound: float
+    converged: bool
 
 
 def _newton_polish(
@@ -124,14 +127,13 @@ def minimize_torus(
     batch: Callable[[np.ndarray], np.ndarray],
     grid_n: int,
     derivatives: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    n_starts: int = 5,
 ) -> tuple[np.ndarray, float, int]:
     """Minimize an even function on the unit torus: grid scan, then Newton polish.
 
     ``batch`` maps an (n, 2) array of lattice coordinates to values and
     ``derivatives`` maps it to (values, gradients (n, 2), Hessians (n, 2, 2)).
     The function must be even, f(-z) = f(z), so the scan covers only the half
-    cell v <= 1/2 + 1.5/grid_n.  The ``n_starts`` lowest grid points are
+    cell v <= 1/2 + 1.5/grid_n.  The ``_N_STARTS`` lowest grid points are
     polished together by ``_newton_polish``, which stops each at a Newton
     decrement of rounding level, ``_ROUNDING`` times the largest scanned |value|.
     Returns the best polished point, its value and the Newton iteration count.
@@ -142,7 +144,7 @@ def minimize_torus(
     uu, vv = np.meshgrid(us, us[us <= 0.5 + 1.5 / grid_n], indexing="ij")
     grid = np.column_stack([uu.ravel(), vv.ravel()])
     vals = batch(grid)
-    starts = grid[np.argsort(vals, kind="stable")[:n_starts]]
+    starts = grid[np.argsort(vals, kind="stable")[:_N_STARTS]]
     tol = _ROUNDING * float(np.max(np.abs(vals)))
     points, iterations = _newton_polish(derivatives, starts, 1.0 / grid_n, tol)
     polished = batch(points)
@@ -155,7 +157,6 @@ def minimize_over_cell(
     alpha: float,
     grid_n: int = 64,
     pol: TruncationPolicy = DEFAULT_POLICY,
-    n_starts: int = 5,
 ) -> MinResult:
     """Global minimum of E(.; alpha) over one torus cell.
 
@@ -166,9 +167,7 @@ def minimize_over_cell(
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
     ev = ShiftedSumEvaluator(lattice, alpha, pol)
-    point, _, iters = minimize_torus(
-        ev.values_centered, grid_n, ev.derivatives_centered, n_starts
-    )
+    point, _, iters = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
     argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE).canonical()
     value = lattice_gaussian_sum(lattice, argmin, alpha, pol)
     return MinResult(argmin, value, grid_n, iters)
@@ -196,22 +195,15 @@ def sweep_fundamental_domain(
     ys: Sequence[float],
     grid_n: int = 32,
     pol: TruncationPolicy = DEFAULT_POLICY,
-    skip_outside: bool = False,
 ) -> list[SweepRecord]:
     """One minimization record per (x, y, alpha), ordered x, then y, then alpha.
 
-    Every (x, y) must lie in the right half fundamental domain; with
-    ``skip_outside`` the grid points below the unit circle are dropped
-    instead (rectangular grids intersected with the domain).
+    Every (x, y) with y > 0 is swept, inside the fundamental domain or not;
+    y <= 0 raises ``NonPositiveY``.
     """
     records = []
     for x in sorted(xs):
         for y in sorted(ys):
-            tau = complex(x, y)
-            if not in_fundamental_domain_plus(tau):
-                if skip_outside:
-                    continue
-                raise ValueError(f"(x, y) = ({x}, {y}) outside the fundamental domain")
             lattice = lattice_from_tau(x, y)
             for alpha in sorted(alphas):
                 res = minimize_over_cell(lattice, alpha, grid_n, pol)
@@ -224,6 +216,7 @@ def sweep_fundamental_domain(
                         argmin_u=res.argmin.u,
                         argmin_v=res.argmin.v,
                         tail_bound=res.value.tail_bound,
+                        converged=res.value.converged,
                     )
                 )
     return records

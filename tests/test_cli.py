@@ -108,15 +108,35 @@ class TestSweep:
     def test_unconverged_cell_exits_three(self, capsys):
         argv = ["sweep", "--x", "0.5:0.5:1", "--y", f"{Y_HEX}:{Y_HEX}:1",
                 "--tol", "1e-14", "--max-radius", "1"]
-        for jobs in ("1", "2"):
-            code, out, _ = run(capsys, argv + ["--jobs", jobs])
-            assert code == 3
-            assert json.loads(out)[0]["tail_bound"] > 1e-14
+        code, out, _ = run(capsys, argv)
+        assert code == 3
+        assert json.loads(out)[0]["tail_bound"] > 1e-14
 
-    def test_parallel_matches_serial(self, capsys):
-        serial = run(capsys, self.ARGS[:-2] + ["--grid-n", "12"])[1]
-        parallel = run(capsys, self.ARGS[:-2] + ["--grid-n", "12", "--jobs", "2"])[1]
-        assert serial == parallel
+    def test_cell_outside_domain_matches_minimize(self, capsys):
+        # (0, 0.8660254) lies below the unit circle; sweep takes any y > 0
+        code, out, _ = run(
+            capsys,
+            ["sweep", "--alpha", "1", "--x", "0:0:1", "--y", "0.8660254:0.8660254:1",
+             "--grid-n", "24"],
+        )
+        assert code == 0
+        (swept,) = json.loads(out)
+        code, out, _ = run(
+            capsys, ["minimize", "--lattice", "0,0.8660254", "--alpha", "1", "--grid-n", "24"]
+        )
+        assert code == 0
+        single = json.loads(out)
+        for key in ("min_value", "argmin_u", "argmin_v", "tail_bound"):
+            assert swept[key] == single[key]
+
+    @pytest.mark.parametrize("fmt", [[], ["--csv"]])
+    def test_empty_alpha_list_exits_two(self, capsys, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--alpha", ",", "--x", "0.5:0.5:1", "--y", "1:1:1"] + fmt)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--alpha" in captured.err
 
 
 class TestFrameBounds:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latsum.errors import NonPositiveAlpha
-from latsum.lattice import PhasePoint, lattice_from_tau
+from latsum.lattice import PhasePoint, in_fundamental_domain_plus, lattice_from_tau
 from latsum.optimize import (
     CriticalRule,
     RidgeFamily,
@@ -16,7 +16,7 @@ from latsum.optimize import (
     verify_max_at_origin,
     x_derivative_sign_scan,
 )
-from latsum.theta import ShiftedSumEvaluator, lattice_gaussian_sum, theta1d
+from latsum.theta import ShiftedSumEvaluator, TruncationPolicy, lattice_gaussian_sum, theta1d
 
 from conftest import Y_HEX, random_domain_lattice
 
@@ -123,9 +123,10 @@ class TestSweep:
     def test_spec_grid_maximum_at_hexagon(self):
         xs = np.linspace(0.0, 0.5, 11)
         ys = np.linspace(Y_HEX, 2.0, 11)
-        records = sweep_fundamental_domain(
-            [1.0], list(xs), list(ys), grid_n=24, skip_outside=True
-        )
+        records = []
+        for x in xs:
+            inside = [y for y in ys if in_fundamental_domain_plus(complex(x, y))]
+            records += sweep_fundamental_domain([1.0], [x], inside, grid_n=24)
         best = max(records, key=lambda r: r.min_value)
         assert abs(best.x - 0.5) < 1e-12
         assert abs(best.y - Y_HEX) < 1e-12
@@ -142,9 +143,14 @@ class TestSweep:
         keys = [(r.x, r.y, r.alpha) for r in records]
         assert keys == sorted(keys)
 
-    def test_outside_domain_raises(self):
-        with pytest.raises(ValueError):
-            sweep_fundamental_domain([1.0], [0.1], [0.9], grid_n=16)
+    def test_converged_follows_the_policy(self):
+        capped = sweep_fundamental_domain(
+            [1.0], [0.5], [Y_HEX], grid_n=16, pol=TruncationPolicy(1e-14, max_radius=1)
+        )
+        assert [r.converged for r in capped] == [False]
+        assert capped[0].tail_bound > 1e-14
+        default = sweep_fundamental_domain([1.0], [0.5], [Y_HEX], grid_n=16)
+        assert [r.converged for r in default] == [True]
 
     def test_dominance_with_montgomery_dual(self, rng, hexl):
         # smaller-scale version of the main sweep: the hexagon dominates
