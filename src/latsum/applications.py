@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     ConstraintViolated,
-    EmptyQuadrature,
     NonPositiveT,
     NotMultipleOfThree,
     PoleAtLatticePoint,
@@ -30,24 +29,19 @@ from .lattice import (
 )
 from .optimize import minimize_over_cell, minimize_torus
 from .theta import (
+    _EPS,
     DEFAULT_POLICY,
     CertifiedValue,
-    ChargedSumEvaluator,
+    ShiftedSumEvaluator,
     TruncationPolicy,
     _ball,
-    _cell_ball,
-    _cosine_derivatives,
     _dual_ball,
     _nearest_sq,
     _power_tail,
     lattice_gaussian_sum,
-    theta_charged,
 )
 
 TWO_PI = 2.0 * math.pi
-_EPS = float(np.finfo(float).eps)
-# exponents below this are clipped: exp is ~16 times slower where it underflows
-_EXP_FLOOR = -700.0
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +74,10 @@ def gabor_frame_bounds(
     The bounds are the extremes of the charged sum over the adjoint
     lattice: with density 2n, that sum reduces to the unit-covolume
     charged family at scale n, so A = density * min_b and
-    B = density * value at b = 0 (the maximum sits at zero charge).
-    ``converged`` holds when the evaluator and both pointwise sums met
-    their tolerance.
+    B = density * value at b = 0 (the maximum sits at zero charge).  That
+    family at n is E(b; 1/n) / n on the same lattice, the one-node mixture
+    (1/n, 1/n); both values are certified by the evaluator that found the
+    minimum, and ``converged`` holds when both met the tolerance.
     """
     if density < 2 or density % 2 != 0:
         raise UnsupportedDensity(
@@ -90,17 +85,15 @@ def gabor_frame_bounds(
         )
     n = density // 2
     lat = lattice_from_tau(x, y)
-    ev = ChargedSumEvaluator(lat, float(n), pol)
+    ev = ShiftedSumEvaluator(lat, ((1.0 / n, 1.0 / n),), pol)
     point, _, _ = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
-    argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE)
-    min_val = theta_charged(lat, argmin, float(n), pol)
-    max_val = theta_charged(lat, PhasePoint(0.0, 0.0), float(n), pol)
+    values, bounds = ev.certified(np.array([point, [0.0, 0.0]]))
     return FrameBounds(
-        lower_A=density * min_val.value,
-        upper_B=density * max_val.value,
+        lower_A=density * float(values[0]),
+        upper_B=density * float(values[1]),
         density=density,
-        argmin_z=argmin,
-        converged=ev.converged and min_val.converged and max_val.converged,
+        argmin_z=PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE),
+        converged=ev.converged and bool(bounds.max() <= pol.target_tol),
     )
 
 
@@ -234,195 +227,6 @@ class CMPotential:
         return CMPotential(nodes, label=f"riesz(s={s})")
 
 
-def _exponent_rounding(lattice: Lattice) -> float:
-    """kappa such that every exponent X = c |x|^2 the mixture evaluator computes
-    carries a relative error of at most kappa eps, on either side.  A squared
-    length taken from the Gram form of w = idx + z (lattice side) or from the
-    Cartesian dual points (dual side) is within 12 cond(G) eps of its value,
-    since the absolute parts of either form are at most 2 cond(G) times the
-    form; the product with c adds at most 8 eps."""
-    lo, hi = np.linalg.eigvalsh(lattice.gram)
-    return 12.0 * hi / lo + 8.0
-
-
-class CMEnergyEvaluator:
-    """A completely monotone lattice energy sum_p p(|p + z|^2), with
-    p(rho) = sum_j w_j exp(-pi alpha_j rho), split at lam = 1/covol (Ewald).
-
-    Lattice side, the nodes with alpha_j >= lam: one radial kernel
-    K(rho) = sum_j w_j exp(-pi alpha_j rho), summed over one cell-wide
-    ``theta._ball``, that of the smallest such alpha_j.  Beyond the ball's
-    radius R every such node is at most exp(-pi (alpha_j - alpha_min) R^2)
-    times that ball's Gaussian, so the tail is the ball's ring-count tail
-    times sum_j w_j exp(-pi (alpha_j - alpha_min) R^2), at most sum_j w_j;
-    the radius is chosen with that factor.
-
-    Dual side, the nodes with alpha_j < lam: by Poisson summation, one
-    cosine series sum_k g(k) cos(2 pi k.z) whose weights
-    g(k) = sum_j w_j exp(-pi |k|^2 / alpha_j) / (alpha_j covol) do not depend
-    on z.  They are built once over one ``theta._dual_ball``, that of the
-    largest such alpha_j, with the ring-count tail times
-    sum_j w_j / (alpha_j covol).  Flat nodes underflow off k != 0 and land in
-    g(0), which is kept apart as ``value_offset``.
-
-    Each side is asked for a quarter of the tolerance; ``tail_bound`` is the
-    sum of both truncation tails, uniform over the cell, and ``converged``
-    says both balls met their share.  ``certified`` adds each value's
-    rounding.  Only (points x terms) arrays are built: the kernel and its
-    derivatives are accumulated node by node.  Exponents below ``_EXP_FLOOR``
-    are clipped, and the term they overstate goes into the rounding.
-    """
-
-    def __init__(
-        self,
-        p: CMPotential,
-        lattice: Lattice,
-        pol: TruncationPolicy = DEFAULT_POLICY,
-    ) -> None:
-        if not p.nodes:
-            raise EmptyQuadrature("potential has no quadrature nodes")
-        covol = lattice.covolume
-        alphas, weights = np.array(p.nodes).T
-        near = alphas >= 1.0 / covol
-        self.tol = pol.target_tol
-        self._kappa = _exponent_rounding(lattice)
-        g = lattice.gram
-        self._g00, self._g01, self._g11 = g[0, 0], g[0, 1], g[1, 1]
-
-        self._rates = math.pi * alphas[near]
-        self._weights = weights[near]
-        self.tail_bound = 0.0
-        self.converged = True
-        self._idx = np.zeros((0, 2))
-        self._fixed_rounding = 0.0
-        if near.any():
-            # beyond radius r, node j decays faster than the slowest by
-            # exp(-(rate_j - rate_min) r^2), which weights its share of the tail
-            excess = self._rates - self._rates.min()
-
-            def tail_weight(r: float) -> float:
-                return float(self._weights @ np.exp(-excess * (r * r)))
-
-            idx, g_tail, ok = _cell_ball(
-                lattice.gen, alphas[near].min(), pol.target_tol / 4.0, pol.max_radius, tail_weight
-            )
-            self._idx = idx.astype(float)
-            self.tail_bound += g_tail
-            self.converged &= ok
-            # a clipped exponent overstates its term by less than w_j e^_EXP_FLOOR
-            self._fixed_rounding = len(idx) * float(self._weights.sum()) * math.exp(_EXP_FLOOR)
-
-        self.value_offset = 0.0
-        self._kidx = np.zeros((0, 2))
-        self._ghat = np.zeros(0)
-        if not near.all():
-            far_alphas = alphas[~near]
-            scales = weights[~near] / (far_alphas * covol)
-            s_sum = float(scales.sum())
-            top = float(far_alphas.max())
-            top_scale = 1.0 / (top * covol)
-            tol_g = pol.target_tol / 4.0 / max(s_sum, 1e-300)
-            kidx, kq, _, _, k_tail, ok = _dual_ball(
-                lattice, top, replace(pol, target_tol=tol_g * top_scale)
-            )
-            self.tail_bound += s_sum * k_tail / top_scale
-            self.converged &= ok
-            # (nodes x dual terms), independent of z
-            x = np.outer(math.pi / far_alphas, kq)
-            e = np.exp(np.maximum(-x, _EXP_FLOOR))
-            ghat = scales @ e
-            x_err = scales @ (x * e)  # sum_j scale_j X_jk exp(-X_jk)
-            nonzero = np.any(kidx != 0, axis=1)
-            self._kidx = kidx[nonzero].astype(float)
-            self._ghat = ghat[nonzero]
-            self.value_offset = s_sum
-            # g(k): the nodes' sum and the scales, (nodes + 5) eps g, and the
-            # exponents, kappa eps X e^-X; cos(2 pi k.z): its phase, computed from
-            # z in [0, 1)^2, is off by at most 8 pi (|k1| + |k2|) eps
-            n_far = len(far_alphas)
-            phase = 8.0 * math.pi * np.abs(self._kidx).sum(axis=1)
-            self._fixed_rounding += _EPS * (
-                (n_far + 5.0) * s_sum
-                + float(((n_far + 6.0 + phase) * self._ghat).sum())
-                + self._kappa * float(x_err.sum())
-            ) + len(kq) * s_sum * math.exp(_EXP_FLOOR)
-        self.terms = len(self._idx) + len(self._kidx)
-
-    def _radial(self, zs: np.ndarray, order: int):
-        """Offsets w = idx + z, their images Gw and squared lengths rho, each
-        (points x terms), and the sums sum_j w_j (pi alpha_j)^m exp(-pi alpha_j rho)
-        for m = 0 .. order: K, -K' and K''."""
-        w1 = self._idx[:, 0][None, :] + zs[:, 0][:, None]
-        w2 = self._idx[:, 1][None, :] + zs[:, 1][:, None]
-        a = self._g00 * w1 + self._g01 * w2
-        b = self._g01 * w1 + self._g11 * w2
-        rho = w1 * a + w2 * b
-        sums = [np.zeros_like(rho) for _ in range(order + 1)]
-        e = np.empty_like(rho)
-        for rate, weight in zip(self._rates, self._weights):
-            np.multiply(rho, -rate, out=e)
-            np.maximum(e, _EXP_FLOOR, out=e)
-            np.exp(e, out=e)
-            e *= weight
-            sums[0] += e
-            for m in range(1, order + 1):
-                e *= rate
-                sums[m] += e
-        return a, b, rho, sums
-
-    def values_centered(self, zs: np.ndarray) -> np.ndarray:
-        """Values minus ``value_offset`` at an (n, 2) batch of lattice-coordinate shifts."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        _, _, _, (k,) = self._radial(zs, 0)
-        return k.sum(axis=1) + np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat
-
-    def derivatives_centered(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Centered values (n,), gradients (n, 2) and Hessians (n, 2, 2) in
-        lattice coordinates.  Lattice side: grad rho = 2 Gw and
-        Hess rho = 2 G give grad = K'(rho) 2 Gw and
-        Hess = K''(rho) 4 Gw (Gw)^T + K'(rho) 2 G, term by term; dual side:
-        the cosine series differentiated term by term."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        a, b, _, (k0, k1, k2) = self._radial(zs, 2)
-        k1_sum = k1.sum(axis=1)
-        k2a, k2b = k2 * a, k2 * b
-        values, grad, hess = _cosine_derivatives(zs, self._kidx, self._ghat)
-        values = values + k0.sum(axis=1)
-        grad = grad - 2.0 * np.column_stack([(k1 * a).sum(axis=1), (k1 * b).sum(axis=1)])
-        h11 = 4.0 * (k2a * a).sum(axis=1) - 2.0 * self._g00 * k1_sum
-        h12 = 4.0 * (k2a * b).sum(axis=1) - 2.0 * self._g01 * k1_sum
-        h22 = 4.0 * (k2b * b).sum(axis=1) - 2.0 * self._g11 * k1_sum
-        hess = hess + np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
-        return values, grad, hess
-
-    def values(self, zs: np.ndarray) -> np.ndarray:
-        return self.value_offset + self.values_centered(zs)
-
-    def certified(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values at an (n, 2) batch of shifts in [0, 1)^2 and a bound on each
-        one's error: both truncation tails plus the rounding.  A lattice-side
-        term sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps times itself
-        plus kappa eps sum_j w_j X_j e^(-X_j) = kappa eps rho (-K'(rho)); adding
-        the terms and the two sides costs (terms + 4) eps sum |term|."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        _, _, rho, (k0, k1) = self._radial(zs, 1)
-        values = self.value_offset + (
-            k0.sum(axis=1) + np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat
-        )
-        size = self.value_offset + k0.sum(axis=1) + self._ghat.sum()
-        rounding = _EPS * (
-            (len(self._rates) + self.terms + 6.0) * size + self._kappa * (rho * k1).sum(axis=1)
-        )
-        return values, self.tail_bound + self._fixed_rounding + rounding
-
-
-def _certified_at(ev: CMEnergyEvaluator, z: PhasePoint, lattice: Lattice) -> CertifiedValue:
-    zl = z.to_lattice(lattice).canonical()
-    values, tails = ev.certified(np.array([[zl.u, zl.v]]))
-    tail = float(tails[0])
-    return CertifiedValue(float(values[0]), tail, ev.terms, ev.converged and tail <= ev.tol)
-
-
 def cm_lattice_energy(
     p: CMPotential,
     lattice: Lattice,
@@ -430,9 +234,9 @@ def cm_lattice_energy(
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> CertifiedValue:
     """Lattice energy sum_points p(|point + z|^2), split at lam = 1/covol by
-    ``CMEnergyEvaluator``; ``terms_used`` counts the lattice-side and the
+    ``ShiftedSumEvaluator``; ``terms_used`` counts the lattice-side and the
     nonzero dual-side terms."""
-    return _certified_at(CMEnergyEvaluator(p, lattice, pol), z, lattice)
+    return ShiftedSumEvaluator(lattice, p.nodes, pol).certified_at(z)
 
 
 def minimize_cm_energy(
@@ -442,10 +246,10 @@ def minimize_cm_energy(
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[PhasePoint, float]:
     """Argmin and minimum of the CM lattice energy over one torus cell."""
-    ev = CMEnergyEvaluator(p, lattice, pol)
+    ev = ShiftedSumEvaluator(lattice, p.nodes, pol)
     point, _, _ = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
     argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE)
-    return argmin, _certified_at(ev, argmin, lattice).value
+    return argmin, ev.certified_at(argmin).value
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +380,7 @@ def epstein_zeta_shifted(
 
     ``quadrature`` routes the power kernel through its Gaussian mixture,
     built accurate down to the squared distance min(0.05, rho) of z from
-    the nearest lattice point, and split at lam by ``CMEnergyEvaluator``.
+    the nearest lattice point, and split at lam by ``ShiftedSumEvaluator``.
     """
     if s <= 1.0:
         raise ValueError("absolute convergence requires s > 1")
@@ -702,7 +506,7 @@ def _born_table(
     the n^2 shifts are one batch of one mixture evaluator on the n-scaled
     lattice."""
     big = lattice_from_generator(n * lattice.gen)
-    ev = CMEnergyEvaluator(p, big, pol)
+    ev = ShiftedSumEvaluator(big, p.nodes, pol)
     d1, d2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     values, tails = ev.certified(np.column_stack([d1.ravel(), d2.ravel()]) / n)
     return values.reshape(n, n), bool(ev.converged and tails.max() <= pol.target_tol)

@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonPositiveAlpha
 from .lattice import (
     Frame,
     Lattice,
@@ -31,7 +30,6 @@ from .theta import (
     CertifiedValue,
     ShiftedSumEvaluator,
     TruncationPolicy,
-    lattice_gaussian_sum,
     theta_charged,
     theta_shifted,
 )
@@ -162,15 +160,13 @@ def minimize_over_cell(
 
     The search runs in lattice coordinates on [0, 1)^2 through
     ``minimize_torus``; the central symmetry E(-z) = E(z) halves the
-    scanned cell for every shape.
+    scanned cell for every shape.  The minimum is certified by the
+    evaluator that found it; its tail bound counts truncation and rounding.
     """
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-    ev = ShiftedSumEvaluator(lattice, alpha, pol)
+    ev = ShiftedSumEvaluator(lattice, ((alpha, 1.0),), pol)
     point, _, iters = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
     argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE).canonical()
-    value = lattice_gaussian_sum(lattice, argmin, alpha, pol)
-    return MinResult(argmin, value, grid_n, iters)
+    return MinResult(argmin, ev.certified_at(argmin), grid_n, iters)
 
 
 def verify_max_at_origin(
@@ -180,13 +176,12 @@ def verify_max_at_origin(
     pol: TruncationPolicy = DEFAULT_POLICY,
     rng: np.random.Generator | None = None,
 ) -> bool:
-    """Check E(z; alpha) <= E(0; alpha) within tails for random shifts z."""
+    """Check E(z; alpha) <= E(0; alpha) for random shifts z, within the
+    certified bounds of both values."""
     rng = rng or np.random.default_rng(0)
-    ev = ShiftedSumEvaluator(lattice, alpha, pol)
-    zs = rng.random((samples, 2))
-    at_origin = float(ev.values(np.zeros((1, 2)))[0])
-    slack = 2.0 * ev.tail_bound + 1e-13
-    return bool(np.all(ev.values(zs) <= at_origin + slack))
+    ev = ShiftedSumEvaluator(lattice, ((alpha, 1.0),), pol)
+    values, bounds = ev.certified(np.vstack([np.zeros((1, 2)), rng.random((samples, 2))]))
+    return bool(np.all(values[1:] - bounds[1:] <= values[0] + bounds[0]))
 
 
 def sweep_fundamental_domain(

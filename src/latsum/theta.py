@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonPositiveAlpha, NonPositiveT, TailNotMet
+from .errors import EmptyQuadrature, NonPositiveAlpha, NonPositiveT, TailNotMet
 from .lattice import Lattice, PhasePoint, lattice_from_tau
 
 TWO_PI = 2.0 * math.pi
@@ -469,8 +469,18 @@ def combined_functional_tails(
 
 
 # ---------------------------------------------------------------------------
-# Batch evaluators (shared by the torus minimizers)
+# Batch evaluator (shared by the torus minimizers and the applications)
 # ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+# exponents below this are clipped: exp is ~16 times slower where it underflows
+_EXP_FLOOR = -700.0
+
+
+def _clipped_exp(x: np.ndarray) -> np.ndarray:
+    """exp(-x), with -x clipped at ``_EXP_FLOOR``."""
+    return np.exp(np.maximum(-x, _EXP_FLOOR))
+
 
 def _cosine_derivatives(
     zs: np.ndarray, idx: np.ndarray, weights: np.ndarray
@@ -489,114 +499,234 @@ def _cosine_derivatives(
     return values, grad, hess
 
 
-class ShiftedSumEvaluator:
-    """Vectorized E(z; alpha) over batches of lattice-coordinate shifts.
+def _exponent_rounding(lattice: Lattice) -> float:
+    """kappa such that every exponent X = c |x|^2 the evaluator computes
+    carries a relative error of at most kappa eps, on either side.  A squared
+    length taken from the Gram form of w = idx + z (lattice side) or from the
+    Cartesian dual points (dual side) is within 12 cond(G) eps of its value,
+    since the absolute parts of either form are at most 2 cond(G) times the
+    form; the product with c adds at most 8 eps."""
+    lo, hi = np.linalg.eigvalsh(lattice.gram)
+    return 12.0 * hi / lo + 8.0
 
-    The displacement set covers every z in [0, 1]^2, so one index set
-    serves a whole minimization; the certified tail bound is uniform
-    over the cell.
+
+class ShiftedSumEvaluator:
+    """A positive Gaussian mixture sum_j w_j E(z; alpha_j) = sum_p K(|p + z|^2),
+    K(rho) = sum_j w_j exp(-pi alpha_j rho), over batches of lattice-coordinate
+    shifts z, split at lam = 1/covol (Ewald).  ``nodes`` are the (alpha_j, w_j)
+    pairs, alpha_j > 0 and w_j >= 0.  E(z; alpha) is the one node (alpha, 1);
+    the charged sum theta_charged(b; n) = E(b; 1/n) / n on the tau lattice is
+    the one node (1/n, 1/n); a completely monotone energy is the mixture of its
+    Bernstein measure.
+
+    Lattice side, the nodes with alpha_j >= lam: K summed over one cell-wide
+    ``_cell_ball``, that of the smallest such alpha_j, so one index set serves
+    every z in [0, 1]^2.  Beyond the ball's radius R every such node is at most
+    exp(-pi (alpha_j - alpha_min) R^2) times that ball's Gaussian, so the tail
+    is the ball's ring-count tail times sum_j w_j exp(-pi (alpha_j - alpha_min) R^2),
+    at most sum_j w_j; the radius is chosen with that factor.
+
+    Dual side, the nodes with alpha_j < lam: by Poisson summation, one cosine
+    series sum_k g(k) cos(2 pi k.z) whose weights
+    g(k) = sum_j w_j exp(-pi |k|^2 / alpha_j) / (alpha_j covol) do not depend
+    on z.  They are built once over one ``_dual_ball``, that of the largest
+    such alpha_j, with the ring-count tail times sum_j w_j / (alpha_j covol).
+    Flat nodes underflow off k != 0 and land in g(0), which is kept apart as
+    ``value_offset`` so that the oscillating remainder keeps full relative
+    precision.
+
+    Half the tolerance goes to truncation, shared by the sides present (a
+    quarter each when both are), the rest is left to rounding; ``tail_bound``
+    is the sum of the truncation tails, uniform over the cell, and
+    ``converged`` says every ball met its share.  ``certified`` adds each value's
+    rounding.  An empty side costs nothing.  Exponents below ``_EXP_FLOOR``
+    are clipped, and the term they overstate goes into the rounding.
     """
 
     def __init__(
         self,
         lattice: Lattice,
-        alpha: float,
+        nodes: tuple[tuple[float, float], ...],
         pol: TruncationPolicy = DEFAULT_POLICY,
-        use_functional_equation: bool | None = None,
     ) -> None:
-        self.use_fe = _use_fe(alpha, use_functional_equation)
+        if not nodes:
+            raise EmptyQuadrature("no quadrature nodes")
+        alpha_min = min(alpha for alpha, _ in nodes)
+        if alpha_min <= 0:
+            raise NonPositiveAlpha(f"alpha must be positive, got {alpha_min}")
         self.lattice = lattice
-        self.alpha = alpha
-        if self.use_fe:
-            idx, q, scale, _, tail, ok = _dual_ball(lattice, alpha, pol)
-            keep = np.any(idx != 0, axis=1)
-            self._idx = idx[keep].astype(float)
-            self._weights = np.exp(-math.pi / alpha * q[keep]) * scale
-            # constant zero-frequency term, kept apart so that the
-            # oscillating remainder retains full relative precision
-            self.value_offset = scale
-        else:
-            idx, tail, ok = _cell_ball(lattice.gen, alpha, pol.target_tol, pol.max_radius)
-            self._idx = idx.astype(float)
+        self.tol = pol.target_tol
+        self.tail_bound = 0.0
+        self.converged = True
+        self.value_offset = 0.0
+        gen = lattice.gen
+        covol = float(gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0])
+        lam = 1.0 / covol
+        self._near = [(alpha, weight) for alpha, weight in nodes if alpha >= lam]
+        self._far = [(alpha, weight) for alpha, weight in nodes if alpha < lam]
+        # half the tolerance for truncation, shared by the sides present
+        budget = self.tol / (2.0 * (bool(self._near) + bool(self._far)))
+        near_terms = far_terms = 0
+
+        if self._near:
+            near_min = min(alpha for alpha, _ in self._near)
+            alphas, weights = np.array(self._near).T
+            rates = math.pi * alphas
+            # beyond radius r, node j decays faster than the slowest by
+            # exp(-(rate_j - rate_min) r^2), which weights its share of the tail
+            excess = rates - math.pi * near_min
+
+            def tail_weight(r: float) -> float:
+                return float(weights @ np.exp(excess * -(r * r)))
+
+            idx, tail, ok = _cell_ball(gen, near_min, budget, pol.max_radius, tail_weight)
+            near_terms = len(idx)
+            self._i1, self._i2 = idx[:, 0].astype(float), idx[:, 1].astype(float)
+            self._rates = rates
+            # w_j rate_j^m for m = 0, 1, 2: the weights of K, -K' and K''
+            wr = weights * rates
+            self._moments = np.array([weights, wr, wr * rates])
             g = lattice.gram
-            self._g00, self._g01, self._g11 = g[0, 0], g[0, 1], g[1, 1]
-            self.value_offset = 0.0
-        self.tail_bound = tail
-        self.converged = ok
-        self.terms = len(self._idx)
+            self._g00, self._g01, self._g11 = float(g[0, 0]), float(g[0, 1]), float(g[1, 1])
+            self.tail_bound += tail
+            self.converged &= ok
+
+        if self._far:
+            alphas, weights = np.array(self._far).T
+            self._scales = weights / (alphas * covol)
+            s_sum = float(self._scales.sum())
+            top = float(alphas.max())
+            top_scale = 1.0 / (top * covol)
+            tol_g = budget / max(s_sum, 1e-300)
+            kidx, kq, _, _, k_tail, ok = _dual_ball(
+                lattice, top, replace(pol, target_tol=tol_g * top_scale)
+            )
+            self.tail_bound += s_sum * k_tail / top_scale
+            self.converged &= ok
+            nonzero = kq > 0.0
+            self._kidx = kidx[nonzero].astype(float)
+            far_terms = len(self._kidx)
+            self._dual_terms = len(kq)
+            # (nodes x nonzero dual terms) exponents, independent of z
+            self._x = np.outer(math.pi / alphas, kq[nonzero])
+            self._ghat = self._scales @ _clipped_exp(self._x)
+            self.value_offset = s_sum
+        self.terms = near_terms + far_terms
+
+    def _rho(self, zs: np.ndarray) -> np.ndarray:
+        """Squared lengths |gen (idx + z)|^2, (points x lattice-side terms)."""
+        w1 = self._i1 + zs[:, :1]
+        w2 = self._i2 + zs[:, 1:]
+        # in place: three (points x terms) arrays at most
+        rho = w1 * w1
+        rho *= self._g00
+        w1 *= w2
+        w1 *= 2.0 * self._g01
+        rho += w1
+        w2 *= w2
+        w2 *= self._g11
+        rho += w2
+        return rho
+
+    def _cosines(self, zs: np.ndarray) -> np.ndarray:
+        return np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat
 
     def values_centered(self, zs: np.ndarray) -> np.ndarray:
-        """Values minus the constant offset (same argmin, better resolution)."""
+        """Values minus ``value_offset`` at an (n, 2) batch of lattice-coordinate shifts."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        if self.use_fe:
-            phases = TWO_PI * (zs @ self._idx.T)
-            return np.cos(phases) @ self._weights
-        w1 = self._idx[:, 0][None, :] + zs[:, 0][:, None]
-        w2 = self._idx[:, 1][None, :] + zs[:, 1][:, None]
-        q = self._g00 * w1 * w1 + 2.0 * self._g01 * w1 * w2 + self._g11 * w2 * w2
-        return np.exp(-math.pi * self.alpha * q).sum(axis=1)
+        out = self._cosines(zs) if self._far else np.zeros(len(zs))
+        if self._near:
+            rho = self._rho(zs)
+            e = np.empty_like(rho)
+            for alpha, weight in self._near:
+                np.multiply(rho, -math.pi * alpha, out=e)
+                np.maximum(e, _EXP_FLOOR, out=e)
+                np.exp(e, out=e)
+                out += weight * e.sum(axis=1)
+        return out
+
+    def _lattice_derivatives(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Lattice-side values, gradients and Hessians.  With w = idx + z,
+        grad rho = 2 Gw and Hess rho = 2 G give grad = K'(rho) 2 Gw and
+        Hess = K''(rho) 4 Gw (Gw)^T + K'(rho) 2 G, term by term.  Each node's
+        Gaussian is reduced against the monomials 1, a, b, a^2, ab, b^2 of
+        Gw = (a, b) in one batched product, then weighted by w_j rate_j^m."""
+        w1 = self._i1 + zs[:, :1]
+        w2 = self._i2 + zs[:, 1:]
+        a = self._g00 * w1 + self._g01 * w2
+        b = self._g01 * w1 + self._g11 * w2
+        e = _clipped_exp(np.multiply.outer(self._rates, w1 * a + w2 * b))  # (nodes, n, terms)
+        mono = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-1)
+        k = self._moments @ np.matmul(e.transpose(1, 0, 2), mono)  # (n, m, monomial)
+        values = k[:, 0, 0]
+        grad = -2.0 * k[:, 1, 1:3]
+        h = 4.0 * k[:, 2, 3:] - 2.0 * k[:, 1, :1] * np.array([self._g00, self._g01, self._g11])
+        return values, grad, h[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
     def derivatives_centered(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Centered values (n,), gradients (n, 2) and Hessians (n, 2, 2) in
-        lattice coordinates, each series differentiated term by term."""
+        lattice coordinates, each side differentiated term by term."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        if self.use_fe:
-            return _cosine_derivatives(zs, self._idx, self._weights)
-        # exp(-pi alpha w^T G w) has gradient -c e Gw and Hessian
-        # e (c^2 Gw (Gw)^T - c G), with c = 2 pi alpha and w = idx + z
-        w1 = self._idx[:, 0][None, :] + zs[:, 0][:, None]
-        w2 = self._idx[:, 1][None, :] + zs[:, 1][:, None]
-        a = self._g00 * w1 + self._g01 * w2
-        b = self._g01 * w1 + self._g11 * w2
-        e = np.exp(-math.pi * self.alpha * (w1 * a + w2 * b))
-        c = TWO_PI * self.alpha
-        ea, eb = e * a, e * b
-        values = e.sum(axis=1)
-        grad = -c * np.column_stack([ea.sum(axis=1), eb.sum(axis=1)])
-        h11 = c * c * (ea * a).sum(axis=1) - c * self._g00 * values
-        h12 = c * c * (ea * b).sum(axis=1) - c * self._g01 * values
-        h22 = c * c * (eb * b).sum(axis=1) - c * self._g11 * values
-        hess = np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
-        return values, grad, hess
+        sides = []
+        if self._near:
+            sides.append(self._lattice_derivatives(zs))
+        if self._far:
+            sides.append(_cosine_derivatives(zs, self._kidx, self._ghat))
+        if len(sides) == 1:
+            return sides[0]
+        return tuple(x + y for x, y in zip(*sides))
 
     def values(self, zs: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, 2) array of lattice-coordinate shifts."""
         return self.value_offset + self.values_centered(zs)
 
+    def certified(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values at an (n, 2) batch of shifts in [0, 1)^2 and a bound on each
+        one's error: both truncation tails plus the rounding.  A lattice-side
+        term sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps times itself
+        plus kappa eps sum_j w_j X_j e^(-X_j); adding the terms and the two
+        sides costs (terms + 4) eps sum |term|.  A clipped exponent overstates
+        its term by less than w_j e^_EXP_FLOOR."""
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        kappa = _exponent_rounding(self.lattice)
+        values = np.full(len(zs), self.value_offset)
+        size = np.full(len(zs), self.value_offset)
+        slope = np.zeros(len(zs))  # sum over terms and nodes of w_j X_j e^(-X_j)
+        fixed = 0.0
+        if self._far:
+            values += self._cosines(zs)
+            size += float(self._ghat.sum())
+            # g(k): the nodes' sum and the scales, (nodes + 5) eps g, and the
+            # exponents, kappa eps X e^-X; cos(2 pi k.z): its phase, computed from
+            # z in [0, 1)^2, is off by at most 8 pi (|k1| + |k2|) eps
+            n_far = len(self._far)
+            s_sum = self.value_offset
+            phase = 8.0 * math.pi * np.abs(self._kidx).sum(axis=1)
+            x_err = self._scales @ (self._x * _clipped_exp(self._x))
+            fixed += _EPS * (
+                (n_far + 5.0) * s_sum
+                + float(((n_far + 6.0 + phase) * self._ghat).sum())
+                + kappa * float(x_err.sum())
+            ) + self._dual_terms * s_sum * math.exp(_EXP_FLOOR)
+        if self._near:
+            x = np.multiply.outer(self._rates, self._rho(zs))  # (nodes, n, terms)
+            e = _clipped_exp(x)
+            weights = self._moments[0]
+            s = weights @ e.sum(axis=2)
+            values += s
+            size += s
+            slope += weights @ np.einsum("jnt,jnt->jn", x, e)
+            fixed += len(self._i1) * float(weights.sum()) * math.exp(_EXP_FLOOR)
+        rounding = _EPS * ((len(self._near) + self.terms + 6.0) * size + kappa * slope)
+        return values, self.tail_bound + fixed + rounding
 
-class ChargedSumEvaluator:
-    """Vectorized charged sums over batches of charges b in [0, 1)^2.
-
-    By the functional equation: the shifted evaluator of the tau lattice at
-    1/alpha on the other route, divided by alpha.  The charged direct series
-    is the shifted frequency-side series with (k, l) -> (-l, k)."""
-
-    def __init__(
-        self,
-        lattice: Lattice,
-        alpha: float,
-        pol: TruncationPolicy = DEFAULT_POLICY,
-        use_functional_equation: bool | None = None,
-    ) -> None:
-        use_fe = _use_fe(alpha, use_functional_equation)
-        self.alpha = alpha
-        self._shifted = ShiftedSumEvaluator(
-            lattice_from_tau(lattice.x, lattice.y),
-            1.0 / alpha,
-            replace(pol, target_tol=pol.target_tol * alpha),
-            use_functional_equation=not use_fe,
+    def certified_at(self, z: PhasePoint) -> CertifiedValue:
+        """``certified`` at one shift; ``terms_used`` counts the lattice-side and
+        the nonzero dual-side terms, and ``converged`` needs both balls and the
+        whole bound to meet the tolerance."""
+        zl = z.to_lattice(self.lattice).canonical()
+        values, bounds = self.certified(np.array([[zl.u, zl.v]]))
+        tail = float(bounds[0])
+        return CertifiedValue(
+            float(values[0]), tail, self.terms, self.converged and tail <= self.tol
         )
-        self.value_offset = self._shifted.value_offset / alpha
-        self.tail_bound = self._shifted.tail_bound / alpha
-        self.converged = self._shifted.converged
-        self.terms = self._shifted.terms
-
-    def values_centered(self, bs: np.ndarray) -> np.ndarray:
-        return self._shifted.values_centered(bs) / self.alpha
-
-    def derivatives_centered(self, bs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Centered values, gradients and Hessians in the charge b."""
-        return tuple(d / self.alpha for d in self._shifted.derivatives_centered(bs))
-
-    def values(self, bs: np.ndarray) -> np.ndarray:
-        return self.value_offset + self.values_centered(bs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latsum.lattice import hexagonal_lattice, lattice_from_tau, square_lattice
-from latsum.theta import TruncationPolicy, lattice_gaussian_sum
+from latsum.theta import TruncationPolicy, _cell_ball, lattice_gaussian_sum
 
 Y_HEX = math.sqrt(3.0) / 2.0
 
@@ -120,3 +120,28 @@ def per_node_cm_energy(p, lattice, z, pol):
         tail += weight * e.tail_bound
         size += weight * abs(e.value)
     return value, tail, (n + 16) * np.finfo(float).eps * size
+
+
+def direct_series_derivatives(lattice, alpha, zs, pol):
+    """Reference for the evaluator: E(z; alpha) summed directly, as
+    exp(-pi alpha w^T G w) over w = idx + z with one cell-wide index set, and
+    its values (n,), gradients (n, 2) and Hessians (n, 2, 2) in lattice
+    coordinates differentiated term by term: the term has gradient -c e Gw and
+    Hessian e (c^2 Gw (Gw)^T - c G), with c = 2 pi alpha.  Returns them and the
+    truncation tail, uniform over the cell."""
+    idx, tail, _ = _cell_ball(lattice.gen, alpha, pol.target_tol, pol.max_radius)
+    g = lattice.gram
+    w1 = idx[:, 0][None, :] + zs[:, 0][:, None]
+    w2 = idx[:, 1][None, :] + zs[:, 1][:, None]
+    a = g[0, 0] * w1 + g[0, 1] * w2
+    b = g[0, 1] * w1 + g[1, 1] * w2
+    e = np.exp(-math.pi * alpha * (w1 * a + w2 * b))
+    c = 2.0 * math.pi * alpha
+    ea, eb = e * a, e * b
+    values = e.sum(axis=1)
+    grad = -c * np.column_stack([ea.sum(axis=1), eb.sum(axis=1)])
+    h11 = c * c * (ea * a).sum(axis=1) - c * g[0, 0] * values
+    h12 = c * c * (ea * b).sum(axis=1) - c * g[0, 1] * values
+    h22 = c * c * (eb * b).sum(axis=1) - c * g[1, 1] * values
+    hess = np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
+    return (values, grad, hess), tail

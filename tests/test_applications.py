@@ -14,7 +14,7 @@ from latsum.errors import (
 )
 from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.optimize import minimize_over_cell
-from latsum.theta import TruncationPolicy, _nearest_sq, lattice_gaussian_sum
+from latsum.theta import ShiftedSumEvaluator, TruncationPolicy, _nearest_sq, lattice_gaussian_sum
 
 from conftest import (
     Y_HEX,
@@ -40,10 +40,12 @@ class TestFrameBounds:
 
         for _ in range(5):
             lat = random_domain_lattice(rng, y_max=1.6)
-            fb = app.gabor_frame_bounds(lat.x, lat.y, 2, grid_n=24)
-            expected = 2.0 * theta_charged(lat, PhasePoint(0.0, 0.0), 1.0).value
-            assert fb.upper_B == pytest.approx(expected, abs=1e-12)
-            assert 0 < fb.lower_A <= fb.upper_B
+            for density in (2, 4):
+                fb = app.gabor_frame_bounds(lat.x, lat.y, density, grid_n=24)
+                n = density // 2
+                expected = density * theta_charged(lat, PhasePoint(0.0, 0.0), float(n)).value
+                assert fb.upper_B == pytest.approx(expected, abs=1e-12)
+                assert 0 < fb.lower_A <= fb.upper_B
 
     def test_consistency_with_shifted_route(self, rng):
         # charged extremes match the 1/alpha-scaled shifted extremes
@@ -92,12 +94,10 @@ class TestHeatKernel:
 
     def test_unit_cell_mass(self, rng):
         # the zero mode carries all the mass: the cell average is 1
-        from latsum.theta import ShiftedSumEvaluator
-
         lat = random_domain_lattice(rng)
         t = 0.07
         alpha = 1.0 / (4.0 * math.pi * t)
-        ev = ShiftedSumEvaluator(lat, alpha)
+        ev = ShiftedSumEvaluator(lat, ((alpha, 1.0),))
         n = 64
         us = np.arange(n) / n
         uu, vv = np.meshgrid(us, us, indexing="ij")
@@ -133,7 +133,7 @@ class TestCMPotential:
         lattices = [random_domain_lattice(rng) for _ in range(6)]
         lattices += [lattice_from_generator(3.0 * random_domain_lattice(rng).gen) for _ in range(2)]
         for lat in lattices:
-            ev = app.CMEnergyEvaluator(p, lat)
+            ev = ShiftedSumEvaluator(lat, p.nodes)
             assert_derivatives_match_differences(ev, rng.uniform(0.01, 0.99, (5, 2)))
 
     def test_single_node_is_plain_sum(self, hexl, rng):

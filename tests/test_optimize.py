@@ -50,7 +50,7 @@ class TestMinimize:
         lat = random_domain_lattice(rng)
         alpha = 1.4
         res = minimize_over_cell(lat, alpha, 24)
-        ev = ShiftedSumEvaluator(lat, alpha)
+        ev = ShiftedSumEvaluator(lat, ((alpha, 1.0),))
         us = np.arange(24) / 24
         uu, vv = np.meshgrid(us, us, indexing="ij")
         grid_vals = ev.values(np.column_stack([uu.ravel(), vv.ravel()]))
@@ -75,7 +75,7 @@ class TestMinimize:
         lat = lattice_from_tau(0.5, y)
         res = minimize_over_cell(lat, alpha, 32)
         assert res.refinement_steps <= 30
-        ev = ShiftedSumEvaluator(lat, alpha)
+        ev = ShiftedSumEvaluator(lat, ((alpha, 1.0),))
         us = np.arange(256) / 256
         uu, vv = np.meshgrid(us, us, indexing="ij")
         grid = np.column_stack([uu.ravel(), vv.ravel()])
@@ -89,7 +89,7 @@ class TestMinimize:
             for _ in range(3):
                 lat = random_domain_lattice(rng)
                 res = minimize_over_cell(lat, alpha, 32)
-                ev = ShiftedSumEvaluator(lat, alpha)
+                ev = ShiftedSumEvaluator(lat, ((alpha, 1.0),))
                 halves = []
                 for shift in (np.zeros(2), np.array([0.0, 0.5])):
                     point, _, _ = minimize_torus(

@@ -5,9 +5,8 @@ import pytest
 
 from latsum.applications import heat_kernel_torus
 from latsum.errors import NonPositiveAlpha, NonPositiveT, TailNotMet
-from latsum.lattice import PhasePoint, lattice_from_tau, special_point_b
+from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau, special_point_b
 from latsum.theta import (
-    ChargedSumEvaluator,
     ShiftedSumEvaluator,
     TruncationPolicy,
     combined_functional_tails,
@@ -23,7 +22,12 @@ from latsum.theta import (
     theta_shifted,
 )
 
-from conftest import Y_HEX, assert_derivatives_match_differences, random_domain_lattice
+from conftest import (
+    Y_HEX,
+    assert_derivatives_match_differences,
+    direct_series_derivatives,
+    random_domain_lattice,
+)
 
 
 def brute_theta1d(beta: float, t: float, radius: int = 10) -> float:
@@ -346,21 +350,44 @@ class TestCertifiedTails:
         assert cv.converged
 
 
+def one_node(alpha):
+    return ((alpha, 1.0),)
+
+
+def charged_node(alpha):
+    """theta_charged(b; alpha) = E(b; 1/alpha) / alpha on the tau lattice."""
+    return ((1.0 / alpha, 1.0 / alpha),)
+
+
+NODE_SETS = {"shifted": one_node, "charged": charged_node}
+# lattice scales that put every node of the tests below on one side of
+# lam = 1/covol: covolume 9 (lam = 1/9) the lattice side, 1/9 (lam = 9) the dual
+SIDE_SCALES = {"lattice": 3.0, "dual": 1.0 / 3.0}
+
+
+def scaled(lat, scale):
+    return lattice_from_generator(scale * lat.gen)
+
+
 class TestBatchEvaluators:
     def test_shifted_matches_pointwise(self, rng):
+        # on unit covolume 0.4 is on the dual side, 1 and 3 on the lattice
+        # side; the 3-scaled lattice puts 0.4 on the lattice side too
         for alpha in (0.4, 1.0, 3.0):
-            lat = random_domain_lattice(rng)
-            ev = ShiftedSumEvaluator(lat, alpha)
-            zs = rng.random((20, 2))
-            batch = ev.values(zs)
-            for z, val in zip(zs, batch):
-                ref = lattice_gaussian_sum(lat, PhasePoint(z[0], z[1]), alpha)
-                assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
+            base = random_domain_lattice(rng)
+            for lat in (base, scaled(base, 3.0)):
+                ev = ShiftedSumEvaluator(lat, one_node(alpha))
+                zs = rng.random((20, 2))
+                batch = ev.values(zs)
+                for z, val in zip(zs, batch):
+                    ref = lattice_gaussian_sum(lat, PhasePoint(z[0], z[1]), alpha)
+                    assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
 
     def test_charged_matches_pointwise(self, rng):
+        # the nodes 2 and 1 are on the lattice side, 0.5 on the dual side
         for alpha in (0.5, 1.0, 2.0):
             lat = random_domain_lattice(rng)
-            ev = ChargedSumEvaluator(lat, alpha)
+            ev = ShiftedSumEvaluator(lat, charged_node(alpha))
             bs = rng.random((20, 2))
             batch = ev.values(bs)
             for b, val in zip(bs, batch):
@@ -368,33 +395,55 @@ class TestBatchEvaluators:
                 assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
 
 
+@pytest.mark.parametrize("alpha", [100.0, 1000.0])
+def test_large_alpha_certified_matches_pointwise(hexl, alpha):
+    """Where most exponents of the cell-wide ball pass the clipping floor, the
+    certified values still agree with the pointwise sums within both bounds."""
+    rng = np.random.default_rng(5)
+    for lat in (hexl, lattice_from_tau(0.2, 1.3)):
+        ev = ShiftedSumEvaluator(lat, one_node(alpha))
+        zs = rng.random((50, 2))
+        values, bounds = ev.certified(zs)
+        for z, val, bound in zip(zs, values, bounds):
+            ref = lattice_gaussian_sum(lat, PhasePoint(z[0], z[1]), alpha)
+            assert abs(val - ref.value) <= bound + ref.tail_bound
+
+
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 8.0])
-@pytest.mark.parametrize("use_fe", [False, True])
-@pytest.mark.parametrize("cls", [ShiftedSumEvaluator, ChargedSumEvaluator])
-def test_evaluator_derivatives_match_differences(rng, cls, use_fe, alpha):
+@pytest.mark.parametrize("side", ["lattice", "dual"])
+@pytest.mark.parametrize("node_set", ["shifted", "charged"])
+def test_evaluator_derivatives_match_differences(rng, node_set, side, alpha):
+    nodes = NODE_SETS[node_set](alpha)
     for _ in range(4):
-        ev = cls(random_domain_lattice(rng), alpha, use_functional_equation=use_fe)
-        # inside the cell, where the direct-side index set is built for
+        lat = scaled(random_domain_lattice(rng), SIDE_SCALES[side])
+        ev = ShiftedSumEvaluator(lat, nodes)
+        # the dual side keeps its constant term apart
+        assert (ev.value_offset > 0.0) == (side == "dual")
+        # inside the cell, where the lattice-side index set is built for
         assert_derivatives_match_differences(ev, rng.uniform(0.01, 0.99, (5, 2)))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 8.0])
 def test_shifted_derivatives_agree_across_routes(rng, alpha):
-    """Direct and frequency-side derivatives of E agree within the tails.  At
-    tol 1e-14 the tails are below rounding, so each difference is allowed
-    the tails plus 1e-13 of the largest value or derivative it is made of."""
+    """The evaluator's derivatives of E agree with the direct series within
+    the tails, on whichever side lam = 1/covol puts alpha: alpha = 0.25 on
+    unit covolume and every alpha at covolume 1/9 reach the dual side, every
+    alpha at covolume 9 the lattice side.  At tol 1e-14 the tails are below
+    rounding, so each difference is allowed the tails plus 1e-13 of the
+    largest value or derivative it is made of."""
     pol = TruncationPolicy(1e-14)
-    for _ in range(4):
-        lat = random_domain_lattice(rng)
-        direct = ShiftedSumEvaluator(lat, alpha, pol, use_functional_equation=False)
-        dual = ShiftedSumEvaluator(lat, alpha, pol, use_functional_equation=True)
-        tails = direct.tail_bound + dual.tail_bound
+    for scale in (1.0, 1.0, 3.0, 1.0 / 3.0):
+        lat = scaled(random_domain_lattice(rng), scale)
+        ev = ShiftedSumEvaluator(lat, one_node(alpha), pol)
         zs = rng.random((6, 2))
-        (vd, gd, hd), (vf, gf, hf) = direct.derivatives_centered(zs), dual.derivatives_centered(zs)
-        scale = float(direct.values(np.zeros((1, 2)))[0])
-        assert np.abs(vd + direct.value_offset - vf - dual.value_offset).max() <= tails + 1e-13 * scale
+        (vd, gd, hd), direct_tail = direct_series_derivatives(lat, alpha, zs, pol)
+        vf, gf, hf = ev.derivatives_centered(zs)
+        tails = direct_tail + ev.tail_bound
+        (v0, _, _), _ = direct_series_derivatives(lat, alpha, np.zeros((1, 2)), pol)
+        scale_value = float(v0[0])
+        assert np.abs(vd - vf - ev.value_offset).max() <= tails + 1e-13 * scale_value
         for d, f in ((gd, gf), (hd, hf)):
-            assert np.abs(d - f).max() <= tails + 1e-13 * max(np.abs(d).max(), scale)
+            assert np.abs(d - f).max() <= tails + 1e-13 * max(np.abs(d).max(), scale_value)
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-12])
@@ -407,11 +456,15 @@ def test_converged_tail_meets_tolerance(hexl, alpha, tol):
     t = 1.0 / (4.0 * math.pi * alpha)
     results = [heat_kernel_torus(hexl, b, t, pol, route) for route in ("gaussian", "spectral")]
     pointwise = (lattice_gaussian_sum, theta_shifted, theta_charged)
-    evaluators = (ShiftedSumEvaluator, ChargedSumEvaluator)
     for lat in (hexl, lattice_from_tau(0.2, 1.3)):
         for fe in (None, True, False):
             results += [fn(lat, b, alpha, pol, fe) for fn in pointwise]
-            results += [cls(lat, alpha, pol, fe) for cls in evaluators]
+        # the evaluator on both sides of lam = 1/covol
+        for scale in (1.0, *SIDE_SCALES.values()):
+            results += [
+                ShiftedSumEvaluator(scaled(lat, scale), make(alpha), pol)
+                for make in NODE_SETS.values()
+            ]
     for res in results:
         assert res.converged
         assert res.tail_bound <= tol
