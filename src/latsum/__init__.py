@@ -1,7 +1,8 @@
 """Two-dimensional lattice Gaussian sums with certified truncation error.
 
-Core objects: two-parameter lattices on the upper half plane, shifted
-and charged theta families with rigorous tail bounds, global torus
+Core objects: two-parameter lattices on the upper half plane, one 2D
+Gaussian sum with rigorous tail bounds (the shifted and charged theta
+families are that sum on the unit-covolume lattice of a shape), global torus
 minimization, lemma verifiers for the hexagonal variational results, and
 the application stack (frame bounds, heat kernels, completely monotone
 energies, periodic charges, disc-covering constants).

@@ -24,6 +24,11 @@ _REDUCE_TOL = 1e-12
 _MAX_GENERATOR_APPLICATIONS = 10_000
 
 
+def det2(m: np.ndarray) -> float:
+    """Determinant of a 2x2 matrix, from its entries."""
+    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
 class Frame(Enum):
     """Coordinate frame of a phase-space point."""
 
@@ -52,7 +57,7 @@ class Lattice:
         g = np.asarray(self.gen, dtype=float)
         if g.shape != (2, 2):
             raise ValueError("generator must be a 2x2 matrix")
-        if np.linalg.det(g) <= 0:
+        if det2(g) <= 0:
             raise ValueError("generator must have positive determinant")
         g = g.copy()
         g.flags.writeable = False
@@ -64,7 +69,7 @@ class Lattice:
 
     @property
     def covolume(self) -> float:
-        return float(np.linalg.det(self.gen))
+        return det2(self.gen)
 
     @property
     def gram(self) -> np.ndarray:

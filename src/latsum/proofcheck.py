@@ -202,11 +202,17 @@ def enumerate_form(form_id: str, box_radius: int) -> QuadFormLedger:
     return QuadFormLedger(form_id=form_id, entries=entries)
 
 
-def q1_min_outside(box_limit: int, search_radius: int = 60) -> float:
-    """min Q1(k, l) over max(|k|, |l|) > box_limit."""
+def _q1_outside_minima(box_limits, search_radius: int = 60) -> list[float]:
+    """min Q1(k, l) over max(|k|, |l|) > limit for each limit, on one search box."""
     k, l = _box(search_radius)
     v = q1(k, l)
-    return float(np.min(v[(np.abs(k) > box_limit) | (np.abs(l) > box_limit)], initial=math.inf))
+    reach = np.maximum(np.abs(k), np.abs(l))
+    return [float(np.min(v[reach > limit], initial=math.inf)) for limit in box_limits]
+
+
+def q1_min_outside(box_limit: int, search_radius: int = 60) -> float:
+    """min Q1(k, l) over max(|k|, |l|) > box_limit."""
+    return _q1_outside_minima((box_limit,), search_radius)[0]
 
 
 def check_q1_ledger() -> LemmaReport:
@@ -241,8 +247,7 @@ def check_q1_growth(box_radius: int = 30) -> LemmaReport:
     k, l = _box(box_radius)
     v = q1(k, l)
     margin = min(np.min(v - Q1_UNIT + 1e-9), np.min(v - Q1_UNIT * (k * k + l * l) + 1e-9))
-    for limit, mult in ((1, 14), (5, 146)):
-        observed = q1_min_outside(limit)
+    for observed, mult in zip(_q1_outside_minima((1, 5)), (14, 146)):
         margin = min(margin, 1e-9 - abs(observed - mult / (3.0 * SQRT3)))
     return LemmaReport(
         "q1_growth",

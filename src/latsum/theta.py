@@ -2,9 +2,13 @@
 
 All series are truncated inside Euclidean balls; the discarded tail is
 bounded rigorously through ring counts (2D) or geometric majorants (1D),
-and every certified result carries that bound.  Accumulation is done with
-compensated summation over terms sorted by increasing radius, so results
-are deterministic across platforms.
+and every certified result carries that bound.  Pointwise sums are
+accumulated with ``math.fsum``, which rounds the exact sum of its terms
+correctly, so the result does not depend on their order.
+
+The 2D Gaussian sum is ``lattice_gaussian_sum``, the lattice series or its
+dual cosine series; the shifted and charged families are that sum on the
+unit-covolume lattice of their shape parameters (x, y).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyQuadrature, NonPositiveAlpha, NonPositiveT, TailNotMet
-from .lattice import Lattice, PhasePoint, lattice_from_tau
+from .lattice import Lattice, PhasePoint, det2, lattice_from_tau
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,8 +90,7 @@ def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> Ce
         tail = _gauss_tail(m + 1, t) + _gauss_tail(m, t)
         if tail <= pol.target_tol:
             break
-    value = math.fsum(sorted(terms))
-    return CertifiedValue(value, tail, len(terms), tail <= pol.target_tol)
+    return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= pol.target_tol)
 
 
 def theta1d_hat(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
@@ -106,8 +109,7 @@ def theta1d_hat(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -
         tail = 2.0 * _gauss_tail(m + 1, t)
         if tail <= pol.target_tol:
             break
-    value = math.fsum(sorted(terms))
-    return CertifiedValue(value, tail, len(terms), tail <= pol.target_tol)
+    return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= pol.target_tol)
 
 
 def product_rep_theta1d_hat(beta: float, t: float, n_factors: int) -> float:
@@ -281,9 +283,8 @@ def _ball(
     ``_select_radius``) is below tol.  Returns the index pairs in that ball
     widened by ``pad``, its radius (every discarded point lies beyond it), the
     tail and whether it meets tol."""
-    covol = float(gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0])
     h = _cell_half_diameter(gen)
-    r, tail, ok = _select_radius(alpha, covol, h, tol, max_radius, weight)
+    r, tail, ok = _select_radius(alpha, det2(gen), h, tol, max_radius, weight)
     return _index_box(gen, center, r + pad), r, tail, ok
 
 
@@ -328,26 +329,23 @@ def _power_tail(gen: np.ndarray, radius: float, s: float) -> float:
     against f(r) = r^(-2s) puts the sum within
     pi/covol ((4 R h + 2 h^2) f(R) + 2 h R^(1-2s) / (2s - 1)) of the integral
     2 pi/covol R^(2-2s) / (2s - 2); the bound is their sum."""
-    covol = float(gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0])
     h = _cell_half_diameter(gen)
     r = radius
     f = r ** (-2.0 * s)
     spread = (4.0 * r * h + 2.0 * h * h) * f + 2.0 * h * r * f / (2.0 * s - 1.0)
-    return math.pi / covol * (r * r * f / (s - 1.0) + spread)
+    return math.pi / det2(gen) * (r * r * f / (s - 1.0) + spread)
 
 
-def _use_fe(alpha: float, use_functional_equation: bool | None) -> bool:
-    """Reject alpha <= 0; by default route alpha < 1 through the functional
-    equation, whose other side decays faster there."""
+def _check_alpha(alpha: float) -> None:
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-    return alpha < 1.0 if use_functional_equation is None else use_functional_equation
 
 
-def _sorted_fsum(values: np.ndarray, radii: np.ndarray, idx: np.ndarray) -> float:
-    """Compensated sum over terms ordered by (radius, k, l)."""
-    order = np.lexsort((idx[:, 1], idx[:, 0], radii))
-    return math.fsum(values[order].tolist())
+def _dual_side(alpha: float, covol: float) -> bool:
+    """The side E(z; alpha) is summed on: the dual cosine series iff
+    alpha covol < 1.  Its Gaussian exp(-pi |k|^2 / alpha) on the dual lattice
+    (covolume 1/covol) decays faster there, so it is the shorter series."""
+    return alpha * covol < 1.0
 
 
 def lattice_gaussian_sum(
@@ -359,38 +357,25 @@ def lattice_gaussian_sum(
 ) -> CertifiedValue:
     """E(z; alpha) = sum over the lattice of exp(-pi alpha |point + z|^2).
 
-    For alpha < 1 the sum is evaluated through its frequency-side form
-    (faster decay) unless ``use_functional_equation`` is set to False.
+    Summed over the lattice ball, or through the functional equation over
+    the dual cosine ball; ``use_functional_equation`` picks the side and
+    defaults to the shorter series, ``_dual_side``.
     """
-    use_fe = _use_fe(alpha, use_functional_equation)
+    _check_alpha(alpha)
+    if use_functional_equation is None:
+        use_functional_equation = _dual_side(alpha, lattice.covolume)
     zl = z.to_lattice(lattice).canonical()
-    if use_fe:
+    if use_functional_equation:
         idx, q, scale, _, tail, ok = _dual_ball(lattice, alpha, pol)
         terms = np.exp(-math.pi / alpha * q) * np.cos(TWO_PI * (idx @ np.array([zl.u, zl.v])))
-        return CertifiedValue(_sorted_fsum(terms, q, idx) * scale, tail, len(terms), ok)
+        return CertifiedValue(math.fsum(terms.tolist()) * scale, tail, len(terms), ok)
 
     gen = lattice.gen
     center = gen @ np.array([zl.u, zl.v])
     idx, _, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
     pts = idx @ gen.T + center
-    q = np.einsum("ij,ij->i", pts, pts)
-    terms = np.exp(-math.pi * alpha * q)
-    return CertifiedValue(_sorted_fsum(terms, q, idx), tail, len(terms), ok)
-
-
-def _as_lattice_coords(lattice: Lattice, b: PhasePoint) -> tuple[float, float]:
-    bl = b.to_lattice(lattice).canonical()
-    return bl.u, bl.v
-
-
-def _other_side(family, lattice, b, alpha, pol) -> CertifiedValue:
-    """family(b; 1/alpha) / alpha summed directly, as the functional equation
-    gives it; asked for tol * alpha, its tail meets tol after the division."""
-    pol = replace(pol, target_tol=pol.target_tol * alpha)
-    inner = family(lattice, b, 1.0 / alpha, pol, use_functional_equation=False)
-    return CertifiedValue(
-        inner.value / alpha, inner.tail_bound / alpha, inner.terms_used, inner.converged
-    )
+    terms = np.exp(-math.pi * alpha * np.einsum("ij,ij->i", pts, pts))
+    return CertifiedValue(math.fsum(terms.tolist()), tail, len(terms), ok)
 
 
 def theta_shifted(
@@ -400,23 +385,13 @@ def theta_shifted(
     pol: TruncationPolicy = DEFAULT_POLICY,
     use_functional_equation: bool | None = None,
 ) -> CertifiedValue:
-    """Shifted family through the explicit (x, y) quadratic form.
-
-    Equals the Gaussian sum at the Cartesian shift gen @ b; implemented
-    on the shape parameters directly, which gives an independent route.
+    """Shifted family: sum over (k, l) of exp(-pi alpha Q(k + b1, l + b2)), with
+    Q(u, v) = (u^2 + 2 x u v + (x^2 + y^2) v^2) / y for the shape (x, y) of
+    ``lattice`` and (b1, b2) the lattice coordinates of b.  That is
+    ``lattice_gaussian_sum`` at (b1, b2) on ``lattice_from_tau(x, y)``.
     """
-    if _use_fe(alpha, use_functional_equation):
-        return _other_side(theta_charged, lattice, b, alpha, pol)
-    x, y = lattice.x, lattice.y
-    b1, b2 = _as_lattice_coords(lattice, b)
-    gen = lattice_from_tau(x, y).gen
-    center = gen @ np.array([b1, b2])
-    idx, _, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
-    u = idx[:, 0] + b1
-    v = idx[:, 1] + b2
-    q = (u * u + 2.0 * x * u * v + (x * x + y * y) * v * v) / y
-    terms = np.exp(-math.pi * alpha * q)
-    return CertifiedValue(_sorted_fsum(terms, q, idx), tail, len(terms), ok)
+    tau = lattice_from_tau(lattice.x, lattice.y)
+    return lattice_gaussian_sum(tau, b.to_lattice(lattice), alpha, pol, use_functional_equation)
 
 
 def theta_charged(
@@ -426,18 +401,22 @@ def theta_charged(
     pol: TruncationPolicy = DEFAULT_POLICY,
     use_functional_equation: bool | None = None,
 ) -> CertifiedValue:
-    """Charged family: Gaussian weights with skew-form phase factors."""
-    if _use_fe(alpha, use_functional_equation):
-        return _other_side(theta_shifted, lattice, b, alpha, pol)
-    x, y = lattice.x, lattice.y
-    b1, b2 = _as_lattice_coords(lattice, b)
-    gen = lattice_from_tau(x, y).gen
-    idx, _, tail, ok = _ball(gen, np.zeros(2), alpha, pol.target_tol, pol.max_radius)
-    k = idx[:, 0].astype(float)
-    l = idx[:, 1].astype(float)
-    q = (k * k + 2.0 * x * k * l + (x * x + y * y) * l * l) / y
-    terms = np.exp(-math.pi * alpha * q) * np.cos(TWO_PI * (k * b2 - l * b1))
-    return CertifiedValue(_sorted_fsum(terms, q, idx), tail, len(terms), ok)
+    """Charged family: sum over (k, l) of exp(-pi alpha Q(k, l))
+    cos(2 pi (k b2 - l b1)), with Q and (b1, b2) as in ``theta_shifted``.
+
+    By the functional equation it is theta_shifted(b; 1/alpha) / alpha, and is
+    computed so, asked for tol * alpha.  The charged series is that shifted
+    sum's dual cosine series, so ``use_functional_equation`` maps to the other
+    side: False sums the charged series, True the shifted one.
+    """
+    _check_alpha(alpha)
+    fe = None if use_functional_equation is None else not use_functional_equation
+    inner = theta_shifted(
+        lattice, b, 1.0 / alpha, replace(pol, target_tol=pol.target_tol * alpha), fe
+    )
+    return CertifiedValue(
+        inner.value / alpha, inner.tail_bound / alpha, inner.terms_used, inner.converged
+    )
 
 
 def functional_equation_residual(
@@ -513,11 +492,11 @@ def _exponent_rounding(lattice: Lattice) -> float:
 class ShiftedSumEvaluator:
     """A positive Gaussian mixture sum_j w_j E(z; alpha_j) = sum_p K(|p + z|^2),
     K(rho) = sum_j w_j exp(-pi alpha_j rho), over batches of lattice-coordinate
-    shifts z, split at lam = 1/covol (Ewald).  ``nodes`` are the (alpha_j, w_j)
-    pairs, alpha_j > 0 and w_j >= 0.  E(z; alpha) is the one node (alpha, 1);
-    the charged sum theta_charged(b; n) = E(b; 1/n) / n on the tau lattice is
-    the one node (1/n, 1/n); a completely monotone energy is the mixture of its
-    Bernstein measure.
+    shifts z, split at lam = 1/covol (Ewald) by ``_dual_side``.  ``nodes`` are
+    the (alpha_j, w_j) pairs, alpha_j > 0 and w_j >= 0.  E(z; alpha) is the one
+    node (alpha, 1); the charged sum theta_charged(b; n) = E(b; 1/n) / n on the
+    tau lattice is the one node (1/n, 1/n); a completely monotone energy is the
+    mixture of its Bernstein measure.
 
     Lattice side, the nodes with alpha_j >= lam: K summed over one cell-wide
     ``_cell_ball``, that of the smallest such alpha_j, so one index set serves
@@ -551,19 +530,15 @@ class ShiftedSumEvaluator:
     ) -> None:
         if not nodes:
             raise EmptyQuadrature("no quadrature nodes")
-        alpha_min = min(alpha for alpha, _ in nodes)
-        if alpha_min <= 0:
-            raise NonPositiveAlpha(f"alpha must be positive, got {alpha_min}")
+        _check_alpha(min(alpha for alpha, _ in nodes))
         self.lattice = lattice
         self.tol = pol.target_tol
         self.tail_bound = 0.0
         self.converged = True
         self.value_offset = 0.0
-        gen = lattice.gen
-        covol = float(gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0])
-        lam = 1.0 / covol
-        self._near = [(alpha, weight) for alpha, weight in nodes if alpha >= lam]
-        self._far = [(alpha, weight) for alpha, weight in nodes if alpha < lam]
+        covol = lattice.covolume
+        self._far = [node for node in nodes if _dual_side(node[0], covol)]
+        self._near = [node for node in nodes if not _dual_side(node[0], covol)]
         # half the tolerance for truncation, shared by the sides present
         budget = self.tol / (2.0 * (bool(self._near) + bool(self._far)))
         near_terms = far_terms = 0
@@ -579,7 +554,7 @@ class ShiftedSumEvaluator:
             def tail_weight(r: float) -> float:
                 return float(weights @ np.exp(excess * -(r * r)))
 
-            idx, tail, ok = _cell_ball(gen, near_min, budget, pol.max_radius, tail_weight)
+            idx, tail, ok = _cell_ball(lattice.gen, near_min, budget, pol.max_radius, tail_weight)
             near_terms = len(idx)
             self._i1, self._i2 = idx[:, 0].astype(float), idx[:, 1].astype(float)
             self._rates = rates

@@ -108,7 +108,7 @@ def brute_force_zeta(lattice, z, s, radius):
 def per_node_cm_energy(p, lattice, z, pol):
     """Reference for the mixture split: the per-node loop it replaced.  Each
     node is its own certified Gaussian sum, on the route ``lattice_gaussian_sum``
-    picks by alpha < 1, asked for tol / (n w_j) so that the weighted tails sum
+    picks by alpha covol < 1, asked for tol / (n w_j) so that the weighted tails sum
     to at most tol.  Returns the value, that truncation bound and the rounding
     of the accumulation, (nodes + 16) eps sum_j w_j |E_j|."""
     n = len(p.nodes)

@@ -1,0 +1,101 @@
+"""Pointwise Gaussian sums against 40-digit mpmath references.
+
+Each reference is summed term by term over the tau lattice of the shape
+(x, y), independently of the balls, routes and functional equation of
+``latsum.theta``.  A computed value must lie within its certified
+``tail_bound`` of the reference, plus a slack of 1e-13 max(1, |ref|): the
+pointwise tails count truncation only, not the rounding of the terms and
+their sum (ROADMAP item 3), so the slack stands for that rounding.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from latsum.applications import heat_kernel_torus
+from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
+from latsum.theta import TruncationPolicy, lattice_gaussian_sum, theta_charged, theta_shifted
+
+Y_HEX = math.sqrt(3.0) / 2.0
+# terms with pi alpha Q above this are left out of a reference; together they
+# are below 1e-44 for every shape and alpha here
+CUTOFF = 110
+
+
+def reference(x, y, alpha, shift=(0.0, 0.0), charge=(0.0, 0.0)):
+    """sum over (k, l) of exp(-pi alpha Q(k + u, l + v)) cos(2 pi (k b2 - l b1))
+    to 40 digits, with Q(s, w) = ((s + x w)^2 + y^2 w^2) / y the squared length
+    of gen (s, w) on ``lattice_from_tau(x, y)``, (u, v) the shift and (b1, b2)
+    the charge: E((u, v); alpha) at charge 0, the charged sum at shift 0."""
+    with mpmath.workdps(40):
+        x, y, alpha = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(alpha)
+        u, v = (mpmath.mpf(c) for c in shift)
+        b1, b2 = (mpmath.mpf(c) for c in charge)
+        r2 = CUTOFF / (mpmath.pi * alpha)  # Q <= r2 on every kept term
+        total = mpmath.mpf(0)
+        reach = mpmath.sqrt(r2 / y)
+        for l in range(int(mpmath.floor(-v - reach)), int(mpmath.ceil(-v + reach)) + 1):
+            w = l + v
+            room = y * r2 - (y * w) ** 2
+            if room < 0:
+                continue
+            mid, half = -u - x * w, mpmath.sqrt(room)
+            for k in range(int(mpmath.floor(mid - half)), int(mpmath.ceil(mid + half)) + 1):
+                s = k + u + x * w
+                term = mpmath.exp(-mpmath.pi * alpha * (s * s + (y * w) ** 2) / y)
+                if b1 or b2:
+                    term *= mpmath.cos(2 * mpmath.pi * (k * b2 - l * b1))
+                total += term
+        return float(total)
+
+
+def _cases():
+    """Seeded (x, y, alpha, point, tol, scale) cases: y up to 50, alpha in
+    [0.05, 20] with both ends, a third of the points within 1e-6 of a lattice
+    point, and one lattice of covolume 9 (scale 3)."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for i in range(12):
+        x = float(rng.uniform(0.0, 0.5))
+        y = float(math.exp(rng.uniform(math.log(Y_HEX), math.log(50.0))))
+        alpha = float(math.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+        if i % 3 == 0:
+            point = rng.integers(0, 2, 2) + rng.uniform(-1e-6, 1e-6, 2)
+        else:
+            point = rng.random(2)
+        tol = float(10.0 ** rng.uniform(-14, -6))
+        cases.append((x, y, alpha, tuple(float(c) for c in point), tol, 1.0))
+    cases += [
+        (0.31, 50.0, 0.05, (0.4, 0.7), 1e-12, 1.0),
+        (0.07, 50.0, 20.0, (1.0 - 3e-7, 2e-7), 1e-12, 1.0),
+        (0.5, Y_HEX, 20.0, (1 / 3, 1 / 3), 1e-13, 1.0),
+        (0.5, Y_HEX, 0.05, (5e-7, -8e-7), 1e-12, 1.0),
+        (0.2, 1.3, 0.4, (0.3, 0.1), 1e-12, 3.0),
+    ]
+    return cases
+
+
+CASES = _cases()
+
+
+def _assert_within(cv, ref):
+    assert abs(cv.value - ref) <= cv.tail_bound + 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("x, y, alpha, point, tol, scale", CASES)
+def test_pointwise_sums_match_reference(x, y, alpha, point, tol, scale):
+    pol = TruncationPolicy(tol)
+    lattice = lattice_from_generator(scale * lattice_from_tau(x, y).gen)
+    p = PhasePoint(*point)
+    # on the scaled lattice |scale gen w|^2 = scale^2 |gen w|^2
+    gaussian = reference(x, y, alpha * scale**2, shift=point)
+    for fe in (None, True, False):
+        _assert_within(lattice_gaussian_sum(lattice, p, alpha, pol, fe), gaussian)
+    # the two families live on the unit-covolume lattice of the shape
+    _assert_within(theta_shifted(lattice, p, alpha, pol), reference(x, y, alpha, shift=point))
+    _assert_within(theta_charged(lattice, p, alpha, pol), reference(x, y, alpha, charge=point))
+    t = 1.0 / (4.0 * math.pi * alpha)
+    for route in ("gaussian", "spectral"):
+        _assert_within(heat_kernel_torus(lattice, p, t, pol, route), alpha * gaussian)

@@ -5,7 +5,13 @@ import pytest
 
 from latsum.applications import heat_kernel_torus
 from latsum.errors import NonPositiveAlpha, NonPositiveT, TailNotMet
-from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau, special_point_b
+from latsum.lattice import (
+    Frame,
+    PhasePoint,
+    lattice_from_generator,
+    lattice_from_tau,
+    special_point_b,
+)
 from latsum.theta import (
     ShiftedSumEvaluator,
     TruncationPolicy,
@@ -317,6 +323,19 @@ class TestFunctionalEquation:
             worst = max(worst, functional_equation_residual(lat, b, alpha))
         assert worst < 1e-9
 
+    def test_residual_sums_both_series(self, rng):
+        # the charged series at 1/alpha summed directly is alpha times the dual
+        # cosine series of E at alpha, asked for tol / alpha
+        for _ in range(10):
+            lat = random_domain_lattice(rng)
+            b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
+            alpha = rng.uniform(0.2, 5.0)
+            charged = theta_charged(lat, b, 1.0 / alpha, use_functional_equation=False)
+            pol = TruncationPolicy(1e-12 / alpha)
+            dual = lattice_gaussian_sum(lat, b, alpha, pol, use_functional_equation=True)
+            assert charged.terms_used == dual.terms_used
+            assert charged.value == pytest.approx(alpha * dual.value, rel=1e-13, abs=1e-15)
+
     def test_residual_below_combined_tails(self, rng):
         for _ in range(20):
             lat = random_domain_lattice(rng)
@@ -468,3 +487,44 @@ def test_converged_tail_meets_tolerance(hexl, alpha, tol):
     for res in results:
         assert res.converged
         assert res.tail_bound <= tol
+
+
+@pytest.mark.parametrize(
+    "scale, alpha, shift, terms",
+    [(3.0, 0.4, (0.3, 0.1), 9), (1.0 / 3.0, 3.0, (0.5, 0.5), 13)],
+)
+def test_default_route_is_the_shorter_series(scale, alpha, shift, terms):
+    """On covolume 9 alpha = 0.4 < 1 is on the lattice side (alpha covol = 3.6),
+    on covolume 1/9 alpha = 3 > 1 on the dual side (alpha covol = 1/3); the
+    other series is an order of magnitude longer.  The evaluator splits by the
+    same rule."""
+    lat = scaled(lattice_from_tau(0.2, 1.3), scale)
+    z = PhasePoint(*shift)
+    default = lattice_gaussian_sum(lat, z, alpha)
+    dual = lattice_gaussian_sum(lat, z, alpha, use_functional_equation=True)
+    direct = lattice_gaussian_sum(lat, z, alpha, use_functional_equation=False)
+    on_dual = dual.terms_used < direct.terms_used
+    assert default.terms_used == min(dual.terms_used, direct.terms_used) == terms
+    assert default == (dual if on_dual else direct)
+    assert (ShiftedSumEvaluator(lat, one_node(alpha)).value_offset > 0.0) == on_dual
+
+
+@pytest.mark.parametrize("fe", [None, True, False])
+@pytest.mark.parametrize("family", [theta_shifted, theta_charged])
+def test_families_live_on_the_tau_lattice(rng, family, fe):
+    """The families depend on the lattice only through its shape (x, y):
+    on a rotated and scaled generator they equal their values on
+    lattice_from_tau(x, y), at the lattice coordinates of the point."""
+    for scale in (0.5, 1.0, 3.0):
+        base = random_domain_lattice(rng)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        lat = lattice_from_generator(scale * rot @ base.gen)
+        tau = lattice_from_tau(lat.x, lat.y)
+        alpha = rng.uniform(0.3, 4.0)
+        b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
+        cartesian = PhasePoint(*b.to_cartesian(lat), Frame.CARTESIAN)
+        expected = family(tau, b, alpha, use_functional_equation=fe)
+        assert family(lat, b, alpha, use_functional_equation=fe) == expected
+        got = family(lat, cartesian, alpha, use_functional_equation=fe)
+        assert abs(got.value - expected.value) <= 1e-13 * abs(expected.value) + 1e-15
