@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     ConstraintViolated,
-    NonPositiveT,
     NotMultipleOfThree,
     PoleAtLatticePoint,
     UnsupportedDensity,
@@ -35,6 +34,7 @@ from .theta import (
     ShiftedSumEvaluator,
     TruncationPolicy,
     _ball,
+    _check_t,
     _dual_ball,
     _nearest_sq,
     _power_tail,
@@ -137,8 +137,7 @@ def heat_kernel_torus(
     k = E(z; 1/(4 pi t)) / (4 pi t); the spectral route sums the dual
     cosine series.  Both carry certified tails and must agree.
     """
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     if route not in ("gaussian", "spectral"):
         raise ValueError(f"unknown route {route!r}")
     alpha = 1.0 / (4.0 * math.pi * t)
@@ -157,8 +156,7 @@ def temperature_extremes(
     grid_n: int = 48,
 ) -> tuple[float, float]:
     """(min, max) torus temperature at time t; the max sits at the origin."""
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     alpha = 1.0 / (4.0 * math.pi * t)
     res = minimize_over_cell(lattice, alpha, grid_n, pol)
     at_origin = lattice_gaussian_sum(lattice, PhasePoint(0.0, 0.0), alpha, pol)
@@ -182,10 +180,10 @@ class CMPotential:
 
     def __post_init__(self) -> None:
         for alpha, weight in self.nodes:
-            if alpha <= 0:
-                raise ValueError("quadrature nodes need alpha > 0")
-            if weight < 0:
-                raise ValueError("quadrature weights must be nonnegative")
+            if not 0.0 < alpha < math.inf:
+                raise ValueError("quadrature nodes need a finite alpha > 0")
+            if not 0.0 <= weight < math.inf:
+                raise ValueError("quadrature weights must be finite and nonnegative")
 
     def kernel(self, rho) -> np.ndarray:
         """Evaluate p on an array of squared distances."""
@@ -369,9 +367,10 @@ def epstein_zeta_shifted(
             + 1/(s-1) ],
 
     and both series decay like Gaussians.  Each is truncated to a Gaussian
-    ball (``theta._ball``, ``theta._dual_ball``) capped at
+    ball (``theta._ball`` of the node (lam, 1), ``theta._dual_ball`` of the
+    dual node (1/lam, 1)) capped at
     ``min(radius_cap, pol.max_radius)``; its tail is a constant times the
-    ball's ring-count tail, since Gamma(s, X) <= 2 X^(s-1) e^-X once
+    ball's ``_gaussian_tail``, since Gamma(s, X) <= 2 X^(s-1) e^-X once
     X >= 2(s-1) and Gamma(1-s, X) <= X^-s e^-X.  A capped lattice ball that
     stops short of X = 2(s-1) falls back to the power-law tail
     (Gamma(s, X) <= Gamma(s)).  ``tail_bound`` adds the incomplete gamma's
@@ -382,8 +381,8 @@ def epstein_zeta_shifted(
     built accurate down to the squared distance min(0.05, rho) of z from
     the nearest lattice point, and split at lam by ``ShiftedSumEvaluator``.
     """
-    if s <= 1.0:
-        raise ValueError("absolute convergence requires s > 1")
+    if not 1.0 < s < math.inf:
+        raise ValueError("absolute convergence requires a finite s > 1")
     if radius_cap < 1.0:
         raise ValueError("radius_cap must be at least 1")
     zl = z.to_lattice(lattice).canonical()
@@ -404,11 +403,13 @@ def epstein_zeta_shifted(
     cap = min(radius_cap, pol.max_radius)
     # a Gaussian tail G below tol_g keeps 2 c G / X_R <= tol / 16 on each
     # side once X_R >= x_min, and G <= e^-x_min makes an uncapped ball reach
-    # that far; the rest of tol is left to rounding and the gamma error
+    # that far: at lam = 1/covol the ball's tail T(lam, R) is at least
+    # exp(-pi lam R^2) = e^-X_R, and its dual tail at least exp(-pi R^2 / lam).
+    # The rest of tol is left to rounding and the gamma error
     x_min = max(2.0 * (s - 1.0), 1.0)
     tol_g = min(pol.target_tol / 16.0 * x_min / (2.0 * c), math.exp(-x_min))
 
-    idx, r, g_tail, _ = _ball(gen, gen @ uv, lam, tol_g, cap)
+    idx, r, g_tail, _ = _ball(gen, gen @ uv, ((lam, 1.0),), tol_g, cap)
     w = idx + uv
     xd = math.pi * lam * np.einsum("ij,jk,ik->i", w, lattice.gram, w)
     direct = c * xd**-s * _upper_gamma(s, xd)
@@ -418,13 +419,11 @@ def epstein_zeta_shifted(
     else:
         tail = _power_tail(gen, r, s)
 
-    kidx, kq, scale, rk, k_tail, _ = _dual_ball(
-        lattice, lam, replace(pol, target_tol=tol_g, max_radius=cap)
-    )
+    kidx, kq, rk, k_tail, _ = _dual_ball(lattice, ((1.0 / lam, 1.0),), tol_g, cap)
     nonzero = kq > 0.0
     xk = math.pi / lam * kq[nonzero]
     dual = c * xk ** (s - 1.0) * _upper_gamma(1.0 - s, xk) * np.cos(TWO_PI * (kidx[nonzero] @ uv))
-    tail += c * (k_tail / scale) / (math.pi / lam * rk * rk)
+    tail += c * k_tail / (math.pi / lam * rk * rk)
 
     terms = np.concatenate([direct, dual, [c / (s - 1.0)]])
     sum_abs = float(np.abs(terms).sum())

@@ -41,8 +41,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -128,7 +128,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--tol", type=_positive_float, default=1e-10, help="target tail tolerance"
     )
     p.add_argument(
-        "--max-radius", type=int, default=10_000, help="cap on summation shells"
+        "--max-radius", type=int, default=10_000, help="cap on the truncation ball radius"
     )
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveT
 from .theta import (
     DEFAULT_POLICY,
     CertifiedValue,
     TruncationPolicy,
+    _check_t,
     montgomery_A,
     montgomery_B,
     montgomery_Q,
@@ -460,8 +460,7 @@ def check_charged_concavity_small_alpha(alphas=(2.0, 3.5, 5.0)) -> LemmaReport:
 
 def heat_kernel_1d(t: float, x: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
     """u(t, x) = 1 + 2 sum_k exp(-4 pi^2 k^2 t) cos(2 pi k x) on the circle."""
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     # matches the 1D hat series at parameter 4 pi t
     return theta1d_hat(x, 4.0 * math.pi * t, pol)
 

@@ -1,8 +1,9 @@
 """One- and two-dimensional Gaussian lattice sums with certified tails.
 
 All series are truncated inside Euclidean balls; the discarded tail is
-bounded rigorously through ring counts (2D) or geometric majorants (1D),
-and every certified result carries that bound.  Pointwise sums are
+bounded rigorously, in 2D by one closed form from the lattice-point count
+(``_gaussian_tail``), in 1D by geometric majorants, and every certified
+result carries that bound.  Pointwise sums are
 accumulated with ``math.fsum``, which rounds the exact sum of its terms
 correctly, so the result does not depend on their order.
 
@@ -26,14 +27,15 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Target absolute tolerance and a cap on the number of index shells."""
+    """Target absolute tolerance and a cap on the radius of every truncation
+    ball (in units of length)."""
 
     target_tol: float = 1e-12
     max_radius: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.target_tol <= 0:
-            raise ValueError("target_tol must be positive")
+        if not 0.0 < self.target_tol < math.inf:
+            raise ValueError("target_tol must be finite and positive")
         if self.max_radius < 1:
             raise ValueError("max_radius must be at least 1")
 
@@ -58,6 +60,16 @@ class CertifiedValue:
         return self
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < math.inf:
+        raise NonPositiveAlpha(f"alpha must be finite and positive, got {alpha}")
+
+
+def _check_t(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise NonPositiveT(f"t must be finite and positive, got {t}")
+
+
 # ---------------------------------------------------------------------------
 # One-dimensional theta functions
 # ---------------------------------------------------------------------------
@@ -76,8 +88,7 @@ def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> Ce
     beta is canonicalized mod 1 before summation, making the result
     1-periodic in beta by construction.
     """
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     b = beta - math.floor(beta)
     terms = [math.exp(-math.pi * t * b * b)]
     m = 0
@@ -98,8 +109,7 @@ def theta1d_hat(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -
 
     Imaginary parts cancel pairwise, so the cosine series is summed.
     """
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     terms = [1.0]
     m = 0
     tail = math.inf
@@ -118,8 +128,7 @@ def product_rep_theta1d_hat(beta: float, t: float, n_factors: int) -> float:
     Each factor is (1 - q^(2k)) (1 + 2 cos(2 pi beta) q^(2k-1) + q^(4k-2))
     with q = exp(-pi t); every factor is positive.
     """
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     if n_factors < 1:
         raise ValueError("n_factors must be at least 1")
     c = 2.0 * math.cos(TWO_PI * beta)
@@ -133,8 +142,7 @@ def product_rep_theta1d_hat(beta: float, t: float, n_factors: int) -> float:
 
 def montgomery_A(t: float) -> float:
     """Lower envelope for the theta-derivative ratio; piecewise in t."""
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     if t < 1.0:
         return t ** -1.5 * math.exp(-math.pi / (4.0 * t))
     return (1.0 - 1.0 / 3000.0) * 4.0 * math.pi * math.exp(-math.pi * t)
@@ -142,8 +150,7 @@ def montgomery_A(t: float) -> float:
 
 def montgomery_B(t: float) -> float:
     """Upper envelope for the theta-derivative ratio; piecewise in t."""
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     if t < 1.0:
         return t ** -1.5
     return (1.0 + 1.0 / 3000.0) * 4.0 * math.pi * math.exp(-math.pi * t)
@@ -160,8 +167,7 @@ def montgomery_Q(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) 
     derivative satisfies
     -theta1d'(beta; s) = sin(2 pi beta) * s**-0.5 * Q(beta; 1/s).
     """
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    _check_t(t)
     c = 2.0 * math.cos(TWO_PI * beta)
     rel_tol = min(0.1, pol.target_tol)
 
@@ -206,53 +212,62 @@ def _cell_half_diameter(gen: np.ndarray) -> float:
     return float(0.5 * max(np.linalg.norm(v1 + v2), np.linalg.norm(v1 - v2)))
 
 
-def _ring_count_bound(r: float, covol: float, h: float) -> float:
-    """Upper bound on lattice points with |point| in [r, r+1)."""
-    outer = (r + 1.0 + h) ** 2
-    inner = max(r - h, 0.0) ** 2
-    return math.pi * (outer - inner) / covol
+def _gaussian_tail(nodes, covol: float, h: float, radius: float) -> tuple[float, float]:
+    """Upper bound on sum_j w_j sum_(|p + c| > R) exp(-pi alpha_j |p + c|^2) over the
+    points p of a lattice with covolume ``covol`` and cell half-diameter ``h``, for
+    any centre c, R = ``radius`` > 0 and the nodes (alpha_j, w_j), w_j >= 0: it is
+    sum_j w_j T(alpha_j, R) with
 
+        T(alpha, R) = pi/covol exp(-pi alpha R^2)
+                      [(R + h)^2 - max(R - h, 0)^2 + (1 + h/R) / (pi alpha)].
 
-def _ball_tail(radius: float, alpha: float, covol: float, h: float) -> float:
-    """Rigorous bound on sum of exp(-pi alpha |p|^2) over |p| > radius."""
-    total = 0.0
+    The cells p + gen [-1/2, 1/2]^2 tile the plane and lie within h of their
+    points, so the number N(r) of points within r of c has
+    pi max(r - h, 0)^2 <= covol N(r) <= pi (r + h)^2.  For f(r) = exp(-pi alpha r^2),
+    summation by parts gives sum_(|p + c| > R) f = -f(R) N(R) + int_R^oo N(r) (-f'(r)) dr,
+    at most pi/covol [-f(R) max(R - h, 0)^2 + int_R^oo (r + h)^2 (-f'(r)) dr].  By parts
+    again the integral is f(R) (R + h)^2 + int_R^oo 2 (r + h) f(r) dr, where
+    int_R^oo 2 r f = f(R) / (pi alpha) and int_R^oo 2 h f = h erfc(x) / sqrt(alpha),
+    x = R sqrt(pi alpha), at most h f(R) / (pi alpha R) by erfc(x) <= e^(-x^2) / (x sqrt(pi)).
+
+    T is strictly decreasing in R: with T = pi/covol f(R) B(R), B'(R) <= 2 (R + h)
+    < 2 pi alpha R B(R), so (log T)' = -2 pi alpha R + B'/B < 0.
+
+    Returns the tail and its moment sum_j alpha_j w_j T(alpha_j, R).
+    """
     r = radius
-    for _ in range(4000):
-        term = _ring_count_bound(r, covol, h) * math.exp(-math.pi * alpha * r * r)
-        total += term
-        r += 1.0
-        ratio = 2.0 * math.exp(-math.pi * alpha * (2.0 * r + 1.0))
-        if ratio < 0.5:
-            last = _ring_count_bound(r, covol, h) * math.exp(-math.pi * alpha * r * r)
-            return total + last / (1.0 - ratio)
-    return math.inf
+    span = (r + h) ** 2 - max(r - h, 0.0) ** 2
+    edge = 1.0 + h / r
+    tail = moment = 0.0
+    for alpha, w in nodes:
+        rate = math.pi * alpha
+        t = w * math.exp(-rate * r * r) * (span + edge / rate)
+        tail += t
+        moment += alpha * t
+    scale = math.pi / covol
+    return scale * tail, scale * moment
 
 
 def _select_radius(
-    alpha: float, covol: float, h: float, tol: float, max_radius: float = math.inf, weight=None
+    nodes, covol: float, h: float, tol: float, max_radius: float
 ) -> tuple[float, float, bool]:
-    """Smallest ball radius whose certified tail is below tol.
+    """The ball radius R >= 1 just past the root of ``_gaussian_tail`` = tol.
 
-    ``max_radius`` caps the ball (in units of length, one unit per ring);
-    hitting the cap returns the honest tail with a failure flag.  ``weight``,
-    if given, maps a radius r to a factor on the tail beyond r.
-    """
-
-    def tail_at(r: float) -> float:
-        tail = _ball_tail(r, alpha, covol, h)
-        return tail if weight is None else tail * weight(r)
-
-    r = math.sqrt(max(math.log(max(4.0 / tol, 4.0)), 1.0) / (math.pi * alpha))
-    r = max(r, 1.0)
-    for _ in range(400):
-        if r > max_radius:
-            r = max_radius
-            return r, tail_at(r), False
-        tail = tail_at(r)
-        if tail <= tol:
-            return r, tail, True
-        r *= 1.12
-    return r, tail_at(r), False
+    With t_j the nodes' tails at u = R^2, the Gaussian factors of the tail a
+    step du further, sum_j t_j exp(-pi alpha_j du), are log-convex in du, so
+    they stay above their tangent, which falls at the rate pi moment / tail.
+    Each step du = log(1.05 tail / tol) tail / (pi moment) takes that tangent
+    to tol / 1.05, so a step overshoots the root by no more than the
+    polynomial factors of T move, and the last one lands just past it.  A
+    radius beyond ``max_radius`` is cut to it; the tail there is returned as
+    it is, with the flag tail <= tol."""
+    cap = max_radius * max_radius
+    r2 = 1.0
+    tail, moment = _gaussian_tail(nodes, covol, h, 1.0)
+    while tail > tol and r2 < cap:
+        r2 = min(r2 + math.log(1.05 * tail / tol) * tail / (math.pi * moment), cap)
+        tail, moment = _gaussian_tail(nodes, covol, h, math.sqrt(r2))
+    return math.sqrt(r2), tail, tail <= tol
 
 
 def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -272,43 +287,42 @@ def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray
 def _ball(
     gen: np.ndarray,
     center: np.ndarray,
-    alpha: float,
+    nodes,
     tol: float,
     max_radius: float,
     pad=0.0,
-    weight=None,
 ) -> tuple[np.ndarray, float, float, bool]:
-    """Truncate sum exp(-pi alpha |gen @ (k, l) + center|^2) to the smallest ball,
-    capped at max_radius, whose certified tail (times ``weight``, see
-    ``_select_radius``) is below tol.  Returns the index pairs in that ball
+    """Truncate sum_j w_j sum exp(-pi alpha_j |gen @ (k, l) + center|^2) over the
+    nodes (alpha_j, w_j) to the ball, capped at max_radius, whose
+    ``_gaussian_tail`` falls to tol.  Returns the index pairs in that ball
     widened by ``pad``, its radius (every discarded point lies beyond it), the
     tail and whether it meets tol."""
-    h = _cell_half_diameter(gen)
-    r, tail, ok = _select_radius(alpha, det2(gen), h, tol, max_radius, weight)
+    r, tail, ok = _select_radius(nodes, det2(gen), _cell_half_diameter(gen), tol, max_radius)
     return _index_box(gen, center, r + pad), r, tail, ok
 
 
 def _cell_ball(
-    gen: np.ndarray, alpha: float, tol: float, max_radius: float, weight=None
+    gen: np.ndarray, nodes, tol: float, max_radius: float
 ) -> tuple[np.ndarray, float, bool]:
     """The ``_ball`` of one index set that serves every shift z in [0, 1]^2: centred
     on the cell and widened by the cell half-diameter, the farthest a corner lies
     from the centre.  Returns the index pairs, the tail (uniform over the cell) and ok."""
     pad = _cell_half_diameter(gen)
-    idx, _, tail, ok = _ball(gen, gen @ np.array([0.5, 0.5]), alpha, tol, max_radius, pad, weight)
+    idx, _, tail, ok = _ball(gen, gen @ np.array([0.5, 0.5]), nodes, tol, max_radius, pad)
     return idx, tail, ok
 
 
-def _dual_ball(lattice: Lattice, alpha: float, pol: TruncationPolicy):
-    """Frequency side E(z; alpha) = scale * sum exp(-pi |k|^2 / alpha) cos(2 pi k.z):
-    dual index pairs, |k|^2, scale = 1/(alpha covol), the ball radius, the tail
-    times scale, ok."""
+def _dual_ball(lattice: Lattice, dual_nodes, tol: float, max_radius: float):
+    """Frequency side of sum_j w_j E(z; alpha_j): by Poisson summation the cosine
+    series sum_k g(k) cos(2 pi k.z) over the dual lattice with
+    g(k) = sum_j w_j exp(-pi |k|^2 / alpha_j) / (alpha_j covol), the Gaussian
+    nodes (1/alpha_j, w_j / (alpha_j covol)) there, which the caller passes.
+    Returns the dual index pairs of their ``_ball``, |k|^2, the radius, the
+    tail and ok."""
     dual_gen = np.linalg.inv(lattice.gen).T
-    scale = 1.0 / (alpha * lattice.covolume)
-    tol = pol.target_tol / scale
-    idx, r, tail, ok = _ball(dual_gen, np.zeros(2), 1.0 / alpha, tol, pol.max_radius)
+    idx, r, tail, ok = _ball(dual_gen, np.zeros(2), dual_nodes, tol, max_radius)
     pts = idx @ dual_gen.T
-    return idx, np.einsum("ij,ij->i", pts, pts), scale, r, tail * scale, ok
+    return idx, np.einsum("ij,ij->i", pts, pts), r, tail, ok
 
 
 def _nearest_sq(gen: np.ndarray, center: np.ndarray) -> float:
@@ -336,11 +350,6 @@ def _power_tail(gen: np.ndarray, radius: float, s: float) -> float:
     return math.pi / det2(gen) * (r * r * f / (s - 1.0) + spread)
 
 
-def _check_alpha(alpha: float) -> None:
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-
-
 def _dual_side(alpha: float, covol: float) -> bool:
     """The side E(z; alpha) is summed on: the dual cosine series iff
     alpha covol < 1.  Its Gaussian exp(-pi |k|^2 / alpha) on the dual lattice
@@ -366,13 +375,15 @@ def lattice_gaussian_sum(
         use_functional_equation = _dual_side(alpha, lattice.covolume)
     zl = z.to_lattice(lattice).canonical()
     if use_functional_equation:
-        idx, q, scale, _, tail, ok = _dual_ball(lattice, alpha, pol)
+        scale = 1.0 / (alpha * lattice.covolume)
+        node = ((1.0 / alpha, scale),)
+        idx, q, _, tail, ok = _dual_ball(lattice, node, pol.target_tol, pol.max_radius)
         terms = np.exp(-math.pi / alpha * q) * np.cos(TWO_PI * (idx @ np.array([zl.u, zl.v])))
         return CertifiedValue(math.fsum(terms.tolist()) * scale, tail, len(terms), ok)
 
     gen = lattice.gen
     center = gen @ np.array([zl.u, zl.v])
-    idx, _, tail, ok = _ball(gen, center, alpha, pol.target_tol, pol.max_radius)
+    idx, _, tail, ok = _ball(gen, center, ((alpha, 1.0),), pol.target_tol, pol.max_radius)
     pts = idx @ gen.T + center
     terms = np.exp(-math.pi * alpha * np.einsum("ij,ij->i", pts, pts))
     return CertifiedValue(math.fsum(terms.tolist()), tail, len(terms), ok)
@@ -435,18 +446,6 @@ def functional_equation_residual(
     return abs(lhs.value - rhs.value / alpha)
 
 
-def combined_functional_tails(
-    lattice: Lattice,
-    b: PhasePoint,
-    alpha: float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
-    """Sum of the two (appropriately scaled) tail bounds for the residual."""
-    lhs = theta_shifted(lattice, b, alpha, pol, use_functional_equation=False)
-    rhs = theta_charged(lattice, b, 1.0 / alpha, pol, use_functional_equation=False)
-    return lhs.tail_bound + rhs.tail_bound / alpha
-
-
 # ---------------------------------------------------------------------------
 # Batch evaluator (shared by the torus minimizers and the applications)
 # ---------------------------------------------------------------------------
@@ -499,20 +498,16 @@ class ShiftedSumEvaluator:
     mixture of its Bernstein measure.
 
     Lattice side, the nodes with alpha_j >= lam: K summed over one cell-wide
-    ``_cell_ball``, that of the smallest such alpha_j, so one index set serves
-    every z in [0, 1]^2.  Beyond the ball's radius R every such node is at most
-    exp(-pi (alpha_j - alpha_min) R^2) times that ball's Gaussian, so the tail
-    is the ball's ring-count tail times sum_j w_j exp(-pi (alpha_j - alpha_min) R^2),
-    at most sum_j w_j; the radius is chosen with that factor.
+    ``_cell_ball`` of those nodes, so one index set serves every z in [0, 1]^2,
+    with their ``_gaussian_tail``.
 
     Dual side, the nodes with alpha_j < lam: by Poisson summation, one cosine
     series sum_k g(k) cos(2 pi k.z) whose weights
     g(k) = sum_j w_j exp(-pi |k|^2 / alpha_j) / (alpha_j covol) do not depend
-    on z.  They are built once over one ``_dual_ball``, that of the largest
-    such alpha_j, with the ring-count tail times sum_j w_j / (alpha_j covol).
-    Flat nodes underflow off k != 0 and land in g(0), which is kept apart as
-    ``value_offset`` so that the oscillating remainder keeps full relative
-    precision.
+    on z.  They are built once over the ``_dual_ball`` of the dual nodes
+    (1/alpha_j, w_j / (alpha_j covol)), with its ``_gaussian_tail``.  Flat nodes underflow off k != 0 and land in g(0),
+    which is kept apart as ``value_offset`` so that the oscillating remainder
+    keeps full relative precision.
 
     Half the tolerance goes to truncation, shared by the sides present (a
     quarter each when both are), the rest is left to rounding; ``tail_bound``
@@ -530,7 +525,8 @@ class ShiftedSumEvaluator:
     ) -> None:
         if not nodes:
             raise EmptyQuadrature("no quadrature nodes")
-        _check_alpha(min(alpha for alpha, _ in nodes))
+        for alpha, _ in nodes:
+            _check_alpha(alpha)
         self.lattice = lattice
         self.tol = pol.target_tol
         self.tail_bound = 0.0
@@ -544,39 +540,25 @@ class ShiftedSumEvaluator:
         near_terms = far_terms = 0
 
         if self._near:
-            near_min = min(alpha for alpha, _ in self._near)
-            alphas, weights = np.array(self._near).T
-            rates = math.pi * alphas
-            # beyond radius r, node j decays faster than the slowest by
-            # exp(-(rate_j - rate_min) r^2), which weights its share of the tail
-            excess = rates - math.pi * near_min
-
-            def tail_weight(r: float) -> float:
-                return float(weights @ np.exp(excess * -(r * r)))
-
-            idx, tail, ok = _cell_ball(lattice.gen, near_min, budget, pol.max_radius, tail_weight)
+            idx, tail, ok = _cell_ball(lattice.gen, self._near, budget, pol.max_radius)
+            self.tail_bound += tail
+            self.converged &= ok
             near_terms = len(idx)
             self._i1, self._i2 = idx[:, 0].astype(float), idx[:, 1].astype(float)
-            self._rates = rates
+            alphas, weights = np.array(self._near).T
+            self._rates = rates = math.pi * alphas
             # w_j rate_j^m for m = 0, 1, 2: the weights of K, -K' and K''
             wr = weights * rates
             self._moments = np.array([weights, wr, wr * rates])
             g = lattice.gram
             self._g00, self._g01, self._g11 = float(g[0, 0]), float(g[0, 1]), float(g[1, 1])
-            self.tail_bound += tail
-            self.converged &= ok
 
         if self._far:
             alphas, weights = np.array(self._far).T
             self._scales = weights / (alphas * covol)
-            s_sum = float(self._scales.sum())
-            top = float(alphas.max())
-            top_scale = 1.0 / (top * covol)
-            tol_g = budget / max(s_sum, 1e-300)
-            kidx, kq, _, _, k_tail, ok = _dual_ball(
-                lattice, top, replace(pol, target_tol=tol_g * top_scale)
-            )
-            self.tail_bound += s_sum * k_tail / top_scale
+            dual_nodes = list(zip((1.0 / alphas).tolist(), self._scales.tolist()))
+            kidx, kq, _, tail, ok = _dual_ball(lattice, dual_nodes, budget, pol.max_radius)
+            self.tail_bound += tail
             self.converged &= ok
             nonzero = kq > 0.0
             self._kidx = kidx[nonzero].astype(float)
@@ -585,7 +567,7 @@ class ShiftedSumEvaluator:
             # (nodes x nonzero dual terms) exponents, independent of z
             self._x = np.outer(math.pi / alphas, kq[nonzero])
             self._ghat = self._scales @ _clipped_exp(self._x)
-            self.value_offset = s_sum
+            self.value_offset = float(self._scales.sum())
         self.terms = near_terms + far_terms
 
     def _rho(self, zs: np.ndarray) -> np.ndarray:

@@ -129,7 +129,7 @@ def direct_series_derivatives(lattice, alpha, zs, pol):
     coordinates differentiated term by term: the term has gradient -c e Gw and
     Hessian e (c^2 Gw (Gw)^T - c G), with c = 2 pi alpha.  Returns them and the
     truncation tail, uniform over the cell."""
-    idx, tail, _ = _cell_ball(lattice.gen, alpha, pol.target_tol, pol.max_radius)
+    idx, tail, _ = _cell_ball(lattice.gen, ((alpha, 1.0),), pol.target_tol, pol.max_radius)
     g = lattice.gram
     w1 = idx[:, 0][None, :] + zs[:, 0][:, None]
     w2 = idx[:, 1][None, :] + zs[:, 1][:, None]

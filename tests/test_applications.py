@@ -170,6 +170,13 @@ class TestCMPotential:
         with pytest.raises(ValueError):
             app.CMPotential(((1.0, -0.1),))
 
+    @pytest.mark.parametrize(
+        "node", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_nonfinite_node_rejected(self, node):
+        with pytest.raises(ValueError):
+            app.CMPotential((node,))
+
     def test_riesz_kernel_accuracy(self):
         p = app.CMPotential.riesz(3.0, tol=1e-10)
         rho = np.logspace(math.log10(0.05), 6.0, 300)

@@ -3,11 +3,21 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from latsum.cli import main
 
 Y_HEX = math.sqrt(3.0) / 2.0
+
+
+def brute_force_gaussian(x, y, u, v, alpha, reach=12):
+    """E((u, v); alpha) on lattice_from_tau(x, y), summed over |k|, |l| <= reach:
+    exp(-pi alpha (a^2 + 2 x a b + (x^2 + y^2) b^2) / y) at (a, b) = (k + u, l + v)."""
+    k = np.arange(-reach, reach + 1)
+    a, b = np.meshgrid(k + u, k + v, indexing="ij")
+    q = (a * a + 2.0 * x * a * b + (x * x + y * y) * b * b) / y
+    return math.fsum(np.exp(-math.pi * alpha * q).ravel().tolist())
 
 
 def run(capsys, argv):
@@ -39,6 +49,23 @@ class TestTheta:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "--alpha" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theta", "--alpha", "inf", "--shift", "0,0"],
+            ["theta", "--alpha", "nan"],
+            ["theta", "--tol", "nan"],
+            ["heat", "--t", "inf"],
+            ["heat", "--t", "nan"],
+            ["zeta", "--s", "nan"],
+        ],
+    )
+    def test_nonfinite_argument_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_tail_not_met_exits_three(self, capsys):
         code, out, _ = run(
@@ -100,10 +127,12 @@ class TestSweep:
     def test_max_radius_caps_the_ball(self, capsys):
         caps = ["--tol", "1e-14", "--max-radius", "1"]
         _, out, _ = run(capsys, ["sweep", "--x", "0.5:0.5:1", "--y", f"{Y_HEX}:{Y_HEX}:1"] + caps)
-        swept = json.loads(out)[0]["tail_bound"]
+        (swept,) = json.loads(out)
         _, out, _ = run(capsys, ["minimize", "--lattice", f"0.5,{Y_HEX}"] + caps)
-        assert swept == json.loads(out)["tail_bound"]
-        assert swept > 1.0
+        assert swept["tail_bound"] == json.loads(out)["tail_bound"]
+        # the radius-1 ball leaves out most of the sum; its tail still covers it
+        exact = brute_force_gaussian(0.5, Y_HEX, swept["argmin_u"], swept["argmin_v"], 1.0)
+        assert abs(swept["min_value"] - exact) <= swept["tail_bound"]
 
     def test_unconverged_cell_exits_three(self, capsys):
         argv = ["sweep", "--x", "0.5:0.5:1", "--y", f"{Y_HEX}:{Y_HEX}:1",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from latsum.applications import heat_kernel_torus
+from latsum.applications import CMPotential, heat_kernel_torus
 from latsum.errors import NonPositiveAlpha, NonPositiveT, TailNotMet
 from latsum.lattice import (
     Frame,
@@ -15,7 +15,9 @@ from latsum.lattice import (
 from latsum.theta import (
     ShiftedSumEvaluator,
     TruncationPolicy,
-    combined_functional_tails,
+    _cell_half_diameter,
+    _gaussian_tail,
+    _select_radius,
     functional_equation_residual,
     lattice_gaussian_sum,
     montgomery_A,
@@ -232,6 +234,17 @@ class TestGaussianSum:
         with pytest.raises(NonPositiveAlpha):
             lattice_gaussian_sum(sq, PhasePoint(0, 0), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_inputs_raise(self, hexl, bad):
+        with pytest.raises(NonPositiveAlpha):
+            lattice_gaussian_sum(hexl, PhasePoint(0, 0), bad)
+        with pytest.raises(NonPositiveT):
+            heat_kernel_torus(hexl, PhasePoint(0, 0), bad)
+        with pytest.raises(NonPositiveT):
+            theta1d(0.25, bad)
+        with pytest.raises(ValueError):
+            TruncationPolicy(target_tol=bad)
+
     def test_poisson_identity_direct_vs_frequency(self, rng):
         # the two summation routes are the planar Poisson identity
         for _ in range(25):
@@ -342,7 +355,9 @@ class TestFunctionalEquation:
             b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
             alpha = rng.uniform(0.3, 3.0)
             res = functional_equation_residual(lat, b, alpha)
-            assert res <= combined_functional_tails(lat, b, alpha) + 1e-12
+            lhs = theta_shifted(lat, b, alpha, use_functional_equation=False)
+            rhs = theta_charged(lat, b, 1.0 / alpha, use_functional_equation=False)
+            assert res <= lhs.tail_bound + rhs.tail_bound / alpha + 1e-12
 
 
 class TestCertifiedTails:
@@ -367,6 +382,68 @@ class TestCertifiedTails:
         assert cv.tail_bound >= 0
         assert cv.terms_used >= 1
         assert cv.converged
+
+
+def brute_mass_beyond(gen, center, nodes, radius):
+    """sum_j w_j sum exp(-pi alpha_j |p + center|^2) over the points p = gen @ (k, l)
+    with |p + center| > radius, added one by one out to the reach where every
+    node's Gaussian has fallen by e^-60 more; what lies beyond is left out."""
+    alpha_min = min(alpha for alpha, _ in nodes)
+    reach = math.sqrt(radius * radius + 60.0 / (math.pi * alpha_min))
+    inv = np.linalg.inv(gen)
+    mid = -inv @ center
+    span = reach * np.linalg.norm(inv, axis=1) + 1.0
+    kk, ll = np.meshgrid(
+        np.arange(math.floor(mid[0] - span[0]), math.ceil(mid[0] + span[0]) + 1),
+        np.arange(math.floor(mid[1] - span[1]), math.ceil(mid[1] + span[1]) + 1),
+        indexing="ij",
+    )
+    pts = np.column_stack([kk.ravel(), ll.ravel()]) @ gen.T + center
+    q = np.einsum("ij,ij->i", pts, pts)
+    q = q[q > radius * radius]
+    return math.fsum(w * math.fsum(np.exp(-math.pi * alpha * q).tolist()) for alpha, w in nodes)
+
+
+# skinny shapes up to y = 1e3, where the cell half-diameter exceeds the radius
+TAIL_SHAPES = [(0.5, Y_HEX), (0.2, 2.5), (0.3, 50.0), (0.1, 1e3)]
+
+
+class TestGaussianTail:
+    @pytest.mark.parametrize("x, y", TAIL_SHAPES)
+    def test_tail_bounds_the_discarded_mass(self, rng, x, y):
+        """The mass beyond R is at most sum_j w_j T(alpha_j, R), at the solved
+        radius and at the cap 1, on covolumes 1, 9 and 1/9, for single nodes with
+        alpha in [1e-2, 1e2], the lattice-side Riesz nodes (alpha_j >= 1/covol)
+        and the dual-side ones as the evaluator maps them; centres at random and
+        within 1e-6 of a lattice point.  The solved radius is near-minimal: its
+        tail is above tol / 2 unless it is 1."""
+        riesz = CMPotential.riesz(3.0, tol=1e-9).nodes
+        for covol in (1.0, 9.0, 1.0 / 9.0):
+            gen = math.sqrt(covol) * lattice_from_tau(x, y).gen
+            dual_gen = np.linalg.inv(gen).T
+            alphas = [1e-2, 1e2, *np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 2))]
+            cases = [(gen, covol, ((float(alpha), 1.0),)) for alpha in alphas]
+            cases.append((gen, covol, [n for n in riesz if n[0] >= 1.0 / covol]))
+            far = [(1.0 / a, w / (a * covol)) for a, w in riesz if a < 1.0 / covol]
+            cases.append((dual_gen, 1.0 / covol, far))
+            for g, c, nodes in cases:
+                h = _cell_half_diameter(g)
+                tol = 10.0 ** rng.uniform(-14.0, -4.0)
+                r, tail, ok = _select_radius(nodes, c, h, tol, 10_000)
+                assert ok and tail <= tol
+                assert r == 1.0 or tail > tol / 2.0
+                for center in (g @ rng.random(2), rng.uniform(-7e-7, 7e-7, 2)):
+                    for radius, bound in ((r, tail), (1.0, _gaussian_tail(nodes, c, h, 1.0)[0])):
+                        assert brute_mass_beyond(g, center, nodes, radius) <= bound
+
+    def test_tail_decreases_in_radius(self):
+        gen = lattice_from_tau(0.1, 1e3).gen
+        h = _cell_half_diameter(gen)
+        radii = np.linspace(0.05, 3.0 * h, 400)
+        for alpha in (1e-2, 1.0, 1e2):
+            tails = [_gaussian_tail(((alpha, 1.0),), 1.0, h, r)[0] for r in radii]
+            positive = [t for t in tails if t > 0.0]
+            assert all(a > b for a, b in zip(positive, positive[1:]))
 
 
 def one_node(alpha):
@@ -491,7 +568,7 @@ def test_converged_tail_meets_tolerance(hexl, alpha, tol):
 
 @pytest.mark.parametrize(
     "scale, alpha, shift, terms",
-    [(3.0, 0.4, (0.3, 0.1), 9), (1.0 / 3.0, 3.0, (0.5, 0.5), 13)],
+    [(3.0, 0.4, (0.3, 0.1), 9), (1.0 / 3.0, 3.0, (0.5, 0.5), 11)],
 )
 def test_default_route_is_the_shorter_series(scale, alpha, shift, terms):
     """On covolume 9 alpha = 0.4 < 1 is on the lattice side (alpha covol = 3.6),
@@ -505,6 +582,7 @@ def test_default_route_is_the_shorter_series(scale, alpha, shift, terms):
     direct = lattice_gaussian_sum(lat, z, alpha, use_functional_equation=False)
     on_dual = dual.terms_used < direct.terms_used
     assert default.terms_used == min(dual.terms_used, direct.terms_used) == terms
+    assert max(dual.terms_used, direct.terms_used) > 8 * terms
     assert default == (dual if on_dual else direct)
     assert (ShiftedSumEvaluator(lat, one_node(alpha)).value_offset > 0.0) == on_dual
 
