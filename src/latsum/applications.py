@@ -7,7 +7,7 @@ the disc-covering constants tied to the hexagonal minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,10 @@ from .theta import (
     TruncationPolicy,
     _ball,
     _check_t,
-    _dual_ball,
     _nearest_sq,
+    _plan,
     _power_tail,
+    _sum_at,
     lattice_gaussian_sum,
 )
 
@@ -141,12 +142,8 @@ def heat_kernel_torus(
     if route not in ("gaussian", "spectral"):
         raise ValueError(f"unknown route {route!r}")
     alpha = 1.0 / (4.0 * math.pi * t)
-    # k = alpha * E, so E is asked for tol / alpha
-    pol = replace(pol, target_tol=pol.target_tol / alpha)
-    inner = lattice_gaussian_sum(lattice, z, alpha, pol, route == "spectral")
-    return CertifiedValue(
-        inner.value * alpha, inner.tail_bound * alpha, inner.terms_used, inner.converged
-    )
+    # k = alpha * E, the node (alpha, alpha)
+    return _sum_at(lattice, z, ((alpha, alpha),), pol, route == "spectral")
 
 
 def temperature_extremes(
@@ -233,7 +230,7 @@ def cm_lattice_energy(
 ) -> CertifiedValue:
     """Lattice energy sum_points p(|point + z|^2), split at lam = 1/covol by
     ``ShiftedSumEvaluator``; ``terms_used`` counts the lattice-side and the
-    nonzero dual-side terms."""
+    dual-side terms, k = 0 included."""
     return ShiftedSumEvaluator(lattice, p.nodes, pol).certified_at(z)
 
 
@@ -367,8 +364,8 @@ def epstein_zeta_shifted(
             + 1/(s-1) ],
 
     and both series decay like Gaussians.  Each is truncated to a Gaussian
-    ball (``theta._ball`` of the node (lam, 1), ``theta._dual_ball`` of the
-    dual node (1/lam, 1)) capped at
+    ball (``theta._ball`` of the node (lam, 1) on the lattice and of the
+    dual node (1/lam, 1) on the dual lattice) capped at
     ``min(radius_cap, pol.max_radius)``; its tail is a constant times the
     ball's ``_gaussian_tail``, since Gamma(s, X) <= 2 X^(s-1) e^-X once
     X >= 2(s-1) and Gamma(1-s, X) <= X^-s e^-X.  A capped lattice ball that
@@ -386,8 +383,9 @@ def epstein_zeta_shifted(
     if radius_cap < 1.0:
         raise ValueError("radius_cap must be at least 1")
     zl = z.to_lattice(lattice).canonical()
-    uv = np.array([zl.u, zl.v])
-    rho = _nearest_sq(lattice.gen, lattice.gen @ uv)
+    plan = _plan(lattice)
+    mid = (-zl.u, -zl.v)
+    rho = _nearest_sq(plan.near, mid)
     if rho < 1e-24:
         raise PoleAtLatticePoint("shift point coincides with a lattice point")
     if method == "quadrature":
@@ -397,7 +395,6 @@ def epstein_zeta_shifted(
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
 
-    gen = lattice.gen
     lam = 1.0 / lattice.covolume
     c = (math.pi * lam) ** s / math.gamma(s)
     cap = min(radius_cap, pol.max_radius)
@@ -409,20 +406,20 @@ def epstein_zeta_shifted(
     x_min = max(2.0 * (s - 1.0), 1.0)
     tol_g = min(pol.target_tol / 16.0 * x_min / (2.0 * c), math.exp(-x_min))
 
-    idx, r, g_tail, _ = _ball(gen, gen @ uv, ((lam, 1.0),), tol_g, cap)
-    w = idx + uv
-    xd = math.pi * lam * np.einsum("ij,jk,ik->i", w, lattice.gram, w)
+    _, _, rho_p, r, g_tail, _ = _ball(plan.near, mid, ((lam, 1.0),), tol_g, cap)
+    xd = math.pi * lam * rho_p
     direct = c * xd**-s * _upper_gamma(s, xd)
     x_r = math.pi * lam * r * r
     if x_r >= 2.0 * (s - 1.0):
         tail = 2.0 * c * g_tail / x_r
     else:
-        tail = _power_tail(gen, r, s)
+        tail = _power_tail(plan.near, r, s)
 
-    kidx, kq, rk, k_tail, _ = _dual_ball(lattice, ((1.0 / lam, 1.0),), tol_g, cap)
+    k, l, kq, rk, k_tail, _ = _ball(plan.far, (0.0, 0.0), ((1.0 / lam, 1.0),), tol_g, cap)
     nonzero = kq > 0.0
     xk = math.pi / lam * kq[nonzero]
-    dual = c * xk ** (s - 1.0) * _upper_gamma(1.0 - s, xk) * np.cos(TWO_PI * (kidx[nonzero] @ uv))
+    phases = TWO_PI * (k[nonzero] * zl.u + l[nonzero] * zl.v)
+    dual = c * xk ** (s - 1.0) * _upper_gamma(1.0 - s, xk) * np.cos(phases)
     tail += c * k_tail / (math.pi / lam * rk * rk)
 
     terms = np.concatenate([direct, dual, [c / (s - 1.0)]])

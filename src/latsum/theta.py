@@ -3,24 +3,24 @@
 All series are truncated inside Euclidean balls; the discarded tail is
 bounded rigorously, in 2D by one closed form from the lattice-point count
 (``_gaussian_tail``), in 1D by geometric majorants, and every certified
-result carries that bound.  Pointwise sums are
-accumulated with ``math.fsum``, which rounds the exact sum of its terms
-correctly, so the result does not depend on their order.
+result carries that bound, in 2D with the rounding.  Sums are accumulated
+with ``math.fsum``, which rounds the exact sum of the terms correctly.
 
-The 2D Gaussian sum is ``lattice_gaussian_sum``, the lattice series or its
-dual cosine series; the shifted and charged families are that sum on the
-unit-covolume lattice of their shape parameters (x, y).
+Every 2D Gaussian sum is one ``ShiftedSumEvaluator``: ``lattice_gaussian_sum``
+is its one-point case, and the shifted and charged families are that sum on
+the unit-covolume lattice of their shape parameters (x, y).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyQuadrature, NonPositiveAlpha, NonPositiveT, TailNotMet
-from .lattice import Lattice, PhasePoint, det2, lattice_from_tau
+from .lattice import Lattice, PhasePoint, lattice_from_tau
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,10 +206,46 @@ def montgomery_Q(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) 
 # Two-dimensional machinery
 # ---------------------------------------------------------------------------
 
-def _cell_half_diameter(gen: np.ndarray) -> float:
-    v1 = gen[:, 0]
-    v2 = gen[:, 1]
-    return float(0.5 * max(np.linalg.norm(v1 + v2), np.linalg.norm(v1 - v2)))
+def _cell_half_diameter(gen) -> float:
+    """Half the longer diagonal of the cell of a 2x2 generator given by rows."""
+    (a, b), (c, d) = gen
+    return 0.5 * max(math.hypot(a + b, c + d), math.hypot(a - b, c - d))
+
+
+class _Side(NamedTuple):
+    """A lattice gen Z^2 as floats: Gram form, covolume, cell half-diameter."""
+
+    g00: float
+    g01: float
+    g11: float
+    covol: float
+    h: float
+
+
+def _side(a: float, b: float, c: float, d: float) -> _Side:
+    h = _cell_half_diameter(((a, b), (c, d)))
+    return _Side(a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c, h)
+
+
+class _Plan(NamedTuple):
+    """One lattice's fixed geometry, built once per public call or evaluator:
+    the lattice side, the dual side (generator inv(gen)^T) and ``kappa``.  An
+    exponent c |x|^2 from either side's Gram form is within kappa eps of
+    itself: the form's absolute parts are at most 2 cond(G) times it, giving
+    12 cond(G) eps, and the product with c adds 8 eps."""
+
+    near: _Side
+    far: _Side
+    kappa: float
+
+
+def _plan(lattice: Lattice) -> _Plan:
+    (a, b), (c, d) = lattice.gen.tolist()
+    det = a * d - b * c
+    near = _side(a, b, c, d)
+    # the Gram form's eigenvalues in closed form: hi, and lo = det(G) / hi
+    hi = 0.5 * (near.g00 + near.g11 + math.hypot(near.g00 - near.g11, 2.0 * near.g01))
+    return _Plan(near, _side(d / det, -c / det, -b / det, a / det), 12.0 * (hi / det) ** 2 + 8.0)
 
 
 def _gaussian_tail(nodes, covol: float, h: float, radius: float) -> tuple[float, float]:
@@ -270,71 +306,39 @@ def _select_radius(
     return math.sqrt(r2), tail, tail <= tol
 
 
-def _index_box(gen: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Integer pairs (k, l) with |gen @ (k, l) + center| <= radius."""
-    inv = np.linalg.inv(gen)
-    mid = -inv @ center
-    half = radius * np.linalg.norm(inv, axis=1)
-    ks = np.arange(math.floor(mid[0] - half[0]) - 1, math.ceil(mid[0] + half[0]) + 2)
-    ls = np.arange(math.floor(mid[1] - half[1]) - 1, math.ceil(mid[1] + half[1]) + 2)
-    kk, ll = np.meshgrid(ks, ls, indexing="ij")
-    idx = np.column_stack([kk.ravel(), ll.ravel()])
-    pts = idx @ gen.T + center
-    mask = np.einsum("ij,ij->i", pts, pts) <= radius * radius
-    return idx[mask]
+def _index_box(side: _Side, mid, radius: float):
+    """Index pairs (k, l) with |gen ((k, l) - mid)| <= radius, as two integer
+    arrays, and those squared lengths, from the Gram form.  The rows of
+    inv(gen) have lengths sqrt(g11) / covol and sqrt(g00) / covol, which bound
+    |k - m1| and |l - m2| on the ball by that times the radius."""
+    m1, m2 = mid
+    e1, e2 = radius * math.sqrt(side.g11) / side.covol, radius * math.sqrt(side.g00) / side.covol
+    k = np.arange(math.floor(m1 - e1) - 1, math.ceil(m1 + e1) + 2)
+    l = np.arange(math.floor(m2 - e2) - 1, math.ceil(m2 + e2) + 2)
+    a = (k - m1)[:, None]
+    b = l - m2
+    rho = (side.g00 * a + 2.0 * side.g01 * b) * a + side.g11 * (b * b)
+    i, j = np.nonzero(rho <= radius * radius)
+    return k[i], l[j], rho[i, j]
 
 
-def _ball(
-    gen: np.ndarray,
-    center: np.ndarray,
-    nodes,
-    tol: float,
-    max_radius: float,
-    pad=0.0,
-) -> tuple[np.ndarray, float, float, bool]:
-    """Truncate sum_j w_j sum exp(-pi alpha_j |gen @ (k, l) + center|^2) over the
-    nodes (alpha_j, w_j) to the ball, capped at max_radius, whose
-    ``_gaussian_tail`` falls to tol.  Returns the index pairs in that ball
-    widened by ``pad``, its radius (every discarded point lies beyond it), the
-    tail and whether it meets tol."""
-    r, tail, ok = _select_radius(nodes, det2(gen), _cell_half_diameter(gen), tol, max_radius)
-    return _index_box(gen, center, r + pad), r, tail, ok
+def _ball(side: _Side, mid, nodes, tol: float, max_radius: float, pad: float = 0.0):
+    """Truncate sum_j w_j sum exp(-pi alpha_j |gen ((k, l) - mid)|^2) to the ball,
+    capped at max_radius, whose ``_gaussian_tail`` falls to tol.  Returns the
+    ``_index_box`` of that ball widened by ``pad``, its radius (every discarded
+    point lies beyond it), the tail and whether it meets tol."""
+    r, tail, ok = _select_radius(nodes, side.covol, side.h, tol, max_radius)
+    return (*_index_box(side, mid, r + pad), r, tail, ok)
 
 
-def _cell_ball(
-    gen: np.ndarray, nodes, tol: float, max_radius: float
-) -> tuple[np.ndarray, float, bool]:
-    """The ``_ball`` of one index set that serves every shift z in [0, 1]^2: centred
-    on the cell and widened by the cell half-diameter, the farthest a corner lies
-    from the centre.  Returns the index pairs, the tail (uniform over the cell) and ok."""
-    pad = _cell_half_diameter(gen)
-    idx, _, tail, ok = _ball(gen, gen @ np.array([0.5, 0.5]), nodes, tol, max_radius, pad)
-    return idx, tail, ok
+def _nearest_sq(side: _Side, mid) -> float:
+    """Squared distance from gen mid to the nearest point gen (k, l): the cells
+    gen ([k, l] + [-1/2, 1/2]^2) tile the plane, so one point lies within the
+    cell half-diameter."""
+    return float(_index_box(side, mid, side.h * (1.0 + 1e-12))[2].min())
 
 
-def _dual_ball(lattice: Lattice, dual_nodes, tol: float, max_radius: float):
-    """Frequency side of sum_j w_j E(z; alpha_j): by Poisson summation the cosine
-    series sum_k g(k) cos(2 pi k.z) over the dual lattice with
-    g(k) = sum_j w_j exp(-pi |k|^2 / alpha_j) / (alpha_j covol), the Gaussian
-    nodes (1/alpha_j, w_j / (alpha_j covol)) there, which the caller passes.
-    Returns the dual index pairs of their ``_ball``, |k|^2, the radius, the
-    tail and ok."""
-    dual_gen = np.linalg.inv(lattice.gen).T
-    idx, r, tail, ok = _ball(dual_gen, np.zeros(2), dual_nodes, tol, max_radius)
-    pts = idx @ dual_gen.T
-    return idx, np.einsum("ij,ij->i", pts, pts), r, tail, ok
-
-
-def _nearest_sq(gen: np.ndarray, center: np.ndarray) -> float:
-    """Squared distance from -center to the nearest point gen @ (k, l): the cells
-    gen @ ([k, l] + [-1/2, 1/2]^2) tile the plane, so one point lies within
-    the cell half-diameter."""
-    idx = _index_box(gen, center, _cell_half_diameter(gen) * (1.0 + 1e-12))
-    pts = idx @ gen.T + center
-    return float(np.einsum("ij,ij->i", pts, pts).min())
-
-
-def _power_tail(gen: np.ndarray, radius: float, s: float) -> float:
+def _power_tail(side: _Side, radius: float, s: float) -> float:
     """Upper bound on sum |gen @ (k, l) + center|^(-2s) over the points beyond
     ``radius``, any center, s > 1.
 
@@ -343,11 +347,11 @@ def _power_tail(gen: np.ndarray, radius: float, s: float) -> float:
     against f(r) = r^(-2s) puts the sum within
     pi/covol ((4 R h + 2 h^2) f(R) + 2 h R^(1-2s) / (2s - 1)) of the integral
     2 pi/covol R^(2-2s) / (2s - 2); the bound is their sum."""
-    h = _cell_half_diameter(gen)
+    h = side.h
     r = radius
     f = r ** (-2.0 * s)
     spread = (4.0 * r * h + 2.0 * h * h) * f + 2.0 * h * r * f / (2.0 * s - 1.0)
-    return math.pi / det2(gen) * (r * r * f / (s - 1.0) + spread)
+    return math.pi / side.covol * (r * r * f / (s - 1.0) + spread)
 
 
 def _dual_side(alpha: float, covol: float) -> bool:
@@ -364,29 +368,20 @@ def lattice_gaussian_sum(
     pol: TruncationPolicy = DEFAULT_POLICY,
     use_functional_equation: bool | None = None,
 ) -> CertifiedValue:
-    """E(z; alpha) = sum over the lattice of exp(-pi alpha |point + z|^2).
+    """E(z; alpha) = sum over the lattice of exp(-pi alpha |point + z|^2): the
+    evaluator's node (alpha, 1) certified at z, over the lattice ball about z
+    or through the functional equation over the dual cosine ball, as
+    ``use_functional_equation`` forces; by default ``_dual_side`` picks the
+    shorter series.  ``tail_bound`` carries the truncation tail and the rounding."""
+    return _sum_at(lattice, z, ((alpha, 1.0),), pol, use_functional_equation)
 
-    Summed over the lattice ball, or through the functional equation over
-    the dual cosine ball; ``use_functional_equation`` picks the side and
-    defaults to the shorter series, ``_dual_side``.
-    """
-    _check_alpha(alpha)
-    if use_functional_equation is None:
-        use_functional_equation = _dual_side(alpha, lattice.covolume)
-    zl = z.to_lattice(lattice).canonical()
-    if use_functional_equation:
-        scale = 1.0 / (alpha * lattice.covolume)
-        node = ((1.0 / alpha, scale),)
-        idx, q, _, tail, ok = _dual_ball(lattice, node, pol.target_tol, pol.max_radius)
-        terms = np.exp(-math.pi / alpha * q) * np.cos(TWO_PI * (idx @ np.array([zl.u, zl.v])))
-        return CertifiedValue(math.fsum(terms.tolist()) * scale, tail, len(terms), ok)
 
-    gen = lattice.gen
-    center = gen @ np.array([zl.u, zl.v])
-    idx, _, tail, ok = _ball(gen, center, ((alpha, 1.0),), pol.target_tol, pol.max_radius)
-    pts = idx @ gen.T + center
-    terms = np.exp(-math.pi * alpha * np.einsum("ij,ij->i", pts, pts))
-    return CertifiedValue(math.fsum(terms.tolist()), tail, len(terms), ok)
+def _sum_at(lattice: Lattice, z: PhasePoint, nodes, pol: TruncationPolicy, dual) -> CertifiedValue:
+    """``ShiftedSumEvaluator.certified_at(z)``, its lattice ball centred on z."""
+    ev = ShiftedSumEvaluator.__new__(ShiftedSumEvaluator)
+    # certified_at canonicalizes z as here, so the ball is centred on its point
+    ev._build(lattice, nodes, pol, z.to_lattice(lattice).canonical(), dual)
+    return ev.certified_at(z)
 
 
 def theta_shifted(
@@ -416,18 +411,15 @@ def theta_charged(
     cos(2 pi (k b2 - l b1)), with Q and (b1, b2) as in ``theta_shifted``.
 
     By the functional equation it is theta_shifted(b; 1/alpha) / alpha, and is
-    computed so, asked for tol * alpha.  The charged series is that shifted
-    sum's dual cosine series, so ``use_functional_equation`` maps to the other
-    side: False sums the charged series, True the shifted one.
+    computed so, as the node (1/alpha, 1/alpha) on ``lattice_from_tau(x, y)``.
+    The charged series is that shifted sum's dual cosine series, so
+    ``use_functional_equation`` maps to the other side: False sums the
+    charged series, True the shifted one.
     """
     _check_alpha(alpha)
     fe = None if use_functional_equation is None else not use_functional_equation
-    inner = theta_shifted(
-        lattice, b, 1.0 / alpha, replace(pol, target_tol=pol.target_tol * alpha), fe
-    )
-    return CertifiedValue(
-        inner.value / alpha, inner.tail_bound / alpha, inner.terms_used, inner.converged
-    )
+    tau = lattice_from_tau(lattice.x, lattice.y)
+    return _sum_at(tau, b.to_lattice(lattice), ((1.0 / alpha, 1.0 / alpha),), pol, fe)
 
 
 def functional_equation_residual(
@@ -447,7 +439,7 @@ def functional_equation_residual(
 
 
 # ---------------------------------------------------------------------------
-# Batch evaluator (shared by the torus minimizers and the applications)
+# The evaluator: every 2D Gaussian sum, at one point or over batches
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
@@ -477,15 +469,30 @@ def _cosine_derivatives(
     return values, grad, hess
 
 
-def _exponent_rounding(lattice: Lattice) -> float:
-    """kappa such that every exponent X = c |x|^2 the evaluator computes
-    carries a relative error of at most kappa eps, on either side.  A squared
-    length taken from the Gram form of w = idx + z (lattice side) or from the
-    Cartesian dual points (dual side) is within 12 cond(G) eps of its value,
-    since the absolute parts of either form are at most 2 cond(G) times the
-    form; the product with c adds at most 8 eps."""
-    lo, hi = np.linalg.eigvalsh(lattice.gram)
-    return 12.0 * hi / lo + 8.0
+def _rounding_bound(plan: _Plan, near, far) -> float:
+    """A bound, uniform over the cell, on the rounding ``certified`` adds, bar
+    clipping, from the (rates, weights) arrays of each side's nodes.  Each part
+    is at most a mass sum_j w_j sum_p exp(-pi a_j |p + c|^2 / 2) over a side, any c,
+    which ``_gaussian_tail``'s point count, summed by parts from r = 0, bounds by
+    sum_j w_j pi/covol (h^2 + h sqrt(2 / a_j) + 2 / (pi a_j)): the sizes, the slopes
+    by x e^-x <= (2/e) e^(-x/2), and the dual phases by |k1| + |k2| <= (|v1| + |v2|) |k|
+    for gen's columns v and |k| e^(-pi a |k|^2) <= e^(-pi a |k|^2 / 2) / sqrt(pi e a)."""
+
+    def half_mass(side, rates, weights):
+        m1, mh, m0 = (weights @ np.power.outer(rates, (-1.0, -0.5, 0.0))).tolist()
+        h = side.h
+        return math.pi / side.covol * (h * h * m0 + math.sqrt(2.0) * h * mh + 2.0 / math.pi * m1)
+
+    grow = 2.0 / math.e * plan.kappa
+    count = 8.0 + (0 if near is None else len(near[0]))
+    bound = 0.0
+    if near is not None:
+        bound += (count + grow) * half_mass(plan.near, *near)
+    if far is not None:
+        columns = math.sqrt(plan.near.g00) + math.sqrt(plan.near.g11)
+        phase = 8.0 * math.pi * columns / math.sqrt(math.pi * math.e * float(far[0].min()))
+        bound += (count + len(far[0]) + 6.0 + grow + phase) * half_mass(plan.far, *far)
+    return _EPS * bound
 
 
 class ShiftedSumEvaluator:
@@ -497,24 +504,20 @@ class ShiftedSumEvaluator:
     tau lattice is the one node (1/n, 1/n); a completely monotone energy is the
     mixture of its Bernstein measure.
 
-    Lattice side, the nodes with alpha_j >= lam: K summed over one cell-wide
-    ``_cell_ball`` of those nodes, so one index set serves every z in [0, 1]^2,
-    with their ``_gaussian_tail``.
+    Lattice side, alpha_j >= lam: K over one ball centred on the cell and
+    widened by the cell half-diameter, which serves every z in [0, 1]^2.  Dual
+    side, alpha_j < lam: by Poisson summation, sum_k g(k) cos(2 pi k.z) with
+    g(k) = sum_j w_j exp(-pi |k|^2 / alpha_j) / (alpha_j covol), independent of z,
+    over the ball of the dual nodes (1/alpha_j, w_j / (alpha_j covol)); g(0),
+    where flat nodes land, is kept apart as ``value_offset`` so that the
+    oscillating rest keeps full relative precision.
 
-    Dual side, the nodes with alpha_j < lam: by Poisson summation, one cosine
-    series sum_k g(k) cos(2 pi k.z) whose weights
-    g(k) = sum_j w_j exp(-pi |k|^2 / alpha_j) / (alpha_j covol) do not depend
-    on z.  They are built once over the ``_dual_ball`` of the dual nodes
-    (1/alpha_j, w_j / (alpha_j covol)), with its ``_gaussian_tail``.  Flat nodes underflow off k != 0 and land in g(0),
-    which is kept apart as ``value_offset`` so that the oscillating remainder
-    keeps full relative precision.
-
-    Half the tolerance goes to truncation, shared by the sides present (a
-    quarter each when both are), the rest is left to rounding; ``tail_bound``
-    is the sum of the truncation tails, uniform over the cell, and
-    ``converged`` says every ball met its share.  ``certified`` adds each value's
-    rounding.  An empty side costs nothing.  Exponents below ``_EXP_FLOOR``
-    are clipped, and the term they overstate goes into the rounding.
+    Truncation gets what ``_rounding_bound`` leaves of the tolerance, at least
+    an eighth of it, shared by the sides present; ``tail_bound`` sums the
+    balls' ``_gaussian_tail``s, uniform over the cell, ``converged`` says each
+    met its share, and ``certified`` adds the rounding.  ``terms`` counts both
+    balls' terms, k = 0 included.  Exponents below ``_EXP_FLOOR`` are clipped;
+    the term they overstate goes into the rounding.
     """
 
     def __init__(
@@ -523,52 +526,70 @@ class ShiftedSumEvaluator:
         nodes: tuple[tuple[float, float], ...],
         pol: TruncationPolicy = DEFAULT_POLICY,
     ) -> None:
+        self._build(lattice, nodes, pol)
+
+    def _build(self, lattice, nodes, pol, point=None, dual=None) -> None:
+        """A canonical ``point`` centres the lattice ball on it; ``dual`` forces the side."""
         if not nodes:
             raise EmptyQuadrature("no quadrature nodes")
         for alpha, _ in nodes:
             _check_alpha(alpha)
         self.lattice = lattice
         self.tol = pol.target_tol
-        self.tail_bound = 0.0
-        self.converged = True
-        self.value_offset = 0.0
-        covol = lattice.covolume
-        self._far = [node for node in nodes if _dual_side(node[0], covol)]
-        self._near = [node for node in nodes if not _dual_side(node[0], covol)]
-        # half the tolerance for truncation, shared by the sides present
-        budget = self.tol / (2.0 * (bool(self._near) + bool(self._far)))
-        near_terms = far_terms = 0
-
+        self._plan = plan = _plan(lattice)
+        covol = plan.near.covol
+        on_far = [_dual_side(alpha, covol) if dual is None else dual for alpha, _ in nodes]
+        self._far = [node for node, f in zip(nodes, on_far) if f]
+        self._near = [node for node, f in zip(nodes, on_far) if not f]
+        near = far = None
         if self._near:
-            idx, tail, ok = _cell_ball(lattice.gen, self._near, budget, pol.max_radius)
-            self.tail_bound += tail
-            self.converged &= ok
-            near_terms = len(idx)
-            self._i1, self._i2 = idx[:, 0].astype(float), idx[:, 1].astype(float)
-            alphas, weights = np.array(self._near).T
-            self._rates = rates = math.pi * alphas
-            # w_j rate_j^m for m = 0, 1, 2: the weights of K, -K' and K''
-            wr = weights * rates
-            self._moments = np.array([weights, wr, wr * rates])
-            g = lattice.gram
-            self._g00, self._g01, self._g11 = float(g[0, 0]), float(g[0, 1]), float(g[1, 1])
-
+            alphas, self._weights = near = np.array(self._near).T
+            self._rates = math.pi * alphas
         if self._far:
             alphas, weights = np.array(self._far).T
             self._scales = weights / (alphas * covol)
-            dual_nodes = list(zip((1.0 / alphas).tolist(), self._scales.tolist()))
-            kidx, kq, _, tail, ok = _dual_ball(lattice, dual_nodes, budget, pol.max_radius)
+            far = (1.0 / alphas, self._scales)
+        budget = max(self.tol - _rounding_bound(plan, near, far), self.tol / 8.0)
+        budget /= (near is not None) + (far is not None)
+        self.tail_bound = self.value_offset = 0.0
+        self.converged, self.terms = True, 0
+        # certified's rounding and sum |term| parts that do not depend on z
+        self._fixed = self._size = 0.0
+
+        if near is not None:
+            mid, pad = ((-0.5, -0.5), plan.near.h) if point is None else ((-point.u, -point.v), 0.0)
+            k, l, rho, _, tail, ok = _ball(plan.near, mid, self._near, budget, pol.max_radius, pad)
+            self._i1, self._i2 = k.astype(float), l.astype(float)
             self.tail_bound += tail
             self.converged &= ok
+            self.terms += len(rho)
+            self._g00, self._g01, self._g11 = plan.near[:3]
+            # a clipped exponent overstates its term by less than w_j e^_EXP_FLOOR
+            self._fixed += len(rho) * math.fsum(w for _, w in self._near) * math.exp(_EXP_FLOOR)
+
+        if far is not None:
+            dual_nodes = list(zip(far[0].tolist(), far[1].tolist()))
+            k, l, kq, _, tail, ok = _ball(plan.far, (0.0, 0.0), dual_nodes, budget, pol.max_radius)
+            self.tail_bound += tail
+            self.converged &= ok
+            self.terms += len(kq)
             nonzero = kq > 0.0
-            self._kidx = kidx[nonzero].astype(float)
-            far_terms = len(self._kidx)
-            self._dual_terms = len(kq)
+            self._kidx = np.array([k[nonzero], l[nonzero]], dtype=float).T
             # (nodes x nonzero dual terms) exponents, independent of z
-            self._x = np.outer(math.pi / alphas, kq[nonzero])
-            self._ghat = self._scales @ _clipped_exp(self._x)
-            self.value_offset = float(self._scales.sum())
-        self.terms = near_terms + far_terms
+            self._x = np.multiply.outer(math.pi * far[0], kq[nonzero])
+            ex = _clipped_exp(self._x)
+            self._ghat = self._scales @ ex
+            self.value_offset = s_sum = float(self._scales.sum())
+            self._size = s_sum + float(self._ghat.sum())
+            # a term g(k) cos(2 pi k.z) is off by (nodes + 6) eps g(k) plus kappa eps
+            # X e^-X for its exponents and 8 pi (|k1| + |k2|) eps g(k) for its phase,
+            # z in [0, 1)^2, g(0) by (nodes + 5) eps; clipping adds s_sum e^_EXP_FLOOR
+            n_far = len(self._far)
+            phase = 8.0 * math.pi * np.abs(self._kidx).sum(axis=1)
+            per_term = float((n_far + 6.0 + phase) @ self._ghat)
+            x_err = plan.kappa * float(np.einsum("j,jk,jk->", self._scales, self._x, ex))
+            self._fixed += _EPS * ((n_far + 5.0) * s_sum + per_term + x_err)
+            self._fixed += len(self._kidx) * s_sum * math.exp(_EXP_FLOOR)
 
     def _rho(self, zs: np.ndarray) -> np.ndarray:
         """Squared lengths |gen (idx + z)|^2, (points x lattice-side terms)."""
@@ -585,13 +606,10 @@ class ShiftedSumEvaluator:
         rho += w2
         return rho
 
-    def _cosines(self, zs: np.ndarray) -> np.ndarray:
-        return np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat
-
     def values_centered(self, zs: np.ndarray) -> np.ndarray:
         """Values minus ``value_offset`` at an (n, 2) batch of lattice-coordinate shifts."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        out = self._cosines(zs) if self._far else np.zeros(len(zs))
+        out = np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat if self._far else np.zeros(len(zs))
         if self._near:
             rho = self._rho(zs)
             e = np.empty_like(rho)
@@ -614,7 +632,9 @@ class ShiftedSumEvaluator:
         b = self._g01 * w1 + self._g11 * w2
         e = _clipped_exp(np.multiply.outer(self._rates, w1 * a + w2 * b))  # (nodes, n, terms)
         mono = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-1)
-        k = self._moments @ np.matmul(e.transpose(1, 0, 2), mono)  # (n, m, monomial)
+        wr = self._weights * self._rates
+        moments = np.array([self._weights, wr, wr * self._rates])
+        k = moments @ np.matmul(e.transpose(1, 0, 2), mono)  # (n, m, monomial)
         values = k[:, 0, 0]
         grad = -2.0 * k[:, 1, 1:3]
         h = 4.0 * k[:, 2, 3:] - 2.0 * k[:, 1, :1] * np.array([self._g00, self._g01, self._g11])
@@ -638,48 +658,27 @@ class ShiftedSumEvaluator:
         return self.value_offset + self.values_centered(zs)
 
     def certified(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values at an (n, 2) batch of shifts in [0, 1)^2 and a bound on each
-        one's error: both truncation tails plus the rounding.  A lattice-side
-        term sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps times itself
-        plus kappa eps sum_j w_j X_j e^(-X_j); adding the terms and the two
-        sides costs (terms + 4) eps sum |term|.  A clipped exponent overstates
-        its term by less than w_j e^_EXP_FLOOR."""
+        """Values at an (n, 2) batch of shifts in [0, 1)^2, each the ``math.fsum``
+        of its terms plus ``value_offset``, and a bound on each one's error:
+        the tails plus the rounding.  A lattice-side term sum_j w_j e^(-X_j) is
+        off by at most (nodes + 2) eps times itself plus kappa eps
+        sum_j w_j X_j e^(-X_j); (nodes + 8) eps of the sum of |term| covers that
+        and the two roundings of the sum."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        kappa = _exponent_rounding(self.lattice)
-        values = np.full(len(zs), self.value_offset)
-        size = np.full(len(zs), self.value_offset)
-        slope = np.zeros(len(zs))  # sum over terms and nodes of w_j X_j e^(-X_j)
-        fixed = 0.0
-        if self._far:
-            values += self._cosines(zs)
-            size += float(self._ghat.sum())
-            # g(k): the nodes' sum and the scales, (nodes + 5) eps g, and the
-            # exponents, kappa eps X e^-X; cos(2 pi k.z): its phase, computed from
-            # z in [0, 1)^2, is off by at most 8 pi (|k1| + |k2|) eps
-            n_far = len(self._far)
-            s_sum = self.value_offset
-            phase = 8.0 * math.pi * np.abs(self._kidx).sum(axis=1)
-            x_err = self._scales @ (self._x * _clipped_exp(self._x))
-            fixed += _EPS * (
-                (n_far + 5.0) * s_sum
-                + float(((n_far + 6.0 + phase) * self._ghat).sum())
-                + kappa * float(x_err.sum())
-            ) + self._dual_terms * s_sum * math.exp(_EXP_FLOOR)
+        per_size = _EPS * (len(self._near) + 8.0)
+        bound = np.full(len(zs), self.tail_bound + self._fixed + per_size * self._size)
+        blocks = [np.cos(TWO_PI * (zs @ self._kidx.T)) * self._ghat] if self._far else []
         if self._near:
             x = np.multiply.outer(self._rates, self._rho(zs))  # (nodes, n, terms)
-            e = _clipped_exp(x)
-            weights = self._moments[0]
-            s = weights @ e.sum(axis=2)
-            values += s
-            size += s
-            slope += weights @ np.einsum("jnt,jnt->jn", x, e)
-            fixed += len(self._i1) * float(weights.sum()) * math.exp(_EXP_FLOOR)
-        rounding = _EPS * ((len(self._near) + self.terms + 6.0) * size + kappa * slope)
-        return values, self.tail_bound + fixed + rounding
+            we = self._weights[:, None, None] * _clipped_exp(x)
+            blocks.append(we.sum(axis=0))
+            # each term's rounding, w_j e^(-X_j) ((nodes + 8) eps + kappa eps X_j)
+            bound += ((per_size + _EPS * self._plan.kappa * x) * we).sum(axis=(0, 2))
+        rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        return np.array([math.fsum(row) + self.value_offset for row in rows.tolist()]), bound
 
     def certified_at(self, z: PhasePoint) -> CertifiedValue:
-        """``certified`` at one shift; ``terms_used`` counts the lattice-side and
-        the nonzero dual-side terms, and ``converged`` needs both balls and the
+        """``certified`` at one shift; ``converged`` needs every ball and the
         whole bound to meet the tolerance."""
         zl = z.to_lattice(self.lattice).canonical()
         values, bounds = self.certified(np.array([[zl.u, zl.v]]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latsum.lattice import hexagonal_lattice, lattice_from_tau, square_lattice
-from latsum.theta import TruncationPolicy, _cell_ball, lattice_gaussian_sum
+from latsum.theta import TruncationPolicy, _ball, _plan, lattice_gaussian_sum
 
 Y_HEX = math.sqrt(3.0) / 2.0
 
@@ -129,10 +129,12 @@ def direct_series_derivatives(lattice, alpha, zs, pol):
     coordinates differentiated term by term: the term has gradient -c e Gw and
     Hessian e (c^2 Gw (Gw)^T - c G), with c = 2 pi alpha.  Returns them and the
     truncation tail, uniform over the cell."""
-    idx, tail, _ = _cell_ball(lattice.gen, ((alpha, 1.0),), pol.target_tol, pol.max_radius)
+    side = _plan(lattice).near
+    ball = _ball(side, (-0.5, -0.5), ((alpha, 1.0),), pol.target_tol, pol.max_radius, side.h)
+    k, l, _, _, tail, _ = ball
     g = lattice.gram
-    w1 = idx[:, 0][None, :] + zs[:, 0][:, None]
-    w2 = idx[:, 1][None, :] + zs[:, 1][:, None]
+    w1 = k[None, :] + zs[:, 0][:, None]
+    w2 = l[None, :] + zs[:, 1][:, None]
     a = g[0, 0] * w1 + g[0, 1] * w2
     b = g[0, 1] * w1 + g[1, 1] * w2
     e = np.exp(-math.pi * alpha * (w1 * a + w2 * b))

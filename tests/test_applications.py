@@ -14,7 +14,13 @@ from latsum.errors import (
 )
 from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.optimize import minimize_over_cell
-from latsum.theta import ShiftedSumEvaluator, TruncationPolicy, _nearest_sq, lattice_gaussian_sum
+from latsum.theta import (
+    ShiftedSumEvaluator,
+    TruncationPolicy,
+    _nearest_sq,
+    _plan,
+    lattice_gaussian_sum,
+)
 
 from conftest import (
     Y_HEX,
@@ -219,7 +225,7 @@ class TestMixtureSplit:
             shifts = [PhasePoint(*rng.uniform(0.0, 1.0, 2))]
             shifts += [shift_near_origin(rng, lat, rho) for rho in (1e-2, 1e-4)]
             for z in shifts:
-                rho = _nearest_sq(lat.gen, lat.gen @ np.array([z.u, z.v]))
+                rho = _nearest_sq(_plan(lat).near, (-z.u, -z.v))
                 p = app.CMPotential.riesz(2.0 * s, tol=1e-9, rho_min=min(0.05, rho))
                 self.assert_matches_reference(p, lat, z)
 

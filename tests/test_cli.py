@@ -74,6 +74,16 @@ class TestTheta:
         assert code == 3
         assert json.loads(out)["converged"] is False
 
+    def test_rounding_above_tol_exits_three(self, capsys):
+        # at tol 1e-30 the truncation tail fits, the rounding of a value near 0.92 does not
+        code, out, _ = run(
+            capsys, ["theta", "--lattice", "0.5,0.8660254037844386", "--alpha", "1", "--tol", "1e-30"]
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["converged"] is False
+        assert payload["tail_bound"] > 1e-16
+
     def test_default_shift_is_point_b(self, capsys):
         code, out, _ = run(capsys, ["theta"])
         assert code == 0

@@ -3,9 +3,7 @@
 Each reference is summed term by term over the tau lattice of the shape
 (x, y), independently of the balls, routes and functional equation of
 ``latsum.theta``.  A computed value must lie within its certified
-``tail_bound`` of the reference, plus a slack of 1e-13 max(1, |ref|): the
-pointwise tails count truncation only, not the rounding of the terms and
-their sum (ROADMAP item 3), so the slack stands for that rounding.
+``tail_bound`` of the reference, which carries truncation and rounding.
 """
 
 import math
@@ -81,7 +79,7 @@ CASES = _cases()
 
 
 def _assert_within(cv, ref):
-    assert abs(cv.value - ref) <= cv.tail_bound + 1e-13 * max(1.0, abs(ref))
+    assert abs(cv.value - ref) <= cv.tail_bound
 
 
 @pytest.mark.parametrize("x, y, alpha, point, tol, scale", CASES)

@@ -16,7 +16,10 @@ from latsum.theta import (
     ShiftedSumEvaluator,
     TruncationPolicy,
     _cell_half_diameter,
+    _dual_side,
     _gaussian_tail,
+    _plan,
+    _rounding_bound,
     _select_radius,
     functional_equation_residual,
     lattice_gaussian_sum,
@@ -377,6 +380,13 @@ class TestCertifiedTails:
             b = fn(tight)
             assert abs(a.value - b.value) <= a.tail_bound
 
+    def test_rounding_counts_against_tol(self, hexl):
+        """A tolerance below the rounding of the sum is not met, whatever the
+        truncation tail."""
+        cv = theta_shifted(hexl, PhasePoint(1 / 3, 1 / 3), 1.0, TruncationPolicy(1e-30))
+        assert not cv.converged
+        assert cv.tail_bound > 8 * np.finfo(float).eps * cv.value
+
     def test_tail_fields_sane(self, hexl):
         cv = lattice_gaussian_sum(hexl, PhasePoint(0.4, 0.1), 2.0)
         assert cv.tail_bound >= 0
@@ -489,6 +499,25 @@ class TestBatchEvaluators:
             for b, val in zip(bs, batch):
                 ref = theta_charged(lat, PhasePoint(b[0], b[1]), alpha)
                 assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
+
+
+@pytest.mark.parametrize("node_set", ["split pair", "riesz"])
+def test_rounding_bound_covers_every_shift(rng, hexl, node_set):
+    """The closed-form ``_rounding_bound`` the budget is split by holds the
+    rounding ``certified`` adds at every shift, lattice points included, on
+    both sides of lam = 1/covol."""
+    riesz = CMPotential.riesz(3.0, tol=1e-9).nodes
+    nodes = riesz if node_set == "riesz" else ((0.3, 1.0), (2.0, 0.5))
+    for lat in (hexl, *(scaled(lattice_from_tau(0.2, 1.3), s) for s in SIDE_SCALES.values())):
+        covol = lat.covolume
+        near = np.array([n for n in nodes if not _dual_side(n[0], covol)]).T
+        far = np.array([n for n in nodes if _dual_side(n[0], covol)]).T
+        far = (1.0 / far[0], far[1] / (far[0] * covol)) if far.size else None
+        bound = _rounding_bound(_plan(lat), near if near.size else None, far)
+        ev = ShiftedSumEvaluator(lat, nodes)
+        zs = np.vstack([np.zeros((1, 2)), rng.random((200, 2))])
+        _, bounds = ev.certified(zs)
+        assert (bounds - ev.tail_bound).max() <= bound
 
 
 @pytest.mark.parametrize("alpha", [100.0, 1000.0])
