@@ -106,10 +106,17 @@ class PhasePoint:
         return PhasePoint(float(u), float(v), Frame.LATTICE)
 
     def canonical(self) -> "PhasePoint":
-        """Reduce lattice coordinates mod 1 into [0, 1)."""
+        """Reduce lattice coordinates mod 1 into [0, 1) by ``_wrap_unit``."""
         if self.frame is not Frame.LATTICE:
             raise ValueError("only lattice-frame points canonicalize mod 1")
-        return PhasePoint(self.u % 1.0, self.v % 1.0, Frame.LATTICE)
+        return PhasePoint(_wrap_unit(self.u), _wrap_unit(self.v), Frame.LATTICE)
+
+
+def _wrap_unit(t: float) -> float:
+    """t mod 1 in [0, 1).  The float t % 1.0 rounds to 1.0 for a tiny negative
+    t (-1e-17 % 1.0 == 1.0); that result is taken as 0.0, its equal mod 1."""
+    r = t % 1.0
+    return 0.0 if r == 1.0 else r
 
 
 def lattice_from_tau(x: float, y: float) -> Lattice:

@@ -2,8 +2,11 @@
 
 The minimizer runs a coarse grid scan of the half cell in lattice
 coordinates (every function minimized here is even), then polishes the
-best cells together by saddle-free Newton steps on the series' own
-gradient and Hessian, term by term differentiated.  Sweep routines
+best cells by saddle-free Newton steps on the series' own gradient and
+Hessian, term by term differentiated.  The 2x2 saddle-free step has a
+closed form (eigenvalues m +- hypot(d, b), eigenvector angle
+atan2(b, d)/2), so the polish works on Python floats per start and its
+only numpy work is one derivative batch per iteration.  Sweep routines
 evaluate the minimum across a family of lattice shapes; derivative scans
 probe the lattice-shape gradient of the shifted and charged families at
 the moving special points.
@@ -11,6 +14,7 @@ the moving special points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -21,6 +25,7 @@ from .lattice import (
     Frame,
     Lattice,
     PhasePoint,
+    _wrap_unit,
     lattice_from_tau,
     special_point_a,
     special_point_b,
@@ -34,9 +39,10 @@ from .theta import (
     theta_shifted,
 )
 
-_NEWTON_ITERATIONS = 60  # cap on the batched Newton loop
+_NEWTON_ITERATIONS = 60  # cap on the Newton loop
 _N_STARTS = 5  # lowest grid points polished by each torus minimization
 _EIG_FLOOR = 1e-12  # smallest |Hessian eigenvalue| kept, relative to the largest
+_TINY = float(np.finfo(float).tiny)  # added to that floor, keeping it positive at H = 0
 _ROUNDING = 64.0 * np.finfo(float).eps  # decrement at which a start stops, per unit value
 
 
@@ -73,52 +79,85 @@ class SweepRecord:
     converged: bool
 
 
+def _saddle_free_step(
+    g0: float, g1: float, a: float, b: float, c: float
+) -> tuple[float, float, float]:
+    """The saddle-free Newton step -|H|^-1 g for the gradient (g0, g1) and the
+    symmetric Hessian H = [[a, b], [b, c]], and its Newton decrement g^T |H|^-1 g.
+
+    |H| has H's eigenvectors and the absolute values of its eigenvalues,
+    floored at ``_EIG_FLOOR`` times the largest (plus ``tiny``).  In closed
+    form: with m = (a + c)/2, d = (a - c)/2, r = hypot(d, b) and
+    theta = atan2(b, d)/2, so that d = r cos 2 theta and b = r sin 2 theta,
+    H = m I + r [[cos 2 theta, sin 2 theta], [sin 2 theta, -cos 2 theta]]
+    has the eigenvalues m + r and m - r on the eigenvectors
+    (cos theta, sin theta) and (-sin theta, cos theta).
+    """
+    m, d = 0.5 * (a + c), 0.5 * (a - c)
+    r = math.hypot(d, b)
+    theta = 0.5 * math.atan2(b, d)
+    cs, sn = math.cos(theta), math.sin(theta)
+    lam1, lam2 = abs(m + r), abs(m - r)
+    floor = _EIG_FLOOR * max(lam1, lam2) + _TINY
+    lam1, lam2 = max(lam1, floor), max(lam2, floor)
+    # g in the eigenbasis, and its coordinates divided by |lambda|
+    q1, q2 = cs * g0 + sn * g1, cs * g1 - sn * g0
+    p1, p2 = q1 / lam1, q2 / lam2
+    return sn * p2 - cs * p1, -sn * p1 - cs * p2, q1 * p1 + q2 * p2
+
+
 def _newton_polish(
     derivatives: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     points: np.ndarray,
     radius: float,
     tol: float,
 ) -> tuple[np.ndarray, int]:
-    """Saddle-free Newton on the unit torus from every row of ``points`` at once.
+    """Saddle-free Newton on the unit torus from every row of ``points``.
 
-    Each step solves with the Hessian whose eigenvalues are replaced by their
-    absolute values, floored at ``_EIG_FLOOR`` times the largest, so that it
+    Each step is ``_saddle_free_step``: it solves with the Hessian whose
+    eigenvalues are replaced by their absolute values, floored, so that it
     descends at saddles and along near-flat valleys.  The step is cut to a
     per-start trust radius, which starts at ``radius``, doubles (up to 1/2)
     after an accepted cut step and drops to half a rejected step; a step is
     accepted when it lowers the value.  A start stops after the step whose
     Newton decrement g^T |H|^-1 g is at most ``tol``, taken without a further
-    evaluation.  Returns the points and the number of iterations.
+    evaluation.  Each start keeps its own state in Python floats, so the
+    numpy work is one ``derivatives`` batch per iteration over the starts
+    still moving.  Returns the points and the number of iterations.
     """
-    points = np.array(points, dtype=float)
-    f, g, h = derivatives(points)
-    radii = np.full(len(points), radius)
-    live = np.arange(len(points))
+    points = np.asarray(points, dtype=float)
+    f, g, h = (x.tolist() for x in derivatives(points))
+    points = points.tolist()
+    radii = [radius] * len(points)
+    live = list(range(len(points)))
     iterations = 0
-    while live.size and iterations < _NEWTON_ITERATIONS:
+    while live and iterations < _NEWTON_ITERATIONS:
         iterations += 1
-        lam, vec = np.linalg.eigh(h[live])
-        lam = np.abs(lam)
-        lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True) + np.finfo(float).tiny)
-        gv = np.einsum("nij,ni->nj", vec, g[live])
-        step = -np.einsum("nij,nj->ni", vec, gv / lam)
-        length = np.hypot(step[:, 0], step[:, 1])
-        cut = length > radii[live]
-        step[cut] *= (radii[live][cut] / length[cut])[:, None]
-        trial = (points[live] + step) % 1.0
-        done = np.einsum("nj,nj->n", gv, gv / lam) <= tol
-        points[live[done]] = trial[done]
-        live, trial, length, cut = live[~done], trial[~done], length[~done], cut[~done]
-        if not live.size:
+        moves = []
+        for i in live:
+            (g0, g1), ((a, b), (_, c)) = g[i], h[i]
+            s0, s1, decrement = _saddle_free_step(g0, g1, a, b, c)
+            length = math.hypot(s0, s1)
+            cut = length > radii[i]
+            if cut:
+                s0, s1 = s0 * (radii[i] / length), s1 * (radii[i] / length)
+            trial = [_wrap_unit(points[i][0] + s0), _wrap_unit(points[i][1] + s1)]
+            if decrement <= tol:
+                points[i] = trial
+            else:
+                moves.append((i, trial, length, cut))
+        if not moves:
             break
-        ft, gt, ht = derivatives(trial)
-        better = ft < f[live]
-        moved = live[better]
-        points[moved], f[moved], g[moved], h[moved] = trial[better], ft[better], gt[better], ht[better]
-        grow = better & cut
-        radii[live[grow]] = np.minimum(2.0 * radii[live[grow]], 0.5)
-        radii[live[~better]] = 0.5 * np.minimum(length[~better], radii[live[~better]])
-    return points, iterations
+        ft, gt, ht = (x.tolist() for x in derivatives(np.array([m[1] for m in moves])))
+        for (i, trial, length, cut), fi, gi, hi in zip(moves, ft, gt, ht):
+            if fi < f[i]:
+                points[i], f[i], g[i], h[i] = trial, fi, gi, hi
+                if cut:
+                    radii[i] = min(2.0 * radii[i], 0.5)
+            else:
+                radii[i] = 0.5 * min(length, radii[i])
+        live = [m[0] for m in moves]
+    return np.array(points), iterations
 
 
 def minimize_torus(

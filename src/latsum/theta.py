@@ -231,8 +231,26 @@ class _Plan(NamedTuple):
     """One lattice's fixed geometry, built once per public call or evaluator:
     the lattice side, the dual side (generator inv(gen)^T) and ``kappa``.  An
     exponent c |x|^2 from either side's Gram form is within kappa eps of
-    itself: the form's absolute parts are at most 2 cond(G) times it, giving
-    12 cond(G) eps, and the product with c adds 8 eps."""
+    itself: its rounding is at most 6 eps times the form's absolute parts
+    |w|^T |G| |w|, which are at most mu times the form, and the product with c
+    adds 8 eps; so kappa = 6 mu + 8, with the sharp constant
+
+        mu = max_w |w|^T |G| |w| / w^T G w
+           = (sqrt(g00 g11) + |g01|) / (sqrt(g00 g11) - |g01|)
+           = ((sqrt(g00 g11) + |g01|) / covol)^2.
+
+    Proof: with s = sqrt(g00) |w1|, t = sqrt(g11) |w2|, rho = |g01| / sqrt(g00 g11)
+    < 1 and q = 2 s t / (s^2 + t^2) in [0, 1], the absolute parts are
+    s^2 + t^2 + 2 rho s t and the form at least s^2 + t^2 - 2 rho s t, a ratio
+    of at most (1 + rho q) / (1 - rho q) <= (1 + rho) / (1 - rho), with
+    equality at s = t and w1 w2 g01 < 0; the last form uses
+    g00 g11 - g01^2 = det G = covol^2.  The dual Gram G^-1 = adj(G) / det G
+    has the same rho, so the same mu.  mu is the condition number of the
+    unit-diagonal scaling [[1, rho], [rho, 1]] of G, and never exceeds
+    cond(G) = (m + e) / (m - e), m = (g00 + g11)/2, e = hypot((g00 - g11)/2, g01):
+    both are increasing in the ratio rho, resp. e / m, and
+    e^2 g00 g11 - g01^2 m^2 = ((g00 - g11)/2)^2 (g00 g11 - g01^2) >= 0 as m^2 =
+    ((g00 - g11)/2)^2 + g00 g11, so rho <= e / m."""
 
     near: _Side
     far: _Side
@@ -243,9 +261,8 @@ def _plan(lattice: Lattice) -> _Plan:
     (a, b), (c, d) = lattice.gen.tolist()
     det = a * d - b * c
     near = _side(a, b, c, d)
-    # the Gram form's eigenvalues in closed form: hi, and lo = det(G) / hi
-    hi = 0.5 * (near.g00 + near.g11 + math.hypot(near.g00 - near.g11, 2.0 * near.g01))
-    return _Plan(near, _side(d / det, -c / det, -b / det, a / det), 12.0 * (hi / det) ** 2 + 8.0)
+    mu = ((math.sqrt(near.g00 * near.g11) + abs(near.g01)) / det) ** 2
+    return _Plan(near, _side(d / det, -c / det, -b / det, a / det), 6.0 * mu + 8.0)
 
 
 def _gaussian_tail(nodes, covol: float, h: float, radius: float) -> tuple[float, float]:

@@ -74,6 +74,19 @@ def assert_derivatives_match_differences(ev, zs):
     assert np.array_equal(hess, hess.transpose(0, 2, 1))
 
 
+def eigh_saddle_free_step(g, h, floor):
+    """Oracle for the polish's closed-form step: the saddle-free Newton steps
+    -|H|^-1 g (n, 2) and decrements g^T |H|^-1 g (n,) of gradients g (n, 2) and
+    symmetric Hessians h (n, 2, 2) from ``np.linalg.eigh``, with each |lambda|
+    floored at ``floor`` times the largest plus ``tiny``."""
+    lam, vec = np.linalg.eigh(h)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, floor * lam.max(axis=1, keepdims=True) + np.finfo(float).tiny)
+    gv = np.einsum("nij,ni->nj", vec, g)
+    step = -np.einsum("nij,nj->ni", vec, gv / lam)
+    return step, np.einsum("nj,nj->n", gv, gv / lam)
+
+
 def brute_force_zeta(lattice, z, s, radius):
     """Oracle for the shifted Epstein zeta sum |p + z|^(-2s): the points within
     ``radius`` summed one by one, plus the integral estimate

@@ -236,6 +236,13 @@ class TestPhasePoint:
         p = PhasePoint(1.25, -0.5).canonical()
         assert (p.u, p.v) == (0.25, 0.5)
 
+    @pytest.mark.parametrize("t", [-1e-17, -0.0, 1.0 - 1e-17, -1.0, 1e16])
+    def test_canonical_is_idempotent_in_unit_interval(self, t):
+        # -1e-17 % 1.0 rounds to 1.0, which canonical takes as 0.0
+        p = PhasePoint(t, 0.3).canonical()
+        assert 0.0 <= p.u < 1.0
+        assert p.canonical() == p
+
 
 def test_sum_invariant_under_reduction(rng):
     # the Gaussian sum at the origin is a lattice invariant

@@ -6,8 +6,12 @@ import pytest
 from latsum.errors import NonPositiveAlpha
 from latsum.lattice import PhasePoint, in_fundamental_domain_plus, lattice_from_tau
 from latsum.optimize import (
+    _EIG_FLOOR,
+    _N_STARTS,
     CriticalRule,
     RidgeFamily,
+    _newton_polish,
+    _saddle_free_step,
     gradient_at_point,
     minimize_over_cell,
     minimize_torus,
@@ -18,7 +22,7 @@ from latsum.optimize import (
 )
 from latsum.theta import ShiftedSumEvaluator, TruncationPolicy, lattice_gaussian_sum, theta1d
 
-from conftest import Y_HEX, random_domain_lattice
+from conftest import Y_HEX, eigh_saddle_free_step, random_domain_lattice
 
 
 class TestMinimize:
@@ -57,9 +61,11 @@ class TestMinimize:
         assert res.value.value <= grid_vals.min() + 2 * (res.value.tail_bound + ev.tail_bound)
 
     def test_argmin_canonical(self, rng):
-        lat = random_domain_lattice(rng)
-        res = minimize_over_cell(lat, 2.0, 16)
-        assert 0 <= res.argmin.u < 1 and 0 <= res.argmin.v < 1
+        for _ in range(12):
+            lat = random_domain_lattice(rng)
+            for alpha in (0.25, 2.0, 8.0):
+                res = minimize_over_cell(lat, alpha, 16)
+                assert 0 <= res.argmin.u < 1 and 0 <= res.argmin.v < 1
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
     def test_hexagonal_argmin_to_rounding(self, hexl, alpha):
@@ -106,6 +112,80 @@ class TestMinimize:
     def test_nonpositive_alpha(self, hexl):
         with pytest.raises(NonPositiveAlpha):
             minimize_over_cell(hexl, -1.0)
+
+
+def _hessians(rng, kind, n):
+    """n seeded symmetric 2x2 matrices of one kind, as (n, 2, 2)."""
+    if kind == "a = c, b = 0":
+        return rng.uniform(-5.0, 5.0, n)[:, None, None] * np.eye(2)
+    if kind == "singular":
+        # b^2 = a c exactly: small nonzero integers t, s give [[t^2, t s], [t s, s^2]]
+        t, s = rng.integers(1, 10, (2, n)) * rng.choice([-1.0, 1.0], (2, n))
+        return np.stack([t * t, t * s, t * s, s * s], axis=-1).reshape(n, 2, 2)
+    big = rng.uniform(0.1, 10.0, n)
+    small = {
+        "definite": rng.uniform(0.1, 10.0, n),
+        "indefinite": -rng.uniform(0.1, 10.0, n),
+        "below the floor": 1e-14 * big * rng.choice([-1.0, 1.0], n),
+    }[kind]
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    c, s = np.cos(phi), np.sin(phi)
+    sign = rng.choice([-1.0, 1.0], n)
+    a = sign * (big * c * c + small * s * s)
+    b = sign * (big - small) * c * s
+    d = sign * (big * s * s + small * c * c)
+    return np.stack([a, b, b, d], axis=-1).reshape(n, 2, 2)
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    @pytest.mark.parametrize(
+        "kind", ["definite", "indefinite", "a = c, b = 0", "singular", "below the floor"]
+    )
+    def test_closed_form_step_matches_eigh(self, kind, scale):
+        rng = np.random.default_rng(20261018)
+        h = scale * _hessians(rng, kind, 40)
+        g = rng.normal(size=(40, 2))
+        step, decrement = eigh_saddle_free_step(g, h, _EIG_FLOOR)
+        for gi, hi, si, di in zip(g.tolist(), h.tolist(), step.tolist(), decrement.tolist()):
+            s0, s1, dec = _saddle_free_step(*gi, hi[0][0], hi[0][1], hi[1][1])
+            length = math.hypot(*si)
+            assert math.hypot(s0 - si[0], s1 - si[1]) <= 1e-12 * length
+            assert abs(math.hypot(s0, s1) - length) <= 1e-12 * length
+            assert abs(dec - di) <= 1e-12 * di
+
+    def test_call_structure(self):
+        """``batch`` is called twice, for the scan and for the final pick;
+        ``derivatives`` once per iteration at most, plus once for the starts,
+        and never on more rows than there are starts."""
+        for x, y, alpha in [(0.5, Y_HEX, 1.0), (0.2, 1.3, 0.25), (0.5, 2.5, 8.0), (0.0, 1.0, 4.0)]:
+            ev = ShiftedSumEvaluator(lattice_from_tau(x, y), ((alpha, 1.0),))
+            batch_rows, derivative_rows = [], []
+
+            def batch(zs):
+                batch_rows.append(len(zs))
+                return ev.values_centered(zs)
+
+            def derivatives(zs):
+                derivative_rows.append(len(zs))
+                return ev.derivatives_centered(zs)
+
+            _, _, iterations = minimize_torus(batch, 32, derivatives)
+            assert len(batch_rows) == 2 and batch_rows[1] == _N_STARTS < batch_rows[0]
+            assert 1 <= len(derivative_rows) <= iterations + 1
+            assert derivative_rows[0] == _N_STARTS
+            assert max(derivative_rows) <= _N_STARTS
+
+    def test_trial_points_wrap_into_unit_square(self):
+        """A step to -1e-17 wraps to 0.0: the float -1e-17 % 1.0 is 1.0."""
+
+        def derivatives(zs):
+            # the torus offset from the minimum at (-1e-17, 0.3), without rounding it away
+            d = np.where(zs > 0.5, zs - 1.0, zs) + [1e-17, -0.3]
+            return 0.5 * (d * d).sum(axis=1), d, np.tile(np.eye(2), (len(zs), 1, 1))
+
+        points, _ = _newton_polish(derivatives, np.array([[2.0**-60, 0.3]]), 0.5, 0.0)
+        assert np.all((0.0 <= points) & (points < 1.0))
 
 
 class TestMaxAtOrigin:

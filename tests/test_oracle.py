@@ -97,3 +97,14 @@ def test_pointwise_sums_match_reference(x, y, alpha, point, tol, scale):
     t = 1.0 / (4.0 * math.pi * alpha)
     for route in ("gaussian", "spectral"):
         _assert_within(heat_kernel_torus(lattice, p, t, pol, route), alpha * gaussian)
+
+
+@pytest.mark.parametrize("y", [20.0, 50.0])
+def test_elongated_shapes_converge_at_tight_tolerance(y):
+    """On (0.1, y) the Gram form's condition number is ~ y^2, but its
+    absolute parts stay within (1 + 0.1/y) / (1 - 0.1/y) times it, so the
+    rounding of the exponents leaves room for tol 1e-12."""
+    cv = lattice_gaussian_sum(lattice_from_tau(0.1, y), PhasePoint(0.0, 0.0), 1.0,
+                              TruncationPolicy(1e-12))
+    assert cv.converged
+    _assert_within(cv, reference(0.1, y, 1.0))
