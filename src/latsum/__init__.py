@@ -60,7 +60,6 @@ from .optimize import (
     minimize_over_cell,
     ridge_profile,
     sweep_fundamental_domain,
-    verify_max_at_origin,
     x_derivative_sign_scan,
 )
 from .applications import (

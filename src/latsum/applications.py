@@ -18,7 +18,6 @@ from .errors import (
     UnsupportedDensity,
 )
 from .lattice import (
-    Frame,
     Lattice,
     PhasePoint,
     hexagonal_lattice,
@@ -26,7 +25,7 @@ from .lattice import (
     lattice_from_tau,
     square_lattice,
 )
-from .optimize import minimize_over_cell, minimize_torus
+from .optimize import _minimize, minimize_over_cell
 from .theta import (
     _EPS,
     DEFAULT_POLICY,
@@ -39,7 +38,6 @@ from .theta import (
     _plan,
     _power_tail,
     _sum_at,
-    lattice_gaussian_sum,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -51,6 +49,11 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class FrameBounds:
+    """Frame bounds A <= B of the (x, y)-shaped lattice at ``density``, the
+    argmin of A and whether both bounds met the tolerance."""
+
+    x: float
+    y: float
     lower_A: float
     upper_B: float
     density: int
@@ -75,36 +78,29 @@ def gabor_frame_bounds(
     The bounds are the extremes of the charged sum over the adjoint
     lattice: with density 2n, that sum reduces to the unit-covolume
     charged family at scale n, so A = density * min_b and
-    B = density * value at b = 0 (the maximum sits at zero charge).  That
-    family at n is E(b; 1/n) / n on the same lattice, the one-node mixture
-    (1/n, 1/n); both values are certified by the evaluator that found the
-    minimum, and ``converged`` holds when both met the tolerance.
+    B = density * value at b = 0 (the maximum sits at zero charge, see
+    ``minimize_over_cell``).  That family at n is E(b; 1/n) / n on the same
+    lattice, the one-node mixture (1/n, 1/n); both values are certified by
+    the evaluator that found the minimum, and ``converged`` holds when both
+    met the tolerance.
     """
     if density < 2 or density % 2 != 0:
         raise UnsupportedDensity(
             f"density must be a positive even integer, got {density}"
         )
     n = density // 2
-    lat = lattice_from_tau(x, y)
-    ev = ShiftedSumEvaluator(lat, ((1.0 / n, 1.0 / n),), pol)
-    point, _, _ = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
-    values, bounds = ev.certified(np.array([point, [0.0, 0.0]]))
+    ev = ShiftedSumEvaluator(lattice_from_tau(x, y), ((1.0 / n, 1.0 / n),), pol)
+    low = _minimize(ev, grid_n)
+    high = ev.certified_at(PhasePoint(0.0, 0.0))
     return FrameBounds(
-        lower_A=density * float(values[0]),
-        upper_B=density * float(values[1]),
+        x=x,
+        y=y,
+        lower_A=density * low.value.value,
+        upper_B=density * high.value,
         density=density,
-        argmin_z=PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE),
-        converged=ev.converged and bool(bounds.max() <= pol.target_tol),
+        argmin_z=low.argmin,
+        converged=low.value.converged and high.converged,
     )
-
-
-@dataclass(frozen=True)
-class FrameSweepRecord:
-    x: float
-    y: float
-    lower_A: float
-    upper_B: float
-    ratio: float
 
 
 def strohmer_beaver_sweep(
@@ -112,13 +108,9 @@ def strohmer_beaver_sweep(
     lattice_grid: list[tuple[float, float]],
     pol: TruncationPolicy = DEFAULT_POLICY,
     grid_n: int = 32,
-) -> list[FrameSweepRecord]:
-    """Frame-bound ratio per lattice shape; the hexagon minimizes it."""
-    records = []
-    for x, y in lattice_grid:
-        fb = gabor_frame_bounds(x, y, density, pol, grid_n)
-        records.append(FrameSweepRecord(x, y, fb.lower_A, fb.upper_B, fb.ratio))
-    return records
+) -> list[FrameBounds]:
+    """Frame bounds per lattice shape; the hexagon minimizes their ratio."""
+    return [gabor_frame_bounds(x, y, density, pol, grid_n) for x, y in lattice_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +143,15 @@ def temperature_extremes(
     t: float,
     pol: TruncationPolicy = DEFAULT_POLICY,
     grid_n: int = 48,
-) -> tuple[float, float]:
-    """(min, max) torus temperature at time t; the max sits at the origin."""
+) -> tuple[CertifiedValue, CertifiedValue]:
+    """Certified (min, max) torus temperature at time t: k = alpha E(z; alpha),
+    alpha = 1/(4 pi t), is the node (alpha, alpha), and one evaluator gives
+    its minimum and its maximum, which sits at the origin (see
+    ``minimize_over_cell``)."""
     _check_t(t)
     alpha = 1.0 / (4.0 * math.pi * t)
-    res = minimize_over_cell(lattice, alpha, grid_n, pol)
-    at_origin = lattice_gaussian_sum(lattice, PhasePoint(0.0, 0.0), alpha, pol)
-    return res.value.value * alpha, at_origin.value * alpha
+    ev = ShiftedSumEvaluator(lattice, ((alpha, alpha),), pol)
+    return _minimize(ev, grid_n).value, ev.certified_at(PhasePoint(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +235,8 @@ def minimize_cm_energy(
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[PhasePoint, float]:
     """Argmin and minimum of the CM lattice energy over one torus cell."""
-    ev = ShiftedSumEvaluator(lattice, p.nodes, pol)
-    point, _, _ = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
-    argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE)
-    return argmin, ev.certified_at(argmin).value
+    res = _minimize(ShiftedSumEvaluator(lattice, p.nodes, pol), grid_n)
+    return res.argmin, res.value.value
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +424,17 @@ def epstein_zeta_shifted(
 
 @dataclass(frozen=True)
 class ZetaSweepRecord:
+    """One torus minimum of the Riesz mixture; ``tail_bound`` and
+    ``converged`` are its certified value's."""
+
     x: float
     y: float
     s: float
     min_value: float
     argmin_u: float
     argmin_v: float
+    tail_bound: float
+    converged: bool
 
 
 def epstein_min_sweep(
@@ -450,9 +447,9 @@ def epstein_min_sweep(
     p = CMPotential.riesz(2.0 * s, tol=1e-9)
     records = []
     for x, y in lattice_grid:
-        lat = lattice_from_tau(x, y)
-        argmin, value = minimize_cm_energy(p, lat, grid_n, pol)
-        records.append(ZetaSweepRecord(x, y, s, value, argmin.u, argmin.v))
+        res = _minimize(ShiftedSumEvaluator(lattice_from_tau(x, y), p.nodes, pol), grid_n)
+        z, cv = res.argmin, res.value
+        records.append(ZetaSweepRecord(x, y, s, cv.value, z.u, z.v, cv.tail_bound, cv.converged))
     return records
 
 

@@ -189,6 +189,15 @@ def minimize_torus(
     return points[j], float(polished[j]), iterations
 
 
+def _minimize(ev: ShiftedSumEvaluator, grid_n: int) -> MinResult:
+    """The torus minimum of ``ev``'s mixture: ``minimize_torus`` on its
+    centred batch and derivatives, the argmin canonicalized and certified by
+    ``ev``, its tail bound counting truncation and rounding."""
+    point, _, iters = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
+    argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE).canonical()
+    return MinResult(argmin, ev.certified_at(argmin), grid_n, iters)
+
+
 def minimize_over_cell(
     lattice: Lattice,
     alpha: float,
@@ -201,26 +210,14 @@ def minimize_over_cell(
     ``minimize_torus``; the central symmetry E(-z) = E(z) halves the
     scanned cell for every shape.  The minimum is certified by the
     evaluator that found it; its tail bound counts truncation and rounding.
+
+    The maximum needs no search.  By Poisson summation every positive
+    mixture sum_j w_j E(z; alpha_j) is sum_k g(k) cos(2 pi k.z) over the
+    dual lattice with every g(k) > 0, so it is at most sum_k g(k), its value
+    at z = 0 (Montgomery, 1988): the maximum is the same evaluator's
+    ``certified_at(PhasePoint(0, 0))``.
     """
-    ev = ShiftedSumEvaluator(lattice, ((alpha, 1.0),), pol)
-    point, _, iters = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
-    argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE).canonical()
-    return MinResult(argmin, ev.certified_at(argmin), grid_n, iters)
-
-
-def verify_max_at_origin(
-    lattice: Lattice,
-    alpha: float,
-    samples: int = 1000,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-    rng: np.random.Generator | None = None,
-) -> bool:
-    """Check E(z; alpha) <= E(0; alpha) for random shifts z, within the
-    certified bounds of both values."""
-    rng = rng or np.random.default_rng(0)
-    ev = ShiftedSumEvaluator(lattice, ((alpha, 1.0),), pol)
-    values, bounds = ev.certified(np.vstack([np.zeros((1, 2)), rng.random((samples, 2))]))
-    return bool(np.all(values[1:] - bounds[1:] <= values[0] + bounds[0]))
+    return _minimize(ShiftedSumEvaluator(lattice, ((alpha, 1.0),), pol), grid_n)
 
 
 def sweep_fundamental_domain(

@@ -45,7 +45,9 @@ DEFAULT_POLICY = TruncationPolicy()
 
 @dataclass(frozen=True)
 class CertifiedValue:
-    """A computed sum with a rigorous bound on the truncation error."""
+    """A computed sum and ``tail_bound``, a rigorous bound on its error: the
+    truncation tail, in 2D plus the float rounding of the terms and their
+    sum, and on the direct zeta route also the incomplete gamma's error."""
 
     value: float
     tail_bound: float

@@ -12,7 +12,7 @@ from latsum.errors import (
     PoleAtLatticePoint,
     UnsupportedDensity,
 )
-from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
+from latsum.lattice import Frame, PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.optimize import minimize_over_cell
 from latsum.theta import (
     ShiftedSumEvaluator,
@@ -95,8 +95,8 @@ class TestHeatKernel:
         z = PhasePoint(0.4, 0.1)
         assert abs(app.heat_kernel_torus(hexl, z, 50.0).value - 1.0) < 1e-12
         a_t, b_t = app.temperature_extremes(hexl, 5.0, grid_n=16)
-        assert abs(b_t - a_t) < 1e-8
-        assert a_t == pytest.approx(1.0, abs=1e-6)
+        assert abs(b_t.value - a_t.value) < 1e-8
+        assert a_t.value == pytest.approx(1.0, abs=1e-6)
 
     def test_unit_cell_mass(self, rng):
         # the zero mode carries all the mass: the cell average is 1
@@ -114,18 +114,18 @@ class TestHeatKernel:
         t = 1.0 / (4.0 * math.pi)
         a_hex, b_hex = app.temperature_extremes(hexl, t)
         a_sq, b_sq = app.temperature_extremes(sq, t)
-        assert a_hex == pytest.approx(0.920371, abs=5e-6)
-        assert a_sq == pytest.approx(0.834627, abs=5e-6)
-        assert a_hex > a_sq
-        assert b_hex < b_sq
+        assert a_hex.value == pytest.approx(0.920371, abs=5e-6)
+        assert a_sq.value == pytest.approx(0.834627, abs=5e-6)
+        assert a_hex.value > a_sq.value
+        assert b_hex.value < b_sq.value
 
     def test_extremal_on_small_grid(self, hexl):
         shapes = [(0.0, 1.0), (0.25, 1.1), (0.5, 1.2), (0.5, Y_HEX)]
         for t in (0.05, 0.2):
             rows = [app.temperature_extremes(lattice_from_tau(x, y), t, grid_n=24)
                     for x, y in shapes]
-            a_vals = [r[0] for r in rows]
-            b_vals = [r[1] for r in rows]
+            a_vals = [r[0].value for r in rows]
+            b_vals = [r[1].value for r in rows]
             assert int(np.argmax(a_vals)) == 3
             assert int(np.argmin(b_vals)) == 3
 
@@ -520,3 +520,53 @@ class TestLandau:
         dup = math.gamma(z) * math.gamma(z + 0.5)
         rhs = 2.0 ** (1.0 - 2.0 * z) * math.sqrt(math.pi) * math.gamma(2.0 * z)
         assert dup == pytest.approx(rhs, rel=1e-13)
+
+
+class TestOneEvaluatorPerMinimum:
+    """Each torus minimum, and the maximum beside it, comes from one evaluator."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        build = ShiftedSumEvaluator._build
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShiftedSumEvaluator, "_build", counted)
+        return count
+
+    def test_one_build_per_call(self, builds, hexl):
+        p = app.CMPotential.riesz(4.0, tol=1e-9)
+        calls = {
+            "minimize_over_cell": lambda: minimize_over_cell(hexl, 1.0, 16),
+            "minimize_cm_energy": lambda: app.minimize_cm_energy(p, hexl, 16),
+            "gabor_frame_bounds": lambda: app.gabor_frame_bounds(0.5, Y_HEX, 2, grid_n=16),
+            "temperature_extremes": lambda: app.temperature_extremes(hexl, 0.08, grid_n=16),
+        }
+        for name, call in calls.items():
+            builds[0] = 0
+            call()
+            assert builds[0] == 1, name
+
+    def test_sweeps_build_one_per_shape_and_keep_certificates(self, builds):
+        shapes = [(0.5, Y_HEX), (0.0, 1.0), (0.3, 1.2)]
+        zeta = app.epstein_min_sweep(shapes, 2.0, grid_n=16)
+        assert builds[0] == len(shapes)
+        builds[0] = 0
+        frames = app.strohmer_beaver_sweep(2, shapes, grid_n=16)
+        assert builds[0] == len(shapes)
+
+        p = app.CMPotential.riesz(4.0, tol=1e-9)
+        for (x, y), r, fb in zip(shapes, zeta, frames):
+            lat = lattice_from_tau(x, y)
+            cv = ShiftedSumEvaluator(lat, p.nodes).certified_at(
+                PhasePoint(r.argmin_u, r.argmin_v, Frame.LATTICE)
+            )
+            assert (r.min_value, r.tail_bound, r.converged) == (cv.value, cv.tail_bound, cv.converged)
+            ev = ShiftedSumEvaluator(lat, ((1.0, 1.0),))
+            low, high = ev.certified_at(fb.argmin_z), ev.certified_at(PhasePoint(0.0, 0.0))
+            assert (fb.x, fb.y) == (x, y)
+            assert (fb.lower_A, fb.upper_B) == (2.0 * low.value, 2.0 * high.value)
+            assert fb.converged == (low.converged and high.converged)

@@ -17,7 +17,6 @@ from latsum.optimize import (
     minimize_torus,
     ridge_profile,
     sweep_fundamental_domain,
-    verify_max_at_origin,
     x_derivative_sign_scan,
 )
 from latsum.theta import ShiftedSumEvaluator, TruncationPolicy, lattice_gaussian_sum, theta1d
@@ -189,14 +188,19 @@ class TestNewtonPolish:
 
 
 class TestMaxAtOrigin:
-    def test_square(self, sq):
-        assert verify_max_at_origin(sq, 1.0, 1000)
-
-    def test_hexagonal_small_alpha(self, hexl):
-        assert verify_max_at_origin(hexl, 0.3, 1000)
-
-    def test_random_lattice(self, rng):
-        assert verify_max_at_origin(random_domain_lattice(rng), 2.0, 1000, rng=rng)
+    @pytest.mark.parametrize(
+        "shape, alpha",
+        [((0.0, 1.0), 1.0), ((0.5, Y_HEX), 0.3), (None, 2.0)],
+        ids=["square", "hexagonal_small_alpha", "random_lattice"],
+    )
+    def test_no_shift_above_origin(self, shape, alpha, rng):
+        """E(z) <= E(0), the dual coefficients being positive: at 1000 seeded
+        shifts no certified value exceeds the origin's by more than the two
+        bounds."""
+        lat = random_domain_lattice(rng) if shape is None else lattice_from_tau(*shape)
+        ev = ShiftedSumEvaluator(lat, ((alpha, 1.0),))
+        values, bounds = ev.certified(np.vstack([np.zeros((1, 2)), rng.random((1000, 2))]))
+        assert np.all(values[1:] - values[0] <= bounds[1:] + bounds[0])
 
 
 class TestSweep:
