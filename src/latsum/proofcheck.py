@@ -22,6 +22,7 @@ from .theta import (
     CertifiedValue,
     TruncationPolicy,
     _check_t,
+    _select_radius,
     montgomery_A,
     montgomery_B,
     montgomery_Q,
@@ -64,11 +65,20 @@ class QuadFormLedger:
 def _box(radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat index arrays (k, l) over |k|, |l| <= radius, in k-major order.
 
-    The families below take such arrays as well as scalars.  Checkers keep
-    their alpha and y grids as Python loops, so no array outgrows the box.
+    The families below take such arrays as well as scalars, and broadcast
+    them against a column of y values.  Checkers that sweep a y grid over a
+    large box walk it in ``_row_blocks``, so no array outgrows a few rows.
     """
     side = np.arange(-radius, radius + 1)
     return np.repeat(side, side.size), np.tile(side, side.size)
+
+
+def _row_blocks(ys: np.ndarray, rows: int = 16):
+    """The y grid as (rows, 1) columns, so that a family evaluated on a block
+    against a flat index box makes one (rows, box) array: 16 rows of a
+    41 x 41 box stay within 215 KB per temporary."""
+    column = np.asarray(ys, dtype=float).reshape(-1, 1)
+    return [column[i:i + rows] for i in range(0, len(column), rows)]
 
 
 def q1(k: int, l: int) -> float:
@@ -307,8 +317,10 @@ def check_derivative_bounds(
         raise ValueError("grid must lie within [sqrt(3)/2, 10]")
     k, l = _box(k_max)
     qq = q1(k, l)
-    first = min(np.min(2.0 * qq - np.abs(phi_f_d1(k, l, y))) for y in ys)
-    second = min(np.min(3.0 * qq - np.abs(phi_f_d2(k, l, y))) for y in ys)
+    first = second = math.inf
+    for rows in _row_blocks(ys):
+        first = min(first, np.min(2.0 * qq - np.abs(phi_f_d1(k, l, rows))))
+        second = min(second, np.min(3.0 * qq - np.abs(phi_f_d2(k, l, rows))))
     return LemmaReport(
         "derivative_bounds", f"|k|,|l| <= {k_max}, {len(ys)}-point y-grid", min(first, second)
     )
@@ -327,8 +339,8 @@ def check_growth11_composite(alphas=(5.0, 10.0), k_max: int = 15) -> LemmaReport
             -0.5 * math.pi * alpha * np.sqrt(qq)
         )
         worst = np.zeros_like(qq)
-        for y in ys:
-            np.maximum(worst, np.abs(shifted_term_d2(k, l, y, alpha)), out=worst)
+        for rows in _row_blocks(ys):
+            np.maximum(worst, np.abs(shifted_term_d2(k, l, rows, alpha)).max(axis=0), out=worst)
         margin = min(margin, np.min((bound - worst) / bound))
     return LemmaReport(
         "growth11", f"alphas {tuple(alphas)}, |k|,|l| <= {k_max}, relative slack", margin
@@ -430,22 +442,71 @@ def check_charged_nine_term(alphas=(5.0, 8.0)) -> LemmaReport:
     )
 
 
-def charged_sum_d2(y: np.ndarray, alpha: float, k_max: int = 25) -> np.ndarray:
-    """Closed-form second y-derivative of the full charged profile g_alpha."""
+def _charged_ball(ys: np.ndarray, alpha: float):
+    """Index pairs (k, l) != 0 of the ball that ``charged_sum_d2`` sums on the
+    window [min ys, max ys], and a bound on the sum of |charged_term_d2| over
+    the pairs left out, at every y of the window.
+
+    phi_g(k, l, y) = ((k + l/2)^2 + y^2 l^2) / y is rho = |p|^2 for the point
+    p of (k, l) on lattice_from_tau(1/2, y), of covolume 1.  Both parts of
+    phi_g_d1 lie in [0, rho/y] and phi_g_d2 = 2 (k + l/2)^2 / y^3, so
+    |f1| <= rho/y, f2 <= 2 rho/y^2 and |2k + l| <= 2 sqrt(y rho).  The phase
+    derivatives are then |psi_g_d1| <= pi sqrt(rho) / (2 y^(5/2)) and
+    |psi_g_d2| <= pi^2 rho / (4 y^5) + 3 pi sqrt(rho) / (2 y^(7/2)).  With
+    rho^(1/2), rho, rho^(3/2), rho^2 <= (1 + rho)^2 each term is at most
+    A (1 + rho)^2 exp(-pi alpha rho), where
+
+        A = pi^2 alpha^2 / y^2 + 2 pi alpha / y^2 + pi^2 alpha / y^(7/2)
+            + pi^2 / (4 y^5) + 3 pi / (2 y^(7/2))
+
+    falls in y.  (1 + rho)^2 exp(-c rho), c = pi alpha / 2, peaks at
+    1 + rho = 2/c, so it is at most M = (2/c)^2 exp(c - 2) for c < 2 and
+    M = 1 for c >= 2 (alpha >= 4/pi).  Each term is thus at most
+    A M exp(-pi (alpha/2) |p|^2), and the terms with |p| > R sum to at most
+    ``_gaussian_tail(((alpha/2, A M),), 1, h, R)``, which grows with A and
+    with the cell half-diameter h.  The cell's longer diagonal is
+    (3/2, y) / sqrt(y), so h^2 = (9/4 + y^2) / (4 y), convex in y.  Taking A
+    at the smallest y and h at the larger endpoint value makes the bound
+    hold on the whole window.  R is the ball radius for tol 1e-16, and the
+    pairs kept are those with phi_g <= R^2 somewhere on the window: phi_g is
+    convex in y, so its minimum there is at |k + l/2| / |l| (at the top end
+    for l = 0) clipped to the window.
+    """
+    y0, y1 = float(np.min(ys)), float(np.max(ys))
+    pa = math.pi * alpha
+    amp = (pa * pa + 2.0 * pa) / y0**2 + (math.pi * pa + 1.5 * math.pi) / y0**3.5 + (
+        math.pi**2 / (4.0 * y0**5)
+    )
+    c = 0.5 * pa
+    peak = 1.0 if c >= 2.0 else (2.0 / c) ** 2 * math.exp(c - 2.0)
+    h = max(0.5 * math.sqrt((2.25 + y * y) / y) for y in (y0, y1))
+    radius, tail, _ = _select_radius(((0.5 * alpha, amp * peak),), 1.0, h, 1e-16, math.inf)
+    r2 = radius * radius
+    # |l| <= R / sqrt(y0) and |k + l/2| <= R sqrt(y1) on the ball
+    k, l = _box(math.ceil(radius * (math.sqrt(y1) + 0.5 / math.sqrt(y0))))
+    centre = np.abs(k + 0.5 * l)
+    y_min = np.clip(np.where(l == 0, y1, centre / np.maximum(np.abs(l), 1)), y0, y1)
+    keep = (phi_g(k, l, y_min) <= r2) & ((k != 0) | (l != 0))
+    return k[keep], l[keep], tail
+
+
+def charged_sum_d2(y: np.ndarray, alpha: float) -> np.ndarray:
+    """Closed-form second y-derivative of the full charged profile g_alpha,
+    summed over the ball of ``_charged_ball``: the terms left out add up to
+    less than its tail, below 1e-16."""
     ys = np.asarray(y, dtype=float)
-    k, l = _box(k_max)
-    off = (k != 0) | (l != 0)
-    k, l = k[off], l[off]
-    total = [np.sum(charged_term_d2(k, l, yi, alpha)) for yi in ys.flat]
-    return np.reshape(total, ys.shape)
+    k, l, _ = _charged_ball(ys, alpha)
+    return charged_term_d2(k, l, ys.reshape(-1, 1), alpha).sum(axis=1).reshape(ys.shape)
 
 
 def check_charged_concavity_small_alpha(alphas=(2.0, 3.5, 5.0)) -> LemmaReport:
-    """g_alpha'' stays below -1e-5 for moderate alpha near the hexagonal point."""
+    """g_alpha'' stays below -1e-5 for moderate alpha near the hexagonal point:
+    the sampled maximum of the ball sum plus the ball's tail."""
     ys = np.linspace(Y_HEX, 1.5, 120)
     worst = -math.inf
     for alpha in alphas:
-        worst = max(worst, float(np.max(charged_sum_d2(ys, alpha))))
+        tail = _charged_ball(ys, alpha)[2]
+        worst = max(worst, float(np.max(charged_sum_d2(ys, alpha))) + tail)
     margin = (-1e-5 - worst) * 1e5
     return LemmaReport(
         "charged_concavity_small_alpha",
@@ -471,24 +532,29 @@ def _heat_uxx_weights(t: float) -> np.ndarray:
     return ks**2 * np.exp(-4.0 * math.pi**2 * (ks**2 - 1) * t)
 
 
-def _heat_uxx_scaled(t: float, x) -> np.ndarray:
-    """u_xx / (-8 pi^2 exp(-4 pi^2 t)): positive where u is concave."""
-    x = np.asarray(x, dtype=float)
+def _heat_uxx_scaled(t: float):
+    """x -> u_xx / (-8 pi^2 exp(-4 pi^2 t)) at this t: positive where u is
+    concave.  The weights are built once, for every x asked after."""
     weights = _heat_uxx_weights(t)
     ks = np.arange(1, len(weights) + 1)
-    return np.cos(TWO_PI * np.outer(x, ks)) @ weights
+
+    def scaled(x) -> np.ndarray:
+        return np.cos(TWO_PI * np.outer(np.asarray(x, dtype=float), ks)) @ weights
+
+    return scaled
 
 
 def heat_inflection_point(t: float, tol: float = 1e-10) -> float:
     """The zero of u_xx in (0, 1/2), located by bisection."""
+    scaled = _heat_uxx_scaled(t)
     lo, hi = 1e-9, 0.5 - 1e-12
-    s_lo = float(_heat_uxx_scaled(t, [lo])[0])
-    s_hi = float(_heat_uxx_scaled(t, [hi])[0])
+    s_lo = float(scaled([lo])[0])
+    s_hi = float(scaled([hi])[0])
     if not (s_lo > 0 > s_hi):
         raise ValueError(f"no sign change bracket at t={t}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if float(_heat_uxx_scaled(t, [mid])[0]) > 0:
+        if float(scaled([mid])[0]) > 0:
             lo = mid
         else:
             hi = mid
@@ -506,7 +572,7 @@ def check_heat_inflection(ts: np.ndarray | None = None) -> LemmaReport:
         # near x = 1/2 at small t the series is an alternating sum whose
         # true value sits far below roundoff; allow that noise floor
         noise = 100.0 * np.finfo(float).eps * float(np.sum(_heat_uxx_weights(float(t))))
-        margin = min(margin, float(np.min(-_heat_uxx_scaled(float(t), xs))) + noise)
+        margin = min(margin, float(np.min(-_heat_uxx_scaled(float(t))(xs))) + noise)
     # the root wanders monotonically from ~sqrt(2t) toward 1/4; at large t
     # the increments fall below the bisection resolution, hence the grace
     diffs = np.diff(roots)
@@ -630,37 +696,53 @@ def check_montgomery_sandwich(
 
 def _threshold_table() -> dict:
     """Tail-sum threshold inequalities: id -> (stated alpha0, usage floor,
-    lhs(a), rhs(a)).  Each lhs is a masked sum over |k|, |l| <= 40."""
+    lhs(a), rhs(a)).  Each lhs is a masked sum over |k|, |l| <= 40 whose terms
+    depend on an integer level only: n2 = k^2 + l^2, q2 = k^2 + k l + l^2, or
+    n = q2 + k + l, for which Q1 = (2/sqrt 3)(n + 1/3).  The sum is kept as
+    one term per distinct level, weighted by the level's count."""
     pi = math.pi
     k, l = _box(40)
     cheb = np.maximum(np.abs(k), np.abs(l))
     n2 = k * k + l * l
-    r1, r2 = q1(k, l), q2(k, l)
-    s1, s2 = np.sqrt(r1), np.sqrt(r2)
+    q2_level = k * k + k * l + l * l
+    q1_level = q2_level + k + l
     ks = np.arange(2, 40)
 
-    def box_sum(c, s, mask, weight=None):
-        # sum over the mask of weight * exp(c a s)
-        s, w = s[mask], 1.0 if weight is None else weight[mask]
+    def q1_of(n):
+        return (2.0 / SQRT3) * (n + 1.0 / 3.0)
+
+    def level_sum(c, level, mask, q_of=np.float64, s_of=np.sqrt, power=0):
+        # sum over the mask of Q^power exp(c a s(Q)), Q = q_of(level): one exp
+        # per distinct level, weighted by its count
+        count = np.bincount(level[mask])
+        lev = np.flatnonzero(count > 0)
+        q = q_of(lev)
+        w, s = count[lev] * q**power, s_of(q)
         return lambda a: float(np.sum(w * np.exp(c * a * s)))
 
     def dominant(a):
         return math.exp(-TWO_PI * a / (3 * SQRT3))
 
-    composite = box_sum(-0.5 * pi, s1, cheb > 1, r1 * r1)
-    charged = box_sum(-pi, s2, (l != 0) & (cheb > 1), r2 * r2)
+    composite = level_sum(-0.5 * pi, q1_level, cheb > 1, q1_of, power=2)
+    charged = level_sum(-pi, q2_level, (l != 0) & (cheb > 1), power=2)
     return {
-        "square_tail": (0.5, 0.5, box_sum(-pi, n2, n2 >= 2), lambda a: math.exp(-pi * a)),
-        "far_q1": (1.0, 1.0, box_sum(-0.5 * pi, s1, cheb > 5), lambda a: dominant(a) / 200.0),
+        "square_tail": (
+            0.5, 0.5, level_sum(-pi, n2, n2 >= 2, s_of=np.positive), lambda a: math.exp(-pi * a)
+        ),
+        "far_q1": (
+            1.0, 1.0, level_sum(-0.5 * pi, q1_level, cheb > 5, q1_of),
+            lambda a: dominant(a) / 200.0,
+        ),
+        # Q1 >= 4u, i.e. n >= 1
         "nondominant_q1": (
-            0.7, 6.0, box_sum(-0.5 * pi, s1, r1 >= 8.0 / (3.0 * SQRT3) - 1e-9),
+            0.7, 6.0, level_sum(-0.5 * pi, q1_level, q1_level >= 1, q1_of),
             lambda a: 0.3 * dominant(a),
         ),
         "composite_q1": (
             6.0, 6.0, lambda a: 5.0 * pi**2 * a**2 * composite(a), lambda a: 2.5 * a * dominant(a)
         ),
         "charged_far": (
-            1.3, 1.5, box_sum(-pi, s2, (l != 0) & (r2 > 1)),
+            1.3, 1.5, level_sum(-pi, q2_level, (l != 0) & (q2_level > 1)),
             lambda a: (2.0 * math.sqrt(a) / 3.0) * math.exp(-TWO_PI * a / SQRT3),
         ),
         "charged_composite": (

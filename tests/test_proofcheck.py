@@ -68,6 +68,53 @@ THRESHOLD_IDS = [
 ]
 
 
+# every default report: id, params_tested and worst_margin as computed over
+# the full |k|, |l| <= 25 box for the charged window, before its ball
+PINNED_SUITE = [
+    ("q1_ledger", "box radius 8, first three levels", 1.0),
+    ("q2_ledger", "box radius 8, levels 1/3/4, gap at 2", 1.0),
+    ("q1_growth", "box radius 30; outside-box minima 14u and 146u", 1e-09),
+    (
+        "growth1",
+        "|k|,|l| <= 20; minimal ratio 0.6204 at [(-1, 0), (0, -1), (0, 0)]",
+        0.12040323940139974,
+    ),
+    ("derivative_bounds", "|k|,|l| <= 20, 200-point y-grid", 0.3849001794597502),
+    ("growth11", "alphas (5.0, 10.0), |k|,|l| <= 15, relative slack", 0.979535211638553),
+    ("growth2", "|k|,|l| <= 20, l != 0", 0.15470053837925146),
+    ("dominant_concavity", "alphas (6.0, 10.0, 50.0), normalized slack", 0.04895373033832029),
+    (
+        "nine_term_concavity",
+        "alphas (6.0, 10.0); extra-term contribution < 1e-5 at alpha 6",
+        9.488514039612288e-06,
+    ),
+    ("charged_nine_term", "alphas (5.0, 8.0), y in [sqrt3/2, 1]", 0.8642733774423138),
+    (
+        "charged_concavity_small_alpha",
+        "alphas (2.0, 3.5, 5.0), y in [sqrt3/2, 1.5], bound -1e-5 (x1e5)",
+        0.11420481826061714,
+    ),
+    ("heat_inflection", "25 log-spaced t in [0.001, 10]", 7.474486535702851e-13),
+    (
+        "g_monotone",
+        "alphas (0.5, 1.0, 4.0), 120-point grid; decrement at 1 and 4",
+        0.007188570223760381,
+    ),
+    ("tail_constants", "six printed constants to all printed places", 0.6007647614648661),
+    ("montgomery_sandwich", "50 beta x 9 t grid, relative", 1.0531643077263486e-05),
+    (
+        "alpha_thresholds",
+        "square_tail: stated 0.5, empirical 0.50, checked 0.5; "
+        "far_q1: stated 1.0, empirical 1.15, checked 1.2; "
+        "nondominant_q1: stated 0.7, empirical 3.45, checked 6.0; "
+        "composite_q1: stated 6.0, empirical 6.00, checked 6.0; "
+        "charged_far: stated 1.3, empirical 1.30, checked 1.5; "
+        "charged_composite: stated 1.1, empirical 2.85, checked 5.0",
+        0.05052558257090366,
+    ),
+]
+
+
 class TestQuadraticForms:
     def test_q1_point_values(self):
         assert pc.q1(0, 0) == pytest.approx(U, abs=1e-15)
@@ -275,6 +322,34 @@ class TestConcavity:
         bound = 2600 * np.finfo(float).eps * size
         assert np.all(np.abs(pc.charged_sum_d2(ys, alpha) - total) <= bound)
 
+    @pytest.mark.parametrize("alpha", [2.0, 3.5, 5.0])
+    def test_charged_ball_within_its_tail_of_the_40_box(self, alpha):
+        ys = np.linspace(Y_HEX, 1.5, 120)
+        total = np.zeros_like(ys)
+        size = np.zeros_like(ys)
+        ls = np.arange(-40, 41)
+        for k in range(-40, 41):
+            # row by row, so the reference shares no code with the ball; the
+            # (0, 0) term is exactly 0
+            terms = pc.charged_term_d2(k, ls[None, :], ys[:, None], alpha)
+            total += terms.sum(axis=1)
+            size += np.abs(terms).sum(axis=1)
+        k, l, tail = pc._charged_ball(ys, alpha)
+        assert 0 < tail <= 1e-16
+        assert 0 < len(k) < 100
+        assert not np.any((k == 0) & (l == 0))
+        bound = tail + 2600 * np.finfo(float).eps * size
+        assert np.all(np.abs(pc.charged_sum_d2(ys, alpha) - total) <= bound)
+
+    def test_charged_window_rests_on_max_plus_tail(self):
+        # the true extreme at alpha 5 is -1.114e-5: a constant moved past it fails
+        ys = np.linspace(Y_HEX, 1.5, 120)
+        tail = pc._charged_ball(ys, 5.0)[2]
+        top = float(np.max(pc.charged_sum_d2(ys, 5.0))) + tail
+        assert -1.2e-5 < top < -1e-5
+        assert pc.check_charged_concavity_small_alpha((5.0,)).worst_margin == (-1e-5 - top) * 1e5
+        assert pc.charged_sum_d2(np.full((2, 3), Y_HEX), 5.0).shape == (2, 3)
+
     def test_window_requires_large_alpha(self):
         with pytest.raises(ValueError):
             pc.check_dominant_concavity((4.0,))
@@ -399,6 +474,24 @@ class TestSuite:
         assert list(pc._THRESHOLDS) == THRESHOLD_IDS
         with pytest.raises(ValueError):
             pc.empirical_threshold("nope")
+
+    def test_default_suite_is_pinned(self):
+        reports = pc.run_default_suite()
+        assert [(r.lemma_id, r.params_tested) for r in reports] == [
+            (lemma_id, params) for lemma_id, params, _ in PINNED_SUITE
+        ]
+        for rep, (_, _, margin) in zip(reports, PINNED_SUITE):
+            if rep.lemma_id == "charged_concavity_small_alpha":
+                # this margin rests on max + tail of the alpha = 5 ball; the
+                # sums on either side carry their own summation rounding
+                ys = np.linspace(Y_HEX, 1.5, 120)
+                k, l, tail = pc._charged_ball(ys, 5.0)
+                terms = pc.charged_term_d2(k, l, ys[:, None], 5.0)
+                size = np.abs(terms[np.argmax(terms.sum(axis=1))]).sum()
+                slack = 1e5 * (tail + 2700 * np.finfo(float).eps * size)
+            else:
+                slack = 1e-9 * abs(margin)
+            assert abs(rep.worst_margin - margin) <= slack, rep.lemma_id
 
     def test_default_suite_all_pass(self):
         reports = pc.run_default_suite()
