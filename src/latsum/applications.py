@@ -167,7 +167,6 @@ class CMPotential:
     """
 
     nodes: tuple[tuple[float, float], ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         for alpha, weight in self.nodes:
@@ -188,8 +187,9 @@ class CMPotential:
         return math.fsum(w for _, w in self.nodes)
 
     @staticmethod
-    def gaussian(alpha: float, weight: float = 1.0, label: str = "") -> "CMPotential":
-        return CMPotential(((alpha, weight),), label or f"gaussian(alpha={alpha})")
+    def gaussian(alpha: float) -> "CMPotential":
+        """The unit-weight Gaussian exp(-pi alpha rho)."""
+        return CMPotential(((alpha, 1.0),))
 
     @staticmethod
     def riesz(s: float, tol: float = 1e-10, rho_min: float = 0.05) -> "CMPotential":
@@ -213,7 +213,7 @@ class CMPotential:
         nodes = tuple(
             (float(math.exp(u)), float(h * c * math.exp(se * u))) for u in us
         )
-        return CMPotential(nodes, label=f"riesz(s={s})")
+        return CMPotential(nodes)
 
 
 def cm_lattice_energy(

@@ -118,12 +118,17 @@ def _emit(rows: list[dict], args, single: bool = False) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
     fmt.add_argument("--csv", action="store_true", help="CSV output")
     fmt.add_argument("--human", action="store_true", help="key = value lines")
     p.add_argument("--out", metavar="PATH", help="write output to a file")
+
+
+def _add_summing(p: argparse.ArgumentParser) -> None:
+    """The output options and the truncation policy of a command that sums."""
+    _add_output(p)
     p.add_argument(
         "--tol", type=_positive_float, default=1e-10, help="target tail tolerance"
     )
@@ -328,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shift/charge in lattice coordinates (default: point b)")
     p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.add_argument("--charged", action="store_true", help="charged family")
-    _add_common(p)
+    _add_summing(p)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("minimize", help="global torus minimum of the Gaussian sum")
     p.add_argument("--lattice", type=_pair, default=_pair(hex_xy), metavar="X,Y")
     p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.add_argument("--grid-n", type=int, default=64)
-    _add_common(p)
+    _add_summing(p)
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("sweep", help="fundamental-domain sweep of torus minima")
@@ -345,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=32)
     p.add_argument("--exploratory", action="store_true",
                    help="append values at the moving points a and b (no pass/fail)")
-    _add_common(p)
+    _add_summing(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("frame-bounds", help="Gaussian frame bounds for even density")
     p.add_argument("--shape", type=_pair, default=_pair(hex_xy), metavar="X,Y")
     p.add_argument("--density", type=int, default=2)
-    _add_common(p)
+    _add_summing(p)
     p.set_defaults(func=_cmd_frame_bounds)
 
     p = sub.add_parser("heat", help="heat kernel on the torus of a lattice")
@@ -359,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_pair, default=(0.0, 0.0), metavar="U,V")
     p.add_argument("--t", type=_positive_float, required=True)
     p.add_argument("--route", choices=("gaussian", "spectral"), default="gaussian")
-    _add_common(p)
+    _add_summing(p)
     p.set_defaults(func=_cmd_heat)
 
     p = sub.add_parser("zeta", help="shifted Epstein zeta (squared-distance power)")
@@ -367,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_pair, default=(1.0 / 3.0, 1.0 / 3.0), metavar="U,V")
     p.add_argument("--s", type=_positive_float, required=True)
     p.add_argument("--method", choices=("direct", "quadrature"), default="direct")
-    _add_common(p)
+    _add_summing(p)
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("born", help="periodic charge energy per point")
@@ -375,21 +380,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=("honeycomb", "alternating"), default="honeycomb")
     p.add_argument("--period", type=int, default=3)
     p.add_argument("--node-alpha", type=_positive_float, default=1.0)
-    _add_common(p)
+    _add_summing(p)
     p.set_defaults(func=_cmd_born)
 
     p = sub.add_parser("landau", help="disc-covering constants and the 1/2 product")
-    _add_common(p)
+    _add_summing(p)
     p.set_defaults(func=_cmd_landau)
 
     p = sub.add_parser("verify-lemmas", help="run the lemma verification suite")
     p.add_argument("--suite", default="all", help="'all' or comma-separated lemma ids")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_verify_lemmas)
 
     p = sub.add_parser("reduce", help="reduce tau into the fundamental half-domain")
     p.add_argument("--tau", type=_pair, required=True, metavar="RE,IM")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_reduce)
 
     return parser

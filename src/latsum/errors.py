@@ -28,9 +28,10 @@ class NonPositiveAlpha(LatSumError):
 class TailNotMet(LatSumError):
     """A certified value did not reach the requested tolerance.
 
-    Summation routines normally do not raise this: they return a value
-    flagged with ``converged=False`` together with the honest tail bound.
-    Callers that insist on the tolerance (e.g. the CLI) raise it.
+    Summation routines do not raise this: they return a value flagged with
+    ``converged=False`` together with the honest tail bound.  Only
+    ``CertifiedValue.require()`` raises it, for callers that insist on the
+    tolerance.  The CLI does not: its exit code 3 follows ``converged``.
     """
 
 

@@ -44,6 +44,7 @@ _N_STARTS = 5  # lowest grid points polished by each torus minimization
 _EIG_FLOOR = 1e-12  # smallest |Hessian eigenvalue| kept, relative to the largest
 _TINY = float(np.finfo(float).tiny)  # added to that floor, keeping it positive at H = 0
 _ROUNDING = 64.0 * np.finfo(float).eps  # decrement at which a start stops, per unit value
+_FD_STEP = 1e-5  # central-difference step of the lattice-shape derivatives
 
 
 class CriticalRule(Enum):
@@ -264,16 +265,15 @@ def gradient_at_point(
     x: float,
     y: float,
     alpha: float,
-    h: float = 1e-5,
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[float, float]:
-    """Central-difference lattice-shape gradient of the shifted family.
+    """Central-difference lattice-shape gradient of the shifted family, step
+    ``_FD_STEP``.
 
     The shift point is re-evaluated at each perturbed shape, i.e. it
     moves with the lattice.
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
+    h = _FD_STEP
 
     def f(xx: float, yy: float) -> float:
         lat = lattice_from_tau(xx, yy)
@@ -288,10 +288,10 @@ def x_derivative_sign_scan(
     alpha: float,
     y: float,
     xs: Iterable[float],
-    h: float = 1e-5,
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> list[tuple[float, float]]:
-    """d/dx of the shifted and charged families at the moving point b.
+    """d/dx of the shifted and charged families at the moving point b, by
+    central differences of step ``_FD_STEP``.
 
     Returns one (shifted, charged) derivative pair per x; on
     0 < x < 1/2 with y >= 1/sqrt(2) both entries are positive.
@@ -305,6 +305,7 @@ def x_derivative_sign_scan(
             theta_charged(lat, b, alpha, pol).value,
         )
 
+    h = _FD_STEP
     out = []
     for x in xs:
         sp, cp = pair(x + h)

@@ -54,9 +54,6 @@ class QuadFormLedger:
     form_id: str
     entries: tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
 
-    def value_levels(self) -> list[float]:
-        return [value for value, _ in self.entries]
-
 
 # ---------------------------------------------------------------------------
 # Quadratic forms and exponent families on the line x = 1/2
@@ -73,12 +70,12 @@ def _box(radius: int) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(side, side.size), np.tile(side, side.size)
 
 
-def _row_blocks(ys: np.ndarray, rows: int = 16):
-    """The y grid as (rows, 1) columns, so that a family evaluated on a block
-    against a flat index box makes one (rows, box) array: 16 rows of a
+def _row_blocks(ys: np.ndarray):
+    """The y grid as (16, 1) columns, so that a family evaluated on a block
+    against a flat index box makes one (16, box) array: 16 rows of a
     41 x 41 box stay within 215 KB per temporary."""
     column = np.asarray(ys, dtype=float).reshape(-1, 1)
-    return [column[i:i + rows] for i in range(0, len(column), rows)]
+    return [column[i:i + 16] for i in range(0, len(column), 16)]
 
 
 def q1(k: int, l: int) -> float:
@@ -182,18 +179,16 @@ def charged_term_d2(k, l, y, alpha):
 # Form ledgers
 # ---------------------------------------------------------------------------
 
-def enumerate_form(form_id: str, box_radius: int) -> QuadFormLedger:
-    """Ledger of form values over |k|, |l| <= box_radius, grouped by level.
+def enumerate_form(form_id: str) -> QuadFormLedger:
+    """Ledger of form values over |k|, |l| <= 8, grouped by level.
 
     For Q1 the grouping unit is 2/(3 sqrt 3); for Q2 the values are
     integers.  Basic growth facts are validated during enumeration.
     """
-    if box_radius < 1:
-        raise ValueError("box_radius must be at least 1")
     form_id = form_id.upper()
     if form_id not in ("Q1", "Q2"):
         raise ValueError("form_id must be 'Q1' or 'Q2'")
-    k, l = _box(box_radius)
+    k, l = _box(8)
     n2 = k * k + l * l
     if form_id == "Q1":
         unit, v = Q1_UNIT, q1(k, l)
@@ -212,22 +207,23 @@ def enumerate_form(form_id: str, box_radius: int) -> QuadFormLedger:
     return QuadFormLedger(form_id=form_id, entries=entries)
 
 
-def _q1_outside_minima(box_limits, search_radius: int = 60) -> list[float]:
-    """min Q1(k, l) over max(|k|, |l|) > limit for each limit, on one search box."""
-    k, l = _box(search_radius)
+def _q1_outside_minima(box_limits) -> list[float]:
+    """min Q1(k, l) over max(|k|, |l|) > limit for each limit, on one search
+    box |k|, |l| <= 60."""
+    k, l = _box(60)
     v = q1(k, l)
     reach = np.maximum(np.abs(k), np.abs(l))
     return [float(np.min(v[reach > limit], initial=math.inf)) for limit in box_limits]
 
 
-def q1_min_outside(box_limit: int, search_radius: int = 60) -> float:
+def q1_min_outside(box_limit: int) -> float:
     """min Q1(k, l) over max(|k|, |l|) > box_limit."""
-    return _q1_outside_minima((box_limit,), search_radius)[0]
+    return _q1_outside_minima((box_limit,))[0]
 
 
 def check_q1_ledger() -> LemmaReport:
     """First three Q1 levels and their index sets match the tabulated ones."""
-    ledger = enumerate_form("Q1", 8)
+    ledger = enumerate_form("Q1")
     expected = [
         (1, {(0, -1), (-1, 0), (0, 0)}),
         (4, {(-1, -1), (1, -1), (-1, 1)}),
@@ -242,7 +238,7 @@ def check_q1_ledger() -> LemmaReport:
 
 def check_q2_ledger() -> LemmaReport:
     """Q2 level sets match the table; the value 2 is skipped."""
-    ledger = enumerate_form("Q2", 8)
+    ledger = enumerate_form("Q2")
     levels = {int(round(v)): set(idx) for v, idx in ledger.entries}
     ok = levels[1] == {(0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1)}
     ok &= levels[3] == {(1, -2), (-1, -1), (2, -1), (-2, 1), (1, 1), (-1, 2)}
@@ -252,8 +248,9 @@ def check_q2_ledger() -> LemmaReport:
     return LemmaReport("q2_ledger", "box radius 8, levels 1/3/4, gap at 2", 1.0 if ok else -1.0)
 
 
-def check_q1_growth(box_radius: int = 30) -> LemmaReport:
+def check_q1_growth() -> LemmaReport:
     """Q1 >= u and Q1 >= u (k^2+l^2), plus the outside-box thresholds."""
+    box_radius = 30
     k, l = _box(box_radius)
     v = q1(k, l)
     margin = min(np.min(v - Q1_UNIT + 1e-9), np.min(v - Q1_UNIT * (k * k + l * l) + 1e-9))
@@ -286,35 +283,31 @@ def min_phi_f(k: int, l: int) -> float:
     return phi_f(k, l, np.maximum(y_star, Y_HEX))
 
 
-def growth1_min_ratio(k_max: int = 20) -> tuple[float, list[tuple[int, int]]]:
+_GROWTH1_BOX = 20  # the index box |k|, |l| <= 20 of the first growth lemma
+
+
+def growth1_min_ratio() -> tuple[float, list[tuple[int, int]]]:
     """Smallest min_phi_f / sqrt(Q1) over the index box and the pairs within 1e-9 of it."""
-    k, l = _box(k_max)
+    k, l = _box(_GROWTH1_BOX)
     ratio = min_phi_f(k, l) / np.sqrt(q1(k, l))
     best = float(np.min(ratio))
     near = ratio < best + 1e-9
     return best, list(zip(k[near].tolist(), l[near].tolist()))
 
 
-def check_growth_lemma_1(k_max: int = 20) -> LemmaReport:
+def check_growth_lemma_1() -> LemmaReport:
     """min_y phi_f >= sqrt(Q1)/2 on the index box."""
-    if k_max < 20:
-        raise ValueError("k_max must be at least 20")
-    ratio, attaining = growth1_min_ratio(k_max)
-    margin = ratio - 0.5
+    ratio, attaining = growth1_min_ratio()
     return LemmaReport(
         "growth1",
-        f"|k|,|l| <= {k_max}; minimal ratio {ratio:.4f} at {attaining}",
-        margin,
+        f"|k|,|l| <= {_GROWTH1_BOX}; minimal ratio {ratio:.4f} at {attaining}",
+        ratio - 0.5,
     )
 
 
-def check_derivative_bounds(
-    y_grid: np.ndarray | None = None, k_max: int = 20
-) -> LemmaReport:
+def check_derivative_bounds() -> LemmaReport:
     """|phi_f'| <= 2 Q1 and |phi_f''| <= 3 Q1 on a y-grid."""
-    ys = np.linspace(Y_HEX, 10.0, 200) if y_grid is None else np.asarray(y_grid)
-    if ys.min() < Y_HEX - 1e-12 or ys.max() > 10.0 + 1e-12:
-        raise ValueError("grid must lie within [sqrt(3)/2, 10]")
+    ys, k_max = np.linspace(Y_HEX, 10.0, 200), 20
     k, l = _box(k_max)
     qq = q1(k, l)
     first = second = math.inf
@@ -326,15 +319,14 @@ def check_derivative_bounds(
     )
 
 
-def check_growth11_composite(alphas=(5.0, 10.0), k_max: int = 15) -> LemmaReport:
+def check_growth11_composite() -> LemmaReport:
     """|d^2/dy^2 exp(-pi a phi_f)| <= 5 pi^2 a^2 Q1^2 exp(-pi a sqrt(Q1)/2)."""
+    alphas, k_max = (5.0, 10.0), 15
     ys = np.linspace(Y_HEX, 8.0, 160)
     k, l = _box(k_max)
     qq = q1(k, l)
     margin = math.inf
     for alpha in alphas:
-        if alpha < 5.0:
-            raise ValueError("composite bound requires alpha >= 5")
         bound = 5.0 * math.pi**2 * alpha**2 * qq * qq * np.exp(
             -0.5 * math.pi * alpha * np.sqrt(qq)
         )
@@ -343,7 +335,7 @@ def check_growth11_composite(alphas=(5.0, 10.0), k_max: int = 15) -> LemmaReport
             np.maximum(worst, np.abs(shifted_term_d2(k, l, rows, alpha)).max(axis=0), out=worst)
         margin = min(margin, np.min((bound - worst) / bound))
     return LemmaReport(
-        "growth11", f"alphas {tuple(alphas)}, |k|,|l| <= {k_max}, relative slack", margin
+        "growth11", f"alphas {alphas}, |k|,|l| <= {k_max}, relative slack", margin
     )
 
 
@@ -358,10 +350,9 @@ def min_phi_g(k: int, l: int) -> float:
     return np.where(y0 <= Y_HEX, phi_g(k, l, Y_HEX), 2.0 * np.sqrt(a * b))[()]
 
 
-def check_growth_lemma_2(k_max: int = 20) -> LemmaReport:
+def check_growth_lemma_2() -> LemmaReport:
     """min_y phi_g >= sqrt(Q2) for l != 0."""
-    if k_max < 10:
-        raise ValueError("k_max must be at least 10")
+    k_max = 20
     k, l = _box(k_max)
     k, l = k[l != 0], l[l != 0]
     margin = np.min(min_phi_g(k, l) - np.sqrt(q2(k, l)))
@@ -372,28 +363,23 @@ def check_growth_lemma_2(k_max: int = 20) -> LemmaReport:
 # Concavity windows
 # ---------------------------------------------------------------------------
 
-def _concavity_window(alpha: float, width_factor: float) -> np.ndarray:
-    return np.linspace(Y_HEX, Y_HEX + 1.0 / (width_factor * math.sqrt(alpha)), 160)
+def _concavity_window(alpha: float) -> np.ndarray:
+    return np.linspace(Y_HEX, Y_HEX + 1.0 / (3.0 * math.sqrt(alpha)), 160)
 
 
-def check_dominant_concavity(alphas=(6.0, 10.0, 50.0)) -> LemmaReport:
+def check_dominant_concavity() -> LemmaReport:
     """Dominant-term concavity: d^2 term <= -0.84 a exp(-2 pi a / (3 sqrt 3)).
 
     Margins are normalized by a exp(-2 pi a /(3 sqrt 3)).
     """
-    margin = math.inf
-    for alpha in alphas:
-        if alpha < 6.0:
-            raise ValueError("dominant concavity window needs alpha >= 6")
-        margin = min(margin, -0.84 - dominant_concavity_extreme(alpha))
-    return LemmaReport(
-        "dominant_concavity", f"alphas {tuple(alphas)}, normalized slack", margin
-    )
+    alphas = (6.0, 10.0, 50.0)
+    margin = min(-0.84 - dominant_concavity_extreme(alpha) for alpha in alphas)
+    return LemmaReport("dominant_concavity", f"alphas {alphas}, normalized slack", margin)
 
 
 def dominant_concavity_extreme(alpha: float = 6.0) -> float:
     """max of d^2 term / (a exp(-2 pi a/(3 sqrt3))) over the window (about -0.88 at 6)."""
-    ys = _concavity_window(alpha, 3.0)
+    ys = _concavity_window(alpha)
     scale = alpha * math.exp(-TWO_PI * alpha / (3.0 * SQRT3))
     return float(np.max(shifted_term_d2(0, 0, ys, alpha))) / scale
 
@@ -405,40 +391,37 @@ def _nine_term_d2(term_d2, ys: np.ndarray, alpha: float) -> np.ndarray:
     return term_d2(k[:, None], l[:, None], ys, alpha).sum(axis=0)
 
 
-def check_nine_term_concavity(alphas=(6.0, 10.0)) -> LemmaReport:
+def check_nine_term_concavity() -> LemmaReport:
     """Nine-term concavity with constant -2.5; the six extra terms are tiny."""
+    alphas = (6.0, 10.0)
     margin = math.inf
     for alpha in alphas:
-        ys = _concavity_window(alpha, 3.0)
+        ys = _concavity_window(alpha)
         scale = alpha * math.exp(-TWO_PI * alpha / (3.0 * SQRT3))
-        nine = _nine_term_d2(shifted_term_d2, ys, alpha) / scale
-        margin = min(margin, -2.5 - float(np.max(nine)))
-    # extra-term contribution at alpha = 6 stays near 1e-6
-    ys = _concavity_window(6.0, 3.0)
-    scale = 6.0 * math.exp(-TWO_PI * 6.0 / (3.0 * SQRT3))
-    extra = np.abs(
-        _nine_term_d2(shifted_term_d2, ys, 6.0) - 3.0 * shifted_term_d2(0, 0, ys, 6.0)
-    ) / scale
-    margin = min(margin, 1e-5 - float(np.max(extra)))
+        nine = _nine_term_d2(shifted_term_d2, ys, alpha)
+        margin = min(margin, -2.5 - float(np.max(nine / scale)))
+        if alpha == alphas[0]:
+            # extra-term contribution at the smallest alpha stays near 1e-6
+            extra = np.abs(nine - 3.0 * shifted_term_d2(0, 0, ys, alpha)) / scale
+            margin = min(margin, 1e-5 - float(np.max(extra)))
     return LemmaReport(
         "nine_term_concavity",
-        f"alphas {tuple(alphas)}; extra-term contribution < 1e-5 at alpha 6",
+        f"alphas {alphas}; extra-term contribution < 1e-5 at alpha {alphas[0]:g}",
         margin,
     )
 
 
-def check_charged_nine_term(alphas=(5.0, 8.0)) -> LemmaReport:
+def check_charged_nine_term() -> LemmaReport:
     """Charged nine-term bound: d^2 sum <= -0.6 pi^2 a^2 exp(pi a (y - 2))."""
+    alphas = (5.0, 8.0)
+    ys = np.linspace(Y_HEX, 1.0, 160)
     margin = math.inf
     for alpha in alphas:
-        if alpha < 5.0:
-            raise ValueError("charged nine-term bound needs alpha >= 5")
-        ys = np.linspace(Y_HEX, 1.0, 160)
         scale = math.pi**2 * alpha**2 * np.exp(math.pi * alpha * (ys - 2.0))
         ratio = _nine_term_d2(charged_term_d2, ys, alpha) / scale
         margin = min(margin, -0.6 - float(np.max(ratio)))
     return LemmaReport(
-        "charged_nine_term", f"alphas {tuple(alphas)}, y in [sqrt3/2, 1]", margin
+        "charged_nine_term", f"alphas {alphas}, y in [sqrt3/2, 1]", margin
     )
 
 
@@ -499,9 +482,10 @@ def charged_sum_d2(y: np.ndarray, alpha: float) -> np.ndarray:
     return charged_term_d2(k, l, ys.reshape(-1, 1), alpha).sum(axis=1).reshape(ys.shape)
 
 
-def check_charged_concavity_small_alpha(alphas=(2.0, 3.5, 5.0)) -> LemmaReport:
+def check_charged_concavity_small_alpha() -> LemmaReport:
     """g_alpha'' stays below -1e-5 for moderate alpha near the hexagonal point:
     the sampled maximum of the ball sum plus the ball's tail."""
+    alphas = (2.0, 3.5, 5.0)
     ys = np.linspace(Y_HEX, 1.5, 120)
     worst = -math.inf
     for alpha in alphas:
@@ -510,7 +494,7 @@ def check_charged_concavity_small_alpha(alphas=(2.0, 3.5, 5.0)) -> LemmaReport:
     margin = (-1e-5 - worst) * 1e5
     return LemmaReport(
         "charged_concavity_small_alpha",
-        f"alphas {tuple(alphas)}, y in [sqrt3/2, 1.5], bound -1e-5 (x1e5)",
+        f"alphas {alphas}, y in [sqrt3/2, 1.5], bound -1e-5 (x1e5)",
         margin,
     )
 
@@ -544,15 +528,15 @@ def _heat_uxx_scaled(t: float):
     return scaled
 
 
-def heat_inflection_point(t: float, tol: float = 1e-10) -> float:
-    """The zero of u_xx in (0, 1/2), located by bisection."""
+def heat_inflection_point(t: float) -> float:
+    """The zero of u_xx in (0, 1/2), located by bisection to width 1e-10."""
     scaled = _heat_uxx_scaled(t)
     lo, hi = 1e-9, 0.5 - 1e-12
     s_lo = float(scaled([lo])[0])
     s_hi = float(scaled([hi])[0])
     if not (s_lo > 0 > s_hi):
         raise ValueError(f"no sign change bracket at t={t}")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if float(scaled([mid])[0]) > 0:
             lo = mid
@@ -561,10 +545,16 @@ def heat_inflection_point(t: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def check_heat_inflection(ts: np.ndarray | None = None) -> LemmaReport:
-    """All inflection points lie below 0.3; convexity holds on [0.3, 0.7]."""
-    if ts is None:
-        ts = np.logspace(-3, 1, 25)
+def check_heat_inflection() -> LemmaReport:
+    """All inflection points lie below 0.3; convexity holds on [0.3, 0.7].
+
+    The convexity part is sampled on a cancelling cosine sum, and its margin
+    at small t is the noise grace below, not a proven slack: at t = 0.00147
+    the sampled -u_xx (scaled) on [0.3, 0.5] reads -0.0, so the reported
+    7.47e-13 is exactly the 100 eps grace, and at t = 0.001 it reads -2.7e-14
+    and only the grace keeps it positive.
+    """
+    ts = np.logspace(-3, 1, 25)
     roots = [heat_inflection_point(float(t)) for t in ts]
     margin = 0.3 - max(roots)
     xs = np.linspace(0.3, 0.5, 60)
@@ -587,31 +577,24 @@ def g_profile(alpha: float, y: float, pol: TruncationPolicy = DEFAULT_POLICY) ->
     return theta1d_hat(0.5 - 1.0 / (8.0 * y * y), alpha / y, pol).value
 
 
-def check_G_monotone(
-    alphas=(0.5, 1.0, 4.0),
-    y_grid: np.ndarray | None = None,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> LemmaReport:
+def check_G_monotone() -> LemmaReport:
     """The l = 0 subsum decreases in y; quantified decrement for alpha >= 1."""
-    ys = np.linspace(Y_HEX, 3.0, 120) if y_grid is None else np.asarray(y_grid)
-    if ys.min() < Y_HEX - 1e-12:
-        raise ValueError("grid must start at or above sqrt(3)/2")
+    alphas = (0.5, 1.0, 4.0)
+    ys = np.linspace(Y_HEX, 3.0, 120)
     margin = math.inf
     for alpha in alphas:
-        vals = np.array([g_profile(alpha, float(y), pol) for y in ys])
+        vals = np.array([g_profile(alpha, float(y)) for y in ys])
         scale = math.exp(-TWO_PI * alpha / SQRT3)
         margin = min(margin, float(np.min(-np.diff(vals))) / scale)
     for alpha in (1.0, 4.0):
-        drop = g_profile(alpha, Y_HEX, pol) - g_profile(
-            alpha, Y_HEX + 0.25 / math.sqrt(alpha), pol
-        )
+        drop = g_profile(alpha, Y_HEX) - g_profile(alpha, Y_HEX + 0.25 / math.sqrt(alpha))
         required = (2.0 * math.sqrt(alpha) / 3.0) * math.exp(-TWO_PI * alpha / SQRT3)
         margin = min(margin, (drop - required) / required)
-    if abs(g_profile(1.0, 50.0, pol)) > 1e-10:
+    if abs(g_profile(1.0, 50.0)) > 1e-10:
         margin = min(margin, -1.0)
     return LemmaReport(
         "g_monotone",
-        f"alphas {tuple(alphas)}, {len(ys)}-point grid; decrement at 1 and 4",
+        f"alphas {alphas}, {len(ys)}-point grid; decrement at 1 and 4",
         margin,
     )
 
@@ -620,8 +603,8 @@ def check_G_monotone(
 # Printed tail constants
 # ---------------------------------------------------------------------------
 
-def _series(fn, start: int, stop: int = 80) -> float:
-    return math.fsum(fn(n) for n in range(start, stop))
+def _series(fn, start: int) -> float:
+    return math.fsum(fn(n) for n in range(start, 80))
 
 
 def tail_constant(constant_id: str) -> float:
@@ -677,12 +660,10 @@ def check_tail_constants() -> LemmaReport:
 # Envelope sandwich and threshold inequalities
 # ---------------------------------------------------------------------------
 
-def check_montgomery_sandwich(
-    n_beta: int = 50, ts: np.ndarray | None = None
-) -> LemmaReport:
+def check_montgomery_sandwich() -> LemmaReport:
     """A(t) <= Q(beta; t) <= B(t) on a (beta, t) grid."""
-    betas = np.linspace(0.0, 0.5, n_beta)
-    tvals = np.logspace(math.log10(0.25), math.log10(4.0), 9) if ts is None else ts
+    betas = np.linspace(0.0, 0.5, 50)
+    tvals = np.logspace(math.log10(0.25), math.log10(4.0), 9)
     margin = math.inf
     for t in tvals:
         lo, hi = montgomery_A(float(t)), montgomery_B(float(t))
@@ -690,7 +671,7 @@ def check_montgomery_sandwich(
             qv = montgomery_Q(float(beta), float(t)).value
             margin = min(margin, (qv - lo) / hi, (hi - qv) / hi)
     return LemmaReport(
-        "montgomery_sandwich", f"{n_beta} beta x {len(tvals)} t grid, relative", margin
+        "montgomery_sandwich", f"{len(betas)} beta x {len(tvals)} t grid, relative", margin
     )
 
 
@@ -757,12 +738,13 @@ def _threshold_table() -> dict:
 _THRESHOLDS = _threshold_table()
 
 
-def empirical_threshold(name: str, a_max: float = 10.0, step: float = 0.05) -> float:
-    """Smallest alpha (on a grid) from which lhs < rhs holds onward."""
+def empirical_threshold(name: str) -> float:
+    """Smallest alpha on the grid 0.05, 0.10, ..., 10 from which lhs < rhs
+    holds onward."""
     if name not in _THRESHOLDS:
         raise ValueError(f"unknown threshold id {name!r}")
     _, _, lhs, rhs = _THRESHOLDS[name]
-    grid = np.arange(step, a_max + step, step)
+    grid = np.arange(0.05, 10.0 + 0.05, 0.05)
     holds = np.array([lhs(a) < rhs(a) for a in grid.tolist()])
     if not holds[-1]:
         return math.inf

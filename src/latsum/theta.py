@@ -200,8 +200,7 @@ def montgomery_Q(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) 
     )
     delta = 3.0 * math.exp(-(2 * m_factors + 1) * pi_t) / max(1.0 - math.exp(-2.0 * pi_t), 1e-300)
     tail = abs(partial) * 1.2 * delta + l_tail
-    converged = tail <= max(pol.target_tol, abs(partial) * 1e-14)
-    return CertifiedValue(partial, tail, m_factors, converged)
+    return CertifiedValue(partial, tail, m_factors, tail <= pol.target_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,9 @@ def test_criterion_07_lemma_suite():
     t0 = time.time()
     reports = pc.run_default_suite()
     ok = len(reports) >= 12 and all(r.passed for r in reports)
-    ratio, attaining = pc.growth1_min_ratio(20)
+    ratio, attaining = pc.growth1_min_ratio()
     ok &= abs(ratio - 0.62) < 5e-3 and attaining == [(-1, 0), (0, -1), (0, 0)]
-    extreme = pc.dominant_concavity_extreme(6.0)
+    extreme = pc.dominant_concavity_extreme()
     ok &= -0.895 < extreme <= -0.84
     _report(7, f"all {len(reports)} lemma reports pass (growth ratio {ratio:.4f})",
             ok, time.time() - t0, 120.0)

@@ -216,6 +216,23 @@ class TestVerifyLemmas:
         assert "nope" in err
 
 
+class TestPolicyOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-lemmas", "--tol", "1e-9"], ["reduce", "--tau", "2.5,0.9", "--max-radius", "5"]],
+    )
+    def test_commands_that_do_not_sum_reject_them(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_summing_command_takes_them(self, capsys):
+        code, out, _ = run(capsys, ["theta", "--tol", "1e-9", "--max-radius", "50"])
+        assert code == 0
+        assert json.loads(out)["converged"] is True
+
+
 class TestOtherCommands:
     def test_reduce(self, capsys):
         code, out, _ = run(capsys, ["reduce", "--tau", "2.5,0.9"])

@@ -263,10 +263,6 @@ class TestShapeDerivatives:
         g = gradient_at_point(CriticalRule.POINT_B, 0.3, 1.0, 1.0)
         assert g[0] > 0
 
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            gradient_at_point(CriticalRule.POINT_B, 0.3, 1.0, 1.0, h=1e-2)
-
     def test_sign_scan_interior(self):
         xs = [0.05, 0.15, 0.25, 0.35, 0.45]
         for d_shift, d_charge in x_derivative_sign_scan(1.0, 1.0, xs):

@@ -184,6 +184,19 @@ class TestMontgomeryQ:
         assert q0 > qh > 0
         assert abs(montgomery_Q(1e-9, 1.0).value - q0) < 1e-8
 
+    def test_converged_means_tail_within_tol(self):
+        # a tail of 5.6e-15 on a value near 89 misses tol 1e-15
+        q = montgomery_Q(0.0, 0.05, TruncationPolicy(1e-15))
+        assert q.value == pytest.approx(89.44, abs=0.01)
+        assert q.tail_bound > 1e-15
+        assert not q.converged
+        for tol in (1e-15, 1e-12):
+            pol = TruncationPolicy(tol)
+            for t in np.logspace(math.log10(0.05), math.log10(4.0), 20):
+                for beta in np.linspace(0.0, 0.5, 21):
+                    q = montgomery_Q(float(beta), float(t), pol)
+                    assert q.converged == (q.tail_bound <= tol)
+
 
 class TestEnvelopes:
     def test_ratio_at_one(self):
