@@ -19,15 +19,12 @@ from .errors import (
     NotMultipleOfThree,
     NotUpperHalfPlane,
     PoleAtLatticePoint,
-    TailNotMet,
     UnsupportedDensity,
 )
 from .lattice import (
-    Frame,
     Lattice,
     PhasePoint,
     ReductionTrace,
-    dual_lattice,
     hexagonal_lattice,
     lattice_from_generator,
     lattice_from_tau,
@@ -35,7 +32,6 @@ from .lattice import (
     special_point_a,
     special_point_b,
     square_lattice,
-    symplectic_dual,
 )
 from .theta import (
     CertifiedValue,
@@ -45,22 +41,15 @@ from .theta import (
     montgomery_A,
     montgomery_B,
     montgomery_Q,
-    product_rep_theta1d_hat,
-    theta1d,
     theta1d_hat,
     theta_charged,
     theta_shifted,
 )
 from .optimize import (
-    CriticalRule,
     MinResult,
-    RidgeFamily,
     SweepRecord,
-    gradient_at_point,
     minimize_over_cell,
-    ridge_profile,
     sweep_fundamental_domain,
-    x_derivative_sign_scan,
 )
 from .applications import (
     ChargeDistribution,
@@ -74,7 +63,6 @@ from .applications import (
     gabor_frame_bounds,
     heat_kernel_torus,
     landau_constants,
-    strohmer_beaver_sweep,
     temperature_extremes,
 )
 from .proofcheck import LemmaReport, QuadFormLedger, run_default_suite

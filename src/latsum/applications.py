@@ -103,16 +103,6 @@ def gabor_frame_bounds(
     )
 
 
-def strohmer_beaver_sweep(
-    density: int,
-    lattice_grid: list[tuple[float, float]],
-    pol: TruncationPolicy = DEFAULT_POLICY,
-    grid_n: int = 32,
-) -> list[FrameBounds]:
-    """Frame bounds per lattice shape; the hexagon minimizes their ratio."""
-    return [gabor_frame_bounds(x, y, density, pol, grid_n) for x, y in lattice_grid]
-
-
 # ---------------------------------------------------------------------------
 # Heat kernel on a flat torus
 # ---------------------------------------------------------------------------
@@ -174,14 +164,6 @@ class CMPotential:
                 raise ValueError("quadrature nodes need a finite alpha > 0")
             if not 0.0 <= weight < math.inf:
                 raise ValueError("quadrature weights must be finite and nonnegative")
-
-    def kernel(self, rho) -> np.ndarray:
-        """Evaluate p on an array of squared distances."""
-        rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        for alpha, weight in self.nodes:
-            out += weight * np.exp(-math.pi * alpha * rho)
-        return out
 
     def at_zero(self) -> float:
         return math.fsum(w for _, w in self.nodes)
@@ -374,7 +356,7 @@ def epstein_zeta_shifted(
         raise ValueError("absolute convergence requires a finite s > 1")
     if radius_cap < 1.0:
         raise ValueError("radius_cap must be at least 1")
-    zl = z.to_lattice(lattice).canonical()
+    zl = z.canonical()
     plan = _plan(lattice)
     mid = (-zl.u, -zl.v)
     rho = _nearest_sq(plan.near, mid)
@@ -489,33 +471,23 @@ def epsilon_opt_hexagonal(n: int) -> ChargeDistribution:
     return ChargeDistribution(period_N=n, weights=weights)
 
 
-def _born_table(
-    lattice: Lattice,
-    n: int,
-    p: CMPotential,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> tuple[np.ndarray, bool]:
-    """``born_interaction_table`` and whether every entry met the tolerance:
-    the n^2 shifts are one batch of one mixture evaluator on the n-scaled
-    lattice."""
-    big = lattice_from_generator(n * lattice.gen)
-    ev = ShiftedSumEvaluator(big, p.nodes, pol)
-    d1, d2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    values, tails = ev.certified(np.column_stack([d1.ravel(), d2.ravel()]) / n)
-    return values.reshape(n, n), bool(ev.converged and tails.max() <= pol.target_tol)
-
-
 def born_interaction_table(
     lattice: Lattice,
     n: int,
     p: CMPotential,
     pol: TruncationPolicy = DEFAULT_POLICY,
-) -> np.ndarray:
-    """S[d1, d2] = sum over the n-scaled lattice of p(|gen (d1, d2) + point|^2).
+) -> tuple[np.ndarray, bool]:
+    """S[d1, d2] = sum over the n-scaled lattice of p(|gen (d1, d2) + point|^2),
+    and whether every entry met the tolerance.  The n^2 shifts are one batch of
+    one mixture evaluator on the n-scaled lattice.
 
     The pair interaction between residues a and b is S[(a - b) mod n].
     """
-    return _born_table(lattice, n, p, pol)[0]
+    big = lattice_from_generator(n * lattice.gen)
+    ev = ShiftedSumEvaluator(big, p.nodes, pol)
+    d1, d2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    values, tails = ev.certified(np.column_stack([d1.ravel(), d2.ravel()]) / n)
+    return values.reshape(n, n), bool(ev.converged and tails.max() <= pol.target_tol)
 
 
 def born_energy_from_table(table: np.ndarray, eps: ChargeDistribution) -> float:
@@ -539,7 +511,7 @@ def born_energy(
 ) -> float:
     """Charge energy per point of an N-periodic neutral distribution."""
     eps.validate()
-    table = born_interaction_table(lattice, eps.period_N, p, pol)
+    table, _ = born_interaction_table(lattice, eps.period_N, p, pol)
     return born_energy_from_table(table, eps)
 
 

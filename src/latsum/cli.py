@@ -259,7 +259,7 @@ def _cmd_born(args) -> int:
         eps = app.ChargeDistribution(args.period, np.where((m1 + m2) % 2 == 0, 1.0, -1.0))
     p = app.CMPotential.gaussian(args.node_alpha)
     eps.validate()
-    table, converged = app._born_table(lat, eps.period_N, p, _policy(args))
+    table, converged = app.born_interaction_table(lat, eps.period_N, p, _policy(args))
     energy = app.born_energy_from_table(table, eps)
     row = {
         "pattern": args.pattern,

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each error is an invalid input or an exhausted iteration budget.  A sum
+that does not reach its tolerance raises nothing: it returns its value
+with the honest tail bound and ``converged=False``, and the CLI's exit
+code 3 follows that flag.
+"""
 
 
 class LatSumError(Exception):
@@ -23,16 +29,6 @@ class NonPositiveT(LatSumError):
 
 class NonPositiveAlpha(LatSumError):
     """Gaussian scale alpha must be strictly positive."""
-
-
-class TailNotMet(LatSumError):
-    """A certified value did not reach the requested tolerance.
-
-    Summation routines do not raise this: they return a value flagged with
-    ``converged=False`` together with the honest tail bound.  Only
-    ``CertifiedValue.require()`` raises it, for callers that insist on the
-    tolerance.  The CLI does not: its exit code 3 follows ``converged``.
-    """
 
 
 class UnsupportedDensity(LatSumError):

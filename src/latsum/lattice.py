@@ -1,20 +1,20 @@
-"""Two-parameter lattices, fundamental-domain reduction, duals, special shift points.
+"""Two-parameter lattices, fundamental-domain reduction, special shift points.
 
 A unit-covolume planar lattice is parametrized by (x, y) with y > 0, the
 point tau = x + iy of the upper half plane.  The canonical generator is
 
     gen = y**-0.5 * [[1, x], [0, y]]
 
-whose columns span the lattice.  Lattices produced by dual constructions
-keep their exact generator and carry the shape parameters of its rotated
-upper-triangular form.
+whose columns span the lattice.  A lattice built from any other generator
+keeps that generator exactly and carries the shape parameters of its
+rotated upper-triangular form.  Shift and charge points are given in
+lattice coordinates: (u, v) is the point gen @ (u, v).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -29,13 +29,6 @@ def det2(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-class Frame(Enum):
-    """Coordinate frame of a phase-space point."""
-
-    LATTICE = "lattice"
-    CARTESIAN = "cartesian"
-
-
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """A planar lattice gen @ Z^2 with shape parameters (x, y).
@@ -43,8 +36,8 @@ class Lattice:
     ``gen`` equals a rotation of ``y**-0.5 * [[1, x], [0, y]]``; the
     canonical constructor :func:`lattice_from_tau` stores that matrix
     exactly (determinant 1).  Scaled generators (covolume != 1) are
-    allowed through :func:`lattice_from_generator`, which some callers
-    (symplectic duals, periodic charge cells) need.
+    allowed through :func:`lattice_from_generator`, which the periodic
+    charge cells need.
     """
 
     x: float
@@ -64,52 +57,20 @@ class Lattice:
         object.__setattr__(self, "gen", g)
 
     @property
-    def tau(self) -> complex:
-        return complex(self.x, self.y)
-
-    @property
     def covolume(self) -> float:
         return det2(self.gen)
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self.gen.T @ self.gen
-
-    def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns of the generator."""
-        return self.gen[:, 0].copy(), self.gen[:, 1].copy()
-
-    def scale(self, factor: float) -> "Lattice":
-        """The lattice factor * self (factor > 0)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return Lattice(self.x, self.y, factor * self.gen)
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A shift or charge point, either in lattice or Cartesian coordinates."""
+    """A shift or charge point in lattice coordinates: gen @ (u, v)."""
 
     u: float
     v: float
-    frame: Frame = Frame.LATTICE
-
-    def to_cartesian(self, lattice: Lattice) -> np.ndarray:
-        if self.frame is Frame.CARTESIAN:
-            return np.array([self.u, self.v])
-        return lattice.gen @ np.array([self.u, self.v])
-
-    def to_lattice(self, lattice: Lattice) -> "PhasePoint":
-        if self.frame is Frame.LATTICE:
-            return self
-        u, v = np.linalg.solve(lattice.gen, np.array([self.u, self.v]))
-        return PhasePoint(float(u), float(v), Frame.LATTICE)
 
     def canonical(self) -> "PhasePoint":
         """Reduce lattice coordinates mod 1 into [0, 1) by ``_wrap_unit``."""
-        if self.frame is not Frame.LATTICE:
-            raise ValueError("only lattice-frame points canonicalize mod 1")
-        return PhasePoint(_wrap_unit(self.u), _wrap_unit(self.v), Frame.LATTICE)
+        return PhasePoint(_wrap_unit(self.u), _wrap_unit(self.v))
 
 
 def _wrap_unit(t: float) -> float:
@@ -158,45 +119,18 @@ def square_lattice() -> Lattice:
 # Modular reduction
 # ---------------------------------------------------------------------------
 
-def apply_generator(tau: complex, label: str) -> complex:
-    """Apply one reduction generator to tau."""
-    if label == "T":
-        return tau + 1.0
-    if label == "Tinv":
-        return tau - 1.0
-    if label == "J":
-        return -1.0 / tau
-    if label == "Mirror":
-        return complex(-tau.real, tau.imag)
-    raise ValueError(f"unknown generator label {label!r}")
-
-
 @dataclass(frozen=True)
 class ReductionTrace:
     """Result of reducing tau into the right half fundamental domain.
 
-    ``word`` lists the generators applied, in order; replaying it on
-    ``tau_in`` reproduces ``tau_out``.
+    ``word`` lists the generators applied, in order: ``T`` (tau + 1),
+    ``Tinv`` (tau - 1), ``J`` (-1/tau) and ``Mirror`` (-conj(tau)).
+    Applied to ``tau_in`` in that order they give ``tau_out``.
     """
 
     tau_in: complex
     tau_out: complex
     word: tuple[str, ...]
-
-    def replay(self) -> complex:
-        tau = self.tau_in
-        for label in self.word:
-            tau = apply_generator(tau, label)
-        return tau
-
-
-def in_fundamental_domain_plus(tau: complex, tol: float = _REDUCE_TOL) -> bool:
-    """Membership in {0 <= Re <= 1/2, |tau| >= 1} up to tol on the boundary."""
-    return (
-        tau.imag > 0
-        and -tol <= tau.real <= 0.5 + tol
-        and abs(tau) >= 1.0 - tol
-    )
 
 
 def reduce_to_fundamental(tau: complex) -> ReductionTrace:
@@ -235,31 +169,6 @@ def reduce_to_fundamental(tau: complex) -> ReductionTrace:
 
 
 # ---------------------------------------------------------------------------
-# Duals
-# ---------------------------------------------------------------------------
-
-def dual_lattice(lattice: Lattice) -> Lattice:
-    """The dual lattice, generated by the inverse transpose of gen."""
-    gen_dual = np.linalg.inv(lattice.gen).T
-    return lattice_from_generator(gen_dual)
-
-
-def symplectic_dual(lattice: Lattice) -> Lattice:
-    """The adjoint (symplectic dual) lattice: the input scaled by 1/covolume.
-
-    In two dimensions every lattice is symplectic, so the adjoint is just
-    a rescaled copy; unit covolume gives the lattice itself back.
-    """
-    vol = lattice.covolume
-    return Lattice(lattice.x, lattice.y, lattice.gen / vol)
-
-
-def symplectic_form(p: np.ndarray, q: np.ndarray) -> float:
-    """Standard skew form sigma((x, w), (x', w')) = x w' - x' w."""
-    return float(p[0] * q[1] - p[1] * q[0])
-
-
-# ---------------------------------------------------------------------------
 # Special shift points
 # ---------------------------------------------------------------------------
 
@@ -274,7 +183,7 @@ def special_point_a(x: float, y: float) -> PhasePoint:
     y2 = y * y
     a1 = (1.0 - x) * (x * x + y2) / (2.0 * y2)
     a2 = (-x + x * x + y2) / (2.0 * y2)
-    return PhasePoint(a1, a2, Frame.LATTICE)
+    return PhasePoint(a1, a2)
 
 
 def special_point_b(x: float, y: float) -> PhasePoint:
@@ -288,4 +197,4 @@ def special_point_b(x: float, y: float) -> PhasePoint:
     y2 = y * y
     b1 = (x + (1.0 - x) * 4.0 * y2) / (8.0 * y2)
     b2 = (4.0 * y2 - 1.0) / (8.0 * y2)
-    return PhasePoint(b1, b2, Frame.LATTICE)
+    return PhasePoint(b1, b2)

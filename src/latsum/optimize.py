@@ -6,52 +6,26 @@ best cells by saddle-free Newton steps on the series' own gradient and
 Hessian, term by term differentiated.  The 2x2 saddle-free step has a
 closed form (eigenvalues m +- hypot(d, b), eigenvector angle
 atan2(b, d)/2), so the polish works on Python floats per start and its
-only numpy work is one derivative batch per iteration.  Sweep routines
-evaluate the minimum across a family of lattice shapes; derivative scans
-probe the lattice-shape gradient of the shifted and charged families at
-the moving special points.
+only numpy work is one derivative batch per iteration.  The sweep
+evaluates the minimum across a family of lattice shapes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import (
-    Frame,
-    Lattice,
-    PhasePoint,
-    _wrap_unit,
-    lattice_from_tau,
-    special_point_a,
-    special_point_b,
-)
-from .theta import (
-    DEFAULT_POLICY,
-    CertifiedValue,
-    ShiftedSumEvaluator,
-    TruncationPolicy,
-    theta_charged,
-    theta_shifted,
-)
+from .lattice import Lattice, PhasePoint, _wrap_unit, lattice_from_tau
+from .theta import DEFAULT_POLICY, CertifiedValue, ShiftedSumEvaluator, TruncationPolicy
 
 _NEWTON_ITERATIONS = 60  # cap on the Newton loop
 _N_STARTS = 5  # lowest grid points polished by each torus minimization
 _EIG_FLOOR = 1e-12  # smallest |Hessian eigenvalue| kept, relative to the largest
 _TINY = float(np.finfo(float).tiny)  # added to that floor, keeping it positive at H = 0
 _ROUNDING = 64.0 * np.finfo(float).eps  # decrement at which a start stops, per unit value
-_FD_STEP = 1e-5  # central-difference step of the lattice-shape derivatives
-
-
-class CriticalRule(Enum):
-    """Which moving point a lattice-shape derivative is taken at."""
-
-    POINT_A = "a"
-    POINT_B = "b"
 
 
 @dataclass(frozen=True)
@@ -195,7 +169,7 @@ def _minimize(ev: ShiftedSumEvaluator, grid_n: int) -> MinResult:
     centred batch and derivatives, the argmin canonicalized and certified by
     ``ev``, its tail bound counting truncation and rounding."""
     point, _, iters = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
-    argmin = PhasePoint(float(point[0]), float(point[1]), Frame.LATTICE).canonical()
+    argmin = PhasePoint(float(point[0]), float(point[1])).canonical()
     return MinResult(argmin, ev.certified_at(argmin), grid_n, iters)
 
 
@@ -252,88 +226,3 @@ def sweep_fundamental_domain(
                     )
                 )
     return records
-
-
-def _moving_point(rule: CriticalRule, x: float, y: float) -> PhasePoint:
-    if rule is CriticalRule.POINT_A:
-        return special_point_a(x, y)
-    return special_point_b(x, y)
-
-
-def gradient_at_point(
-    rule: CriticalRule,
-    x: float,
-    y: float,
-    alpha: float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> tuple[float, float]:
-    """Central-difference lattice-shape gradient of the shifted family, step
-    ``_FD_STEP``.
-
-    The shift point is re-evaluated at each perturbed shape, i.e. it
-    moves with the lattice.
-    """
-    h = _FD_STEP
-
-    def f(xx: float, yy: float) -> float:
-        lat = lattice_from_tau(xx, yy)
-        return theta_shifted(lat, _moving_point(rule, xx, yy), alpha, pol).value
-
-    gx = (f(x + h, y) - f(x - h, y)) / (2.0 * h)
-    gy = (f(x, y + h) - f(x, y - h)) / (2.0 * h)
-    return gx, gy
-
-
-def x_derivative_sign_scan(
-    alpha: float,
-    y: float,
-    xs: Iterable[float],
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> list[tuple[float, float]]:
-    """d/dx of the shifted and charged families at the moving point b, by
-    central differences of step ``_FD_STEP``.
-
-    Returns one (shifted, charged) derivative pair per x; on
-    0 < x < 1/2 with y >= 1/sqrt(2) both entries are positive.
-    """
-
-    def pair(xx: float) -> tuple[float, float]:
-        lat = lattice_from_tau(xx, y)
-        b = special_point_b(xx, y)
-        return (
-            theta_shifted(lat, b, alpha, pol).value,
-            theta_charged(lat, b, alpha, pol).value,
-        )
-
-    h = _FD_STEP
-    out = []
-    for x in xs:
-        sp, cp = pair(x + h)
-        sm, cm = pair(x - h)
-        out.append(((sp - sm) / (2.0 * h), (cp - cm) / (2.0 * h)))
-    return out
-
-
-class RidgeFamily(Enum):
-    """Profile along the boundary line x = 1/2: shifted (F) or charged (G)."""
-
-    F = "shifted"
-    G = "charged"
-
-
-def ridge_profile(
-    family: RidgeFamily,
-    alpha: float,
-    ys: Sequence[float],
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> list[float]:
-    """Values of the x = 1/2 profile at the circumcenter for each y."""
-    out = []
-    for y in ys:
-        lat = lattice_from_tau(0.5, y)
-        a = special_point_a(0.5, y)
-        if family is RidgeFamily.F:
-            out.append(theta_shifted(lat, a, alpha, pol).value)
-        else:
-            out.append(theta_charged(lat, a, alpha, pol).value)
-    return out

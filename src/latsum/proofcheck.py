@@ -19,9 +19,7 @@ import numpy as np
 
 from .theta import (
     DEFAULT_POLICY,
-    CertifiedValue,
     TruncationPolicy,
-    _check_t,
     _select_radius,
     montgomery_A,
     montgomery_B,
@@ -214,11 +212,6 @@ def _q1_outside_minima(box_limits) -> list[float]:
     v = q1(k, l)
     reach = np.maximum(np.abs(k), np.abs(l))
     return [float(np.min(v[reach > limit], initial=math.inf)) for limit in box_limits]
-
-
-def q1_min_outside(box_limit: int) -> float:
-    """min Q1(k, l) over max(|k|, |l|) > box_limit."""
-    return _q1_outside_minima((box_limit,))[0]
 
 
 def check_q1_ledger() -> LemmaReport:
@@ -502,13 +495,6 @@ def check_charged_concavity_small_alpha() -> LemmaReport:
 # ---------------------------------------------------------------------------
 # Heat kernel on the circle and the l = 0 subsum
 # ---------------------------------------------------------------------------
-
-def heat_kernel_1d(t: float, x: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
-    """u(t, x) = 1 + 2 sum_k exp(-4 pi^2 k^2 t) cos(2 pi k x) on the circle."""
-    _check_t(t)
-    # matches the 1D hat series at parameter 4 pi t
-    return theta1d_hat(x, 4.0 * math.pi * t, pol)
-
 
 def _heat_uxx_weights(t: float) -> np.ndarray:
     k_max = int(math.ceil(math.sqrt(1.0 + 45.0 / (4.0 * math.pi**2 * t)))) + 4

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyQuadrature, NonPositiveAlpha, NonPositiveT, TailNotMet
+from .errors import EmptyQuadrature, NonPositiveAlpha, NonPositiveT
 from .lattice import Lattice, PhasePoint, lattice_from_tau
 
 TWO_PI = 2.0 * math.pi
@@ -54,13 +54,6 @@ class CertifiedValue:
     terms_used: int
     converged: bool = True
 
-    def require(self) -> "CertifiedValue":
-        if not self.converged:
-            raise TailNotMet(
-                f"tail bound {self.tail_bound:.3e} above requested tolerance"
-            )
-        return self
-
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < math.inf:
@@ -84,28 +77,6 @@ def _gauss_tail(k0: int, t: float) -> float:
     return math.exp(-math.pi * t * k0 * k0) / (1.0 - q)
 
 
-def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
-    """theta(beta; t) = sum_k exp(-pi t (k + beta)^2).
-
-    beta is canonicalized mod 1 before summation, making the result
-    1-periodic in beta by construction.
-    """
-    _check_t(t)
-    b = beta - math.floor(beta)
-    terms = [math.exp(-math.pi * t * b * b)]
-    m = 0
-    tail = math.inf
-    while m < pol.max_radius:
-        m += 1
-        terms.append(math.exp(-math.pi * t * (m + b) ** 2))
-        terms.append(math.exp(-math.pi * t * (-m + b) ** 2))
-        # (k+b)^2 >= k^2 for k >= 1 and >= (|k|-1)^2 for k <= -1
-        tail = _gauss_tail(m + 1, t) + _gauss_tail(m, t)
-        if tail <= pol.target_tol:
-            break
-    return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= pol.target_tol)
-
-
 def theta1d_hat(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
     """theta_hat(beta; t) = sum_k exp(-pi t k^2) exp(2 pi i k beta), real form.
 
@@ -122,24 +93,6 @@ def theta1d_hat(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -
         if tail <= pol.target_tol:
             break
     return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= pol.target_tol)
-
-
-def product_rep_theta1d_hat(beta: float, t: float, n_factors: int) -> float:
-    """Partial product representation of theta_hat(beta; t).
-
-    Each factor is (1 - q^(2k)) (1 + 2 cos(2 pi beta) q^(2k-1) + q^(4k-2))
-    with q = exp(-pi t); every factor is positive.
-    """
-    _check_t(t)
-    if n_factors < 1:
-        raise ValueError("n_factors must be at least 1")
-    c = 2.0 * math.cos(TWO_PI * beta)
-    prod = 1.0
-    for k in range(1, n_factors + 1):
-        e_even = math.exp(-TWO_PI * k * t)
-        e_odd = math.exp(-(2 * k - 1) * math.pi * t)
-        prod *= (1.0 - e_even) * (1.0 + c * e_odd + e_odd * e_odd)
-    return prod
 
 
 def montgomery_A(t: float) -> float:
@@ -165,9 +118,9 @@ def montgomery_Q(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) 
     representation, which is a sum of positive terms and carries the
     removable singularities at beta in Z/2 exactly.  The quantity is
     positive, even, 1-periodic, decreasing on (0, 1/2), and sandwiched
-    between montgomery_A(t) and montgomery_B(t).  The plain theta
-    derivative satisfies
-    -theta1d'(beta; s) = sin(2 pi beta) * s**-0.5 * Q(beta; 1/s).
+    between montgomery_A(t) and montgomery_B(t).  The derivative in beta of
+    theta(beta; s) = sum_k exp(-pi s (k + beta)^2) satisfies
+    -theta'(beta; s) = sin(2 pi beta) * s**-0.5 * Q(beta; 1/s).
     """
     _check_t(t)
     c = 2.0 * math.cos(TWO_PI * beta)
@@ -340,12 +293,30 @@ def _index_box(side: _Side, mid, radius: float):
     return k[i], l[j], rho[i, j]
 
 
+# cells of the largest index box a ball builds, 16 MiB per float array: a ball
+# that never meets its tolerance (the heat kernel at t = 1e300) stops there
+_MAX_BOX_CELLS = 1 << 21
+
+
+def _box_radius(side: _Side, pad: float) -> float:
+    """The largest radius R (at least 1) whose ``_index_box``, widened by ``pad``,
+    has at most ``_MAX_BOX_CELLS`` cells.  The box at radius R spans at most
+    2 e + 5 indices per axis, e = R times a row length of inv(gen), so at most
+    (2 a R + 5)(2 b R + 5) cells; R + pad is that quadratic's root at
+    ``_MAX_BOX_CELLS``, in the form free of cancellation."""
+    a, b = math.sqrt(side.g11) / side.covol, math.sqrt(side.g00) / side.covol
+    lin, const = 10.0 * (a + b), _MAX_BOX_CELLS - 25.0
+    root = 2.0 * const / (lin + math.sqrt(lin * lin + 16.0 * a * b * const))
+    return max(root - pad, 1.0)
+
+
 def _ball(side: _Side, mid, nodes, tol: float, max_radius: float, pad: float = 0.0):
     """Truncate sum_j w_j sum exp(-pi alpha_j |gen ((k, l) - mid)|^2) to the ball,
-    capped at max_radius, whose ``_gaussian_tail`` falls to tol.  Returns the
-    ``_index_box`` of that ball widened by ``pad``, its radius (every discarded
-    point lies beyond it), the tail and whether it meets tol."""
-    r, tail, ok = _select_radius(nodes, side.covol, side.h, tol, max_radius)
+    capped at max_radius and at ``_box_radius``, whose ``_gaussian_tail`` falls to
+    tol.  Returns the ``_index_box`` of that ball widened by ``pad``, its radius
+    (every discarded point lies beyond it), the tail and whether it meets tol."""
+    cap = min(max_radius, _box_radius(side, pad))
+    r, tail, ok = _select_radius(nodes, side.covol, side.h, tol, cap)
     return (*_index_box(side, mid, r + pad), r, tail, ok)
 
 
@@ -398,7 +369,7 @@ def _sum_at(lattice: Lattice, z: PhasePoint, nodes, pol: TruncationPolicy, dual)
     """``ShiftedSumEvaluator.certified_at(z)``, its lattice ball centred on z."""
     ev = ShiftedSumEvaluator.__new__(ShiftedSumEvaluator)
     # certified_at canonicalizes z as here, so the ball is centred on its point
-    ev._build(lattice, nodes, pol, z.to_lattice(lattice).canonical(), dual)
+    ev._build(lattice, nodes, pol, z.canonical(), dual)
     return ev.certified_at(z)
 
 
@@ -415,7 +386,7 @@ def theta_shifted(
     ``lattice_gaussian_sum`` at (b1, b2) on ``lattice_from_tau(x, y)``.
     """
     tau = lattice_from_tau(lattice.x, lattice.y)
-    return lattice_gaussian_sum(tau, b.to_lattice(lattice), alpha, pol, use_functional_equation)
+    return lattice_gaussian_sum(tau, b, alpha, pol, use_functional_equation)
 
 
 def theta_charged(
@@ -437,7 +408,7 @@ def theta_charged(
     _check_alpha(alpha)
     fe = None if use_functional_equation is None else not use_functional_equation
     tau = lattice_from_tau(lattice.x, lattice.y)
-    return _sum_at(tau, b.to_lattice(lattice), ((1.0 / alpha, 1.0 / alpha),), pol, fe)
+    return _sum_at(tau, b, ((1.0 / alpha, 1.0 / alpha),), pol, fe)
 
 
 def functional_equation_residual(
@@ -552,7 +523,6 @@ class ShiftedSumEvaluator:
             raise EmptyQuadrature("no quadrature nodes")
         for alpha, _ in nodes:
             _check_alpha(alpha)
-        self.lattice = lattice
         self.tol = pol.target_tol
         self._plan = plan = _plan(lattice)
         covol = plan.near.covol
@@ -671,10 +641,6 @@ class ShiftedSumEvaluator:
             return sides[0]
         return tuple(x + y for x, y in zip(*sides))
 
-    def values(self, zs: np.ndarray) -> np.ndarray:
-        """Evaluate at an (n, 2) array of lattice-coordinate shifts."""
-        return self.value_offset + self.values_centered(zs)
-
     def certified(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values at an (n, 2) batch of shifts in [0, 1)^2, each the ``math.fsum``
         of its terms plus ``value_offset``, and a bound on each one's error:
@@ -698,7 +664,7 @@ class ShiftedSumEvaluator:
     def certified_at(self, z: PhasePoint) -> CertifiedValue:
         """``certified`` at one shift; ``converged`` needs every ball and the
         whole bound to meet the tolerance."""
-        zl = z.to_lattice(self.lattice).canonical()
+        zl = z.canonical()
         values, bounds = self.certified(np.array([[zl.u, zl.v]]))
         tail = float(bounds[0])
         return CertifiedValue(

@@ -1,12 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latsum.lattice import hexagonal_lattice, lattice_from_tau, square_lattice
-from latsum.theta import TruncationPolicy, _ball, _plan, lattice_gaussian_sum
+from latsum.lattice import ReductionTrace, hexagonal_lattice, lattice_from_tau, square_lattice
+from latsum.theta import (
+    DEFAULT_POLICY,
+    TWO_PI,
+    CertifiedValue,
+    TruncationPolicy,
+    _ball,
+    _check_t,
+    _gauss_tail,
+    _plan,
+    lattice_gaussian_sum,
+)
 
 Y_HEX = math.sqrt(3.0) / 2.0
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -34,6 +49,72 @@ def random_domain_lattice(rng, y_max=2.5, min_dist_from_hex=0.0):
         if math.hypot(x - 0.5, y - Y_HEX) < min_dist_from_hex:
             continue
         return lattice_from_tau(x, y)
+
+
+def run_under_memory_limit(code: str, limit: int = 1 << 30) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter, importing latsum from this checkout,
+    whose address space is capped at ``limit`` bytes: an allocation beyond it
+    raises MemoryError there instead of exhausting the machine."""
+    cap = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", cap + code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
+    """Oracle for the other side of ``theta1d_hat``'s functional equation:
+    theta(beta; t) = sum_k exp(-pi t (k + beta)^2), beta taken mod 1 first, so
+    the result is 1-periodic in beta by construction."""
+    _check_t(t)
+    b = beta - math.floor(beta)
+    terms = [math.exp(-math.pi * t * b * b)]
+    m = 0
+    tail = math.inf
+    while m < pol.max_radius:
+        m += 1
+        terms.append(math.exp(-math.pi * t * (m + b) ** 2))
+        terms.append(math.exp(-math.pi * t * (-m + b) ** 2))
+        # (k+b)^2 >= k^2 for k >= 1 and >= (|k|-1)^2 for k <= -1
+        tail = _gauss_tail(m + 1, t) + _gauss_tail(m, t)
+        if tail <= pol.target_tol:
+            break
+    return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= pol.target_tol)
+
+
+def product_rep_theta1d_hat(beta: float, t: float, n_factors: int) -> float:
+    """Oracle for ``theta1d_hat``: its partial product representation, factors
+    (1 - q^(2k)) (1 + 2 cos(2 pi beta) q^(2k-1) + q^(4k-2)) with q = exp(-pi t)."""
+    c = 2.0 * math.cos(TWO_PI * beta)
+    prod = 1.0
+    for k in range(1, n_factors + 1):
+        e_even = math.exp(-TWO_PI * k * t)
+        e_odd = math.exp(-(2 * k - 1) * math.pi * t)
+        prod *= (1.0 - e_even) * (1.0 + c * e_odd + e_odd * e_odd)
+    return prod
+
+
+def apply_generator(tau: complex, label: str) -> complex:
+    """One generator of a ``ReductionTrace`` word applied to tau."""
+    if label == "J":
+        return -1.0 / tau
+    if label == "Mirror":
+        return complex(-tau.real, tau.imag)
+    return tau + {"T": 1.0, "Tinv": -1.0}[label]
+
+
+def replay(trace: ReductionTrace) -> complex:
+    """Oracle for ``reduce_to_fundamental``: its word applied to ``tau_in``."""
+    tau = trace.tau_in
+    for label in trace.word:
+        tau = apply_generator(tau, label)
+    return tau
+
+
+def in_fundamental_domain_plus(tau: complex, tol: float = 1e-12) -> bool:
+    """Membership in {0 <= Re <= 1/2, |tau| >= 1} up to tol on the boundary."""
+    return tau.imag > 0 and -tol <= tau.real <= 0.5 + tol and abs(tau) >= 1.0 - tol
 
 
 def central_differences(f, zs, h):
@@ -98,7 +179,7 @@ def brute_force_zeta(lattice, z, s, radius):
     adds (terms + 8 (s + 2)) eps sum |term| for rounding.  Squared distances
     come from lattice coordinates, so the terms near a lattice point keep
     full relative precision."""
-    zl = z.to_lattice(lattice).canonical()
+    zl = z.canonical()
     gen = lattice.gen
     covol = lattice.covolume
     h = 0.5 * max(np.linalg.norm(gen[:, 0] + gen[:, 1]), np.linalg.norm(gen[:, 0] - gen[:, 1]))
@@ -107,7 +188,7 @@ def brute_force_zeta(lattice, z, s, radius):
         np.arange(-reach[0], reach[0] + 1), np.arange(-reach[1], reach[1] + 1), indexing="ij"
     )
     w = np.column_stack([kk.ravel() + zl.u, ll.ravel() + zl.v])
-    q = np.einsum("ij,jk,ik->i", w, lattice.gram, w)
+    q = np.einsum("ij,jk,ik->i", w, gen.T @ gen, w)
     terms = q[q <= radius * radius] ** -s
     r = radius
     value = math.fsum(terms.tolist()) + 2.0 * math.pi / covol * r ** (2 - 2 * s) / (2 * s - 2)
@@ -145,7 +226,7 @@ def direct_series_derivatives(lattice, alpha, zs, pol):
     side = _plan(lattice).near
     ball = _ball(side, (-0.5, -0.5), ((alpha, 1.0),), pol.target_tol, pol.max_radius, side.h)
     k, l, _, _, tail, _ = ball
-    g = lattice.gram
+    g = lattice.gen.T @ lattice.gen
     w1 = k[None, :] + zs[:, 0][:, None]
     w2 = l[None, :] + zs[:, 1][:, None]
     a = g[0, 0] * w1 + g[0, 1] * w2

@@ -205,7 +205,8 @@ def test_criterion_11_born_charges():
     ok = abs(float(np.sum(eps.weights))) < 1e-12
     ok &= abs(float(np.sum(eps.weights**2)) - 9.0) < 1e-12
     p = app.CMPotential.gaussian(1.0)
-    table = app.born_interaction_table(hexl, 3, p)
+    table, converged = app.born_interaction_table(hexl, 3, p)
+    ok &= converged
     e_opt = app.born_energy_from_table(table, eps)
 
     m1, m2 = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")

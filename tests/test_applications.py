@@ -12,7 +12,7 @@ from latsum.errors import (
     PoleAtLatticePoint,
     UnsupportedDensity,
 )
-from latsum.lattice import Frame, PhasePoint, lattice_from_generator, lattice_from_tau
+from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.optimize import minimize_over_cell
 from latsum.theta import (
     ShiftedSumEvaluator,
@@ -28,6 +28,7 @@ from conftest import (
     brute_force_zeta,
     per_node_cm_energy,
     random_domain_lattice,
+    run_under_memory_limit,
 )
 
 
@@ -73,7 +74,7 @@ class TestFrameBounds:
     def test_sweep_minimized_by_hexagon(self):
         grid = [(x, y) for x in np.linspace(0.0, 0.5, 5) for y in np.linspace(Y_HEX, 1.4, 5)
                 if x * x + y * y >= 1.0] + [(0.5, Y_HEX), (0.0, 1.0)]
-        records = app.strohmer_beaver_sweep(2, grid, grid_n=24)
+        records = [app.gabor_frame_bounds(x, y, 2, grid_n=24) for x, y in grid]
         ratios = {(r.x, r.y): r.ratio for r in records}
         best = min(records, key=lambda r: r.ratio)
         assert (best.x, best.y) == (0.5, Y_HEX)
@@ -91,6 +92,20 @@ class TestHeatKernel:
             s = app.heat_kernel_torus(lat, z, t, route="spectral")
             assert abs(g.value - s.value) <= g.tail_bound + s.tail_bound + 1e-12
 
+    def test_huge_t_is_cut_to_a_bounded_ball(self):
+        # at t = 1e300 the tail never falls, so the ball grows to its cap; the
+        # radius cap alone (10 000) allowed an index box of 20 003^2 cells
+        proc = run_under_memory_limit(
+            "from latsum.applications import heat_kernel_torus\n"
+            "from latsum.lattice import PhasePoint, hexagonal_lattice\n"
+            "cv = heat_kernel_torus(hexagonal_lattice(), PhasePoint(0.0, 0.0), 1e300)\n"
+            "print(cv.converged, cv.tail_bound)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        converged, tail = proc.stdout.split()
+        assert converged == "False"
+        assert float(tail) > 1e-12
+
     def test_equilibration(self, hexl):
         z = PhasePoint(0.4, 0.1)
         assert abs(app.heat_kernel_torus(hexl, z, 50.0).value - 1.0) < 1e-12
@@ -107,7 +122,8 @@ class TestHeatKernel:
         n = 64
         us = np.arange(n) / n
         uu, vv = np.meshgrid(us, us, indexing="ij")
-        mean = ev.values(np.column_stack([uu.ravel(), vv.ravel()])).mean()
+        zs = np.column_stack([uu.ravel(), vv.ravel()])
+        mean = ev.value_offset + ev.values_centered(zs).mean()
         assert mean / (4.0 * math.pi * t) == pytest.approx(1.0, abs=1e-9)
 
     def test_hexagonal_beats_square_at_unit_scale(self, hexl, sq):
@@ -186,7 +202,8 @@ class TestCMPotential:
     def test_riesz_kernel_accuracy(self):
         p = app.CMPotential.riesz(3.0, tol=1e-10)
         rho = np.logspace(math.log10(0.05), 6.0, 300)
-        rel = np.abs(p.kernel(rho) * rho**1.5 - 1.0)
+        kernel = sum(w * np.exp(-math.pi * alpha * rho) for alpha, w in p.nodes)
+        rel = np.abs(kernel * rho**1.5 - 1.0)
         assert float(rel.max()) < 1e-9
 
     def test_riesz_vs_direct_sum_oracle(self, hexl):
@@ -454,7 +471,8 @@ class TestBorn:
 
     def test_honeycomb_beats_competitors(self, hexl, rng):
         p = app.CMPotential.gaussian(1.0)
-        table = app.born_interaction_table(hexl, 3, p)
+        table, converged = app.born_interaction_table(hexl, 3, p)
+        assert converged
         eps = app.epsilon_opt_hexagonal(3)
         e_opt = app.born_energy_from_table(table, eps)
 
@@ -555,15 +573,13 @@ class TestOneEvaluatorPerMinimum:
         zeta = app.epstein_min_sweep(shapes, 2.0, grid_n=16)
         assert builds[0] == len(shapes)
         builds[0] = 0
-        frames = app.strohmer_beaver_sweep(2, shapes, grid_n=16)
+        frames = [app.gabor_frame_bounds(x, y, 2, grid_n=16) for x, y in shapes]
         assert builds[0] == len(shapes)
 
         p = app.CMPotential.riesz(4.0, tol=1e-9)
         for (x, y), r, fb in zip(shapes, zeta, frames):
             lat = lattice_from_tau(x, y)
-            cv = ShiftedSumEvaluator(lat, p.nodes).certified_at(
-                PhasePoint(r.argmin_u, r.argmin_v, Frame.LATTICE)
-            )
+            cv = ShiftedSumEvaluator(lat, p.nodes).certified_at(PhasePoint(r.argmin_u, r.argmin_v))
             assert (r.min_value, r.tail_bound, r.converged) == (cv.value, cv.tail_bound, cv.converged)
             ev = ShiftedSumEvaluator(lat, ((1.0, 1.0),))
             low, high = ev.certified_at(fb.argmin_z), ev.certified_at(PhasePoint(0.0, 0.0))

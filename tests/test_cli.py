@@ -8,6 +8,8 @@ import pytest
 
 from latsum.cli import main
 
+from conftest import run_under_memory_limit
+
 Y_HEX = math.sqrt(3.0) / 2.0
 
 
@@ -247,6 +249,15 @@ class TestOtherCommands:
         _, out2, _ = run(capsys, base + ["--route", "spectral"])
         v1, v2 = json.loads(out1)["value"], json.loads(out2)["value"]
         assert v1 == pytest.approx(v2, abs=1e-10)
+
+    def test_heat_huge_t_exits_three(self):
+        # the truncation ball is cut where its index box would outgrow memory
+        proc = run_under_memory_limit(
+            "import sys\nfrom latsum.cli import main\n"
+            "sys.exit(main(['heat', '--t', '1e300']))\n"
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout)["converged"] is False
 
     def test_zeta(self, capsys):
         argv = ["zeta", "--s", "2", "--lattice", "0,1", "--z", "0.5,0.5"]

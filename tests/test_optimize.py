@@ -4,24 +4,31 @@ import numpy as np
 import pytest
 
 from latsum.errors import NonPositiveAlpha
-from latsum.lattice import PhasePoint, in_fundamental_domain_plus, lattice_from_tau
+from latsum.lattice import PhasePoint, lattice_from_tau, special_point_a, special_point_b
 from latsum.optimize import (
     _EIG_FLOOR,
     _N_STARTS,
-    CriticalRule,
-    RidgeFamily,
     _newton_polish,
     _saddle_free_step,
-    gradient_at_point,
     minimize_over_cell,
     minimize_torus,
-    ridge_profile,
     sweep_fundamental_domain,
-    x_derivative_sign_scan,
 )
-from latsum.theta import ShiftedSumEvaluator, TruncationPolicy, lattice_gaussian_sum, theta1d
+from latsum.theta import (
+    ShiftedSumEvaluator,
+    TruncationPolicy,
+    lattice_gaussian_sum,
+    theta_charged,
+    theta_shifted,
+)
 
-from conftest import Y_HEX, eigh_saddle_free_step, random_domain_lattice
+from conftest import (
+    Y_HEX,
+    eigh_saddle_free_step,
+    in_fundamental_domain_plus,
+    random_domain_lattice,
+    theta1d,
+)
 
 
 class TestMinimize:
@@ -56,7 +63,7 @@ class TestMinimize:
         ev = ShiftedSumEvaluator(lat, ((alpha, 1.0),))
         us = np.arange(24) / 24
         uu, vv = np.meshgrid(us, us, indexing="ij")
-        grid_vals = ev.values(np.column_stack([uu.ravel(), vv.ravel()]))
+        grid_vals = ev.value_offset + ev.values_centered(np.column_stack([uu.ravel(), vv.ravel()]))
         assert res.value.value <= grid_vals.min() + 2 * (res.value.tail_bound + ev.tail_bound)
 
     def test_argmin_canonical(self, rng):
@@ -84,7 +91,9 @@ class TestMinimize:
         us = np.arange(256) / 256
         uu, vv = np.meshgrid(us, us, indexing="ij")
         grid = np.column_stack([uu.ravel(), vv.ravel()])
-        dense = min(float(ev.values(chunk).min()) for chunk in np.array_split(grid, 64))
+        dense = ev.value_offset + min(
+            float(ev.values_centered(chunk).min()) for chunk in np.array_split(grid, 64)
+        )
         assert res.value.value <= dense + res.value.tail_bound + ev.tail_bound
 
     def test_half_cell_matches_full_cell(self, rng):
@@ -250,59 +259,80 @@ class TestSweep:
                 assert e0.value > hex_origin.value + e0.tail_bound + hex_origin.tail_bound
 
 
+def shape_gradient(family, point, x, y, alpha, h=1e-5):
+    """Central differences of family(lattice_from_tau(x, y), point(x, y), alpha)
+    in the shape (x, y), the shift point moving with the lattice."""
+
+    def f(xx, yy):
+        return family(lattice_from_tau(xx, yy), point(xx, yy), alpha).value
+
+    return (f(x + h, y) - f(x - h, y)) / (2 * h), (f(x, y + h) - f(x, y - h)) / (2 * h)
+
+
+def x_derivatives(alpha, y, x):
+    """d/dx of the shifted and charged families at the moving point b."""
+    families = (theta_shifted, theta_charged)
+    return tuple(shape_gradient(f, special_point_b, x, y, alpha)[0] for f in families)
+
+
 class TestShapeDerivatives:
     def test_hexagon_critical_for_point_b(self):
-        g = gradient_at_point(CriticalRule.POINT_B, 0.5, Y_HEX, 1.0)
+        g = shape_gradient(theta_shifted, special_point_b, 0.5, Y_HEX, 1.0)
         assert math.hypot(*g) < 1e-6
 
     def test_hexagon_critical_for_point_a(self):
-        g = gradient_at_point(CriticalRule.POINT_A, 0.5, Y_HEX, 3.0)
+        g = shape_gradient(theta_shifted, special_point_a, 0.5, Y_HEX, 3.0)
         assert math.hypot(*g) < 1e-6
 
     def test_interior_x_derivative_positive(self):
-        g = gradient_at_point(CriticalRule.POINT_B, 0.3, 1.0, 1.0)
+        g = shape_gradient(theta_shifted, special_point_b, 0.3, 1.0, 1.0)
         assert g[0] > 0
 
     def test_sign_scan_interior(self):
         xs = [0.05, 0.15, 0.25, 0.35, 0.45]
-        for d_shift, d_charge in x_derivative_sign_scan(1.0, 1.0, xs):
+        for d_shift, d_charge in (x_derivatives(1.0, 1.0, x) for x in xs):
             assert d_shift > 1e-12
             assert d_charge > 1e-12
 
     def test_sign_scan_low_y(self):
         xs = [0.1, 0.25, 0.4]
-        for d_shift, d_charge in x_derivative_sign_scan(4.0, 0.75, xs):
+        for d_shift, d_charge in (x_derivatives(4.0, 0.75, x) for x in xs):
             assert d_shift > 1e-12
             assert d_charge > 1e-12
 
     def test_derivative_vanishes_at_critical_lines(self):
-        interior = x_derivative_sign_scan(1.0, 1.0, [0.25])[0]
-        near_zero = x_derivative_sign_scan(1.0, 1.0, [1e-4])[0]
-        near_half = x_derivative_sign_scan(1.0, 1.0, [0.5 - 1e-4])[0]
+        interior = x_derivatives(1.0, 1.0, 0.25)
+        near_zero = x_derivatives(1.0, 1.0, 1e-4)
+        near_half = x_derivatives(1.0, 1.0, 0.5 - 1e-4)
         for d_near in (*near_zero, *near_half):
             assert abs(d_near) < 0.02 * max(interior)
+
+
+def ridge_profile(family, alpha, ys):
+    """The family along the boundary line x = 1/2, at the circumcenter."""
+    return [family(lattice_from_tau(0.5, y), special_point_a(0.5, y), alpha).value for y in ys]
 
 
 class TestRidgeProfiles:
     def test_shifted_profile_peaks_at_hexagon(self):
         ys = np.linspace(Y_HEX, 3.0, 60)
-        prof = ridge_profile(RidgeFamily.F, 2.0, ys)
+        prof = ridge_profile(theta_shifted, 2.0, ys)
         assert int(np.argmax(prof)) == 0
 
     def test_charged_profile_peaks_at_hexagon(self):
         ys = np.linspace(Y_HEX, 3.0, 60)
-        prof = ridge_profile(RidgeFamily.G, 5.0, ys)
+        prof = ridge_profile(theta_charged, 5.0, ys)
         assert int(np.argmax(prof)) == 0
 
     def test_families_coincide_at_unit_scale(self):
         ys = np.linspace(Y_HEX, 3.0, 25)
-        f1 = ridge_profile(RidgeFamily.F, 1.0, ys)
-        g1 = ridge_profile(RidgeFamily.G, 1.0, ys)
+        f1 = ridge_profile(theta_shifted, 1.0, ys)
+        g1 = ridge_profile(theta_charged, 1.0, ys)
         assert max(abs(a - b) for a, b in zip(f1, g1)) < 1e-10
 
     def test_small_alpha_via_functional_equation(self):
         # g at alpha < 1 equals (1/alpha) times f at 1/alpha
         ys = np.linspace(Y_HEX, 2.0, 10)
-        g = ridge_profile(RidgeFamily.G, 0.5, ys)
-        f = ridge_profile(RidgeFamily.F, 2.0, ys)
+        g = ridge_profile(theta_charged, 0.5, ys)
+        f = ridge_profile(theta_shifted, 2.0, ys)
         assert max(abs(gv - 2.0 * fv) for gv, fv in zip(g, f)) < 1e-10

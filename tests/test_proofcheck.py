@@ -123,12 +123,14 @@ class TestQuadraticForms:
         assert pc.q1(-1, -1) == pytest.approx(4 * U, abs=1e-14)
 
     def test_q1_min_outside_unit_box(self):
-        assert pc.q1_min_outside(1) == pytest.approx(14.0 / (3 * SQRT3), abs=1e-12)
-        assert pc.q1_min_outside(1) == pytest.approx(2.694, abs=1e-3)
+        (outside,) = pc._q1_outside_minima((1,))
+        assert outside == pytest.approx(14.0 / (3 * SQRT3), abs=1e-12)
+        assert outside == pytest.approx(2.694, abs=1e-3)
 
     def test_q1_min_outside_five_box(self):
-        assert pc.q1_min_outside(5) == pytest.approx(146.0 / (3 * SQRT3), abs=1e-12)
-        assert pc.q1_min_outside(5) == pytest.approx(28.09, abs=1e-2)
+        (outside,) = pc._q1_outside_minima((5,))
+        assert outside == pytest.approx(146.0 / (3 * SQRT3), abs=1e-12)
+        assert outside == pytest.approx(28.09, abs=1e-2)
 
     def test_q2_values(self):
         assert pc.q2(3, -3) == 9.0
@@ -351,25 +353,31 @@ class TestConcavity:
         assert pc.charged_sum_d2(np.full((2, 3), Y_HEX), 5.0).shape == (2, 3)
 
 
+def heat_kernel_1d(t, x):
+    """u(t, x) = 1 + 2 sum_k exp(-4 pi^2 k^2 t) cos(2 pi k x) on the circle: the
+    hat series at parameter 4 pi t."""
+    return theta1d_hat(x, 4.0 * math.pi * t)
+
+
 class TestHeatKernel:
     def test_short_time_gaussian_value(self):
-        u = pc.heat_kernel_1d(0.01, 0.0)
+        u = heat_kernel_1d(0.01, 0.0)
         assert u.value == pytest.approx(1.0 / math.sqrt(4 * math.pi * 0.01), rel=1e-6)
         assert u.value == pytest.approx(2.8209, abs=1e-3)
 
     def test_long_time_uniform(self):
         for x in (0.0, 0.2, 0.5):
-            assert abs(pc.heat_kernel_1d(10.0, x).value - 1.0) < 1e-10
+            assert abs(heat_kernel_1d(10.0, x).value - 1.0) < 1e-10
 
     def test_unit_mass(self):
         xs = np.linspace(0.0, 1.0, 257)
-        vals = np.array([pc.heat_kernel_1d(0.02, float(x)).value for x in xs])
+        vals = np.array([heat_kernel_1d(0.02, float(x)).value for x in xs])
         mass = np.trapezoid(vals, xs)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_nonpositive_t(self):
         with pytest.raises(NonPositiveT):
-            pc.heat_kernel_1d(0.0, 0.1)
+            heat_kernel_1d(0.0, 0.1)
 
     def test_inflection_short_time_asymptotic(self):
         root = pc.heat_inflection_point(0.001)

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from latsum.applications import CMPotential, heat_kernel_torus
-from latsum.errors import NonPositiveAlpha, NonPositiveT, TailNotMet
+from latsum.errors import NonPositiveAlpha, NonPositiveT
 from latsum.lattice import (
-    Frame,
     PhasePoint,
     lattice_from_generator,
     lattice_from_tau,
     special_point_b,
 )
 from latsum.theta import (
+    _MAX_BOX_CELLS,
     ShiftedSumEvaluator,
     TruncationPolicy,
+    _ball,
+    _box_radius,
     _cell_half_diameter,
     _dual_side,
     _gaussian_tail,
@@ -26,8 +28,6 @@ from latsum.theta import (
     montgomery_A,
     montgomery_B,
     montgomery_Q,
-    product_rep_theta1d_hat,
-    theta1d,
     theta1d_hat,
     theta_charged,
     theta_shifted,
@@ -37,7 +37,9 @@ from conftest import (
     Y_HEX,
     assert_derivatives_match_differences,
     direct_series_derivatives,
+    product_rep_theta1d_hat,
     random_domain_lattice,
+    theta1d,
 )
 
 
@@ -88,8 +90,6 @@ class TestTheta1D:
         pol = TruncationPolicy(target_tol=1e-12, max_radius=1)
         cv = theta1d(0.0, 0.05, pol)
         assert not cv.converged
-        with pytest.raises(TailNotMet):
-            cv.require()
 
 
 class TestTheta1DHat:
@@ -257,7 +257,7 @@ class TestGaussianSum:
         with pytest.raises(NonPositiveT):
             heat_kernel_torus(hexl, PhasePoint(0, 0), bad)
         with pytest.raises(NonPositiveT):
-            theta1d(0.25, bad)
+            theta1d_hat(0.25, bad)
         with pytest.raises(ValueError):
             TruncationPolicy(target_tol=bad)
 
@@ -322,7 +322,7 @@ class TestShiftedCharged:
             lat = random_domain_lattice(rng, y_max=1.8)
             alpha = rng.uniform(0.8, 2.0)
             b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
-            z = b.to_cartesian(lat)
+            z = lat.gen @ np.array([b.u, b.v])
             dual_gen = np.linalg.inv(lat.gen).T
             ks = np.arange(-12, 13)
             kk, ll = np.meshgrid(ks, ks, indexing="ij")
@@ -459,6 +459,33 @@ class TestGaussianTail:
                     for radius, bound in ((r, tail), (1.0, _gaussian_tail(nodes, c, h, 1.0)[0])):
                         assert brute_mass_beyond(g, center, nodes, radius) <= bound
 
+    @pytest.mark.parametrize("x, y", TAIL_SHAPES)
+    def test_box_radius_keeps_the_index_box_under_its_cap(self, x, y):
+        """The index box at ``_box_radius``, widened by the pad, spans
+        ceil(m + e) - floor(m - e) + 3 indices per axis (e = radius times a row
+        length of inv(gen)); it has at most ``_MAX_BOX_CELLS`` cells, and 1.01
+        times that radius would exceed them."""
+        def cells(side, radius, mid=0.37):
+            rows = (math.sqrt(side.g11) / side.covol, math.sqrt(side.g00) / side.covol)
+            return math.prod(
+                math.ceil(mid + radius * a) - math.floor(mid - radius * a) + 3 for a in rows
+            )
+
+        for covol in (1.0, 1.0 / 9.0):
+            side = _plan(lattice_from_generator(math.sqrt(covol) * lattice_from_tau(x, y).gen)).near
+            for pad in (0.0, side.h):
+                r = _box_radius(side, pad)
+                assert cells(side, r + pad) <= _MAX_BOX_CELLS < cells(side, 1.01 * (r + pad))
+
+    def test_ball_cut_at_the_box_cap_is_not_converged(self, hexl):
+        # alpha = 1e-300 never meets the tolerance: before the cap the ball
+        # grew to the 10 000 radius, a box of 20 003^2 cells
+        side = _plan(hexl).near
+        k, _, _, r, tail, ok = _ball(side, (0.0, 0.0), ((1e-300, 1.0),), 1e-12, 10_000)
+        assert r == pytest.approx(_box_radius(side, 0.0), rel=1e-12)
+        assert not ok and tail > 1e-12
+        assert len(k) <= _MAX_BOX_CELLS
+
     def test_tail_decreases_in_radius(self):
         gen = lattice_from_tau(0.1, 1e3).gen
         h = _cell_half_diameter(gen)
@@ -497,7 +524,7 @@ class TestBatchEvaluators:
             for lat in (base, scaled(base, 3.0)):
                 ev = ShiftedSumEvaluator(lat, one_node(alpha))
                 zs = rng.random((20, 2))
-                batch = ev.values(zs)
+                batch = ev.value_offset + ev.values_centered(zs)
                 for z, val in zip(zs, batch):
                     ref = lattice_gaussian_sum(lat, PhasePoint(z[0], z[1]), alpha)
                     assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
@@ -508,7 +535,7 @@ class TestBatchEvaluators:
             lat = random_domain_lattice(rng)
             ev = ShiftedSumEvaluator(lat, charged_node(alpha))
             bs = rng.random((20, 2))
-            batch = ev.values(bs)
+            batch = ev.value_offset + ev.values_centered(bs)
             for b, val in zip(bs, batch):
                 ref = theta_charged(lat, PhasePoint(b[0], b[1]), alpha)
                 assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
@@ -643,8 +670,5 @@ def test_families_live_on_the_tau_lattice(rng, family, fe):
         tau = lattice_from_tau(lat.x, lat.y)
         alpha = rng.uniform(0.3, 4.0)
         b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
-        cartesian = PhasePoint(*b.to_cartesian(lat), Frame.CARTESIAN)
         expected = family(tau, b, alpha, use_functional_equation=fe)
         assert family(lat, b, alpha, use_functional_equation=fe) == expected
-        got = family(lat, cartesian, alpha, use_functional_equation=fe)
-        assert abs(got.value - expected.value) <= 1e-13 * abs(expected.value) + 1e-15
