@@ -230,10 +230,10 @@ def _cmd_frame_bounds(args) -> int:
 def _cmd_heat(args) -> int:
     x, y = args.lattice
     u, v = args.z
-    cv = app.heat_kernel_torus(
-        lattice_from_tau(x, y), PhasePoint(u, v), args.t, _policy(args), route=args.route
-    )
-    _emit([_certified_row(cv, {"route": args.route, "t": args.t})], args, single=True)
+    lat = lattice_from_tau(x, y)
+    route = args.route or app.heat_route(lat, args.t)
+    cv = app.heat_kernel_torus(lat, PhasePoint(u, v), args.t, _policy(args), route=route)
+    _emit([_certified_row(cv, {"route": route, "t": args.t})], args, single=True)
     return _exit_code(cv.converged)
 
 
@@ -363,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", type=_pair, default=_pair(hex_xy), metavar="X,Y")
     p.add_argument("--z", type=_pair, default=(0.0, 0.0), metavar="U,V")
     p.add_argument("--t", type=_positive_float, required=True)
-    p.add_argument("--route", choices=("gaussian", "spectral"), default="gaussian")
+    p.add_argument(
+        "--route", choices=("gaussian", "spectral"), default=None,
+        help="force one series (default: the shorter one)",
+    )
     _add_summing(p)
     p.set_defaults(func=_cmd_heat)
 

@@ -36,7 +36,7 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.target_tol < math.inf:
             raise ValueError("target_tol must be finite and positive")
-        if self.max_radius < 1:
+        if not self.max_radius >= 1:
             raise ValueError("max_radius must be at least 1")
 
 

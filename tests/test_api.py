@@ -59,7 +59,7 @@ SURFACES = {
         "LandauConstants", "TWO_PI", "ZetaSweepRecord", "born_energy", "born_energy_from_table",
         "born_interaction_table", "cm_lattice_energy", "epsilon_opt_hexagonal",
         "epstein_min_sweep", "epstein_zeta_shifted", "gabor_frame_bounds", "heat_kernel_torus",
-        "landau_constants", "minimize_cm_energy", "temperature_extremes",
+        "heat_route", "landau_constants", "minimize_cm_energy", "temperature_extremes",
     },
     proofcheck: {
         "LemmaReport", "LemmaReport.passed", "PRINTED_CONSTANTS", "Q1_UNIT", "QuadFormLedger",

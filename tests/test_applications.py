@@ -93,12 +93,14 @@ class TestHeatKernel:
             assert abs(g.value - s.value) <= g.tail_bound + s.tail_bound + 1e-12
 
     def test_huge_t_is_cut_to_a_bounded_ball(self):
-        # at t = 1e300 the tail never falls, so the ball grows to its cap; the
-        # radius cap alone (10 000) allowed an index box of 20 003^2 cells
+        # on the Gaussian route at t = 1e300 the tail never falls, so the ball
+        # grows to its cap; the radius cap alone (10 000) allowed an index box
+        # of 20 003^2 cells
         proc = run_under_memory_limit(
             "from latsum.applications import heat_kernel_torus\n"
             "from latsum.lattice import PhasePoint, hexagonal_lattice\n"
-            "cv = heat_kernel_torus(hexagonal_lattice(), PhasePoint(0.0, 0.0), 1e300)\n"
+            "cv = heat_kernel_torus(hexagonal_lattice(), PhasePoint(0.0, 0.0), 1e300,\n"
+            "                       route='gaussian')\n"
             "print(cv.converged, cv.tail_bound)\n"
         )
         assert proc.returncode == 0, proc.stderr
@@ -107,8 +109,11 @@ class TestHeatKernel:
         assert float(tail) > 1e-12
 
     def test_equilibration(self, hexl):
+        # both forced routes: the Gaussian one sums thousands of translates
+        # at alpha = 1/(200 pi), the spectral one a single term
         z = PhasePoint(0.4, 0.1)
-        assert abs(app.heat_kernel_torus(hexl, z, 50.0).value - 1.0) < 1e-12
+        for route in ("gaussian", "spectral"):
+            assert abs(app.heat_kernel_torus(hexl, z, 50.0, route=route).value - 1.0) < 1e-12
         a_t, b_t = app.temperature_extremes(hexl, 5.0, grid_n=16)
         assert abs(b_t.value - a_t.value) < 1e-8
         assert a_t.value == pytest.approx(1.0, abs=1e-6)
@@ -298,36 +303,46 @@ class TestEpsteinZeta:
     def test_convergence_precondition(self, sq):
         with pytest.raises(ValueError):
             app.epstein_zeta_shifted(sq, PhasePoint(0.5, 0.5), 1.0)
-        with pytest.raises(ValueError):
-            app.epstein_zeta_shifted(sq, PhasePoint(0.5, 0.5), 2.0, radius_cap=0.5)
+        for cap in (0.5, math.nan):
+            with pytest.raises(ValueError):
+                app.epstein_zeta_shifted(sq, PhasePoint(0.5, 0.5), 2.0, radius_cap=cap)
 
-    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 2.5, 3.0, 5.0])
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 2.5, 3.0, 5.0, 7.0, 10.0, 10.5, 20.0, 40.0])
     def test_upper_gamma_matches_mpmath(self, s):
-        # a = 1 - s reaches -1, -2 and -4; x < 2 on the dual side is what
-        # elongated shapes (y = 10: x >= pi / 10) reach
+        # a = 1 - s reaches the poles -1, -2, -4, -6, -9, -19 and -39 of the
+        # integral's series, and -9.5; x < 2 on the dual side is what elongated shapes
+        # (y = 10: x >= pi / 10) reach; x = max(2, a + 1) is the split
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        xs = np.geomspace(1e-4, 60.0, 240)
         for a in (s, 1.0 - s):
+            xs = np.append(np.geomspace(1e-4, 80.0, 240), max(2.0, a + 1.0))
             got = app._upper_gamma(a, xs)
             for x, g in zip(xs, got):
                 ref = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(float(x)))
                 assert abs((mpmath.mpf(float(g)) - ref) / ref) <= app._UPPER_GAMMA_REL
+        # a capped ball can hold no lattice point: Gamma(s, x) of no x
+        far = app.epstein_zeta_shifted(lattice_from_tau(0.0, 1e4), PhasePoint(0.5, 0.5), s,
+                                       radius_cap=1.0)
+        assert math.isfinite(far.value) and not far.converged
 
-    @pytest.mark.parametrize("a", [1.5, -0.5, -2.0, 3.0])
+    @pytest.mark.parametrize("a", [1.5, -0.5, -2.0, 3.0, -9.5, 10.5])
     def test_upper_gamma_batch_matches_single(self, a):
-        # without a per-element stop a batch this size stalls: some elements
-        # sit a few ulp off convergence while others arrive
-        xs = np.random.default_rng(0).uniform(2.5, 30.0, 10_000)
-        got = app._upper_gamma(a, xs)
-        for x, g in zip(xs[::25], got[::25]):
-            alone = app._upper_gamma(a, np.array([x]))[0]
-            assert abs(g - alone) <= app._UPPER_GAMMA_REL * abs(alone)
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for x, g in zip(xs[::100], got[::100]):
-            ref = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(float(x)))
-            assert abs((mpmath.mpf(float(g)) - ref) / ref) <= app._UPPER_GAMMA_REL
+        # one depth serves a batch, set at its smallest x: the fraction's
+        # truncation error falls as x grows, so every larger element gets at
+        # least the levels it would get alone
+        rng = np.random.default_rng(0)
+        split = max(2.0, a + 1.0)
+        for xs in (rng.uniform(2.5, 30.0, 10_000), np.append(split, rng.uniform(split, 80.0, 999))):
+            got = app._upper_gamma(a, xs)
+            for x, g in zip(xs[::25], got[::25]):
+                alone = app._upper_gamma(a, np.array([x]))[0]
+                assert abs(g - alone) <= app._UPPER_GAMMA_REL * abs(alone)
+            mpmath = pytest.importorskip("mpmath")
+            mpmath.mp.dps = 40
+            for x, g in zip(xs[::100], got[::100]):
+                ref = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(float(x)))
+                assert abs((mpmath.mpf(float(g)) - ref) / ref) <= app._UPPER_GAMMA_REL
+        assert app._upper_gamma(a, np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 3.0])
     def test_ewald_matches_brute_force_oracle(self, s, rng):

@@ -249,12 +249,24 @@ class TestOtherCommands:
         _, out2, _ = run(capsys, base + ["--route", "spectral"])
         v1, v2 = json.loads(out1)["value"], json.loads(out2)["value"]
         assert v1 == pytest.approx(v2, abs=1e-10)
+        # by default the shorter series is summed, and the row names it: the
+        # spectral one, as covol = 1 < 4 pi t
+        code, out, _ = run(capsys, base)
+        assert code == 0
+        assert json.loads(out) == json.loads(out2)
+        # at t = 1e4 that is the spectral series, k = 1 / covol up to
+        # e^(-4 pi^2 t) from one term, where the Gaussian ball is capped
+        code, out, _ = run(capsys, ["heat", "--t", "1e4", "--z", "0.2,0.4"])
+        assert code == 0
+        row = json.loads(out)
+        assert row["route"] == "spectral"
+        assert abs(row["value"] - 1.0) <= row["tail_bound"]
 
     def test_heat_huge_t_exits_three(self):
-        # the truncation ball is cut where its index box would outgrow memory
+        # the Gaussian route's ball is cut where its index box would outgrow memory
         proc = run_under_memory_limit(
             "import sys\nfrom latsum.cli import main\n"
-            "sys.exit(main(['heat', '--t', '1e300']))\n"
+            "sys.exit(main(['heat', '--t', '1e300', '--route', 'gaussian']))\n"
         )
         assert proc.returncode == 3, proc.stderr
         assert json.loads(proc.stdout)["converged"] is False

@@ -260,6 +260,10 @@ class TestGaussianSum:
             theta1d_hat(0.25, bad)
         with pytest.raises(ValueError):
             TruncationPolicy(target_tol=bad)
+        # an infinite radius cap is no cap; a NaN one would cap every ball at NaN
+        if math.isnan(bad):
+            with pytest.raises(ValueError):
+                TruncationPolicy(max_radius=bad)
 
     def test_poisson_identity_direct_vs_frequency(self, rng):
         # the two summation routes are the planar Poisson identity
