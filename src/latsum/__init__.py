@@ -47,7 +47,6 @@ from .theta import (
 )
 from .optimize import (
     MinResult,
-    SweepRecord,
     minimize_over_cell,
     sweep_fundamental_domain,
 )

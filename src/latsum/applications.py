@@ -25,7 +25,7 @@ from .lattice import (
     lattice_from_tau,
     square_lattice,
 )
-from .optimize import _minimize, minimize_over_cell
+from .optimize import MinResult, _minimize, minimize_over_cell
 from .theta import (
     _EPS,
     DEFAULT_POLICY,
@@ -145,15 +145,15 @@ def temperature_extremes(
     t: float,
     pol: TruncationPolicy = DEFAULT_POLICY,
     grid_n: int = 48,
-) -> tuple[CertifiedValue, CertifiedValue]:
-    """Certified (min, max) torus temperature at time t: k = alpha E(z; alpha),
-    alpha = 1/(4 pi t), is the node (alpha, alpha), and one evaluator gives
-    its minimum and its maximum, which sits at the origin (see
-    ``minimize_over_cell``)."""
+) -> tuple[MinResult, CertifiedValue]:
+    """The torus minimum and the certified maximum of the temperature at
+    time t: k = alpha E(z; alpha), alpha = 1/(4 pi t), is the node
+    (alpha, alpha), and one evaluator gives its minimum and its maximum,
+    which sits at the origin (see ``minimize_over_cell``)."""
     _check_t(t)
     alpha = 1.0 / (4.0 * math.pi * t)
     ev = ShiftedSumEvaluator(lattice, ((alpha, alpha),), pol)
-    return _minimize(ev, grid_n).value, ev.certified_at(PhasePoint(0.0, 0.0))
+    return _minimize(ev, grid_n), ev.certified_at(PhasePoint(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -439,35 +439,19 @@ def epstein_zeta_shifted(
     return CertifiedValue(value, float(tail), len(terms) - 1, bool(tail <= pol.target_tol))
 
 
-@dataclass(frozen=True)
-class ZetaSweepRecord:
-    """One torus minimum of the Riesz mixture; ``tail_bound`` and
-    ``converged`` are its certified value's."""
-
-    x: float
-    y: float
-    s: float
-    min_value: float
-    argmin_u: float
-    argmin_v: float
-    tail_bound: float
-    converged: bool
-
-
 def epstein_min_sweep(
     lattice_grid: list[tuple[float, float]],
     s: float,
     grid_n: int = 24,
     pol: TruncationPolicy = DEFAULT_POLICY,
-) -> list[ZetaSweepRecord]:
-    """min_z of the shifted zeta across lattice shapes, via the mixture route."""
+) -> list[tuple[tuple[float, float], MinResult]]:
+    """min_z of the shifted zeta across lattice shapes, via the mixture route:
+    the torus minimum of each shape (x, y), keyed by it, in input order."""
     p = CMPotential.riesz(2.0 * s, tol=1e-9)
-    records = []
-    for x, y in lattice_grid:
-        res = _minimize(ShiftedSumEvaluator(lattice_from_tau(x, y), p.nodes, pol), grid_n)
-        z, cv = res.argmin, res.value
-        records.append(ZetaSweepRecord(x, y, s, cv.value, z.u, z.v, cv.tail_bound, cv.converged))
-    return records
+    return [
+        ((x, y), _minimize(ShiftedSumEvaluator(lattice_from_tau(x, y), p.nodes, pol), grid_n))
+        for x, y in lattice_grid
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .lattice import (
     special_point_a,
     special_point_b,
 )
-from .optimize import minimize_over_cell, sweep_fundamental_domain
+from .optimize import MinResult, minimize_over_cell, sweep_fundamental_domain
 from .theta import TruncationPolicy, theta_charged, theta_shifted
 
 EXIT_OK = 0
@@ -175,20 +175,25 @@ def _cmd_theta(args) -> int:
     return _exit_code(cv.converged)
 
 
-def _cmd_minimize(args) -> int:
-    x, y = args.lattice
-    res = minimize_over_cell(lattice_from_tau(x, y), args.alpha, args.grid_n, _policy(args))
-    row = {
+def _min_row(x: float, y: float, alpha: float, res: MinResult) -> dict:
+    """The keys that ``minimize`` and ``sweep`` share for one torus minimum."""
+    return {
         "x": x,
         "y": y,
-        "alpha": args.alpha,
+        "alpha": alpha,
         "min_value": res.value.value,
         "argmin_u": res.argmin.u,
         "argmin_v": res.argmin.v,
         "tail_bound": res.value.tail_bound,
-        "grid_resolution": res.grid_resolution,
-        "refinement_steps": res.refinement_steps,
     }
+
+
+def _cmd_minimize(args) -> int:
+    x, y = args.lattice
+    res = minimize_over_cell(lattice_from_tau(x, y), args.alpha, args.grid_n, _policy(args))
+    row = _min_row(x, y, args.alpha, res)
+    row["grid_resolution"] = res.grid_resolution
+    row["refinement_steps"] = res.refinement_steps
     _emit([row], args, single=True)
     return _exit_code(res.value.converged)
 
@@ -197,16 +202,15 @@ def _cmd_sweep(args) -> int:
     pol = _policy(args)
     records = sweep_fundamental_domain(args.alpha, args.x, args.y, args.grid_n, pol)
     rows = []
-    for r in records:
-        row = dataclasses.asdict(r)
-        del row["converged"]
+    for (x, y, alpha), res in records:
+        row = _min_row(x, y, alpha, res)
         if args.exploratory:
-            lat = lattice_from_tau(r.x, r.y)
-            row["value_at_a"] = theta_shifted(lat, special_point_a(r.x, r.y), r.alpha, pol).value
-            row["value_at_b"] = theta_shifted(lat, special_point_b(r.x, r.y), r.alpha, pol).value
+            lat = lattice_from_tau(x, y)
+            row["value_at_a"] = theta_shifted(lat, special_point_a(x, y), alpha, pol).value
+            row["value_at_b"] = theta_shifted(lat, special_point_b(x, y), alpha, pol).value
         rows.append(row)
     _emit(rows, args)
-    return _exit_code(all(r.converged for r in records))
+    return _exit_code(all(res.value.converged for _, res in records))
 
 
 def _cmd_frame_bounds(args) -> int:

@@ -40,20 +40,6 @@ class MinResult:
     refinement_steps: int
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One torus minimum of a sweep; ``converged`` is its certified value's flag."""
-
-    x: float
-    y: float
-    alpha: float
-    min_value: float
-    argmin_u: float
-    argmin_v: float
-    tail_bound: float
-    converged: bool
-
-
 def _saddle_free_step(
     g0: float, g1: float, a: float, b: float, c: float
 ) -> tuple[float, float, float]:
@@ -201,8 +187,9 @@ def sweep_fundamental_domain(
     ys: Sequence[float],
     grid_n: int = 32,
     pol: TruncationPolicy = DEFAULT_POLICY,
-) -> list[SweepRecord]:
-    """One minimization record per (x, y, alpha), ordered x, then y, then alpha.
+) -> list[tuple[tuple[float, float, float], MinResult]]:
+    """The torus minimum of every (x, y, alpha), keyed by that triple and
+    ordered x, then y, then alpha; repeated values give repeated entries.
 
     Every (x, y) with y > 0 is swept, inside the fundamental domain or not;
     y <= 0 raises ``NonPositiveY``.
@@ -212,17 +199,5 @@ def sweep_fundamental_domain(
         for y in sorted(ys):
             lattice = lattice_from_tau(x, y)
             for alpha in sorted(alphas):
-                res = minimize_over_cell(lattice, alpha, grid_n, pol)
-                records.append(
-                    SweepRecord(
-                        x=x,
-                        y=y,
-                        alpha=alpha,
-                        min_value=res.value.value,
-                        argmin_u=res.argmin.u,
-                        argmin_v=res.argmin.v,
-                        tail_bound=res.value.tail_bound,
-                        converged=res.value.converged,
-                    )
-                )
+                records.append(((x, y, alpha), minimize_over_cell(lattice, alpha, grid_n, pol)))
     return records

@@ -26,7 +26,7 @@ EXPORTS = {
     "lattice_gaussian_sum", "montgomery_A", "montgomery_B", "montgomery_Q", "theta1d_hat",
     "theta_charged", "theta_shifted",
     # optimize
-    "MinResult", "SweepRecord", "minimize_over_cell", "sweep_fundamental_domain",
+    "MinResult", "minimize_over_cell", "sweep_fundamental_domain",
     # applications
     "CMPotential", "ChargeDistribution", "FrameBounds", "LandauConstants", "born_energy",
     "cm_lattice_energy", "epsilon_opt_hexagonal", "epstein_zeta_shifted",
@@ -50,13 +50,12 @@ SURFACES = {
         "theta_shifted",
     },
     optimize: {
-        "MinResult", "SweepRecord", "minimize_over_cell", "minimize_torus",
-        "sweep_fundamental_domain",
+        "MinResult", "minimize_over_cell", "minimize_torus", "sweep_fundamental_domain",
     },
     applications: {
         "CMPotential", "CMPotential.at_zero", "CMPotential.gaussian", "CMPotential.riesz",
         "ChargeDistribution", "ChargeDistribution.validate", "FrameBounds", "FrameBounds.ratio",
-        "LandauConstants", "TWO_PI", "ZetaSweepRecord", "born_energy", "born_energy_from_table",
+        "LandauConstants", "TWO_PI", "born_energy", "born_energy_from_table",
         "born_interaction_table", "cm_lattice_energy", "epsilon_opt_hexagonal",
         "epstein_min_sweep", "epstein_zeta_shifted", "gabor_frame_bounds", "heat_kernel_torus",
         "heat_route", "landau_constants", "minimize_cm_energy", "temperature_extremes",

@@ -115,8 +115,8 @@ class TestHeatKernel:
         for route in ("gaussian", "spectral"):
             assert abs(app.heat_kernel_torus(hexl, z, 50.0, route=route).value - 1.0) < 1e-12
         a_t, b_t = app.temperature_extremes(hexl, 5.0, grid_n=16)
-        assert abs(b_t.value - a_t.value) < 1e-8
-        assert a_t.value == pytest.approx(1.0, abs=1e-6)
+        assert abs(b_t.value - a_t.value.value) < 1e-8
+        assert a_t.value.value == pytest.approx(1.0, abs=1e-6)
 
     def test_unit_cell_mass(self, rng):
         # the zero mode carries all the mass: the cell average is 1
@@ -135,17 +135,20 @@ class TestHeatKernel:
         t = 1.0 / (4.0 * math.pi)
         a_hex, b_hex = app.temperature_extremes(hexl, t)
         a_sq, b_sq = app.temperature_extremes(sq, t)
-        assert a_hex.value == pytest.approx(0.920371, abs=5e-6)
-        assert a_sq.value == pytest.approx(0.834627, abs=5e-6)
-        assert a_hex.value > a_sq.value
+        assert a_hex.value.value == pytest.approx(0.920371, abs=5e-6)
+        assert a_sq.value.value == pytest.approx(0.834627, abs=5e-6)
+        assert a_hex.value.value > a_sq.value.value
         assert b_hex.value < b_sq.value
+        # the minimum of the hexagonal torus sits at the deep hole
+        assert a_hex.argmin.u == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert a_hex.argmin.v == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_extremal_on_small_grid(self, hexl):
         shapes = [(0.0, 1.0), (0.25, 1.1), (0.5, 1.2), (0.5, Y_HEX)]
         for t in (0.05, 0.2):
             rows = [app.temperature_extremes(lattice_from_tau(x, y), t, grid_n=24)
                     for x, y in shapes]
-            a_vals = [r[0].value for r in rows]
+            a_vals = [r[0].value.value for r in rows]
             b_vals = [r[1].value for r in rows]
             assert int(np.argmax(a_vals)) == 3
             assert int(np.argmin(b_vals)) == 3
@@ -400,9 +403,10 @@ class TestEpsteinZeta:
     def test_hexagon_maximizes_minimum_small_grid(self):
         shapes = [(0.5, Y_HEX), (0.0, 1.0), (0.3, 1.05), (0.5, 1.3), (0.15, 1.6)]
         for s in (1.5, 2.0, 3.0):
-            records = app.epstein_min_sweep(shapes, s, grid_n=20)
-            best = max(records, key=lambda r: r.min_value)
-            assert (best.x, best.y) == (0.5, Y_HEX)
+            minima = app.epstein_min_sweep(shapes, s, grid_n=20)
+            assert [shape for shape, _ in minima] == shapes
+            best, _ = max(minima, key=lambda m: m[1].value.value)
+            assert best == (0.5, Y_HEX)
 
     def test_hexagonal_minimizer_is_circumcenter(self, hexl):
         p = app.CMPotential.riesz(4.0)
@@ -592,10 +596,10 @@ class TestOneEvaluatorPerMinimum:
         assert builds[0] == len(shapes)
 
         p = app.CMPotential.riesz(4.0, tol=1e-9)
-        for (x, y), r, fb in zip(shapes, zeta, frames):
+        for (x, y), ((xz, yz), r), fb in zip(shapes, zeta, frames):
             lat = lattice_from_tau(x, y)
-            cv = ShiftedSumEvaluator(lat, p.nodes).certified_at(PhasePoint(r.argmin_u, r.argmin_v))
-            assert (r.min_value, r.tail_bound, r.converged) == (cv.value, cv.tail_bound, cv.converged)
+            assert (xz, yz) == (x, y)
+            assert r.value == ShiftedSumEvaluator(lat, p.nodes).certified_at(r.argmin)
             ev = ShiftedSumEvaluator(lat, ((1.0, 1.0),))
             low, high = ev.certified_at(fb.argmin_z), ev.certified_at(PhasePoint(0.0, 0.0))
             assert (fb.x, fb.y) == (x, y)

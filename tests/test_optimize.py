@@ -220,10 +220,10 @@ class TestSweep:
         for x in xs:
             inside = [y for y in ys if in_fundamental_domain_plus(complex(x, y))]
             records += sweep_fundamental_domain([1.0], [x], inside, grid_n=24)
-        best = max(records, key=lambda r: r.min_value)
-        assert abs(best.x - 0.5) < 1e-12
-        assert abs(best.y - Y_HEX) < 1e-12
-        assert best.min_value == pytest.approx(0.920371, abs=5e-6)
+        (x, y, _), best = max(records, key=lambda r: r[1].value.value)
+        assert abs(x - 0.5) < 1e-12
+        assert abs(y - Y_HEX) < 1e-12
+        assert best.value.value == pytest.approx(0.920371, abs=5e-6)
 
     def test_square_below_hexagon(self, sq, hexl):
         v_sq = minimize_over_cell(sq, 1.0, 48).value.value
@@ -232,18 +232,21 @@ class TestSweep:
         assert v_sq < v_hex
 
     def test_row_ordering(self):
-        records = sweep_fundamental_domain([2.0, 1.0], [0.2, 0.0], [1.2, 1.1], grid_n=16)
-        keys = [(r.x, r.y, r.alpha) for r in records]
-        assert keys == sorted(keys)
+        # x, then y, then alpha, each sorted; the repeated x = 0.2 keeps its cells
+        records = sweep_fundamental_domain([2.0, 1.0], [0.2, 0.0, 0.2], [1.2, 1.1], grid_n=16)
+        keys = [key for key, _ in records]
+        assert keys == [(x, y, a) for x in (0.0, 0.2, 0.2) for y in (1.1, 1.2) for a in (1.0, 2.0)]
+        for (x, y, alpha), res in records:
+            assert res == minimize_over_cell(lattice_from_tau(x, y), alpha, 16)
 
     def test_converged_follows_the_policy(self):
         capped = sweep_fundamental_domain(
             [1.0], [0.5], [Y_HEX], grid_n=16, pol=TruncationPolicy(1e-14, max_radius=1)
         )
-        assert [r.converged for r in capped] == [False]
-        assert capped[0].tail_bound > 1e-14
+        assert [r.value.converged for _, r in capped] == [False]
+        assert capped[0][1].value.tail_bound > 1e-14
         default = sweep_fundamental_domain([1.0], [0.5], [Y_HEX], grid_n=16)
-        assert [r.converged for r in default] == [True]
+        assert [r.value.converged for _, r in default] == [True]
 
     def test_dominance_with_montgomery_dual(self, rng, hexl):
         # smaller-scale version of the main sweep: the hexagon dominates
