@@ -133,7 +133,11 @@ def minimize_torus(
     The function must be even, f(-z) = f(z), so the scan covers only the half
     cell v <= 1/2 + 1.5/grid_n.  The ``_N_STARTS`` lowest grid points are
     polished together by ``_newton_polish``, which stops each at a Newton
-    decrement of rounding level, ``_ROUNDING`` times the largest scanned |value|.
+    decrement of rounding level, ``_ROUNDING`` times the largest |value| at
+    the starts.  That scale is the starts' own: the largest value of the whole
+    scan can exceed a deep minimum by hundreds of orders of magnitude (about
+    e^(pi alpha / sqrt 3) on the hexagon), and a decrement relative to it would
+    stop the polish at its first step.
     Returns the best polished point, its value and the Newton iteration count.
     """
     if grid_n < 8:
@@ -142,8 +146,9 @@ def minimize_torus(
     uu, vv = np.meshgrid(us, us[us <= 0.5 + 1.5 / grid_n], indexing="ij")
     grid = np.column_stack([uu.ravel(), vv.ravel()])
     vals = batch(grid)
-    starts = grid[np.argsort(vals, kind="stable")[:_N_STARTS]]
-    tol = _ROUNDING * float(np.max(np.abs(vals)))
+    best = np.argsort(vals, kind="stable")[:_N_STARTS]
+    tol = _ROUNDING * float(np.max(np.abs(vals[best])))
+    starts = grid[best]
     points, iterations = _newton_polish(derivatives, starts, 1.0 / grid_n, tol)
     polished = batch(points)
     j = int(np.argmin(polished))

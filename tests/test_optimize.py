@@ -79,6 +79,18 @@ class TestMinimize:
         assert abs(res.argmin.u - 1 / 3) < 1e-9
         assert abs(res.argmin.v - 1 / 3) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [32.0, 40.0, 100.0])
+    def test_deep_hexagonal_minimum_is_polished(self, hexl, alpha):
+        """At large alpha the scan's largest value (at the origin) exceeds the
+        minimum by e^(pi alpha / sqrt 3), some 1e79 at alpha = 100; the polish
+        must still run each start to the deep hole (1/3, 1/3) or its mirror.
+        Grid 64 does not hold 1/3, so no start begins there."""
+        res = minimize_over_cell(hexl, alpha, 64)
+        u, v = res.argmin.u, res.argmin.v
+        assert min(math.hypot(u - c, v - c) for c in (1 / 3, 2 / 3)) < 1e-9
+        exact = lattice_gaussian_sum(hexl, PhasePoint(1 / 3, 1 / 3), alpha)
+        assert abs(res.value.value - exact.value) <= res.value.tail_bound + exact.tail_bound
+
     @pytest.mark.parametrize("alpha", [0.25, 1.0, 8.0])
     @pytest.mark.parametrize("y", [1.27, 2.09, 2.5])
     def test_elongated_shapes_below_dense_scan(self, y, alpha):
