@@ -28,7 +28,7 @@ from .lattice import (
     special_point_b,
 )
 from .optimize import MinResult, minimize_over_cell, sweep_fundamental_domain
-from .theta import TruncationPolicy, theta_charged, theta_shifted
+from .theta import DEFAULT_POLICY, TruncationPolicy, theta_charged, theta_shifted
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,7 +133,8 @@ def _add_summing(p: argparse.ArgumentParser) -> None:
         "--tol", type=_positive_float, default=1e-10, help="target tail tolerance"
     )
     p.add_argument(
-        "--max-radius", type=int, default=10_000, help="cap on the truncation ball radius"
+        "--max-radius", type=int, default=DEFAULT_POLICY.max_radius,
+        help="cap on the truncation ball radius",
     )
 
 

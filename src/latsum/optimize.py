@@ -176,6 +176,10 @@ def minimize_over_cell(
     ``minimize_torus``; the central symmetry E(-z) = E(z) halves the
     scanned cell for every shape.  The minimum is certified by the
     evaluator that found it; its tail bound counts truncation and rounding.
+    Only the value is reproducible where the minimum lies in a flat valley,
+    as on x = 1/2 shapes at small alpha, not the argmin: on (0.5, 2.2549) at
+    alpha 0.5, two rounding-level variants of one Newton step land 1.4e-5
+    apart near (1/4, 1/2), at values equal to the last digit.
 
     The maximum needs no search.  By Poisson summation every positive
     mixture sum_j w_j E(z; alpha_j) is sum_k g(k) cos(2 pi k.z) over the

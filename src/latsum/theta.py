@@ -642,13 +642,14 @@ class ShiftedSumEvaluator:
         return tuple(x + y for x, y in zip(*sides))
 
     def certified(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values at an (n, 2) batch of shifts in [0, 1)^2, each the ``math.fsum``
-        of its terms plus ``value_offset``, and a bound on each one's error:
-        the tails plus the rounding.  A lattice-side term sum_j w_j e^(-X_j) is
-        off by at most (nodes + 2) eps times itself plus kappa eps
-        sum_j w_j X_j e^(-X_j); (nodes + 8) eps of the sum of |term| covers that
-        and the two roundings of the sum."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        """Values at an (n, 2) batch of shifts, each the ``math.fsum`` of its
+        terms plus ``value_offset``, and a bound on each one's error: the tails
+        plus the rounding.  The shifts are reduced mod 1 into [0, 1]^2, the cell
+        whose every point the balls and the phase rounding serve.  A
+        lattice-side term sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps
+        times itself plus kappa eps sum_j w_j X_j e^(-X_j); (nodes + 8) eps of
+        the sum of |term| covers that and the two roundings of the sum."""
+        zs = np.mod(np.atleast_2d(np.asarray(zs, dtype=float)), 1.0)
         per_size = _EPS * (len(self._near) + 8.0)
         bound = np.full(len(zs), self.tail_bound + self._fixed + per_size * self._size)
         blocks = [np.cos(TWO_PI * (zs @ self._kidx.T)) * self._ghat] if self._far else []

@@ -83,14 +83,26 @@ class TestFrameBounds:
 
 
 class TestHeatKernel:
-    def test_two_route_agreement_randomized(self, rng):
-        for _ in range(100):
-            lat = random_domain_lattice(rng)
-            z = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
-            t = rng.uniform(0.02, 2.0)
+    def test_two_route_agreement_randomized(self, rng, hexl):
+        """Both forced routes agree within their tails, and the default call is
+        the call forced to ``heat_route``'s pick, bit for bit, on both sides of
+        t = covol / (4 pi), where the pick changes."""
+
+        def check(lat, z, t):
             g = app.heat_kernel_torus(lat, z, t, route="gaussian")
             s = app.heat_kernel_torus(lat, z, t, route="spectral")
             assert abs(g.value - s.value) <= g.tail_bound + s.tail_bound + 1e-12
+            route = app.heat_route(lat, t)
+            assert app.heat_kernel_torus(lat, z, t) == {"gaussian": g, "spectral": s}[route]
+            return route
+
+        for _ in range(100):
+            lat = random_domain_lattice(rng)
+            z = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
+            check(lat, z, rng.uniform(0.02, 2.0))
+        t_switch = hexl.covolume / (4.0 * math.pi)
+        routes = [check(hexl, PhasePoint(0.3, 0.1), t_switch * f) for f in (0.999, 1.001)]
+        assert routes == ["gaussian", "spectral"]
 
     def test_huge_t_is_cut_to_a_bounded_ball(self):
         # on the Gaussian route at t = 1e300 the tail never falls, so the ball

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from latsum.cli import main
+from latsum.cli import build_parser, main
+from latsum.theta import DEFAULT_POLICY
 
 from conftest import run_under_memory_limit
 
@@ -233,6 +234,10 @@ class TestPolicyOptions:
         code, out, _ = run(capsys, ["theta", "--tol", "1e-9", "--max-radius", "50"])
         assert code == 0
         assert json.loads(out)["converged"] is True
+
+    def test_radius_cap_defaults_to_the_library_policy(self):
+        args = build_parser().parse_args(["theta"])
+        assert args.max_radius == DEFAULT_POLICY.max_radius
 
 
 class TestOtherCommands:

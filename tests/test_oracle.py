@@ -4,6 +4,9 @@ Each reference is summed term by term over the tau lattice of the shape
 (x, y), independently of the balls, routes and functional equation of
 ``latsum.theta``.  A computed value must lie within its certified
 ``tail_bound`` of the reference, which carries truncation and rounding.
+Hypothesis properties then hold E(z; alpha) to its own symmetries,
+periodicity and evenness, and to the batch evaluator, on shapes with y up
+to 1e3 and alpha in [1e-3, 1e3], each comparison within the summed tails.
 """
 
 import math
@@ -11,10 +14,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsum.applications import heat_kernel_torus
 from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
-from latsum.theta import TruncationPolicy, lattice_gaussian_sum, theta_charged, theta_shifted
+from latsum.theta import (
+    ShiftedSumEvaluator,
+    TruncationPolicy,
+    lattice_gaussian_sum,
+    theta_charged,
+    theta_shifted,
+)
 
 Y_HEX = math.sqrt(3.0) / 2.0
 # terms with pi alpha Q above this are left out of a reference; together they
@@ -108,3 +119,51 @@ def test_elongated_shapes_converge_at_tight_tolerance(y):
                               TruncationPolicy(1e-12))
     assert cv.converged
     _assert_within(cv, reference(0.1, y, 1.0))
+
+
+# Shifts are dyadic, k / 2^20, so that z + m and -z are exact translates of z:
+# PhasePoint(1.1, 1.1) and PhasePoint(4.1, 4.1) are different float points.
+DYADIC = st.integers(-(2**20), 2**20).map(lambda k: k / 2**20)
+SHAPES = st.tuples(
+    st.floats(-0.5, 0.5), st.floats(math.log10(0.5), 3.0).map(lambda e: 10.0**e)
+)
+ALPHAS = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _within_tails(a, b):
+    assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
+
+
+@PROPERTY
+@given(SHAPES, ALPHAS, DYADIC, DYADIC, st.integers(-3, 3), st.integers(-3, 3))
+def test_gaussian_sum_is_periodic(shape, alpha, u, v, m, n):
+    lattice = lattice_from_tau(*shape)
+    _within_tails(
+        lattice_gaussian_sum(lattice, PhasePoint(u, v), alpha),
+        lattice_gaussian_sum(lattice, PhasePoint(u + m, v + n), alpha),
+    )
+
+
+@PROPERTY
+@given(SHAPES, ALPHAS, DYADIC, DYADIC)
+def test_gaussian_sum_is_even(shape, alpha, u, v):
+    lattice = lattice_from_tau(*shape)
+    _within_tails(
+        lattice_gaussian_sum(lattice, PhasePoint(u, v), alpha),
+        lattice_gaussian_sum(lattice, PhasePoint(-u, -v), alpha),
+    )
+
+
+@PROPERTY
+@given(SHAPES, ALPHAS, DYADIC, DYADIC)
+def test_evaluator_matches_pointwise_sum(shape, alpha, u, v):
+    """One batch of the evaluator's node (alpha, 1) at z and -z, each within
+    the summed tails of the pointwise sum at z."""
+    lattice = lattice_from_tau(*shape)
+    pointwise = lattice_gaussian_sum(lattice, PhasePoint(u, v), alpha)
+    values, bounds = ShiftedSumEvaluator(lattice, ((alpha, 1.0),)).certified(
+        np.array([[u, v], [-u, -v]])
+    )
+    for value, bound in zip(values.tolist(), bounds.tolist()):
+        assert abs(value - pointwise.value) <= bound + pointwise.tail_bound

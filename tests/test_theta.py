@@ -544,6 +544,19 @@ class TestBatchEvaluators:
                 ref = theta_charged(lat, PhasePoint(b[0], b[1]), alpha)
                 assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
 
+    def test_certified_reduces_shifts_mod_one(self):
+        """The cell-wide ball serves shifts in [0, 1]^2 only; unreduced, the
+        shift (0, -v) below was summed 1.8e-12 off against a bound of 9.1e-13.
+        The three shifts are exact translates of one point, v being dyadic."""
+        lat = lattice_from_tau(0.0, 10.0)
+        v = 91764 / 2**20
+        values, bounds = ShiftedSumEvaluator(lat, one_node(1.0)).certified(
+            np.array([[0.0, -v], [0.0, 1.0 - v], [3.0, 2.0 - v]])
+        )
+        assert values.tolist() == [values[1]] * 3 and bounds.tolist() == [bounds[1]] * 3
+        ref = lattice_gaussian_sum(lat, PhasePoint(0.0, v), 1.0)
+        assert abs(values[0] - ref.value) <= bounds[0] + ref.tail_bound
+
 
 @pytest.mark.parametrize("node_set", ["split pair", "riesz"])
 def test_rounding_bound_covers_every_shift(rng, hexl, node_set):
