@@ -135,9 +135,9 @@ def minimize_torus(
     polished together by ``_newton_polish``, which stops each at a Newton
     decrement of rounding level, ``_ROUNDING`` times the largest |value| at
     the starts.  That scale is the starts' own: the largest value of the whole
-    scan can exceed a deep minimum by hundreds of orders of magnitude (about
-    e^(pi alpha / sqrt 3) on the hexagon), and a decrement relative to it would
-    stop the polish at its first step.
+    scan can exceed a deep minimum by many orders of magnitude (1e52 on the
+    hexagon at alpha = 100), and a decrement relative to it would stop the
+    polish at its first step.
     Returns the best polished point, its value and the Newton iteration count.
     """
     if grid_n < 8:
@@ -176,9 +176,9 @@ def minimize_over_cell(
     ``minimize_torus``; the central symmetry E(-z) = E(z) halves the
     scanned cell for every shape.  The minimum is certified by the
     evaluator that found it; its tail bound counts truncation and rounding.
-    Only the value is reproducible where the minimum lies in a flat valley,
-    as on x = 1/2 shapes at small alpha, not the argmin: on (0.5, 2.2549) at
-    alpha 0.5, two rounding-level variants of one Newton step land 1.4e-5
+    Where the minimum lies in a flat valley, as on x = 1/2 shapes at small
+    alpha, only its value is reproducible, not its argmin: on (0.5, 2.2549)
+    at alpha 0.5, two rounding-level variants of one Newton step land 1.4e-5
     apart near (1/4, 1/2), at values equal to the last digit.
 
     The maximum needs no search.  By Poisson summation every positive

@@ -82,9 +82,9 @@ class TestMinimize:
     @pytest.mark.parametrize("alpha", [32.0, 40.0, 100.0])
     def test_deep_hexagonal_minimum_is_polished(self, hexl, alpha):
         """At large alpha the scan's largest value (at the origin) exceeds the
-        minimum by e^(pi alpha / sqrt 3), some 1e79 at alpha = 100; the polish
-        must still run each start to the deep hole (1/3, 1/3) or its mirror.
-        Grid 64 does not hold 1/3, so no start begins there."""
+        minimum by about e^(2 pi alpha / (3 sqrt 3)) / 3, 1e52 at alpha = 100;
+        the polish must still run each start to the deep hole (1/3, 1/3) or its
+        mirror.  Grid 64 does not hold 1/3, so no start begins there."""
         res = minimize_over_cell(hexl, alpha, 64)
         u, v = res.argmin.u, res.argmin.v
         assert min(math.hypot(u - c, v - c) for c in (1 / 3, 2 / 3)) < 1e-9

@@ -545,8 +545,8 @@ class TestBatchEvaluators:
                 assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
 
     def test_certified_reduces_shifts_mod_one(self):
-        """The cell-wide ball serves shifts in [0, 1]^2 only; unreduced, the
-        shift (0, -v) below was summed 1.8e-12 off against a bound of 9.1e-13.
+        """The cell-wide ball serves shifts in [0, 1]^2 only; summed unreduced,
+        the shift (0, -v) below is 1.8e-12 off against a bound of 9.1e-13.
         The three shifts are exact translates of one point, v being dyadic."""
         lat = lattice_from_tau(0.0, 10.0)
         v = 91764 / 2**20
