@@ -141,10 +141,7 @@ def heat_kernel_torus(
 
 
 def temperature_extremes(
-    lattice: Lattice,
-    t: float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-    grid_n: int = 48,
+    lattice: Lattice, t: float, grid_n: int = 48
 ) -> tuple[MinResult, CertifiedValue]:
     """The torus minimum and the certified maximum of the temperature at
     time t: k = alpha E(z; alpha), alpha = 1/(4 pi t), is the node
@@ -152,7 +149,7 @@ def temperature_extremes(
     which sits at the origin (see ``minimize_over_cell``)."""
     _check_t(t)
     alpha = 1.0 / (4.0 * math.pi * t)
-    ev = ShiftedSumEvaluator(lattice, ((alpha, alpha),), pol)
+    ev = ShiftedSumEvaluator(lattice, ((alpha, alpha),))
     return _minimize(ev, grid_n), ev.certified_at(PhasePoint(0.0, 0.0))
 
 
@@ -223,13 +220,10 @@ def cm_lattice_energy(
 
 
 def minimize_cm_energy(
-    p: CMPotential,
-    lattice: Lattice,
-    grid_n: int = 24,
-    pol: TruncationPolicy = DEFAULT_POLICY,
+    p: CMPotential, lattice: Lattice, grid_n: int = 24
 ) -> tuple[PhasePoint, float]:
     """Argmin and minimum of the CM lattice energy over one torus cell."""
-    res = _minimize(ShiftedSumEvaluator(lattice, p.nodes, pol), grid_n)
+    res = _minimize(ShiftedSumEvaluator(lattice, p.nodes), grid_n)
     return res.argmin, res.value.value
 
 
@@ -374,10 +368,10 @@ def epstein_zeta_shifted(
 
     and both series decay like Gaussians.  Each is truncated to a Gaussian
     ball (``theta._ball`` of the node (lam, 1) on the lattice and of the
-    dual node (1/lam, 1) on the dual lattice) capped at
-    ``min(radius_cap, pol.max_radius)``; its tail is a constant times the
-    ball's ``_gaussian_tail``, since Gamma(s, X) <= 2 X^(s-1) e^-X once
-    X >= 2(s-1) and Gamma(1-s, X) <= X^-s e^-X.  A capped lattice ball that
+    dual node (1/lam, 1) on the dual lattice) capped at ``radius_cap``; its
+    tail is a constant times the ball's ``_gaussian_tail``, since
+    Gamma(s, X) <= 2 X^(s-1) e^-X once X >= 2(s-1) and
+    Gamma(1-s, X) <= X^-s e^-X.  A capped lattice ball that
     stops short of X = 2(s-1) falls back to the power-law tail
     (Gamma(s, X) <= Gamma(s)).  ``tail_bound`` adds the incomplete gamma's
     relative error and the rounding, (terms + 8 (s + 2)) eps sum |term|;
@@ -406,7 +400,6 @@ def epstein_zeta_shifted(
 
     lam = 1.0 / lattice.covolume
     c = (math.pi * lam) ** s / math.gamma(s)
-    cap = min(radius_cap, pol.max_radius)
     # a Gaussian tail G below tol_g keeps 2 c G / X_R <= tol / 16 on each
     # side once X_R >= x_min, and G <= e^-x_min makes an uncapped ball reach
     # that far: at lam = 1/covol the ball's tail T(lam, R) is at least
@@ -415,7 +408,7 @@ def epstein_zeta_shifted(
     x_min = max(2.0 * (s - 1.0), 1.0)
     tol_g = min(pol.target_tol / 16.0 * x_min / (2.0 * c), math.exp(-x_min))
 
-    _, _, rho_p, r, g_tail, _ = _ball(plan.near, mid, ((lam, 1.0),), tol_g, cap)
+    _, _, rho_p, r, g_tail, _ = _ball(plan.near, mid, ((lam, 1.0),), tol_g, radius_cap)
     xd = math.pi * lam * rho_p
     direct = c * xd**-s * _upper_gamma(s, xd)
     x_r = math.pi * lam * r * r
@@ -424,7 +417,7 @@ def epstein_zeta_shifted(
     else:
         tail = _power_tail(plan.near, r, s)
 
-    k, l, kq, rk, k_tail, _ = _ball(plan.far, (0.0, 0.0), ((1.0 / lam, 1.0),), tol_g, cap)
+    k, l, kq, rk, k_tail, _ = _ball(plan.far, (0.0, 0.0), ((1.0 / lam, 1.0),), tol_g, radius_cap)
     nonzero = kq > 0.0
     xk = math.pi / lam * kq[nonzero]
     phases = TWO_PI * (k[nonzero] * zl.u + l[nonzero] * zl.v)
@@ -440,16 +433,13 @@ def epstein_zeta_shifted(
 
 
 def epstein_min_sweep(
-    lattice_grid: list[tuple[float, float]],
-    s: float,
-    grid_n: int = 24,
-    pol: TruncationPolicy = DEFAULT_POLICY,
+    lattice_grid: list[tuple[float, float]], s: float, grid_n: int = 24
 ) -> list[tuple[tuple[float, float], MinResult]]:
     """min_z of the shifted zeta across lattice shapes, via the mixture route:
     the torus minimum of each shape (x, y), keyed by it, in input order."""
     p = CMPotential.riesz(2.0 * s, tol=1e-9)
     return [
-        ((x, y), _minimize(ShiftedSumEvaluator(lattice_from_tau(x, y), p.nodes, pol), grid_n))
+        ((x, y), _minimize(ShiftedSumEvaluator(lattice_from_tau(x, y), p.nodes), grid_n))
         for x, y in lattice_grid
     ]
 
@@ -522,15 +512,10 @@ def born_energy_from_table(table: np.ndarray, eps: ChargeDistribution) -> float:
     return total / n**2
 
 
-def born_energy(
-    lattice: Lattice,
-    eps: ChargeDistribution,
-    p: CMPotential,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
+def born_energy(lattice: Lattice, eps: ChargeDistribution, p: CMPotential) -> float:
     """Charge energy per point of an N-periodic neutral distribution."""
     eps.validate()
-    table, _ = born_interaction_table(lattice, eps.period_N, p, pol)
+    table, _ = born_interaction_table(lattice, eps.period_N, p)
     return born_energy_from_table(table, eps)
 
 

@@ -3,8 +3,9 @@
 Every command emits one JSON object, a JSON array, or CSV rows (RFC-4180
 style, '.' decimal separator).  Floats are serialized with shortest
 round-trip precision, so identical invocations produce byte-identical
-output.  Exit codes: 0 success, 2 argument/validation error, 3 numerical
-tolerance not met, 4 lemma-suite failure.
+output; a NaN or infinite result is an error, not output.  Exit codes:
+0 success, 2 argument/validation error (an arithmetic overflow or division
+by zero included), 3 numerical tolerance not met, 4 lemma-suite failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .lattice import (
     special_point_b,
 )
 from .optimize import MinResult, minimize_over_cell, sweep_fundamental_domain
-from .theta import DEFAULT_POLICY, TruncationPolicy, theta_charged, theta_shifted
+from .theta import TruncationPolicy, theta_charged, theta_shifted
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,15 +90,10 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _json_default(v):
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    raise TypeError(f"not JSON serializable: {type(v)}")
-
-
 def _emit(rows: list[dict], args, single: bool = False) -> None:
+    for key, v in (item for row in rows for item in row.items()):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{key} is {v}, not a finite number")
     if args.csv:
         lines = [",".join(rows[0].keys())]
         for row in rows:
@@ -110,7 +106,7 @@ def _emit(rows: list[dict], args, single: bool = False) -> None:
         text = ("\n\n".join(blocks)) + "\n"
     else:
         payload = rows[0] if single else rows
-        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -127,19 +123,15 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_summing(p: argparse.ArgumentParser) -> None:
-    """The output options and the truncation policy of a command that sums."""
+    """The output options and the tolerance of a command that sums."""
     _add_output(p)
     p.add_argument(
         "--tol", type=_positive_float, default=1e-10, help="target tail tolerance"
     )
-    p.add_argument(
-        "--max-radius", type=int, default=DEFAULT_POLICY.max_radius,
-        help="cap on the truncation ball radius",
-    )
 
 
 def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy(target_tol=args.tol, max_radius=args.max_radius)
+    return TruncationPolicy(target_tol=args.tol)
 
 
 def _exit_code(converged: bool) -> int:
@@ -413,10 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LatSumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (LatSumError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

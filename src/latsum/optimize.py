@@ -176,10 +176,10 @@ def minimize_over_cell(
     ``minimize_torus``; the central symmetry E(-z) = E(z) halves the
     scanned cell for every shape.  The minimum is certified by the
     evaluator that found it; its tail bound counts truncation and rounding.
-    Where the minimum lies in a flat valley, as on x = 1/2 shapes at small
-    alpha, only its value is reproducible, not its argmin: on (0.5, 2.2549)
-    at alpha 0.5, two rounding-level variants of one Newton step land 1.4e-5
-    apart near (1/4, 1/2), at values equal to the last digit.
+    Where the minimum lies in a flat valley, only its value is reproducible,
+    not its argmin: rounding-level changes of the polish moved it 1.4e-5 on
+    (0.5, 2.2549) at alpha 0.5 and 4.3e-4 on (0.275, 2.4183) at alpha 8 and
+    grid 32, each time at values within their tails of each other.
 
     The maximum needs no search.  By Poisson summation every positive
     mixture sum_j w_j E(z; alpha_j) is sum_k g(k) cos(2 pi k.z) over the

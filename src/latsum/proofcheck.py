@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .theta import (
-    DEFAULT_POLICY,
-    TruncationPolicy,
     _select_radius,
     montgomery_A,
     montgomery_B,
@@ -558,9 +556,9 @@ def check_heat_inflection() -> LemmaReport:
     )
 
 
-def g_profile(alpha: float, y: float, pol: TruncationPolicy = DEFAULT_POLICY) -> float:
+def g_profile(alpha: float, y: float) -> float:
     """The l = 0 subsum of the charged profile: a circle heat kernel."""
-    return theta1d_hat(0.5 - 1.0 / (8.0 * y * y), alpha / y, pol).value
+    return theta1d_hat(0.5 - 1.0 / (8.0 * y * y), alpha / y).value
 
 
 def check_G_monotone() -> LemmaReport:

@@ -13,6 +13,7 @@ the unit-covolume lattice of their shape parameters (x, y).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,17 +28,13 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Target absolute tolerance and a cap on the radius of every truncation
-    ball (in units of length)."""
+    """The target absolute tolerance of every truncated sum."""
 
     target_tol: float = 1e-12
-    max_radius: int = 10_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_tol < math.inf:
             raise ValueError("target_tol must be finite and positive")
-        if not self.max_radius >= 1:
-            raise ValueError("max_radius must be at least 1")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -56,8 +53,9 @@ class CertifiedValue:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < math.inf:
-        raise NonPositiveAlpha(f"alpha must be finite and positive, got {alpha}")
+    # the dual side weighs by 1/alpha, which overflows for a subnormal alpha
+    if not (0.0 < alpha < math.inf and 1.0 / alpha < math.inf):
+        raise NonPositiveAlpha(f"alpha and 1/alpha must be finite and positive, got {alpha}")
 
 
 def _check_t(t: float) -> None:
@@ -69,6 +67,11 @@ def _check_t(t: float) -> None:
 # One-dimensional theta functions
 # ---------------------------------------------------------------------------
 
+# the last index of a 1D series: one summed that far without meeting its
+# tolerance returns the tail there, with converged=False
+_MAX_INDEX_1D = 10_000
+
+
 def _gauss_tail(k0: int, t: float) -> float:
     """Upper bound for sum_{k >= k0} exp(-pi t k^2), k0 >= 1."""
     q = math.exp(-math.pi * t * (2 * k0 + 1))
@@ -77,22 +80,21 @@ def _gauss_tail(k0: int, t: float) -> float:
     return math.exp(-math.pi * t * k0 * k0) / (1.0 - q)
 
 
-def theta1d_hat(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
-    """theta_hat(beta; t) = sum_k exp(-pi t k^2) exp(2 pi i k beta), real form.
+def theta1d_hat(beta: float, t: float) -> CertifiedValue:
+    """theta_hat(beta; t) = sum_k exp(-pi t k^2) exp(2 pi i k beta), real form,
+    to ``DEFAULT_POLICY``'s tolerance and at most ``_MAX_INDEX_1D``.
 
     Imaginary parts cancel pairwise, so the cosine series is summed.
     """
     _check_t(t)
+    tol = DEFAULT_POLICY.target_tol
     terms = [1.0]
-    m = 0
-    tail = math.inf
-    while m < pol.max_radius:
-        m += 1
+    for m in range(1, _MAX_INDEX_1D + 1):
         terms.append(2.0 * math.exp(-math.pi * t * m * m) * math.cos(TWO_PI * m * beta))
         tail = 2.0 * _gauss_tail(m + 1, t)
-        if tail <= pol.target_tol:
+        if tail <= tol:
             break
-    return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= pol.target_tol)
+    return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= tol)
 
 
 def montgomery_A(t: float) -> float:
@@ -111,7 +113,7 @@ def montgomery_B(t: float) -> float:
     return (1.0 + 1.0 / 3000.0) * 4.0 * math.pi * math.exp(-math.pi * t)
 
 
-def montgomery_Q(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
+def montgomery_Q(beta: float, t: float) -> CertifiedValue:
     """The ratio -theta_hat'(beta; t) / sin(2 pi beta), extended to all beta.
 
     Evaluated through the term-by-term differentiated product
@@ -121,19 +123,21 @@ def montgomery_Q(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) 
     between montgomery_A(t) and montgomery_B(t).  The derivative in beta of
     theta(beta; s) = sum_k exp(-pi s (k + beta)^2) satisfies
     -theta'(beta; s) = sin(2 pi beta) * s**-0.5 * Q(beta; 1/s).
+    The tolerance is ``DEFAULT_POLICY``'s, the factors at most ``_MAX_INDEX_1D``.
     """
     _check_t(t)
+    tol = DEFAULT_POLICY.target_tol
     c = 2.0 * math.cos(TWO_PI * beta)
-    rel_tol = min(0.1, pol.target_tol)
+    rel_tol = min(0.1, tol)
 
     # number of product factors: omitted ones multiply the result by
     # 1 + delta with |delta| <= sum_{m>M} 3 exp(-(2m-1) pi t), kept small
     pi_t = math.pi * t
     m_factors = 1
-    while 3.0 * math.exp(-(2 * m_factors + 1) * pi_t) / (1.0 - math.exp(-2.0 * pi_t)) > rel_tol * 0.05:
+    while m_factors <= _MAX_INDEX_1D and (
+        3.0 * math.exp(-(2 * m_factors + 1) * pi_t) / (1.0 - math.exp(-2.0 * pi_t)) > rel_tol * 0.05
+    ):
         m_factors += 1
-        if m_factors > pol.max_radius:
-            break
     m_factors = max(m_factors, 4)
 
     g = np.empty(m_factors)
@@ -147,13 +151,10 @@ def montgomery_Q(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) 
     partial = 4.0 * math.pi * float(np.sum(coeff * (full_product / g)))
 
     # remaining l-terms plus multiplicative band of the omitted factors
-    upper_product = full_product * (1.0 + rel_tol * 0.1)
-    l_tail = 4.0 * math.pi * upper_product * math.exp(-(2 * m_factors + 1) * pi_t) / max(
-        1.0 - math.exp(-2.0 * pi_t), 1e-300
-    )
-    delta = 3.0 * math.exp(-(2 * m_factors + 1) * pi_t) / max(1.0 - math.exp(-2.0 * pi_t), 1e-300)
-    tail = abs(partial) * 1.2 * delta + l_tail
-    return CertifiedValue(partial, tail, m_factors, tail <= pol.target_tol)
+    omitted, gap = math.exp(-(2 * m_factors + 1) * pi_t), max(1.0 - math.exp(-2.0 * pi_t), 1e-300)
+    l_tail = 4.0 * math.pi * (full_product * (1.0 + rel_tol * 0.1)) * omitted / gap
+    tail = abs(partial) * 1.2 * (3.0 * omitted / gap) + l_tail
+    return CertifiedValue(partial, tail, m_factors, tail <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +168,19 @@ def _cell_half_diameter(gen) -> float:
 
 
 class _Side(NamedTuple):
-    """A lattice gen Z^2 as floats: Gram form, covolume, cell half-diameter."""
+    """A lattice gen Z^2 as floats: Gram form, covolume, cell half-diameter, the plan's (x, y)."""
 
     g00: float
     g01: float
     g11: float
     covol: float
     h: float
+    shape: tuple[float, float]
 
 
-def _side(a: float, b: float, c: float, d: float) -> _Side:
+def _side(a: float, b: float, c: float, d: float, shape: tuple[float, float]) -> _Side:
     h = _cell_half_diameter(((a, b), (c, d)))
-    return _Side(a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c, h)
+    return _Side(a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c, h, shape)
 
 
 class _Plan(NamedTuple):
@@ -214,9 +216,10 @@ class _Plan(NamedTuple):
 def _plan(lattice: Lattice) -> _Plan:
     (a, b), (c, d) = lattice.gen.tolist()
     det = a * d - b * c
-    near = _side(a, b, c, d)
+    shape = (lattice.x, lattice.y)
+    near = _side(a, b, c, d, shape)
     mu = ((math.sqrt(near.g00 * near.g11) + abs(near.g01)) / det) ** 2
-    return _Plan(near, _side(d / det, -c / det, -b / det, a / det), 6.0 * mu + 8.0)
+    return _Plan(near, _side(d / det, -c / det, -b / det, a / det, shape), 6.0 * mu + 8.0)
 
 
 def _gaussian_tail(nodes, covol: float, h: float, radius: float) -> tuple[float, float]:
@@ -256,7 +259,7 @@ def _gaussian_tail(nodes, covol: float, h: float, radius: float) -> tuple[float,
 
 
 def _select_radius(
-    nodes, covol: float, h: float, tol: float, max_radius: float
+    nodes, covol: float, h: float, tol: float, cap: float
 ) -> tuple[float, float, bool]:
     """The ball radius R >= 1 just past the root of ``_gaussian_tail`` = tol.
 
@@ -266,13 +269,13 @@ def _select_radius(
     Each step du = log(1.05 tail / tol) tail / (pi moment) takes that tangent
     to tol / 1.05, so a step overshoots the root by no more than the
     polynomial factors of T move, and the last one lands just past it.  A
-    radius beyond ``max_radius`` is cut to it; the tail there is returned as
-    it is, with the flag tail <= tol."""
-    cap = max_radius * max_radius
+    radius beyond ``cap`` (at least 1) is cut to it; the tail there is
+    returned as it is, with the flag tail <= tol."""
+    cap2 = cap * cap
     r2 = 1.0
     tail, moment = _gaussian_tail(nodes, covol, h, 1.0)
-    while tail > tol and r2 < cap:
-        r2 = min(r2 + math.log(1.05 * tail / tol) * tail / (math.pi * moment), cap)
+    while tail > tol and r2 < cap2:
+        r2 = min(r2 + math.log(1.05 * tail / tol) * tail / (math.pi * moment), cap2)
         tail, moment = _gaussian_tail(nodes, covol, h, math.sqrt(r2))
     return math.sqrt(r2), tail, tail <= tol
 
@@ -293,38 +296,41 @@ def _index_box(side: _Side, mid, radius: float):
     return k[i], l[j], rho[i, j]
 
 
-# cells of the largest index box a ball builds, 16 MiB per float array: a ball
-# that never meets its tolerance (the heat kernel at t = 1e300) stops there
+# cells of the largest index box or batch temporary, 16 MiB per float array: a
+# ball that never meets its tolerance (the heat kernel at t = 1e300) stops there
 _MAX_BOX_CELLS = 1 << 21
 
 
 def _box_radius(side: _Side, pad: float) -> float:
-    """The largest radius R (at least 1) whose ``_index_box``, widened by ``pad``,
-    has at most ``_MAX_BOX_CELLS`` cells.  The box at radius R spans at most
-    2 e + 5 indices per axis, e = R times a row length of inv(gen), so at most
+    """The largest radius R whose ``_index_box``, widened by ``pad``, has at
+    most ``_MAX_BOX_CELLS`` cells; a ValueError naming the lattice's shape
+    where that R is below 1.  The box at radius R spans at most 2 e + 5
+    indices per axis, e = R times a row length of inv(gen), so at most
     (2 a R + 5)(2 b R + 5) cells; R + pad is that quadratic's root at
     ``_MAX_BOX_CELLS``, in the form free of cancellation."""
     a, b = math.sqrt(side.g11) / side.covol, math.sqrt(side.g00) / side.covol
     lin, const = 10.0 * (a + b), _MAX_BOX_CELLS - 25.0
     root = 2.0 * const / (lin + math.sqrt(lin * lin + 16.0 * a * b * const))
-    return max(root - pad, 1.0)
+    if not root - pad >= 1.0:
+        raise ValueError(f"lattice shape {side.shape} is too elongated for any truncation ball")
+    return root - pad
 
 
-def _ball(side: _Side, mid, nodes, tol: float, max_radius: float, pad: float = 0.0):
+def _ball(side: _Side, mid, nodes, tol: float, cap: float = math.inf, pad: float = 0.0):
     """Truncate sum_j w_j sum exp(-pi alpha_j |gen ((k, l) - mid)|^2) to the ball,
-    capped at max_radius and at ``_box_radius``, whose ``_gaussian_tail`` falls to
+    capped at ``_box_radius`` and at ``cap``, whose ``_gaussian_tail`` falls to
     tol.  Returns the ``_index_box`` of that ball widened by ``pad``, its radius
     (every discarded point lies beyond it), the tail and whether it meets tol."""
-    cap = min(max_radius, _box_radius(side, pad))
-    r, tail, ok = _select_radius(nodes, side.covol, side.h, tol, cap)
+    r, tail, ok = _select_radius(nodes, side.covol, side.h, tol, min(cap, _box_radius(side, pad)))
     return (*_index_box(side, mid, r + pad), r, tail, ok)
 
 
 def _nearest_sq(side: _Side, mid) -> float:
-    """Squared distance from gen mid to the nearest point gen (k, l): the cells
-    gen ([k, l] + [-1/2, 1/2]^2) tile the plane, so one point lies within the
-    cell half-diameter."""
-    return float(_index_box(side, mid, side.h * (1.0 + 1e-12))[2].min())
+    """The squared distance from gen mid to the nearest point gen (k, l) if it
+    is below 1, else 1: the index box of radius 1, which ``_box_radius`` checks
+    against the cap, holds every point nearer than that."""
+    _box_radius(side, 0.0)
+    return float(_index_box(side, mid, 1.0)[2].min(initial=1.0))
 
 
 def _power_tail(side: _Side, radius: float, s: float) -> float:
@@ -411,19 +417,15 @@ def theta_charged(
     return _sum_at(tau, b, ((1.0 / alpha, 1.0 / alpha),), pol, fe)
 
 
-def functional_equation_residual(
-    lattice: Lattice,
-    b: PhasePoint,
-    alpha: float,
-    pol: TruncationPolicy = DEFAULT_POLICY,
-) -> float:
-    """|shifted(b; alpha) - charged(b; 1/alpha)/alpha| with both sides direct.
+def functional_equation_residual(lattice: Lattice, b: PhasePoint, alpha: float) -> float:
+    """|shifted(b; alpha) - charged(b; 1/alpha)/alpha| with both sides direct,
+    each to ``DEFAULT_POLICY``'s tolerance.
 
     The two series are summed without rerouting through the functional
     equation, so the residual genuinely tests the identity.
     """
-    lhs = theta_shifted(lattice, b, alpha, pol, use_functional_equation=False)
-    rhs = theta_charged(lattice, b, 1.0 / alpha, pol, use_functional_equation=False)
+    lhs = theta_shifted(lattice, b, alpha, use_functional_equation=False)
+    rhs = theta_charged(lattice, b, 1.0 / alpha, use_functional_equation=False)
     return abs(lhs.value - rhs.value / alpha)
 
 
@@ -484,6 +486,23 @@ def _rounding_bound(plan: _Plan, near, far) -> float:
     return _EPS * bound
 
 
+def _in_row_blocks(batch):
+    """An evaluator's ``batch`` method on an (n, 2) array of shifts, over row
+    blocks of at most ``_rows`` shifts, with the arrays it returns joined."""
+
+    @functools.wraps(batch)
+    def in_blocks(self, zs):
+        zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        if len(zs) <= self._rows:
+            return batch(self, zs)
+        parts = [batch(self, zs[i : i + self._rows]) for i in range(0, len(zs), self._rows)]
+        if isinstance(parts[0], tuple):
+            return tuple(map(np.concatenate, zip(*parts)))
+        return np.concatenate(parts)
+
+    return in_blocks
+
+
 class ShiftedSumEvaluator:
     """A positive Gaussian mixture sum_j w_j E(z; alpha_j) = sum_p K(|p + z|^2),
     K(rho) = sum_j w_j exp(-pi alpha_j rho), over batches of lattice-coordinate
@@ -506,7 +525,8 @@ class ShiftedSumEvaluator:
     balls' ``_gaussian_tail``s, uniform over the cell, ``converged`` says each
     met its share, and ``certified`` adds the rounding.  ``terms`` counts both
     balls' terms, k = 0 included.  Exponents below ``_EXP_FLOOR`` are clipped;
-    the term they overstate goes into the rounding.
+    the term they overstate goes into the rounding.  Batches run in row blocks
+    that keep every temporary within ``_MAX_BOX_CELLS`` cells.
     """
 
     def __init__(
@@ -546,7 +566,7 @@ class ShiftedSumEvaluator:
 
         if near is not None:
             mid, pad = ((-0.5, -0.5), plan.near.h) if point is None else ((-point.u, -point.v), 0.0)
-            k, l, rho, _, tail, ok = _ball(plan.near, mid, self._near, budget, pol.max_radius, pad)
+            k, l, rho, _, tail, ok = _ball(plan.near, mid, self._near, budget, pad=pad)
             self._i1, self._i2 = k.astype(float), l.astype(float)
             self.tail_bound += tail
             self.converged &= ok
@@ -557,7 +577,7 @@ class ShiftedSumEvaluator:
 
         if far is not None:
             dual_nodes = list(zip(far[0].tolist(), far[1].tolist()))
-            k, l, kq, _, tail, ok = _ball(plan.far, (0.0, 0.0), dual_nodes, budget, pol.max_radius)
+            k, l, kq, _, tail, ok = _ball(plan.far, (0.0, 0.0), dual_nodes, budget)
             self.tail_bound += tail
             self.converged &= ok
             self.terms += len(kq)
@@ -579,6 +599,9 @@ class ShiftedSumEvaluator:
             self._fixed += _EPS * ((n_far + 5.0) * s_sum + per_term + x_err)
             self._fixed += len(self._kidx) * s_sum * math.exp(_EXP_FLOOR)
 
+        # no batch temporary holds more than max(nodes, 6) x terms cells per point
+        self._rows = max(1, _MAX_BOX_CELLS // (max(len(self._near), 6) * max(self.terms, 1)))
+
     def _rho(self, zs: np.ndarray) -> np.ndarray:
         """Squared lengths |gen (idx + z)|^2, (points x lattice-side terms)."""
         w1 = self._i1 + zs[:, :1]
@@ -594,9 +617,9 @@ class ShiftedSumEvaluator:
         rho += w2
         return rho
 
+    @_in_row_blocks
     def values_centered(self, zs: np.ndarray) -> np.ndarray:
         """Values minus ``value_offset`` at an (n, 2) batch of lattice-coordinate shifts."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
         out = np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat if self._far else np.zeros(len(zs))
         if self._near:
             rho = self._rho(zs)
@@ -628,10 +651,10 @@ class ShiftedSumEvaluator:
         h = 4.0 * k[:, 2, 3:] - 2.0 * k[:, 1, :1] * np.array([self._g00, self._g01, self._g11])
         return values, grad, h[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
 
+    @_in_row_blocks
     def derivatives_centered(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Centered values (n,), gradients (n, 2) and Hessians (n, 2, 2) in
         lattice coordinates, each side differentiated term by term."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
         sides = []
         if self._near:
             sides.append(self._lattice_derivatives(zs))
@@ -641,6 +664,7 @@ class ShiftedSumEvaluator:
             return sides[0]
         return tuple(x + y for x, y in zip(*sides))
 
+    @_in_row_blocks
     def certified(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values at an (n, 2) batch of shifts, each the ``math.fsum`` of its
         terms plus ``value_offset``, and a bound on each one's error: the tails
@@ -649,7 +673,7 @@ class ShiftedSumEvaluator:
         lattice-side term sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps
         times itself plus kappa eps sum_j w_j X_j e^(-X_j); (nodes + 8) eps of
         the sum of |term| covers that and the two roundings of the sum."""
-        zs = np.mod(np.atleast_2d(np.asarray(zs, dtype=float)), 1.0)
+        zs = np.mod(zs, 1.0)
         per_size = _EPS * (len(self._near) + 8.0)
         bound = np.full(len(zs), self.tail_bound + self._fixed + per_size * self._size)
         blocks = [np.cos(TWO_PI * (zs @ self._kidx.T)) * self._ghat] if self._far else []

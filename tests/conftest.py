@@ -1,5 +1,6 @@
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from latsum.lattice import ReductionTrace, hexagonal_lattice, lattice_from_tau, square_lattice
 from latsum.theta import (
+    _MAX_INDEX_1D,
     DEFAULT_POLICY,
     TWO_PI,
     CertifiedValue,
@@ -22,6 +24,18 @@ from latsum.theta import (
 
 Y_HEX = math.sqrt(3.0) / 2.0
 SRC = Path(__file__).resolve().parents[1] / "src"
+# address space of the test process: the suite runs in under 2 GiB, so a test
+# that allocates far more fails with a MemoryError instead of getting the
+# whole run killed
+TEST_ADDRESS_SPACE = 4 << 30
+
+
+def pytest_configure(config):
+    """Lower the soft RLIMIT_AS of this process to ``TEST_ADDRESS_SPACE``;
+    a lower limit already in place is kept."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY or soft > TEST_ADDRESS_SPACE:
+        resource.setrlimit(resource.RLIMIT_AS, (TEST_ADDRESS_SPACE, hard))
 
 
 @pytest.fixture
@@ -66,14 +80,12 @@ def run_under_memory_limit(code: str, limit: int = 1 << 30) -> subprocess.Comple
 def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
     """Oracle for the other side of ``theta1d_hat``'s functional equation:
     theta(beta; t) = sum_k exp(-pi t (k + beta)^2), beta taken mod 1 first, so
-    the result is 1-periodic in beta by construction."""
+    the result is 1-periodic in beta by construction, summed at most to
+    ``_MAX_INDEX_1D`` as that series is."""
     _check_t(t)
     b = beta - math.floor(beta)
     terms = [math.exp(-math.pi * t * b * b)]
-    m = 0
-    tail = math.inf
-    while m < pol.max_radius:
-        m += 1
+    for m in range(1, _MAX_INDEX_1D + 1):
         terms.append(math.exp(-math.pi * t * (m + b) ** 2))
         terms.append(math.exp(-math.pi * t * (-m + b) ** 2))
         # (k+b)^2 >= k^2 for k >= 1 and >= (|k|-1)^2 for k <= -1
@@ -208,7 +220,7 @@ def per_node_cm_energy(p, lattice, z, pol):
     n = len(p.nodes)
     value = tail = size = 0.0
     for alpha, weight in p.nodes:
-        node_pol = TruncationPolicy(pol.target_tol / (n * max(weight, 1e-300)), pol.max_radius)
+        node_pol = TruncationPolicy(pol.target_tol / (n * max(weight, 1e-300)))
         e = lattice_gaussian_sum(lattice, z, alpha, node_pol)
         value += weight * e.value
         tail += weight * e.tail_bound
@@ -224,7 +236,7 @@ def direct_series_derivatives(lattice, alpha, zs, pol):
     Hessian e (c^2 Gw (Gw)^T - c G), with c = 2 pi alpha.  Returns them and the
     truncation tail, uniform over the cell."""
     side = _plan(lattice).near
-    ball = _ball(side, (-0.5, -0.5), ((alpha, 1.0),), pol.target_tol, pol.max_radius, side.h)
+    ball = _ball(side, (-0.5, -0.5), ((alpha, 1.0),), pol.target_tol, pad=side.h)
     k, l, _, _, tail, _ = ball
     g = lattice.gen.T @ lattice.gen
     w1 = k[None, :] + zs[:, 0][:, None]

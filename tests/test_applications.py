@@ -340,6 +340,16 @@ class TestEpsteinZeta:
                                        radius_cap=1.0)
         assert math.isfinite(far.value) and not far.converged
 
+    def test_radius_cap_of_one_keeps_the_nearest_terms(self, sq):
+        cv = app.epstein_zeta_shifted(
+            sq, PhasePoint(0.5, 0.5), 2.0, TruncationPolicy(1e-8), radius_cap=1.0
+        )
+        assert not cv.converged
+        # the radius-1 balls: the four nearest lattice points and the four
+        # shortest nonzero dual vectors
+        assert cv.terms_used == 4 + 4
+        assert cv.tail_bound > 1e-8
+
     @pytest.mark.parametrize("a", [1.5, -0.5, -2.0, 3.0, -9.5, 10.5])
     def test_upper_gamma_batch_matches_single(self, a):
         # one depth serves a batch, set at its smallest x: the fraction's

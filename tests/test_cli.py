@@ -3,24 +3,13 @@ import io
 import json
 import math
 
-import numpy as np
 import pytest
 
-from latsum.cli import build_parser, main
-from latsum.theta import DEFAULT_POLICY
+from latsum.cli import main
 
 from conftest import run_under_memory_limit
 
 Y_HEX = math.sqrt(3.0) / 2.0
-
-
-def brute_force_gaussian(x, y, u, v, alpha, reach=12):
-    """E((u, v); alpha) on lattice_from_tau(x, y), summed over |k|, |l| <= reach:
-    exp(-pi alpha (a^2 + 2 x a b + (x^2 + y^2) b^2) / y) at (a, b) = (k + u, l + v)."""
-    k = np.arange(-reach, reach + 1)
-    a, b = np.meshgrid(k + u, k + v, indexing="ij")
-    q = (a * a + 2.0 * x * a * b + (x * x + y * y) * b * b) / y
-    return math.fsum(np.exp(-math.pi * alpha * q).ravel().tolist())
 
 
 def run(capsys, argv):
@@ -71,11 +60,10 @@ class TestTheta:
         assert "finite" in capsys.readouterr().err
 
     def test_tail_not_met_exits_three(self, capsys):
-        code, out, _ = run(
-            capsys, ["theta", "--alpha", "1", "--max-radius", "2", "--tol", "1e-14"]
-        )
+        # no rounding meets tol 1e-30, at a minimum as at a point
+        code, out, _ = run(capsys, ["minimize", "--alpha", "1", "--tol", "1e-30"])
         assert code == 3
-        assert json.loads(out)["converged"] is False
+        assert json.loads(out)["tail_bound"] > 1e-30
 
     def test_rounding_above_tol_exits_three(self, capsys):
         # at tol 1e-30 the truncation tail fits, the rounding of a value near 0.92 does not
@@ -91,6 +79,26 @@ class TestTheta:
         code, out, _ = run(capsys, ["theta"])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.920371, abs=5e-6)
+
+    @pytest.mark.parametrize("command", ["theta", "minimize"])
+    def test_alpha_with_infinite_reciprocal_exits_two(self, capsys, command):
+        # the dual weights scale by 1/alpha, which overflows for a subnormal alpha
+        code, out, err = run(capsys, [command, "--alpha", "1e-310"])
+        assert code == 2
+        assert out == ""
+        assert "1/alpha must be finite" in err
+
+    def test_infinite_result_exits_two(self):
+        # 1/alpha = 1e308 is finite, but the dual exponents pi |k|^2 / alpha
+        # overflow and the tail is infinite; in a fresh interpreter, as the
+        # suite turns numpy's overflow warning into an error
+        proc = run_under_memory_limit(
+            "import sys\nfrom latsum.cli import main\n"
+            "sys.exit(main(['theta', '--alpha', '1e-308']))\n"
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "error: tail_bound is inf, not a finite number" in proc.stderr
 
 
 class TestSweep:
@@ -137,22 +145,11 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][-2:] == ["value_at_a", "value_at_b"]
 
-    def test_max_radius_caps_the_ball(self, capsys):
-        caps = ["--tol", "1e-14", "--max-radius", "1"]
-        _, out, _ = run(capsys, ["sweep", "--x", "0.5:0.5:1", "--y", f"{Y_HEX}:{Y_HEX}:1"] + caps)
-        (swept,) = json.loads(out)
-        _, out, _ = run(capsys, ["minimize", "--lattice", f"0.5,{Y_HEX}"] + caps)
-        assert swept["tail_bound"] == json.loads(out)["tail_bound"]
-        # the radius-1 ball leaves out most of the sum; its tail still covers it
-        exact = brute_force_gaussian(0.5, Y_HEX, swept["argmin_u"], swept["argmin_v"], 1.0)
-        assert abs(swept["min_value"] - exact) <= swept["tail_bound"]
-
     def test_unconverged_cell_exits_three(self, capsys):
-        argv = ["sweep", "--x", "0.5:0.5:1", "--y", f"{Y_HEX}:{Y_HEX}:1",
-                "--tol", "1e-14", "--max-radius", "1"]
+        argv = ["sweep", "--x", "0.5:0.5:1", "--y", f"{Y_HEX}:{Y_HEX}:1", "--tol", "1e-30"]
         code, out, _ = run(capsys, argv)
         assert code == 3
-        assert json.loads(out)[0]["tail_bound"] > 1e-14
+        assert json.loads(out)[0]["tail_bound"] > 1e-30
 
     def test_cell_outside_domain_matches_minimize(self, capsys):
         # (0, 0.8660254) lies below the unit circle; sweep takes any y > 0
@@ -193,10 +190,31 @@ class TestFrameBounds:
         assert code == 2
         assert "density" in err
 
-    def test_max_radius_exits_three(self, capsys):
-        code, out, _ = run(capsys, ["frame-bounds", "--density", "2", "--max-radius", "1"])
+    def test_tail_not_met_exits_three(self, capsys):
+        code, out, _ = run(capsys, ["frame-bounds", "--density", "2", "--tol", "1e-30"])
         assert code == 3
         assert json.loads(out)["converged"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frame-bounds", "--shape", "0.5,1e6"],
+            ["frame-bounds", "--shape", "0.5,1e12"],
+            ["theta", "--lattice", "0.5,1e12"],
+        ],
+        ids=["cell-1e6", "cell-1e12", "point-1e12"],
+    )
+    def test_too_elongated_shape_exits_two(self, argv):
+        # no index box within the 2^21-cell cap holds a ball of radius 1: the
+        # cell-wide box of the minimum is widened by the cell half-diameter
+        # (about sqrt(y) / 2), the pointwise box is not
+        proc = run_under_memory_limit(
+            f"import sys\nfrom latsum.cli import main\nsys.exit(main({argv!r}))\n"
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        shape = tuple(float(c) for c in argv[-1].split(","))
+        assert f"lattice shape {shape} is too elongated" in proc.stderr
 
 
 class TestVerifyLemmas:
@@ -222,7 +240,7 @@ class TestVerifyLemmas:
 class TestPolicyOptions:
     @pytest.mark.parametrize(
         "argv",
-        [["verify-lemmas", "--tol", "1e-9"], ["reduce", "--tau", "2.5,0.9", "--max-radius", "5"]],
+        [["verify-lemmas", "--tol", "1e-9"], ["reduce", "--tau", "2.5,0.9", "--tol", "1e-9"]],
     )
     def test_commands_that_do_not_sum_reject_them(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -231,13 +249,22 @@ class TestPolicyOptions:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_summing_command_takes_them(self, capsys):
-        code, out, _ = run(capsys, ["theta", "--tol", "1e-9", "--max-radius", "50"])
+        code, out, _ = run(capsys, ["theta", "--tol", "1e-9"])
         assert code == 0
         assert json.loads(out)["converged"] is True
 
-    def test_radius_cap_defaults_to_the_library_policy(self):
-        args = build_parser().parse_args(["theta"])
-        assert args.max_radius == DEFAULT_POLICY.max_radius
+    @pytest.mark.parametrize(
+        "argv",
+        [["theta"], ["minimize"], ["sweep", "--x", "0:0:1", "--y", "1:1:1"], ["frame-bounds"],
+         ["heat", "--t", "1"], ["zeta", "--s", "2"], ["born"], ["landau"], ["verify-lemmas"],
+         ["reduce", "--tau", "2.5,0.9"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_command_takes_a_radius_cap(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-radius", "50"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-radius 50" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -302,19 +329,19 @@ class TestOtherCommands:
         assert code == 3
         assert json.loads(out)["tail_bound"] > 1e-18
 
-    def test_zeta_max_radius_caps_the_ball(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["zeta", "--s", "2", "--lattice", "0,1", "--z", "0.5,0.5",
-             "--tol", "1e-8", "--max-radius", "1"],
-        )
-        assert code == 3
-        payload = json.loads(out)
-        assert payload["converged"] is False
-        # the radius-1 balls: the four nearest lattice points and the four
-        # shortest nonzero dual vectors
-        assert payload["terms_used"] == 4 + 4
-        assert payload["tail_bound"] > 1e-8
+    def test_zeta_overflow_exits_two(self, capsys):
+        # Gamma(300) overflows a float
+        code, out, err = run(capsys, ["zeta", "--s", "300"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_theta_division_by_zero_exits_two(self, capsys):
+        # y^2 underflows to 0 in the default shift, point b
+        code, out, err = run(capsys, ["theta", "--lattice", "0,1e-300"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_born_honeycomb(self, capsys):
         code, out, _ = run(capsys, ["born", "--period", "3"])
@@ -324,8 +351,8 @@ class TestOtherCommands:
         assert payload["charge_norm_sq"] == pytest.approx(9.0, abs=1e-12)
         assert payload["converged"] is True
 
-    def test_born_max_radius_exits_three(self, capsys):
-        code, out, _ = run(capsys, ["born", "--period", "3", "--max-radius", "1"])
+    def test_born_tail_not_met_exits_three(self, capsys):
+        code, out, _ = run(capsys, ["born", "--period", "3", "--tol", "1e-30"])
         assert code == 3
         assert json.loads(out)["converged"] is False
 
@@ -344,8 +371,8 @@ class TestOtherCommands:
         assert payload["product"] == pytest.approx(0.5, abs=1e-6)
         assert payload["converged"] is True
 
-    def test_landau_max_radius_exits_three(self, capsys):
-        code, out, _ = run(capsys, ["landau", "--max-radius", "1"])
+    def test_landau_tail_not_met_exits_three(self, capsys):
+        code, out, _ = run(capsys, ["landau", "--tol", "1e-30"])
         assert code == 3
         assert json.loads(out)["converged"] is False
 

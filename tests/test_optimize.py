@@ -252,11 +252,12 @@ class TestSweep:
             assert res == minimize_over_cell(lattice_from_tau(x, y), alpha, 16)
 
     def test_converged_follows_the_policy(self):
+        # no rounding meets tol 1e-30
         capped = sweep_fundamental_domain(
-            [1.0], [0.5], [Y_HEX], grid_n=16, pol=TruncationPolicy(1e-14, max_radius=1)
+            [1.0], [0.5], [Y_HEX], grid_n=16, pol=TruncationPolicy(1e-30)
         )
         assert [r.value.converged for _, r in capped] == [False]
-        assert capped[0][1].value.tail_bound > 1e-14
+        assert capped[0][1].value.tail_bound > 1e-30
         default = sweep_fundamental_domain([1.0], [0.5], [Y_HEX], grid_n=16)
         assert [r.value.converged for _, r in default] == [True]
 

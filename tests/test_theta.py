@@ -13,6 +13,8 @@ from latsum.lattice import (
 )
 from latsum.theta import (
     _MAX_BOX_CELLS,
+    _MAX_INDEX_1D,
+    DEFAULT_POLICY,
     ShiftedSumEvaluator,
     TruncationPolicy,
     _ball,
@@ -20,6 +22,8 @@ from latsum.theta import (
     _cell_half_diameter,
     _dual_side,
     _gaussian_tail,
+    _index_box,
+    _nearest_sq,
     _plan,
     _rounding_bound,
     _select_radius,
@@ -39,6 +43,7 @@ from conftest import (
     direct_series_derivatives,
     product_rep_theta1d_hat,
     random_domain_lattice,
+    run_under_memory_limit,
     theta1d,
 )
 
@@ -87,9 +92,13 @@ class TestTheta1D:
             theta1d(0.2, 0.0)
 
     def test_tail_flag(self):
-        pol = TruncationPolicy(target_tol=1e-12, max_radius=1)
-        cv = theta1d(0.0, 0.05, pol)
+        # at t = 1e-9 the tail falls below 1e-12 only past k ~ 1.5e5
+        cv = theta1d(0.0, 1e-9)
+        assert cv.terms_used == 2 * _MAX_INDEX_1D + 1
         assert not cv.converged
+        hat = theta1d_hat(0.0, 1e-9)
+        assert hat.terms_used == _MAX_INDEX_1D + 1
+        assert not hat.converged
 
 
 class TestTheta1DHat:
@@ -185,17 +194,15 @@ class TestMontgomeryQ:
         assert abs(montgomery_Q(1e-9, 1.0).value - q0) < 1e-8
 
     def test_converged_means_tail_within_tol(self):
-        # a tail of 5.6e-15 on a value near 89 misses tol 1e-15
-        q = montgomery_Q(0.0, 0.05, TruncationPolicy(1e-15))
+        # a tail of 5.7e-12 on a value near 89 misses the default tol 1e-12
+        q = montgomery_Q(0.0, 0.05)
         assert q.value == pytest.approx(89.44, abs=0.01)
-        assert q.tail_bound > 1e-15
+        assert q.tail_bound > DEFAULT_POLICY.target_tol
         assert not q.converged
-        for tol in (1e-15, 1e-12):
-            pol = TruncationPolicy(tol)
-            for t in np.logspace(math.log10(0.05), math.log10(4.0), 20):
-                for beta in np.linspace(0.0, 0.5, 21):
-                    q = montgomery_Q(float(beta), float(t), pol)
-                    assert q.converged == (q.tail_bound <= tol)
+        for t in np.logspace(math.log10(0.05), math.log10(4.0), 20):
+            for beta in np.linspace(0.0, 0.5, 21):
+                q = montgomery_Q(float(beta), float(t))
+                assert q.converged == (q.tail_bound <= DEFAULT_POLICY.target_tol)
 
 
 class TestEnvelopes:
@@ -260,10 +267,9 @@ class TestGaussianSum:
             theta1d_hat(0.25, bad)
         with pytest.raises(ValueError):
             TruncationPolicy(target_tol=bad)
-        # an infinite radius cap is no cap; a NaN one would cap every ball at NaN
-        if math.isnan(bad):
-            with pytest.raises(ValueError):
-                TruncationPolicy(max_radius=bad)
+        # the tolerance is the policy's one setting
+        with pytest.raises(TypeError):
+            TruncationPolicy(max_radius=bad)
 
     def test_poisson_identity_direct_vs_frequency(self, rng):
         # the two summation routes are the planar Poisson identity
@@ -386,8 +392,6 @@ class TestCertifiedTails:
         tight = TruncationPolicy(target_tol=1e-8)
         cases = [
             lambda pol: theta1d(0.21, 0.8, pol),
-            lambda pol: theta1d_hat(0.37, 1.4, pol),
-            lambda pol: montgomery_Q(0.31, 0.9, pol),
             lambda pol: lattice_gaussian_sum(hexl, PhasePoint(0.2, 0.7), 0.6, pol),
             lambda pol: theta_shifted(hexl, PhasePoint(0.1, 0.4), 1.7, pol),
             lambda pol: theta_charged(hexl, PhasePoint(0.3, 0.9), 1.1, pol),
@@ -485,10 +489,20 @@ class TestGaussianTail:
         # alpha = 1e-300 never meets the tolerance: before the cap the ball
         # grew to the 10 000 radius, a box of 20 003^2 cells
         side = _plan(hexl).near
-        k, _, _, r, tail, ok = _ball(side, (0.0, 0.0), ((1e-300, 1.0),), 1e-12, 10_000)
+        k, _, _, r, tail, ok = _ball(side, (0.0, 0.0), ((1e-300, 1.0),), 1e-12)
         assert r == pytest.approx(_box_radius(side, 0.0), rel=1e-12)
         assert not ok and tail > 1e-12
         assert len(k) <= _MAX_BOX_CELLS
+
+    @pytest.mark.parametrize("x, y", [*TAIL_SHAPES, (0.45, 1e-2), (0.0, 0.3)])
+    def test_nearest_sq_is_the_least_below_one(self, rng, x, y):
+        """The nearest squared length, bit for bit, where it is below 1, and 1
+        elsewhere: the box at the cell half-diameter holds a lattice point."""
+        side = _plan(lattice_from_tau(x, y)).near
+        for _ in range(20):
+            mid = tuple(rng.uniform(-3.0, 3.0, 2) * 10.0 ** rng.uniform(-7.0, 0.0))
+            box = _index_box(side, mid, side.h * (1.0 + 1e-12))[2]
+            assert _nearest_sq(side, mid) == min(box.min(), 1.0)
 
     def test_tail_decreases_in_radius(self):
         gen = lattice_from_tau(0.1, 1e3).gen
@@ -556,6 +570,31 @@ class TestBatchEvaluators:
         assert values.tolist() == [values[1]] * 3 and bounds.tolist() == [bounds[1]] * 3
         ref = lattice_gaussian_sum(lat, PhasePoint(0.0, v), 1.0)
         assert abs(values[0] - ref.value) <= bounds[0] + ref.tail_bound
+
+    def test_row_blocks_match_one_block(self, rng, hexl):
+        """A batch cut into row blocks gives, bit for bit, what it gives in one
+        block, on both sides of the split."""
+        ev = ShiftedSumEvaluator(hexl, ((0.3, 1.0), (2.0, 0.5)))
+        zs = rng.random((23, 2))
+        whole = (ev.values_centered(zs), *ev.derivatives_centered(zs), *ev.certified(zs))
+        ev._rows = 4
+        blocks = (ev.values_centered(zs), *ev.derivatives_centered(zs), *ev.certified(zs))
+        for a, b in zip(whole, blocks):
+            assert np.array_equal(a, b)
+
+    def test_large_batch_stays_under_the_cell_cap(self):
+        """On (0.5, 3e5) the cell-wide ball holds 82 708 terms from an index box
+        inside the cap; the 2 176-point scan at grid 64, in one block, would
+        build (points x terms) arrays of 1.8e8 cells, 1.44 GB each."""
+        proc = run_under_memory_limit(
+            "from latsum.lattice import lattice_from_tau\n"
+            "from latsum.optimize import minimize_over_cell\n"
+            "res = minimize_over_cell(lattice_from_tau(0.5, 3e5), 2.0, 64)\n"
+            "print(res.value.terms_used, res.value.converged)\n",
+            limit=2 << 30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["82708", "True"]
 
 
 @pytest.mark.parametrize("node_set", ["split pair", "riesz"])
