@@ -137,7 +137,7 @@ def heat_kernel_torus(
         raise ValueError(f"unknown route {route!r}")
     alpha = 1.0 / (4.0 * math.pi * t)
     # k = alpha * E, the node (alpha, alpha)
-    return _sum_at(lattice, z, ((alpha, alpha),), pol, route == "spectral")
+    return _sum_at(_plan(lattice), z, ((alpha, alpha),), pol, route == "spectral")
 
 
 def temperature_extremes(
@@ -409,25 +409,30 @@ def epstein_zeta_shifted(
     tol_g = min(pol.target_tol / 16.0 * x_min / (2.0 * c), math.exp(-x_min))
 
     _, _, rho_p, r, g_tail, _ = _ball(plan.near, mid, ((lam, 1.0),), tol_g, radius_cap)
-    xd = math.pi * lam * rho_p
-    direct = c * xd**-s * _upper_gamma(s, xd)
-    x_r = math.pi * lam * r * r
-    if x_r >= 2.0 * (s - 1.0):
-        tail = 2.0 * c * g_tail / x_r
-    else:
-        tail = _power_tail(plan.near, r, s)
-
     k, l, kq, rk, k_tail, _ = _ball(plan.far, (0.0, 0.0), ((1.0 / lam, 1.0),), tol_g, radius_cap)
     nonzero = kq > 0.0
-    xk = math.pi / lam * kq[nonzero]
-    phases = TWO_PI * (k[nonzero] * zl.u + l[nonzero] * zl.v)
-    dual = c * xk ** (s - 1.0) * _upper_gamma(1.0 - s, xk) * np.cos(phases)
-    tail += c * k_tail / (math.pi / lam * rk * rk)
+    # at large s the powers X^(s-1) and X^-s pass the float range (inf times
+    # an underflowed gamma is nan); such a sum is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        xd = math.pi * lam * rho_p
+        direct = c * xd**-s * _upper_gamma(s, xd)
+        x_r = math.pi * lam * r * r
+        if x_r >= 2.0 * (s - 1.0):
+            tail = 2.0 * c * g_tail / x_r
+        else:
+            tail = _power_tail(plan.near, r, s)
 
-    terms = np.concatenate([direct, dual, [c / (s - 1.0)]])
-    sum_abs = float(np.abs(terms).sum())
-    tail += _UPPER_GAMMA_REL * (sum_abs - terms[-1])
-    tail += (len(terms) + 8.0 * (s + 2.0)) * _EPS * sum_abs
+        xk = math.pi / lam * kq[nonzero]
+        phases = TWO_PI * (k[nonzero] * zl.u + l[nonzero] * zl.v)
+        dual = c * xk ** (s - 1.0) * _upper_gamma(1.0 - s, xk) * np.cos(phases)
+        tail += c * k_tail / (math.pi / lam * rk * rk)
+
+        terms = np.concatenate([direct, dual, [c / (s - 1.0)]])
+        sum_abs = float(np.abs(terms).sum())
+        tail += _UPPER_GAMMA_REL * (sum_abs - terms[-1])
+        tail += (len(terms) + 8.0 * (s + 2.0)) * _EPS * sum_abs
+    if not (math.isfinite(sum_abs) and math.isfinite(tail)):
+        raise ValueError(f"the direct Epstein zeta overflows the float range at s = {s}")
     value = math.fsum(terms.tolist())
     return CertifiedValue(value, float(tail), len(terms) - 1, bool(tail <= pol.target_tol))
 

@@ -26,7 +26,8 @@ _MAX_GENERATOR_APPLICATIONS = 10_000
 
 def det2(m: np.ndarray) -> float:
     """Determinant of a 2x2 matrix, from its entries."""
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    (a, b), (c, d) = m.tolist()
+    return a * d - b * c
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +85,13 @@ def lattice_from_tau(x: float, y: float) -> Lattice:
     """Unit-covolume lattice with the canonical generator for (x, y)."""
     if y <= 0:
         raise NonPositiveY(f"y must be positive, got {y}")
+    return Lattice(x, y, np.array(_tau_rows(x, y)))
+
+
+def _tau_rows(x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The rows of ``lattice_from_tau(x, y)``'s generator, for y > 0."""
     s = 1.0 / math.sqrt(y)
-    gen = np.array([[s, s * x], [0.0, s * y]])
-    return Lattice(x, y, gen)
+    return (s, s * x), (0.0, s * y)
 
 
 def lattice_from_generator(gen: np.ndarray) -> Lattice:

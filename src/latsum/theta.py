@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyQuadrature, NonPositiveAlpha, NonPositiveT
-from .lattice import Lattice, PhasePoint, lattice_from_tau
+from .lattice import Lattice, PhasePoint, _tau_rows, _wrap_unit
 
 TWO_PI = 2.0 * math.pi
 
@@ -214,9 +214,14 @@ class _Plan(NamedTuple):
 
 
 def _plan(lattice: Lattice) -> _Plan:
-    (a, b), (c, d) = lattice.gen.tolist()
+    return _plan_of(lattice.gen.tolist(), (lattice.x, lattice.y))
+
+
+def _plan_of(rows, shape: tuple[float, float]) -> _Plan:
+    """The plan of the lattice whose generator has the float ``rows`` and
+    whose shape is (x, y)."""
+    (a, b), (c, d) = rows
     det = a * d - b * c
-    shape = (lattice.x, lattice.y)
     near = _side(a, b, c, d, shape)
     mu = ((math.sqrt(near.g00 * near.g11) + abs(near.g01)) / det) ** 2
     return _Plan(near, _side(d / det, -c / det, -b / det, a / det, shape), 6.0 * mu + 8.0)
@@ -281,19 +286,26 @@ def _select_radius(
 
 
 def _index_box(side: _Side, mid, radius: float):
-    """Index pairs (k, l) with |gen ((k, l) - mid)| <= radius, as two integer
-    arrays, and those squared lengths, from the Gram form.  The rows of
-    inv(gen) have lengths sqrt(g11) / covol and sqrt(g00) / covol, which bound
-    |k - m1| and |l - m2| on the ball by that times the radius."""
+    """Index pairs (k, l) with |gen ((k, l) - mid)| <= radius, as two float
+    arrays, and those squared lengths, from the Gram form in the operation
+    order of ``ShiftedSumEvaluator._rho``: at mid = -z they are ``_rho`` at z
+    bit for bit.  The rows of inv(gen) have lengths sqrt(g11) / covol and
+    sqrt(g00) / covol, which bound |k - m1| and |l - m2| on the ball by that
+    times the radius."""
     m1, m2 = mid
     e1, e2 = radius * math.sqrt(side.g11) / side.covol, radius * math.sqrt(side.g00) / side.covol
-    k = np.arange(math.floor(m1 - e1) - 1, math.ceil(m1 + e1) + 2)
-    l = np.arange(math.floor(m2 - e2) - 1, math.ceil(m2 + e2) + 2)
-    a = (k - m1)[:, None]
-    b = l - m2
-    rho = (side.g00 * a + 2.0 * side.g01 * b) * a + side.g11 * (b * b)
-    i, j = np.nonzero(rho <= radius * radius)
-    return k[i], l[j], rho[i, j]
+    k = np.arange(math.floor(m1 - e1) - 1, math.ceil(m1 + e1) + 2, dtype=float)
+    l = np.arange(math.floor(m2 - e2) - 1, math.ceil(m2 + e2) + 2, dtype=float)
+    # k - 0 is k: the dual balls are centred at the origin
+    a = k - m1 if m1 else k
+    b = l - m2 if m2 else l
+    rho = a[:, None] * b
+    rho *= 2.0 * side.g01
+    rho += (a * a * side.g00)[:, None]
+    rho += b * b * side.g11
+    inside = rho <= radius * radius
+    i, j = inside.nonzero()
+    return k[i], l[j], rho[inside]
 
 
 # cells of the largest index box or batch temporary, 16 MiB per float array: a
@@ -368,15 +380,17 @@ def lattice_gaussian_sum(
     or through the functional equation over the dual cosine ball, as
     ``use_functional_equation`` forces; by default ``_dual_side`` picks the
     shorter series.  ``tail_bound`` carries the truncation tail and the rounding."""
-    return _sum_at(lattice, z, ((alpha, 1.0),), pol, use_functional_equation)
+    return _sum_at(_plan(lattice), z, ((alpha, 1.0),), pol, use_functional_equation)
 
 
-def _sum_at(lattice: Lattice, z: PhasePoint, nodes, pol: TruncationPolicy, dual) -> CertifiedValue:
-    """``ShiftedSumEvaluator.certified_at(z)``, its lattice ball centred on z."""
+def _sum_at(plan: _Plan, z: PhasePoint, nodes, pol: TruncationPolicy, dual) -> CertifiedValue:
+    """``ShiftedSumEvaluator.certified_at(z)`` on the lattice of ``plan``, its
+    lattice ball centred on z and certified on that ball's own squared lengths."""
     ev = ShiftedSumEvaluator.__new__(ShiftedSumEvaluator)
-    # certified_at canonicalizes z as here, so the ball is centred on its point
-    ev._build(lattice, nodes, pol, z.canonical(), dual)
-    return ev.certified_at(z)
+    point = (_wrap_unit(z.u), _wrap_unit(z.v))
+    rho = ev._build(plan, nodes, pol, point, dual)
+    values, bounds = ev._certify(np.array([point]), None if rho is None else rho[None])
+    return ev._result(values[0], bounds[0])
 
 
 def theta_shifted(
@@ -391,8 +405,7 @@ def theta_shifted(
     ``lattice`` and (b1, b2) the lattice coordinates of b.  That is
     ``lattice_gaussian_sum`` at (b1, b2) on ``lattice_from_tau(x, y)``.
     """
-    tau = lattice_from_tau(lattice.x, lattice.y)
-    return lattice_gaussian_sum(tau, b, alpha, pol, use_functional_equation)
+    return _sum_at(_tau_plan(lattice), b, ((alpha, 1.0),), pol, use_functional_equation)
 
 
 def theta_charged(
@@ -413,8 +426,14 @@ def theta_charged(
     """
     _check_alpha(alpha)
     fe = None if use_functional_equation is None else not use_functional_equation
-    tau = lattice_from_tau(lattice.x, lattice.y)
-    return _sum_at(tau, b, ((1.0 / alpha, 1.0 / alpha),), pol, fe)
+    return _sum_at(_tau_plan(lattice), b, ((1.0 / alpha, 1.0 / alpha),), pol, fe)
+
+
+def _tau_plan(lattice: Lattice) -> _Plan:
+    """The plan of ``lattice_from_tau`` of the lattice's shape, where both
+    families are summed."""
+    shape = (lattice.x, lattice.y)
+    return _plan_of(_tau_rows(*shape), shape)
 
 
 def functional_equation_residual(lattice: Lattice, b: PhasePoint, alpha: float) -> float:
@@ -434,6 +453,9 @@ def functional_equation_residual(lattice: Lattice, b: PhasePoint, alpha: float) 
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
+# the largest dual rate 1/alpha summed: pi times it is finite, and past it
+# every nonzero dual term exp(-pi |k|^2 / alpha) is below the clipping floor
+_MAX_DUAL_RATE = 1e300
 # exponents below this are clipped: exp is ~16 times slower where it underflows
 _EXP_FLOOR = -700.0
 
@@ -462,15 +484,16 @@ def _cosine_derivatives(
 
 def _rounding_bound(plan: _Plan, near, far) -> float:
     """A bound, uniform over the cell, on the rounding ``certified`` adds, bar
-    clipping, from the (rates, weights) arrays of each side's nodes.  Each part
-    is at most a mass sum_j w_j sum_p exp(-pi a_j |p + c|^2 / 2) over a side, any c,
+    clipping, from the (rates, weights, sum of weights) of each side's nodes.
+    Each part is at most a mass sum_j w_j sum_p exp(-pi a_j |p + c|^2 / 2) over a side, any c,
     which ``_gaussian_tail``'s point count, summed by parts from r = 0, bounds by
     sum_j w_j pi/covol (h^2 + h sqrt(2 / a_j) + 2 / (pi a_j)): the sizes, the slopes
     by x e^-x <= (2/e) e^(-x/2), and the dual phases by |k1| + |k2| <= (|v1| + |v2|) |k|
     for gen's columns v and |k| e^(-pi a |k|^2) <= e^(-pi a |k|^2 / 2) / sqrt(pi e a)."""
 
-    def half_mass(side, rates, weights):
-        m1, mh, m0 = (weights @ np.power.outer(rates, (-1.0, -0.5, 0.0))).tolist()
+    def half_mass(side, rates, weights, m0):
+        inv = 1.0 / rates
+        m1, mh = float(weights @ inv), float(weights @ np.sqrt(inv))
         h = side.h
         return math.pi / side.covol * (h * h * m0 + math.sqrt(2.0) * h * mh + 2.0 / math.pi * m1)
 
@@ -481,7 +504,8 @@ def _rounding_bound(plan: _Plan, near, far) -> float:
         bound += (count + grow) * half_mass(plan.near, *near)
     if far is not None:
         columns = math.sqrt(plan.near.g00) + math.sqrt(plan.near.g11)
-        phase = 8.0 * math.pi * columns / math.sqrt(math.pi * math.e * float(far[0].min()))
+        least = float(np.minimum.reduce(far[0]))
+        phase = 8.0 * math.pi * columns / math.sqrt(math.pi * math.e * least)
         bound += (count + len(far[0]) + 6.0 + grow + phase) * half_mass(plan.far, *far)
     return _EPS * bound
 
@@ -535,28 +559,39 @@ class ShiftedSumEvaluator:
         nodes: tuple[tuple[float, float], ...],
         pol: TruncationPolicy = DEFAULT_POLICY,
     ) -> None:
-        self._build(lattice, nodes, pol)
+        self._build(_plan(lattice), nodes, pol)
 
-    def _build(self, lattice, nodes, pol, point=None, dual=None) -> None:
-        """A canonical ``point`` centres the lattice ball on it; ``dual`` forces the side."""
+    def _build(self, plan, nodes, pol, point=None, dual=None):
+        """A ``point`` (u, v) in [0, 1)^2 centres the lattice ball on it, and
+        that ball's squared lengths, ``_rho`` at the point, are returned;
+        ``dual`` forces the side."""
         if not nodes:
             raise EmptyQuadrature("no quadrature nodes")
-        for alpha, _ in nodes:
-            _check_alpha(alpha)
         self.tol = pol.target_tol
-        self._plan = plan = _plan(lattice)
+        self._plan = plan
         covol = plan.near.covol
-        on_far = [_dual_side(alpha, covol) if dual is None else dual for alpha, _ in nodes]
-        self._far = [node for node, f in zip(nodes, on_far) if f]
-        self._near = [node for node, f in zip(nodes, on_far) if not f]
-        near = far = None
+        # each node on its side, the far ones also as dual nodes (1/alpha_j, w_j / (alpha_j covol))
+        self._near, self._far, dual_nodes = [], [], []
+        for node in nodes:
+            alpha, w = node
+            _check_alpha(alpha)
+            if _dual_side(alpha, covol) if dual is None else dual:
+                self._far.append(node)
+                dual_nodes.append((1.0 / alpha, w / (alpha * covol)))
+            else:
+                self._near.append(node)
+        near = far = rho = None
         if self._near:
-            alphas, self._weights = near = np.array(self._near).T
+            alphas, self._weights = np.array(self._near).T
+            near = alphas, self._weights, float(np.add.reduce(self._weights))
             self._rates = math.pi * alphas
+            self._neg_rates = -self._rates[:, None, None]
         if self._far:
-            alphas, weights = np.array(self._far).T
-            self._scales = weights / (alphas * covol)
-            far = (1.0 / alphas, self._scales)
+            dual_rates, scales = np.array(dual_nodes).T
+            far = dual_rates, scales, float(np.add.reduce(scales))
+            # a rate past _MAX_DUAL_RATE (alpha_j near the smallest normal float)
+            # is summed at it: its terms stay clipped and its bounds only grow
+            np.minimum(dual_rates, _MAX_DUAL_RATE, out=dual_rates)
         budget = max(self.tol - _rounding_bound(plan, near, far), self.tol / 8.0)
         budget /= (near is not None) + (far is not None)
         self.tail_bound = self.value_offset = 0.0
@@ -565,42 +600,48 @@ class ShiftedSumEvaluator:
         self._fixed = self._size = 0.0
 
         if near is not None:
-            mid, pad = ((-0.5, -0.5), plan.near.h) if point is None else ((-point.u, -point.v), 0.0)
-            k, l, rho, _, tail, ok = _ball(plan.near, mid, self._near, budget, pad=pad)
-            self._i1, self._i2 = k.astype(float), l.astype(float)
+            u, v = (0.5, 0.5) if point is None else point
+            pad = plan.near.h if point is None else 0.0
+            ball = _ball(plan.near, (-u, -v), self._near, budget, pad=pad)
+            self._i1, self._i2, rho, _, tail, ok = ball
             self.tail_bound += tail
             self.converged &= ok
             self.terms += len(rho)
             self._g00, self._g01, self._g11 = plan.near[:3]
             # a clipped exponent overstates its term by less than w_j e^_EXP_FLOOR
-            self._fixed += len(rho) * math.fsum(w for _, w in self._near) * math.exp(_EXP_FLOOR)
+            self._fixed += len(rho) * near[2] * math.exp(_EXP_FLOOR)
 
         if far is not None:
-            dual_nodes = list(zip(far[0].tolist(), far[1].tolist()))
             k, l, kq, _, tail, ok = _ball(plan.far, (0.0, 0.0), dual_nodes, budget)
             self.tail_bound += tail
             self.converged &= ok
             self.terms += len(kq)
             nonzero = kq > 0.0
-            self._kidx = np.array([k[nonzero], l[nonzero]], dtype=float).T
-            # (nodes x nonzero dual terms) exponents, independent of z
-            self._x = np.multiply.outer(math.pi * far[0], kq[nonzero])
-            ex = _clipped_exp(self._x)
-            self._ghat = self._scales @ ex
-            self.value_offset = s_sum = float(self._scales.sum())
-            self._size = s_sum + float(self._ghat.sum())
-            # a term g(k) cos(2 pi k.z) is off by (nodes + 6) eps g(k) plus kappa eps
-            # X e^-X for its exponents and 8 pi (|k1| + |k2|) eps g(k) for its phase,
-            # z in [0, 1)^2, g(0) by (nodes + 5) eps; clipping adds s_sum e^_EXP_FLOOR
+            kl = np.array([k[nonzero], l[nonzero]])
+            self._kidx = kl.T
             n_far = len(self._far)
-            phase = 8.0 * math.pi * np.abs(self._kidx).sum(axis=1)
-            per_term = float((n_far + 6.0 + phase) @ self._ghat)
-            x_err = plan.kappa * float(np.einsum("j,jk,jk->", self._scales, self._x, ex))
-            self._fixed += _EPS * ((n_far + 5.0) * s_sum + per_term + x_err)
-            self._fixed += len(self._kidx) * s_sum * math.exp(_EXP_FLOOR)
+            # -X_j(k), clipped, (nodes x nonzero dual terms), independent of z
+            neg_x = np.maximum((-math.pi * dual_rates)[:, None] * kq[nonzero], _EXP_FLOOR)
+            ex = np.exp(neg_x)
+            self._ghat = scales @ ex
+            self.value_offset = s_sum = far[2]
+            ghat_sum = float(np.add.reduce(self._ghat))
+            self._size = s_sum + ghat_sum
+            # a term g(k) cos(2 pi k.z) is off by (nodes + 6) eps g(k) plus kappa
+            # eps X e^-X for its exponents and 8 pi (|k1| + |k2|) eps g(k) for its
+            # phase, z in [0, 1)^2, g(0) by (nodes + 5) eps; clipping adds
+            # s_sum e^_EXP_FLOOR.  X e^-X falls past X = 1, so the clipped X bounds
+            # it too; eps and the floor scale first, so that no weight overflows
+            k1, k2 = (np.abs(kl) @ self._ghat).tolist()
+            x_err = -plan.kappa * float(scales @ np.add.reduce(neg_x * ex, axis=1))
+            phase = 8.0 * math.pi * (k1 + k2)
+            self._fixed += _EPS * (n_far + 5.0) * s_sum
+            self._fixed += _EPS * ((n_far + 6.0) * ghat_sum + phase + x_err)
+            self._fixed += len(self._kidx) * (s_sum * math.exp(_EXP_FLOOR))
 
         # no batch temporary holds more than max(nodes, 6) x terms cells per point
         self._rows = max(1, _MAX_BOX_CELLS // (max(len(self._near), 6) * max(self.terms, 1)))
+        return rho
 
     def _rho(self, zs: np.ndarray) -> np.ndarray:
         """Squared lengths |gen (idx + z)|^2, (points x lattice-side terms)."""
@@ -669,29 +710,42 @@ class ShiftedSumEvaluator:
         """Values at an (n, 2) batch of shifts, each the ``math.fsum`` of its
         terms plus ``value_offset``, and a bound on each one's error: the tails
         plus the rounding.  The shifts are reduced mod 1 into [0, 1]^2, the cell
-        whose every point the balls and the phase rounding serve.  A
-        lattice-side term sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps
-        times itself plus kappa eps sum_j w_j X_j e^(-X_j); (nodes + 8) eps of
-        the sum of |term| covers that and the two roundings of the sum."""
+        whose every point the balls and the phase rounding serve."""
         zs = np.mod(zs, 1.0)
+        values, bounds = self._certify(zs, self._rho(zs) if self._near else None)
+        return np.array(values), np.array(bounds)
+
+    def _certify(self, zs: np.ndarray, rho) -> tuple[list[float], list[float]]:
+        """``certified``, as lists, at (n, 2) shifts in [0, 1]^2 whose
+        lattice-side squared lengths are ``rho``.  A lattice-side term
+        sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps times itself plus
+        kappa eps sum_j w_j X_j e^(-X_j); (nodes + 8) eps of the sum of |term|
+        covers that and the two roundings of the sum."""
         per_size = _EPS * (len(self._near) + 8.0)
-        bound = np.full(len(zs), self.tail_bound + self._fixed + per_size * self._size)
+        bound = self.tail_bound + self._fixed + per_size * self._size
         blocks = [np.cos(TWO_PI * (zs @ self._kidx.T)) * self._ghat] if self._far else []
-        if self._near:
-            x = np.multiply.outer(self._rates, self._rho(zs))  # (nodes, n, terms)
-            we = self._weights[:, None, None] * _clipped_exp(x)
-            blocks.append(we.sum(axis=0))
+        if rho is None:
+            bounds = [bound] * len(zs)
+        else:
+            neg_x = self._neg_rates * rho  # -X, (nodes, n, terms)
             # each term's rounding, w_j e^(-X_j) ((nodes + 8) eps + kappa eps X_j)
-            bound += ((per_size + _EPS * self._plan.kappa * x) * we).sum(axis=(0, 2))
+            per_term = per_size - _EPS * self._plan.kappa * neg_x
+            we = np.maximum(neg_x, _EXP_FLOOR, out=neg_x)
+            np.exp(we, out=we)
+            we *= self._weights[:, None, None]
+            blocks.append(np.add.reduce(we))
+            per_term *= we
+            bounds = (bound + np.add.reduce(per_term, axis=(0, 2))).tolist()
         rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        return np.array([math.fsum(row) + self.value_offset for row in rows.tolist()]), bound
+        return [math.fsum(row) + self.value_offset for row in rows.tolist()], bounds
+
+    def _result(self, value: float, bound: float) -> CertifiedValue:
+        """One shift's value and bound; ``converged`` needs every ball and the
+        whole bound to meet the tolerance."""
+        return CertifiedValue(value, bound, self.terms, self.converged and bound <= self.tol)
 
     def certified_at(self, z: PhasePoint) -> CertifiedValue:
-        """``certified`` at one shift; ``converged`` needs every ball and the
-        whole bound to meet the tolerance."""
+        """``certified`` at one shift."""
         zl = z.canonical()
         values, bounds = self.certified(np.array([[zl.u, zl.v]]))
-        tail = float(bounds[0])
-        return CertifiedValue(
-            float(values[0]), tail, self.terms, self.converged and tail <= self.tol
-        )
+        return self._result(float(values[0]), float(bounds[0]))

@@ -315,6 +315,16 @@ class TestEpsteinZeta:
         with pytest.raises(PoleAtLatticePoint):
             app.epstein_zeta_shifted(sq, PhasePoint(1.0, 1.0), 2.0)
 
+    @pytest.mark.parametrize("s", [150.0, 170.0])
+    def test_direct_overflow_is_refused(self, hexl, s):
+        # X^(s-1) and X^-s pass the float range; the sum was a nan certificate
+        with pytest.raises(ValueError, match=f"at s = {s}"):
+            app.epstein_zeta_shifted(hexl, PhasePoint(1 / 3, 1 / 3), s)
+
+    def test_direct_value_below_overflow_is_kept(self, hexl):
+        cv = app.epstein_zeta_shifted(hexl, PhasePoint(1 / 3, 1 / 3), 100.0)
+        assert cv.value == 8.75608353678475e41 and cv.terms_used == 396
+
     def test_convergence_precondition(self, sq):
         with pytest.raises(ValueError):
             app.epstein_zeta_shifted(sq, PhasePoint(0.5, 0.5), 1.0)

@@ -88,17 +88,17 @@ class TestTheta:
         assert out == ""
         assert "1/alpha must be finite" in err
 
-    def test_infinite_result_exits_two(self):
-        # 1/alpha = 1e308 is finite, but the dual exponents pi |k|^2 / alpha
-        # overflow and the tail is infinite; in a fresh interpreter, as the
-        # suite turns numpy's overflow warning into an error
-        proc = run_under_memory_limit(
-            "import sys\nfrom latsum.cli import main\n"
-            "sys.exit(main(['theta', '--alpha', '1e-308']))\n"
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stdout == ""
-        assert "error: tail_bound is inf, not a finite number" in proc.stderr
+    def test_tiny_alpha_exits_three_with_finite_json(self, capsys):
+        # 1/alpha = 1e308 is finite, and so is the certificate: the constant
+        # term 1e308 with a rounding bound scaled by eps before it is summed,
+        # not converged at the default tolerance
+        code, out, err = run(capsys, ["theta", "--alpha", "1e-308"])
+        assert code == 3
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["value"] == 1e308
+        assert 0.0 < payload["tail_bound"] < math.inf
+        assert payload["converged"] is False
 
 
 class TestSweep:
@@ -335,6 +335,13 @@ class TestOtherCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_zeta_direct_overflow_exits_two(self, capsys):
+        # Gamma(170) is finite, the direct route's powers X^(s-1) are not
+        code, out, err = run(capsys, ["zeta", "--s", "170"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: the direct Epstein zeta overflows the float range at s = 170.0\n"
 
     def test_theta_division_by_zero_exits_two(self, capsys):
         # y^2 underflows to 0 in the default shift, point b

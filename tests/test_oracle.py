@@ -20,8 +20,11 @@ from hypothesis import strategies as st
 from latsum.applications import heat_kernel_torus
 from latsum.lattice import PhasePoint, lattice_from_generator, lattice_from_tau
 from latsum.theta import (
+    DEFAULT_POLICY,
     ShiftedSumEvaluator,
     TruncationPolicy,
+    _plan,
+    _sum_at,
     lattice_gaussian_sum,
     theta_charged,
     theta_shifted,
@@ -43,6 +46,7 @@ def reference(x, y, alpha, shift=(0.0, 0.0), charge=(0.0, 0.0)):
         u, v = (mpmath.mpf(c) for c in shift)
         b1, b2 = (mpmath.mpf(c) for c in charge)
         r2 = CUTOFF / (mpmath.pi * alpha)  # Q <= r2 on every kept term
+        rate, turn = mpmath.pi * alpha / y, 2 * mpmath.pi
         total = mpmath.mpf(0)
         reach = mpmath.sqrt(r2 / y)
         for l in range(int(mpmath.floor(-v - reach)), int(mpmath.ceil(-v + reach)) + 1):
@@ -51,19 +55,24 @@ def reference(x, y, alpha, shift=(0.0, 0.0), charge=(0.0, 0.0)):
             if room < 0:
                 continue
             mid, half = -u - x * w, mpmath.sqrt(room)
+            # exp(-pi alpha Q) = exp(-rate (y w)^2) exp(-rate s^2), s = k + u + x w
+            row, offset, phase = mpmath.exp(-rate * (y * w) ** 2), u + x * w, l * b1
+            part = mpmath.mpf(0)
             for k in range(int(mpmath.floor(mid - half)), int(mpmath.ceil(mid + half)) + 1):
-                s = k + u + x * w
-                term = mpmath.exp(-mpmath.pi * alpha * (s * s + (y * w) ** 2) / y)
+                s = k + offset
+                term = mpmath.exp(-rate * s * s)
                 if b1 or b2:
-                    term *= mpmath.cos(2 * mpmath.pi * (k * b2 - l * b1))
-                total += term
+                    term *= mpmath.cos(turn * (k * b2 - phase))
+                part += term
+            total += row * part
         return float(total)
 
 
 def _cases():
     """Seeded (x, y, alpha, point, tol, scale) cases: y up to 50, alpha in
     [0.05, 20] with both ends, a third of the points within 1e-6 of a lattice
-    point, and one lattice of covolume 9 (scale 3)."""
+    point, and one lattice of covolume 9 (scale 3); then fixed ones with y up
+    to 1e3 and alpha 1e-2 and 1e2."""
     rng = np.random.default_rng(20261018)
     cases = []
     for i in range(12):
@@ -82,6 +91,14 @@ def _cases():
         (0.5, Y_HEX, 20.0, (1 / 3, 1 / 3), 1e-13, 1.0),
         (0.5, Y_HEX, 0.05, (5e-7, -8e-7), 1e-12, 1.0),
         (0.2, 1.3, 0.4, (0.3, 0.1), 1e-12, 3.0),
+        # y up to 1e3 at alpha 1e-2 and 1e2; each point sits near the line
+        # v = 0, where the shifted sum at alpha 1e2 stays in the float range
+        # and the charged one at 1e-2, E(b; 1/alpha) / alpha, far above the
+        # reference's cancellation, ~1e-38 of its largest term
+        (0.27, 200.0, 1e-2, (0.4, 0.02), 1e-10, 1.0),
+        (0.13, 1e3, 1e-2, (0.62, 0.995), 1e-10, 1.0),
+        (0.45, 200.0, 1e2, (0.3, 0.01), 1e-12, 1.0),
+        (0.09, 1e3, 1e2, (0.85, 0.996), 1e-12, 1.0),
     ]
     return cases
 
@@ -103,7 +120,8 @@ def test_pointwise_sums_match_reference(x, y, alpha, point, tol, scale):
     for fe in (None, True, False):
         _assert_within(lattice_gaussian_sum(lattice, p, alpha, pol, fe), gaussian)
     # the two families live on the unit-covolume lattice of the shape
-    _assert_within(theta_shifted(lattice, p, alpha, pol), reference(x, y, alpha, shift=point))
+    shifted = gaussian if scale == 1.0 else reference(x, y, alpha, shift=point)
+    _assert_within(theta_shifted(lattice, p, alpha, pol), shifted)
     _assert_within(theta_charged(lattice, p, alpha, pol), reference(x, y, alpha, charge=point))
     t = 1.0 / (4.0 * math.pi * alpha)
     for route in ("gaussian", "spectral"):
@@ -167,3 +185,37 @@ def test_evaluator_matches_pointwise_sum(shape, alpha, u, v):
     )
     for value, bound in zip(values.tolist(), bounds.tolist()):
         assert abs(value - pointwise.value) <= bound + pointwise.tail_bound
+
+
+# a coordinate at the cell's edges, within 1e-6 of a lattice line, or inside
+EDGES = st.one_of(
+    st.sampled_from([0.0, 1.0 - 2.0**-53]),
+    st.tuples(st.integers(-2, 2), st.floats(-1e-6, 1e-6)).map(sum),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+WEIGHTS = st.floats(0.1, 10.0)
+# one node on either side of lam = 1/covol = 1, or two straddling it
+NODE_SETS = st.one_of(
+    st.tuples(st.tuples(ALPHAS, WEIGHTS)),
+    st.tuples(
+        st.tuples(st.floats(-3.0, -0.01).map(lambda e: 10.0**e), WEIGHTS),
+        st.tuples(st.floats(0.0, 3.0).map(lambda e: 10.0**e), WEIGHTS),
+    ),
+)
+
+
+@PROPERTY
+@given(SHAPES, NODE_SETS, EDGES, EDGES)
+def test_pointwise_sum_is_the_evaluators_certified_value(shape, nodes, u, v):
+    """The one-point case certifies on its ball's own squared lengths.  Bit
+    for bit, they and so the (value, tail) are those ``certified`` computes
+    on the same build at the point the ball is centred on."""
+    lattice = lattice_from_tau(*shape)
+    z = PhasePoint(u, v)
+    plan = _plan(lattice)
+    one = _sum_at(plan, z, nodes, DEFAULT_POLICY, None)
+    point = z.canonical()
+    ev = ShiftedSumEvaluator.__new__(ShiftedSumEvaluator)
+    ev._build(plan, nodes, DEFAULT_POLICY, (point.u, point.v))
+    values, bounds = ev.certified(np.array([[point.u, point.v]]))
+    assert (one.value, one.tail_bound, one.terms_used) == (values[0], bounds[0], ev.terms)

@@ -414,6 +414,18 @@ class TestCertifiedTails:
         assert cv.terms_used >= 1
         assert cv.converged
 
+    @pytest.mark.parametrize("alpha", [6e-309, 1e-308, 1e-250])
+    @pytest.mark.parametrize("shape", [(0.5, Y_HEX), (0.1, 0.05)])
+    def test_tiny_alpha_keeps_a_finite_tail(self, shape, alpha):
+        """Where 1/alpha is finite but pi / alpha overflows, or the weights
+        times the dual exponents do, the sum is its constant term 1/alpha (on
+        covolume 1) with a finite rounding bound, and no overflow warning
+        escapes (the suite turns it into an error)."""
+        cv = lattice_gaussian_sum(lattice_from_tau(*shape), PhasePoint(0.2, 0.3), alpha)
+        assert cv.value == pytest.approx(1.0 / alpha, rel=1e-15)
+        assert 0.0 < cv.tail_bound <= 1e-14 * cv.value
+        assert not cv.converged
+
 
 def brute_mass_beyond(gen, center, nodes, radius):
     """sum_j w_j sum exp(-pi alpha_j |p + center|^2) over the points p = gen @ (k, l)
@@ -608,8 +620,10 @@ def test_rounding_bound_covers_every_shift(rng, hexl, node_set):
         covol = lat.covolume
         near = np.array([n for n in nodes if not _dual_side(n[0], covol)]).T
         far = np.array([n for n in nodes if _dual_side(n[0], covol)]).T
+        near = (*near, near[1].sum()) if near.size else None
         far = (1.0 / far[0], far[1] / (far[0] * covol)) if far.size else None
-        bound = _rounding_bound(_plan(lat), near if near.size else None, far)
+        far = (*far, far[1].sum()) if far else None
+        bound = _rounding_bound(_plan(lat), near, far)
         ev = ShiftedSumEvaluator(lat, nodes)
         zs = np.vstack([np.zeros((1, 2)), rng.random((200, 2))])
         _, bounds = ev.certified(zs)
