@@ -7,7 +7,7 @@ the disc-covering constants tied to the hexagonal minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -214,9 +214,10 @@ def cm_lattice_energy(
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> CertifiedValue:
     """Lattice energy sum_points p(|point + z|^2), split at lam = 1/covol by
-    ``ShiftedSumEvaluator``; ``terms_used`` counts the lattice-side and the
+    ``ShiftedSumEvaluator`` on the one-point path of the pointwise sums, its
+    lattice ball centred on z; ``terms_used`` counts the lattice-side and the
     dual-side terms, k = 0 included."""
-    return ShiftedSumEvaluator(lattice, p.nodes, pol).certified_at(z)
+    return _sum_at(_plan(lattice), z, p.nodes, pol, None)
 
 
 def minimize_cm_energy(
@@ -379,7 +380,10 @@ def epstein_zeta_shifted(
 
     ``quadrature`` routes the power kernel through its Gaussian mixture,
     built accurate down to the squared distance min(0.05, rho) of z from
-    the nearest lattice point, and split at lam by ``ShiftedSumEvaluator``.
+    the nearest lattice point, and split at lam by ``cm_lattice_energy``.
+    Its ``tail_bound`` leaves out the mixture's own error, so it never
+    reports ``converged``: it is a cross-check of the direct route, not a
+    certificate.
     """
     if not 1.0 < s < math.inf:
         raise ValueError("absolute convergence requires a finite s > 1")
@@ -394,7 +398,7 @@ def epstein_zeta_shifted(
     if method == "quadrature":
         tol = min(pol.target_tol * 1e2, 1e-9)
         p = CMPotential.riesz(2.0 * s, tol=tol, rho_min=min(0.05, rho))
-        return cm_lattice_energy(p, lattice, zl, pol)
+        return replace(cm_lattice_energy(p, lattice, zl, pol), converged=False)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
 

@@ -111,43 +111,6 @@ def phi_g(k, l, y):
     return (k * k + k * l + (0.25 + y * y) * l * l) / y
 
 
-def phi_g_d1(k, l, y):
-    y = np.asarray(y, dtype=float)
-    return l * l - (2 * k + l) ** 2 / (4.0 * y * y)
-
-
-def phi_g_d2(k, l, y):
-    y = np.asarray(y, dtype=float)
-    return (2 * k + l) ** 2 / (2.0 * y ** 3)
-
-
-def _psi_arg(k, l, y):
-    # charge phases at the circumcenter on the line x = 1/2
-    a1 = 0.25 + 1.0 / (16.0 * y * y)
-    a2 = 0.5 - 1.0 / (8.0 * y * y)
-    return TWO_PI * (k * a2 - l * a1)
-
-
-def psi_g(k, l, y):
-    """Oscillating factor of the charged family on the line x = 1/2."""
-    y = np.asarray(y, dtype=float)
-    return np.cos(_psi_arg(k, l, y))
-
-
-def psi_g_d1(k, l, y):
-    y = np.asarray(y, dtype=float)
-    darg = math.pi * (2 * k + l) / 4.0 / y ** 3
-    return -np.sin(_psi_arg(k, l, y)) * darg
-
-
-def psi_g_d2(k, l, y):
-    y = np.asarray(y, dtype=float)
-    arg = _psi_arg(k, l, y)
-    darg = math.pi * (2 * k + l) / 4.0 / y ** 3
-    ddarg = -3.0 * math.pi * (2 * k + l) / 4.0 / y ** 4
-    return -np.cos(arg) * darg * darg - np.sin(arg) * ddarg
-
-
 def shifted_term_d2(k, l, y, alpha):
     """d^2/dy^2 of exp(-pi alpha phi_f)."""
     y = np.asarray(y, dtype=float)
@@ -158,16 +121,27 @@ def shifted_term_d2(k, l, y, alpha):
 
 
 def charged_term_d2(k, l, y, alpha):
-    """d^2/dy^2 of exp(-pi alpha phi_g) * psi_g."""
+    """d^2/dy^2 of exp(-a phi_g) cos(theta), a = pi alpha, in one pass.
+
+    theta = 2 pi (k b2 - l b1) is the charge phase at the moving point
+    b(y) = (1/4 + 1/(16 y^2), 1/2 - 1/(8 y^2)), ``lattice.special_point_b(1/2, y)``.
+    With m = 2k + l, phi_g' = l^2 - m^2/(4 y^2), phi_g'' = m^2/(2 y^3),
+    theta' = pi m/(4 y^3) and theta'' = -3 theta'/y, so the derivative is
+
+        exp(-a phi_g) [(a^2 phi_g'^2 - a phi_g'' - theta'^2) cos theta
+                       + (2 a phi_g' + 3/y) theta' sin theta].
+    """
     y = np.asarray(y, dtype=float)
-    pa = math.pi * alpha
-    f1 = phi_g_d1(k, l, y)
-    f2 = phi_g_d2(k, l, y)
-    p0 = psi_g(k, l, y)
-    p1 = psi_g_d1(k, l, y)
-    p2 = psi_g_d2(k, l, y)
-    return np.exp(-pa * phi_g(k, l, y)) * (
-        (pa * pa * f1 * f1 - pa * f2) * p0 - 2.0 * pa * f1 * p1 + p2
+    a = math.pi * alpha
+    m = 2 * k + l
+    y2 = y * y
+    f1 = l * l - m * m / (4.0 * y2)
+    f2 = m * m / (2.0 * y ** 3)
+    t1 = math.pi * m / 4.0 / y ** 3
+    theta = TWO_PI * (k * (0.5 - 1.0 / (8.0 * y2)) - l * (0.25 + 1.0 / (16.0 * y2)))
+    return np.exp(-a * phi_g(k, l, y)) * (
+        (a * a * f1 * f1 - a * f2 - t1 * t1) * np.cos(theta)
+        + (2.0 * a * f1 + 3.0 / y) * t1 * np.sin(theta)
     )
 
 
@@ -375,21 +349,16 @@ def dominant_concavity_extreme(alpha: float = 6.0) -> float:
     return float(np.max(shifted_term_d2(0, 0, ys, alpha))) / scale
 
 
-def _nine_term_d2(term_d2, ys: np.ndarray, alpha: float) -> np.ndarray:
-    """Sum of a term family over |k|, |l| <= 1 on a y-grid; the sum over the
-    leading axis adds the nine rows one after another in k-major order."""
-    k, l = _box(1)
-    return term_d2(k[:, None], l[:, None], ys, alpha).sum(axis=0)
-
-
 def check_nine_term_concavity() -> LemmaReport:
     """Nine-term concavity with constant -2.5; the six extra terms are tiny."""
     alphas = (6.0, 10.0)
+    # the nine terms |k|, |l| <= 1 as rows, added one after another in k-major order
+    k, l = _box(1)
     margin = math.inf
     for alpha in alphas:
         ys = _concavity_window(alpha)
         scale = alpha * math.exp(-TWO_PI * alpha / (3.0 * SQRT3))
-        nine = _nine_term_d2(shifted_term_d2, ys, alpha)
+        nine = shifted_term_d2(k[:, None], l[:, None], ys, alpha).sum(axis=0)
         margin = min(margin, -2.5 - float(np.max(nine / scale)))
         if alpha == alphas[0]:
             # extra-term contribution at the smallest alpha stays near 1e-6
@@ -406,10 +375,11 @@ def check_charged_nine_term() -> LemmaReport:
     """Charged nine-term bound: d^2 sum <= -0.6 pi^2 a^2 exp(pi a (y - 2))."""
     alphas = (5.0, 8.0)
     ys = np.linspace(Y_HEX, 1.0, 160)
+    k, l = _box(1)
     margin = math.inf
     for alpha in alphas:
         scale = math.pi**2 * alpha**2 * np.exp(math.pi * alpha * (ys - 2.0))
-        ratio = _nine_term_d2(charged_term_d2, ys, alpha) / scale
+        ratio = charged_term_d2(k[:, None], l[:, None], ys, alpha).sum(axis=0) / scale
         margin = min(margin, -0.6 - float(np.max(ratio)))
     return LemmaReport(
         "charged_nine_term", f"alphas {alphas}, y in [sqrt3/2, 1]", margin
@@ -422,11 +392,13 @@ def _charged_ball(ys: np.ndarray, alpha: float):
     the pairs left out, at every y of the window.
 
     phi_g(k, l, y) = ((k + l/2)^2 + y^2 l^2) / y is rho = |p|^2 for the point
-    p of (k, l) on lattice_from_tau(1/2, y), of covolume 1.  Both parts of
-    phi_g_d1 lie in [0, rho/y] and phi_g_d2 = 2 (k + l/2)^2 / y^3, so
-    |f1| <= rho/y, f2 <= 2 rho/y^2 and |2k + l| <= 2 sqrt(y rho).  The phase
-    derivatives are then |psi_g_d1| <= pi sqrt(rho) / (2 y^(5/2)) and
-    |psi_g_d2| <= pi^2 rho / (4 y^5) + 3 pi sqrt(rho) / (2 y^(7/2)).  With
+    p of (k, l) on lattice_from_tau(1/2, y), of covolume 1.  In the terms of
+    ``charged_term_d2``, the bracket is at most a^2 phi_g'^2 + a phi_g''
+    + 2 a |phi_g'| |theta'| + theta'^2 + |theta''|.  Both parts of phi_g' lie
+    in [0, rho/y] and phi_g'' = 2 (k + l/2)^2 / y^3, so |phi_g'| <= rho/y,
+    phi_g'' <= 2 rho/y^2 and |m| <= 2 sqrt(y rho).  Then
+    |theta'| <= pi sqrt(rho) / (2 y^(5/2)), so theta'^2 <= pi^2 rho / (4 y^5)
+    and |theta''| = 3 |theta'| / y <= 3 pi sqrt(rho) / (2 y^(7/2)).  With
     rho^(1/2), rho, rho^(3/2), rho^2 <= (1 + rho)^2 each term is at most
     A (1 + rho)^2 exp(-pi alpha rho), where
 
@@ -464,13 +436,14 @@ def _charged_ball(ys: np.ndarray, alpha: float):
     return k[keep], l[keep], tail
 
 
-def charged_sum_d2(y: np.ndarray, alpha: float) -> np.ndarray:
+def charged_sum_d2(y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """Closed-form second y-derivative of the full charged profile g_alpha,
-    summed over the ball of ``_charged_ball``: the terms left out add up to
-    less than its tail, below 1e-16."""
+    summed over the ball of ``_charged_ball``, and that ball's tail: the
+    terms left out add up to less than it, below 1e-16."""
     ys = np.asarray(y, dtype=float)
-    k, l, _ = _charged_ball(ys, alpha)
-    return charged_term_d2(k, l, ys.reshape(-1, 1), alpha).sum(axis=1).reshape(ys.shape)
+    k, l, tail = _charged_ball(ys, alpha)
+    sums = charged_term_d2(k, l, ys.reshape(-1, 1), alpha).sum(axis=1).reshape(ys.shape)
+    return sums, tail
 
 
 def check_charged_concavity_small_alpha() -> LemmaReport:
@@ -480,8 +453,8 @@ def check_charged_concavity_small_alpha() -> LemmaReport:
     ys = np.linspace(Y_HEX, 1.5, 120)
     worst = -math.inf
     for alpha in alphas:
-        tail = _charged_ball(ys, alpha)[2]
-        worst = max(worst, float(np.max(charged_sum_d2(ys, alpha))) + tail)
+        sums, tail = charged_sum_d2(ys, alpha)
+        worst = max(worst, float(np.max(sums)) + tail)
     margin = (-1e-5 - worst) * 1e5
     return LemmaReport(
         "charged_concavity_small_alpha",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from latsum.lattice import ReductionTrace, hexagonal_lattice, lattice_from_tau, square_lattice
+from latsum.proofcheck import phi_g
 from latsum.theta import (
     _MAX_INDEX_1D,
     DEFAULT_POLICY,
@@ -253,3 +254,59 @@ def direct_series_derivatives(lattice, alpha, zs, pol):
     h22 = c * c * (eb * b).sum(axis=1) - c * g[1, 1] * values
     hess = np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
     return (values, grad, hess), tail
+
+
+# The charged term's factors on the line x = 1/2 in closed form, each on its
+# own: the oracles for ``proofcheck.charged_term_d2``, which takes them in
+# one pass.
+
+def phi_g_d1(k, l, y):
+    y = np.asarray(y, dtype=float)
+    return l * l - (2 * k + l) ** 2 / (4.0 * y * y)
+
+
+def phi_g_d2(k, l, y):
+    y = np.asarray(y, dtype=float)
+    return (2 * k + l) ** 2 / (2.0 * y ** 3)
+
+
+def psi_arg(k, l, y):
+    """The charge phase at the circumcenter on the line x = 1/2."""
+    a1 = 0.25 + 1.0 / (16.0 * y * y)
+    a2 = 0.5 - 1.0 / (8.0 * y * y)
+    return TWO_PI * (k * a2 - l * a1)
+
+
+def psi_g(k, l, y):
+    """Oscillating factor of the charged family on the line x = 1/2."""
+    y = np.asarray(y, dtype=float)
+    return np.cos(psi_arg(k, l, y))
+
+
+def psi_g_d1(k, l, y):
+    y = np.asarray(y, dtype=float)
+    darg = math.pi * (2 * k + l) / 4.0 / y ** 3
+    return -np.sin(psi_arg(k, l, y)) * darg
+
+
+def psi_g_d2(k, l, y):
+    y = np.asarray(y, dtype=float)
+    arg = psi_arg(k, l, y)
+    darg = math.pi * (2 * k + l) / 4.0 / y ** 3
+    ddarg = -3.0 * math.pi * (2 * k + l) / 4.0 / y ** 4
+    return -np.cos(arg) * darg * darg - np.sin(arg) * ddarg
+
+
+def composed_charged_term_d2(k, l, y, alpha):
+    """d^2/dy^2 of exp(-pi alpha phi_g) * psi_g by the product rule over the
+    closed forms above."""
+    y = np.asarray(y, dtype=float)
+    pa = math.pi * alpha
+    f1 = phi_g_d1(k, l, y)
+    f2 = phi_g_d2(k, l, y)
+    p0 = psi_g(k, l, y)
+    p1 = psi_g_d1(k, l, y)
+    p2 = psi_g_d2(k, l, y)
+    return np.exp(-pa * phi_g(k, l, y)) * (
+        (pa * pa * f1 * f1 - pa * f2) * p0 - 2.0 * pa * f1 * p1 + p2
+    )

@@ -70,8 +70,8 @@ SURFACES = {
         "check_q1_growth", "check_q1_ledger", "check_q2_ledger", "check_tail_constants",
         "dominant_concavity_extreme", "empirical_threshold", "enumerate_form", "g_profile",
         "growth1_min_ratio", "heat_inflection_point", "min_phi_f", "min_phi_g", "phi_f",
-        "phi_f_d1", "phi_f_d2", "phi_g", "phi_g_d1", "phi_g_d2", "psi_g", "psi_g_d1",
-        "psi_g_d2", "q1", "q2", "run_default_suite", "shifted_term_d2", "tail_constant",
+        "phi_f_d1", "phi_f_d2", "phi_g", "q1", "q2", "run_default_suite", "shifted_term_d2",
+        "tail_constant",
     },
 }
 

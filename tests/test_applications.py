@@ -432,6 +432,16 @@ class TestEpsteinZeta:
         assert ewald.value == pytest.approx(2.1753e7, rel=1e-4)
         assert abs(quad.value - ewald.value) <= 1e-9 * ewald.value
 
+    def test_quadrature_route_never_converges(self, sq):
+        # its tail leaves out the Riesz mixture's error: on the first probe
+        # the two routes lie 1.5e-7 apart, far outside both tails
+        probe = (lattice_from_tau(0.2094, 1.2395), PhasePoint(0.8244, 0.1882), 3.0)
+        for lat, z, s in (probe, (sq, PhasePoint(0.5, 0.5), 2.0)):
+            assert not app.epstein_zeta_shifted(lat, z, s, method="quadrature").converged
+        quad = app.epstein_zeta_shifted(*probe, method="quadrature")
+        ewald = app.epstein_zeta_shifted(*probe)
+        assert abs(quad.value - ewald.value) > quad.tail_bound + ewald.tail_bound
+
     def test_hexagon_maximizes_minimum_small_grid(self):
         shapes = [(0.5, Y_HEX), (0.0, 1.0), (0.3, 1.05), (0.5, 1.3), (0.15, 1.6)]
         for s in (1.5, 2.0, 3.0):

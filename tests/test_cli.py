@@ -329,6 +329,18 @@ class TestOtherCommands:
         assert code == 3
         assert json.loads(out)["tail_bound"] > 1e-18
 
+    def test_zeta_quadrature_exits_three(self, capsys):
+        # the quadrature tail, 9.4e-11 here, leaves out the Riesz mixture's
+        # own error, 1.5e-7 here, so the route never claims a certificate
+        probe = ["zeta", "--lattice", "0.2094,1.2395", "--z", "0.8244,0.1882", "--s", "3"]
+        code, out, _ = run(capsys, probe + ["--method", "quadrature"])
+        assert code == 3
+        quad = json.loads(out)
+        assert quad["converged"] is False
+        _, out, _ = run(capsys, probe)
+        direct = json.loads(out)
+        assert abs(quad["value"] - direct["value"]) > quad["tail_bound"] + direct["tail_bound"]
+
     def test_zeta_overflow_exits_two(self, capsys):
         # Gamma(300) overflows a float
         code, out, err = run(capsys, ["zeta", "--s", "300"])

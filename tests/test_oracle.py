@@ -1,9 +1,10 @@
 """Pointwise Gaussian sums against 40-digit mpmath references.
 
 Each reference is summed term by term over the tau lattice of the shape
-(x, y), independently of the balls, routes and functional equation of
-``latsum.theta``.  A computed value must lie within its certified
-``tail_bound`` of the reference, which carries truncation and rounding.
+(x, y), independently of the balls and routes of ``latsum.theta``; the
+charged family's is the shifted one through the functional equation.  A
+computed value must lie within its certified ``tail_bound`` of the
+reference, which carries truncation and rounding.
 Hypothesis properties then hold E(z; alpha) to its own symmetries,
 periodicity and evenness, and to the batch evaluator, on shapes with y up
 to 1e3 and alpha in [1e-3, 1e3], each comparison within the summed tails.
@@ -36,17 +37,16 @@ Y_HEX = math.sqrt(3.0) / 2.0
 CUTOFF = 110
 
 
-def reference(x, y, alpha, shift=(0.0, 0.0), charge=(0.0, 0.0)):
-    """sum over (k, l) of exp(-pi alpha Q(k + u, l + v)) cos(2 pi (k b2 - l b1))
-    to 40 digits, with Q(s, w) = ((s + x w)^2 + y^2 w^2) / y the squared length
-    of gen (s, w) on ``lattice_from_tau(x, y)``, (u, v) the shift and (b1, b2)
-    the charge: E((u, v); alpha) at charge 0, the charged sum at shift 0."""
+def reference(x, y, alpha, shift=(0.0, 0.0)):
+    """E((u, v); alpha) = sum over (k, l) of exp(-pi alpha Q(k + u, l + v)) to
+    40 digits, with Q(s, w) = ((s + x w)^2 + y^2 w^2) / y the squared length of
+    gen (s, w) on ``lattice_from_tau(x, y)`` and (u, v) the shift.  Its terms
+    are positive, so it has no cancellation floor."""
     with mpmath.workdps(40):
         x, y, alpha = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(alpha)
         u, v = (mpmath.mpf(c) for c in shift)
-        b1, b2 = (mpmath.mpf(c) for c in charge)
         r2 = CUTOFF / (mpmath.pi * alpha)  # Q <= r2 on every kept term
-        rate, turn = mpmath.pi * alpha / y, 2 * mpmath.pi
+        rate = mpmath.pi * alpha / y
         total = mpmath.mpf(0)
         reach = mpmath.sqrt(r2 / y)
         for l in range(int(mpmath.floor(-v - reach)), int(mpmath.ceil(-v + reach)) + 1):
@@ -56,14 +56,11 @@ def reference(x, y, alpha, shift=(0.0, 0.0), charge=(0.0, 0.0)):
                 continue
             mid, half = -u - x * w, mpmath.sqrt(room)
             # exp(-pi alpha Q) = exp(-rate (y w)^2) exp(-rate s^2), s = k + u + x w
-            row, offset, phase = mpmath.exp(-rate * (y * w) ** 2), u + x * w, l * b1
+            row, offset = mpmath.exp(-rate * (y * w) ** 2), u + x * w
             part = mpmath.mpf(0)
             for k in range(int(mpmath.floor(mid - half)), int(mpmath.ceil(mid + half)) + 1):
                 s = k + offset
-                term = mpmath.exp(-rate * s * s)
-                if b1 or b2:
-                    term *= mpmath.cos(turn * (k * b2 - phase))
-                part += term
+                part += mpmath.exp(-rate * s * s)
             total += row * part
         return float(total)
 
@@ -91,14 +88,17 @@ def _cases():
         (0.5, Y_HEX, 20.0, (1 / 3, 1 / 3), 1e-13, 1.0),
         (0.5, Y_HEX, 0.05, (5e-7, -8e-7), 1e-12, 1.0),
         (0.2, 1.3, 0.4, (0.3, 0.1), 1e-12, 3.0),
-        # y up to 1e3 at alpha 1e-2 and 1e2; each point sits near the line
-        # v = 0, where the shifted sum at alpha 1e2 stays in the float range
-        # and the charged one at 1e-2, E(b; 1/alpha) / alpha, far above the
-        # reference's cancellation, ~1e-38 of its largest term
+        # y up to 1e3 at alpha 1e-2 and 1e2; the first four points sit near
+        # the line v = 0, where the shifted sum at alpha 1e2 stays in the
+        # float range.  The last one does not: its charged sum at 1e-2,
+        # E(b; 1/alpha) / alpha, is below the float range, while the terms
+        # of the charged series are of order 1 and cancel, so a 40-digit sum
+        # of that series would return its own rounding, ~1e-38
         (0.27, 200.0, 1e-2, (0.4, 0.02), 1e-10, 1.0),
         (0.13, 1e3, 1e-2, (0.62, 0.995), 1e-10, 1.0),
         (0.45, 200.0, 1e2, (0.3, 0.01), 1e-12, 1.0),
         (0.09, 1e3, 1e2, (0.85, 0.996), 1e-12, 1.0),
+        (0.27, 200.0, 1e-2, (0.4, 0.7), 1e-10, 1.0),
     ]
     return cases
 
@@ -122,7 +122,12 @@ def test_pointwise_sums_match_reference(x, y, alpha, point, tol, scale):
     # the two families live on the unit-covolume lattice of the shape
     shifted = gaussian if scale == 1.0 else reference(x, y, alpha, shift=point)
     _assert_within(theta_shifted(lattice, p, alpha, pol), shifted)
-    _assert_within(theta_charged(lattice, p, alpha, pol), reference(x, y, alpha, charge=point))
+    # the charged sum through the functional equation, charged(b; alpha) =
+    # shifted(b; 1/alpha) / alpha; with False the charged series itself is
+    # summed, so that comparison is with an independent 40-digit sum
+    charged = reference(x, y, 1.0 / alpha, shift=point) / alpha
+    for fe in (None, True, False):
+        _assert_within(theta_charged(lattice, p, alpha, pol, fe), charged)
     t = 1.0 / (4.0 * math.pi * alpha)
     for route in ("gaussian", "spectral"):
         _assert_within(heat_kernel_torus(lattice, p, t, pol, route), alpha * gaussian)

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from conftest import (
+    composed_charged_term_d2,
+    phi_g_d1,
+    psi_arg,
+    psi_g,
+    psi_g_d1,
+    psi_g_d2,
+)
 from latsum import proofcheck as pc
 from latsum.errors import NonPositiveT
+from latsum.lattice import special_point_b
 from latsum.theta import theta1d_hat
 
 SQRT3 = math.sqrt(3.0)
@@ -197,7 +206,8 @@ class TestExponentFamilies:
             assert abs(d2 - pc.phi_f_d2(k, l, y)) < 1e-4 * scale
 
     def test_phi_g_and_psi_derivative_oracles(self, rng):
-        # the difference quotients of cos(arg) carry roundoff of size
+        # the closed forms the charged kernel is compared with, against
+        # difference quotients; those of cos(arg) carry roundoff of size
         # ulp(arg)/h resp. ulp(arg)/h^2, so the tolerances track |arg|
         eps = np.finfo(float).eps
         for _ in range(1000):
@@ -205,14 +215,14 @@ class TestExponentFamilies:
             y = rng.uniform(Y_HEX, 8.0)
             h = 1e-5
             d1 = (pc.phi_g(k, l, y + h) - pc.phi_g(k, l, y - h)) / (2 * h)
-            assert abs(d1 - pc.phi_g_d1(k, l, y)) < 1e-6 * max(1.0, abs(d1))
-            arg_scale = max(1.0, abs(float(pc._psi_arg(k, l, y))))
-            p1 = (pc.psi_g(k, l, y + h) - pc.psi_g(k, l, y - h)) / (2 * h)
+            assert abs(d1 - phi_g_d1(k, l, y)) < 1e-6 * max(1.0, abs(d1))
+            arg_scale = max(1.0, abs(float(psi_arg(k, l, y))))
+            p1 = (psi_g(k, l, y + h) - psi_g(k, l, y - h)) / (2 * h)
             noise1 = 4.0 * arg_scale * eps / h
-            assert abs(p1 - pc.psi_g_d1(k, l, y)) < 1e-7 * max(1.0, abs(p1)) + noise1
-            p2 = (pc.psi_g(k, l, y + h) - 2 * pc.psi_g(k, l, y) + pc.psi_g(k, l, y - h)) / h**2
+            assert abs(p1 - psi_g_d1(k, l, y)) < 1e-7 * max(1.0, abs(p1)) + noise1
+            p2 = (psi_g(k, l, y + h) - 2 * psi_g(k, l, y) + psi_g(k, l, y - h)) / h**2
             noise2 = 8.0 * arg_scale * eps / h**2
-            assert abs(p2 - pc.psi_g_d2(k, l, y)) < 1e-4 * max(1.0, abs(p2)) + noise2
+            assert abs(p2 - psi_g_d2(k, l, y)) < 1e-4 * max(1.0, abs(p2)) + noise2
 
     def test_term_second_derivative_oracles(self, rng):
         h = 1e-4
@@ -225,14 +235,30 @@ class TestExponentFamilies:
                 return math.exp(-math.pi * alpha * float(pc.phi_f(k, l, t)))
 
             def f_charge(t):
-                return math.exp(-math.pi * alpha * float(pc.phi_g(k, l, t))) * float(
-                    pc.psi_g(k, l, t)
+                b = special_point_b(0.5, t)
+                return math.exp(-math.pi * alpha * float(pc.phi_g(k, l, t))) * math.cos(
+                    2 * math.pi * (k * b.v - l * b.u)
                 )
 
             fd = (f_shift(y + h) - 2 * f_shift(y) + f_shift(y - h)) / h**2
             assert abs(fd - float(pc.shifted_term_d2(k, l, y, alpha))) < 1e-4 * max(1.0, abs(fd))
             fd = (f_charge(y + h) - 2 * f_charge(y) + f_charge(y - h)) / h**2
             assert abs(fd - float(pc.charged_term_d2(k, l, y, alpha))) < 1e-4 * max(1.0, abs(fd))
+
+    @pytest.mark.parametrize(
+        "alphas, y_top", [((5.0, 8.0), 1.0), ((2.0, 3.5, 5.0), 1.5)], ids=["nine", "ball"]
+    )
+    def test_charged_kernel_matches_composed_closed_forms(self, alphas, y_top):
+        # on the two charged windows; where the cos and sin parts cancel, the
+        # two groupings differ by far more than eps of the term itself, so the
+        # comparison is scaled by the largest |term| of each y row
+        k, l = pc._box(6)
+        ys = np.linspace(Y_HEX, y_top, 160)[:, None]
+        for alpha in alphas:
+            kernel = pc.charged_term_d2(k, l, ys, alpha)
+            composed = composed_charged_term_d2(k, l, ys, alpha)
+            row = np.abs(composed).max(axis=1, keepdims=True)
+            assert np.all(np.abs(kernel - composed) <= 1e-13 * row)
 
 
 class TestGrowthLemmas:
@@ -320,7 +346,7 @@ class TestConcavity:
                 size += np.abs(term)
         # two summation orders of 2600 terms differ by at most 2600 eps sum|term|
         bound = 2600 * np.finfo(float).eps * size
-        assert np.all(np.abs(pc.charged_sum_d2(ys, alpha) - total) <= bound)
+        assert np.all(np.abs(pc.charged_sum_d2(ys, alpha)[0] - total) <= bound)
 
     @pytest.mark.parametrize("alpha", [2.0, 3.5, 5.0])
     def test_charged_ball_within_its_tail_of_the_40_box(self, alpha):
@@ -338,19 +364,21 @@ class TestConcavity:
         assert 0 < tail <= 1e-16
         assert 0 < len(k) < 100
         assert not np.any((k == 0) & (l == 0))
+        sums, sum_tail = pc.charged_sum_d2(ys, alpha)
+        assert sum_tail == tail
         bound = tail + 2600 * np.finfo(float).eps * size
-        assert np.all(np.abs(pc.charged_sum_d2(ys, alpha) - total) <= bound)
+        assert np.all(np.abs(sums - total) <= bound)
 
     def test_charged_window_rests_on_max_plus_tail(self):
         # the true extreme at alpha 5 is -1.114e-5: a constant moved past it
         # fails; alpha 5 sets the checker's maximum (2 and 3.5 give -0.122 and
         # -1.37e-3)
         ys = np.linspace(Y_HEX, 1.5, 120)
-        tail = pc._charged_ball(ys, 5.0)[2]
-        top = float(np.max(pc.charged_sum_d2(ys, 5.0))) + tail
+        sums, tail = pc.charged_sum_d2(ys, 5.0)
+        top = float(np.max(sums)) + tail
         assert -1.2e-5 < top < -1e-5
         assert pc.check_charged_concavity_small_alpha().worst_margin == (-1e-5 - top) * 1e5
-        assert pc.charged_sum_d2(np.full((2, 3), Y_HEX), 5.0).shape == (2, 3)
+        assert pc.charged_sum_d2(np.full((2, 3), Y_HEX), 5.0)[0].shape == (2, 3)
 
 
 def heat_kernel_1d(t, x):
