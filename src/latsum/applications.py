@@ -21,7 +21,6 @@ from .lattice import (
     Lattice,
     PhasePoint,
     hexagonal_lattice,
-    lattice_from_generator,
     lattice_from_tau,
     square_lattice,
 )
@@ -496,29 +495,23 @@ def born_interaction_table(
     pol: TruncationPolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, bool]:
     """S[d1, d2] = sum over the n-scaled lattice of p(|gen (d1, d2) + point|^2),
-    and whether every entry met the tolerance.  The n^2 shifts are one batch of
-    one mixture evaluator on the n-scaled lattice.
-
-    The pair interaction between residues a and b is S[(a - b) mod n].
+    and whether every entry met the tolerance.  Those points, n gen m + gen d =
+    n gen (m + d/n), make S one batch of one evaluator on ``lattice`` itself:
+    the nodes (alpha_j n^2, w_j) at the n^2 shifts d/n.  The pair interaction
+    between residues a and b is S[(a - b) mod n].
     """
-    big = lattice_from_generator(n * lattice.gen)
-    ev = ShiftedSumEvaluator(big, p.nodes, pol)
-    d1, d2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    values, tails = ev.certified(np.column_stack([d1.ravel(), d2.ravel()]) / n)
+    ev = ShiftedSumEvaluator(lattice, tuple((a * n * n, w) for a, w in p.nodes), pol)
+    values, tails = ev.certified(np.indices((n, n)).reshape(2, -1).T / n)
     return values.reshape(n, n), bool(ev.converged and tails.max() <= pol.target_tol)
 
 
 def born_energy_from_table(table: np.ndarray, eps: ChargeDistribution) -> float:
-    """Charge energy per point given a precomputed interaction table."""
-    n = eps.period_N
-    w = eps.weights
-    total = 0.0
-    for a1 in range(n):
-        for a2 in range(n):
-            d1 = (a1 - np.arange(n)[:, None]) % n
-            d2 = (a2 - np.arange(n)[None, :]) % n
-            total += w[a1, a2] * float(np.sum(w * table[d1, d2]))
-    return total / n**2
+    """Charge energy per point from the interaction table: (1/n^2) sum_(a, b)
+    eps_a eps_b S[(a - b) mod n] = (1/n^2) sum_d S[d] R[d], where the circular
+    autocorrelation R[d] = sum_b eps_(b + d) eps_b is ifft2(F conj(F)).real
+    with F = fft2(eps)."""
+    f = np.fft.fft2(eps.weights)
+    return float(np.sum(table * np.fft.ifft2(f * f.conj()).real)) / eps.period_N**2
 
 
 def born_energy(lattice: Lattice, eps: ChargeDistribution, p: CMPotential) -> float:

@@ -36,9 +36,9 @@ class Lattice:
 
     ``gen`` equals a rotation of ``y**-0.5 * [[1, x], [0, y]]``; the
     canonical constructor :func:`lattice_from_tau` stores that matrix
-    exactly (determinant 1).  Scaled generators (covolume != 1) are
-    allowed through :func:`lattice_from_generator`, which the periodic
-    charge cells need.
+    exactly (determinant 1).  Any other generator, a scaled one
+    (covolume != 1) or a dual one, is allowed through
+    :func:`lattice_from_generator`.
     """
 
     x: float
@@ -199,7 +199,12 @@ def special_point_b(x: float, y: float) -> PhasePoint:
     """
     if y <= 0:
         raise NonPositiveY(f"y must be positive, got {y}")
+    return PhasePoint(*_point_b(x, y))
+
+
+def _point_b(x, y):
+    """The coordinates (b1, b2) of ``special_point_b`` for a float or an
+    array y > 0, unchecked; on the line x = 1/2 this is the moving point
+    b(y) = (1/4 + 1/(16 y^2), 1/2 - 1/(8 y^2)) of the charged family."""
     y2 = y * y
-    b1 = (x + (1.0 - x) * 4.0 * y2) / (8.0 * y2)
-    b2 = (4.0 * y2 - 1.0) / (8.0 * y2)
-    return PhasePoint(b1, b2)
+    return (x + (1.0 - x) * 4.0 * y2) / (8.0 * y2), (4.0 * y2 - 1.0) / (8.0 * y2)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _point_b
 from .theta import (
     _select_radius,
     montgomery_A,
@@ -67,11 +68,13 @@ def _box(radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_blocks(ys: np.ndarray):
-    """The y grid as (16, 1) columns, so that a family evaluated on a block
-    against a flat index box makes one (16, box) array: 16 rows of a
-    41 x 41 box stay within 215 KB per temporary."""
+    """The y grid as (8, 1) columns, so that a family evaluated on a block
+    against a flat index box makes one (8, box) array: 8 rows of a 41 x 41
+    box take 105 KiB per temporary, below glibc's default 128 KiB mmap and
+    trim thresholds, so repeated checks reuse heap pages instead of
+    faulting in fresh ones."""
     column = np.asarray(ys, dtype=float).reshape(-1, 1)
-    return [column[i:i + 16] for i in range(0, len(column), 16)]
+    return [column[i:i + 8] for i in range(0, len(column), 8)]
 
 
 def q1(k: int, l: int) -> float:
@@ -85,9 +88,10 @@ def q2(k: int, l: int) -> float:
 
 
 def phi_f(k, l, y):
-    """Shifted-family exponent: (2k+l+1)^2/(4y) + y (l + 1/2 - 1/(8 y^2))^2."""
+    """Shifted-family exponent: (2k+l+1)^2/(4y) + y (l + b2(y))^2, with
+    b2(y) = 1/2 - 1/(8 y^2) the second coordinate of the moving point."""
     y = np.asarray(y, dtype=float)
-    return (2 * k + l + 1) ** 2 / (4.0 * y) + y * (l + 0.5 - 1.0 / (8.0 * y * y)) ** 2
+    return (2 * k + l + 1) ** 2 / (4.0 * y) + y * (l + _point_b(0.5, y)[1]) ** 2
 
 
 def phi_f_d1(k, l, y):
@@ -138,7 +142,8 @@ def charged_term_d2(k, l, y, alpha):
     f1 = l * l - m * m / (4.0 * y2)
     f2 = m * m / (2.0 * y ** 3)
     t1 = math.pi * m / 4.0 / y ** 3
-    theta = TWO_PI * (k * (0.5 - 1.0 / (8.0 * y2)) - l * (0.25 + 1.0 / (16.0 * y2)))
+    b1, b2 = _point_b(0.5, y)
+    theta = TWO_PI * (k * b2 - l * b1)
     return np.exp(-a * phi_g(k, l, y)) * (
         (a * a * f1 * f1 - a * f2 - t1 * t1) * np.cos(theta)
         + (2.0 * a * f1 + 3.0 / y) * t1 * np.sin(theta)
@@ -179,11 +184,18 @@ def enumerate_form(form_id: str) -> QuadFormLedger:
 
 def _q1_outside_minima(box_limits) -> list[float]:
     """min Q1(k, l) over max(|k|, |l|) > limit for each limit, on one search
-    box |k|, |l| <= 60."""
-    k, l = _box(60)
-    v = q1(k, l)
-    reach = np.maximum(np.abs(k), np.abs(l))
-    return [float(np.min(v[reach > limit], initial=math.inf)) for limit in box_limits]
+    box |k|, |l| <= 60, walked with k in ``_row_blocks``.  That set is the rows
+    |k| > limit and the columns |l| > limit, so the box's row and column
+    minima give it."""
+    side = np.arange(-60, 61)
+    row_min, col_min = [], np.full(side.shape, math.inf)
+    for k in _row_blocks(side):
+        v = q1(k, side)
+        row_min.append(v.min(axis=1))
+        np.minimum(col_min, v.min(axis=0), out=col_min)
+    row_min = np.concatenate(row_min)
+    outside = np.abs(side)[:, None] > np.asarray(box_limits)
+    return [float(min(row_min[o].min(), col_min[o].min())) for o in outside.T]
 
 
 def check_q1_ledger() -> LemmaReport:
@@ -531,7 +543,7 @@ def check_heat_inflection() -> LemmaReport:
 
 def g_profile(alpha: float, y: float) -> float:
     """The l = 0 subsum of the charged profile: a circle heat kernel."""
-    return theta1d_hat(0.5 - 1.0 / (8.0 * y * y), alpha / y).value
+    return theta1d_hat(_point_b(0.5, y)[1], alpha / y).value
 
 
 def check_G_monotone() -> LemmaReport:

@@ -8,13 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latsum.lattice import ReductionTrace, hexagonal_lattice, lattice_from_tau, square_lattice
+from latsum.lattice import (
+    ReductionTrace,
+    hexagonal_lattice,
+    lattice_from_generator,
+    lattice_from_tau,
+    square_lattice,
+)
 from latsum.proofcheck import phi_g
 from latsum.theta import (
     _MAX_INDEX_1D,
     DEFAULT_POLICY,
     TWO_PI,
     CertifiedValue,
+    ShiftedSumEvaluator,
     TruncationPolicy,
     _ball,
     _check_t,
@@ -254,6 +261,32 @@ def direct_series_derivatives(lattice, alpha, zs, pol):
     h22 = c * c * (eb * b).sum(axis=1) - c * g[1, 1] * values
     hess = np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
     return (values, grad, hess), tail
+
+
+def scaled_lattice_born_table(lattice, n, p, pol=DEFAULT_POLICY):
+    """Oracle for ``born_interaction_table``: the mixture's own nodes summed on
+    the n-scaled lattice ``lattice_from_generator(n * gen)`` at the shifts d/n of
+    its lattice coordinates.  Returns the (n, n) values, their certified bounds
+    and whether every entry met the tolerance."""
+    ev = ShiftedSumEvaluator(lattice_from_generator(n * lattice.gen), p.nodes, pol)
+    d1, d2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    values, tails = ev.certified(np.column_stack([d1.ravel(), d2.ravel()]) / n)
+    converged = bool(ev.converged and tails.max() <= pol.target_tol)
+    return values.reshape(n, n), tails.reshape(n, n), converged
+
+
+def pairwise_born_energy(table, eps):
+    """Oracle for ``born_energy_from_table``: the pair sum
+    (1/n^2) sum_(a, b) eps_a eps_b S[(a - b) mod n], one residue a at a time."""
+    n = eps.period_N
+    w = eps.weights
+    total = 0.0
+    for a1 in range(n):
+        for a2 in range(n):
+            d1 = (a1 - np.arange(n)[:, None]) % n
+            d2 = (a2 - np.arange(n)[None, :]) % n
+            total += w[a1, a2] * float(np.sum(w * table[d1, d2]))
+    return total / n**2
 
 
 # The charged term's factors on the line x = 1/2 in closed form, each on its

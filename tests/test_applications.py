@@ -26,9 +26,11 @@ from conftest import (
     Y_HEX,
     assert_derivatives_match_differences,
     brute_force_zeta,
+    pairwise_born_energy,
     per_node_cm_energy,
     random_domain_lattice,
     run_under_memory_limit,
+    scaled_lattice_born_table,
 )
 
 
@@ -473,7 +475,47 @@ def brute_born_energy(lattice, eps, alpha, radius=8):
     return total / n**2
 
 
+# (potential, policy): the Riesz mixture's rounding alone exceeds the default
+# tolerance, so it is asked for one it can meet
+BORN_POTENTIALS = [(app.CMPotential.gaussian(a), TruncationPolicy()) for a in (0.5, 1.0, 3.0)] + [
+    (app.CMPotential.riesz(4.0), TruncationPolicy(1e-8))
+]
+
+
+def random_neutral_charges(rng, n):
+    """Random charges on the n x n residues, summing to 0 with squares summing to n^2."""
+    w = rng.normal(size=(n, n))
+    w -= w.mean()
+    return app.ChargeDistribution(n, w * (n / math.sqrt(float(np.sum(w * w)))))
+
+
 class TestBorn:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
+    @pytest.mark.parametrize("shape", [(0.5, Y_HEX), (0.0, 1.0), (0.3, 1.4)])
+    def test_table_and_energy_match_scaled_lattice_and_pair_sum(self, n, shape, rng):
+        """The table on the caller's lattice with the nodes scaled by n^2 agrees
+        with the n-scaled lattice's table within the two certified bounds, with
+        the same ``converged``; the circular correlation agrees with the pair sum."""
+        lat = lattice_from_tau(*shape)
+        for p, pol in BORN_POTENTIALS:
+            table, converged = app.born_interaction_table(lat, n, p, pol)
+            old, old_tails, old_converged = scaled_lattice_born_table(lat, n, p, pol)
+            assert converged and old_converged
+            # every bound of a converged table is within the tolerance
+            assert np.all(np.abs(table - old) <= old_tails + pol.target_tol)
+            eps = random_neutral_charges(rng, n)
+            eps.validate()
+            energy = app.born_energy_from_table(table, eps)
+            assert abs(energy - pairwise_born_energy(table, eps)) <= 1e-13 * max(1.0, abs(energy))
+
+    def test_honeycomb_energy_is_the_same_at_every_period(self, hexl):
+        """The honeycomb pattern of period 3 repeats in every multiple of 3, so
+        its energy per point does not depend on the period."""
+        p = app.CMPotential.gaussian(1.0)
+        for n in (3, 6, 30, 60):
+            energy = app.born_energy(hexl, app.epsilon_opt_hexagonal(n), p)
+            assert energy == pytest.approx(0.9203713733179, abs=1e-13)
+
     def test_constraint_validation(self):
         with pytest.raises(ConstraintViolated):
             app.ChargeDistribution(2, np.ones((2, 2))).validate()

@@ -6,6 +6,7 @@ import pytest
 from latsum.errors import NoConvergence, NonPositiveY, NotUpperHalfPlane
 from latsum.lattice import (
     PhasePoint,
+    _point_b,
     lattice_from_generator,
     lattice_from_tau,
     reduce_to_fundamental,
@@ -164,6 +165,14 @@ class TestSpecialPoints:
     def test_b_square_value(self):
         b = special_point_b(0.0, 1.0)
         assert (b.u, b.v) == (0.5, 3.0 / 8.0)
+
+    def test_b_of_a_y_array_is_the_scalar_point_at_each_y(self):
+        # the charged family evaluates the moving point b(y) on y grids
+        ys = np.linspace(Y_HEX, 3.0, 7)
+        b1, b2 = _point_b(0.5, ys)
+        assert [(u, v) for u, v in zip(b1.tolist(), b2.tolist())] == [
+            (b.u, b.v) for b in (special_point_b(0.5, y) for y in ys.tolist())
+        ]
 
     def test_b2_independent_of_x(self):
         b = special_point_b(0.25, Y_HEX)

@@ -1,6 +1,8 @@
 import ast
 import inspect
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     psi_g,
     psi_g_d1,
     psi_g_d2,
+    run_under_memory_limit,
 )
 from latsum import proofcheck as pc
 from latsum.errors import NonPositiveT
@@ -524,6 +527,27 @@ class TestSuite:
             else:
                 slack = 1e-9 * abs(margin)
             assert abs(rep.worst_margin - margin) <= slack, rep.lemma_id
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the page-fault count rests on glibc's malloc thresholds",
+    )
+    def test_repeated_suite_rounds_fault_no_pages(self):
+        # every temporary of the checkers stays below glibc's 128 KiB mmap and
+        # trim thresholds, so the rounds after the first reuse the heap's pages
+        # instead of faulting in thousands of fresh ones
+        proc = run_under_memory_limit(
+            "import resource\n"
+            "from latsum.proofcheck import run_default_suite\n"
+            "run_default_suite()\n"
+            "for _ in range(5):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    run_default_suite()\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 5 and max(faults) <= 64, faults
 
     def test_checkers_take_no_arguments(self):
         # each lemma is stated inside its checker, and the suite calls every
