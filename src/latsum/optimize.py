@@ -1,13 +1,15 @@
 """Global minimization of lattice Gaussian sums over the torus, and sweeps.
 
 The minimizer runs a coarse grid scan of the half cell in lattice
-coordinates (every function minimized here is even), then polishes the
-best cells by saddle-free Newton steps on the series' own gradient and
-Hessian, term by term differentiated.  The 2x2 saddle-free step has a
-closed form (eigenvalues m +- hypot(d, b), eigenvector angle
-atan2(b, d)/2), so the polish works on Python floats per start and its
-only numpy work is one derivative batch per iteration.  The sweep
-evaluates the minimum across a family of lattice shapes.
+coordinates (every function minimized here is even), one evaluation on
+the product grid's two axes, then polishes the best cells by saddle-free
+Newton steps on the series' own gradient and Hessian, term by term
+differentiated.  The 2x2 saddle-free step has a closed form (eigenvalues
+m +- hypot(d, b), eigenvector angle atan2(b, d)/2), so the polish works
+on Python floats per start and its only numpy work is one derivative
+batch per iteration; the best start is picked by the values that batch
+last gave.  The sweep evaluates the minimum across a family of lattice
+shapes.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _newton_polish(
     points: np.ndarray,
     radius: float,
     tol: float,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, list[float], int]:
     """Saddle-free Newton on the unit torus from every row of ``points``.
 
     Each step is ``_saddle_free_step``: it solves with the Hessian whose
@@ -84,7 +86,9 @@ def _newton_polish(
     Newton decrement g^T |H|^-1 g is at most ``tol``, taken without a further
     evaluation.  Each start keeps its own state in Python floats, so the
     numpy work is one ``derivatives`` batch per iteration over the starts
-    still moving.  Returns the points and the number of iterations.
+    still moving.  Returns the points, the value ``derivatives`` last gave
+    for each (at the point before that untested last step, which lowers it
+    by about its decrement) and the number of iterations.
     """
     points = np.asarray(points, dtype=float)
     f, g, h = (x.tolist() for x in derivatives(points))
@@ -118,48 +122,50 @@ def _newton_polish(
             else:
                 radii[i] = 0.5 * min(length, radii[i])
         live = [m[0] for m in moves]
-    return np.array(points), iterations
+    return np.array(points), f, iterations
 
 
 def minimize_torus(
-    batch: Callable[[np.ndarray], np.ndarray],
+    batch: Callable[[tuple[np.ndarray, np.ndarray]], np.ndarray],
     grid_n: int,
     derivatives: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 ) -> tuple[np.ndarray, float, int]:
     """Minimize an even function on the unit torus: grid scan, then Newton polish.
 
-    ``batch`` maps an (n, 2) array of lattice coordinates to values and
-    ``derivatives`` maps it to (values, gradients (n, 2), Hessians (n, 2, 2)).
-    The function must be even, f(-z) = f(z), so the scan covers only the half
-    cell v <= 1/2 + 1.5/grid_n.  The ``_N_STARTS`` lowest grid points are
-    polished together by ``_newton_polish``, which stops each at a Newton
-    decrement of rounding level, ``_ROUNDING`` times the largest |value| at
-    the starts.  That scale is the starts' own: the largest value of the whole
-    scan can exceed a deep minimum by many orders of magnitude (1e52 on the
-    hexagon at alpha = 100), and a decrement relative to it would stop the
-    polish at its first step.
-    Returns the best polished point, its value and the Newton iteration count.
+    ``batch`` maps the axes (us, vs) of a product grid of lattice coordinates
+    to the (n, m) array of values at (us[i], vs[j]), and ``derivatives`` maps
+    an (n, 2) array of points to (values, gradients (n, 2), Hessians (n, 2, 2)).
+    The function must be even, f(-z) = f(z), so the scan is the one ``batch``
+    call on the half cell, us = i / grid_n and vs = us up to 1/2 + 1.5/grid_n.
+    The ``_N_STARTS`` lowest grid points are polished together by
+    ``_newton_polish``, which stops each at a Newton decrement of rounding
+    level, ``_ROUNDING`` times the largest |value| at the starts.  That scale
+    is the starts' own: the largest value of the whole scan can exceed a deep
+    minimum by many orders of magnitude (1e52 on the hexagon at alpha = 100),
+    and a decrement relative to it would stop the polish at its first step.
+    Returns the polished point whose last evaluated value is lowest, that
+    value and the Newton iteration count.
     """
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     us = np.arange(grid_n) / grid_n
-    uu, vv = np.meshgrid(us, us[us <= 0.5 + 1.5 / grid_n], indexing="ij")
-    grid = np.column_stack([uu.ravel(), vv.ravel()])
-    vals = batch(grid)
+    vs = us[us <= 0.5 + 1.5 / grid_n]
+    vals = batch((us, vs)).ravel()
     best = np.argsort(vals, kind="stable")[:_N_STARTS]
     tol = _ROUNDING * float(np.max(np.abs(vals[best])))
-    starts = grid[best]
-    points, iterations = _newton_polish(derivatives, starts, 1.0 / grid_n, tol)
-    polished = batch(points)
-    j = int(np.argmin(polished))
-    return points[j], float(polished[j]), iterations
+    starts = np.column_stack([us[best // len(vs)], vs[best % len(vs)]])
+    points, values, iterations = _newton_polish(derivatives, starts, 1.0 / grid_n, tol)
+    j = int(np.argmin(values))
+    return points[j], values[j], iterations
 
 
 def _minimize(ev: ShiftedSumEvaluator, grid_n: int) -> MinResult:
     """The torus minimum of ``ev``'s mixture: ``minimize_torus`` on its
-    centred batch and derivatives, the argmin canonicalized and certified by
-    ``ev``, its tail bound counting truncation and rounding."""
-    point, _, iters = minimize_torus(ev.values_centered, grid_n, ev.derivatives_centered)
+    centred grid values and derivatives, the argmin canonicalized and
+    certified by ``ev``, its tail bound counting truncation and rounding."""
+    point, _, iters = minimize_torus(
+        lambda axes: ev._grid_centered(*axes), grid_n, ev.derivatives_centered
+    )
     argmin = PhasePoint(float(point[0]), float(point[1])).canonical()
     return MinResult(argmin, ev.certified_at(argmin), grid_n, iters)
 

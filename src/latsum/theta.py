@@ -458,11 +458,23 @@ _EPS = float(np.finfo(float).eps)
 _MAX_DUAL_RATE = 1e300
 # exponents below this are clipped: exp is ~16 times slower where it underflows
 _EXP_FLOOR = -700.0
+# the largest L = 2 r_max |g01| w1 w2 of a tile of ``_grid_centered``
+_TILE_CROSS = 128.0
+_LOG_TINY = math.log(float(np.finfo(float).tiny))  # -708.4, the smallest normal's
 
 
 def _clipped_exp(x: np.ndarray) -> np.ndarray:
     """exp(-x), with -x clipped at ``_EXP_FLOOR``."""
     return np.exp(np.maximum(-x, _EXP_FLOOR))
+
+
+def _flushed_exp(x: np.ndarray, floor: float) -> np.ndarray:
+    """exp(x) in place, flushed to 0 where x < floor, with no exp that underflows."""
+    keep = x >= floor
+    np.maximum(x, floor, out=x)
+    np.exp(x, out=x)
+    x *= keep
+    return x
 
 
 def _cosine_derivatives(
@@ -550,7 +562,9 @@ class ShiftedSumEvaluator:
     met its share, and ``certified`` adds the rounding.  ``terms`` counts both
     balls' terms, k = 0 included.  Exponents below ``_EXP_FLOOR`` are clipped;
     the term they overstate goes into the rounding.  Batches run in row blocks
-    that keep every temporary within ``_MAX_BOX_CELLS`` cells.
+    that keep every temporary within ``_MAX_BOX_CELLS`` cells.  The torus
+    scan's values on a product grid come from ``_grid_centered``, which
+    splits each term into per-axis factors and sums them by matrix products.
     """
 
     def __init__(
@@ -658,18 +672,112 @@ class ShiftedSumEvaluator:
         rho += w2
         return rho
 
-    @_in_row_blocks
-    def values_centered(self, zs: np.ndarray) -> np.ndarray:
-        """Values minus ``value_offset`` at an (n, 2) batch of lattice-coordinate shifts."""
-        out = np.cos(TWO_PI * (zs @ self._kidx.T)) @ self._ghat if self._far else np.zeros(len(zs))
-        if self._near:
-            rho = self._rho(zs)
-            e = np.empty_like(rho)
-            for alpha, weight in self._near:
-                np.multiply(rho, -math.pi * alpha, out=e)
-                np.maximum(e, _EXP_FLOOR, out=e)
-                np.exp(e, out=e)
-                out += weight * e.sum(axis=1)
+    def _grid_centered(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Values minus ``value_offset`` on the product grid ``us`` x ``vs`` of
+        lattice coordinates in [0, 1], an (n, m) array, from O((n + m) terms)
+        exponentials and matrix products instead of one exponential per grid
+        point and term.
+
+        The grid is cut into tiles: a tile is halved along its longer axis
+        while it has more than ``_MAX_BOX_CELLS`` points or, with lattice-side
+        nodes, while L = 2 r_max |g01| w1 w2 exceeds ``_TILE_CROSS``, where
+        r_j = pi alpha_j and w1, w2 are the tile's half-widths about its centre
+        c.  Terms run in blocks that keep every temporary within
+        ``_MAX_BOX_CELLS`` cells.
+
+        Dual side: cos 2 pi (k1 u + k2 v) = cos 2 pi k1 u cos 2 pi k2 v -
+        sin 2 pi k1 u sin 2 pi k2 v, two (n x K)(K x m) products weighted by g.
+
+        Lattice side: with d = z - c, q = idx + c and (a, b) = G q,
+        Q(q + d) = C + g00 s1^2 + g11 s2^2 + 2 g01 d1 d2, where s1 = d1 + a / g00
+        = u + i1 + (g01 / g00) q2, s2 likewise, and
+        C = Q(q) - a^2 / g00 - b^2 / g11 = -g01 (2 q1 q2 + g01 (q2^2 / g00 + q1^2 / g11)).
+        Summed about the vertices so, each bracket rounds to eps times itself.
+        With phi_1 the least g00 s1^2 over the tile's points (at d1*), per node
+        and term the factor e1 = exp(-r_j (g00 s1^2 - phi_1)) is <= 1 and
+        e2 = exp(-r_j (g11 s2^2 + phi_1 + C)) is <= e^L, as its exponent is at
+        most r_j times 2 g01 d1* d2* - Q(q + d*) for the least point d2*; the
+        cross factor exp(-2 r_j g01 d1 d2), one (n x m) array per node and 1 on
+        the square lattice, lies in [e^-L, e^L].  The sum over terms is one
+        batched matmul of e1 and e2.
+
+        e1 is flushed to 0 below e^``_EXP_FLOOR`` and e2 below
+        e^(``_EXP_FLOOR`` + L), so every nonzero product of the two is at least
+        e^(2 ``_EXP_FLOOR`` + L), which a power of two lifts to a normal float:
+        a subnormal product slows the matmul a hundredfold.  A block of at most
+        2^21 terms then sums to below 2^22 e^691.6 < e^709, and the cross
+        factor over that power of two, in [e^-692.3, e^(2L - 691.6)], brings
+        it back without a subnormal step: each term is at most 1.  A flushed
+        factor drops its term and never overstates it; the term dropped is below
+        w_j e^(``_EXP_FLOOR`` + 2L) <= 1.5e-193 w_j, and below w_j e^``_EXP_FLOOR``,
+        the pointwise clip, where g01 = 0.  For e1 flushed at d1, e2 times the
+        cross factor is exp(-r_j (Q(q + (d1*, d2)) + 2 g01 d2 (d1 - d1*))) <= e^(2L),
+        as |d2 (d1 - d1*)| <= 2 w1 w2; for e2 flushed, e1 times it is <= e^L.
+        Every term kept keeps its relative precision, which a spectral (FFT)
+        scan, accurate only to eps times the value at the origin, would not.
+        """
+        us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+        out = np.zeros((len(us), len(vs)))
+        g00, g01, g11 = self._plan.near[:3]
+        spread = 2.0 * abs(g01) * float(self._rates.max()) if self._near else 0.0
+        tiles = [(slice(0, len(us)), slice(0, len(vs)))]
+        while tiles:
+            su, sv = tiles.pop()
+            tu, tv = us[su], vs[sv]
+            c1, c2 = 0.5 * (tu.max() + tu.min()), 0.5 * (tv.max() + tv.min())
+            d1, d2 = tu - c1, tv - c2
+            n, m = len(tu), len(tv)
+            cross = spread * float(np.abs(d1).max() * np.abs(d2).max())  # the tile's L
+            if n * m > _MAX_BOX_CELLS or cross > _TILE_CROSS:
+                # n = 1 leaves w1 = 0, so this halves an axis of at least 2 points
+                s, half = (su, n // 2) if n >= m else (sv, m // 2)
+                parts = slice(s.start, s.start + half), slice(s.start + half, s.stop)
+                tiles += [(p, sv) if s is su else (su, p) for p in parts]
+                continue
+            block = out[su, sv]
+            if self._far:
+                step = max(1, _MAX_BOX_CELLS // max(n, m))
+                for t in range(0, len(self._ghat), step):
+                    k1, k2 = self._kidx[t : t + step].T
+                    pu = TWO_PI * np.multiply.outer(tu, k1)
+                    pv = TWO_PI * np.multiply.outer(tv, k2)
+                    g = self._ghat[t : t + step]
+                    block += (np.cos(pu) * g) @ np.cos(pv).T
+                    block -= (np.sin(pu) * g) @ np.sin(pv).T
+            if not self._near:
+                continue
+            nodes = max(1, min(len(self._rates), _MAX_BOX_CELLS // (n * m)))
+            step = max(1, _MAX_BOX_CELLS // (nodes * max(n, m)))
+            mixed = np.multiply.outer(-2.0 * g01 * d1, d2) if g01 else None  # cross exponent / r_j
+            # a power of two lifting every nonzero e1 e2 >= e^(2 _EXP_FLOOR + L) to a normal float
+            scale = 2.0 ** math.ceil((_LOG_TINY - 2.0 * _EXP_FLOOR - cross) / math.log(2.0))
+            for t in range(0, len(self._i1), step):
+                i1, i2 = self._i1[t : t + step], self._i2[t : t + step]
+                q1, q2 = i1 + c1, i2 + c2
+                # g00 s1^2 and g11 s2^2, s1 = u + i1 + (g01 / g00) q2 and s2 likewise
+                f1 = np.add.outer(i1 + g01 / g00 * q2, tu)
+                f1 *= f1
+                f1 *= g00
+                f2 = np.add.outer(i2 + g01 / g11 * q1, tv)
+                f2 *= f2
+                f2 *= g11
+                phi1 = f1.min(axis=1)
+                f1 -= phi1[:, None]
+                # e2's exponent over -r_j: g11 s2^2 + phi_1 + C
+                c = -g01 * (2.0 * q1 * q2 + g01 * (q2 * q2 / g00 + q1 * q1 / g11))
+                f2 += (phi1 + c)[:, None]
+                for j in range(0, len(self._rates), nodes):
+                    rates = self._rates[j : j + nodes]
+                    e1 = _flushed_exp(np.multiply.outer(-rates, f1), _EXP_FLOOR)
+                    e2 = _flushed_exp(np.multiply.outer(-rates, f2), _EXP_FLOOR + cross)
+                    e2 *= scale
+                    s = np.matmul(e1.transpose(0, 2, 1), e2)  # (nodes, n, m)
+                    # the cross factor over scale is a normal float, so a value
+                    # passes through no subnormal unless it is one
+                    back = 1.0 if mixed is None else np.exp(np.multiply.outer(rates, mixed))
+                    s *= back / scale
+                    s *= self._weights[j : j + nodes, None, None]
+                    block += np.add.reduce(s)
         return out
 
     def _lattice_derivatives(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:

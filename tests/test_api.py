@@ -44,7 +44,7 @@ SURFACES = {
     theta: {
         "CertifiedValue", "DEFAULT_POLICY", "ShiftedSumEvaluator",
         "ShiftedSumEvaluator.certified", "ShiftedSumEvaluator.certified_at",
-        "ShiftedSumEvaluator.derivatives_centered", "ShiftedSumEvaluator.values_centered",
+        "ShiftedSumEvaluator.derivatives_centered",
         "TWO_PI", "TruncationPolicy", "functional_equation_residual", "lattice_gaussian_sum",
         "montgomery_A", "montgomery_B", "montgomery_Q", "theta1d_hat", "theta_charged",
         "theta_shifted",

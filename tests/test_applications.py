@@ -1,5 +1,7 @@
 import itertools
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from conftest import (
     random_domain_lattice,
     run_under_memory_limit,
     scaled_lattice_born_table,
+    values_centered,
 )
 
 
@@ -72,6 +75,28 @@ class TestFrameBounds:
         for bad in (1, 3, 0, -2):
             with pytest.raises(UnsupportedDensity):
                 app.gabor_frame_bounds(0.0, 1.0, bad)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the page-fault count rests on glibc's malloc thresholds",
+    )
+    def test_repeated_frame_bounds_fault_few_pages(self):
+        # the grid scan's temporaries are per-axis factors of a few KiB, below
+        # glibc's 128 KiB mmap and trim thresholds, so a call after the first
+        # reuses the heap's pages; one exponential per grid point and term
+        # faulted in ~410 fresh pages per call
+        proc = run_under_memory_limit(
+            "import math, resource\n"
+            "from latsum.applications import gabor_frame_bounds\n"
+            "gabor_frame_bounds(0.5, math.sqrt(3.0) / 2.0, 2, grid_n=64)\n"
+            "for _ in range(5):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    gabor_frame_bounds(0.5, math.sqrt(3.0) / 2.0, 2, grid_n=64)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 5 and max(faults) <= 64, faults
 
     def test_sweep_minimized_by_hexagon(self):
         grid = [(x, y) for x in np.linspace(0.0, 0.5, 5) for y in np.linspace(Y_HEX, 1.4, 5)
@@ -142,7 +167,7 @@ class TestHeatKernel:
         us = np.arange(n) / n
         uu, vv = np.meshgrid(us, us, indexing="ij")
         zs = np.column_stack([uu.ravel(), vv.ravel()])
-        mean = ev.value_offset + ev.values_centered(zs).mean()
+        mean = ev.value_offset + values_centered(ev, zs).mean()
         assert mean / (4.0 * math.pi * t) == pytest.approx(1.0, abs=1e-9)
 
     def test_hexagonal_beats_square_at_unit_scale(self, hexl, sq):

@@ -28,6 +28,7 @@ from conftest import (
     in_fundamental_domain_plus,
     random_domain_lattice,
     theta1d,
+    values_centered,
 )
 
 
@@ -63,7 +64,7 @@ class TestMinimize:
         ev = ShiftedSumEvaluator(lat, ((alpha, 1.0),))
         us = np.arange(24) / 24
         uu, vv = np.meshgrid(us, us, indexing="ij")
-        grid_vals = ev.value_offset + ev.values_centered(np.column_stack([uu.ravel(), vv.ravel()]))
+        grid_vals = ev.value_offset + values_centered(ev, np.column_stack([uu.ravel(), vv.ravel()]))
         assert res.value.value <= grid_vals.min() + 2 * (res.value.tail_bound + ev.tail_bound)
 
     def test_argmin_canonical(self, rng):
@@ -104,26 +105,27 @@ class TestMinimize:
         uu, vv = np.meshgrid(us, us, indexing="ij")
         grid = np.column_stack([uu.ravel(), vv.ravel()])
         dense = ev.value_offset + min(
-            float(ev.values_centered(chunk).min()) for chunk in np.array_split(grid, 64)
+            float(values_centered(ev, chunk).min()) for chunk in np.array_split(grid, 64)
         )
         assert res.value.value <= dense + res.value.tail_bound + ev.tail_bound
 
     def test_half_cell_matches_full_cell(self, rng):
         """The scan covers v <= 1/2 + 1.5/grid_n only, since E is even; the
-        full-cell minimum joins that scan of E and of E shifted by (0, 1/2)."""
+        full-cell minimum joins that scan of E and the scan on the axes
+        shifted by (0, 1/2)."""
         for alpha in (0.25, 1.0, 8.0):
             for _ in range(3):
                 lat = random_domain_lattice(rng)
                 res = minimize_over_cell(lat, alpha, 32)
                 ev = ShiftedSumEvaluator(lat, ((alpha, 1.0),))
                 halves = []
-                for shift in (np.zeros(2), np.array([0.0, 0.5])):
+                for shift in (0.0, 0.5):
                     point, _, _ = minimize_torus(
-                        lambda zs: ev.values_centered((zs + shift) % 1.0),
+                        lambda axes: ev._grid_centered(axes[0], (axes[1] + shift) % 1.0),
                         32,
-                        lambda zs: ev.derivatives_centered((zs + shift) % 1.0),
+                        lambda zs: ev.derivatives_centered((zs + [0.0, shift]) % 1.0),
                     )
-                    u, v = (point + shift) % 1.0
+                    u, v = point[0], (point[1] + shift) % 1.0
                     halves.append(lattice_gaussian_sum(lat, PhasePoint(u, v), alpha))
                 best = min(halves, key=lambda cv: cv.value)
                 tails = res.value.tail_bound + best.tail_bound
@@ -175,37 +177,46 @@ class TestNewtonPolish:
             assert abs(dec - di) <= 1e-12 * di
 
     def test_call_structure(self):
-        """``batch`` is called twice, for the scan and for the final pick;
+        """``batch`` is called once, on the axes of the half-cell scan grid;
         ``derivatives`` once per iteration at most, plus once for the starts,
-        and never on more rows than there are starts."""
+        and never on more rows than there are starts.  The value returned is
+        one ``derivatives`` gave: no batch re-evaluates the polished points."""
         for x, y, alpha in [(0.5, Y_HEX, 1.0), (0.2, 1.3, 0.25), (0.5, 2.5, 8.0), (0.0, 1.0, 4.0)]:
             ev = ShiftedSumEvaluator(lattice_from_tau(x, y), ((alpha, 1.0),))
-            batch_rows, derivative_rows = [], []
+            batch_axes, derivative_rows, derivative_values = [], [], []
 
-            def batch(zs):
-                batch_rows.append(len(zs))
-                return ev.values_centered(zs)
+            def batch(axes):
+                batch_axes.append(axes)
+                return ev._grid_centered(*axes)
 
             def derivatives(zs):
                 derivative_rows.append(len(zs))
-                return ev.derivatives_centered(zs)
+                out = ev.derivatives_centered(zs)
+                derivative_values.extend(out[0].tolist())
+                return out
 
-            _, _, iterations = minimize_torus(batch, 32, derivatives)
-            assert len(batch_rows) == 2 and batch_rows[1] == _N_STARTS < batch_rows[0]
+            _, value, iterations = minimize_torus(batch, 32, derivatives)
+            grid = np.arange(32) / 32
+            assert len(batch_axes) == 1
+            us, vs = batch_axes[0]
+            assert np.array_equal(us, grid) and np.array_equal(vs, grid[grid <= 0.5 + 1.5 / 32])
             assert 1 <= len(derivative_rows) <= iterations + 1
             assert derivative_rows[0] == _N_STARTS
             assert max(derivative_rows) <= _N_STARTS
+            assert value in derivative_values
 
     def test_trial_points_wrap_into_unit_square(self):
-        """A step to -1e-17 wraps to 0.0: the float -1e-17 % 1.0 is 1.0."""
+        """A step to -1e-17 wraps to 0.0: the float -1e-17 % 1.0 is 1.0.  The
+        values returned are those ``derivatives`` last gave for each start."""
 
         def derivatives(zs):
             # the torus offset from the minimum at (-1e-17, 0.3), without rounding it away
             d = np.where(zs > 0.5, zs - 1.0, zs) + [1e-17, -0.3]
             return 0.5 * (d * d).sum(axis=1), d, np.tile(np.eye(2), (len(zs), 1, 1))
 
-        points, _ = _newton_polish(derivatives, np.array([[2.0**-60, 0.3]]), 0.5, 0.0)
+        points, values, _ = _newton_polish(derivatives, np.array([[2.0**-60, 0.3]]), 0.5, 0.0)
         assert np.all((0.0 <= points) & (points < 1.0))
+        assert len(values) == 1 and 0.0 <= values[0] <= 0.5 * (2.0**-60 + 1e-17) ** 2
 
 
 class TestMaxAtOrigin:

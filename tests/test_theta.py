@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latsum import theta
 from latsum.applications import CMPotential, heat_kernel_torus
 from latsum.errors import NonPositiveAlpha, NonPositiveT
 from latsum.lattice import (
@@ -12,8 +16,10 @@ from latsum.lattice import (
     special_point_b,
 )
 from latsum.theta import (
+    _EXP_FLOOR,
     _MAX_BOX_CELLS,
     _MAX_INDEX_1D,
+    _TILE_CROSS,
     DEFAULT_POLICY,
     ShiftedSumEvaluator,
     TruncationPolicy,
@@ -45,6 +51,7 @@ from conftest import (
     random_domain_lattice,
     run_under_memory_limit,
     theta1d,
+    values_centered,
 )
 
 
@@ -554,7 +561,7 @@ class TestBatchEvaluators:
             for lat in (base, scaled(base, 3.0)):
                 ev = ShiftedSumEvaluator(lat, one_node(alpha))
                 zs = rng.random((20, 2))
-                batch = ev.value_offset + ev.values_centered(zs)
+                batch = ev.value_offset + values_centered(ev, zs)
                 for z, val in zip(zs, batch):
                     ref = lattice_gaussian_sum(lat, PhasePoint(z[0], z[1]), alpha)
                     assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
@@ -565,7 +572,7 @@ class TestBatchEvaluators:
             lat = random_domain_lattice(rng)
             ev = ShiftedSumEvaluator(lat, charged_node(alpha))
             bs = rng.random((20, 2))
-            batch = ev.value_offset + ev.values_centered(bs)
+            batch = ev.value_offset + values_centered(ev, bs)
             for b, val in zip(bs, batch):
                 ref = theta_charged(lat, PhasePoint(b[0], b[1]), alpha)
                 assert abs(val - ref.value) <= ev.tail_bound + ref.tail_bound + 1e-11
@@ -588,9 +595,9 @@ class TestBatchEvaluators:
         block, on both sides of the split."""
         ev = ShiftedSumEvaluator(hexl, ((0.3, 1.0), (2.0, 0.5)))
         zs = rng.random((23, 2))
-        whole = (ev.values_centered(zs), *ev.derivatives_centered(zs), *ev.certified(zs))
+        whole = (values_centered(ev, zs), *ev.derivatives_centered(zs), *ev.certified(zs))
         ev._rows = 4
-        blocks = (ev.values_centered(zs), *ev.derivatives_centered(zs), *ev.certified(zs))
+        blocks = (values_centered(ev, zs), *ev.derivatives_centered(zs), *ev.certified(zs))
         for a, b in zip(whole, blocks):
             assert np.array_equal(a, b)
 
@@ -607,6 +614,97 @@ class TestBatchEvaluators:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["82708", "True"]
+
+
+def scan_axes(grid_n):
+    """The axes of ``minimize_torus``'s half-cell scan grid."""
+    us = np.arange(grid_n) / grid_n
+    return us, us[us <= 0.5 + 1.5 / grid_n]
+
+
+def assert_grid_matches_oracle(ev, us, vs):
+    """``_grid_centered`` on us x vs against the pointwise ``values_centered``
+    oracle: within 1e-12 of the oracle's value wherever that exceeds 1e-250,
+    without warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = ev._grid_centered(us, vs)
+    uu, vv = np.meshgrid(us, vs, indexing="ij")
+    oracle = values_centered(ev, np.column_stack([uu.ravel(), vv.ravel()])).reshape(grid.shape)
+    value = oracle + ev.value_offset
+    seen = value > 1e-250
+    assert np.all(np.abs(grid - oracle)[seen] <= 1e-12 * value[seen])
+
+
+SCAN_SHAPES = [(0.5, Y_HEX), (0.45, 0.9), (0.2, 1.3), (0.5, 2.5), (0.3, 50.0)]
+
+
+class TestGridScan:
+    """The torus scan's product-grid values against the pointwise oracle."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 8.0, 32.0, 100.0, 300.0])
+    @pytest.mark.parametrize("shape", SCAN_SHAPES)
+    def test_matches_pointwise_oracle(self, shape, alpha):
+        ev = ShiftedSumEvaluator(lattice_from_tau(*shape), one_node(alpha))
+        assert_grid_matches_oracle(ev, *scan_axes(64))
+
+    def test_matches_pointwise_oracle_on_a_long_cell(self):
+        # 7632 terms, whose rows of the cell-wide ball lie far apart
+        ev = ShiftedSumEvaluator(lattice_from_tau(0.0, 1e4), one_node(1.0))
+        assert_grid_matches_oracle(ev, *scan_axes(64))
+
+    @pytest.mark.parametrize("s", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("shape", [(0.5, Y_HEX), (0.2, 1.3)])
+    def test_matches_pointwise_oracle_on_riesz_mixtures(self, shape, s):
+        # nodes on both sides of lam = 1/covol, up to r_max = pi alpha_max ~ 730
+        ev = ShiftedSumEvaluator(lattice_from_tau(*shape), CMPotential.riesz(s).nodes)
+        for grid_n in (20, 64):
+            assert_grid_matches_oracle(ev, *scan_axes(grid_n))
+
+    def test_large_alpha_keeps_the_dropped_term_bound(self):
+        """At alpha = 1000 most values underflow.  The scan stays finite and
+        warning-free, never exceeds the oracle beyond rounding (a flushed
+        factor drops its term rather than overstate it), and is within 1e-12
+        of it wherever terms times the bound on a dropped term,
+        e^(_EXP_FLOOR + 2 _TILE_CROSS), is below 1e-12 of the oracle's value."""
+        for shape in SCAN_SHAPES:
+            ev = ShiftedSumEvaluator(lattice_from_tau(*shape), one_node(1000.0))
+            us, vs = scan_axes(64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = ev._grid_centered(us, vs)
+            uu, vv = np.meshgrid(us, vs, indexing="ij")
+            oracle = values_centered(ev, np.column_stack([uu.ravel(), vv.ravel()]))
+            oracle = oracle.reshape(grid.shape)
+            assert np.all(np.isfinite(grid)) and np.all(grid >= 0.0)
+            assert np.all(grid <= oracle * (1.0 + 1e-12))
+            dropped = ev.terms * math.exp(_EXP_FLOOR + 2.0 * _TILE_CROSS)
+            seen = oracle > 1e12 * dropped
+            assert seen.any()
+            assert np.all(np.abs(grid - oracle)[seen] <= 1e-12 * oracle[seen])
+
+    def test_blocks_and_tiles_under_a_small_cell_cap(self, monkeypatch):
+        """With the cell cap at 40 the grid is cut into tiles of at most 40
+        points, and terms and nodes into blocks of one or a few; the values
+        hold against the oracle."""
+        ev = ShiftedSumEvaluator(lattice_from_tau(0.2, 1.3), CMPotential.riesz(4.0).nodes)
+        monkeypatch.setattr(theta, "_MAX_BOX_CELLS", 40)
+        assert_grid_matches_oracle(ev, *scan_axes(16))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.0, 0.5),
+        st.floats(0.0, math.log10(50.0)),
+        st.floats(-1.0, math.log10(400.0)),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    )
+    def test_any_axes_match_pointwise_oracle(self, x, log_y, log_alpha, us, vs):
+        """Axes in any order, repeats included, on sheared and long shapes at
+        alpha from 0.1 to 400; the large ones are cut into several tiles."""
+        y = max(10.0**log_y, math.sqrt(1.0 - x * x))
+        ev = ShiftedSumEvaluator(lattice_from_tau(x, y), one_node(10.0**log_alpha))
+        assert_grid_matches_oracle(ev, np.array(us), np.array(vs))
 
 
 @pytest.mark.parametrize("node_set", ["split pair", "riesz"])
