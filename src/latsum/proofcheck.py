@@ -19,10 +19,12 @@ import numpy as np
 
 from .lattice import _point_b
 from .theta import (
+    _EXP_FLOOR,
+    _clipped_exp,
+    _montgomery_Q_batch,
     _select_radius,
     montgomery_A,
     montgomery_B,
-    montgomery_Q,
     theta1d_hat,
 )
 
@@ -118,10 +120,15 @@ def phi_g(k, l, y):
 def shifted_term_d2(k, l, y, alpha):
     """d^2/dy^2 of exp(-pi alpha phi_f)."""
     y = np.asarray(y, dtype=float)
-    pa = math.pi * alpha
-    d1 = phi_f_d1(k, l, y)
-    d2 = phi_f_d2(k, l, y)
-    return (pa * pa * d1 * d1 - pa * d2) * np.exp(-pa * phi_f(k, l, y))
+    return _shifted_d2(math.pi * alpha, phi_f(k, l, y), phi_f_d1(k, l, y), phi_f_d2(k, l, y))
+
+
+def _shifted_d2(pa, f, d1, d2):
+    """``shifted_term_d2`` at pa = pi alpha from phi_f, phi_f' and phi_f'',
+    which do not depend on alpha.  exp(-pa f) is clipped at e^``_EXP_FLOOR``,
+    which overstates a term by less than its prefactor times e^-700 and
+    spares an exp near underflow its slow path."""
+    return (pa * pa * d1 * d1 - pa * d2) * _clipped_exp(pa * f)
 
 
 def charged_term_d2(k, l, y, alpha):
@@ -302,18 +309,26 @@ def check_growth11_composite() -> LemmaReport:
     ys = np.linspace(Y_HEX, 8.0, 160)
     k, l = _box(k_max)
     qq = q1(k, l)
+    worst = np.zeros((len(alphas), qq.size))
+    for rows in _row_blocks(ys):
+        np.maximum(worst, _shifted_d2_maxima(k, l, rows, alphas), out=worst)
     margin = math.inf
-    for alpha in alphas:
+    for alpha, w in zip(alphas, worst):
         bound = 5.0 * math.pi**2 * alpha**2 * qq * qq * np.exp(
             -0.5 * math.pi * alpha * np.sqrt(qq)
         )
-        worst = np.zeros_like(qq)
-        for rows in _row_blocks(ys):
-            np.maximum(worst, np.abs(shifted_term_d2(k, l, rows, alpha)).max(axis=0), out=worst)
-        margin = min(margin, np.min((bound - worst) / bound))
+        margin = min(margin, np.min((bound - w) / bound))
     return LemmaReport(
         "growth11", f"alphas {alphas}, |k|,|l| <= {k_max}, relative slack", margin
     )
+
+
+def _shifted_d2_maxima(k, l, rows, alphas) -> list[np.ndarray]:
+    """max over a block of y rows of |shifted_term_d2| at each alpha, from one
+    evaluation of phi_f and its derivatives, which do not depend on alpha.
+    Its arrays die on return, so no two blocks' arrays are live at once."""
+    f, d1, d2 = phi_f(k, l, rows), phi_f_d1(k, l, rows), phi_f_d2(k, l, rows)
+    return [np.abs(_shifted_d2(math.pi * alpha, f, d1, d2)).max(axis=0) for alpha in alphas]
 
 
 def min_phi_g(k: int, l: int) -> float:
@@ -630,15 +645,14 @@ def check_tail_constants() -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 def check_montgomery_sandwich() -> LemmaReport:
-    """A(t) <= Q(beta; t) <= B(t) on a (beta, t) grid."""
+    """A(t) <= Q(beta; t) <= B(t) on a (beta, t) grid, all betas of a t in one batch."""
     betas = np.linspace(0.0, 0.5, 50)
     tvals = np.logspace(math.log10(0.25), math.log10(4.0), 9)
     margin = math.inf
-    for t in tvals:
-        lo, hi = montgomery_A(float(t)), montgomery_B(float(t))
-        for beta in betas:
-            qv = montgomery_Q(float(beta), float(t)).value
-            margin = min(margin, (qv - lo) / hi, (hi - qv) / hi)
+    for t in tvals.tolist():
+        lo, hi = montgomery_A(t), montgomery_B(t)
+        qv = _montgomery_Q_batch(betas, t)[0]
+        margin = min(margin, float(np.min((qv - lo) / hi)), float(np.min((hi - qv) / hi)))
     return LemmaReport(
         "montgomery_sandwich", f"{len(betas)} beta x {len(tvals)} t grid, relative", margin
     )
@@ -646,38 +660,52 @@ def check_montgomery_sandwich() -> LemmaReport:
 
 def _threshold_table() -> dict:
     """Tail-sum threshold inequalities: id -> (stated alpha0, usage floor,
-    lhs(a), rhs(a)).  Each lhs is a masked sum over |k|, |l| <= 40 whose terms
-    depend on an integer level only: n2 = k^2 + l^2, q2 = k^2 + k l + l^2, or
+    lhs(a), rhs(a)), where lhs and rhs take a float or a 1-D array of alphas.
+    Each lhs is a masked sum over |k|, |l| <= 40 whose terms depend on an
+    integer level only: n2 = k^2 + l^2, q2 = k^2 + k l + l^2, or
     n = q2 + k + l, for which Q1 = (2/sqrt 3)(n + 1/3).  The sum is kept as
-    one term per distinct level, weighted by the level's count."""
+    one term per distinct level, weighted by the level's count, over the
+    levels whose exponent is not below ``_EXP_FLOOR`` at the smallest alpha
+    asked."""
     pi = math.pi
     k, l = _box(40)
     cheb = np.maximum(np.abs(k), np.abs(l))
     n2 = k * k + l * l
     q2_level = k * k + k * l + l * l
     q1_level = q2_level + k + l
-    ks = np.arange(2, 40)
+    ks = np.arange(40)
 
     def q1_of(n):
         return (2.0 / SQRT3) * (n + 1.0 / 3.0)
 
     def level_sum(c, level, mask, q_of=np.float64, s_of=np.sqrt, power=0):
         # sum over the mask of Q^power exp(c a s(Q)), Q = q_of(level): one exp
-        # per distinct level, weighted by its count
+        # per distinct level, weighted by its count; s rises with the level
         count = np.bincount(level[mask])
         lev = np.flatnonzero(count > 0)
         q = q_of(lev)
         w, s = count[lev] * q**power, s_of(q)
-        return lambda a: float(np.sum(w * np.exp(c * a * s)))
+
+        def total(a):
+            # a kept level whose exponent falls below _EXP_FLOOR at a larger
+            # alpha is clipped there, which overstates its term by less than
+            # w e^-700: no exp takes its slow path near underflow
+            n = np.searchsorted(s, _EXP_FLOOR / (c * np.min(a)), side="right")
+            x = np.multiply.outer(c * a, s[:n])
+            return np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x) @ w[:n]
+
+        return total
 
     def dominant(a):
-        return math.exp(-TWO_PI * a / (3 * SQRT3))
+        return np.exp(-TWO_PI * a / (3 * SQRT3))
 
     composite = level_sum(-0.5 * pi, q1_level, cheb > 1, q1_of, power=2)
     charged = level_sum(-pi, q2_level, (l != 0) & (cheb > 1), power=2)
+    # sum over 2 <= k < 40 of k^4 exp(-pi a k^2)
+    quartic = level_sum(-pi, ks, ks >= 2, s_of=np.square, power=4)
     return {
         "square_tail": (
-            0.5, 0.5, level_sum(-pi, n2, n2 >= 2, s_of=np.positive), lambda a: math.exp(-pi * a)
+            0.5, 0.5, level_sum(-pi, n2, n2 >= 2, s_of=np.positive), lambda a: np.exp(-pi * a)
         ),
         "far_q1": (
             1.0, 1.0, level_sum(-0.5 * pi, q1_level, cheb > 5, q1_of),
@@ -693,34 +721,45 @@ def _threshold_table() -> dict:
         ),
         "charged_far": (
             1.3, 1.5, level_sum(-pi, q2_level, (l != 0) & (q2_level > 1)),
-            lambda a: (2.0 * math.sqrt(a) / 3.0) * math.exp(-TWO_PI * a / SQRT3),
+            lambda a: (2.0 * np.sqrt(a) / 3.0) * np.exp(-TWO_PI * a / SQRT3),
         ),
         "charged_composite": (
             1.1, 5.0,
-            lambda a: 40.0 * math.fsum(a * a * ks**4 * np.exp(-pi * a * ks * ks))
-            + 3.0 * pi**2 * a**2 * charged(a),
-            lambda a: 0.6 * pi**2 * a**2 * math.exp(pi * a * (Y_HEX - 2.0)),
+            lambda a: 40.0 * a * a * quartic(a) + 3.0 * pi**2 * a**2 * charged(a),
+            lambda a: 0.6 * pi**2 * a**2 * np.exp(pi * a * (Y_HEX - 2.0)),
         ),
     }
 
 
 _THRESHOLDS = _threshold_table()
 
+# the alpha grid 0.05, 0.10, ..., 10 of the threshold scan
+_ALPHA_SCAN = np.arange(0.05, 10.0 + 0.05, 0.05)
+
+
+def _scan_values(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs of one threshold inequality on ``_ALPHA_SCAN``, evaluated
+    in blocks of 8 alphas: a sum over the 1331 distinct Q1 levels then makes
+    (8, 1331) temporaries of 83 KiB, below glibc's 128 KiB thresholds as in
+    ``_row_blocks``."""
+    _, _, lhs, rhs = _THRESHOLDS[name]
+    blocks = [_ALPHA_SCAN[i : i + 8] for i in range(0, len(_ALPHA_SCAN), 8)]
+    return np.concatenate([lhs(a) for a in blocks]), np.concatenate([rhs(a) for a in blocks])
+
 
 def empirical_threshold(name: str) -> float:
     """Smallest alpha on the grid 0.05, 0.10, ..., 10 from which lhs < rhs
-    holds onward."""
+    holds onward, inf if it fails at alpha 10."""
     if name not in _THRESHOLDS:
         raise ValueError(f"unknown threshold id {name!r}")
-    _, _, lhs, rhs = _THRESHOLDS[name]
-    grid = np.arange(0.05, 10.0 + 0.05, 0.05)
-    holds = np.array([lhs(a) < rhs(a) for a in grid.tolist()])
+    lhs, rhs = _scan_values(name)
+    holds = lhs < rhs
     if not holds[-1]:
         return math.inf
-    last_fail = np.where(~holds)[0]
+    last_fail = np.flatnonzero(~holds)
     if len(last_fail) == 0:
-        return float(grid[0])
-    return float(grid[last_fail[-1] + 1])
+        return float(_ALPHA_SCAN[0])
+    return float(_ALPHA_SCAN[last_fail[-1] + 1])
 
 
 def check_alpha_thresholds() -> LemmaReport:
@@ -728,13 +767,16 @@ def check_alpha_thresholds() -> LemmaReport:
 
     Each inequality is checked at the larger of its quoted approximate
     threshold (rounded up to one decimal) and the scanned empirical one,
-    and again at twice that value; the scan results are reported.
+    and again at twice that value; the scan results are reported.  One that
+    still fails at the scan's end, empirical inf, is checked at alpha 10,
+    where it fails.
     """
     margin = math.inf
     notes = []
     for name, (stated, usage, lhs, rhs) in _THRESHOLDS.items():
         emp = empirical_threshold(name)
-        a_check = max(stated, usage, math.ceil(emp * 10.0) / 10.0)
+        emp_up = math.ceil(emp * 10.0) / 10.0 if emp < math.inf else 10.0
+        a_check = max(stated, usage, emp_up)
         for a in (a_check, 2.0 * a_check):
             margin = min(margin, (rhs(a) - lhs(a)) / abs(rhs(a)))
         notes.append(f"{name}: stated {stated}, empirical {emp:.2f}, checked {a_check}")

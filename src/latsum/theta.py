@@ -126,35 +126,52 @@ def montgomery_Q(beta: float, t: float) -> CertifiedValue:
     The tolerance is ``DEFAULT_POLICY``'s, the factors at most ``_MAX_INDEX_1D``.
     """
     _check_t(t)
-    tol = DEFAULT_POLICY.target_tol
-    c = 2.0 * math.cos(TWO_PI * beta)
-    rel_tol = min(0.1, tol)
+    values, tails, m_factors = _montgomery_Q_batch(np.array([beta], dtype=float), t)
+    tail = float(tails[0])
+    return CertifiedValue(float(values[0]), tail, m_factors, tail <= DEFAULT_POLICY.target_tol)
+
+
+# float64 items per array a 1D batch builds: at 8 bytes an item, below glibc's
+# default 128 KiB mmap and trim thresholds, so repeated calls reuse heap pages
+_BLOCK_ITEMS = 12 * 1024
+
+
+def _montgomery_Q_batch(betas: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """``montgomery_Q`` at every beta of a 1-D array and one t > 0: the values,
+    their tails and the number of product factors, which depends on t only.
+    The (beta, factor) arrays are built in row blocks of at most
+    ``_BLOCK_ITEMS`` items."""
+    rel_tol = min(0.1, DEFAULT_POLICY.target_tol)
 
     # number of product factors: omitted ones multiply the result by
     # 1 + delta with |delta| <= sum_{m>M} 3 exp(-(2m-1) pi t), kept small
     pi_t = math.pi * t
     m_factors = 1
-    while m_factors <= _MAX_INDEX_1D and (
+    while m_factors < _MAX_INDEX_1D and (
         3.0 * math.exp(-(2 * m_factors + 1) * pi_t) / (1.0 - math.exp(-2.0 * pi_t)) > rel_tol * 0.05
     ):
         m_factors += 1
     m_factors = max(m_factors, 4)
 
-    g = np.empty(m_factors)
-    coeff = np.empty(m_factors)
-    for m in range(1, m_factors + 1):
-        e_even = math.exp(-2.0 * math.pi * m * t)
-        e_odd = math.exp(-(2 * m - 1) * math.pi * t)
-        g[m - 1] = (1.0 - e_even) * (1.0 + c * e_odd + e_odd * e_odd)
-        coeff[m - 1] = (1.0 - e_even) * e_odd
-    full_product = float(np.prod(g))
-    partial = 4.0 * math.pi * float(np.sum(coeff * (full_product / g)))
+    m = np.arange(1, m_factors + 1)
+    e_odd = np.exp(-(2 * m - 1) * math.pi * t)
+    odd_sq = e_odd * e_odd
+    even_gap = 1.0 - np.exp(-2.0 * math.pi * m * t)
+    coeff = even_gap * e_odd
+    c = 2.0 * np.cos(TWO_PI * betas)
+    full_product, partial = np.empty(len(betas)), np.empty(len(betas))
+    rows = max(1, _BLOCK_ITEMS // m_factors)
+    for i in range(0, len(betas), rows):
+        g = even_gap * (1.0 + c[i : i + rows, None] * e_odd + odd_sq)
+        full_product[i : i + rows] = np.prod(g, axis=1)
+        partial[i : i + rows] = np.sum(coeff * (full_product[i : i + rows, None] / g), axis=1)
+    partial *= 4.0 * math.pi
 
     # remaining l-terms plus multiplicative band of the omitted factors
     omitted, gap = math.exp(-(2 * m_factors + 1) * pi_t), max(1.0 - math.exp(-2.0 * pi_t), 1e-300)
     l_tail = 4.0 * math.pi * (full_product * (1.0 + rel_tol * 0.1)) * omitted / gap
-    tail = abs(partial) * 1.2 * (3.0 * omitted / gap) + l_tail
-    return CertifiedValue(partial, tail, m_factors, tail <= tol)
+    tail = np.abs(partial) * 1.2 * (3.0 * omitted / gap) + l_tail
+    return partial, tail, m_factors
 
 
 # ---------------------------------------------------------------------------

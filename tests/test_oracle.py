@@ -4,7 +4,9 @@ Each reference is summed term by term over the tau lattice of the shape
 (x, y), independently of the balls and routes of ``latsum.theta``; the
 charged family's is the shifted one through the functional equation.  A
 computed value must lie within its certified ``tail_bound`` of the
-reference, which carries truncation and rounding.
+reference, which carries truncation and rounding.  The 1D ratio
+``montgomery_Q``, whose tail carries truncation only, is held to its
+theta series within that tail plus its rounding.
 Hypothesis properties then hold E(z; alpha) to its own symmetries,
 periodicity and evenness, and to the batch evaluator, on shapes with y up
 to 1e3 and alpha in [1e-3, 1e3], each comparison within the summed tails.
@@ -27,6 +29,7 @@ from latsum.theta import (
     _plan,
     _sum_at,
     lattice_gaussian_sum,
+    montgomery_Q,
     theta_charged,
     theta_shifted,
 )
@@ -142,6 +145,39 @@ def test_elongated_shapes_converge_at_tight_tolerance(y):
                               TruncationPolicy(1e-12))
     assert cv.converged
     _assert_within(cv, reference(0.1, y, 1.0))
+
+
+def montgomery_reference(beta, t):
+    """Q(beta; t) = 4 pi sum_{k >= 1} k e^(-pi t k^2) sin(2 pi k beta) / sin(2 pi beta)
+    to 40 digits, with the ratio's limits k at beta = 0 and (-1)^(k+1) k at
+    beta = 1/2.  Terms with pi t k^2 above ``CUTOFF`` are left out; at t >= 1/4
+    they sum to below 1e-44."""
+    with mpmath.workdps(40):
+        b, t = mpmath.mpf(beta), mpmath.mpf(t)
+        total, k = mpmath.mpf(0), 1
+        while mpmath.pi * t * k * k <= CUTOFF:
+            if beta == 0.0:
+                ratio = k
+            elif beta == 0.5:
+                ratio = (-1) ** (k + 1) * k
+            else:
+                ratio = mpmath.sin(2 * mpmath.pi * k * b) / mpmath.sin(2 * mpmath.pi * b)
+            total += k * mpmath.exp(-mpmath.pi * t * k * k) * ratio
+            k += 1
+        return float(4 * mpmath.pi * total)
+
+
+# the t grid of the lemma suite's Montgomery sandwich
+@pytest.mark.parametrize("t", np.logspace(math.log10(0.25), math.log10(4.0), 9).tolist())
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.25, 0.4, 0.5])
+def test_montgomery_Q_matches_theta_series(beta, t):
+    """Within the tail, which bounds truncation, plus the rounding of the
+    product of M factors and of its M terms: a few roundings a factor in
+    each, at most 8 M eps relative."""
+    q = montgomery_Q(beta, t)
+    ref = montgomery_reference(beta, t)
+    rounding = 8 * q.terms_used * np.finfo(float).eps * abs(ref)
+    assert abs(q.value - ref) <= q.tail_bound + rounding
 
 
 # Shifts are dyadic, k / 2^20, so that z + m and -z are exact translates of z:

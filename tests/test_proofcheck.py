@@ -505,6 +505,21 @@ class TestSuite:
         lhs = pc._THRESHOLDS[name][2]
         assert lhs(a) == pytest.approx(_ref_threshold_lhs(name, a), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("name", THRESHOLD_IDS)
+    def test_threshold_scan_matches_scalar_calls(self, name):
+        # the scan's blocks against one scalar call a grid point: the same sums
+        # to rounding, and lhs < rhs at the same points, so that the empirical
+        # thresholds in params_tested do not rest on which path ran
+        _, _, lhs, rhs = pc._THRESHOLDS[name]
+        scan_lhs, scan_rhs = pc._scan_values(name)
+        grid = pc._ALPHA_SCAN.tolist()
+        point_lhs = [lhs(a) for a in grid]
+        point_rhs = [rhs(a) for a in grid]
+        assert all(isinstance(v, float) for v in point_lhs + point_rhs)
+        np.testing.assert_allclose(scan_lhs, point_lhs, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(scan_rhs, point_rhs, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(scan_lhs < scan_rhs, np.less(point_lhs, point_rhs))
+
     def test_threshold_table_ids(self):
         assert list(pc._THRESHOLDS) == THRESHOLD_IDS
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from latsum.theta import (
     _dual_side,
     _gaussian_tail,
     _index_box,
+    _montgomery_Q_batch,
     _nearest_sq,
     _plan,
     _rounding_bound,
@@ -210,6 +211,25 @@ class TestMontgomeryQ:
             for beta in np.linspace(0.0, 0.5, 21):
                 q = montgomery_Q(float(beta), float(t))
                 assert q.converged == (q.tail_bound <= DEFAULT_POLICY.target_tol)
+
+    def test_factor_count_stops_at_the_cap(self):
+        # at t = 1e-4 the tolerance asks for more factors than the cap allows
+        for beta in (0.0, 0.3):
+            q = montgomery_Q(beta, 1e-4)
+            assert q.terms_used == _MAX_INDEX_1D
+        assert not montgomery_Q(0.0, 1e-4).converged
+
+    def test_scalar_call_is_the_batch_element(self):
+        # bit for bit on the lemma suite's sandwich grid, and at t = 1e-4, where
+        # the factor count meets its cap and the batch takes one beta a block
+        grid = np.logspace(math.log10(0.25), math.log10(4.0), 9).tolist()
+        for t, betas in [(t, np.linspace(0.0, 0.5, 50)) for t in grid] + [
+            (1e-4, np.array([0.0, 1e-3, 0.3]))
+        ]:
+            values, tails, m_factors = _montgomery_Q_batch(betas, t)
+            for beta, value, tail in zip(betas.tolist(), values.tolist(), tails.tolist()):
+                q = montgomery_Q(beta, t)
+                assert (q.value, q.tail_bound, q.terms_used) == (value, tail, m_factors)
 
 
 class TestEnvelopes:
