@@ -19,13 +19,16 @@ import numpy as np
 
 from .lattice import _point_b
 from .theta import (
+    _EPS,
     _EXP_FLOOR,
     _clipped_exp,
+    _cosine_side,
+    _jacobi_side,
     _montgomery_Q_batch,
     _select_radius,
+    _theta1d,
     montgomery_A,
     montgomery_B,
-    theta1d_hat,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -494,59 +497,68 @@ def check_charged_concavity_small_alpha() -> LemmaReport:
 # Heat kernel on the circle and the l = 0 subsum
 # ---------------------------------------------------------------------------
 
-def _heat_uxx_weights(t: float) -> np.ndarray:
-    k_max = int(math.ceil(math.sqrt(1.0 + 45.0 / (4.0 * math.pi**2 * t)))) + 4
-    ks = np.arange(1, k_max + 1)
-    return ks**2 * np.exp(-4.0 * math.pi**2 * (ks**2 - 1) * t)
+def _heat_uxx_scaled(t, x) -> tuple[np.ndarray, np.ndarray]:
+    """u_xx / (-8 pi^2 e^(-4 pi^2 t)), positive where u is concave, at t and x
+    broadcast together, and its error bound: u(t, x) = theta_hat(x; 4 pi t)."""
+    big_t = 4.0 * math.pi * np.asarray(t, dtype=float)
+    uxx, tail = _theta1d(x, big_t, 2)
+    scale = 8.0 * math.pi**2 * np.exp(-math.pi * big_t)
+    scaled = uxx / -scale
+    return scaled, tail / scale + 4.0 * _EPS * np.abs(scaled)
 
 
-def _heat_uxx_scaled(t: float):
-    """x -> u_xx / (-8 pi^2 exp(-4 pi^2 t)) at this t: positive where u is
-    concave.  The weights are built once, for every x asked after."""
-    weights = _heat_uxx_weights(t)
-    ks = np.arange(1, len(weights) + 1)
+def _heat_inflection_points(ts: np.ndarray) -> np.ndarray:
+    """``heat_inflection_point`` at each t of a 1-D array.  u_xx has the sign
+    of theta_hat''(x; 4 pi t), and x in (0, 1/2) needs no reduction, so each
+    bisection step calls the kernel's two sides once, on the t sorted so
+    that the Jacobi side's are a prefix.  Each t keeps its own bracket, whose
+    width differs from the others' by rounding only, far from the stop at
+    1e-10: every t takes the steps of its scalar bisection."""
+    order = np.argsort(ts, kind="stable")
+    big_t = 4.0 * math.pi * ts[order]
+    cut = int(np.searchsorted(big_t, 1.0))
+    near, far = big_t[:cut], big_t[cut:]
 
-    def scaled(x) -> np.ndarray:
-        return np.cos(TWO_PI * np.outer(np.asarray(x, dtype=float), ks)) @ weights
+    def uxx(x):
+        sides = _jacobi_side(x[:cut], near, 2, False), _cosine_side(x[cut:], far, 2, False)
+        return np.concatenate([values for values, _ in sides])
 
-    return scaled
+    lo, hi = np.full(ts.shape, 1e-9), np.full(ts.shape, 0.5 - 1e-12)
+    ends = _theta1d(np.stack([lo, hi]), big_t, 2, bound=False)[0]  # checks t
+    bad = (ends[0] >= 0.0) | (ends[1] <= 0.0)
+    if bad.any():
+        raise ValueError(f"no sign change bracket at t={ts[order][bad][0]}")
+    while (hi - lo > 1e-10).any():
+        mid = 0.5 * (lo + hi)
+        concave = uxx(mid) < 0.0
+        lo = np.where(concave, mid, lo)
+        hi = np.where(concave, hi, mid)
+    roots = np.empty(ts.shape)
+    roots[order] = 0.5 * (lo + hi)
+    return roots
 
 
 def heat_inflection_point(t: float) -> float:
     """The zero of u_xx in (0, 1/2), located by bisection to width 1e-10."""
-    scaled = _heat_uxx_scaled(t)
-    lo, hi = 1e-9, 0.5 - 1e-12
-    s_lo = float(scaled([lo])[0])
-    s_hi = float(scaled([hi])[0])
-    if not (s_lo > 0 > s_hi):
-        raise ValueError(f"no sign change bracket at t={t}")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if float(scaled([mid])[0]) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_heat_inflection_points(np.array([float(t)]))[0])
 
 
 def check_heat_inflection() -> LemmaReport:
     """All inflection points lie below 0.3; convexity holds on [0.3, 0.7].
 
-    The convexity part is sampled on a cancelling cosine sum, and its margin
-    at small t is the noise grace below, not a proven slack: at t = 0.00147
-    the sampled -u_xx (scaled) on [0.3, 0.5] reads -0.0, so the reported
-    7.47e-13 is exactly the 100 eps grace, and at t = 0.001 it reads -2.7e-14
-    and only the grace keeps it positive.
+    The convexity samples sum u_xx on the Jacobi side, whose terms do not
+    cancel: the sampled -u_xx is positive at every t, least (1.05e-23,
+    scaled) at t = 0.001, x = 1/2 - 1e-12.  Until the window is enclosed, the
+    margin keeps a noise grace of 100 eps of the cosine series' size: at
+    t = 0.00147 it is that grace plus -u_xx at x = 1/2, 1.8226e-15.
     """
     ts = np.logspace(-3, 1, 25)
-    roots = [heat_inflection_point(float(t)) for t in ts]
-    margin = 0.3 - max(roots)
-    xs = np.linspace(0.3, 0.5, 60)
-    for t in ts:
-        # near x = 1/2 at small t the series is an alternating sum whose
-        # true value sits far below roundoff; allow that noise floor
-        noise = 100.0 * np.finfo(float).eps * float(np.sum(_heat_uxx_weights(float(t))))
-        margin = min(margin, float(np.min(-_heat_uxx_scaled(float(t))(xs))) + noise)
+    roots = _heat_inflection_points(ts)
+    margin = 0.3 - float(roots.max())
+    # column 0, x = 0, is the cosine series' size sum_k k^2 e^(-4 pi^2 (k^2 - 1) t)
+    scaled = _heat_uxx_scaled(ts[:, None], np.append(0.0, np.linspace(0.3, 0.5, 60)))[0]
+    noise = 100.0 * _EPS * scaled[:, 0]
+    margin = min(margin, float(np.min(noise - scaled[:, 1:].max(axis=1))))
     # the root wanders monotonically from ~sqrt(2t) toward 1/4; at large t
     # the increments fall below the bisection resolution, hence the grace
     diffs = np.diff(roots)
@@ -557,24 +569,28 @@ def check_heat_inflection() -> LemmaReport:
 
 
 def g_profile(alpha: float, y: float) -> float:
-    """The l = 0 subsum of the charged profile: a circle heat kernel."""
-    return theta1d_hat(_point_b(0.5, y)[1], alpha / y).value
+    """The l = 0 subsum of the charged profile, a circle heat kernel: the hat
+    series at (b2(y), alpha / y), also on arrays broadcast together, in one
+    kernel call."""
+    y = np.asarray(y, dtype=float)
+    return _theta1d(_point_b(0.5, y)[1], alpha / y, bound=False)[0][()]
 
 
 def check_G_monotone() -> LemmaReport:
     """The l = 0 subsum decreases in y; quantified decrement for alpha >= 1."""
     alphas = (0.5, 1.0, 4.0)
     ys = np.linspace(Y_HEX, 3.0, 120)
+    grid = g_profile(np.array(alphas)[:, None], ys)
+    # the decrements' far ends y_hex + 1/(4 sqrt(alpha)) at 1 and 4, and y = 50 at 1
+    far = g_profile(np.array([1.0, 4.0, 1.0]), np.array([Y_HEX + 0.25, Y_HEX + 0.125, 50.0]))
     margin = math.inf
-    for alpha in alphas:
-        vals = np.array([g_profile(alpha, float(y)) for y in ys])
+    for alpha, vals in zip(alphas, grid):
         scale = math.exp(-TWO_PI * alpha / SQRT3)
         margin = min(margin, float(np.min(-np.diff(vals))) / scale)
-    for alpha in (1.0, 4.0):
-        drop = g_profile(alpha, Y_HEX) - g_profile(alpha, Y_HEX + 0.25 / math.sqrt(alpha))
+    for alpha, start, end in zip((1.0, 4.0), grid[1:, 0], far):
         required = (2.0 * math.sqrt(alpha) / 3.0) * math.exp(-TWO_PI * alpha / SQRT3)
-        margin = min(margin, (drop - required) / required)
-    if abs(g_profile(1.0, 50.0)) > 1e-10:
+        margin = min(margin, (start - end - required) / required)
+    if abs(far[2]) > 1e-10:
         margin = min(margin, -1.0)
     return LemmaReport(
         "g_monotone",

@@ -3,7 +3,7 @@
 All series are truncated inside Euclidean balls; the discarded tail is
 bounded rigorously, in 2D by one closed form from the lattice-point count
 (``_gaussian_tail``), in 1D by geometric majorants, and every certified
-result carries that bound, in 2D with the rounding.  Sums are accumulated
+result carries that bound with the rounding.  2D sums are accumulated
 with ``math.fsum``, which rounds the exact sum of the terms correctly.
 
 Every 2D Gaussian sum is one ``ShiftedSumEvaluator``: ``lattice_gaussian_sum``
@@ -43,8 +43,8 @@ DEFAULT_POLICY = TruncationPolicy()
 @dataclass(frozen=True)
 class CertifiedValue:
     """A computed sum and ``tail_bound``, a rigorous bound on its error: the
-    truncation tail, in 2D plus the float rounding of the terms and their
-    sum, and on the direct zeta route also the incomplete gamma's error."""
+    truncation tail plus the float rounding of the terms and their sum, and
+    on the direct zeta route also the incomplete gamma's error."""
 
     value: float
     tail_bound: float
@@ -67,34 +67,138 @@ def _check_t(t: float) -> None:
 # One-dimensional theta functions
 # ---------------------------------------------------------------------------
 
-# the last index of a 1D series: one summed that far without meeting its
-# tolerance returns the tail there, with converged=False
+# the most factors montgomery_Q's product takes
 _MAX_INDEX_1D = 10_000
+# float64 items per array a 1D batch builds: at 8 bytes an item, below glibc's
+# default 128 KiB mmap and trim thresholds, so repeated calls reuse heap pages
+_BLOCK_ITEMS = 12 * 1024
+_ROWS_1D = _BLOCK_ITEMS // 9  # kernel elements per row block
+_MIN_T_1D = 1e-200  # t^(-3/2) stays finite
+_JACOBI_N = np.arange(-4.0, 5.0)
+_COSINE_K = np.arange(6.0)
+# by order: the cosine side's |c_k| and |c_6|
+_COSINE_C = {
+    0: (np.array([1.0, 2, 2, 2, 2, 2]), 2.0),
+    2: (8 * math.pi**2 * _COSINE_K**2, 288 * math.pi**2),
+}
 
 
-def _gauss_tail(k0: int, t: float) -> float:
-    """Upper bound for sum_{k >= k0} exp(-pi t k^2), k0 >= 1."""
-    q = math.exp(-math.pi * t * (2 * k0 + 1))
-    if q >= 1.0:
-        return math.inf
-    return math.exp(-math.pi * t * k0 * k0) / (1.0 - q)
+def _theta1d(beta, t, order: int = 0, bound: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """theta_hat(beta; t) (order 0) or its second beta-derivative (order 2) at
+    arrays beta and t >= ``_MIN_T_1D`` broadcast together, and a bound on each
+    one's error.  With b = beta - round(beta) (exact), an element takes the
+    shorter side of the Jacobi identity, switching at t = 1 as ``heat_route``
+    does: for t < 1 the Jacobi side, whose terms do not cancel,
+
+        t^(-1/2) sum_n e^(-x_n), t^(-1/2) (2 pi/t) sum_n (2 x_n - 1) e^(-x_n),
+
+    x_n = pi (n + b)^2 / t, n in [-4, 4]; for t >= 1 the cosine side
+    sum_k c_k e^(-x_k) cos(2 pi k b), x_k = pi t k^2, k in [0, 5], c_k = 1, 2, 2,
+    ... resp. -8 pi^2 k^2.  Fixed ranges and rows summed one by one, in row
+    blocks of ``_ROWS_1D``, make a scalar call its batch element bit for bit.
+    ``bound=False`` skips the bounds and returns None for them.
+
+    Truncation: with u = |n + b| resp. k and a = pi/t resp. pi t >= pi, a
+    term's size is p e^(-a u^2), p = 1 or 2 x + 1 resp. |c_k|, and the first u
+    left out is at least r = 4.5 resp. 6.  Past r successive sizes fall by
+    q <= ((r + 1)/r)^2 e^(-a (2 r + 1)) < 4e-14, as (2 a (u + 1)^2 + 1) /
+    (2 a u^2 + 1) <= ((u + 1)/u)^2: those left out sum to (1 + 1e-13) p(r)
+    e^(-a r^2) at most, on each side of -b (c_k counts both), times the
+    prefactor.  p e^(-x) falls past x = 1/2, so x clipped at 700 bounds it too.
+
+    Rounding: x is within 3 eps x, so e^(-x) within eps (3 x + 1); 2 x - 1
+    within 3.5 eps p; the phase 2 pi b k within 4.8 k eps.  A term is within
+    eps p e^(-x) (3 x + 4.8 k + 5), and the sum of 9 and the prefactor add
+    11 eps of the sizes: the bound eps pref sum p e^(-x) (4 x + 6 k + 24), k = 0
+    on the Jacobi side, leaves slack for second-order terms and for taking
+    the computed x and e.  An exponent clipped at ``_EXP_FLOOR`` moves its
+    term by below max(p(700), 200 pi^2) e^-700 < 2e3 e^-700.  A t above 1e300
+    is summed at 1e300, where each term but k = 0 is clipped either way.
+    """
+    beta, t = np.asarray(beta, dtype=float), np.asarray(t, dtype=float)
+    if beta.shape != t.shape:
+        beta, t = np.broadcast_arrays(beta, t)
+    shape, t, b = t.shape, t.reshape(-1), beta.reshape(-1)
+    if not np.minimum.reduce(t, initial=math.inf) >= _MIN_T_1D:
+        raise ValueError(f"the 1D kernel takes t >= {_MIN_T_1D}, got {t.min()}")
+    b = b - np.rint(b)
+    near = t < 1.0
+    n_near = np.count_nonzero(near)
+    if n_near in (0, b.size) and b.size <= _ROWS_1D:
+        values, tails = (_jacobi_side if n_near else _cosine_side)(b, t, order, bound)
+    else:
+        values, tails = np.empty(b.size), np.empty(b.size) if bound else None
+        for side, sel in ((_jacobi_side, near), (_cosine_side, ~near)):
+            idx = np.flatnonzero(sel)
+            for i in range(0, len(idx), _ROWS_1D):
+                j = idx[i : i + _ROWS_1D]
+                values[j], tail = side(b[j], t[j], order, bound)
+                if bound:
+                    tails[j] = tail
+    return values.reshape(shape), None if tails is None else tails.reshape(shape)
+
+
+def _jacobi_side(b: np.ndarray, t: np.ndarray, order: int, bound: bool):
+    neg_a = -math.pi / t
+    nx = np.add.outer(b, _JACOBI_N)
+    nx *= nx
+    nx *= neg_a[:, None]
+    np.maximum(nx, _EXP_FLOOR, out=nx)  # -x, clipped
+    size = np.exp(nx)
+    pref = 1.0 / np.sqrt(t)
+    if order:
+        pref *= TWO_PI / t
+        weight = nx * -2.0
+        terms = weight - 1.0
+        terms *= size
+    else:
+        terms = size
+    values = np.add.reduce(terms, axis=1) * pref
+    if not bound:
+        return values, None
+    reach = np.maximum(20.25 * neg_a, _EXP_FLOOR)  # -x at r
+    cut = np.exp(reach)
+    if order:
+        weight += 1.0
+        size *= weight
+        cut *= 1.0 - 2.0 * reach
+    return values, _bound_1d(nx, size, 24.0, cut * 2.0) * pref
+
+
+def _cosine_side(b: np.ndarray, t: np.ndarray, order: int, bound: bool):
+    neg_a = -math.pi * np.minimum(t, 1e300)
+    nx = np.multiply.outer(neg_a, _COSINE_K**2)
+    np.maximum(nx, _EXP_FLOOR, out=nx)  # -x, clipped
+    c, c6 = _COSINE_C[order]
+    size = np.exp(nx)
+    size *= c
+    terms = np.cos(np.multiply.outer(TWO_PI * b, _COSINE_K))
+    terms *= -size if order else size
+    values = np.add.reduce(terms, axis=1)
+    if not bound:
+        return values, None
+    cut = c6 * np.exp(np.maximum(36.0 * neg_a, _EXP_FLOOR))
+    return values, _bound_1d(nx, size, 6.0 * _COSINE_K + 24.0, cut)
+
+
+def _bound_1d(nx, size, spread, cut):
+    """eps sum p e^(-x) (4 x + spread) over a row, from -x and the sizes, plus
+    the truncation, its q, and 9 clipped terms."""
+    rounding = np.add.reduce(size * (spread - 4.0 * nx), axis=1)
+    rounding *= _EPS
+    rounding += cut * (1.0 + 1e-13)
+    return rounding + 2e4 * math.exp(_EXP_FLOOR)
 
 
 def theta1d_hat(beta: float, t: float) -> CertifiedValue:
-    """theta_hat(beta; t) = sum_k exp(-pi t k^2) exp(2 pi i k beta), real form,
-    to ``DEFAULT_POLICY``'s tolerance and at most ``_MAX_INDEX_1D``.
-
-    Imaginary parts cancel pairwise, so the cosine series is summed.
-    """
+    """theta_hat(beta; t) = sum_k exp(-pi t k^2) exp(2 pi i k beta), real form:
+    ``_theta1d`` at one point, 9 terms for t < 1 and 6 past it.  The tail
+    carries truncation and rounding; converged means DEFAULT_POLICY's tol."""
     _check_t(t)
-    tol = DEFAULT_POLICY.target_tol
-    terms = [1.0]
-    for m in range(1, _MAX_INDEX_1D + 1):
-        terms.append(2.0 * math.exp(-math.pi * t * m * m) * math.cos(TWO_PI * m * beta))
-        tail = 2.0 * _gauss_tail(m + 1, t)
-        if tail <= tol:
-            break
-    return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= tol)
+    value, tail = _theta1d(beta, t)
+    tail = float(tail)
+    terms = 9 if t < 1.0 else 6
+    return CertifiedValue(float(value), tail, terms, tail <= DEFAULT_POLICY.target_tol)
 
 
 def montgomery_A(t: float) -> float:
@@ -123,7 +227,8 @@ def montgomery_Q(beta: float, t: float) -> CertifiedValue:
     between montgomery_A(t) and montgomery_B(t).  The derivative in beta of
     theta(beta; s) = sum_k exp(-pi s (k + beta)^2) satisfies
     -theta'(beta; s) = sin(2 pi beta) * s**-0.5 * Q(beta; 1/s).
-    The tolerance is ``DEFAULT_POLICY``'s, the factors at most ``_MAX_INDEX_1D``.
+    The tolerance is ``DEFAULT_POLICY``'s, the factors at most ``_MAX_INDEX_1D``;
+    ``tail_bound`` carries the truncation and the rounding.
     """
     _check_t(t)
     values, tails, m_factors = _montgomery_Q_batch(np.array([beta], dtype=float), t)
@@ -131,47 +236,98 @@ def montgomery_Q(beta: float, t: float) -> CertifiedValue:
     return CertifiedValue(float(values[0]), tail, m_factors, tail <= DEFAULT_POLICY.target_tol)
 
 
-# float64 items per array a 1D batch builds: at 8 bytes an item, below glibc's
-# default 128 KiB mmap and trim thresholds, so repeated calls reuse heap pages
-_BLOCK_ITEMS = 12 * 1024
+def _montgomery_factors(t: float) -> int:
+    """The least m >= 1 with 3 e^(-(2m + 1) pi t) / (1 - e^(-2 pi t)) <= tol / 20,
+    tol <= 0.1, at most ``_MAX_INDEX_1D`` and raised to 4: the root in m, then
+    a step or two of that predicate, monotone in m, as a scan from 1 stops.
+    Below t = 1e-8, 1 + 2 cos(2 pi beta) e + e^2 drowns in its rounding."""
+    if not t >= 1e-8:
+        raise ValueError(f"montgomery_Q's product takes t >= 1e-8, got {t}")
+    pi_t = math.pi * t
+    gap = 1.0 - math.exp(-2.0 * pi_t)
+    limit = min(0.1, DEFAULT_POLICY.target_tol) * 0.05
+
+    def more(m):
+        return 3.0 * math.exp(-(2 * m + 1) * pi_t) / gap > limit
+
+    m = min(max(math.ceil((math.log(3.0 / (limit * gap)) / pi_t - 1.0) / 2.0), 1), _MAX_INDEX_1D)
+    while m > 1 and not more(m - 1):
+        m -= 1
+    while m < _MAX_INDEX_1D and more(m):
+        m += 1
+    return max(m, 4)
 
 
 def _montgomery_Q_batch(betas: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, int]:
     """``montgomery_Q`` at every beta of a 1-D array and one t > 0: the values,
-    their tails and the number of product factors, which depends on t only.
-    The (beta, factor) arrays are built in row blocks of at most
-    ``_BLOCK_ITEMS`` items."""
-    rel_tol = min(0.1, DEFAULT_POLICY.target_tol)
+    their tails and the number M of product factors, which depends on t only,
+    in row blocks of at most ``_BLOCK_ITEMS`` items.
 
-    # number of product factors: omitted ones multiply the result by
-    # 1 + delta with |delta| <= sum_{m>M} 3 exp(-(2m-1) pi t), kept small
-    pi_t = math.pi * t
-    m_factors = 1
-    while m_factors < _MAX_INDEX_1D and (
-        3.0 * math.exp(-(2 * m_factors + 1) * pi_t) / (1.0 - math.exp(-2.0 * pi_t)) > rel_tol * 0.05
-    ):
-        m_factors += 1
-    m_factors = max(m_factors, 4)
+    The value is 4 pi sum_m gap_m e_m P / g_m, P = prod_m g_m, g_m = gap_m B_m,
+    gap_m = 1 - e^(-y_m), y_m = 2 pi m t, e_m = e^(-x_m), x_m = (2m - 1) pi t,
+    B_m = 1 + c e_m + e_m^2, c = 2 cos(2 pi (beta - round(beta))).
 
+    Rounding, to first order: gap_m is within eps (2 + 1/y_m) of itself, as
+    e^(-y) / (1 - e^(-y)) <= 1/y; B_m within eps (B_m / 2 + 3 + 18 e_m); e_m
+    within eps (1 + 1.5 x_m).  With S = sum_m (3 + 1/y_m + (6 + 36 e_m) / B_m),
+    the computed B_m at least half the true one, P is within eps (S + M/2),
+    an l-term within eps (2 S + 2 x_M + 2) and their positive sum within
+    r = eps (3 S + 2 M + 2 x_M + 4), where sum_m 1/y_m <= (1 + log M) / (2 pi t)
+    and x_M is capped at 745, past which e_m underflows (a subnormal step):
+    2 r bounds e^r - 1 for r <= 1/4.  A subnormal step adds at most 2^-1075,
+    carried on by at most U = prod_m (1 + e_m)^2 <= e^(2 q / (1 - q^2)),
+    q = e^(-pi t), and divided by g_m >= gap_m (1 - q)^2 in a term: the floor
+    4 pi 2^-1074 M (U q / ((1 - q)^2 (1 - q^2)) + 1) covers that.
+
+    Truncation: with e_m <= 0.01 the omitted factors have |g_m - 1| <= 3.04 e_m,
+    so they multiply P by R, |log R| <= 1.05 delta, delta = 3 e_(M+1) / (1 -
+    q^2), |R - 1| <= 1.2 delta for delta <= 1/5; the omitted l-terms add at
+    most 4 pi P R e_(M+1) / ((1 - q^2) (1 - e_(M+1))^2).  Past those ranges,
+    at the factor cap, or past r = 1/4, the tail is infinite.
+    """
+    m_factors = _montgomery_factors(t)
     m = np.arange(1, m_factors + 1)
     e_odd = np.exp(-(2 * m - 1) * math.pi * t)
     odd_sq = e_odd * e_odd
     even_gap = 1.0 - np.exp(-2.0 * math.pi * m * t)
     coeff = even_gap * e_odd
-    c = 2.0 * np.cos(TWO_PI * betas)
-    full_product, partial = np.empty(len(betas)), np.empty(len(betas))
+    spread = 6.0 + 36.0 * e_odd
+    c = 2.0 * np.cos(TWO_PI * (betas - np.rint(betas)))
+    full_product, partial, cond = (np.empty(len(betas)) for _ in range(3))
     rows = max(1, _BLOCK_ITEMS // m_factors)
     for i in range(0, len(betas), rows):
-        g = even_gap * (1.0 + c[i : i + rows, None] * e_odd + odd_sq)
-        full_product[i : i + rows] = np.prod(g, axis=1)
-        partial[i : i + rows] = np.sum(coeff * (full_product[i : i + rows, None] / g), axis=1)
+        block = slice(i, i + rows)
+        b = 1.0 + c[block, None] * e_odd + odd_sq
+        g = even_gap * b
+        full_product[block] = np.multiply.reduce(g, axis=1)
+        partial[block] = np.add.reduce(coeff * (full_product[block, None] / g), axis=1)
+        cond[block] = np.add.reduce(spread / b, axis=1)
     partial *= 4.0 * math.pi
 
-    # remaining l-terms plus multiplicative band of the omitted factors
-    omitted, gap = math.exp(-(2 * m_factors + 1) * pi_t), max(1.0 - math.exp(-2.0 * pi_t), 1e-300)
-    l_tail = 4.0 * math.pi * (full_product * (1.0 + rel_tol * 0.1)) * omitted / gap
-    tail = np.abs(partial) * 1.2 * (3.0 * omitted / gap) + l_tail
-    return partial, tail, m_factors
+    pi_t = math.pi * t
+    q, gap = math.exp(-pi_t), 1.0 - math.exp(-2.0 * pi_t)
+    r = cond * (3.0 * _EPS)
+    r += _EPS * (11.0 * m_factors + 3.0 * (1.0 + math.log(m_factors)) / (2.0 * pi_t) + 4.0)
+    r += _EPS * 2.0 * min((2 * m_factors - 1) * pi_t, 745.0)
+    omitted = math.exp(-(2 * m_factors + 1) * pi_t)
+    band = 3.6 * omitted / gap
+    if omitted > 0.01 or band > 0.24 or np.maximum.reduce(r) > 0.25:
+        return partial, np.full(len(betas), math.inf), m_factors
+    # tail = rounding (1 + band) + band |value| + (P (1 + 2 r) + P's floor) lift
+    lift = 4.0 * math.pi * (1.0 + band) * omitted / (gap * (1.0 - omitted) ** 2)
+    log_m = math.log(m_factors) - 1074 * math.log(2.0)  # log(M 2^-1074)
+    log_u = 2.0 * q / gap
+    # log(U q / ((1 - q)^2 (1 - q^2)))
+    spill = log_u - pi_t - 2.0 * math.log(1.0 - q) - math.log(gap)
+    floor = (1.0 + band) * _exp_or_inf(max(spill, 0.0) + log_m + math.log(8.0 * math.pi))
+    floor += lift * _exp_or_inf(log_u + log_m)
+    tail = (2.0 * (1.0 + band) * r + band) * np.abs(partial)
+    tail += (2.0 * lift * r + lift) * full_product
+    return partial, tail + floor, m_factors
+
+
+def _exp_or_inf(x: float) -> float:
+    return math.exp(x) if x < 709.0 else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from latsum.theta import (
     TruncationPolicy,
     _ball,
     _check_t,
-    _gauss_tail,
     _in_row_blocks,
     _plan,
     lattice_gaussian_sum,
@@ -87,6 +86,14 @@ def run_under_memory_limit(code: str, limit: int = 1 << 30) -> subprocess.Comple
     )
 
 
+def _gauss_tail(k0: int, t: float) -> float:
+    """Upper bound for sum_{k >= k0} exp(-pi t k^2), k0 >= 1."""
+    q = math.exp(-math.pi * t * (2 * k0 + 1))
+    if q >= 1.0:
+        return math.inf
+    return math.exp(-math.pi * t * k0 * k0) / (1.0 - q)
+
+
 def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
     """Oracle for the other side of ``theta1d_hat``'s functional equation:
     theta(beta; t) = sum_k exp(-pi t (k + beta)^2), beta taken mod 1 first, so
@@ -103,6 +110,20 @@ def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> Ce
         if tail <= pol.target_tol:
             break
     return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= pol.target_tol)
+
+
+def montgomery_factor_loop(t: float) -> int:
+    """Oracle for ``theta._montgomery_factors``: the scan upward from m = 1
+    while 3 e^(-(2m + 1) pi t) / (1 - e^(-2 pi t)) exceeds tol / 20, stopped at
+    ``_MAX_INDEX_1D`` and raised to 4."""
+    rel_tol = min(0.1, DEFAULT_POLICY.target_tol)
+    pi_t = math.pi * t
+    m_factors = 1
+    while m_factors < _MAX_INDEX_1D and (
+        3.0 * math.exp(-(2 * m_factors + 1) * pi_t) / (1.0 - math.exp(-2.0 * pi_t)) > rel_tol * 0.05
+    ):
+        m_factors += 1
+    return max(m_factors, 4)
 
 
 def product_rep_theta1d_hat(beta: float, t: float, n_factors: int) -> float:

@@ -4,9 +4,10 @@ Each reference is summed term by term over the tau lattice of the shape
 (x, y), independently of the balls and routes of ``latsum.theta``; the
 charged family's is the shifted one through the functional equation.  A
 computed value must lie within its certified ``tail_bound`` of the
-reference, which carries truncation and rounding.  The 1D ratio
-``montgomery_Q``, whose tail carries truncation only, is held to its
-theta series within that tail plus its rounding.
+reference, which carries truncation and rounding.  The 1D kernel's
+theta_hat and theta_hat'' and the ratio ``montgomery_Q`` are held to
+40-digit sums of the side of the Jacobi identity that does not cancel,
+within their tails, which also carry the rounding.
 Hypothesis properties then hold E(z; alpha) to its own symmetries,
 periodicity and evenness, and to the batch evaluator, on shapes with y up
 to 1e3 and alpha in [1e-3, 1e3], each comparison within the summed tails.
@@ -28,8 +29,10 @@ from latsum.theta import (
     TruncationPolicy,
     _plan,
     _sum_at,
+    _theta1d,
     lattice_gaussian_sum,
     montgomery_Q,
+    theta1d_hat,
     theta_charged,
     theta_shifted,
 )
@@ -148,12 +151,27 @@ def test_elongated_shapes_converge_at_tight_tolerance(y):
 
 
 def montgomery_reference(beta, t):
-    """Q(beta; t) = 4 pi sum_{k >= 1} k e^(-pi t k^2) sin(2 pi k beta) / sin(2 pi beta)
-    to 40 digits, with the ratio's limits k at beta = 0 and (-1)^(k+1) k at
-    beta = 1/2.  Terms with pi t k^2 above ``CUTOFF`` are left out; at t >= 1/4
-    they sum to below 1e-44."""
+    """Q(beta; t) = -theta_hat'(beta; t) / sin(2 pi beta) to 40 digits.  For
+    t >= 1/4 it is 4 pi sum_{k >= 1} k e^(-pi t k^2) sin(2 pi k beta) / sin(2 pi beta),
+    with the ratio's limits k at beta = 0 and (-1)^(k+1) k at beta = 1/2; terms
+    with pi t k^2 above ``CUTOFF`` are left out, together below 1e-44.  Below
+    1/4 that series cancels, and its Jacobi transform is summed instead,
+    t^(-1/2) sum_k 2 pi (k + beta) / t e^(-pi (k + beta)^2 / t) / sin(2 pi beta),
+    whose limits at beta = 0 and 1/2 are -theta_hat''/(2 pi) and
+    theta_hat''/(2 pi), over the k with pi (k + beta)^2 / t <= ``CUTOFF``."""
     with mpmath.workdps(40):
         b, t = mpmath.mpf(beta), mpmath.mpf(t)
+        if t < 0.25:
+            total, reach = mpmath.mpf(0), int(mpmath.sqrt(CUTOFF * t / mpmath.pi)) + 2
+            for k in range(-reach, reach + 1):
+                u = k + b
+                x = mpmath.pi * u * u / t
+                if beta in (0.0, 0.5):
+                    weight = (1 - 2 * x) / t * (1 if beta == 0.0 else -1)
+                else:
+                    weight = 2 * mpmath.pi * u / t / mpmath.sin(2 * mpmath.pi * b)
+                total += weight * mpmath.exp(-x)
+            return total / mpmath.sqrt(t)
         total, k = mpmath.mpf(0), 1
         while mpmath.pi * t * k * k <= CUTOFF:
             if beta == 0.0:
@@ -164,20 +182,65 @@ def montgomery_reference(beta, t):
                 ratio = mpmath.sin(2 * mpmath.pi * k * b) / mpmath.sin(2 * mpmath.pi * b)
             total += k * mpmath.exp(-mpmath.pi * t * k * k) * ratio
             k += 1
-        return float(4 * mpmath.pi * total)
+        return 4 * mpmath.pi * total
 
 
-# the t grid of the lemma suite's Montgomery sandwich
-@pytest.mark.parametrize("t", np.logspace(math.log10(0.25), math.log10(4.0), 9).tolist())
-@pytest.mark.parametrize("beta", [0.0, 0.1, 0.25, 0.4, 0.5])
+# the t grid of the lemma suite's Montgomery sandwich, and small t down to 1e-3
+MONTGOMERY_TS = [1e-3, 1e-2, 0.1] + np.logspace(math.log10(0.25), math.log10(4.0), 9).tolist()
+
+
+@pytest.mark.parametrize(
+    "beta,t",
+    [(beta, t) for t in MONTGOMERY_TS for beta in [0.0, 0.1, 0.25, 0.4, 0.5]]
+    # Q is 8e-334 there, below the floats, and the product passes through subnormals
+    + [(0.5 - 1e-6, 1e-3)],
+)
 def test_montgomery_Q_matches_theta_series(beta, t):
-    """Within the tail, which bounds truncation, plus the rounding of the
-    product of M factors and of its M terms: a few roundings a factor in
-    each, at most 8 M eps relative."""
+    """Within the tail, which bounds the truncation and the rounding."""
     q = montgomery_Q(beta, t)
-    ref = montgomery_reference(beta, t)
-    rounding = 8 * q.terms_used * np.finfo(float).eps * abs(ref)
-    assert abs(q.value - ref) <= q.tail_bound + rounding
+    assert abs(q.value - montgomery_reference(beta, t)) <= q.tail_bound
+
+
+def theta1d_reference(beta, t, order, side):
+    """theta_hat(beta; t) (order 0) or its second beta-derivative (order 2) to
+    40 digits on one side of the Jacobi identity: "jacobi",
+    t^(-1/2) sum_n e^(-x_n), x_n = pi (n + beta)^2 / t, differentiated term by
+    term, or "cosine", sum_k e^(-pi t k^2) cos(2 pi k beta) over all integers k;
+    terms with an exponent above ``CUTOFF`` + 20 are left out, below 1e-50 in all."""
+    with mpmath.workdps(40):
+        b, t = mpmath.mpf(beta), mpmath.mpf(t)
+        total = mpmath.mpf(0)
+        if side == "jacobi":
+            reach = int(mpmath.sqrt((CUTOFF + 20) * t / mpmath.pi)) + 2
+            for n in range(-reach, reach + 1):
+                x = mpmath.pi * (n + b) ** 2 / t
+                total += (1 if order == 0 else 2 * mpmath.pi / t * (2 * x - 1)) * mpmath.exp(-x)
+            return total / mpmath.sqrt(t)
+        reach = int(mpmath.sqrt((CUTOFF + 20) / (mpmath.pi * t))) + 2
+        for k in range(-reach, reach + 1):
+            weight = 1 if order == 0 else -4 * mpmath.pi**2 * k * k
+            total += weight * mpmath.exp(-mpmath.pi * t * k * k) * mpmath.cos(2 * mpmath.pi * k * b)
+        return total
+
+
+THETA1D_TS = [1e-4, 1e-3, 0.05, 0.5, 1.0, 2.0, 100.0, 1e4]
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("t", THETA1D_TS)
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.25, 0.4, 0.5])
+def test_theta1d_matches_both_sides(beta, t, order):
+    """The kernel within its tail of the 40-digit sum of the side that does
+    not cancel, the Jacobi side below t = 1; near t = 1, where both converge
+    fast, the two sides agree to 35 digits."""
+    value, tail = (float(v) for v in _theta1d(beta, t, order))
+    ref = theta1d_reference(beta, t, order, "jacobi" if t < 1.0 else "cosine")
+    assert abs(value - ref) <= tail
+    if 0.5 <= t <= 2.0:
+        other = theta1d_reference(beta, t, order, "cosine" if t < 1.0 else "jacobi")
+        assert abs(other - ref) <= 1e-35 * (1 + abs(ref))
+    if order == 0:
+        assert theta1d_hat(beta, t).value == value
 
 
 # Shifts are dyadic, k / 2^20, so that z + m and -z are exact translates of z:
@@ -260,3 +323,13 @@ def test_pointwise_sum_is_the_evaluators_certified_value(shape, nodes, u, v):
     ev._build(plan, nodes, DEFAULT_POLICY, (point.u, point.v))
     values, bounds = ev.certified(np.array([[point.u, point.v]]))
     assert (one.value, one.tail_bound, one.terms_used) == (values[0], bounds[0], ev.terms)
+
+
+@PROPERTY
+@given(st.floats(-1e6, 1e6), st.floats(-200.0, 300.0).map(lambda e: 10.0**e))
+def test_theta1d_hat_is_never_negative(beta, t):
+    """theta_hat is positive; its tail is finite and nonnegative on the whole
+    range of t the kernel takes."""
+    hat = theta1d_hat(beta, t)
+    assert hat.value >= 0.0
+    assert 0.0 <= hat.tail_bound < math.inf

@@ -4,6 +4,7 @@ import math
 import platform
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -108,7 +109,9 @@ PINNED_SUITE = [
         "alphas (2.0, 3.5, 5.0), y in [sqrt3/2, 1.5], bound -1e-5 (x1e5)",
         0.11420481826061714,
     ),
-    ("heat_inflection", "25 log-spaced t in [0.001, 10]", 7.474486535702851e-13),
+    # the 100 eps grace at t = 0.00147, 7.474486535702851e-13, plus the sampled
+    # -u_xx (scaled) at x = 1/2 there, whose true value is 1.82262788801329e-15
+    ("heat_inflection", "25 log-spaced t in [0.001, 10]", 7.492712814582985e-13),
     (
         "g_monotone",
         "alphas (0.5, 1.0, 4.0), 120-point grid; decrement at 1 and 4",
@@ -427,6 +430,31 @@ class TestHeatKernel:
     def test_inflection_suite(self):
         assert pc.check_heat_inflection().passed
 
+    def test_scalar_inflection_is_the_batch_element(self):
+        ts = np.logspace(-3, 1, 25)
+        roots = pc._heat_inflection_points(ts)
+        assert [pc.heat_inflection_point(float(t)) for t in ts] == roots.tolist()
+        with pytest.raises(ValueError, match="no sign change"):
+            pc.heat_inflection_point(1e-20)
+
+    @pytest.mark.parametrize("x, expected", [(0.45, -6.1e-19), (0.5 - 1e-12, -1.05e-23)])
+    def test_scaled_uxx_matches_50_digits(self, x, expected):
+        """At t = 1e-3 near x = 1/2 the cosine series of u_xx cancels far below
+        its rounding; the Jacobi side keeps the value within its tail.  The
+        reference sums the cosine series sum_k k^2 e^(-pi T (k^2 - 1)) cos(2 pi k x)
+        at 60 digits, at the float T = 4 pi t the kernel is given."""
+        big_t = 4.0 * math.pi * 1e-3
+        with mpmath.workdps(60):
+            tt, xx = mpmath.mpf(big_t), mpmath.mpf(x)
+            ref = mpmath.fsum(
+                k * k * mpmath.exp(-mpmath.pi * tt * (k * k - 1))
+                * mpmath.cos(2 * mpmath.pi * k * xx)
+                for k in range(1, 80)
+            )
+        value, tail = (float(v) for v in pc._heat_uxx_scaled(1e-3, x))
+        assert float(ref) == pytest.approx(expected, rel=0.02)
+        assert abs(value - ref) <= tail < 1e-13 * abs(value)
+
 
 class TestGProfile:
     def test_monotone_decreasing(self):
@@ -452,6 +480,12 @@ class TestGProfile:
 
     def test_suite(self):
         assert pc.check_G_monotone().passed
+
+    def test_scalar_call_is_the_batch_element(self):
+        ys = np.linspace(Y_HEX, 3.0, 120)
+        for alpha in (0.5, 1.0, 4.0):
+            values = pc.g_profile(alpha, ys)
+            assert [pc.g_profile(alpha, float(y)) for y in ys] == values.tolist()
 
 
 class TestTailConstants:

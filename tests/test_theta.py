@@ -48,6 +48,7 @@ from conftest import (
     Y_HEX,
     assert_derivatives_match_differences,
     direct_series_derivatives,
+    montgomery_factor_loop,
     product_rep_theta1d_hat,
     random_domain_lattice,
     run_under_memory_limit,
@@ -104,8 +105,11 @@ class TestTheta1D:
         cv = theta1d(0.0, 1e-9)
         assert cv.terms_used == 2 * _MAX_INDEX_1D + 1
         assert not cv.converged
+        # the hat series sums its short side, t^(-1/2) sum_n e^(-pi n^2 / t), in
+        # a few terms; the rounding of a value of 3.2e4 exceeds the tolerance 1e-12
         hat = theta1d_hat(0.0, 1e-9)
-        assert hat.terms_used == _MAX_INDEX_1D + 1
+        assert hat.terms_used <= 12
+        assert abs(hat.value - 1e-9**-0.5) <= hat.tail_bound
         assert not hat.converged
 
 
@@ -132,6 +136,57 @@ class TestTheta1DHat:
             beta = rng.uniform(0, 1)
             t = rng.uniform(0.3, 4.0)
             assert theta1d_hat(beta, t).value <= theta1d_hat(0.0, t).value + 1e-13
+
+
+class TestKernel1D:
+    """The 1D kernel ``theta._theta1d`` and its one-point case ``theta1d_hat``."""
+
+    BETAS = [0.0, 0.1, 0.25, 0.4, 0.5, 0.7, -1.3, 1e6 + 0.3]
+    TS = [1e-200, 1e-9, 1e-4, 0.05, 0.5, 1.0 - 1e-16, 1.0, 2.0, 100.0, 1e300]
+
+    def test_scalar_call_is_the_batch_element(self):
+        # bit for bit, value and tail, on a grid that mixes both sides
+        beta, t = np.meshgrid(self.BETAS, self.TS)
+        values, tails = theta._theta1d(beta, t)
+        for b, tt, value, tail in zip(beta.flat, t.flat, values.flat, tails.flat):
+            hat = theta1d_hat(float(b), float(tt))
+            assert (hat.value, hat.tail_bound) == (value, tail)
+            assert hat.terms_used == (9 if tt < 1.0 else 6)
+        for order in (0, 2):
+            values, tails = theta._theta1d(beta[2:], t[2:], order)
+            for b, tt, value, tail in zip(beta[2:].flat, t[2:].flat, values.flat, tails.flat):
+                assert theta._theta1d(b, tt, order) == (value, tail)
+
+    def test_row_blocks_keep_each_element(self):
+        # a batch past one row block, both sides interleaved
+        n = 3 * theta._ROWS_1D + 5
+        beta = np.linspace(-0.5, 1.5, n)
+        t = np.where(np.arange(n) % 3 == 0, 0.3, 3.0)
+        for order in (0, 2):
+            values, tails = theta._theta1d(beta, t, order)
+            for i in (0, 1, theta._ROWS_1D, n - 1):
+                assert theta._theta1d(beta[i], t[i], order) == (values[i], tails[i])
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_extreme_t_works_or_fails_loudly(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, tail = theta._theta1d(0.3, 1e300, order)
+            assert abs(value - (1.0 if order == 0 else 0.0)) <= tail < 1e-14
+            value, tail = theta._theta1d(0.0, 1e-200, order)
+            assert math.isfinite(value) and 0.0 <= tail < math.inf
+            with pytest.raises(ValueError):
+                theta._theta1d(0.3, 1e-300, order)
+        assert theta1d_hat(0.3, 1e300).value == 1.0
+        with pytest.raises(ValueError):
+            theta1d_hat(0.3, 1e-300)
+
+    def test_short_side_is_never_negative(self):
+        # the cosine series at (0.5, 1e-4) read -8.5e-14 for a true value of
+        # 2e-3409; the Jacobi side sums positive terms
+        hat = theta1d_hat(0.5, 1e-4)
+        assert 0.0 <= hat.value <= hat.tail_bound < 1e-290
+        assert hat.converged
 
 
 class TestProductRep:
@@ -218,6 +273,24 @@ class TestMontgomeryQ:
             q = montgomery_Q(beta, 1e-4)
             assert q.terms_used == _MAX_INDEX_1D
         assert not montgomery_Q(0.0, 1e-4).converged
+
+    def test_factor_count_matches_the_loop(self):
+        # the closed form against the scan it replaced, across the cap at
+        # t ~ 5.9e-4 and the floor of 4 factors at large t
+        grid = np.logspace(-5.0, 1.0, 241).tolist()
+        counts = [theta._montgomery_factors(t) for t in grid]
+        assert counts == [montgomery_factor_loop(t) for t in grid]
+        assert counts[0] == _MAX_INDEX_1D and counts[-1] == 4
+        assert _MAX_INDEX_1D in counts and len(set(counts)) > 100
+
+    def test_tail_counts_underflow_and_the_cap(self):
+        # the product underflows on its way at (0, 1e-5), where Q is ~ 3e7; the
+        # factor cap leaves its truncation unbounded there and at (0.3, 1e-4)
+        for beta, t in ((0.0, 1e-5), (0.3, 1e-4)):
+            q = montgomery_Q(beta, t)
+            assert q.value == 0.0 and q.tail_bound == math.inf and not q.converged
+        with pytest.raises(ValueError):
+            montgomery_Q(0.3, 1e-9)
 
     def test_scalar_call_is_the_batch_element(self):
         # bit for bit on the lemma suite's sandwich grid, and at t = 1e-4, where
@@ -645,7 +718,11 @@ def scan_axes(grid_n):
 def assert_grid_matches_oracle(ev, us, vs):
     """``_grid_centered`` on us x vs against the pointwise ``values_centered``
     oracle: within 1e-12 of the oracle's value wherever that exceeds 1e-250,
-    without warnings."""
+    plus twice the dual side's rounding that the evaluator certifies, ``_fixed``
+    (below 1e-300 without dual nodes), without warnings.  The dual cosine
+    series cancels where the value is far below its size: on (0, 10^1.5) at
+    alpha 1 and v = 1/2 the value is 1.8e-10, and the two sums of that series
+    differ by 2.2e-16, 1.2e-6 of it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = ev._grid_centered(us, vs)
@@ -653,7 +730,7 @@ def assert_grid_matches_oracle(ev, us, vs):
     oracle = values_centered(ev, np.column_stack([uu.ravel(), vv.ravel()])).reshape(grid.shape)
     value = oracle + ev.value_offset
     seen = value > 1e-250
-    assert np.all(np.abs(grid - oracle)[seen] <= 1e-12 * value[seen])
+    assert np.all(np.abs(grid - oracle)[seen] <= 1e-12 * value[seen] + 2.0 * ev._fixed)
 
 
 SCAN_SHAPES = [(0.5, Y_HEX), (0.45, 0.9), (0.2, 1.3), (0.5, 2.5), (0.3, 50.0)]
