@@ -22,8 +22,6 @@ from .theta import (
     _EPS,
     _EXP_FLOOR,
     _clipped_exp,
-    _cosine_side,
-    _jacobi_side,
     _montgomery_Q_batch,
     _select_radius,
     _theta1d,
@@ -508,34 +506,23 @@ def _heat_uxx_scaled(t, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _heat_inflection_points(ts: np.ndarray) -> np.ndarray:
-    """``heat_inflection_point`` at each t of a 1-D array.  u_xx has the sign
-    of theta_hat''(x; 4 pi t), and x in (0, 1/2) needs no reduction, so each
-    bisection step calls the kernel's two sides once, on the t sorted so
-    that the Jacobi side's are a prefix.  Each t keeps its own bracket, whose
-    width differs from the others' by rounding only, far from the stop at
-    1e-10: every t takes the steps of its scalar bisection."""
-    order = np.argsort(ts, kind="stable")
-    big_t = 4.0 * math.pi * ts[order]
-    cut = int(np.searchsorted(big_t, 1.0))
-    near, far = big_t[:cut], big_t[cut:]
-
-    def uxx(x):
-        sides = _jacobi_side(x[:cut], near, 2, False), _cosine_side(x[cut:], far, 2, False)
-        return np.concatenate([values for values, _ in sides])
-
+    """``heat_inflection_point`` at each t of a 1-D array: u_xx has the sign
+    of theta_hat''(x; 4 pi t), one kernel call a bisection step.  Each t
+    keeps its own bracket, whose width differs from the others' by rounding
+    only, far from the stop at 1e-10: every t takes the steps of its scalar
+    bisection."""
+    big_t = 4.0 * math.pi * ts
     lo, hi = np.full(ts.shape, 1e-9), np.full(ts.shape, 0.5 - 1e-12)
-    ends = _theta1d(np.stack([lo, hi]), big_t, 2, bound=False)[0]  # checks t
+    ends = _theta1d(np.stack([lo, hi]), big_t, 2)[0]
     bad = (ends[0] >= 0.0) | (ends[1] <= 0.0)
     if bad.any():
-        raise ValueError(f"no sign change bracket at t={ts[order][bad][0]}")
+        raise ValueError(f"no sign change bracket at t={ts[bad][0]}")
     while (hi - lo > 1e-10).any():
         mid = 0.5 * (lo + hi)
-        concave = uxx(mid) < 0.0
+        concave = _theta1d(mid, big_t, 2, bound=False)[0] < 0.0
         lo = np.where(concave, mid, lo)
         hi = np.where(concave, hi, mid)
-    roots = np.empty(ts.shape)
-    roots[order] = 0.5 * (lo + hi)
-    return roots
+    return 0.5 * (lo + hi)
 
 
 def heat_inflection_point(t: float) -> float:
@@ -573,7 +560,7 @@ def g_profile(alpha: float, y: float) -> float:
     series at (b2(y), alpha / y), also on arrays broadcast together, in one
     kernel call."""
     y = np.asarray(y, dtype=float)
-    return _theta1d(_point_b(0.5, y)[1], alpha / y, bound=False)[0][()]
+    return _theta1d(_point_b(0.5, y)[1], alpha / y)[0][()]
 
 
 def check_G_monotone() -> LemmaReport:

@@ -83,12 +83,12 @@ _COSINE_C = {
 }
 
 
-def _theta1d(beta, t, order: int = 0, bound: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _theta1d(beta, t, order: int = 0, bound: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """theta_hat(beta; t) (order 0) or its second beta-derivative (order 2) at
-    arrays beta and t >= ``_MIN_T_1D`` broadcast together, and a bound on each
-    one's error.  With b = beta - round(beta) (exact), an element takes the
-    shorter side of the Jacobi identity, switching at t = 1 as ``heat_route``
-    does: for t < 1 the Jacobi side, whose terms do not cancel,
+    arrays beta and finite t >= ``_MIN_T_1D`` broadcast together, and a bound
+    on each one's error.  With b = beta - round(beta) (exact), an element takes
+    the shorter side of the Jacobi identity, switching at t = 1 as
+    ``heat_route`` does: for t < 1 the Jacobi side, whose terms do not cancel,
 
         t^(-1/2) sum_n e^(-x_n), t^(-1/2) (2 pi/t) sum_n (2 x_n - 1) e^(-x_n),
 
@@ -119,8 +119,9 @@ def _theta1d(beta, t, order: int = 0, bound: bool = True) -> tuple[np.ndarray, n
     if beta.shape != t.shape:
         beta, t = np.broadcast_arrays(beta, t)
     shape, t, b = t.shape, t.reshape(-1), beta.reshape(-1)
-    if not np.minimum.reduce(t, initial=math.inf) >= _MIN_T_1D:
-        raise ValueError(f"the 1D kernel takes t >= {_MIN_T_1D}, got {t.min()}")
+    lo, hi = np.minimum.reduce(t, initial=math.inf), np.maximum.reduce(t, initial=1.0)
+    if not (lo >= _MIN_T_1D and hi < math.inf):
+        raise ValueError(f"the 1D kernel takes finite t >= {_MIN_T_1D}, got {lo} to {hi}")
     b = b - np.rint(b)
     near = t < 1.0
     n_near = np.count_nonzero(near)
@@ -260,30 +261,22 @@ def _montgomery_factors(t: float) -> int:
 
 def _montgomery_Q_batch(betas: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, int]:
     """``montgomery_Q`` at every beta of a 1-D array and one t > 0: the values,
-    their tails and the number M of product factors, which depends on t only,
-    in row blocks of at most ``_BLOCK_ITEMS`` items.
+    their tails and the factor count M, in row blocks of ``_BLOCK_ITEMS`` items.
 
-    The value is 4 pi sum_m gap_m e_m P / g_m, P = prod_m g_m, g_m = gap_m B_m,
-    gap_m = 1 - e^(-y_m), y_m = 2 pi m t, e_m = e^(-x_m), x_m = (2m - 1) pi t,
-    B_m = 1 + c e_m + e_m^2, c = 2 cos(2 pi (beta - round(beta))).
-
-    Rounding, to first order: gap_m is within eps (2 + 1/y_m) of itself, as
-    e^(-y) / (1 - e^(-y)) <= 1/y; B_m within eps (B_m / 2 + 3 + 18 e_m); e_m
-    within eps (1 + 1.5 x_m).  With S = sum_m (3 + 1/y_m + (6 + 36 e_m) / B_m),
-    the computed B_m at least half the true one, P is within eps (S + M/2),
-    an l-term within eps (2 S + 2 x_M + 2) and their positive sum within
-    r = eps (3 S + 2 M + 2 x_M + 4), where sum_m 1/y_m <= (1 + log M) / (2 pi t)
-    and x_M is capped at 745, past which e_m underflows (a subnormal step):
-    2 r bounds e^r - 1 for r <= 1/4.  A subnormal step adds at most 2^-1075,
-    carried on by at most U = prod_m (1 + e_m)^2 <= e^(2 q / (1 - q^2)),
-    q = e^(-pi t), and divided by g_m >= gap_m (1 - q)^2 in a term: the floor
-    4 pi 2^-1074 M (U q / ((1 - q)^2 (1 - q^2)) + 1) covers that.
-
-    Truncation: with e_m <= 0.01 the omitted factors have |g_m - 1| <= 3.04 e_m,
-    so they multiply P by R, |log R| <= 1.05 delta, delta = 3 e_(M+1) / (1 -
-    q^2), |R - 1| <= 1.2 delta for delta <= 1/5; the omitted l-terms add at
-    most 4 pi P R e_(M+1) / ((1 - q^2) (1 - e_(M+1))^2).  Past those ranges,
-    at the factor cap, or past r = 1/4, the tail is infinite.
+    Q = 4 pi sum_m gap_m e_m P / g_m, P = prod_m g_m, g_m = gap_m B_m,
+    gap_m = 1 - e^(-2 pi m t), e_m = e^(-x_m), x_m = (2m - 1) pi t, B_m = 1 +
+    c e_m + e_m^2, c = 2 cos(2 pi (beta - round(beta))).  To first order gap_m
+    rounds within eps (2 + 1/(2 pi m t)), B_m within eps (B_m / 2 + 3 + 18 e_m)
+    and e_m within eps (1 + 1.5 x_m), x_m capped at 745 where e_m underflows;
+    so the positive l-sum is within r = eps (3 sum_m (6 + 36 e_m) / B_m + 11 M
+    + 3 (1 + log M) / (2 pi t) + 2 x_M + 4) of itself, and 2 r bounds e^r - 1
+    for r <= 1/4.  A subnormal step adds at most 2^-1075, carried by at most
+    U = prod_m (1 + e_m)^2 <= e^(2 q / (1 - q^2)), q = e^(-pi t), over
+    g_m >= gap_m (1 - q)^2: the floor 4 pi 2^-1074 M (U q / ((1 - q)^2
+    (1 - q^2)) + 1).  The omitted factors multiply P by R, |R - 1| <= 1.2 delta,
+    delta = 3 e_(M+1) / (1 - q^2) <= 1/5, and the omitted l-terms add at most
+    4 pi P R e_(M+1) / ((1 - q^2) (1 - e_(M+1))^2), for e_(M+1) <= 0.01.
+    Outside those ranges the tail is infinite.
     """
     m_factors = _montgomery_factors(t)
     m = np.arange(1, m_factors + 1)
@@ -537,8 +530,11 @@ def _power_tail(side: _Side, radius: float, s: float) -> float:
 def _dual_side(alpha: float, covol: float) -> bool:
     """The side E(z; alpha) is summed on: the dual cosine series iff
     alpha covol < 1.  Its Gaussian exp(-pi |k|^2 / alpha) on the dual lattice
-    (covolume 1/covol) decays faster there, so it is the shorter series."""
-    return alpha * covol < 1.0
+    (covolume 1/covol) decays faster there, so it is the shorter series.  A
+    tie within the rounding of covol, as a unit cell's 1 - eps, goes to the
+    lattice side, whose positive terms keep their relative precision where
+    the cosine series cancels."""
+    return alpha * covol < 1.0 - 4.0 * _EPS
 
 
 def lattice_gaussian_sum(

@@ -3,6 +3,7 @@ import inspect
 import math
 import platform
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -480,6 +481,12 @@ class TestGProfile:
 
     def test_suite(self):
         assert pc.check_G_monotone().passed
+
+    def test_non_finite_alpha_fails_loudly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                pc.g_profile(math.inf, 1.0)
 
     def test_scalar_call_is_the_batch_element(self):
         ys = np.linspace(Y_HEX, 3.0, 120)

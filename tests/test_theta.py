@@ -181,6 +181,11 @@ class TestKernel1D:
         with pytest.raises(ValueError):
             theta1d_hat(0.3, 1e-300)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_t_fails_loudly(self, t):
+        with pytest.raises(ValueError):
+            theta._theta1d(np.array([0.3, 0.3]), np.array([0.5, t]))
+
     def test_short_side_is_never_negative(self):
         # the cosine series at (0.5, 1e-4) read -8.5e-14 for a true value of
         # 2e-3409; the Jacobi side sums positive terms
@@ -718,11 +723,7 @@ def scan_axes(grid_n):
 def assert_grid_matches_oracle(ev, us, vs):
     """``_grid_centered`` on us x vs against the pointwise ``values_centered``
     oracle: within 1e-12 of the oracle's value wherever that exceeds 1e-250,
-    plus twice the dual side's rounding that the evaluator certifies, ``_fixed``
-    (below 1e-300 without dual nodes), without warnings.  The dual cosine
-    series cancels where the value is far below its size: on (0, 10^1.5) at
-    alpha 1 and v = 1/2 the value is 1.8e-10, and the two sums of that series
-    differ by 2.2e-16, 1.2e-6 of it."""
+    without warnings."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = ev._grid_centered(us, vs)
@@ -730,7 +731,7 @@ def assert_grid_matches_oracle(ev, us, vs):
     oracle = values_centered(ev, np.column_stack([uu.ravel(), vv.ravel()])).reshape(grid.shape)
     value = oracle + ev.value_offset
     seen = value > 1e-250
-    assert np.all(np.abs(grid - oracle)[seen] <= 1e-12 * value[seen] + 2.0 * ev._fixed)
+    assert np.all(np.abs(grid - oracle)[seen] <= 1e-12 * value[seen])
 
 
 SCAN_SHAPES = [(0.5, Y_HEX), (0.45, 0.9), (0.2, 1.3), (0.5, 2.5), (0.3, 50.0)]
@@ -787,6 +788,16 @@ class TestGridScan:
         ev = ShiftedSumEvaluator(lattice_from_tau(0.2, 1.3), CMPotential.riesz(4.0).nodes)
         monkeypatch.setattr(theta, "_MAX_BOX_CELLS", 40)
         assert_grid_matches_oracle(ev, *scan_axes(16))
+
+    def test_unit_cell_tie_takes_the_lattice_side(self):
+        """The float covolume of tau = (0, 10^1.5) is 1 - eps, so alpha = 1 is
+        a tie; on the lattice side the value 1.8e-10 at v = 1/2, far below the
+        cosine series' size, keeps its relative precision."""
+        lat = lattice_from_tau(0.0, 10.0**1.5)
+        assert lat.covolume < 1.0 and not _dual_side(1.0, lat.covolume)
+        ev = ShiftedSumEvaluator(lat, one_node(1.0))
+        assert not ev._far
+        assert_grid_matches_oracle(ev, np.array([0.0, 0.0]), np.array([0.0, 0.5]))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
