@@ -507,21 +507,28 @@ def _heat_uxx_scaled(t, x) -> tuple[np.ndarray, np.ndarray]:
 
 def _heat_inflection_points(ts: np.ndarray) -> np.ndarray:
     """``heat_inflection_point`` at each t of a 1-D array: u_xx has the sign
-    of theta_hat''(x; 4 pi t), one kernel call a bisection step.  Each t
-    keeps its own bracket, whose width differs from the others' by rounding
-    only, far from the stop at 1e-10: every t takes the steps of its scalar
-    bisection."""
+    of theta_hat''(x; 4 pi t).  Each kernel call takes two bisection steps:
+    it evaluates the midpoint and both midpoints the next step may take,
+    0.5 (lo + mid) and 0.5 (mid + hi), the same floats that step computes.
+    Each t keeps its own bracket, whose width differs from the others' by
+    rounding only, far from the stop at 1e-10: every t takes the steps of
+    its scalar bisection."""
     big_t = 4.0 * math.pi * ts
     lo, hi = np.full(ts.shape, 1e-9), np.full(ts.shape, 0.5 - 1e-12)
     ends = _theta1d(np.stack([lo, hi]), big_t, 2)[0]
     bad = (ends[0] >= 0.0) | (ends[1] <= 0.0)
     if bad.any():
         raise ValueError(f"no sign change bracket at t={ts[bad][0]}")
+    big_t3 = np.concatenate([big_t] * 3)
     while (hi - lo > 1e-10).any():
         mid = 0.5 * (lo + hi)
-        concave = _theta1d(mid, big_t, 2, bound=False)[0] < 0.0
-        lo = np.where(concave, mid, lo)
-        hi = np.where(concave, hi, mid)
+        xs = np.concatenate([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)])
+        concave = (_theta1d(xs, big_t3, 2, bound=False)[0] < 0.0).reshape(3, -1)
+        for c in (concave[0], np.where(concave[0], concave[2], concave[1])):
+            if not (hi - lo > 1e-10).any():
+                break
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.where(c, mid, lo), np.where(c, hi, mid)
     return 0.5 * (lo + hi)
 
 
