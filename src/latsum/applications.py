@@ -32,6 +32,7 @@ from .theta import (
     ShiftedSumEvaluator,
     TruncationPolicy,
     _ball,
+    _check_shift,
     _check_t,
     _dual_side,
     _nearest_sq,
@@ -388,6 +389,7 @@ def epstein_zeta_shifted(
         raise ValueError("absolute convergence requires a finite s > 1")
     if not radius_cap >= 1.0:
         raise ValueError("radius_cap must be at least 1")
+    _check_shift(z)
     zl = z.canonical()
     plan = _plan(lattice)
     mid = (-zl.u, -zl.v)
@@ -411,8 +413,11 @@ def epstein_zeta_shifted(
     x_min = max(2.0 * (s - 1.0), 1.0)
     tol_g = min(pol.target_tol / 16.0 * x_min / (2.0 * c), math.exp(-x_min))
 
-    _, _, rho_p, r, g_tail, _ = _ball(plan.near, mid, ((lam, 1.0),), tol_g, radius_cap)
-    k, l, kq, rk, k_tail, _ = _ball(plan.far, (0.0, 0.0), ((1.0 / lam, 1.0),), tol_g, radius_cap)
+    *_, rho_p, r, g_tail, _ = _ball(plan.near, mid, ((lam, 1.0),), tol_g, radius_cap)
+    dual_ball = _ball(plan.far, (0.0, 0.0), ((1.0 / lam, 1.0),), tol_g, radius_cap)
+    k, l, inside, kq, rk, k_tail, _ = dual_ball
+    i, j = inside.nonzero()
+    k, l = k[i], l[j]
     nonzero = kq > 0.0
     # at large s the powers X^(s-1) and X^-s pass the float range (inf times
     # an underflowed gamma is nan); such a sum is refused below

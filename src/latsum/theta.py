@@ -327,12 +327,6 @@ def _exp_or_inf(x: float) -> float:
 # Two-dimensional machinery
 # ---------------------------------------------------------------------------
 
-def _cell_half_diameter(gen) -> float:
-    """Half the longer diagonal of the cell of a 2x2 generator given by rows."""
-    (a, b), (c, d) = gen
-    return 0.5 * max(math.hypot(a + b, c + d), math.hypot(a - b, c - d))
-
-
 class _Side(NamedTuple):
     """A lattice gen Z^2 as floats: Gram form, covolume, cell half-diameter, the plan's (x, y)."""
 
@@ -345,8 +339,12 @@ class _Side(NamedTuple):
 
 
 def _side(a: float, b: float, c: float, d: float, shape: tuple[float, float]) -> _Side:
-    h = _cell_half_diameter(((a, b), (c, d)))
-    return _Side(a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c, h, shape)
+    h = 0.5 * max(math.hypot(a + b, c + d), math.hypot(a - b, c - d))
+    return _new(_Side, (a * a + c * c, a * b + c * d, b * b + d * d, a * d - b * c, h, shape))
+
+
+# NamedTuple.__new__ without the Python call the named form makes
+_new = tuple.__new__
 
 
 class _Plan(NamedTuple):
@@ -390,7 +388,7 @@ def _plan_of(rows, shape: tuple[float, float]) -> _Plan:
     det = a * d - b * c
     near = _side(a, b, c, d, shape)
     mu = ((math.sqrt(near.g00 * near.g11) + abs(near.g01)) / det) ** 2
-    return _Plan(near, _side(d / det, -c / det, -b / det, a / det, shape), 6.0 * mu + 8.0)
+    return _new(_Plan, (near, _side(d / det, -c / det, -b / det, a / det, shape), 6.0 * mu + 8.0))
 
 
 def _gaussian_tail(nodes, covol: float, h: float, radius: float) -> tuple[float, float]:
@@ -451,17 +449,18 @@ def _select_radius(
     return math.sqrt(r2), tail, tail <= tol
 
 
-def _index_box(side: _Side, mid, radius: float):
-    """Index pairs (k, l) with |gen ((k, l) - mid)| <= radius, as two float
-    arrays, and those squared lengths, from the Gram form in the operation
-    order of ``ShiftedSumEvaluator._rho``: at mid = -z they are ``_rho`` at z
-    bit for bit.  The rows of inv(gen) have lengths sqrt(g11) / covol and
-    sqrt(g00) / covol, which bound |k - m1| and |l - m2| on the ball by that
-    times the radius."""
+def _box(side: _Side, mid, radius: float):
+    """The index box about mid of the ball of ``radius`` R: its axes k and l, the
+    mask of the cells in the ball and their |gen ((k, l) - mid)|^2, in the
+    operation order of ``ShiftedSumEvaluator._rho`` (at mid = -z they are its
+    values).  Row k's least squared length is ((k - m1) R / e1)^2, e1 =
+    R sqrt(g11) / covol, so k runs from floor(m1 - e1) to ceil(m1 + e1), and l
+    likewise: a row further out exceeds R^2 by over 2 R^2 / e1, more than its
+    rounding while 3 mu eps e1 < 1 (``_Plan``), and in any case lies beyond R."""
     m1, m2 = mid
     e1, e2 = radius * math.sqrt(side.g11) / side.covol, radius * math.sqrt(side.g00) / side.covol
-    k = np.arange(math.floor(m1 - e1) - 1, math.ceil(m1 + e1) + 2, dtype=float)
-    l = np.arange(math.floor(m2 - e2) - 1, math.ceil(m2 + e2) + 2, dtype=float)
+    k = np.arange(math.floor(m1 - e1), math.ceil(m1 + e1) + 1, dtype=float)
+    l = np.arange(math.floor(m2 - e2), math.ceil(m2 + e2) + 1, dtype=float)
     # k - 0 is k: the dual balls are centred at the origin
     a = k - m1 if m1 else k
     b = l - m2 if m2 else l
@@ -470,8 +469,7 @@ def _index_box(side: _Side, mid, radius: float):
     rho += (a * a * side.g00)[:, None]
     rho += b * b * side.g11
     inside = rho <= radius * radius
-    i, j = inside.nonzero()
-    return k[i], l[j], rho[inside]
+    return k, l, inside, rho[inside]
 
 
 # cells of the largest index box or batch temporary, 16 MiB per float array: a
@@ -480,10 +478,10 @@ _MAX_BOX_CELLS = 1 << 21
 
 
 def _box_radius(side: _Side, pad: float) -> float:
-    """The largest radius R whose ``_index_box``, widened by ``pad``, has at
+    """The largest radius R whose ``_box``, widened by ``pad``, has at
     most ``_MAX_BOX_CELLS`` cells; a ValueError naming the lattice's shape
-    where that R is below 1.  The box at radius R spans at most 2 e + 5
-    indices per axis, e = R times a row length of inv(gen), so at most
+    where that R is below 1.  The box at radius R spans at most 2 e + 3
+    indices per axis, e = R times a row length of inv(gen), so fewer than
     (2 a R + 5)(2 b R + 5) cells; R + pad is that quadratic's root at
     ``_MAX_BOX_CELLS``, in the form free of cancellation."""
     a, b = math.sqrt(side.g11) / side.covol, math.sqrt(side.g00) / side.covol
@@ -497,10 +495,10 @@ def _box_radius(side: _Side, pad: float) -> float:
 def _ball(side: _Side, mid, nodes, tol: float, cap: float = math.inf, pad: float = 0.0):
     """Truncate sum_j w_j sum exp(-pi alpha_j |gen ((k, l) - mid)|^2) to the ball,
     capped at ``_box_radius`` and at ``cap``, whose ``_gaussian_tail`` falls to
-    tol.  Returns the ``_index_box`` of that ball widened by ``pad``, its radius
+    tol.  Returns the ``_box`` of that ball widened by ``pad``, its radius
     (every discarded point lies beyond it), the tail and whether it meets tol."""
     r, tail, ok = _select_radius(nodes, side.covol, side.h, tol, min(cap, _box_radius(side, pad)))
-    return (*_index_box(side, mid, r + pad), r, tail, ok)
+    return (*_box(side, mid, r + pad), r, tail, ok)
 
 
 def _nearest_sq(side: _Side, mid) -> float:
@@ -508,7 +506,7 @@ def _nearest_sq(side: _Side, mid) -> float:
     is below 1, else 1: the index box of radius 1, which ``_box_radius`` checks
     against the cap, holds every point nearer than that."""
     _box_radius(side, 0.0)
-    return float(_index_box(side, mid, 1.0)[2].min(initial=1.0))
+    return float(_box(side, mid, 1.0)[3].min(initial=1.0))
 
 
 def _power_tail(side: _Side, radius: float, s: float) -> float:
@@ -552,14 +550,20 @@ def lattice_gaussian_sum(
     return _sum_at(_plan(lattice), z, ((alpha, 1.0),), pol, use_functional_equation)
 
 
+def _check_shift(z: PhasePoint) -> None:
+    if not (math.isfinite(z.u) and math.isfinite(z.v)):
+        raise ValueError(f"the shift must be finite, got {z}")
+
+
 def _sum_at(plan: _Plan, z: PhasePoint, nodes, pol: TruncationPolicy, dual) -> CertifiedValue:
-    """``ShiftedSumEvaluator.certified_at(z)`` on the lattice of ``plan``, its
-    lattice ball centred on z and certified on that ball's own squared lengths."""
+    """``ShiftedSumEvaluator.certified_at(z)`` on ``plan``'s lattice, its lattice
+    ball centred on z: ``certified`` there bit for bit, without the batch state
+    (index pairs, node arrays, Gram form, row blocks), one row as floats."""
+    _check_shift(z)
     ev = ShiftedSumEvaluator.__new__(ShiftedSumEvaluator)
     point = (_wrap_unit(z.u), _wrap_unit(z.v))
-    rho = ev._build(plan, nodes, pol, point, dual)
-    values, bounds = ev._certify(np.array([point]), None if rho is None else rho[None])
-    return ev._result(values[0], bounds[0])
+    box = ev._build(plan, nodes, pol, point, dual)
+    return ev._result(*ev._certify(point, None if box is None else box[3]))
 
 
 def theta_shifted(
@@ -646,6 +650,19 @@ def _flushed_exp(x: np.ndarray, floor: float) -> np.ndarray:
     return x
 
 
+def _node_arrays(nodes, cap: float = math.inf):
+    """Rates a_j cut to ``cap``, weights w_j and sum_j w_j of nodes (a_j, w_j), or
+    None: floats for one node, whose terms have no node axis, else arrays."""
+    if len(nodes) == 1:
+        (a, w), = nodes
+        return min(a, cap), w, w
+    if not nodes:
+        return None
+    a, w = np.array(nodes, dtype=float).T
+    np.minimum(a, cap, out=a)
+    return a, w, float(np.add.reduce(w))
+
+
 def _cosine_derivatives(
     zs: np.ndarray, idx: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -665,29 +682,34 @@ def _cosine_derivatives(
 
 def _rounding_bound(plan: _Plan, near, far) -> float:
     """A bound, uniform over the cell, on the rounding ``certified`` adds, bar
-    clipping, from the (rates, weights, sum of weights) of each side's nodes.
-    Each part is at most a mass sum_j w_j sum_p exp(-pi a_j |p + c|^2 / 2) over a side, any c,
-    which ``_gaussian_tail``'s point count, summed by parts from r = 0, bounds by
+    clipping, from each side's ``_node_arrays``, the far side's dual nodes.  Each
+    part is at most a mass sum_j w_j sum_p exp(-pi a_j |p + c|^2 / 2) over a side,
+    any c, which ``_gaussian_tail``'s point count, summed by parts from r = 0, bounds by
     sum_j w_j pi/covol (h^2 + h sqrt(2 / a_j) + 2 / (pi a_j)): the sizes, the slopes
     by x e^-x <= (2/e) e^(-x/2), and the dual phases by |k1| + |k2| <= (|v1| + |v2|) |k|
     for gen's columns v and |k| e^(-pi a |k|^2) <= e^(-pi a |k|^2 / 2) / sqrt(pi e a)."""
 
     def half_mass(side, rates, weights, m0):
         inv = 1.0 / rates
-        m1, mh = float(weights @ inv), float(weights @ np.sqrt(inv))
+        if isinstance(inv, np.ndarray):
+            m1, mh = float(weights @ inv), float(weights @ np.sqrt(inv))
+        else:
+            m1, mh = weights * inv, weights * math.sqrt(inv)
         h = side.h
         return math.pi / side.covol * (h * h * m0 + math.sqrt(2.0) * h * mh + 2.0 / math.pi * m1)
 
     grow = 2.0 / math.e * plan.kappa
-    count = 8.0 + (0 if near is None else len(near[0]))
+    count = 8.0 + (0 if near is None else getattr(near[0], "size", 1))
     bound = 0.0
     if near is not None:
         bound += (count + grow) * half_mass(plan.near, *near)
     if far is not None:
         columns = math.sqrt(plan.near.g00) + math.sqrt(plan.near.g11)
-        least = float(np.minimum.reduce(far[0]))
+        rates = far[0]
+        least = float(np.minimum.reduce(rates)) if isinstance(rates, np.ndarray) else rates
         phase = 8.0 * math.pi * columns / math.sqrt(math.pi * math.e * least)
-        bound += (count + len(far[0]) + 6.0 + grow + phase) * half_mass(plan.far, *far)
+        count += getattr(rates, "size", 1) + 6.0
+        bound += (count + grow + phase) * half_mass(plan.far, *far)
     return _EPS * bound
 
 
@@ -731,7 +753,9 @@ class ShiftedSumEvaluator:
     met its share, and ``certified`` adds the rounding.  ``terms`` counts both
     balls' terms, k = 0 included.  Exponents below ``_EXP_FLOOR`` are clipped;
     the term they overstate goes into the rounding.  Batches run in row blocks
-    that keep every temporary within ``_MAX_BOX_CELLS`` cells.  The torus
+    that keep every temporary within ``_MAX_BOX_CELLS`` cells.  Only they use
+    the state ``_for_batches`` adds to ``_build``'s: the lattice ball's index
+    pairs, the node arrays, the Gram form and the row-block size.  The torus
     scan's values on a product grid come from ``_grid_centered``, which
     splits each term into per-axis factors and sums them by matrix products.
     """
@@ -742,72 +766,67 @@ class ShiftedSumEvaluator:
         nodes: tuple[tuple[float, float], ...],
         pol: TruncationPolicy = DEFAULT_POLICY,
     ) -> None:
-        self._build(_plan(lattice), nodes, pol)
+        self._for_batches(self._build(_plan(lattice), nodes, pol))
 
     def _build(self, plan, nodes, pol, point=None, dual=None):
-        """A ``point`` (u, v) in [0, 1)^2 centres the lattice ball on it, and
-        that ball's squared lengths, ``_rho`` at the point, are returned;
-        ``dual`` forces the side."""
+        """The balls and z-independent sums certifying needs: a ``point`` (u, v)
+        in [0, 1)^2 centres the lattice ball, else it serves the cell.  Returns
+        its ``_box``, None without lattice-side nodes; ``dual`` forces the side."""
         if not nodes:
             raise EmptyQuadrature("no quadrature nodes")
-        self.tol = pol.target_tol
+        self.tol = tol = pol.target_tol
         self._plan = plan
         covol = plan.near.covol
         # each node on its side, the far ones also as dual nodes (1/alpha_j, w_j / (alpha_j covol))
-        self._near, self._far, dual_nodes = [], [], []
+        self._near, self._far = near, far = [], []
+        dual_nodes = []
         for node in nodes:
             alpha, w = node
             _check_alpha(alpha)
             if _dual_side(alpha, covol) if dual is None else dual:
-                self._far.append(node)
+                far.append(node)
                 dual_nodes.append((1.0 / alpha, w / (alpha * covol)))
             else:
-                self._near.append(node)
-        near = far = rho = None
-        if self._near:
-            alphas, self._weights = np.array(self._near).T
-            near = alphas, self._weights, float(np.add.reduce(self._weights))
-            self._rates = math.pi * alphas
-            self._neg_rates = -self._rates[:, None, None]
-        if self._far:
-            dual_rates, scales = np.array(dual_nodes).T
-            far = dual_rates, scales, float(np.add.reduce(scales))
-            # a rate past _MAX_DUAL_RATE (alpha_j near the smallest normal float)
-            # is summed at it: its terms stay clipped and its bounds only grow
-            np.minimum(dual_rates, _MAX_DUAL_RATE, out=dual_rates)
-        budget = max(self.tol - _rounding_bound(plan, near, far), self.tol / 8.0)
-        budget /= (near is not None) + (far is not None)
-        self.tail_bound = self.value_offset = 0.0
-        self.converged, self.terms = True, 0
-        # certified's rounding and sum |term| parts that do not depend on z
-        self._fixed = self._size = 0.0
+                near.append(node)
+        near_nodes = _node_arrays(near)
+        # a dual rate past _MAX_DUAL_RATE (alpha_j near the smallest normal float)
+        # is summed at it: its terms stay clipped and its bounds only grow
+        far_nodes = _node_arrays(dual_nodes, _MAX_DUAL_RATE)
+        budget = max(tol - _rounding_bound(plan, near_nodes, far_nodes), tol / 8.0)
+        if near and far:
+            budget /= 2.0
+        # the tails, and certified's rounding and sum |term| parts independent of z
+        tail_bound = fixed = 0.0
+        converged, terms, box = True, 0, None
 
-        if near is not None:
+        if near:
+            alphas, self._weights, w_sum = near_nodes
+            self._neg_rates = -math.pi * alphas
             u, v = (0.5, 0.5) if point is None else point
             pad = plan.near.h if point is None else 0.0
-            ball = _ball(plan.near, (-u, -v), self._near, budget, pad=pad)
-            self._i1, self._i2, rho, _, tail, ok = ball
-            self.tail_bound += tail
-            self.converged &= ok
-            self.terms += len(rho)
-            self._g00, self._g01, self._g11 = plan.near[:3]
+            *box, _, tail_bound, converged = _ball(plan.near, (-u, -v), near, budget, pad=pad)
+            terms = len(box[3])
             # a clipped exponent overstates its term by less than w_j e^_EXP_FLOOR
-            self._fixed += len(rho) * near[2] * math.exp(_EXP_FLOOR)
+            fixed = terms * w_sum * math.exp(_EXP_FLOOR)
 
-        if far is not None:
-            k, l, kq, _, tail, ok = _ball(plan.far, (0.0, 0.0), dual_nodes, budget)
-            self.tail_bound += tail
-            self.converged &= ok
-            self.terms += len(kq)
+        self.value_offset = self._size = 0.0
+        if far:
+            k, l, inside, kq, _, tail, ok = _ball(plan.far, (0.0, 0.0), dual_nodes, budget)
+            tail_bound += tail
+            converged &= ok
+            terms += len(kq)
             nonzero = kq > 0.0
-            kl = np.array([k[nonzero], l[nonzero]])
-            self._kidx = kl.T
-            n_far = len(self._far)
-            # -X_j(k), clipped, (nodes x nonzero dual terms), independent of z
-            neg_x = np.maximum((-math.pi * dual_rates)[:, None] * kq[nonzero], _EXP_FLOOR)
+            i, j = inside.nonzero()
+            self._kl = kl = np.array((k[i[nonzero]], l[j[nonzero]]))
+            rates, scales, s_sum = far_nodes
+            # -X_j(k), clipped; a mixture's in a row per node, summed by matrix products
+            mixture = isinstance(rates, np.ndarray)
+            kq = kq[nonzero]
+            neg_x = np.multiply.outer(-math.pi * rates, kq) if mixture else (-math.pi * rates) * kq
+            np.maximum(neg_x, _EXP_FLOOR, out=neg_x)
             ex = np.exp(neg_x)
-            self._ghat = scales @ ex
-            self.value_offset = s_sum = far[2]
+            self._ghat = scales @ ex if mixture else scales * ex
+            self.value_offset = s_sum
             ghat_sum = float(np.add.reduce(self._ghat))
             self._size = s_sum + ghat_sum
             # a term g(k) cos(2 pi k.z) is off by (nodes + 6) eps g(k) plus kappa
@@ -815,16 +834,31 @@ class ShiftedSumEvaluator:
             # phase, z in [0, 1)^2, g(0) by (nodes + 5) eps; clipping adds
             # s_sum e^_EXP_FLOOR.  X e^-X falls past X = 1, so the clipped X bounds
             # it too; eps and the floor scale first, so that no weight overflows
-            k1, k2 = (np.abs(kl) @ self._ghat).tolist()
-            x_err = -plan.kappa * float(scales @ np.add.reduce(neg_x * ex, axis=1))
+            k1, k2 = np.dot(np.abs(kl), self._ghat).tolist()
+            neg_x *= ex
+            x_sum = np.add.reduce(neg_x, axis=-1)
+            x_err = -plan.kappa * float(scales @ x_sum if mixture else scales * x_sum)
             phase = 8.0 * math.pi * (k1 + k2)
-            self._fixed += _EPS * (n_far + 5.0) * s_sum
-            self._fixed += _EPS * ((n_far + 6.0) * ghat_sum + phase + x_err)
-            self._fixed += len(self._kidx) * (s_sum * math.exp(_EXP_FLOOR))
+            n_far = len(far)
+            fixed += _EPS * (n_far + 5.0) * s_sum
+            fixed += _EPS * ((n_far + 6.0) * ghat_sum + phase + x_err)
+            fixed += kl.shape[1] * (s_sum * math.exp(_EXP_FLOOR))
+        self.tail_bound, self._fixed = tail_bound, fixed
+        self.converged, self.terms = converged, terms
+        return box
 
+    def _for_batches(self, box) -> None:
+        """The state only batches use: the index pairs of ``_build``'s
+        lattice-side ``box``, the node arrays, the Gram form and ``_rows``."""
+        if box is not None:
+            k, l, inside = box[:3]
+            i, j = inside.nonzero()
+            self._i1, self._i2 = k[i], l[j]
+            self._rates = -np.reshape(self._neg_rates, -1)
+            self._weights = np.reshape(self._weights, -1)
+            self._g00, self._g01, self._g11 = self._plan.near[:3]
         # no batch temporary holds more than max(nodes, 6) x terms cells per point
         self._rows = max(1, _MAX_BOX_CELLS // (max(len(self._near), 6) * max(self.terms, 1)))
-        return rho
 
     def _rho(self, zs: np.ndarray) -> np.ndarray:
         """Squared lengths |gen (idx + z)|^2, (points x lattice-side terms)."""
@@ -907,7 +941,7 @@ class ShiftedSumEvaluator:
             if self._far:
                 step = max(1, _MAX_BOX_CELLS // max(n, m))
                 for t in range(0, len(self._ghat), step):
-                    k1, k2 = self._kidx[t : t + step].T
+                    k1, k2 = self._kl[:, t : t + step]
                     pu = TWO_PI * np.multiply.outer(tu, k1)
                     pv = TWO_PI * np.multiply.outer(tv, k2)
                     g = self._ghat[t : t + step]
@@ -977,7 +1011,7 @@ class ShiftedSumEvaluator:
         if self._near:
             sides.append(self._lattice_derivatives(zs))
         if self._far:
-            sides.append(_cosine_derivatives(zs, self._kidx, self._ghat))
+            sides.append(_cosine_derivatives(zs, self._kl.T, self._ghat))
         if len(sides) == 1:
             return sides[0]
         return tuple(x + y for x, y in zip(*sides))
@@ -990,31 +1024,37 @@ class ShiftedSumEvaluator:
         whose every point the balls and the phase rounding serve."""
         zs = np.mod(zs, 1.0)
         values, bounds = self._certify(zs, self._rho(zs) if self._near else None)
-        return np.array(values), np.array(bounds)
+        return np.array(values), np.full(len(zs), bounds)
 
-    def _certify(self, zs: np.ndarray, rho) -> tuple[list[float], list[float]]:
-        """``certified``, as lists, at (n, 2) shifts in [0, 1]^2 whose
-        lattice-side squared lengths are ``rho``.  A lattice-side term
-        sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps times itself plus
-        kappa eps sum_j w_j X_j e^(-X_j); (nodes + 8) eps of the sum of |term|
-        covers that and the two roundings of the sum."""
+    def _certify(self, zs, rho):
+        """``certified`` at shifts in [0, 1]^2 with lattice-side squared lengths
+        ``rho``: values as a list at an (n, 2) array, both floats at one (u, v).
+        A lattice-side term sum_j w_j e^(-X_j) is off by at most (nodes + 2) eps
+        times itself plus kappa eps sum_j w_j X_j e^(-X_j); (nodes + 8) eps of
+        the sum of |term| covers that and the two roundings of the sum."""
         per_size = _EPS * (len(self._near) + 8.0)
         bound = self.tail_bound + self._fixed + per_size * self._size
-        blocks = [np.cos(TWO_PI * (zs @ self._kidx.T)) * self._ghat] if self._far else []
-        if rho is None:
-            bounds = [bound] * len(zs)
-        else:
-            neg_x = self._neg_rates * rho  # -X, (nodes, n, terms)
+        one = type(zs) is tuple
+        parts = [np.cos(TWO_PI * np.dot(zs, self._kl)) * self._ghat] if self._far else []
+        if rho is not None:
+            rates = self._neg_rates
+            mixture = isinstance(rates, np.ndarray)
+            # -X, with a mixture's nodes along a first axis
+            neg_x = np.multiply.outer(rates, rho) if mixture else rates * rho
             # each term's rounding, w_j e^(-X_j) ((nodes + 8) eps + kappa eps X_j)
             per_term = per_size - _EPS * self._plan.kappa * neg_x
             we = np.maximum(neg_x, _EXP_FLOOR, out=neg_x)
             np.exp(we, out=we)
-            we *= self._weights[:, None, None]
-            blocks.append(np.add.reduce(we))
+            weighted = we.T if mixture else we  # a mixture's nodes last, for its weights
+            weighted *= self._weights
             per_term *= we
-            bounds = (bound + np.add.reduce(per_term, axis=(0, 2))).tolist()
-        rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        return [math.fsum(row) + self.value_offset for row in rows.tolist()], bounds
+            parts.append(np.add.reduce(we) if mixture else we)
+            axis = None if one else (0, -1) if mixture else -1
+            bound = bound + np.add.reduce(per_term, axis=axis)
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        if one:
+            return math.fsum(rows.tolist()) + self.value_offset, float(bound)
+        return [math.fsum(row) + self.value_offset for row in rows.tolist()], bound
 
     def _result(self, value: float, bound: float) -> CertifiedValue:
         """One shift's value and bound; ``converged`` needs every ball and the

@@ -187,7 +187,7 @@ def values_centered(ev, zs: np.ndarray) -> np.ndarray:
     """Oracle for ``ShiftedSumEvaluator._grid_centered``: the evaluator's values
     minus ``value_offset`` at an (n, 2) batch of lattice-coordinate shifts,
     one exponential per point and term."""
-    out = np.cos(TWO_PI * (zs @ ev._kidx.T)) @ ev._ghat if ev._far else np.zeros(len(zs))
+    out = np.cos(TWO_PI * (zs @ ev._kl)) @ ev._ghat if ev._far else np.zeros(len(zs))
     if ev._near:
         rho = ev._rho(zs)
         e = np.empty_like(rho)
@@ -285,7 +285,9 @@ def direct_series_derivatives(lattice, alpha, zs, pol):
     truncation tail, uniform over the cell."""
     side = _plan(lattice).near
     ball = _ball(side, (-0.5, -0.5), ((alpha, 1.0),), pol.target_tol, pad=side.h)
-    k, l, _, _, tail, _ = ball
+    k, l, inside, _, _, tail, _ = ball
+    i, j = inside.nonzero()
+    k, l = k[i], l[j]
     g = lattice.gen.T @ lattice.gen
     w1 = k[None, :] + zs[:, 0][:, None]
     w2 = l[None, :] + zs[:, 1][:, None]

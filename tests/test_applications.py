@@ -22,6 +22,8 @@ from latsum.theta import (
     _nearest_sq,
     _plan,
     lattice_gaussian_sum,
+    theta_charged,
+    theta_shifted,
 )
 
 from conftest import (
@@ -317,6 +319,41 @@ class TestMixtureSplit:
         for nodes in (((2.0, 1.0), (5.0, 0.5)), ((0.2, 1.0), (0.5, 0.5))):
             p = app.CMPotential(nodes)
             self.assert_matches_reference(p, hexl, z)
+
+
+# one-point sums on (0.3, 1.1), on the lattice side and on the dual side
+LATTICE_SIDE = {
+    "lattice_gaussian_sum": lambda lat, z: lattice_gaussian_sum(
+        lat, z, 1.5, use_functional_equation=False
+    ),
+    "theta_shifted": lambda lat, z: theta_shifted(lat, z, 1.5),
+    "heat gaussian": lambda lat, z: app.heat_kernel_torus(lat, z, 0.3, route="gaussian"),
+    "cm_lattice_energy": lambda lat, z: app.cm_lattice_energy(
+        app.CMPotential.gaussian(3.0), lat, z
+    ),
+    "zeta direct": lambda lat, z: app.epstein_zeta_shifted(lat, z, 2.0),
+    "zeta quadrature": lambda lat, z: app.epstein_zeta_shifted(lat, z, 2.0, method="quadrature"),
+}
+DUAL_SIDE = {
+    "theta_charged": lambda lat, z: theta_charged(lat, z, 1.5),
+    "theta_shifted dual": lambda lat, z: theta_shifted(lat, z, 1.5, use_functional_equation=True),
+    "heat spectral": lambda lat, z: app.heat_kernel_torus(lat, z, 0.3, route="spectral"),
+    "cm_lattice_energy riesz": lambda lat, z: app.cm_lattice_energy(
+        app.CMPotential.riesz(3.0), lat, z
+    ),
+}
+
+
+@pytest.mark.parametrize("shift", [(math.nan, 0.2), (0.2, math.inf), (-math.inf, 0.2)])
+@pytest.mark.parametrize(
+    "call", [*LATTICE_SIDE.values(), *DUAL_SIDE.values()], ids=[*LATTICE_SIDE, *DUAL_SIDE]
+)
+def test_nonfinite_shift_fails_loudly(call, shift):
+    """A NaN or infinite shift raises one ValueError naming it on either side,
+    where the dual side returned a certified NaN and the lattice side failed
+    inside ``math.floor``."""
+    with pytest.raises(ValueError, match="shift must be finite"):
+        call(lattice_from_tau(0.3, 1.1), PhasePoint(*shift))
 
 
 class TestEpsteinZeta:

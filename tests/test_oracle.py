@@ -309,18 +309,19 @@ NODE_SETS = st.one_of(
 
 
 @PROPERTY
-@given(SHAPES, NODE_SETS, EDGES, EDGES)
-def test_pointwise_sum_is_the_evaluators_certified_value(shape, nodes, u, v):
+@given(SHAPES, NODE_SETS, EDGES, EDGES, st.sampled_from([None, True, False]))
+def test_pointwise_sum_is_the_evaluators_certified_value(shape, nodes, u, v, dual):
     """The one-point case certifies on its ball's own squared lengths.  Bit
     for bit, they and so the (value, tail) are those ``certified`` computes
-    on the same build at the point the ball is centred on."""
+    on the same build at the point the ball is centred on, on either side
+    or the one ``dual`` forces."""
     lattice = lattice_from_tau(*shape)
     z = PhasePoint(u, v)
     plan = _plan(lattice)
-    one = _sum_at(plan, z, nodes, DEFAULT_POLICY, None)
+    one = _sum_at(plan, z, nodes, DEFAULT_POLICY, dual)
     point = z.canonical()
     ev = ShiftedSumEvaluator.__new__(ShiftedSumEvaluator)
-    ev._build(plan, nodes, DEFAULT_POLICY, (point.u, point.v))
+    ev._for_batches(ev._build(plan, nodes, DEFAULT_POLICY, (point.u, point.v), dual))
     values, bounds = ev.certified(np.array([[point.u, point.v]]))
     assert (one.value, one.tail_bound, one.terms_used) == (values[0], bounds[0], ev.terms)
 

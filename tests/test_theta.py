@@ -24,16 +24,17 @@ from latsum.theta import (
     ShiftedSumEvaluator,
     TruncationPolicy,
     _ball,
+    _box,
     _box_radius,
-    _cell_half_diameter,
     _dual_side,
     _gaussian_tail,
-    _index_box,
     _montgomery_Q_batch,
     _nearest_sq,
+    _node_arrays,
     _plan,
     _rounding_bound,
     _select_radius,
+    _side,
     functional_equation_residual,
     lattice_gaussian_sum,
     montgomery_A,
@@ -571,7 +572,7 @@ class TestGaussianTail:
             far = [(1.0 / a, w / (a * covol)) for a, w in riesz if a < 1.0 / covol]
             cases.append((dual_gen, 1.0 / covol, far))
             for g, c, nodes in cases:
-                h = _cell_half_diameter(g)
+                h = _side(*g.ravel(), (x, y)).h
                 tol = 10.0 ** rng.uniform(-14.0, -4.0)
                 r, tail, ok = _select_radius(nodes, c, h, tol, 10_000)
                 assert ok and tail <= tol
@@ -582,10 +583,10 @@ class TestGaussianTail:
 
     @pytest.mark.parametrize("x, y", TAIL_SHAPES)
     def test_box_radius_keeps_the_index_box_under_its_cap(self, x, y):
-        """The index box at ``_box_radius``, widened by the pad, spans
+        """The index box at ``_box_radius``, widened by the pad, spans at most
         ceil(m + e) - floor(m - e) + 3 indices per axis (e = radius times a row
-        length of inv(gen)); it has at most ``_MAX_BOX_CELLS`` cells, and 1.01
-        times that radius would exceed them."""
+        length of inv(gen)); that many cells are at most ``_MAX_BOX_CELLS``, and
+        1.01 times that radius would exceed them."""
         def cells(side, radius, mid=0.37):
             rows = (math.sqrt(side.g11) / side.covol, math.sqrt(side.g00) / side.covol)
             return math.prod(
@@ -602,10 +603,10 @@ class TestGaussianTail:
         # alpha = 1e-300 never meets the tolerance: before the cap the ball
         # grew to the 10 000 radius, a box of 20 003^2 cells
         side = _plan(hexl).near
-        k, _, _, r, tail, ok = _ball(side, (0.0, 0.0), ((1e-300, 1.0),), 1e-12)
+        _, _, inside, _, r, tail, ok = _ball(side, (0.0, 0.0), ((1e-300, 1.0),), 1e-12)
         assert r == pytest.approx(_box_radius(side, 0.0), rel=1e-12)
         assert not ok and tail > 1e-12
-        assert len(k) <= _MAX_BOX_CELLS
+        assert inside.size <= _MAX_BOX_CELLS
 
     @pytest.mark.parametrize("x, y", [*TAIL_SHAPES, (0.45, 1e-2), (0.0, 0.3)])
     def test_nearest_sq_is_the_least_below_one(self, rng, x, y):
@@ -614,12 +615,12 @@ class TestGaussianTail:
         side = _plan(lattice_from_tau(x, y)).near
         for _ in range(20):
             mid = tuple(rng.uniform(-3.0, 3.0, 2) * 10.0 ** rng.uniform(-7.0, 0.0))
-            box = _index_box(side, mid, side.h * (1.0 + 1e-12))[2]
+            box = _box(side, mid, side.h * (1.0 + 1e-12))[3]
             assert _nearest_sq(side, mid) == min(box.min(), 1.0)
 
     def test_tail_decreases_in_radius(self):
         gen = lattice_from_tau(0.1, 1e3).gen
-        h = _cell_half_diameter(gen)
+        h = _side(*gen.ravel(), (0.1, 1e3)).h
         radii = np.linspace(0.05, 3.0 * h, 400)
         for alpha in (1e-2, 1.0, 1e2):
             tails = [_gaussian_tail(((alpha, 1.0),), 1.0, h, r)[0] for r in radii]
@@ -820,11 +821,8 @@ def test_rounding_bound_covers_every_shift(rng, hexl, node_set):
     nodes = riesz if node_set == "riesz" else ((0.3, 1.0), (2.0, 0.5))
     for lat in (hexl, *(scaled(lattice_from_tau(0.2, 1.3), s) for s in SIDE_SCALES.values())):
         covol = lat.covolume
-        near = np.array([n for n in nodes if not _dual_side(n[0], covol)]).T
-        far = np.array([n for n in nodes if _dual_side(n[0], covol)]).T
-        near = (*near, near[1].sum()) if near.size else None
-        far = (1.0 / far[0], far[1] / (far[0] * covol)) if far.size else None
-        far = (*far, far[1].sum()) if far else None
+        near = _node_arrays([(a, w) for a, w in nodes if not _dual_side(a, covol)])
+        far = _node_arrays([(1.0 / a, w / (a * covol)) for a, w in nodes if _dual_side(a, covol)])
         bound = _rounding_bound(_plan(lat), near, far)
         ev = ShiftedSumEvaluator(lat, nodes)
         zs = np.vstack([np.zeros((1, 2)), rng.random((200, 2))])
