@@ -7,9 +7,11 @@ Newton steps on the series' own gradient and Hessian, term by term
 differentiated.  The 2x2 saddle-free step has a closed form (eigenvalues
 m +- hypot(d, b), eigenvector angle atan2(b, d)/2), so the polish works
 on Python floats per start and its only numpy work is one derivative
-batch per iteration; the best start is picked by the values that batch
-last gave.  The sweep evaluates the minimum across a family of lattice
-shapes.
+batch per iteration: a few matrix products over the index pairs and
+tables the evaluator builds once, 8-12 us on the dual side and 17-22 us
+on the lattice side for 1-5 rows of 7-52 terms (2-core x86-64 VM).  The
+best start is picked by the values that batch last gave.  The sweep
+evaluates the minimum across a family of lattice shapes.
 """
 
 from __future__ import annotations

@@ -557,8 +557,7 @@ def _check_shift(z: PhasePoint) -> None:
 
 def _sum_at(plan: _Plan, z: PhasePoint, nodes, pol: TruncationPolicy, dual) -> CertifiedValue:
     """``ShiftedSumEvaluator.certified_at(z)`` on ``plan``'s lattice, its lattice
-    ball centred on z: ``certified`` there bit for bit, without the batch state
-    (index pairs, node arrays, Gram form, row blocks), one row as floats."""
+    ball centred on z, without ``_for_batches``'s state."""
     _check_shift(z)
     ev = ShiftedSumEvaluator.__new__(ShiftedSumEvaluator)
     point = (_wrap_unit(z.u), _wrap_unit(z.v))
@@ -663,23 +662,6 @@ def _node_arrays(nodes, cap: float = math.inf):
     return a, w, float(np.add.reduce(w))
 
 
-def _cosine_derivatives(
-    zs: np.ndarray, idx: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Values (n,), gradients (n, 2) and Hessians (n, 2, 2) of the cosine series
-    sum_k weights_k cos(2 pi k.z) at an (n, 2) batch of z, term by term:
-    d/dz cos(2 pi k.z) = -2 pi k sin(.), d2/dz2 = -4 pi^2 k k^T cos(.)."""
-    phases = TWO_PI * (zs @ idx.T)
-    wc = np.cos(phases) * weights
-    ws = np.sin(phases) * weights
-    k1, k2 = idx[:, 0], idx[:, 1]
-    values = wc.sum(axis=1)
-    grad = -TWO_PI * (ws @ idx)
-    h11, h12, h22 = -(TWO_PI**2) * (wc @ np.column_stack([k1 * k1, k1 * k2, k2 * k2])).T
-    hess = np.stack([h11, h12, h12, h22], axis=-1).reshape(-1, 2, 2)
-    return values, grad, hess
-
-
 def _rounding_bound(plan: _Plan, near, far) -> float:
     """A bound, uniform over the cell, on the rounding ``certified`` adds, bar
     clipping, from each side's ``_node_arrays``, the far side's dual nodes.  Each
@@ -714,12 +696,14 @@ def _rounding_bound(plan: _Plan, near, far) -> float:
 
 
 def _in_row_blocks(batch):
-    """An evaluator's ``batch`` method on an (n, 2) array of shifts, over row
-    blocks of at most ``_rows`` shifts, with the arrays it returns joined."""
+    """An evaluator's ``batch`` method on an (n, 2) array of finite shifts, over
+    row blocks of at most ``_rows`` shifts, with the arrays it returns joined."""
 
     @functools.wraps(batch)
     def in_blocks(self, zs):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        if not np.isfinite(zs).all():
+            raise ValueError(f"the shift must be finite, got {zs[~np.isfinite(zs).all(1)][0]}")
         if len(zs) <= self._rows:
             return batch(self, zs)
         parts = [batch(self, zs[i : i + self._rows]) for i in range(0, len(zs), self._rows)]
@@ -753,11 +737,9 @@ class ShiftedSumEvaluator:
     met its share, and ``certified`` adds the rounding.  ``terms`` counts both
     balls' terms, k = 0 included.  Exponents below ``_EXP_FLOOR`` are clipped;
     the term they overstate goes into the rounding.  Batches run in row blocks
-    that keep every temporary within ``_MAX_BOX_CELLS`` cells.  Only they use
-    the state ``_for_batches`` adds to ``_build``'s: the lattice ball's index
-    pairs, the node arrays, the Gram form and the row-block size.  The torus
-    scan's values on a product grid come from ``_grid_centered``, which
-    splits each term into per-axis factors and sums them by matrix products.
+    that keep every temporary within ``_MAX_BOX_CELLS`` cells: matrix
+    products over tables ``_for_batches`` builds once, or for a product
+    grid over ``_grid_centered``'s per-axis factors.
     """
 
     def __init__(
@@ -848,30 +830,46 @@ class ShiftedSumEvaluator:
         return box
 
     def _for_batches(self, box) -> None:
-        """The state only batches use: the index pairs of ``_build``'s
-        lattice-side ``box``, the node arrays, the Gram form and ``_rows``."""
+        """Batch state: ``box``'s (2, T) index pairs, the Gram matrix, rates r_j =
+        pi alpha_j, moments w_j (-2 r_j)^m, m < 3; dual phases 2 pi k, tables
+        [g, -4 pi^2 g (k1^2, k1 k2, k2^2)] and -2 pi g k; ``_rows``."""
         if box is not None:
             k, l, inside = box[:3]
             i, j = inside.nonzero()
-            self._i1, self._i2 = k[i], l[j]
-            self._rates = -np.reshape(self._neg_rates, -1)
-            self._weights = np.reshape(self._weights, -1)
-            self._g00, self._g01, self._g11 = self._plan.near[:3]
+            self._idx = np.array((k[i], l[j]))
+            self._rates = rates = -np.reshape(self._neg_rates, -1)
+            self._weights = w = np.reshape(self._weights, -1)
+            g00, g01, g11 = self._plan.near[:3]
+            self._gram = np.array(((g00, g01), (g01, g11)))
+            self._moments = w * (-2.0 * rates) ** np.arange(3.0)[:, None]
+        if self._far:
+            kl, g = self._kl, self._ghat
+            self._phase = TWO_PI * kl
+            t = np.empty((6, len(g)))
+            t[0] = g
+            np.multiply(kl[0], kl, out=t[1:3])
+            np.multiply(kl[1], kl[1], out=t[3])
+            t[1:4] *= -TWO_PI**2 * g
+            np.multiply(kl, -TWO_PI * g, out=t[4:])
+            self._table4, self._table2 = t[:4].T, t[4:].T
         # no batch temporary holds more than max(nodes, 6) x terms cells per point
         self._rows = max(1, _MAX_BOX_CELLS // (max(len(self._near), 6) * max(self.terms, 1)))
 
-    def _rho(self, zs: np.ndarray) -> np.ndarray:
-        """Squared lengths |gen (idx + z)|^2, (points x lattice-side terms)."""
-        w1 = self._i1 + zs[:, :1]
-        w2 = self._i2 + zs[:, 1:]
+    def _rho(self, zs):
+        """Squared lengths |gen (idx + z)|^2: (points, terms) at an (n, 2)
+        array, the same (terms,) row at a (u, v) tuple."""
+        u, v = zs if type(zs) is tuple else (zs[:, :1], zs[:, 1:])
+        g00, g01, g11 = self._plan.near[:3]
+        w1 = self._idx[0] + u
+        w2 = self._idx[1] + v
         # in place: three (points x terms) arrays at most
         rho = w1 * w1
-        rho *= self._g00
+        rho *= g00
         w1 *= w2
-        w1 *= 2.0 * self._g01
+        w1 *= 2.0 * g01
         rho += w1
         w2 *= w2
-        w2 *= self._g11
+        w2 *= g11
         rho += w2
         return rho
 
@@ -954,8 +952,8 @@ class ShiftedSumEvaluator:
             mixed = np.multiply.outer(-2.0 * g01 * d1, d2) if g01 else None  # cross exponent / r_j
             # a power of two lifting every nonzero e1 e2 >= e^(2 _EXP_FLOOR + L) to a normal float
             scale = 2.0 ** math.ceil((_LOG_TINY - 2.0 * _EXP_FLOOR - cross) / math.log(2.0))
-            for t in range(0, len(self._i1), step):
-                i1, i2 = self._i1[t : t + step], self._i2[t : t + step]
+            for t in range(0, self._idx.shape[1], step):
+                i1, i2 = self._idx[0, t : t + step], self._idx[1, t : t + step]
                 q1, q2 = i1 + c1, i2 + c2
                 # g00 s1^2 and g11 s2^2, s1 = u + i1 + (g01 / g00) q2 and s2 likewise
                 f1 = np.add.outer(i1 + g01 / g00 * q2, tu)
@@ -984,37 +982,38 @@ class ShiftedSumEvaluator:
         return out
 
     def _lattice_derivatives(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Lattice-side values, gradients and Hessians.  With w = idx + z,
-        grad rho = 2 Gw and Hess rho = 2 G give grad = K'(rho) 2 Gw and
-        Hess = K''(rho) 4 Gw (Gw)^T + K'(rho) 2 G, term by term.  Each node's
-        Gaussian is reduced against the monomials 1, a, b, a^2, ab, b^2 of
-        Gw = (a, b) in one batched product, then weighted by w_j rate_j^m."""
-        w1 = self._i1 + zs[:, :1]
-        w2 = self._i2 + zs[:, 1:]
-        a = self._g00 * w1 + self._g01 * w2
-        b = self._g01 * w1 + self._g11 * w2
-        e = _clipped_exp(np.multiply.outer(self._rates, w1 * a + w2 * b))  # (nodes, n, terms)
-        mono = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-1)
-        wr = self._weights * self._rates
-        moments = np.array([self._weights, wr, wr * self._rates])
-        k = moments @ np.matmul(e.transpose(1, 0, 2), mono)  # (n, m, monomial)
-        values = k[:, 0, 0]
-        grad = -2.0 * k[:, 1, 1:3]
-        h = 4.0 * k[:, 2, 3:] - 2.0 * k[:, 1, :1] * np.array([self._g00, self._g01, self._g11])
-        return values, grad, h[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+        """Lattice-side derivatives, term by term: with w = idx + z, grad rho =
+        2 Gw and Hess rho = 2 G, the moments weigh the node Gaussians into
+        e = (K, 2 K', 4 K'') of rho, so grad = Gw e_1 and Hess = (Gw e_2) (Gw)^T
+        + (sum e_1) G."""
+        w = self._idx + zs[:, :, None]
+        gw = self._gram @ w  # (n, 2, terms)
+        neg_x = np.add.reduce(w * gw, axis=1)[:, None] * -self._rates[:, None]
+        np.maximum(neg_x, _EXP_FLOOR, out=neg_x)
+        e = self._moments @ np.exp(neg_x, out=neg_x)  # (n, 3, terms)
+        sums = np.add.reduce(e, axis=2)
+        grad = (gw @ e[:, 1, :, None])[..., 0]
+        hess = (gw * e[:, 2, None]) @ gw.transpose(0, 2, 1)
+        hess += sums[:, 1, None, None] * self._gram
+        hess[:, 1, 0] = hess[:, 0, 1]  # symmetric to the bit
+        return sums[:, 0], grad, hess
+
+    def _cosine_derivatives(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Dual-side derivatives of sum_k g(k) cos(2 pi k.z), term by term:
+        d/dz cos(2 pi k.z) = -2 pi k sin(.), d2/dz2 = -4 pi^2 k k^T cos(.)."""
+        phases = zs @ self._phase
+        vh = np.cos(phases) @ self._table4  # value, h11, h12, h22
+        return vh[:, 0], np.sin(phases) @ self._table2, vh[:, [1, 2, 2, 3]].reshape(-1, 2, 2)
 
     @_in_row_blocks
     def derivatives_centered(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Centered values (n,), gradients (n, 2) and Hessians (n, 2, 2) in
         lattice coordinates, each side differentiated term by term."""
-        sides = []
-        if self._near:
-            sides.append(self._lattice_derivatives(zs))
-        if self._far:
-            sides.append(_cosine_derivatives(zs, self._kl.T, self._ghat))
-        if len(sides) == 1:
-            return sides[0]
-        return tuple(x + y for x, y in zip(*sides))
+        if not self._far:
+            return self._lattice_derivatives(zs)
+        if not self._near:
+            return self._cosine_derivatives(zs)
+        return tuple(map(np.add, self._lattice_derivatives(zs), self._cosine_derivatives(zs)))
 
     @_in_row_blocks
     def certified(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1062,7 +1061,7 @@ class ShiftedSumEvaluator:
         return CertifiedValue(value, bound, self.terms, self.converged and bound <= self.tol)
 
     def certified_at(self, z: PhasePoint) -> CertifiedValue:
-        """``certified`` at one shift."""
-        zl = z.canonical()
-        values, bounds = self.certified(np.array([[zl.u, zl.v]]))
-        return self._result(float(values[0]), float(bounds[0]))
+        """``certified`` at one shift, bit for bit."""
+        _check_shift(z)
+        point = (_wrap_unit(z.u), _wrap_unit(z.v))
+        return self._result(*self._certify(point, self._rho(point) if self._near else None))

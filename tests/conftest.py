@@ -199,6 +199,72 @@ def values_centered(ev, zs: np.ndarray) -> np.ndarray:
     return out
 
 
+def derivatives_oracle(ev, zs):
+    """Reference for ``ShiftedSumEvaluator.derivatives_centered``: centered
+    values (n,), gradients (n, 2) and Hessians (n, 2, 2) at an (n, 2) batch,
+    each side differentiated term by term from its own formulas, and the
+    term scale of each: the largest sum, over the rows, of its terms'
+    absolute values, each lattice-side term times 1 + X for its exponent X,
+    which rounds to within a few eps X and so moves e^-X by that much.
+
+    Dual side: d/dz cos(2 pi k.z) = -2 pi k sin(.), d2/dz2 = -4 pi^2 k k^T cos(.),
+    weighted by g(k).  Lattice side: with Gw = (a, b), each node's Gaussians
+    are reduced against the monomials 1, a, b, a^2, ab, b^2 in one batched
+    product and weighted by w_j r_j^m, m = 0, 1, 2: grad = -2 sum w r e Gw and
+    Hess = 4 sum w r^2 e Gw (Gw)^T - 2 sum w r e G."""
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    out = [np.zeros(len(zs)), np.zeros((len(zs), 2)), np.zeros((len(zs), 2, 2))]
+    scales = [0.0, 0.0, 0.0]
+
+    def add(values, grad, h, size):
+        for i, x in enumerate((values, grad, h[:, [0, 1, 1, 2]].reshape(-1, 2, 2))):
+            out[i] = out[i] + x
+        for i, s in enumerate(size):
+            scales[i] += float(s.max())
+
+    if ev._far:
+        idx = ev._kl.T
+        phases = TWO_PI * (zs @ idx.T)
+        wc = np.cos(phases) * ev._ghat
+        ws = np.sin(phases) * ev._ghat
+        k1, k2 = idx[:, 0], idx[:, 1]
+        quad = np.column_stack([k1 * k1, k1 * k2, k2 * k2])
+        g = ev._ghat
+        size = (g.sum(), TWO_PI * (g @ np.abs(idx)), TWO_PI**2 * (g @ np.abs(quad)))
+        add(wc.sum(axis=1), -TWO_PI * (ws @ idx), -(TWO_PI**2) * (wc @ quad), size)
+    if ev._near:
+        g00, g01, g11 = ev._plan.near[:3]
+        w1 = ev._idx[0] + zs[:, :1]
+        w2 = ev._idx[1] + zs[:, 1:]
+        a = g00 * w1 + g01 * w2
+        b = g01 * w1 + g11 * w2
+        neg_x = np.maximum(np.multiply.outer(-ev._rates, w1 * a + w2 * b), _EXP_FLOOR)
+        e = np.exp(neg_x)
+        mono = np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-1)
+        wr = ev._weights * ev._rates
+        moments = np.array([ev._weights, wr, wr * ev._rates])
+        k = moments @ np.matmul(e.transpose(1, 0, 2), mono)  # (n, moment, monomial)
+        gram = np.array([g00, g01, g11])
+        h = 4.0 * k[:, 2, 3:] - 2.0 * k[:, 1, :1] * gram
+        m = moments @ np.matmul((e * (1.0 - neg_x)).transpose(1, 0, 2), np.abs(mono))
+        curv = 4.0 * m[:, 2, 3:] + 2.0 * m[:, 1, :1] * np.abs(gram)
+        size = (m[:, 0, 0], 2.0 * m[:, 1, 1:3], curv)
+        add(k[:, 0, 0], -2.0 * k[:, 1, 1:3], h, size)
+    return tuple(out), tuple(scales)
+
+
+def assert_derivatives_match_oracle(ev, zs, rel=1e-13):
+    """``derivatives_centered`` against ``derivatives_oracle``: each of the
+    values, gradients and Hessians within ``rel`` of its largest term scale,
+    and the Hessians symmetric to the bit."""
+    got = ev.derivatives_centered(zs)
+    want, scales = derivatives_oracle(ev, zs)
+    for g, w, scale in zip(got, want, scales):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= rel * scale
+    assert np.array_equal(got[2], got[2].transpose(0, 2, 1))
+
+
 def assert_derivatives_match_differences(ev, zs):
     """ev.derivatives_centered against central differences of the
     ``values_centered`` oracle; errors are measured against the largest

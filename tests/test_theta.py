@@ -48,6 +48,7 @@ from latsum.theta import (
 from conftest import (
     Y_HEX,
     assert_derivatives_match_differences,
+    assert_derivatives_match_oracle,
     direct_series_derivatives,
     montgomery_factor_loop,
     product_rep_theta1d_hat,
@@ -647,6 +648,16 @@ def scaled(lat, scale):
     return lattice_from_generator(scale * lat.gen)
 
 
+# on (0.3, 1.1), covolume 1: one node on the lattice side, one on the dual
+# side, one on each, and the Riesz s = 4 mixture's nodes on both
+EVALUATOR_NODES = {
+    "lattice": ((1.5, 1.0),),
+    "dual": ((0.4, 1.0),),
+    "two-sided": ((0.4, 1.0), (1.5, 0.5)),
+    "riesz": CMPotential.riesz(4.0).nodes,
+}
+
+
 class TestBatchEvaluators:
     def test_shifted_matches_pointwise(self, rng):
         # on unit covolume 0.4 is on the dual side, 1 and 3 on the lattice
@@ -684,6 +695,38 @@ class TestBatchEvaluators:
         assert values.tolist() == [values[1]] * 3 and bounds.tolist() == [bounds[1]] * 3
         ref = lattice_gaussian_sum(lat, PhasePoint(0.0, v), 1.0)
         assert abs(values[0] - ref.value) <= bounds[0] + ref.tail_bound
+
+    @pytest.mark.parametrize("nodes", EVALUATOR_NODES.values(), ids=EVALUATOR_NODES)
+    def test_certified_at_is_certified_at_one_point(self, rng, nodes):
+        """Bit for bit, value and bound, on the lattice side, the dual side and
+        mixtures: at 0, at 1 - 2^-53, at random shifts and within 1e-6 of a
+        lattice point, so the one-point row cannot move a certificate."""
+        lat = lattice_from_tau(0.3, 1.1)
+        ev = ShiftedSumEvaluator(lat, nodes)
+        edge = 1.0 - 2.0**-53
+        near = rng.uniform(-1e-6, 1e-6, (4, 2)) + rng.integers(-2, 3, (4, 2))
+        for u, v in [(0.0, 0.0), (edge, 0.0), (edge, edge), *rng.random((6, 2)), *near]:
+            z = PhasePoint(u, v).canonical()
+            one = ev.certified_at(PhasePoint(u, v))
+            values, bounds = ev.certified(np.array([[z.u, z.v]]))
+            assert (one.value, one.tail_bound) == (values[0], bounds[0])
+            assert one.converged == (ev.converged and bounds[0] <= ev.tol)
+
+    @pytest.mark.parametrize("shift", [(math.nan, 0.2), (0.2, math.inf), (-math.inf, 0.2)])
+    @pytest.mark.parametrize("nodes", EVALUATOR_NODES.values(), ids=EVALUATOR_NODES)
+    def test_nonfinite_shift_raises(self, nodes, shift):
+        """A NaN or infinite shift raises one ValueError naming it, on either
+        side, at one point and in a batch, in one block or in row blocks."""
+        ev = ShiftedSumEvaluator(lattice_from_tau(0.3, 1.1), nodes)
+        batch = np.array([[0.1, 0.2], shift, [0.3, 0.4]])
+        with pytest.raises(ValueError, match="shift must be finite"):
+            ev.certified_at(PhasePoint(*shift))
+        for method in (ev.certified, ev.derivatives_centered):
+            with pytest.raises(ValueError, match="shift must be finite"):
+                method(batch)
+            ev._rows = 1  # in row blocks too
+            with pytest.raises(ValueError, match="shift must be finite"):
+                method(batch)
 
     def test_row_blocks_match_one_block(self, rng, hexl):
         """A batch cut into row blocks gives, bit for bit, what it gives in one
@@ -856,6 +899,42 @@ def test_evaluator_derivatives_match_differences(rng, node_set, side, alpha):
         assert (ev.value_offset > 0.0) == (side == "dual")
         # inside the cell, where the lattice-side index set is built for
         assert_derivatives_match_differences(ev, rng.uniform(0.01, 0.99, (5, 2)))
+
+
+@pytest.mark.parametrize("scale", [1.0, *SIDE_SCALES.values()])
+@pytest.mark.parametrize("shape", [(0.5, Y_HEX), (0.2, 1.3), (0.3, 40.0)])
+@pytest.mark.parametrize(
+    "nodes",
+    [one_node(0.25), one_node(1.0), one_node(8.0), CMPotential.riesz(4.0).nodes],
+    ids=["alpha 0.25", "alpha 1", "alpha 8", "riesz 4"],
+)
+def test_evaluator_derivatives_match_oracle(rng, nodes, shape, scale):
+    """The batched derivatives against the term-by-term oracle within 1e-13 of
+    each one's term scale, on the hexagon, a sheared cell and a long one, at
+    covolume 1 and scaled to either side of lam = 1/covol; in one block, row
+    by row and in blocks of ``_rows`` = 3."""
+    ev = ShiftedSumEvaluator(scaled(lattice_from_tau(*shape), scale), nodes)
+    zs = rng.random((7, 2))
+    assert_derivatives_match_oracle(ev, zs)
+    for z in zs:
+        assert_derivatives_match_oracle(ev, z[None])
+    ev._rows = 3
+    assert_derivatives_match_oracle(ev, zs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.0, 0.5),
+    st.floats(0.0, math.log10(50.0)),
+    st.floats(-1.0, math.log10(400.0)),
+    st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+)
+def test_any_points_match_derivatives_oracle(x, log_y, log_alpha, points):
+    """Any batch of points, on sheared and long shapes at alpha from 0.1 to
+    400, on whichever side alpha falls."""
+    y = max(10.0**log_y, math.sqrt(1.0 - x * x))
+    ev = ShiftedSumEvaluator(lattice_from_tau(x, y), one_node(10.0**log_alpha))
+    assert_derivatives_match_oracle(ev, np.array(points))
 
 
 @pytest.mark.parametrize("alpha", [0.25, 1.0, 8.0])
