@@ -12,6 +12,7 @@ tight by construction, so ``passed == (worst_margin > 0)`` throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,10 +73,13 @@ def _box(radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_blocks(ys: np.ndarray):
     """The y grid as (8, 1) columns, so that a family evaluated on a block
-    against a flat index box makes one (8, box) array: 8 rows of a 41 x 41
-    box take 105 KiB per temporary, below glibc's default 128 KiB mmap and
-    trim thresholds, so repeated checks reuse heap pages instead of
-    faulting in fresh ones."""
+    against flat index arrays makes one (8, columns) array: 8 rows of a
+    41 x 41 box would take 105 KiB per temporary, below glibc's default
+    128 KiB mmap and trim thresholds, so repeated checks reuse heap pages
+    instead of faulting in fresh ones.  The checkers that sweep y over such
+    a box evaluate each value once: one column of each class of
+    ``_column_classes`` (1061 at radius 20, 66 KiB per temporary), with the
+    y-free parts formed once, before the first block."""
     column = np.asarray(ys, dtype=float).reshape(-1, 1)
     return [column[i:i + 8] for i in range(0, len(column), 8)]
 
@@ -90,25 +94,58 @@ def q2(k: int, l: int) -> float:
     return 1.0 * (k * k + k * l + l * l)
 
 
+def _phi_f_ints(k, l):
+    """The y-free integers of phi_f and its derivatives: m^2, (2l+1)^2 and
+    ``_phi_f_c``, with m = 2k + l + 1.  With k + (l+1)/2 = m/2, exact in
+    floats, they make q1, phi_f, its derivatives and shifted_term_d2
+    functions of m^2 and l: every float step sees the same operands at
+    (k, l) and (-k-l-1, l), where m changes sign, so the values there are
+    equal bit for bit."""
+    return (2 * k + l + 1) ** 2, (2 * l + 1) ** 2, _phi_f_c(k, l)
+
+
+def _phi_f_c(k, l):
+    """c = 8k^2 + 8k(l+1) + 2l(l+1) + 1 = 2m^2 - 2l - 1."""
+    return 8 * k * k + 8 * k * (l + 1) + 2 * l * (l + 1) + 1
+
+
+def _column_classes(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """One (k, l) of each class {(k, l), (-k-l-1, l)} of the box |k|, |l| <= radius:
+    the pairs with m = 2k + l + 1 <= 0 and those whose partner lies outside.
+    A maximum or minimum over the box of a function of m^2 and l is the same
+    over these columns (1061 of 1681 at radius 20, 609 of 961 at 15)."""
+    k, l = _box(radius)
+    keep = (2 * k + l + 1 <= 0) | (np.abs(k + l + 1) > radius)
+    return k[keep], l[keep]
+
+
 def phi_f(k, l, y):
     """Shifted-family exponent: (2k+l+1)^2/(4y) + y (l + b2(y))^2, with
     b2(y) = 1/2 - 1/(8 y^2) the second coordinate of the moving point."""
-    y = np.asarray(y, dtype=float)
-    return (2 * k + l + 1) ** 2 / (4.0 * y) + y * (l + _point_b(0.5, y)[1]) ** 2
+    return _phi_f((2 * k + l + 1) ** 2, l, np.asarray(y, dtype=float))
+
+
+def _phi_f(m2, l, y):
+    # phi_f and its derivatives below from the integers of ``_phi_f_ints``
+    return m2 / (4.0 * y) + y * (l + _point_b(0.5, y)[1]) ** 2
 
 
 def phi_f_d1(k, l, y):
     """First y-derivative of phi_f, in closed form."""
-    y = np.asarray(y, dtype=float)
+    return _phi_f_d1((2 * l + 1) ** 2, _phi_f_c(k, l), np.asarray(y, dtype=float))
+
+
+def _phi_f_d1(s2, c, y):
     y2 = y * y
-    c = 8 * k * k + 8 * k * (l + 1) + 2 * l * (l + 1) + 1
-    return (16 * y2 * y2 * (2 * l + 1) ** 2 - 8 * y2 * c - 3) / (64.0 * y2 * y2)
+    return (16 * y2 * y2 * s2 - 8 * y2 * c - 3) / (64.0 * y2 * y2)
 
 
 def phi_f_d2(k, l, y):
     """Second y-derivative of phi_f, in closed form."""
-    y = np.asarray(y, dtype=float)
-    c = 8 * k * k + 8 * k * (l + 1) + 2 * l * (l + 1) + 1
+    return _phi_f_d2(_phi_f_c(k, l), np.asarray(y, dtype=float))
+
+
+def _phi_f_d2(c, y):
     return (4 * y * y * c + 3) / (16.0 * y ** 5)
 
 
@@ -262,7 +299,7 @@ def min_phi_f(k: int, l: int) -> float:
     global minimum there, and the minimum over y >= sqrt(3)/2 sits at
     max(y*, sqrt(3)/2).
     """
-    c = 8 * k * k + 8 * k * (l + 1) + 2 * l * (l + 1) + 1
+    c = _phi_f_c(k, l)
     s = 2 * l + 1.0
     y_star = np.sqrt((c + np.hypot(c, SQRT3 * s)) / (4.0 * s * s))
     return phi_f(k, l, np.maximum(y_star, Y_HEX))
@@ -291,28 +328,36 @@ def check_growth_lemma_1() -> LemmaReport:
 
 
 def check_derivative_bounds() -> LemmaReport:
-    """|phi_f'| <= 2 Q1 and |phi_f''| <= 3 Q1 on a y-grid."""
+    """|phi_f'| <= 2 Q1 and |phi_f''| <= 3 Q1 on a y-grid.  Both sides depend
+    on (k, l) through m^2 and l only, so one column of each class of
+    ``_column_classes`` gives the box's minimum."""
     ys, k_max = np.linspace(Y_HEX, 10.0, 200), 20
-    k, l = _box(k_max)
+    k, l = _column_classes(k_max)
+    _, s2, c = (np.asarray(v, dtype=float) for v in _phi_f_ints(k, l))
     qq = q1(k, l)
+    two_q, three_q = 2.0 * qq, 3.0 * qq
     first = second = math.inf
     for rows in _row_blocks(ys):
-        first = min(first, np.min(2.0 * qq - np.abs(phi_f_d1(k, l, rows))))
-        second = min(second, np.min(3.0 * qq - np.abs(phi_f_d2(k, l, rows))))
+        first = min(first, np.min(two_q - np.abs(_phi_f_d1(s2, c, rows))))
+        second = min(second, np.min(three_q - np.abs(_phi_f_d2(c, rows))))
     return LemmaReport(
         "derivative_bounds", f"|k|,|l| <= {k_max}, {len(ys)}-point y-grid", min(first, second)
     )
 
 
 def check_growth11_composite() -> LemmaReport:
-    """|d^2/dy^2 exp(-pi a phi_f)| <= 5 pi^2 a^2 Q1^2 exp(-pi a sqrt(Q1)/2)."""
+    """|d^2/dy^2 exp(-pi a phi_f)| <= 5 pi^2 a^2 Q1^2 exp(-pi a sqrt(Q1)/2),
+    on one column of each class of ``_column_classes``: both sides depend on
+    (k, l) through m^2 and l only."""
     alphas, k_max = (5.0, 10.0), 15
     ys = np.linspace(Y_HEX, 8.0, 160)
-    k, l = _box(k_max)
+    k, l = _column_classes(k_max)
+    m2, s2, c = (np.asarray(v, dtype=float) for v in _phi_f_ints(k, l))
+    ints = (m2, np.asarray(l, dtype=float), s2, c)
     qq = q1(k, l)
     worst = np.zeros((len(alphas), qq.size))
     for rows in _row_blocks(ys):
-        np.maximum(worst, _shifted_d2_maxima(k, l, rows, alphas), out=worst)
+        np.maximum(worst, _shifted_d2_maxima(ints, rows, alphas), out=worst)
     margin = math.inf
     for alpha, w in zip(alphas, worst):
         bound = 5.0 * math.pi**2 * alpha**2 * qq * qq * np.exp(
@@ -324,11 +369,13 @@ def check_growth11_composite() -> LemmaReport:
     )
 
 
-def _shifted_d2_maxima(k, l, rows, alphas) -> list[np.ndarray]:
+def _shifted_d2_maxima(ints, rows, alphas) -> list[np.ndarray]:
     """max over a block of y rows of |shifted_term_d2| at each alpha, from one
-    evaluation of phi_f and its derivatives, which do not depend on alpha.
+    evaluation of phi_f and its derivatives, which do not depend on alpha;
+    ``ints`` holds m^2, l, (2l+1)^2 and c of ``_phi_f_ints`` as floats.
     Its arrays die on return, so no two blocks' arrays are live at once."""
-    f, d1, d2 = phi_f(k, l, rows), phi_f_d1(k, l, rows), phi_f_d2(k, l, rows)
+    m2, l, s2, c = ints
+    f, d1, d2 = _phi_f(m2, l, rows), _phi_f_d1(s2, c, rows), _phi_f_d2(c, rows)
     return [np.abs(_shifted_d2(math.pi * alpha, f, d1, d2)).max(axis=0) for alpha in alphas]
 
 
@@ -668,15 +715,66 @@ def check_montgomery_sandwich() -> LemmaReport:
     )
 
 
+class _LevelFamily:
+    """exp(c a s(Q)), Q = q_of(level), at the distinct values of a
+    non-negative integer level array, sorted so that s rises.  A table holds
+    the levels whose exponent is not below ``_EXP_FLOOR`` at the smallest
+    alpha asked; one that falls below it at a larger alpha is clipped there,
+    which overstates its term by less than its weight times e^-700, and no
+    exp takes its slow path near underflow.  Every sum of the family gathers
+    its own columns of one table, and the family keeps its last table: the
+    sums called in turn on one block of alphas build it once."""
+
+    def __init__(self, c, level, q_of=np.float64, s_of=np.sqrt):
+        self.c, self.q_of = c, q_of
+        self.levels = np.flatnonzero(np.bincount(level))
+        self.s = s_of(q_of(self.levels))
+        self._last_table = functools.lru_cache(maxsize=1)(self._exp)
+
+    def table(self, a):
+        """The read-only table at a float or a 1-D array of alphas, kept by
+        their bytes, so that equal alphas share it and no other can."""
+        a = np.asarray(a, dtype=float)
+        return self._last_table(a.tobytes(), a.shape)
+
+    def _exp(self, key, shape):
+        a = np.frombuffer(key).reshape(shape)
+        n = np.searchsorted(self.s, _EXP_FLOOR / (self.c * np.min(a)), side="right")
+        x = np.multiply.outer(self.c * a, self.s[:n])
+        np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x)
+        x.flags.writeable = False
+        return x
+
+    def sum(self, level, power=0):
+        """a -> the sum of Q^power exp(c a s(Q)) over the terms of the given
+        levels, as one column per distinct level weighted by its count."""
+        count = np.bincount(level)
+        lev = np.flatnonzero(count > 0)
+        cols = np.searchsorted(self.levels, lev)
+        w = count[lev] * self.q_of(lev) ** power
+        # consecutive columns are read as a view of the table, not copied
+        run = cols[-1] - cols[0] + 1 == len(cols)
+
+        def total(a):
+            table = self.table(a)
+            n = np.searchsorted(cols, table.shape[-1])
+            if run:
+                return table[..., cols[0] : cols[0] + n] @ w[:n]
+            return np.take(table, cols[:n], axis=-1) @ w[:n]
+
+        return total
+
+
 def _threshold_table() -> dict:
     """Tail-sum threshold inequalities: id -> (stated alpha0, usage floor,
     lhs(a), rhs(a)), where lhs and rhs take a float or a 1-D array of alphas.
     Each lhs is a masked sum over |k|, |l| <= 40 whose terms depend on an
     integer level only: n2 = k^2 + l^2, q2 = k^2 + k l + l^2, or
     n = q2 + k + l, for which Q1 = (2/sqrt 3)(n + 1/3).  The sum is kept as
-    one term per distinct level, weighted by the level's count, over the
-    levels whose exponent is not below ``_EXP_FLOOR`` at the smallest alpha
-    asked."""
+    one term per distinct level, weighted by the level's count.  far_q1,
+    nondominant_q1 and composite_q1 take their exponentials from one Q1
+    family, charged_far and charged_composite's charged part from one q2
+    family: see ``_LevelFamily``."""
     pi = math.pi
     k, l = _box(40)
     cheb = np.maximum(np.abs(k), np.abs(l))
@@ -688,49 +786,30 @@ def _threshold_table() -> dict:
     def q1_of(n):
         return (2.0 / SQRT3) * (n + 1.0 / 3.0)
 
-    def level_sum(c, level, mask, q_of=np.float64, s_of=np.sqrt, power=0):
-        # sum over the mask of Q^power exp(c a s(Q)), Q = q_of(level): one exp
-        # per distinct level, weighted by its count; s rises with the level
-        count = np.bincount(level[mask])
-        lev = np.flatnonzero(count > 0)
-        q = q_of(lev)
-        w, s = count[lev] * q**power, s_of(q)
-
-        def total(a):
-            # a kept level whose exponent falls below _EXP_FLOOR at a larger
-            # alpha is clipped there, which overstates its term by less than
-            # w e^-700: no exp takes its slow path near underflow
-            n = np.searchsorted(s, _EXP_FLOOR / (c * np.min(a)), side="right")
-            x = np.multiply.outer(c * a, s[:n])
-            return np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x) @ w[:n]
-
-        return total
-
     def dominant(a):
         return np.exp(-TWO_PI * a / (3 * SQRT3))
 
-    composite = level_sum(-0.5 * pi, q1_level, cheb > 1, q1_of, power=2)
-    charged = level_sum(-pi, q2_level, (l != 0) & (cheb > 1), power=2)
+    q1_family = _LevelFamily(-0.5 * pi, q1_level, q1_of)
+    q2_family = _LevelFamily(-pi, q2_level)
+    composite = q1_family.sum(q1_level[cheb > 1], power=2)
+    charged = q2_family.sum(q2_level[(l != 0) & (cheb > 1)], power=2)
     # sum over 2 <= k < 40 of k^4 exp(-pi a k^2)
-    quartic = level_sum(-pi, ks, ks >= 2, s_of=np.square, power=4)
+    quartic = _LevelFamily(-pi, ks, s_of=np.square).sum(ks[ks >= 2], power=4)
     return {
         "square_tail": (
-            0.5, 0.5, level_sum(-pi, n2, n2 >= 2, s_of=np.positive), lambda a: np.exp(-pi * a)
+            0.5, 0.5, _LevelFamily(-pi, n2, s_of=np.positive).sum(n2[n2 >= 2]),
+            lambda a: np.exp(-pi * a),
         ),
-        "far_q1": (
-            1.0, 1.0, level_sum(-0.5 * pi, q1_level, cheb > 5, q1_of),
-            lambda a: dominant(a) / 200.0,
-        ),
+        "far_q1": (1.0, 1.0, q1_family.sum(q1_level[cheb > 5]), lambda a: dominant(a) / 200.0),
         # Q1 >= 4u, i.e. n >= 1
         "nondominant_q1": (
-            0.7, 6.0, level_sum(-0.5 * pi, q1_level, q1_level >= 1, q1_of),
-            lambda a: 0.3 * dominant(a),
+            0.7, 6.0, q1_family.sum(q1_level[q1_level >= 1]), lambda a: 0.3 * dominant(a)
         ),
         "composite_q1": (
             6.0, 6.0, lambda a: 5.0 * pi**2 * a**2 * composite(a), lambda a: 2.5 * a * dominant(a)
         ),
         "charged_far": (
-            1.3, 1.5, level_sum(-pi, q2_level, (l != 0) & (q2_level > 1)),
+            1.3, 1.5, q2_family.sum(q2_level[(l != 0) & (q2_level > 1)]),
             lambda a: (2.0 * np.sqrt(a) / 3.0) * np.exp(-TWO_PI * a / SQRT3),
         ),
         "charged_composite": (
@@ -747,22 +826,29 @@ _THRESHOLDS = _threshold_table()
 _ALPHA_SCAN = np.arange(0.05, 10.0 + 0.05, 0.05)
 
 
-def _scan_values(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """lhs and rhs of one threshold inequality on ``_ALPHA_SCAN``, evaluated
-    in blocks of 8 alphas: a sum over the 1331 distinct Q1 levels then makes
-    (8, 1331) temporaries of 83 KiB, below glibc's 128 KiB thresholds as in
-    ``_row_blocks``."""
-    _, _, lhs, rhs = _THRESHOLDS[name]
-    blocks = [_ALPHA_SCAN[i : i + 8] for i in range(0, len(_ALPHA_SCAN), 8)]
-    return np.concatenate([lhs(a) for a in blocks]), np.concatenate([rhs(a) for a in blocks])
+def _scan_values(*names: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """id -> lhs and rhs on ``_ALPHA_SCAN`` of the named threshold
+    inequalities, all when none is named, evaluated in blocks of 8 alphas: a
+    table of the 1331 distinct Q1 levels is then an (8, 1331) array of
+    83 KiB, below glibc's 128 KiB thresholds as in ``_row_blocks``.  Each
+    block runs every id before the next block, so each level family builds
+    its table once per block and its sums share it.  A sum takes from it the
+    elements its own table would hold, the same products of the same floats,
+    in an array of the same shape for the same product with its weights: the
+    values equal those of one id's own scan bit for bit."""
+    scans = {name: ([], []) for name in names or _THRESHOLDS}
+    for i in range(0, len(_ALPHA_SCAN), 8):
+        a = _ALPHA_SCAN[i : i + 8]
+        for name, (lhs_blocks, rhs_blocks) in scans.items():
+            _, _, lhs, rhs = _THRESHOLDS[name]
+            lhs_blocks.append(lhs(a))
+            rhs_blocks.append(rhs(a))
+    return {name: (np.concatenate(lhs), np.concatenate(rhs)) for name, (lhs, rhs) in scans.items()}
 
 
-def empirical_threshold(name: str) -> float:
-    """Smallest alpha on the grid 0.05, 0.10, ..., 10 from which lhs < rhs
-    holds onward, inf if it fails at alpha 10."""
-    if name not in _THRESHOLDS:
-        raise ValueError(f"unknown threshold id {name!r}")
-    lhs, rhs = _scan_values(name)
+def _first_holding(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Smallest alpha of the scan from which lhs < rhs holds onward, inf if it
+    fails at the scan's end."""
     holds = lhs < rhs
     if not holds[-1]:
         return math.inf
@@ -770,6 +856,14 @@ def empirical_threshold(name: str) -> float:
     if len(last_fail) == 0:
         return float(_ALPHA_SCAN[0])
     return float(_ALPHA_SCAN[last_fail[-1] + 1])
+
+
+def empirical_threshold(name: str) -> float:
+    """Smallest alpha on the grid 0.05, 0.10, ..., 10 from which lhs < rhs
+    holds onward, inf if it fails at alpha 10."""
+    if name not in _THRESHOLDS:
+        raise ValueError(f"unknown threshold id {name!r}")
+    return _first_holding(*_scan_values(name)[name])
 
 
 def check_alpha_thresholds() -> LemmaReport:
@@ -783,8 +877,9 @@ def check_alpha_thresholds() -> LemmaReport:
     """
     margin = math.inf
     notes = []
+    scans = _scan_values()
     for name, (stated, usage, lhs, rhs) in _THRESHOLDS.items():
-        emp = empirical_threshold(name)
+        emp = _first_holding(*scans[name])
         emp_up = math.ceil(emp * 10.0) / 10.0 if emp < math.inf else 10.0
         a_check = max(stated, usage, emp_up)
         for a in (a_check, 2.0 * a_check):

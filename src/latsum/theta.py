@@ -1048,8 +1048,11 @@ class ShiftedSumEvaluator:
             weighted *= self._weights
             per_term *= we
             parts.append(np.add.reduce(we) if mixture else we)
-            axis = None if one else (0, -1) if mixture else -1
-            bound = bound + np.add.reduce(per_term, axis=axis)
+            if mixture:
+                # over the nodes, then over the terms: numpy's order for one
+                # reduction over both axes changes with the batch length
+                per_term = np.add.reduce(per_term)
+            bound = bound + np.add.reduce(per_term, axis=None if one else -1)
         rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         if one:
             return math.fsum(rows.tolist()) + self.value_offset, float(bound)

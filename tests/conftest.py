@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latsum import proofcheck as pc
 from latsum.lattice import (
     ReductionTrace,
     hexagonal_lattice,
@@ -451,3 +452,98 @@ def composed_charged_term_d2(k, l, y, alpha):
     return np.exp(-pa * phi_g(k, l, y)) * (
         (pa * pa * f1 * f1 - pa * f2) * p0 - 2.0 * pa * f1 * p1 + p2
     )
+
+
+# Full-box references for the lemma checkers that evaluate one column of each
+# (m^2, l) class or share one exp table per level family: every pair of the
+# box, every sum with an exp table of its own.
+
+def derivative_bounds_oracle() -> pc.LemmaReport:
+    """``check_derivative_bounds`` over every pair of |k|, |l| <= 20."""
+    ys, k_max = np.linspace(Y_HEX, 10.0, 200), 20
+    k, l = pc._box(k_max)
+    qq = pc.q1(k, l)
+    first = second = math.inf
+    for rows in pc._row_blocks(ys):
+        first = min(first, np.min(2.0 * qq - np.abs(pc.phi_f_d1(k, l, rows))))
+        second = min(second, np.min(3.0 * qq - np.abs(pc.phi_f_d2(k, l, rows))))
+    return pc.LemmaReport(
+        "derivative_bounds", f"|k|,|l| <= {k_max}, {len(ys)}-point y-grid", min(first, second)
+    )
+
+
+def growth11_oracle() -> pc.LemmaReport:
+    """``check_growth11_composite`` over every pair of |k|, |l| <= 15."""
+    alphas, k_max = (5.0, 10.0), 15
+    ys = np.linspace(Y_HEX, 8.0, 160)
+    k, l = pc._box(k_max)
+    qq = pc.q1(k, l)
+    worst = np.zeros((len(alphas), qq.size))
+    for rows in pc._row_blocks(ys):
+        f, d1, d2 = pc.phi_f(k, l, rows), pc.phi_f_d1(k, l, rows), pc.phi_f_d2(k, l, rows)
+        for w, alpha in zip(worst, alphas):
+            np.maximum(w, np.abs(pc._shifted_d2(math.pi * alpha, f, d1, d2)).max(axis=0), out=w)
+    margin = math.inf
+    for alpha, w in zip(alphas, worst):
+        bound = 5.0 * math.pi**2 * alpha**2 * qq * qq * np.exp(
+            -0.5 * math.pi * alpha * np.sqrt(qq)
+        )
+        margin = min(margin, np.min((bound - w) / bound))
+    return pc.LemmaReport(
+        "growth11", f"alphas {alphas}, |k|,|l| <= {k_max}, relative slack", margin
+    )
+
+
+def _level_sum_oracle(c, level, mask, q_of=np.float64, s_of=np.sqrt, power=0):
+    """a -> sum over the mask of Q^power exp(c a s(Q)), Q = q_of(level), one
+    term per distinct level weighted by its count, from an exp table of its
+    own over its levels, clipped as ``proofcheck._LevelFamily`` clips."""
+    count = np.bincount(level[mask])
+    lev = np.flatnonzero(count > 0)
+    q = q_of(lev)
+    w, s = count[lev] * q**power, s_of(q)
+
+    def total(a):
+        n = np.searchsorted(s, _EXP_FLOOR / (c * np.min(a)), side="right")
+        x = np.multiply.outer(c * a, s[:n])
+        return np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x) @ w[:n]
+
+    return total
+
+
+def _threshold_lhs_oracles() -> dict:
+    """id -> lhs of ``proofcheck._THRESHOLDS``, each sum on its own."""
+    pi, sqrt3 = math.pi, math.sqrt(3.0)
+    k, l = pc._box(40)
+    cheb = np.maximum(np.abs(k), np.abs(l))
+    n2 = k * k + l * l
+    q2_level = k * k + k * l + l * l
+    q1_level = q2_level + k + l
+    ks = np.arange(40)
+
+    def q1_of(n):
+        return (2.0 / sqrt3) * (n + 1.0 / 3.0)
+
+    composite = _level_sum_oracle(-0.5 * pi, q1_level, cheb > 1, q1_of, power=2)
+    charged = _level_sum_oracle(-pi, q2_level, (l != 0) & (cheb > 1), power=2)
+    quartic = _level_sum_oracle(-pi, ks, ks >= 2, s_of=np.square, power=4)
+    return {
+        "square_tail": _level_sum_oracle(-pi, n2, n2 >= 2, s_of=np.positive),
+        "far_q1": _level_sum_oracle(-0.5 * pi, q1_level, cheb > 5, q1_of),
+        "nondominant_q1": _level_sum_oracle(-0.5 * pi, q1_level, q1_level >= 1, q1_of),
+        "composite_q1": lambda a: 5.0 * pi**2 * a**2 * composite(a),
+        "charged_far": _level_sum_oracle(-pi, q2_level, (l != 0) & (q2_level > 1)),
+        "charged_composite": lambda a: 40.0 * a * a * quartic(a) + 3.0 * pi**2 * a**2 * charged(a),
+    }
+
+
+THRESHOLD_LHS_ORACLES = _threshold_lhs_oracles()
+
+
+def threshold_scan_oracle(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs of one threshold id on ``proofcheck._ALPHA_SCAN``, block by
+    block of 8 alphas, the lhs from ``THRESHOLD_LHS_ORACLES``."""
+    lhs, rhs = THRESHOLD_LHS_ORACLES[name], pc._THRESHOLDS[name][3]
+    scan = pc._ALPHA_SCAN
+    blocks = [scan[i : i + 8] for i in range(0, len(scan), 8)]
+    return np.concatenate([lhs(a) for a in blocks]), np.concatenate([rhs(a) for a in blocks])

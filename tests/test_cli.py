@@ -232,18 +232,22 @@ class TestVerifyLemmas:
         assert code == 0
         assert {e["lemma_id"] for e in json.loads(out)} == {"q1_ledger", "tail_constants"}
 
-    def test_failing_lemma_exits_four(self, capsys, monkeypatch):
-        # with far_q1's rhs at half its lhs the inequality fails up to the
-        # scan's end: no empirical threshold, a failing report and exit 4
-        stated, usage, lhs, _ = proofcheck._THRESHOLDS["far_q1"]
+    @pytest.mark.parametrize("name", list(proofcheck._THRESHOLDS))
+    def test_failing_lemma_exits_four(self, capsys, monkeypatch, name):
+        # with one id's rhs at half its lhs the inequality fails up to the
+        # scan's end: no empirical threshold, a failing report and exit 4;
+        # the shared scan reads the patched entry of each id
+        stated, usage, lhs, _ = proofcheck._THRESHOLDS[name]
         monkeypatch.setitem(
-            proofcheck._THRESHOLDS, "far_q1", (stated, usage, lhs, lambda a: 0.5 * lhs(a))
+            proofcheck._THRESHOLDS, name, (stated, usage, lhs, lambda a: 0.5 * lhs(a))
         )
         code, out, _ = run(capsys, ["verify-lemmas", "--suite", "alpha_thresholds"])
         assert code == 4
         (entry,) = json.loads(out)
         assert not entry["pass"] and entry["worst_margin"] < 0
-        assert "far_q1: stated 1.0, empirical inf, checked 10.0" in entry["params_tested"]
+        assert f"{name}: stated {stated}, empirical inf, checked 10.0" in entry["params_tested"]
+        inf_notes = [note for note in entry["params_tested"].split("; ") if "empirical inf" in note]
+        assert len(inf_notes) == 1
 
     def test_unknown_id_exits_two(self, capsys):
         code, _, err = run(capsys, ["verify-lemmas", "--suite", "nope"])

@@ -8,16 +8,22 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import (
+    THRESHOLD_LHS_ORACLES,
     composed_charged_term_d2,
+    derivative_bounds_oracle,
+    growth11_oracle,
     phi_g_d1,
     psi_arg,
     psi_g,
     psi_g_d1,
     psi_g_d2,
     run_under_memory_limit,
+    threshold_scan_oracle,
 )
 from latsum import proofcheck as pc
 from latsum.errors import NonPositiveT
@@ -252,6 +258,29 @@ class TestExponentFamilies:
             fd = (f_charge(y + h) - 2 * f_charge(y) + f_charge(y - h)) / h**2
             assert abs(fd - float(pc.charged_term_d2(k, l, y, alpha))) < 1e-4 * max(1.0, abs(fd))
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(-20, 20),
+        l=st.integers(-20, 20),
+        y=st.floats(Y_HEX, 10.0),
+        alpha=st.floats(0.5, 20.0),
+    )
+    def test_shifted_family_is_equal_at_the_class_partner(self, k, l, y, alpha):
+        # (k, l) and (-k-l-1, l) share m^2 = (2k+l+1)^2 and l, and every float
+        # step sees the same operands: the values agree bit for bit, the fact
+        # the checkers' column classes rest on
+        partner = -k - l - 1
+
+        def bits(x):
+            return np.asarray(x, dtype=float).tobytes()
+
+        assert bits(pc.q1(k, l)) == bits(pc.q1(partner, l))
+        for fn in (pc.phi_f, pc.phi_f_d1, pc.phi_f_d2):
+            assert bits(fn(k, l, y)) == bits(fn(partner, l, y)), fn.__name__
+        assert bits(pc.shifted_term_d2(k, l, y, alpha)) == bits(
+            pc.shifted_term_d2(partner, l, y, alpha)
+        )
+
     @pytest.mark.parametrize(
         "alphas, y_top", [((5.0, 8.0), 1.0), ((2.0, 3.5, 5.0), 1.5)], ids=["nine", "ball"]
     )
@@ -319,6 +348,27 @@ class TestGrowthLemmas:
 
     def test_growth11_composite_pass(self):
         assert pc.check_growth11_composite().passed
+
+    @pytest.mark.parametrize("radius, size", [(20, 1061), (15, 609)])
+    def test_column_classes_cover_the_box_once(self, radius, size):
+        k, l = pc._column_classes(radius)
+        kept = list(zip(((2 * k + l + 1) ** 2).tolist(), l.tolist()))
+        assert len(kept) == len(set(kept)) == size
+        bk, bl = pc._box(radius)
+        assert set(zip(((2 * bk + bl + 1) ** 2).tolist(), bl.tolist())) == set(kept)
+
+    @pytest.mark.parametrize(
+        "checker, oracle",
+        [
+            (pc.check_derivative_bounds, derivative_bounds_oracle),
+            (pc.check_growth11_composite, growth11_oracle),
+        ],
+        ids=["derivative_bounds", "growth11"],
+    )
+    def test_column_classes_report_the_full_box(self, checker, oracle):
+        got, want = checker(), oracle()
+        assert (got.lemma_id, got.params_tested) == (want.lemma_id, want.params_tested)
+        assert repr(got.worst_margin) == repr(want.worst_margin)
 
 
 class TestConcavity:
@@ -552,7 +602,7 @@ class TestSuite:
         # to rounding, and lhs < rhs at the same points, so that the empirical
         # thresholds in params_tested do not rest on which path ran
         _, _, lhs, rhs = pc._THRESHOLDS[name]
-        scan_lhs, scan_rhs = pc._scan_values(name)
+        scan_lhs, scan_rhs = pc._scan_values()[name]
         grid = pc._ALPHA_SCAN.tolist()
         point_lhs = [lhs(a) for a in grid]
         point_rhs = [rhs(a) for a in grid]
@@ -560,6 +610,29 @@ class TestSuite:
         np.testing.assert_allclose(scan_lhs, point_lhs, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(scan_rhs, point_rhs, rtol=1e-13, atol=0.0)
         np.testing.assert_array_equal(scan_lhs < scan_rhs, np.less(point_lhs, point_rhs))
+
+    @pytest.mark.parametrize("name", THRESHOLD_IDS)
+    def test_shared_family_tables_match_own_tables(self, name):
+        # the scan shares one exp table per level family and block; each sum
+        # with a table of its own gives the same values bit for bit, in the
+        # scan of all ids, of this id alone and at single alphas
+        want_lhs, want_rhs = threshold_scan_oracle(name)
+        for got_lhs, got_rhs in (pc._scan_values()[name], pc._scan_values(name)[name]):
+            assert got_lhs.tobytes() == want_lhs.tobytes()
+            assert got_rhs.tobytes() == want_rhs.tobytes()
+        lhs = pc._THRESHOLDS[name][2]
+        for a in (0.05, 1.2, 6.0, 12.0):
+            assert repr(lhs(a)) == repr(THRESHOLD_LHS_ORACLES[name](a))
+
+    def test_family_table_is_kept_by_the_alphas_values(self):
+        # equal alphas share the one read-only table; alphas changed in place
+        # get a table of their own
+        family = pc._LevelFamily(-math.pi, np.arange(10))
+        a = np.array([0.5, 1.0])
+        table = family.table(a)
+        assert family.table(a.copy()) is table and not table.flags.writeable
+        a[0] = 0.25
+        assert not np.array_equal(family.table(a), table)
 
     def test_threshold_table_ids(self):
         assert list(pc._THRESHOLDS) == THRESHOLD_IDS

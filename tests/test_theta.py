@@ -712,6 +712,17 @@ class TestBatchEvaluators:
             assert (one.value, one.tail_bound) == (values[0], bounds[0])
             assert one.converged == (ev.converged and bounds[0] <= ev.tol)
 
+    def test_certified_at_is_its_row_of_a_batch(self, rng, hexl):
+        """A mixture's bound sums each term's rounding over the nodes, then over
+        the terms, in an order that does not depend on the batch: each shift
+        gets, bit for bit, what it gets as one row of a 23-row batch."""
+        ev = ShiftedSumEvaluator(hexl, CMPotential.riesz(4.0).nodes)
+        zs = rng.random((23, 2))
+        values, bounds = ev.certified(zs)
+        for z, value, bound in zip(zs, values, bounds):
+            one = ev.certified_at(PhasePoint(*z))
+            assert (one.value, one.tail_bound) == (value, bound)
+
     @pytest.mark.parametrize("shift", [(math.nan, 0.2), (0.2, math.inf), (-math.inf, 0.2)])
     @pytest.mark.parametrize("nodes", EVALUATOR_NODES.values(), ids=EVALUATOR_NODES)
     def test_nonfinite_shift_raises(self, nodes, shift):
