@@ -67,53 +67,57 @@ def _check_t(t: float) -> None:
 # One-dimensional theta functions
 # ---------------------------------------------------------------------------
 
-# the most factors montgomery_Q's product takes
-_MAX_INDEX_1D = 10_000
 # float64 items per array a 1D batch builds: at 8 bytes an item, below glibc's
 # default 128 KiB mmap and trim thresholds, so repeated calls reuse heap pages
 _BLOCK_ITEMS = 12 * 1024
-_ROWS_1D = _BLOCK_ITEMS // 9  # kernel elements per row block
+_ROWS_1D = _BLOCK_ITEMS // 10  # kernel elements per row block of 10 columns
 _MIN_T_1D = 1e-200  # t^(-3/2) stays finite
 _JACOBI_N = np.arange(-4.0, 5.0)
 _COSINE_K = np.arange(6.0)
-# by order: the cosine side's |c_k| and |c_6|
+# by order: the cosine side's c_k and the bound |c_6| max |T_6|
 _COSINE_C = {
     0: (np.array([1.0, 2, 2, 2, 2, 2]), 2.0),
+    1: (4 * math.pi * _COSINE_K, 144 * math.pi),
     2: (8 * math.pi**2 * _COSINE_K**2, 288 * math.pi**2),
 }
 
 
 def _theta1d(beta, t, order: int = 0, bound: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """theta_hat(beta; t) (order 0) or its second beta-derivative (order 2) at
-    arrays beta and finite t >= ``_MIN_T_1D`` broadcast together, and a bound
-    on each one's error.  With b = beta - round(beta) (exact), an element takes
-    the shorter side of the Jacobi identity, switching at t = 1 as
-    ``heat_route`` does: for t < 1 the Jacobi side, whose terms do not cancel,
+    """theta_hat(beta; t) (order 0), Q = -theta_hat'(beta; t) / sin(2 pi beta)
+    (order 1) or theta_hat'' (order 2) at arrays of finite beta and finite
+    t >= ``_MIN_T_1D`` broadcast together, and a bound on each one's error.
+    With b = beta - round(beta) (exact), an element takes the shorter side of
+    the Jacobi identity, switching at t = 1 as ``heat_route`` does: for t < 1
+    the Jacobi side, whose terms do not cancel (order 1: ``_jacobi_ratio``),
 
         t^(-1/2) sum_n e^(-x_n), t^(-1/2) (2 pi/t) sum_n (2 x_n - 1) e^(-x_n),
 
     x_n = pi (n + b)^2 / t, n in [-4, 4]; for t >= 1 the cosine side
-    sum_k c_k e^(-x_k) cos(2 pi k b), x_k = pi t k^2, k in [0, 5], c_k = 1, 2, 2,
-    ... resp. -8 pi^2 k^2.  Fixed ranges and rows summed one by one, in row
-    blocks of ``_ROWS_1D``, make a scalar call its batch element bit for bit.
+    sum_k c_k e^(-x_k) T_k, x_k = pi t k^2, k in [0, 5], T_k = cos(2 pi k b),
+    c_k = 1, 2, 2, ... resp. -8 pi^2 k^2, or T_k = U_(k-1)(cos 2 pi b), c_k =
+    4 pi k for order 1, U the Chebyshev polynomials of the second kind by
+    their recurrence.  Fixed ranges and rows summed one by one, in row blocks
+    of ``_ROWS_1D``, make a scalar call its batch element bit for bit.
     ``bound=False`` skips the bounds and returns None for them.
 
     Truncation: with u = |n + b| resp. k and a = pi/t resp. pi t >= pi, a
-    term's size is p e^(-a u^2), p = 1 or 2 x + 1 resp. |c_k|, and the first u
-    left out is at least r = 4.5 resp. 6.  Past r successive sizes fall by
-    q <= ((r + 1)/r)^2 e^(-a (2 r + 1)) < 4e-14, as (2 a (u + 1)^2 + 1) /
-    (2 a u^2 + 1) <= ((u + 1)/u)^2: those left out sum to (1 + 1e-13) p(r)
-    e^(-a r^2) at most, on each side of -b (c_k counts both), times the
+    term's size is p e^(-a u^2), p = 1 or 2 x + 1 resp. |c_k| max |T_k|, and
+    the first u left out is at least r = 4.5 resp. 6.  Past r successive sizes
+    fall by q <= ((r + 1)/r)^2 e^(-a (2 r + 1)) < 4e-14, as (2 a (u + 1)^2 +
+    1) / (2 a u^2 + 1) <= ((u + 1)/u)^2: those left out sum to (1 + 1e-13)
+    p(r) e^(-a r^2) at most, on each side of -b (c_k counts both), times the
     prefactor.  p e^(-x) falls past x = 1/2, so x clipped at 700 bounds it too.
 
     Rounding: x is within 3 eps x, so e^(-x) within eps (3 x + 1); 2 x - 1
-    within 3.5 eps p; the phase 2 pi b k within 4.8 k eps.  A term is within
-    eps p e^(-x) (3 x + 4.8 k + 5), and the sum of 9 and the prefactor add
-    11 eps of the sizes: the bound eps pref sum p e^(-x) (4 x + 6 k + 24), k = 0
-    on the Jacobi side, leaves slack for second-order terms and for taking
-    the computed x and e.  An exponent clipped at ``_EXP_FLOOR`` moves its
-    term by below max(p(700), 200 pi^2) e^-700 < 2e3 e^-700.  A t above 1e300
-    is summed at 1e300, where each term but k = 0 is clipped either way.
+    within 3.5 eps p; the phase 2 pi b k within 4.8 k eps; cos(2 pi b) within
+    3 eps, so U_(k-1), by |U'_(k-1)| <= k (k^2 - 1) / 3 and the recurrence's
+    steps, within (k^3 + k^2) eps.  A term is within eps p e^(-x) (3 x + 6 k +
+    5), and the sum and the prefactor add 11 eps of the sizes: the bound eps
+    pref sum p e^(-x) (4 x + 6 k + 24), k = 0 on the Jacobi side, leaves slack
+    for second-order terms and for taking the computed x and e.  An exponent
+    clipped at ``_EXP_FLOOR`` moves its term by below max(p(700), 200 pi^2)
+    e^-700 < 2e3 e^-700.  A t above 1e300 is summed at 1e300, where each term
+    but k = 0 is clipped either way.
     """
     beta, t = np.asarray(beta, dtype=float), np.asarray(t, dtype=float)
     if beta.shape != t.shape:
@@ -122,6 +126,8 @@ def _theta1d(beta, t, order: int = 0, bound: bool = True) -> tuple[np.ndarray, n
     lo, hi = np.minimum.reduce(t, initial=math.inf), np.maximum.reduce(t, initial=1.0)
     if not (lo >= _MIN_T_1D and hi < math.inf):
         raise ValueError(f"the 1D kernel takes finite t >= {_MIN_T_1D}, got {lo} to {hi}")
+    if not np.isfinite(b).all():
+        raise ValueError(f"the 1D kernel takes finite beta, got {b[~np.isfinite(b)][0]}")
     b = b - np.rint(b)
     near = t < 1.0
     n_near = np.count_nonzero(near)
@@ -140,6 +146,8 @@ def _theta1d(beta, t, order: int = 0, bound: bool = True) -> tuple[np.ndarray, n
 
 
 def _jacobi_side(b: np.ndarray, t: np.ndarray, order: int, bound: bool):
+    if order == 1:
+        return _jacobi_ratio(b, t, bound)
     neg_a = -math.pi / t
     nx = np.add.outer(b, _JACOBI_N)
     nx *= nx
@@ -166,6 +174,43 @@ def _jacobi_side(b: np.ndarray, t: np.ndarray, order: int, bound: bool):
     return values, _bound_1d(nx, size, 24.0, cut * 2.0) * pref
 
 
+def _jacobi_ratio(b: np.ndarray, t: np.ndarray, bound: bool):
+    """Q = 2 pi t^(-3/2) sum_n g(n + b) / sin(2 pi b), g(u) = u e^(-pi u^2 / t),
+    in 5 pairs about centres c that share the sine: c = 0, ..., 4 (c = 0 once)
+    if d = |b| <= 1/4, else c = 1/2, ..., 9/2, sign -1, d = 1/2 - |b| (exact).
+    With E+- = e^(-pi (c +- d)^2 / t), x = 4 pi c d / t, phi(x) = -expm1(-x)/x,
+    a pair (g(c + d) - g(c - d)) / sin(2 pi d) is ((E+ + E-) / (2 pi) -
+    (2 c^2 / t) E- phi(x)) / sinc(2 d), sinc(2 d) = sin(2 pi d) / (2 pi d) >=
+    2/pi: nothing divides by 0.  A pair left out has c - d >= r = 4.75 and, as
+    sin(2 pi d) >= 4 d, is at most max |g'| / 2 on [c - d, c + d], |g'| = |1 -
+    2 x| e^(-x) at x = pi u^2 / t, falling past x = 3/2: those left out sum to
+    (1 + 1e-13) (2 x_r + 1) e^(-x_r) / 2 at most.  E+- / (2 pi) is within eps
+    (3 x + 2.5), and the phi piece within eps (3 x + 7), as phi(x) is within
+    3.5 eps (|x phi'| <= phi); the pair, the sum, sinc and the prefactor add 9
+    eps of the sizes.  Exponents past -700 are flushed to 0: a piece dropped is
+    below (8/pi) x e^-x <= 1800 e^-700 (2 c^2 / t <= 8 x / pi for c >= 1/2),
+    and all of them and the subnormal steps below 1e4 e^-700."""
+    half = np.abs(b) > 0.25
+    d = np.abs(0.5 * half - np.abs(b))  # exact
+    c = np.add.outer(0.5 * half, _JACOBI_N[4:])
+    a = math.pi / t
+    u = np.concatenate((c + d[:, None], c - d[:, None]), axis=1)
+    nx = u * u * -a[:, None]  # -x of c + d and c - d
+    e = _flushed_exp(nx.copy(), _EXP_FLOOR)
+    x = np.maximum(c * (4.0 * a * d)[:, None], 1e-300)  # phi(0) = 1
+    pull = np.expm1(-x) / x * (c * c) * (-2.0 / t)[:, None] * e[:, 5:]
+    e *= 1.0 / TWO_PI
+    e[:, ::5] *= (0.5 + 0.5 * half)[:, None]  # c = 0 counts once
+    y = TWO_PI * np.maximum(d, 1e-300)  # y / sin(y) = 1 / sinc(2 d)
+    scale = np.where(half, -TWO_PI, TWO_PI) / (t * np.sqrt(t)) * (y / np.sin(y))
+    values = np.add.reduce(e[:, :5] + e[:, 5:] - pull, axis=1) * scale
+    if not bound:
+        return values, None
+    e[:, 5:] += pull
+    reach = np.maximum(-22.5625 * a, _EXP_FLOOR)  # -x at r
+    return values, _bound_1d(nx, e, 24.0, np.exp(reach) * (0.5 - reach)) * np.abs(scale)
+
+
 def _cosine_side(b: np.ndarray, t: np.ndarray, order: int, bound: bool):
     neg_a = -math.pi * np.minimum(t, 1e300)
     nx = np.multiply.outer(neg_a, _COSINE_K**2)
@@ -173,8 +218,17 @@ def _cosine_side(b: np.ndarray, t: np.ndarray, order: int, bound: bool):
     c, c6 = _COSINE_C[order]
     size = np.exp(nx)
     size *= c
-    terms = np.cos(np.multiply.outer(TWO_PI * b, _COSINE_K))
-    terms *= -size if order else size
+    if order == 1:
+        terms = np.zeros_like(size)  # U_(k-1)(cos 2 pi b), U_(-1) = 0
+        terms[:, 1] = 1.0
+        two_cos = 2.0 * np.cos(TWO_PI * b)
+        for k in range(2, 6):
+            terms[:, k] = two_cos * terms[:, k - 1] - terms[:, k - 2]
+        terms *= size
+        size *= _COSINE_K
+    else:
+        terms = np.cos(np.multiply.outer(TWO_PI * b, _COSINE_K))
+        terms *= -size if order else size
     values = np.add.reduce(terms, axis=1)
     if not bound:
         return values, None
@@ -184,7 +238,7 @@ def _cosine_side(b: np.ndarray, t: np.ndarray, order: int, bound: bool):
 
 def _bound_1d(nx, size, spread, cut):
     """eps sum p e^(-x) (4 x + spread) over a row, from -x and the sizes, plus
-    the truncation, its q, and 9 clipped terms."""
+    the truncation, its q, and the clipped or flushed terms."""
     rounding = np.add.reduce(size * (spread - 4.0 * nx), axis=1)
     rounding *= _EPS
     rounding += cut * (1.0 + 1e-13)
@@ -196,10 +250,8 @@ def theta1d_hat(beta: float, t: float) -> CertifiedValue:
     ``_theta1d`` at one point, 9 terms for t < 1 and 6 past it.  The tail
     carries truncation and rounding; converged means DEFAULT_POLICY's tol."""
     _check_t(t)
-    value, tail = _theta1d(beta, t)
-    tail = float(tail)
-    terms = 9 if t < 1.0 else 6
-    return CertifiedValue(float(value), tail, terms, tail <= DEFAULT_POLICY.target_tol)
+    value, tail = (float(v) for v in _theta1d(beta, t))
+    return CertifiedValue(value, tail, 9 if t < 1.0 else 6, tail <= DEFAULT_POLICY.target_tol)
 
 
 def montgomery_A(t: float) -> float:
@@ -219,108 +271,16 @@ def montgomery_B(t: float) -> float:
 
 
 def montgomery_Q(beta: float, t: float) -> CertifiedValue:
-    """The ratio -theta_hat'(beta; t) / sin(2 pi beta), extended to all beta.
-
-    Evaluated through the term-by-term differentiated product
-    representation, which is a sum of positive terms and carries the
-    removable singularities at beta in Z/2 exactly.  The quantity is
-    positive, even, 1-periodic, decreasing on (0, 1/2), and sandwiched
-    between montgomery_A(t) and montgomery_B(t).  The derivative in beta of
-    theta(beta; s) = sum_k exp(-pi s (k + beta)^2) satisfies
-    -theta'(beta; s) = sin(2 pi beta) * s**-0.5 * Q(beta; 1/s).
-    The tolerance is ``DEFAULT_POLICY``'s, the factors at most ``_MAX_INDEX_1D``;
-    ``tail_bound`` carries the truncation and the rounding.
-    """
+    """The ratio -theta_hat'(beta; t) / sin(2 pi beta), extended to all beta:
+    ``_theta1d``'s order 1 at one point, 10 terms in pairs sharing the sine
+    for t < 1 and 5 past it.  Q is positive, even, 1-periodic, decreasing on
+    (0, 1/2) and between montgomery_A(t) and montgomery_B(t); theta(beta; s)
+    = sum_k exp(-pi s (k + beta)^2) has -theta'(beta; s) = sin(2 pi beta)
+    s^(-1/2) Q(beta; 1/s).  The tail carries truncation and rounding;
+    converged means DEFAULT_POLICY's tol."""
     _check_t(t)
-    values, tails, m_factors = _montgomery_Q_batch(np.array([beta], dtype=float), t)
-    tail = float(tails[0])
-    return CertifiedValue(float(values[0]), tail, m_factors, tail <= DEFAULT_POLICY.target_tol)
-
-
-def _montgomery_factors(t: float) -> int:
-    """The least m >= 1 with 3 e^(-(2m + 1) pi t) / (1 - e^(-2 pi t)) <= tol / 20,
-    tol <= 0.1, at most ``_MAX_INDEX_1D`` and raised to 4: the root in m, then
-    a step or two of that predicate, monotone in m, as a scan from 1 stops.
-    Below t = 1e-8, 1 + 2 cos(2 pi beta) e + e^2 drowns in its rounding."""
-    if not t >= 1e-8:
-        raise ValueError(f"montgomery_Q's product takes t >= 1e-8, got {t}")
-    pi_t = math.pi * t
-    gap = 1.0 - math.exp(-2.0 * pi_t)
-    limit = min(0.1, DEFAULT_POLICY.target_tol) * 0.05
-
-    def more(m):
-        return 3.0 * math.exp(-(2 * m + 1) * pi_t) / gap > limit
-
-    m = min(max(math.ceil((math.log(3.0 / (limit * gap)) / pi_t - 1.0) / 2.0), 1), _MAX_INDEX_1D)
-    while m > 1 and not more(m - 1):
-        m -= 1
-    while m < _MAX_INDEX_1D and more(m):
-        m += 1
-    return max(m, 4)
-
-
-def _montgomery_Q_batch(betas: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """``montgomery_Q`` at every beta of a 1-D array and one t > 0: the values,
-    their tails and the factor count M, in row blocks of ``_BLOCK_ITEMS`` items.
-
-    Q = 4 pi sum_m gap_m e_m P / g_m, P = prod_m g_m, g_m = gap_m B_m,
-    gap_m = 1 - e^(-2 pi m t), e_m = e^(-x_m), x_m = (2m - 1) pi t, B_m = 1 +
-    c e_m + e_m^2, c = 2 cos(2 pi (beta - round(beta))).  To first order gap_m
-    rounds within eps (2 + 1/(2 pi m t)), B_m within eps (B_m / 2 + 3 + 18 e_m)
-    and e_m within eps (1 + 1.5 x_m), x_m capped at 745 where e_m underflows;
-    so the positive l-sum is within r = eps (3 sum_m (6 + 36 e_m) / B_m + 11 M
-    + 3 (1 + log M) / (2 pi t) + 2 x_M + 4) of itself, and 2 r bounds e^r - 1
-    for r <= 1/4.  A subnormal step adds at most 2^-1075, carried by at most
-    U = prod_m (1 + e_m)^2 <= e^(2 q / (1 - q^2)), q = e^(-pi t), over
-    g_m >= gap_m (1 - q)^2: the floor 4 pi 2^-1074 M (U q / ((1 - q)^2
-    (1 - q^2)) + 1).  The omitted factors multiply P by R, |R - 1| <= 1.2 delta,
-    delta = 3 e_(M+1) / (1 - q^2) <= 1/5, and the omitted l-terms add at most
-    4 pi P R e_(M+1) / ((1 - q^2) (1 - e_(M+1))^2), for e_(M+1) <= 0.01.
-    Outside those ranges the tail is infinite.
-    """
-    m_factors = _montgomery_factors(t)
-    m = np.arange(1, m_factors + 1)
-    e_odd = np.exp(-(2 * m - 1) * math.pi * t)
-    odd_sq = e_odd * e_odd
-    even_gap = 1.0 - np.exp(-2.0 * math.pi * m * t)
-    coeff = even_gap * e_odd
-    spread = 6.0 + 36.0 * e_odd
-    c = 2.0 * np.cos(TWO_PI * (betas - np.rint(betas)))
-    full_product, partial, cond = (np.empty(len(betas)) for _ in range(3))
-    rows = max(1, _BLOCK_ITEMS // m_factors)
-    for i in range(0, len(betas), rows):
-        block = slice(i, i + rows)
-        b = 1.0 + c[block, None] * e_odd + odd_sq
-        g = even_gap * b
-        full_product[block] = np.multiply.reduce(g, axis=1)
-        partial[block] = np.add.reduce(coeff * (full_product[block, None] / g), axis=1)
-        cond[block] = np.add.reduce(spread / b, axis=1)
-    partial *= 4.0 * math.pi
-
-    pi_t = math.pi * t
-    q, gap = math.exp(-pi_t), 1.0 - math.exp(-2.0 * pi_t)
-    r = cond * (3.0 * _EPS)
-    r += _EPS * (11.0 * m_factors + 3.0 * (1.0 + math.log(m_factors)) / (2.0 * pi_t) + 4.0)
-    r += _EPS * 2.0 * min((2 * m_factors - 1) * pi_t, 745.0)
-    omitted = math.exp(-(2 * m_factors + 1) * pi_t)
-    band = 3.6 * omitted / gap
-    if omitted > 0.01 or band > 0.24 or np.maximum.reduce(r) > 0.25:
-        return partial, np.full(len(betas), math.inf), m_factors
-    # tail = rounding (1 + band) + band |value| + (P (1 + 2 r) + P's floor) lift
-    lift = 4.0 * math.pi * (1.0 + band) * omitted / (gap * (1.0 - omitted) ** 2)
-    log_m = math.log(m_factors) - 1074 * math.log(2.0)  # log(M 2^-1074)
-    log_u = 2.0 * q / gap
-    # log(U q / ((1 - q)^2 (1 - q^2)))
-    spill = log_u - pi_t - 2.0 * math.log(1.0 - q) - math.log(gap)
-    floor = (1.0 + band) * _exp_or_inf(max(spill, 0.0) + log_m + math.log(8.0 * math.pi))
-    floor += lift * _exp_or_inf(log_u + log_m)
-    tail = (2.0 * (1.0 + band) * r + band) * np.abs(partial)
-    tail += (2.0 * lift * r + lift) * full_product
-    return partial, tail + floor, m_factors
-
-
-def _exp_or_inf(x: float) -> float:
-    return math.exp(x) if x < 709.0 else math.inf
+    value, tail = (float(v) for v in _theta1d(beta, t, 1))
+    return CertifiedValue(value, tail, 10 if t < 1.0 else 5, tail <= DEFAULT_POLICY.target_tol)
 
 
 # ---------------------------------------------------------------------------

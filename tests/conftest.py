@@ -19,7 +19,6 @@ from latsum.lattice import (
 from latsum.proofcheck import phi_g
 from latsum.theta import (
     _EXP_FLOOR,
-    _MAX_INDEX_1D,
     DEFAULT_POLICY,
     TWO_PI,
     CertifiedValue,
@@ -95,15 +94,19 @@ def _gauss_tail(k0: int, t: float) -> float:
     return math.exp(-math.pi * t * k0 * k0) / (1.0 - q)
 
 
+# the most terms on each side of k = 0 that ``theta1d`` sums
+THETA1D_MAX_INDEX = 10_000
+
+
 def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> CertifiedValue:
     """Oracle for the other side of ``theta1d_hat``'s functional equation:
     theta(beta; t) = sum_k exp(-pi t (k + beta)^2), beta taken mod 1 first, so
     the result is 1-periodic in beta by construction, summed at most to
-    ``_MAX_INDEX_1D`` as that series is."""
+    ``THETA1D_MAX_INDEX``."""
     _check_t(t)
     b = beta - math.floor(beta)
     terms = [math.exp(-math.pi * t * b * b)]
-    for m in range(1, _MAX_INDEX_1D + 1):
+    for m in range(1, THETA1D_MAX_INDEX + 1):
         terms.append(math.exp(-math.pi * t * (m + b) ** 2))
         terms.append(math.exp(-math.pi * t * (-m + b) ** 2))
         # (k+b)^2 >= k^2 for k >= 1 and >= (|k|-1)^2 for k <= -1
@@ -111,20 +114,6 @@ def theta1d(beta: float, t: float, pol: TruncationPolicy = DEFAULT_POLICY) -> Ce
         if tail <= pol.target_tol:
             break
     return CertifiedValue(math.fsum(terms), tail, len(terms), tail <= pol.target_tol)
-
-
-def montgomery_factor_loop(t: float) -> int:
-    """Oracle for ``theta._montgomery_factors``: the scan upward from m = 1
-    while 3 e^(-(2m + 1) pi t) / (1 - e^(-2 pi t)) exceeds tol / 20, stopped at
-    ``_MAX_INDEX_1D`` and raised to 4."""
-    rel_tol = min(0.1, DEFAULT_POLICY.target_tol)
-    pi_t = math.pi * t
-    m_factors = 1
-    while m_factors < _MAX_INDEX_1D and (
-        3.0 * math.exp(-(2 * m_factors + 1) * pi_t) / (1.0 - math.exp(-2.0 * pi_t)) > rel_tol * 0.05
-    ):
-        m_factors += 1
-    return max(m_factors, 4)
 
 
 def product_rep_theta1d_hat(beta: float, t: float, n_factors: int) -> float:

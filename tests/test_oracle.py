@@ -185,20 +185,27 @@ def montgomery_reference(beta, t):
         return 4 * mpmath.pi * total
 
 
-# the t grid of the lemma suite's Montgomery sandwich, and small t down to 1e-3
-MONTGOMERY_TS = [1e-3, 1e-2, 0.1] + np.logspace(math.log10(0.25), math.log10(4.0), 9).tolist()
+# the t grid of the lemma suite's Montgomery sandwich, and small t down to 1e-5
+MONTGOMERY_TS = [1e-5, 1e-4, 1e-3, 1e-2, 0.1] + np.logspace(
+    math.log10(0.25), math.log10(4.0), 9
+).tolist()
+# 0.25 +- 1e-12 straddle the switch between the kernel's two pairings
+MONTGOMERY_BETAS = [0.0, 1e-9, 0.1, 0.25 - 1e-12, 0.25, 0.25 + 1e-12, 0.4, 0.5 - 1e-9, 0.5]
 
 
 @pytest.mark.parametrize(
     "beta,t",
-    [(beta, t) for t in MONTGOMERY_TS for beta in [0.0, 0.1, 0.25, 0.4, 0.5]]
-    # Q is 8e-334 there, below the floats, and the product passes through subnormals
+    [(beta, t) for t in MONTGOMERY_TS for beta in MONTGOMERY_BETAS]
+    # Q is 8e-334 there, below the floats
     + [(0.5 - 1e-6, 1e-3)],
 )
 def test_montgomery_Q_matches_theta_series(beta, t):
-    """Within the tail, which bounds the truncation and the rounding."""
+    """Within the tail, which bounds the truncation and the rounding, and is
+    finite, and at most 1e-12 of a value in the normal range."""
     q = montgomery_Q(beta, t)
-    assert abs(q.value - montgomery_reference(beta, t)) <= q.tail_bound
+    assert abs(q.value - montgomery_reference(beta, t)) <= q.tail_bound < math.inf
+    if abs(q.value) >= 1e-300:
+        assert q.tail_bound <= 1e-12 * abs(q.value)
 
 
 def theta1d_reference(beta, t, order, side):
@@ -334,3 +341,13 @@ def test_theta1d_hat_is_never_negative(beta, t):
     hat = theta1d_hat(beta, t)
     assert hat.value >= 0.0
     assert 0.0 <= hat.tail_bound < math.inf
+
+
+@PROPERTY
+@given(st.floats(-1e6, 1e6), st.floats(-200.0, 300.0).map(lambda e: 10.0**e))
+def test_montgomery_Q_is_never_negative(beta, t):
+    """Q is positive; its tail is finite and nonnegative and covers a value
+    rounded below 0, on the whole range of t the kernel takes."""
+    q = montgomery_Q(beta, t)
+    assert 0.0 <= q.tail_bound < math.inf
+    assert q.value + q.tail_bound >= 0.0

@@ -18,9 +18,9 @@ from latsum.lattice import (
 from latsum.theta import (
     _EXP_FLOOR,
     _MAX_BOX_CELLS,
-    _MAX_INDEX_1D,
     _TILE_CROSS,
     DEFAULT_POLICY,
+    TWO_PI,
     ShiftedSumEvaluator,
     TruncationPolicy,
     _ball,
@@ -28,7 +28,6 @@ from latsum.theta import (
     _box_radius,
     _dual_side,
     _gaussian_tail,
-    _montgomery_Q_batch,
     _nearest_sq,
     _node_arrays,
     _plan,
@@ -46,11 +45,11 @@ from latsum.theta import (
 )
 
 from conftest import (
+    THETA1D_MAX_INDEX,
     Y_HEX,
     assert_derivatives_match_differences,
     assert_derivatives_match_oracle,
     direct_series_derivatives,
-    montgomery_factor_loop,
     product_rep_theta1d_hat,
     random_domain_lattice,
     run_under_memory_limit,
@@ -105,7 +104,7 @@ class TestTheta1D:
     def test_tail_flag(self):
         # at t = 1e-9 the tail falls below 1e-12 only past k ~ 1.5e5
         cv = theta1d(0.0, 1e-9)
-        assert cv.terms_used == 2 * _MAX_INDEX_1D + 1
+        assert cv.terms_used == 2 * THETA1D_MAX_INDEX + 1
         assert not cv.converged
         # the hat series sums its short side, t^(-1/2) sum_n e^(-pi n^2 / t), in
         # a few terms; the rounding of a value of 3.2e4 exceeds the tolerance 1e-12
@@ -154,7 +153,7 @@ class TestKernel1D:
             hat = theta1d_hat(float(b), float(tt))
             assert (hat.value, hat.tail_bound) == (value, tail)
             assert hat.terms_used == (9 if tt < 1.0 else 6)
-        for order in (0, 2):
+        for order in (0, 1, 2):
             values, tails = theta._theta1d(beta[2:], t[2:], order)
             for b, tt, value, tail in zip(beta[2:].flat, t[2:].flat, values.flat, tails.flat):
                 assert theta._theta1d(b, tt, order) == (value, tail)
@@ -164,12 +163,12 @@ class TestKernel1D:
         n = 3 * theta._ROWS_1D + 5
         beta = np.linspace(-0.5, 1.5, n)
         t = np.where(np.arange(n) % 3 == 0, 0.3, 3.0)
-        for order in (0, 2):
+        for order in (0, 1, 2):
             values, tails = theta._theta1d(beta, t, order)
             for i in (0, 1, theta._ROWS_1D, n - 1):
                 assert theta._theta1d(beta[i], t[i], order) == (values[i], tails[i])
 
-    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2])
     def test_extreme_t_works_or_fails_loudly(self, order):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -183,6 +182,22 @@ class TestKernel1D:
         assert theta1d_hat(0.3, 1e300).value == 1.0
         with pytest.raises(ValueError):
             theta1d_hat(0.3, 1e-300)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_beta_raises(self, beta):
+        # once per call, before any row block: no NaN value and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (theta1d_hat, montgomery_Q):
+                with pytest.raises(ValueError, match="finite beta"):
+                    call(beta, 0.5)
+            n = 2 * theta._ROWS_1D + 3
+            betas = np.linspace(0.0, 1.0, n)
+            betas[n - 2] = beta
+            for order in (0, 1, 2):
+                for t in (0.5, 2.0, np.where(np.arange(n) % 2, 0.5, 2.0)):
+                    with pytest.raises(ValueError, match="finite beta"):
+                        theta._theta1d(betas, t, order)
 
     def test_short_side_is_never_negative(self):
         # the cosine series at (0.5, 1e-4) read -8.5e-14 for a true value of
@@ -260,9 +275,9 @@ class TestMontgomeryQ:
         assert abs(montgomery_Q(1e-9, 1.0).value - q0) < 1e-8
 
     def test_converged_means_tail_within_tol(self):
-        # a tail of 5.7e-12 on a value near 89 misses the default tol 1e-12
-        q = montgomery_Q(0.0, 0.05)
-        assert q.value == pytest.approx(89.44, abs=0.01)
+        # a tail of 5.3e-12 on a value near 1000 misses the default tol 1e-12
+        q = montgomery_Q(0.0, 0.01)
+        assert q.value == pytest.approx(1000.0, abs=0.01)
         assert q.tail_bound > DEFAULT_POLICY.target_tol
         assert not q.converged
         for t in np.logspace(math.log10(0.05), math.log10(4.0), 20):
@@ -270,42 +285,27 @@ class TestMontgomeryQ:
                 q = montgomery_Q(float(beta), float(t))
                 assert q.converged == (q.tail_bound <= DEFAULT_POLICY.target_tol)
 
-    def test_factor_count_stops_at_the_cap(self):
-        # at t = 1e-4 the tolerance asks for more factors than the cap allows
-        for beta in (0.0, 0.3):
-            q = montgomery_Q(beta, 1e-4)
-            assert q.terms_used == _MAX_INDEX_1D
-        assert not montgomery_Q(0.0, 1e-4).converged
-
-    def test_factor_count_matches_the_loop(self):
-        # the closed form against the scan it replaced, across the cap at
-        # t ~ 5.9e-4 and the floor of 4 factors at large t
-        grid = np.logspace(-5.0, 1.0, 241).tolist()
-        counts = [theta._montgomery_factors(t) for t in grid]
-        assert counts == [montgomery_factor_loop(t) for t in grid]
-        assert counts[0] == _MAX_INDEX_1D and counts[-1] == 4
-        assert _MAX_INDEX_1D in counts and len(set(counts)) > 100
-
-    def test_tail_counts_underflow_and_the_cap(self):
-        # the product underflows on its way at (0, 1e-5), where Q is ~ 3e7; the
-        # factor cap leaves its truncation unbounded there and at (0.3, 1e-4)
-        for beta, t in ((0.0, 1e-5), (0.3, 1e-4)):
-            q = montgomery_Q(beta, t)
-            assert q.value == 0.0 and q.tail_bound == math.inf and not q.converged
-        with pytest.raises(ValueError):
-            montgomery_Q(0.3, 1e-9)
+    @pytest.mark.parametrize("t", [1e-5, 1e-4])
+    def test_small_t_is_within_its_tail(self, t):
+        # Q(0; t) = -theta_hat''(0; t) / (2 pi): the kernel's order 2 sums the
+        # unpaired Jacobi terms (2 x - 1) e^(-x); Q is ~ t^(-3/2) there
+        q = montgomery_Q(0.0, t)
+        hat2, tail2 = (float(v) for v in theta._theta1d(0.0, t, 2))
+        assert q.value == pytest.approx(t**-1.5, rel=1e-12)
+        assert abs(q.value + hat2 / TWO_PI) <= q.tail_bound + tail2 / TWO_PI
+        assert 0.0 < q.tail_bound <= 1e-12 * q.value
+        assert q.terms_used == 10 and not q.converged
 
     def test_scalar_call_is_the_batch_element(self):
-        # bit for bit on the lemma suite's sandwich grid, and at t = 1e-4, where
-        # the factor count meets its cap and the batch takes one beta a block
-        grid = np.logspace(math.log10(0.25), math.log10(4.0), 9).tolist()
-        for t, betas in [(t, np.linspace(0.0, 0.5, 50)) for t in grid] + [
-            (1e-4, np.array([0.0, 1e-3, 0.3]))
-        ]:
-            values, tails, m_factors = _montgomery_Q_batch(betas, t)
-            for beta, value, tail in zip(betas.tolist(), values.tolist(), tails.tolist()):
-                q = montgomery_Q(beta, t)
-                assert (q.value, q.tail_bound, q.terms_used) == (value, tail, m_factors)
+        # bit for bit, value and tail, on the lemma suite's sandwich grid and
+        # small t in one batch that mixes both sides
+        ts = [1e-5, 1e-3, 0.1] + np.logspace(math.log10(0.25), math.log10(4.0), 9).tolist()
+        beta, t = np.meshgrid(np.append(np.linspace(0.0, 0.5, 50), [0.25 + 1e-12, -1.3]), ts)
+        values, tails = theta._theta1d(beta, t, 1)
+        for b, tt, value, tail in zip(beta.flat, t.flat, values.flat, tails.flat):
+            q = montgomery_Q(float(b), float(tt))
+            assert (q.value, q.tail_bound) == (value, tail)
+            assert q.terms_used == (10 if tt < 1.0 else 5)
 
 
 class TestEnvelopes:
