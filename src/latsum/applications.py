@@ -469,6 +469,8 @@ class ChargeDistribution:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.period_N < 1:
+            raise ConstraintViolated(f"the period must be at least 1, got {self.period_N}")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.period_N, self.period_N):
             raise ConstraintViolated("weights must be an N x N array")
@@ -505,6 +507,8 @@ def born_interaction_table(
     the nodes (alpha_j n^2, w_j) at the n^2 shifts d/n.  The pair interaction
     between residues a and b is S[(a - b) mod n].
     """
+    if n < 1:
+        raise ValueError(f"the Born period must be at least 1, got {n}")
     ev = ShiftedSumEvaluator(lattice, tuple((a * n * n, w) for a, w in p.nodes), pol)
     values, tails = ev.certified(np.indices((n, n)).reshape(2, -1).T / n)
     return values.reshape(n, n), bool(ev.converged and tails.max() <= pol.target_tol)

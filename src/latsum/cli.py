@@ -178,6 +178,7 @@ def _min_row(x: float, y: float, alpha: float, res: MinResult) -> dict:
         "argmin_u": res.argmin.u,
         "argmin_v": res.argmin.v,
         "tail_bound": res.value.tail_bound,
+        "converged": res.value.converged,
     }
 
 
@@ -237,10 +238,8 @@ def _cmd_heat(args) -> int:
 def _cmd_zeta(args) -> int:
     x, y = args.lattice
     u, v = args.z
-    cv = app.epstein_zeta_shifted(
-        lattice_from_tau(x, y), PhasePoint(u, v), args.s, _policy(args), method=args.method
-    )
-    _emit([_certified_row(cv, {"method": args.method, "s": args.s})], args, single=True)
+    cv = app.epstein_zeta_shifted(lattice_from_tau(x, y), PhasePoint(u, v), args.s, _policy(args))
+    _emit([_certified_row(cv, {"s": args.s})], args, single=True)
     return _exit_code(cv.converged)
 
 
@@ -371,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", type=_pair, default=_pair(hex_xy), metavar="X,Y")
     p.add_argument("--z", type=_pair, default=(1.0 / 3.0, 1.0 / 3.0), metavar="U,V")
     p.add_argument("--s", type=_positive_float, required=True)
-    p.add_argument("--method", choices=("direct", "quadrature"), default="direct")
     _add_summing(p)
     p.set_defaults(func=_cmd_zeta)
 

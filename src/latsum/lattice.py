@@ -24,6 +24,25 @@ _REDUCE_TOL = 1e-12
 _MAX_GENERATOR_APPLICATIONS = 10_000
 
 
+def _check_shape(x: float, y: float) -> None:
+    """``NonPositiveY`` unless y > 0, a ValueError naming the shape unless
+    both are finite."""
+    if y <= 0:
+        raise NonPositiveY(f"y must be positive, got {y}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"lattice shape ({x}, {y}) must be finite")
+
+
+def _generator(gen) -> np.ndarray:
+    """gen as a float array; a ValueError unless it is a finite 2x2 matrix."""
+    g = np.asarray(gen, dtype=float)
+    if g.shape != (2, 2):
+        raise ValueError("generator must be a 2x2 matrix")
+    if not np.isfinite(g).all():
+        raise ValueError(f"generator must be finite, got {g.tolist()}")
+    return g
+
+
 def det2(m: np.ndarray) -> float:
     """Determinant of a 2x2 matrix, from its entries."""
     (a, b), (c, d) = m.tolist()
@@ -46,11 +65,8 @@ class Lattice:
     gen: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.y <= 0:
-            raise NonPositiveY(f"y must be positive, got {self.y}")
-        g = np.asarray(self.gen, dtype=float)
-        if g.shape != (2, 2):
-            raise ValueError("generator must be a 2x2 matrix")
+        _check_shape(self.x, self.y)
+        g = _generator(self.gen)
         if det2(g) <= 0:
             raise ValueError("generator must have positive determinant")
         g = g.copy()
@@ -83,8 +99,7 @@ def _wrap_unit(t: float) -> float:
 
 def lattice_from_tau(x: float, y: float) -> Lattice:
     """Unit-covolume lattice with the canonical generator for (x, y)."""
-    if y <= 0:
-        raise NonPositiveY(f"y must be positive, got {y}")
+    _check_shape(x, y)
     return Lattice(x, y, np.array(_tau_rows(x, y)))
 
 
@@ -101,7 +116,7 @@ def lattice_from_generator(gen: np.ndarray) -> Lattice:
     rotation and R upper triangular with positive diagonal; then
     x = R[0,1]/R[0,0] and y = R[1,1]/R[0,0].
     """
-    g = np.asarray(gen, dtype=float)
+    g = _generator(gen)
     q, r = np.linalg.qr(g)
     # enforce positive diagonal of R (QR is unique only up to signs)
     signs = np.sign(np.diag(r))
@@ -183,8 +198,7 @@ def special_point_a(x: float, y: float) -> PhasePoint:
     Satisfies a1 + x*a2 = 1/2; the Cartesian image gen @ a is equidistant
     from 0 and the two basis vectors.
     """
-    if y <= 0:
-        raise NonPositiveY(f"y must be positive, got {y}")
+    _check_shape(x, y)
     y2 = y * y
     a1 = (1.0 - x) * (x * x + y2) / (2.0 * y2)
     a2 = (-x + x * x + y2) / (2.0 * y2)
@@ -197,8 +211,7 @@ def special_point_b(x: float, y: float) -> PhasePoint:
     Exposed as a formula only: it agrees with the circumcenter on the
     line x = 1/2 but carries no geometric interpretation elsewhere.
     """
-    if y <= 0:
-        raise NonPositiveY(f"y must be positive, got {y}")
+    _check_shape(x, y)
     return PhasePoint(*_point_b(x, y))
 
 

@@ -552,13 +552,13 @@ def _heat_uxx_scaled(t, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _heat_inflection_points(ts: np.ndarray) -> np.ndarray:
-    """``heat_inflection_point`` at each t of a 1-D array: u_xx has the sign
-    of theta_hat''(x; 4 pi t).  Each kernel call takes two bisection steps:
-    it evaluates the midpoint and both midpoints the next step may take,
-    0.5 (lo + mid) and 0.5 (mid + hi), the same floats that step computes.
-    Each t keeps its own bracket, whose width differs from the others' by
-    rounding only, far from the stop at 1e-10: every t takes the steps of
-    its scalar bisection."""
+    """The zero of u_xx in (0, 1/2), located by bisection to width 1e-10, at
+    each t of a 1-D array: u_xx has the sign of theta_hat''(x; 4 pi t).  Each
+    kernel call takes two bisection steps: it evaluates the midpoint and both
+    midpoints the next step may take, 0.5 (lo + mid) and 0.5 (mid + hi), the
+    same floats that step computes.  Each t keeps its own bracket, whose
+    width differs from the others' by rounding only, far from the stop at
+    1e-10: every t takes the steps of its one-element bisection."""
     big_t = 4.0 * math.pi * ts
     lo, hi = np.full(ts.shape, 1e-9), np.full(ts.shape, 0.5 - 1e-12)
     ends = _theta1d(np.stack([lo, hi]), big_t, 2)[0]
@@ -576,11 +576,6 @@ def _heat_inflection_points(ts: np.ndarray) -> np.ndarray:
             mid = 0.5 * (lo + hi)
             lo, hi = np.where(c, mid, lo), np.where(c, hi, mid)
     return 0.5 * (lo + hi)
-
-
-def heat_inflection_point(t: float) -> float:
-    """The zero of u_xx in (0, 1/2), located by bisection to width 1e-10."""
-    return float(_heat_inflection_points(np.array([float(t)]))[0])
 
 
 def check_heat_inflection() -> LemmaReport:
@@ -824,17 +819,17 @@ _THRESHOLDS = _threshold_table()
 _ALPHA_SCAN = np.arange(0.05, 10.0 + 0.05, 0.05)
 
 
-def _scan_values(*names: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """id -> lhs and rhs on ``_ALPHA_SCAN`` of the named threshold
-    inequalities, all when none is named, evaluated in blocks of 8 alphas: a
-    table of the 1331 distinct Q1 levels is then an (8, 1331) array of
-    83 KiB, below glibc's 128 KiB thresholds as in ``_row_blocks``.  Each
-    block runs every id before the next block, so each level family builds
-    its table once per block and its sums share it.  A sum takes from it the
-    elements its own table would hold, the same products of the same floats,
-    in an array of the same shape for the same product with its weights: the
-    values equal those of one id's own scan bit for bit."""
-    scans = {name: ([], []) for name in names or _THRESHOLDS}
+def _scan_values() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """id -> lhs and rhs on ``_ALPHA_SCAN`` of every threshold inequality,
+    evaluated in blocks of 8 alphas: a table of the 1331 distinct Q1 levels
+    is then an (8, 1331) array of 83 KiB, below glibc's 128 KiB thresholds as
+    in ``_row_blocks``.  Each block runs every id before the next block, so
+    each level family builds its table once per block and its sums share it.
+    A sum takes from it the elements its own table would hold, the same
+    products of the same floats, in an array of the same shape for the same
+    product with its weights: the values equal those of one id's own scan
+    bit for bit."""
+    scans = {name: ([], []) for name in _THRESHOLDS}
     for i in range(0, len(_ALPHA_SCAN), 8):
         a = _ALPHA_SCAN[i : i + 8]
         for name, (lhs_blocks, rhs_blocks) in scans.items():
@@ -854,14 +849,6 @@ def _first_holding(lhs: np.ndarray, rhs: np.ndarray) -> float:
     if len(last_fail) == 0:
         return float(_ALPHA_SCAN[0])
     return float(_ALPHA_SCAN[last_fail[-1] + 1])
-
-
-def empirical_threshold(name: str) -> float:
-    """Smallest alpha on the grid 0.05, 0.10, ..., 10 from which lhs < rhs
-    holds onward, inf if it fails at alpha 10."""
-    if name not in _THRESHOLDS:
-        raise ValueError(f"unknown threshold id {name!r}")
-    return _first_holding(*_scan_values(name)[name])
 
 
 def check_alpha_thresholds() -> LemmaReport:

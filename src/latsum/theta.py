@@ -530,14 +530,13 @@ def theta_shifted(
     b: PhasePoint,
     alpha: float,
     pol: TruncationPolicy = DEFAULT_POLICY,
-    use_functional_equation: bool | None = None,
 ) -> CertifiedValue:
     """Shifted family: sum over (k, l) of exp(-pi alpha Q(k + b1, l + b2)), with
     Q(u, v) = (u^2 + 2 x u v + (x^2 + y^2) v^2) / y for the shape (x, y) of
     ``lattice`` and (b1, b2) the lattice coordinates of b.  That is
     ``lattice_gaussian_sum`` at (b1, b2) on ``lattice_from_tau(x, y)``.
     """
-    return _sum_at(_tau_plan(lattice), b, ((alpha, 1.0),), pol, use_functional_equation)
+    return _sum_at(_tau_plan(lattice), b, ((alpha, 1.0),), pol, None)
 
 
 def theta_charged(
@@ -545,20 +544,16 @@ def theta_charged(
     b: PhasePoint,
     alpha: float,
     pol: TruncationPolicy = DEFAULT_POLICY,
-    use_functional_equation: bool | None = None,
 ) -> CertifiedValue:
     """Charged family: sum over (k, l) of exp(-pi alpha Q(k, l))
     cos(2 pi (k b2 - l b1)), with Q and (b1, b2) as in ``theta_shifted``.
 
     By the functional equation it is theta_shifted(b; 1/alpha) / alpha, and is
-    computed so, as the node (1/alpha, 1/alpha) on ``lattice_from_tau(x, y)``.
-    The charged series is that shifted sum's dual cosine series, so
-    ``use_functional_equation`` maps to the other side: False sums the
-    charged series, True the shifted one.
+    computed so, as the node (1/alpha, 1/alpha) on ``lattice_from_tau(x, y)``,
+    whose dual cosine series is the charged series.
     """
     _check_alpha(alpha)
-    fe = None if use_functional_equation is None else not use_functional_equation
-    return _sum_at(_tau_plan(lattice), b, ((1.0 / alpha, 1.0 / alpha),), pol, fe)
+    return _sum_at(_tau_plan(lattice), b, ((1.0 / alpha, 1.0 / alpha),), pol, None)
 
 
 def _tau_plan(lattice: Lattice) -> _Plan:
@@ -569,14 +564,17 @@ def _tau_plan(lattice: Lattice) -> _Plan:
 
 
 def functional_equation_residual(lattice: Lattice, b: PhasePoint, alpha: float) -> float:
-    """|shifted(b; alpha) - charged(b; 1/alpha)/alpha| with both sides direct,
-    each to ``DEFAULT_POLICY``'s tolerance.
-
-    The two series are summed without rerouting through the functional
-    equation, so the residual genuinely tests the identity.
+    """|shifted(b; alpha) - charged(b; 1/alpha)/alpha| with both series summed
+    as they are written, each to ``DEFAULT_POLICY``'s tolerance: the lattice
+    side of the node (alpha, 1) and the dual side of ``theta_charged``'s node
+    (a, a), a = 1/(1/alpha), on ``lattice_from_tau(x, y)``.  Neither is
+    rerouted through the functional equation, so the residual genuinely tests
+    the identity.
     """
-    lhs = theta_shifted(lattice, b, alpha, use_functional_equation=False)
-    rhs = theta_charged(lattice, b, 1.0 / alpha, use_functional_equation=False)
+    plan = _tau_plan(lattice)
+    a = 1.0 / (1.0 / alpha)
+    lhs = _sum_at(plan, b, ((alpha, 1.0),), DEFAULT_POLICY, False)
+    rhs = _sum_at(plan, b, ((a, a),), DEFAULT_POLICY, True)
     return abs(lhs.value - rhs.value / alpha)
 
 

@@ -68,10 +68,9 @@ SURFACES = {
         "check_growth11_composite", "check_growth_lemma_1", "check_growth_lemma_2",
         "check_heat_inflection", "check_montgomery_sandwich", "check_nine_term_concavity",
         "check_q1_growth", "check_q1_ledger", "check_q2_ledger", "check_tail_constants",
-        "dominant_concavity_extreme", "empirical_threshold", "enumerate_form", "g_profile",
-        "growth1_min_ratio", "heat_inflection_point", "min_phi_f", "min_phi_g", "phi_f",
-        "phi_f_d1", "phi_f_d2", "phi_g", "q1", "q2", "run_default_suite", "shifted_term_d2",
-        "tail_constant",
+        "dominant_concavity_extreme", "enumerate_form", "g_profile", "growth1_min_ratio",
+        "min_phi_f", "min_phi_g", "phi_f", "phi_f_d1", "phi_f_d2", "phi_g", "q1", "q2",
+        "run_default_suite", "shifted_term_d2", "tail_constant",
     },
 }
 

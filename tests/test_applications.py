@@ -336,7 +336,10 @@ LATTICE_SIDE = {
 }
 DUAL_SIDE = {
     "theta_charged": lambda lat, z: theta_charged(lat, z, 1.5),
-    "theta_shifted dual": lambda lat, z: theta_shifted(lat, z, 1.5, use_functional_equation=True),
+    # the shifted family's dual side: on lattice_from_tau the family is E itself
+    "theta_shifted dual": lambda lat, z: lattice_gaussian_sum(
+        lat, z, 1.5, use_functional_equation=True
+    ),
     "heat spectral": lambda lat, z: app.heat_kernel_torus(lat, z, 0.3, route="spectral"),
     "cm_lattice_energy riesz": lambda lat, z: app.cm_lattice_energy(
         app.CMPotential.riesz(3.0), lat, z
@@ -583,6 +586,15 @@ class TestBorn:
             app.ChargeDistribution(2, np.ones((2, 2))).validate()
         with pytest.raises(ConstraintViolated):
             app.ChargeDistribution(2, np.array([[0.5, -0.5], [0.5, -0.5]])).validate()
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_period_below_one_rejected(self, sq, n):
+        # period 0 passed validation and then failed as alpha n^2 = 0
+        with pytest.raises(ConstraintViolated, match=f"period must be at least 1, got {n}"):
+            app.ChargeDistribution(n, np.zeros((0, 0)))
+        p = app.CMPotential.gaussian(1.0)
+        with pytest.raises(ValueError, match=f"Born period must be at least 1, got {n}"):
+            app.born_interaction_table(sq, n, p)
 
     def test_born_energy_requires_valid_charges(self, sq):
         p = app.CMPotential.gaussian(1.0)

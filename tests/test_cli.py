@@ -76,6 +76,14 @@ class TestTheta:
         assert payload["converged"] is False
         assert payload["tail_bound"] > 1e-16
 
+    @pytest.mark.parametrize("shape", ["0.5,nan", "nan,1", "0.3,inf", "inf,1"])
+    def test_nonfinite_lattice_exits_two_naming_it(self, capsys, shape):
+        code, out, err = run(capsys, ["theta", "--lattice", shape])
+        assert code == 2
+        assert out == ""
+        x, y = (float(v) for v in shape.split(","))
+        assert err == f"error: lattice shape ({x}, {y}) must be finite\n"
+
     def test_default_shift_is_point_b(self, capsys):
         code, out, _ = run(capsys, ["theta"])
         assert code == 0
@@ -112,7 +120,9 @@ class TestSweep:
         code, out, _ = run(capsys, self.ARGS)
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["x", "y", "alpha", "min_value", "argmin_u", "argmin_v", "tail_bound"]
+        assert rows[0] == [
+            "x", "y", "alpha", "min_value", "argmin_u", "argmin_v", "tail_bound", "converged"
+        ]
         assert len(rows) - 1 == 121
 
     def test_round_trip_and_order(self, capsys):
@@ -120,6 +130,7 @@ class TestSweep:
         reader = csv.DictReader(io.StringIO(out))
         keys = []
         for row in reader:
+            assert row.pop("converged") == "true"
             parsed = {k: float(v) for k, v in row.items()}
             # shortest round-trip serialization: parsing is lossless
             assert repr(parsed["min_value"]) == row["min_value"]
@@ -168,6 +179,28 @@ class TestSweep:
         single = json.loads(out)
         for key in ("min_value", "argmin_u", "argmin_v", "tail_bound"):
             assert swept[key] == single[key]
+
+    @pytest.mark.parametrize("fmt", ["--json", "--csv", "--human"])
+    @pytest.mark.parametrize("tol, code, flag", [([], 0, "true"), (["--tol", "1e-18"], 3, "false")])
+    @pytest.mark.parametrize(
+        "argv", [["minimize"], ["sweep", "--x", "0.3:0.5:2", "--y", "0.9:1.2:2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_rows_carry_converged(self, capsys, argv, tol, code, flag, fmt):
+        # every row says whether its minimum met the tolerance, and the exit
+        # code follows them: the rounding of a value near 0.9 misses 1e-18
+        got, out, _ = run(capsys, argv + tol + [fmt])
+        assert got == code
+        if fmt == "--json":
+            rows = json.loads(out)
+            rows = rows if argv[0] == "sweep" else [rows]
+            flags = [json.dumps(row["converged"]) for row in rows]
+        elif fmt == "--csv":
+            flags = [row["converged"] for row in csv.DictReader(io.StringIO(out))]
+        else:
+            flags = [line[len("converged = "):] for line in out.splitlines()
+                     if line.startswith("converged = ")]
+        assert flags == [flag] * (4 if argv[0] == "sweep" else 1)
 
     @pytest.mark.parametrize("fmt", [[], ["--csv"]])
     def test_empty_alpha_list_exits_two(self, capsys, fmt):
@@ -347,17 +380,16 @@ class TestOtherCommands:
         assert code == 3
         assert json.loads(out)["tail_bound"] > 1e-18
 
-    def test_zeta_quadrature_exits_three(self, capsys):
-        # the quadrature tail, 9.4e-11 here, leaves out the Riesz mixture's
-        # own error, 1.5e-7 here, so the route never claims a certificate
-        probe = ["zeta", "--lattice", "0.2094,1.2395", "--z", "0.8244,0.1882", "--s", "3"]
-        code, out, _ = run(capsys, probe + ["--method", "quadrature"])
-        assert code == 3
-        quad = json.loads(out)
-        assert quad["converged"] is False
-        _, out, _ = run(capsys, probe)
-        direct = json.loads(out)
-        assert abs(quad["value"] - direct["value"]) > quad["tail_bound"] + direct["tail_bound"]
+    def test_zeta_sums_the_direct_route_only(self, capsys):
+        # the quadrature route is a cross-check of the library, which never
+        # certifies (test_applications: test_quadrature_route_never_converges)
+        code, out, _ = run(capsys, ["zeta", "--s", "3"])
+        assert code == 0
+        assert list(json.loads(out)) == ["value", "tail_bound", "terms_used", "converged", "s"]
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta", "--s", "3", "--method", "quadrature"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method quadrature" in capsys.readouterr().err
 
     def test_zeta_overflow_exits_two(self, capsys):
         # Gamma(300) overflows a float
@@ -392,6 +424,13 @@ class TestOtherCommands:
         code, out, _ = run(capsys, ["born", "--period", "3", "--tol", "1e-30"])
         assert code == 3
         assert json.loads(out)["converged"] is False
+
+    @pytest.mark.parametrize("period", ["0", "-2"])
+    def test_born_period_below_one_exits_two(self, capsys, period):
+        code, out, err = run(capsys, ["born", "--pattern", "alternating", "--period", period])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the period must be at least 1, got {period}\n"
 
     def test_born_alternating_interaction_negative(self, capsys):
         code, out, _ = run(

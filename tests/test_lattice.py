@@ -5,6 +5,7 @@ import pytest
 
 from latsum.errors import NoConvergence, NonPositiveY, NotUpperHalfPlane
 from latsum.lattice import (
+    Lattice,
     PhasePoint,
     _point_b,
     lattice_from_generator,
@@ -45,6 +46,34 @@ class TestConstructor:
             lattice_from_tau(0.1, 0.0)
         with pytest.raises(NonPositiveY):
             lattice_from_tau(0.1, -2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slot", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize(
+        "build", [lattice_from_tau, special_point_a, special_point_b, Lattice],
+        ids=lambda f: f.__name__,
+    )
+    def test_nonfinite_shape_fails_where_it_enters(self, build, slot, bad):
+        # a NaN or infinite shape built a Lattice, whose first sum then blamed
+        # an elongated shape, and gave point b = (nan, nan); y = -inf is y <= 0
+        shape = [0.3, 1.1]
+        shape[slot] = bad
+        args = (*shape, np.eye(2)) if build is Lattice else shape
+        if slot == 1 and bad < 0:
+            with pytest.raises(NonPositiveY):
+                build(*args)
+        else:
+            with pytest.raises(ValueError, match=r"lattice shape \(.*\) must be finite"):
+                build(*args)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_generator_rejected(self, entry, bad):
+        gen = np.eye(2)
+        gen[entry] = bad
+        for build in (lattice_from_generator, lambda g: Lattice(0.0, 1.0, g)):
+            with pytest.raises(ValueError, match="generator must be finite"):
+                build(gen)
 
     def test_unit_determinant_randomized(self, rng):
         for _ in range(200):

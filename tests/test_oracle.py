@@ -29,6 +29,7 @@ from latsum.theta import (
     TruncationPolicy,
     _plan,
     _sum_at,
+    _tau_plan,
     _theta1d,
     lattice_gaussian_sum,
     montgomery_Q,
@@ -129,11 +130,14 @@ def test_pointwise_sums_match_reference(x, y, alpha, point, tol, scale):
     shifted = gaussian if scale == 1.0 else reference(x, y, alpha, shift=point)
     _assert_within(theta_shifted(lattice, p, alpha, pol), shifted)
     # the charged sum through the functional equation, charged(b; alpha) =
-    # shifted(b; 1/alpha) / alpha; with False the charged series itself is
-    # summed, so that comparison is with an independent 40-digit sum
+    # shifted(b; 1/alpha) / alpha; on the dual side of its node the charged
+    # series itself is summed, so that comparison is with an independent
+    # 40-digit sum
     charged = reference(x, y, 1.0 / alpha, shift=point) / alpha
-    for fe in (None, True, False):
-        _assert_within(theta_charged(lattice, p, alpha, pol, fe), charged)
+    _assert_within(theta_charged(lattice, p, alpha, pol), charged)
+    nodes = ((1.0 / alpha, 1.0 / alpha),)
+    for dual in (True, False):
+        _assert_within(_sum_at(_tau_plan(lattice), p, nodes, pol, dual), charged)
     t = 1.0 / (4.0 * math.pi * alpha)
     for route in ("gaussian", "spectral"):
         _assert_within(heat_kernel_torus(lattice, p, t, pol, route), alpha * gaussian)

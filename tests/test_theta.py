@@ -34,6 +34,8 @@ from latsum.theta import (
     _rounding_bound,
     _select_radius,
     _side,
+    _sum_at,
+    _tau_plan,
     functional_equation_residual,
     lattice_gaussian_sum,
     montgomery_A,
@@ -449,6 +451,13 @@ class TestShiftedCharged:
             assert abs(got - dual_sum) < 1e-10
 
 
+def charged_series(lat, b, alpha):
+    """``theta_charged`` summed as the charged series, whatever the side rule
+    picks: the dual side of its node (1/alpha, 1/alpha) on
+    lattice_from_tau(x, y)."""
+    return _sum_at(_tau_plan(lat), b, ((1.0 / alpha, 1.0 / alpha),), DEFAULT_POLICY, True)
+
+
 class TestFunctionalEquation:
     def test_square_fixed_point(self, sq):
         assert functional_equation_residual(sq, PhasePoint(0, 0), 1.0) < 1e-12
@@ -472,7 +481,7 @@ class TestFunctionalEquation:
             lat = random_domain_lattice(rng)
             b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
             alpha = rng.uniform(0.2, 5.0)
-            charged = theta_charged(lat, b, 1.0 / alpha, use_functional_equation=False)
+            charged = charged_series(lat, b, 1.0 / alpha)
             pol = TruncationPolicy(1e-12 / alpha)
             dual = lattice_gaussian_sum(lat, b, alpha, pol, use_functional_equation=True)
             assert charged.terms_used == dual.terms_used
@@ -484,8 +493,8 @@ class TestFunctionalEquation:
             b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
             alpha = rng.uniform(0.3, 3.0)
             res = functional_equation_residual(lat, b, alpha)
-            lhs = theta_shifted(lat, b, alpha, use_functional_equation=False)
-            rhs = theta_charged(lat, b, 1.0 / alpha, use_functional_equation=False)
+            lhs = lattice_gaussian_sum(lat, b, alpha, use_functional_equation=False)
+            rhs = charged_series(lat, b, 1.0 / alpha)
             assert res <= lhs.tail_bound + rhs.tail_bound / alpha + 1e-12
 
 
@@ -980,10 +989,13 @@ def test_converged_tail_meets_tolerance(hexl, alpha, tol):
     b = PhasePoint(0.3, 0.1)
     t = 1.0 / (4.0 * math.pi * alpha)
     results = [heat_kernel_torus(hexl, b, t, pol, route) for route in ("gaussian", "spectral")]
-    pointwise = (lattice_gaussian_sum, theta_shifted, theta_charged)
     for lat in (hexl, lattice_from_tau(0.2, 1.3)):
-        for fe in (None, True, False):
-            results += [fn(lat, b, alpha, pol, fe) for fn in pointwise]
+        results += [theta_shifted(lat, b, alpha, pol), theta_charged(lat, b, alpha, pol)]
+        for dual in (None, True, False):
+            results.append(lattice_gaussian_sum(lat, b, alpha, pol, dual))
+            # the charged family's node, on each side
+            nodes = ((1.0 / alpha, 1.0 / alpha),)
+            results.append(_sum_at(_tau_plan(lat), b, nodes, pol, dual))
         # the evaluator on both sides of lam = 1/covol
         for scale in (1.0, *SIDE_SCALES.values()):
             results += [
@@ -1016,12 +1028,13 @@ def test_default_route_is_the_shorter_series(scale, alpha, shift, terms):
     assert (ShiftedSumEvaluator(lat, one_node(alpha)).value_offset > 0.0) == on_dual
 
 
-@pytest.mark.parametrize("fe", [None, True, False])
+@pytest.mark.parametrize("dual", [None, True, False])
 @pytest.mark.parametrize("family", [theta_shifted, theta_charged])
-def test_families_live_on_the_tau_lattice(rng, family, fe):
+def test_families_live_on_the_tau_lattice(rng, family, dual):
     """The families depend on the lattice only through its shape (x, y):
     on a rotated and scaled generator they equal their values on
-    lattice_from_tau(x, y), at the lattice coordinates of the point."""
+    lattice_from_tau(x, y), at the lattice coordinates of the point, as
+    summed and on each side of their node."""
     for scale in (0.5, 1.0, 3.0):
         base = random_domain_lattice(rng)
         theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -1030,5 +1043,9 @@ def test_families_live_on_the_tau_lattice(rng, family, fe):
         tau = lattice_from_tau(lat.x, lat.y)
         alpha = rng.uniform(0.3, 4.0)
         b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
-        expected = family(tau, b, alpha, use_functional_equation=fe)
-        assert family(lat, b, alpha, use_functional_equation=fe) == expected
+        if dual is None:
+            assert family(lat, b, alpha) == family(tau, b, alpha)
+            continue
+        nodes = ((alpha, 1.0),) if family is theta_shifted else ((1.0 / alpha, 1.0 / alpha),)
+        expected = _sum_at(_tau_plan(tau), b, nodes, DEFAULT_POLICY, dual)
+        assert _sum_at(_tau_plan(lat), b, nodes, DEFAULT_POLICY, dual) == expected
