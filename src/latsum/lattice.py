@@ -158,11 +158,14 @@ def reduce_to_fundamental(tau: complex) -> ReductionTrace:
 
     Classical Gauss reduction: translate the real part into [-1/2, 1/2],
     invert while |tau| < 1, finally mirror x -> |x|.  Boundary ties land
-    on the representative with nonnegative real part.
+    on the representative with nonnegative real part.  A tau with Im(tau) <= 0
+    raises ``NotUpperHalfPlane``, any other non-finite one a ValueError.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise NotUpperHalfPlane(f"Im(tau) must be positive, got {tau.imag}")
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        raise ValueError(f"tau must be finite, got {tau}")
     word: list[str] = []
     z = tau
     applications = 0

@@ -22,8 +22,9 @@ from .lattice import _point_b
 from .theta import (
     _EPS,
     _EXP_FLOOR,
+    _ball,
     _clipped_exp,
-    _select_radius,
+    _side,
     _theta1d,
     montgomery_A,
     montgomery_B,
@@ -63,8 +64,8 @@ def _box(radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat index arrays (k, l) over |k|, |l| <= radius, in k-major order.
 
     The families below take such arrays as well as scalars, and broadcast
-    them against a column of y values.  Checkers that sweep a y grid over a
-    large box walk it in ``_row_blocks``, so no array outgrows a few rows.
+    them against a column of y values.  A checker that sweeps a y grid over
+    a large box walks it in ``_row_blocks``, so no array outgrows a few rows.
     """
     side = np.arange(-radius, radius + 1)
     return np.repeat(side, side.size), np.tile(side, side.size)
@@ -72,13 +73,13 @@ def _box(radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_blocks(ys: np.ndarray):
     """The y grid as (8, 1) columns, so that a family evaluated on a block
-    against flat index arrays makes one (8, columns) array: 8 rows of a
-    41 x 41 box would take 105 KiB per temporary, below glibc's default
-    128 KiB mmap and trim thresholds, so repeated checks reuse heap pages
-    instead of faulting in fresh ones.  The checkers that sweep y over such
-    a box evaluate each value once: one column of each class of
-    ``_column_classes`` (1061 at radius 20, 66 KiB per temporary), with the
-    y-free parts formed once, before the first block."""
+    against flat index arrays makes one (8, columns) array, below glibc's
+    default 128 KiB mmap and trim thresholds, so repeated checks reuse heap
+    pages instead of faulting in fresh ones.  ``check_growth11_composite``
+    is the one checker that sweeps a y grid over a box.  It evaluates each
+    value once: one column of each class of ``_column_classes`` (609 at
+    radius 15, 38 KiB per temporary), with the y-free parts formed once,
+    before the first block."""
     column = np.asarray(ys, dtype=float).reshape(-1, 1)
     return [column[i:i + 8] for i in range(0, len(column), 8)]
 
@@ -226,22 +227,6 @@ def enumerate_form(form_id: str) -> QuadFormLedger:
     return QuadFormLedger(form_id=form_id, entries=entries)
 
 
-def _q1_outside_minima(box_limits) -> list[float]:
-    """min Q1(k, l) over max(|k|, |l|) > limit for each limit, on one search
-    box |k|, |l| <= 60, walked with k in ``_row_blocks``.  That set is the rows
-    |k| > limit and the columns |l| > limit, so the box's row and column
-    minima give it."""
-    side = np.arange(-60, 61)
-    row_min, col_min = [], np.full(side.shape, math.inf)
-    for k in _row_blocks(side):
-        v = q1(k, side)
-        row_min.append(v.min(axis=1))
-        np.minimum(col_min, v.min(axis=0), out=col_min)
-    row_min = np.concatenate(row_min)
-    outside = np.abs(side)[:, None] > np.asarray(box_limits)
-    return [float(min(row_min[o].min(), col_min[o].min())) for o in outside.T]
-
-
 def check_q1_ledger() -> LemmaReport:
     """First three Q1 levels and their index sets match the tabulated ones."""
     ledger = enumerate_form("Q1")
@@ -270,13 +255,19 @@ def check_q2_ledger() -> LemmaReport:
 
 
 def check_q1_growth() -> LemmaReport:
-    """Q1 >= u and Q1 >= u (k^2+l^2), plus the outside-box thresholds."""
+    """Q1 >= u and Q1 >= u (k^2+l^2), plus the outside-box thresholds, on the
+    box |k|, |l| <= 30.  It holds every pair that could break either
+    inequality or undercut either minimum: with r^2 = k^2 + l^2,
+    Q1 = (2/sqrt 3)(k^2 + k l + l^2 + k + l + 1/3) >= (2/sqrt 3)(r^2/2 -
+    sqrt(2) r + 1/3), which exceeds u r^2 for r > 8.25 and 146/(3 sqrt 3)
+    for r > 8.5."""
     box_radius = 30
     k, l = _box(box_radius)
     v = q1(k, l)
     margin = min(np.min(v - Q1_UNIT + 1e-9), np.min(v - Q1_UNIT * (k * k + l * l) + 1e-9))
-    for observed, mult in zip(_q1_outside_minima((1, 5)), (14, 146)):
-        margin = min(margin, 1e-9 - abs(observed - mult / (3.0 * SQRT3)))
+    cheb = np.maximum(np.abs(k), np.abs(l))
+    for limit, mult in ((1, 14), (5, 146)):
+        margin = min(margin, 1e-9 - abs(v[cheb > limit].min() - mult / (3.0 * SQRT3)))
     return LemmaReport(
         "q1_growth",
         f"box radius {box_radius}; outside-box minima 14u and 146u",
@@ -327,20 +318,26 @@ def check_growth_lemma_1() -> LemmaReport:
 
 
 def check_derivative_bounds() -> LemmaReport:
-    """|phi_f'| <= 2 Q1 and |phi_f''| <= 3 Q1 on a y-grid.  Both sides depend
-    on (k, l) through m^2 and l only, so one column of each class of
+    """|phi_f'| <= 2 Q1 and |phi_f''| <= 3 Q1 for y in [sqrt3/2, 10], at the
+    points where each side's |derivative| peaks.  With w = 1/y^2,
+    64 phi_f' = 16 s2 - 8 c w - 3 w^2 is concave in w, so |phi_f'| peaks at an
+    end of the window or at w = -4c/3.  With v = 1/y, 16 phi_f'' =
+    4 c v^3 + 3 v^5 has v-derivative 3 v^2 (4c + 5 v^2), so |phi_f''| peaks
+    at an end or at v^2 = -4c/5.  A critical point outside the window, or
+    none (c >= 0), is clipped onto an end.  Both sides depend on (k, l)
+    through m^2 and l only, so one column of each class of
     ``_column_classes`` gives the box's minimum."""
-    ys, k_max = np.linspace(Y_HEX, 10.0, 200), 20
+    lo, hi, k_max = Y_HEX, 10.0, 20
     k, l = _column_classes(k_max)
     _, s2, c = (np.asarray(v, dtype=float) for v in _phi_f_ints(k, l))
     qq = q1(k, l)
-    two_q, three_q = 2.0 * qq, 3.0 * qq
-    first = second = math.inf
-    for rows in _row_blocks(ys):
-        first = min(first, np.min(two_q - np.abs(_phi_f_d1(s2, c, rows))))
-        second = min(second, np.min(three_q - np.abs(_phi_f_d2(c, rows))))
+    ends = np.full((2, qq.size), [[lo], [hi]])
+    # the critical 1/y^2 of phi_f' and of phi_f'' as y, floored at 1/hi^2 = 0.01
+    d1_y, d2_y = np.clip(1.0 / np.sqrt(np.maximum(-4.0 * c / [[3.0], [5.0]], 0.01)), lo, hi)
+    first = np.min(2.0 * qq - np.abs(_phi_f_d1(s2, c, np.vstack([ends, d1_y]))))
+    second = np.min(3.0 * qq - np.abs(_phi_f_d2(c, np.vstack([ends, d2_y]))))
     return LemmaReport(
-        "derivative_bounds", f"|k|,|l| <= {k_max}, {len(ys)}-point y-grid", min(first, second)
+        "derivative_bounds", f"|k|,|l| <= {k_max}, y in [sqrt3/2, 10]", min(first, second)
     )
 
 
@@ -479,18 +476,15 @@ def _charged_ball(ys: np.ndarray, alpha: float):
         A = pi^2 alpha^2 / y^2 + 2 pi alpha / y^2 + pi^2 alpha / y^(7/2)
             + pi^2 / (4 y^5) + 3 pi / (2 y^(7/2))
 
-    falls in y.  (1 + rho)^2 exp(-c rho), c = pi alpha / 2, peaks at
-    1 + rho = 2/c, so it is at most M = (2/c)^2 exp(c - 2) for c < 2 and
-    M = 1 for c >= 2 (alpha >= 4/pi).  Each term is thus at most
-    A M exp(-pi (alpha/2) |p|^2), and the terms with |p| > R sum to at most
-    ``_gaussian_tail(((alpha/2, A M),), 1, h, R)``, which grows with A and
-    with the cell half-diameter h.  The cell's longer diagonal is
-    (3/2, y) / sqrt(y), so h^2 = (9/4 + y^2) / (4 y), convex in y.  Taking A
-    at the smallest y and h at the larger endpoint value makes the bound
-    hold on the whole window.  R is the ball radius for tol 1e-16, and the
-    pairs kept are those with phi_g <= R^2 somewhere on the window: phi_g is
-    convex in y, so its minimum there is at |k + l/2| / |l| (at the top end
-    for l = 0) clipped to the window.
+    falls in y, so it is taken at the smallest y.  (1 + rho)^2 exp(-c rho),
+    c = pi alpha / 2, peaks at 1 + rho = 2/c, so it is at most
+    M = (2/c)^2 exp(c - 2) for c < 2 and M = 1 for c >= 2 (alpha >= 4/pi).
+    Each term is thus at most A M exp(-pi (alpha/2) rho).  On the window
+    [y0, y1], rho >= psi(k, l) = (k + l/2)^2 / y1 + y0 l^2, the squared
+    length of (k, l) on the generator [[y1^(-1/2), y1^(-1/2)/2], [0, y0^(1/2)]],
+    so ``theta._ball`` of the node (alpha/2, A M) on that generator keeps
+    the pairs with psi <= R^2 and bounds the others by its tail, at every y
+    of the window.  The (0, 0) term is exactly 0 and is dropped.
     """
     y0, y1 = float(np.min(ys)), float(np.max(ys))
     pa = math.pi * alpha
@@ -499,14 +493,11 @@ def _charged_ball(ys: np.ndarray, alpha: float):
     )
     c = 0.5 * pa
     peak = 1.0 if c >= 2.0 else (2.0 / c) ** 2 * math.exp(c - 2.0)
-    h = max(0.5 * math.sqrt((2.25 + y * y) / y) for y in (y0, y1))
-    radius, tail, _ = _select_radius(((0.5 * alpha, amp * peak),), 1.0, h, 1e-16, math.inf)
-    r2 = radius * radius
-    # |l| <= R / sqrt(y0) and |k + l/2| <= R sqrt(y1) on the ball
-    k, l = _box(math.ceil(radius * (math.sqrt(y1) + 0.5 / math.sqrt(y0))))
-    centre = np.abs(k + 0.5 * l)
-    y_min = np.clip(np.where(l == 0, y1, centre / np.maximum(np.abs(l), 1)), y0, y1)
-    keep = (phi_g(k, l, y_min) <= r2) & ((k != 0) | (l != 0))
+    a = 1.0 / math.sqrt(y1)
+    side = _side(a, 0.5 * a, 0.0, math.sqrt(y0), (0.5, y0))
+    k, l, inside, _, _, tail, _ = _ball(side, (0.0, 0.0), ((0.5 * alpha, amp * peak),), 1e-16)
+    k, l = np.meshgrid(k, l, indexing="ij")
+    keep = inside & ((k != 0) | (l != 0))
     return k[keep], l[keep], tail
 
 

@@ -130,18 +130,14 @@ def _theta1d(beta, t, order: int = 0, bound: bool = True) -> tuple[np.ndarray, n
         raise ValueError(f"the 1D kernel takes finite beta, got {b[~np.isfinite(b)][0]}")
     b = b - np.rint(b)
     near = t < 1.0
-    n_near = np.count_nonzero(near)
-    if n_near in (0, b.size) and b.size <= _ROWS_1D:
-        values, tails = (_jacobi_side if n_near else _cosine_side)(b, t, order, bound)
-    else:
-        values, tails = np.empty(b.size), np.empty(b.size) if bound else None
-        for side, sel in ((_jacobi_side, near), (_cosine_side, ~near)):
-            idx = np.flatnonzero(sel)
-            for i in range(0, len(idx), _ROWS_1D):
-                j = idx[i : i + _ROWS_1D]
-                values[j], tail = side(b[j], t[j], order, bound)
-                if bound:
-                    tails[j] = tail
+    values, tails = np.empty(b.size), np.empty(b.size) if bound else None
+    for side, sel in ((_jacobi_side, near), (_cosine_side, ~near)):
+        idx = np.flatnonzero(sel)
+        for i in range(0, len(idx), _ROWS_1D):
+            j = idx[i : i + _ROWS_1D]
+            values[j], tail = side(b[j], t[j], order, bound)
+            if bound:
+                tails[j] = tail
     return values.reshape(shape), None if tails is None else tails.reshape(shape)
 
 

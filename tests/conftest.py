@@ -448,17 +448,32 @@ def composed_charged_term_d2(k, l, y, alpha):
 # box, every sum with an exp table of its own.
 
 def derivative_bounds_oracle() -> pc.LemmaReport:
-    """``check_derivative_bounds`` over every pair of |k|, |l| <= 20."""
-    ys, k_max = np.linspace(Y_HEX, 10.0, 200), 20
+    """``check_derivative_bounds`` over every pair of |k|, |l| <= 20, each at
+    the window's ends and at its own critical points of phi_f' and phi_f''."""
+    k_max, lo, hi = 20, Y_HEX, 10.0
     k, l = pc._box(k_max)
     qq = pc.q1(k, l)
-    first = second = math.inf
-    for rows in pc._row_blocks(ys):
-        first = min(first, np.min(2.0 * qq - np.abs(pc.phi_f_d1(k, l, rows))))
-        second = min(second, np.min(3.0 * qq - np.abs(pc.phi_f_d2(k, l, rows))))
+    crit = 1.0 / np.sqrt(np.maximum(-4.0 * pc._phi_f_c(k, l) / np.array([[3.0], [5.0]]), 0.01))
+    ends = np.full((2, qq.size), [[lo], [hi]])
+    d1_y, d2_y = np.clip(crit, lo, hi)
+    first = np.min(2.0 * qq - np.abs(pc.phi_f_d1(k, l, np.vstack([ends, d1_y]))))
+    second = np.min(3.0 * qq - np.abs(pc.phi_f_d2(k, l, np.vstack([ends, d2_y]))))
     return pc.LemmaReport(
-        "derivative_bounds", f"|k|,|l| <= {k_max}, {len(ys)}-point y-grid", min(first, second)
+        "derivative_bounds", f"|k|,|l| <= {k_max}, y in [sqrt3/2, 10]", min(first, second)
     )
+
+
+def q1_outside_minima_oracle(limits) -> list[float]:
+    """min Q1(k, l) over max(|k|, |l|) > limit for each limit, by brute force
+    over |k|, |l| <= 60, one pair at a time."""
+    best = [math.inf] * len(limits)
+    for k in range(-60, 61):
+        for l in range(-60, 61):
+            v = pc.q1(k, l)
+            for i, limit in enumerate(limits):
+                if max(abs(k), abs(l)) > limit:
+                    best[i] = min(best[i], v)
+    return best
 
 
 def growth11_oracle() -> pc.LemmaReport:

@@ -326,6 +326,17 @@ class TestOtherCommands:
         assert payload["tau_out_re"] == pytest.approx(0.5)
         assert payload["word"] == ["Tinv", "Tinv"]
 
+    @pytest.mark.parametrize("tau", ["nan,1", "inf,1", "-inf,1", "1,nan", "1,inf", "1,-inf"])
+    def test_reduce_nonfinite_tau_exits_two_naming_it(self, capsys, tau):
+        code, out, err = run(capsys, ["reduce", f"--tau={tau}"])
+        assert code == 2
+        assert out == ""
+        re_part, im_part = (float(v) for v in tau.split(","))
+        if im_part < 0:
+            assert err == f"error: Im(tau) must be positive, got {im_part}\n"
+        else:
+            assert err == f"error: tau must be finite, got {complex(re_part, im_part)}\n"
+
     def test_heat_routes_agree(self, capsys):
         base = ["heat", "--t", "0.08", "--z", "0.2,0.4"]
         _, out1, _ = run(capsys, base + ["--route", "gaussian"])

@@ -136,6 +136,23 @@ class TestReduction:
         with pytest.raises(NotUpperHalfPlane):
             reduce_to_fundamental(1.0 - 0.5j)
 
+    @pytest.mark.parametrize(
+        "re_part, im_part",
+        [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+         (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+    )
+    def test_nonfinite_tau_rejected_naming_it(self, re_part, im_part):
+        # Im(tau) = -inf is in the lower half plane; every other non-finite
+        # tau is a ValueError that names it
+        tau = complex(re_part, im_part)
+        if im_part < 0:
+            with pytest.raises(NotUpperHalfPlane, match="Im\\(tau\\) must be positive"):
+                reduce_to_fundamental(tau)
+            return
+        with pytest.raises(ValueError) as exc:
+            reduce_to_fundamental(tau)
+        assert str(exc.value) == f"tau must be finite, got {tau}"
+
     def test_generator_budget(self):
         with pytest.raises(NoConvergence):
             reduce_to_fundamental(1e9 + 1j)

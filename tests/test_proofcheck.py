@@ -20,6 +20,7 @@ from conftest import (
     psi_g,
     psi_g_d1,
     psi_g_d2,
+    q1_outside_minima_oracle,
     run_under_memory_limit,
     threshold_scan_oracle,
 )
@@ -117,7 +118,7 @@ PINNED_SUITE = [
         "|k|,|l| <= 20; minimal ratio 0.6204 at [(-1, 0), (0, -1), (0, 0)]",
         0.12040323940139974,
     ),
-    ("derivative_bounds", "|k|,|l| <= 20, 200-point y-grid", 0.3849001794597502),
+    ("derivative_bounds", "|k|,|l| <= 20, y in [sqrt3/2, 10]", 0.3849001794597502),
     ("growth11", "alphas (5.0, 10.0), |k|,|l| <= 15, relative slack", 0.979535211638553),
     ("growth2", "|k|,|l| <= 20, l != 0", 0.15470053837925146),
     ("dominant_concavity", "alphas (6.0, 10.0, 50.0), normalized slack", 0.04895373033832029),
@@ -162,15 +163,15 @@ class TestQuadraticForms:
         assert pc.q1(0, 0) == pytest.approx(U, abs=1e-15)
         assert pc.q1(-1, -1) == pytest.approx(4 * U, abs=1e-14)
 
-    def test_q1_min_outside_unit_box(self):
-        (outside,) = pc._q1_outside_minima((1,))
-        assert outside == pytest.approx(14.0 / (3 * SQRT3), abs=1e-12)
-        assert outside == pytest.approx(2.694, abs=1e-3)
-
-    def test_q1_min_outside_five_box(self):
-        (outside,) = pc._q1_outside_minima((5,))
-        assert outside == pytest.approx(146.0 / (3 * SQRT3), abs=1e-12)
-        assert outside == pytest.approx(28.09, abs=1e-2)
+    def test_q1_growth_minima_match_the_60_box(self):
+        # the checker reads both outside-box minima off its |k|, |l| <= 30
+        # box, and its margin is at most 1e-9 minus each one's distance from
+        # its stated value; a brute-force search of the 60 box finds them at
+        # those values
+        want = q1_outside_minima_oracle((1, 5))
+        assert want == pytest.approx([14.0 / (3 * SQRT3), 146.0 / (3 * SQRT3)], abs=1e-12)
+        assert want == pytest.approx([2.694, 28.09], abs=1e-2)
+        assert pc.check_q1_growth().worst_margin >= 1e-9 - 1e-15
 
     def test_q2_values(self):
         assert pc.q2(3, -3) == 9.0
@@ -354,6 +355,37 @@ class TestGrowthLemmas:
 
     def test_derivative_bounds_pass(self):
         assert pc.check_derivative_bounds().passed
+
+    def test_derivative_bounds_margin_is_the_window_minimum(self, rng):
+        # the checker reads each derivative at its extremes only: a dense
+        # random y-grid over the window finds no smaller margin
+        ys = rng.uniform(Y_HEX, 10.0, 20_000)
+        k, l = pc._column_classes(20)
+        qq = pc.q1(k, l)
+        grid = math.inf
+        for i in range(0, ys.size, 500):
+            y = ys[i : i + 500, None]
+            first = np.min(2.0 * qq - np.abs(pc.phi_f_d1(k, l, y)))
+            grid = min(grid, first, np.min(3.0 * qq - np.abs(pc.phi_f_d2(k, l, y))))
+        assert grid >= pc.check_derivative_bounds().worst_margin
+
+    @pytest.mark.parametrize(
+        "name, public, stated",
+        [("_phi_f_d1", pc.phi_f_d1, 2.0), ("_phi_f_d2", pc.phi_f_d2, 3.0)],
+        ids=["2Q1", "3Q1"],
+    )
+    def test_derivative_bound_below_its_true_extreme_fails(self, monkeypatch, name, public, stated):
+        # the largest |derivative| / Q1 over the box and a grid holding the
+        # window's ends, where it peaks; the derivative scaled so that its
+        # stated constant sits just above, then just below that extreme
+        k, l = pc._column_classes(20)
+        ys = np.linspace(Y_HEX, 10.0, 2001)[:, None]
+        extreme = float(np.max(np.abs(public(k, l, ys)) / pc.q1(k, l)))
+        derivative = getattr(pc, name)
+        for factor, passes in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+            scale = stated / (extreme * factor)
+            monkeypatch.setattr(pc, name, lambda *args, s=scale: s * derivative(*args))
+            assert pc.check_derivative_bounds().passed is passes
 
     def test_second_derivative_ratio_approaches_eight_thirds(self):
         ys = np.linspace(Y_HEX, 10.0, 400)

@@ -1034,7 +1034,10 @@ def test_families_live_on_the_tau_lattice(rng, family, dual):
     """The families depend on the lattice only through its shape (x, y):
     on a rotated and scaled generator they equal their values on
     lattice_from_tau(x, y), at the lattice coordinates of the point, as
-    summed and on each side of their node."""
+    summed and on each side of their node.  As summed, each also agrees
+    within the two tails with an independent sum on the generator itself,
+    whose covolume scale^2 rescales alpha: the shifted family is
+    E(b; alpha / scale^2) there, the charged one E(b; 1/(alpha scale^2)) / alpha."""
     for scale in (0.5, 1.0, 3.0):
         base = random_domain_lattice(rng)
         theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -1044,7 +1047,15 @@ def test_families_live_on_the_tau_lattice(rng, family, dual):
         alpha = rng.uniform(0.3, 4.0)
         b = PhasePoint(rng.uniform(0, 1), rng.uniform(0, 1))
         if dual is None:
-            assert family(lat, b, alpha) == family(tau, b, alpha)
+            got = family(lat, b, alpha)
+            assert got == family(tau, b, alpha)
+            if family is theta_shifted:
+                ref = lattice_gaussian_sum(lat, b, alpha / scale**2)
+                want, want_tail = ref.value, ref.tail_bound
+            else:
+                ref = lattice_gaussian_sum(lat, b, 1.0 / (alpha * scale**2))
+                want, want_tail = ref.value / alpha, ref.tail_bound / alpha
+            assert abs(got.value - want) <= got.tail_bound + want_tail
             continue
         nodes = ((alpha, 1.0),) if family is theta_shifted else ((1.0 / alpha, 1.0 / alpha),)
         expected = _sum_at(_tau_plan(tau), b, nodes, DEFAULT_POLICY, dual)
