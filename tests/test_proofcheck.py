@@ -163,14 +163,20 @@ class TestQuadraticForms:
         assert pc.q1(0, 0) == pytest.approx(U, abs=1e-15)
         assert pc.q1(-1, -1) == pytest.approx(4 * U, abs=1e-14)
 
-    def test_q1_growth_minima_match_the_60_box(self):
-        # the checker reads both outside-box minima off its |k|, |l| <= 30
-        # box, and its margin is at most 1e-9 minus each one's distance from
-        # its stated value; a brute-force search of the 60 box finds them at
-        # those values
-        want = q1_outside_minima_oracle((1, 5))
-        assert want == pytest.approx([14.0 / (3 * SQRT3), 146.0 / (3 * SQRT3)], abs=1e-12)
-        assert want == pytest.approx([2.694, 28.09], abs=1e-2)
+    # check_q1_growth reads both outside-box minima off its |k|, |l| <= 30
+    # box, and its margin is at most 1e-9 minus each one's distance from its
+    # stated value; a brute-force search of the 60 box finds them at those
+    # values
+    def test_q1_min_outside_unit_box(self):
+        (outside,) = q1_outside_minima_oracle((1,))
+        assert outside == pytest.approx(14.0 / (3 * SQRT3), abs=1e-12)
+        assert outside == pytest.approx(2.694, abs=1e-3)
+        assert pc.check_q1_growth().worst_margin >= 1e-9 - 1e-15
+
+    def test_q1_min_outside_five_box(self):
+        (outside,) = q1_outside_minima_oracle((5,))
+        assert outside == pytest.approx(146.0 / (3 * SQRT3), abs=1e-12)
+        assert outside == pytest.approx(28.09, abs=1e-2)
         assert pc.check_q1_growth().worst_margin >= 1e-9 - 1e-15
 
     def test_q2_values(self):
