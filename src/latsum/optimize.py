@@ -2,16 +2,17 @@
 
 The minimizer runs a coarse grid scan of the half cell in lattice
 coordinates (every function minimized here is even), one evaluation on
-the product grid's two axes, then polishes the best cells by saddle-free
-Newton steps on the series' own gradient and Hessian, term by term
-differentiated.  The 2x2 saddle-free step has a closed form (eigenvalues
-m +- hypot(d, b), eigenvector angle atan2(b, d)/2), so the polish works
-on Python floats per start and its only numpy work is one derivative
-batch per iteration: a few matrix products over the index pairs and
-tables the evaluator builds once, 8-12 us on the dual side and 17-22 us
-on the lattice side for 1-5 rows of 7-52 terms (2-core x86-64 VM).  The
-best start is picked by the values that batch last gave.  The sweep
-evaluates the minimum across a family of lattice shapes.
+the product grid's two axes, then polishes one of the lowest cells per
+basin of the scan by saddle-free Newton steps on the series' own gradient
+and Hessian, term by term differentiated.  The 2x2 saddle-free step has a
+closed form (eigenvalues m +- hypot(d, b), eigenvector angle
+atan2(b, d)/2), so the polish works on Python floats per start and its
+only numpy work is one derivative batch per iteration: a few matrix
+products over the index pairs and tables the evaluator builds once, 8-12
+us on the dual side and 17-22 us on the lattice side for 1-5 rows of 7-52
+terms (2-core x86-64 VM).  The best start is picked by the values that
+batch last gave.  The sweep evaluates the minimum across a family of
+lattice shapes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .lattice import Lattice, PhasePoint, _wrap_unit, lattice_from_tau
 from .theta import DEFAULT_POLICY, CertifiedValue, ShiftedSumEvaluator, TruncationPolicy
 
 _NEWTON_ITERATIONS = 60  # cap on the Newton loop
-_N_STARTS = 5  # lowest grid points polished by each torus minimization
+_N_STARTS = 5  # lowest grid points each torus minimization picks its starts from
 _EIG_FLOOR = 1e-12  # smallest |Hessian eigenvalue| kept, relative to the largest
 _TINY = float(np.finfo(float).tiny)  # added to that floor, keeping it positive at H = 0
 _ROUNDING = 64.0 * np.finfo(float).eps  # decrement at which a start stops, per unit value
@@ -71,6 +72,14 @@ def _saddle_free_step(
     return sn * p2 - cs * p1, -sn * p1 - cs * p2, q1 * p1 + q2 * p2
 
 
+def _least_curvature(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """The least eigenvalue m - hypot(d, b) of [[a, b], [b, c]] and its unit
+    eigenvector (-sin theta, cos theta), in ``_saddle_free_step``'s notation."""
+    m, d = 0.5 * (a + c), 0.5 * (a - c)
+    theta = 0.5 * math.atan2(b, d)
+    return m - math.hypot(d, b), -math.sin(theta), math.cos(theta)
+
+
 def _newton_polish(
     derivatives: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     points: np.ndarray,
@@ -86,11 +95,16 @@ def _newton_polish(
     after an accepted cut step and drops to half a rejected step; a step is
     accepted when it lowers the value.  A start stops after the step whose
     Newton decrement g^T |H|^-1 g is at most ``tol``, taken without a further
-    evaluation.  Each start keeps its own state in Python floats, so the
-    numpy work is one ``derivatives`` batch per iteration over the starts
-    still moving.  Returns the points, the value ``derivatives`` last gave
-    for each (at the point before that untested last step, which lowers it
-    by about its decrement) and the number of iterations.
+    evaluation, unless it sits on a saddle: where the least Hessian
+    eigenvalue lambda is negative and |lambda| r^2 > ``tol`` at the trust
+    radius r, it steps r along lambda's eigenvector instead, a cut step like
+    any other.  Evenness zeroes the gradient at the four 2-torsion points, so
+    a start on one of those saddles has nothing else to leave it by.  Each
+    start keeps its own state in Python floats, so the numpy work is one
+    ``derivatives`` batch per iteration over the starts still moving.
+    Returns the points, the value ``derivatives`` last gave for each (at the
+    point before that untested last step, which lowers it by about its
+    decrement) and the number of iterations.
     """
     points = np.asarray(points, dtype=float)
     f, g, h = (x.tolist() for x in derivatives(points))
@@ -108,11 +122,14 @@ def _newton_polish(
             cut = length > radii[i]
             if cut:
                 s0, s1 = s0 * (radii[i] / length), s1 * (radii[i] / length)
-            trial = [_wrap_unit(points[i][0] + s0), _wrap_unit(points[i][1] + s1)]
             if decrement <= tol:
-                points[i] = trial
-            else:
-                moves.append((i, trial, length, cut))
+                lam, e0, e1 = _least_curvature(a, b, c)
+                if -lam * radii[i] ** 2 <= tol:  # no saddle, or too flat to leave
+                    points[i] = [_wrap_unit(points[i][0] + s0), _wrap_unit(points[i][1] + s1)]
+                    continue
+                s0, s1, length, cut = radii[i] * e0, radii[i] * e1, radii[i], True
+            trial = [_wrap_unit(points[i][0] + s0), _wrap_unit(points[i][1] + s1)]
+            moves.append((i, trial, length, cut))
         if not moves:
             break
         ft, gt, ht = (x.tolist() for x in derivatives(np.array([m[1] for m in moves])))
@@ -127,6 +144,19 @@ def _newton_polish(
     return np.array(points), f, iterations
 
 
+def _basin_starts(cells: Sequence[int], grid_n: int, m: int) -> list[int]:
+    """The cells, flat indices i m + j of an (grid_n, m) scan in value order,
+    that no earlier cell is an 8-neighbour of: one per basin of the scan.
+    The row index i wraps mod ``grid_n``; the column index j does not."""
+    walked, starts = [], []
+    for cell in cells:
+        i, j = divmod(cell, m)
+        if not any(abs(j - jw) <= 1 and (i - iw) % grid_n in (0, 1, grid_n - 1) for iw, jw in walked):
+            starts.append(cell)
+        walked.append((i, j))
+    return starts
+
+
 def minimize_torus(
     batch: Callable[[tuple[np.ndarray, np.ndarray]], np.ndarray],
     grid_n: int,
@@ -139,22 +169,26 @@ def minimize_torus(
     an (n, 2) array of points to (values, gradients (n, 2), Hessians (n, 2, 2)).
     The function must be even, f(-z) = f(z), so the scan is the one ``batch``
     call on the half cell, us = i / grid_n and vs = us up to 1/2 + 1.5/grid_n.
-    The ``_N_STARTS`` lowest grid points are polished together by
-    ``_newton_polish``, which stops each at a Newton decrement of rounding
-    level, ``_ROUNDING`` times the largest |value| at the starts.  That scale
-    is the starts' own: the largest value of the whole scan can exceed a deep
-    minimum by many orders of magnitude (1e52 on the hexagon at alpha = 100),
-    and a decrement relative to it would stop the polish at its first step.
-    Returns the polished point whose last evaluated value is lowest, that
-    value and the Newton iteration count.
+    Of the ``_N_STARTS`` lowest grid points, walked in value order, each one
+    that is an 8-neighbour of a point already walked (u wrapping) is dropped,
+    since the polish would take it to its neighbour's minimum; the rest are
+    polished together by ``_newton_polish``, which stops each at a Newton
+    decrement of rounding level, ``_ROUNDING`` times the largest |value| at
+    the ``_N_STARTS`` points.  That scale is the starts' own: the largest
+    value of the whole scan can exceed a deep minimum by many orders of
+    magnitude (1e52 on the hexagon at alpha = 100), and a decrement relative
+    to it would stop the polish at its first step.  Returns the polished
+    point whose last evaluated value is lowest, that value and the Newton
+    iteration count.
     """
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     us = np.arange(grid_n) / grid_n
     vs = us[us <= 0.5 + 1.5 / grid_n]
     vals = batch((us, vs)).ravel()
-    best = np.argsort(vals, kind="stable")[:_N_STARTS]
-    tol = _ROUNDING * float(np.max(np.abs(vals[best])))
+    lowest = np.argsort(vals, kind="stable")[:_N_STARTS]
+    tol = _ROUNDING * float(np.max(np.abs(vals[lowest])))
+    best = np.array(_basin_starts(lowest.tolist(), grid_n, len(vs)))
     starts = np.column_stack([us[best // len(vs)], vs[best % len(vs)]])
     points, values, iterations = _newton_polish(derivatives, starts, 1.0 / grid_n, tol)
     j = int(np.argmin(values))
@@ -187,7 +221,12 @@ def minimize_over_cell(
     Where the minimum lies in a flat valley, only its value is reproducible,
     not its argmin: rounding-level changes of the polish moved it 1.4e-5 on
     (0.5, 2.2549) at alpha 0.5 and 4.3e-4 on (0.275, 2.4183) at alpha 8 and
-    grid 32, each time at values within their tails of each other.
+    grid 32, each time at values within their tails of each other.  On
+    x = 1/2 the line v = 1/2 is such a valley at alpha 0.25 for y in
+    [1.36, 1.68] and at alpha 0.5 for y in [2.01, 2.5]: polishing one start
+    per scan basin instead of five moved the argmin along it by up to 0.13
+    in u ((0.5, 1.6830) at alpha 0.25), the value by at most one unit in
+    its last digit.
 
     The maximum needs no search.  By Poisson summation every positive
     mixture sum_j w_j E(z; alpha_j) is sum_k g(k) cos(2 pi k.z) over the

@@ -260,7 +260,7 @@ def check_q1_growth() -> LemmaReport:
     inequality or undercut either minimum: with r^2 = k^2 + l^2,
     Q1 = (2/sqrt 3)(k^2 + k l + l^2 + k + l + 1/3) >= (2/sqrt 3)(r^2/2 -
     sqrt(2) r + 1/3), which exceeds u r^2 for r > 8.25 and 146/(3 sqrt 3)
-    for r > 8.5."""
+    for r > 8.5.  The minima 14/(3 sqrt 3) and 146/(3 sqrt 3) are 7u and 73u."""
     box_radius = 30
     k, l = _box(box_radius)
     v = q1(k, l)
@@ -270,7 +270,7 @@ def check_q1_growth() -> LemmaReport:
         margin = min(margin, 1e-9 - abs(v[cheb > limit].min() - mult / (3.0 * SQRT3)))
     return LemmaReport(
         "q1_growth",
-        f"box radius {box_radius}; outside-box minima 14u and 146u",
+        f"box radius {box_radius}; outside-box minima 7u and 73u",
         margin,
     )
 

@@ -8,6 +8,7 @@ from latsum.lattice import PhasePoint, lattice_from_tau, special_point_a, specia
 from latsum.optimize import (
     _EIG_FLOOR,
     _N_STARTS,
+    _ROUNDING,
     _newton_polish,
     _saddle_free_step,
     minimize_over_cell,
@@ -24,6 +25,7 @@ from latsum.theta import (
 
 from conftest import (
     Y_HEX,
+    all_starts_minimum_oracle,
     eigh_saddle_free_step,
     in_fundamental_domain_plus,
     random_domain_lattice,
@@ -131,6 +133,20 @@ class TestMinimize:
                 tails = res.value.tail_bound + best.tail_bound
                 assert abs(res.value.value - best.value) <= tails + 1e-15 * best.value
 
+    def test_no_higher_than_polishing_every_start(self):
+        """Against the rule that polishes all ``_N_STARTS`` lowest grid points,
+        without merging neighbours or stepping off saddles: on 24 seeded
+        domain shapes and six on the x = 1/2 valleys, at every alpha of
+        criterion 4, the minimum is no higher than that one beyond both tails."""
+        rng = np.random.default_rng(20261021)
+        lattices = [random_domain_lattice(rng) for _ in range(24)]
+        lattices += [lattice_from_tau(0.5, y) for y in np.linspace(1.0, 2.5, 6)]
+        for lat in lattices:
+            for alpha in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+                got = minimize_over_cell(lat, alpha, 32).value
+                ref = all_starts_minimum_oracle(ShiftedSumEvaluator(lat, ((alpha, 1.0),)), 32)
+                assert got.value <= ref.value + got.tail_bound + ref.tail_bound
+
     def test_nonpositive_alpha(self, hexl):
         with pytest.raises(NonPositiveAlpha):
             minimize_over_cell(hexl, -1.0)
@@ -159,6 +175,21 @@ def _hessians(rng, kind, n):
     return np.stack([a, b, b, d], axis=-1).reshape(n, 2, 2)
 
 
+def _basin_cells(scan, n_starts):
+    """The grid cells (i, j) of the ``n_starts`` lowest values of the (n, m)
+    ``scan`` that none of the lower ones among them is an 8-neighbour of,
+    i wrapping mod n, in value order."""
+    n, m = scan.shape
+    lowest = [divmod(c, m) for c in np.argsort(scan.ravel(), kind="stable")[:n_starts].tolist()]
+    return [
+        (i, j)
+        for rank, (i, j) in enumerate(lowest)
+        if not any(
+            min((i - p) % n, (p - i) % n) <= 1 and abs(j - q) <= 1 for p, q in lowest[:rank]
+        )
+    ]
+
+
 class TestNewtonPolish:
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
     @pytest.mark.parametrize(
@@ -178,19 +209,22 @@ class TestNewtonPolish:
 
     def test_call_structure(self):
         """``batch`` is called once, on the axes of the half-cell scan grid;
-        ``derivatives`` once per iteration at most, plus once for the starts,
-        and never on more rows than there are starts.  The value returned is
-        one ``derivatives`` gave: no batch re-evaluates the polished points."""
+        ``derivatives`` once per iteration at most, plus once for the starts.
+        The starts are the ``_N_STARTS`` lowest grid points that no lower one
+        of them is an 8-neighbour of (u wrapping), counted here from the scan,
+        and no later batch has more rows.  The value returned is one
+        ``derivatives`` gave: no batch re-evaluates the polished points."""
+        counts = []
         for x, y, alpha in [(0.5, Y_HEX, 1.0), (0.2, 1.3, 0.25), (0.5, 2.5, 8.0), (0.0, 1.0, 4.0)]:
             ev = ShiftedSumEvaluator(lattice_from_tau(x, y), ((alpha, 1.0),))
-            batch_axes, derivative_rows, derivative_values = [], [], []
+            batch_axes, derivative_points, derivative_values = [], [], []
 
             def batch(axes):
                 batch_axes.append(axes)
                 return ev._grid_centered(*axes)
 
             def derivatives(zs):
-                derivative_rows.append(len(zs))
+                derivative_points.append(zs)
                 out = ev.derivatives_centered(zs)
                 derivative_values.extend(out[0].tolist())
                 return out
@@ -200,10 +234,110 @@ class TestNewtonPolish:
             assert len(batch_axes) == 1
             us, vs = batch_axes[0]
             assert np.array_equal(us, grid) and np.array_equal(vs, grid[grid <= 0.5 + 1.5 / 32])
-            assert 1 <= len(derivative_rows) <= iterations + 1
-            assert derivative_rows[0] == _N_STARTS
-            assert max(derivative_rows) <= _N_STARTS
+            starts = _basin_cells(ev._grid_centered(us, vs), _N_STARTS)
+            counts.append(len(starts))
+            assert 1 <= len(derivative_points) <= iterations + 1
+            assert np.array_equal(derivative_points[0], [[us[i], vs[j]] for i, j in starts])
+            assert max(map(len, derivative_points)) <= len(starts)
             assert value in derivative_values
+        # one basin each, but two on x = 1/2, y = 2.5: u = 0 and u = 1/2
+        assert counts == [1, 1, 2, 1]
+
+    def test_one_start_per_cluster_across_the_u_wrap(self):
+        """An even function with one well between the grid columns u = 0 and
+        u = 31/32 and a shallower one on the grid point (1/2, 3/16): its five
+        lowest grid points are three of the first well (two of them across
+        the wrap) and the second well's centre, so two starts are polished,
+        and the deeper well's centre is found."""
+        n = 32
+        wells = [(-0.5 / n, 0.25, 1.0), (0.5, 6 / n, 0.5)]
+        wells += [(-u, -v, w) for u, v, w in wells]  # their mirrors z -> -z
+
+        def derivatives(zs):
+            f, g, h = np.zeros(len(zs)), np.zeros((len(zs), 2)), np.zeros((len(zs), 2, 2))
+            for u, v, w in wells:
+                phase = 2 * math.pi * (zs - [u, v])
+                t = -w * np.exp(-30.0 * (2.0 - np.cos(phase).sum(axis=1)))
+                d = -30.0 * 2 * math.pi * np.sin(phase)
+                f += t
+                g += t[:, None] * d
+                h += t[:, None, None] * (d[:, :, None] * d[:, None, :])
+                h[:, [0, 1], [0, 1]] += t[:, None] * (-30.0 * 4 * math.pi**2 * np.cos(phase))
+            return f, g, h
+
+        def batch(axes):
+            uu, vv = np.meshgrid(*axes, indexing="ij")
+            return derivatives(np.column_stack([uu.ravel(), vv.ravel()]))[0].reshape(uu.shape)
+
+        grid = np.arange(n) / n
+        scan = batch((grid, grid[grid <= 0.5 + 1.5 / n]))
+        lowest = np.argsort(scan.ravel(), kind="stable")[:_N_STARTS]
+        assert {0, n - 1} <= set((lowest // scan.shape[1]).tolist())
+        assert _basin_cells(scan, _N_STARTS) == [(0, 8), (n // 2, 6)]
+        rows = []
+        point, value, _ = minimize_torus(
+            batch, n, lambda zs: rows.append(len(zs)) or derivatives(zs)
+        )
+        assert rows[0] == 2
+        assert math.hypot(point[0] - (1 - 0.5 / n), point[1] - 0.25) < 1e-9
+        assert value == pytest.approx(-1.0, abs=1e-12)
+
+    @staticmethod
+    def _cosines(p, a0, a1, calls):
+        """Derivatives of f(z) = -(a0 cos 2 pi (u - p0) + a1 cos 2 pi (v - p1)) / (4 pi^2),
+        whose gradient at p is 0 and Hessian diag(a0, a1); each call's row
+        count is appended to ``calls``."""
+        a = np.array([a0, a1]) / (4 * math.pi**2)
+
+        def derivatives(zs):
+            calls.append(len(zs))
+            phase = 2 * math.pi * (zs - p)
+            hess = np.zeros((len(zs), 2, 2))
+            hess[:, [0, 1], [0, 1]] = 4 * math.pi**2 * a * np.cos(phase)
+            return -(a * np.cos(phase)).sum(axis=1), 2 * math.pi * a * np.sin(phase), hess
+
+        return derivatives
+
+    def test_saddle_start_steps_off_it(self):
+        """g = 0 and H = diag(1, -1): the start steps along v, downhill on
+        both sides, and the polish runs on to the minimum at p + (0, 1/2)."""
+        p = np.array([0.3, 0.2])
+        calls = []
+        saddle = self._cosines(p, 1.0, -1.0, calls)
+        points, values, _ = _newton_polish(saddle, p[None], 1 / 32, 1e-12)
+        assert len(calls) > 1
+        assert math.hypot(*(points[0] - [0.3, 0.7])) < 1e-9
+        assert values[0] < -1.99 / (4 * math.pi**2)
+
+    def test_definite_start_stops_at_once(self):
+        """g = 0 and H positive definite: one ``derivatives`` call, on the
+        starts, and the start is returned where it was."""
+        p = np.array([0.3, 0.2])
+        calls = []
+        well = self._cosines(p, 1.0, 2.0, calls)
+        points, _, iterations = _newton_polish(well, p[None], 1 / 32, 1e-12)
+        assert calls == [1] and iterations == 1
+        assert np.array_equal(points, p[None])
+
+    def test_shallow_saddle_stops(self):
+        """g = 0 and H = diag(1, -1e-6) at trust radius 1e-3: |lambda| r^2 is
+        1e-12, so the start stops at tol 1e-11 and steps off at tol 1e-13."""
+        p = np.array([0.3, 0.2])
+        for tol, stops in ((1e-11, True), (1e-13, False)):
+            calls = []
+            points, _, _ = _newton_polish(self._cosines(p, 1.0, -1e-6, calls), p[None], 1e-3, tol)
+            assert (calls == [1]) == stops
+            assert np.array_equal(points, p[None]) == stops
+
+    def test_hexagon_from_its_torsion_saddle(self, hexl):
+        """The hexagon at alpha = 1 has the gradient 0 at the 2-torsion point
+        (1/2, 0), a saddle: a lone start there reaches a deep hole."""
+        ev = ShiftedSumEvaluator(hexl, ((1.0, 1.0),))
+        start = np.array([[0.5, 0.0]])
+        tol = _ROUNDING * abs(float(ev.derivatives_centered(start)[0][0]))
+        points, _, _ = _newton_polish(ev.derivatives_centered, start, 1 / 48, tol)
+        u, v = points[0]
+        assert min(math.hypot(u - c, v - c) for c in (1 / 3, 2 / 3)) < 1e-9
 
     def test_trial_points_wrap_into_unit_square(self):
         """A step to -1e-17 wraps to 0.0: the float -1e-17 % 1.0 is 1.0.  The

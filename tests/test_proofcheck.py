@@ -112,7 +112,7 @@ THRESHOLD_IDS = [
 PINNED_SUITE = [
     ("q1_ledger", "box radius 8, first three levels", 1.0),
     ("q2_ledger", "box radius 8, levels 1/3/4, gap at 2", 1.0),
-    ("q1_growth", "box radius 30; outside-box minima 14u and 146u", 1e-09),
+    ("q1_growth", "box radius 30; outside-box minima 7u and 73u", 1e-09),
     (
         "growth1",
         "|k|,|l| <= 20; minimal ratio 0.6204 at [(-1, 0), (0, -1), (0, 0)]",
