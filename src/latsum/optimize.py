@@ -3,16 +3,19 @@
 The minimizer runs a coarse grid scan of the half cell in lattice
 coordinates (every function minimized here is even), one evaluation on
 the product grid's two axes, then polishes one of the lowest cells per
-basin of the scan by saddle-free Newton steps on the series' own gradient
-and Hessian, term by term differentiated.  The 2x2 saddle-free step has a
-closed form (eigenvalues m +- hypot(d, b), eigenvector angle
-atan2(b, d)/2), so the polish works on Python floats per start and its
-only numpy work is one derivative batch per iteration: a few matrix
-products over the index pairs and tables the evaluator builds once, 8-12
-us on the dual side and 17-22 us on the lattice side for 1-5 rows of 7-52
-terms (2-core x86-64 VM).  The best start is picked by the values that
-batch last gave.  The sweep evaluates the minimum across a family of
-lattice shapes.
+basin of the scan, up to z -> -z, by saddle-free Newton steps on the
+series' own gradient and Hessian, term by term differentiated.  Between
+the scan and the polish the few numbers that pick and scale the starts
+are Python floats and ints: one partition finds the lowest cells, and
+numpy runs only on the scan's and the batches' arrays.  The 2x2
+saddle-free step has a closed form (eigenvalues m +- hypot(d, b),
+eigenvector angle atan2(b, d)/2), so the polish works on Python floats
+per start and its only numpy work is one derivative batch per iteration:
+a few matrix products over the index pairs and tables the evaluator
+builds once, 8-12 us on the dual side and 17-22 us on the lattice side for
+1-5 rows of 7-52 terms (2-core x86-64 VM).  The best start is picked by
+the values that batch last gave.  The sweep evaluates the minimum across
+a family of lattice shapes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ _NEWTON_ITERATIONS = 60  # cap on the Newton loop
 _N_STARTS = 5  # lowest grid points each torus minimization picks its starts from
 _EIG_FLOOR = 1e-12  # smallest |Hessian eigenvalue| kept, relative to the largest
 _TINY = float(np.finfo(float).tiny)  # added to that floor, keeping it positive at H = 0
-_ROUNDING = 64.0 * np.finfo(float).eps  # decrement at which a start stops, per unit value
+_ROUNDING = 64.0 * float(np.finfo(float).eps)  # decrement at which a start stops, per unit value
 
 
 @dataclass(frozen=True)
@@ -144,14 +147,33 @@ def _newton_polish(
     return np.array(points), f, iterations
 
 
+def _lowest(vals: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(vals, kind="stable")[:k]`` without sorting all of ``vals``:
+    the cells not above the k-th lowest value (NaN, which sorts last, among
+    them) found by one partition, and only those sorted."""
+    if len(vals) <= k:
+        return np.argsort(vals, kind="stable")
+    kth = np.partition(vals, k - 1)[k - 1]
+    candidates = (~(vals > kth)).nonzero()[0]
+    return candidates[vals[candidates].argsort(kind="stable")[:k]]
+
+
 def _basin_starts(cells: Sequence[int], grid_n: int, m: int) -> list[int]:
-    """The cells, flat indices i m + j of an (grid_n, m) scan in value order,
-    that no earlier cell is an 8-neighbour of: one per basin of the scan.
-    The row index i wraps mod ``grid_n``; the column index j does not."""
+    """The cells, flat indices i m + j of an (grid_n, m) scan of an even
+    function in value order, that no earlier cell is an 8-neighbour of on the
+    torus, itself or mirrored, (i, j) -> (-i, -j) mod ``grid_n``: one per
+    basin of the scan up to z -> -z, which maps a basin to one of equal
+    depth.  Both indices wrap mod ``grid_n``; two columns j < m of one scan
+    lie less than grid_n - 1 apart, so the wrap never joins them directly."""
+    near = (0, 1, grid_n - 1)
     walked, starts = [], []
     for cell in cells:
         i, j = divmod(cell, m)
-        if not any(abs(j - jw) <= 1 and (i - iw) % grid_n in (0, 1, grid_n - 1) for iw, jw in walked):
+        if not any(
+            (i - iw) % grid_n in near and (j - jw) % grid_n in near
+            or (i + iw) % grid_n in near and (j + jw) % grid_n in near
+            for iw, jw in walked
+        ):
             starts.append(cell)
         walked.append((i, j))
     return starts
@@ -169,9 +191,11 @@ def minimize_torus(
     an (n, 2) array of points to (values, gradients (n, 2), Hessians (n, 2, 2)).
     The function must be even, f(-z) = f(z), so the scan is the one ``batch``
     call on the half cell, us = i / grid_n and vs = us up to 1/2 + 1.5/grid_n.
-    Of the ``_N_STARTS`` lowest grid points, walked in value order, each one
-    that is an 8-neighbour of a point already walked (u wrapping) is dropped,
-    since the polish would take it to its neighbour's minimum; the rest are
+    Of the ``_N_STARTS`` lowest grid points (``_lowest``: the cells of a
+    stable sort, by one partition), walked in value order, each one that is
+    an 8-neighbour on the torus of a point already walked or of its mirror
+    image -z is dropped (``_basin_starts``), since the polish would take it
+    to its neighbour's minimum or that minimum's mirror; the rest are
     polished together by ``_newton_polish``, which stops each at a Newton
     decrement of rounding level, ``_ROUNDING`` times the largest |value| at
     the ``_N_STARTS`` points.  That scale is the starts' own: the largest
@@ -185,13 +209,15 @@ def minimize_torus(
         raise ValueError("grid_n must be at least 8")
     us = np.arange(grid_n) / grid_n
     vs = us[us <= 0.5 + 1.5 / grid_n]
+    m = len(vs)
     vals = batch((us, vs)).ravel()
-    lowest = np.argsort(vals, kind="stable")[:_N_STARTS]
-    tol = _ROUNDING * float(np.max(np.abs(vals[lowest])))
-    best = np.array(_basin_starts(lowest.tolist(), grid_n, len(vs)))
-    starts = np.column_stack([us[best // len(vs)], vs[best % len(vs)]])
+    lowest = _lowest(vals, _N_STARTS)
+    tol = _ROUNDING * max(map(abs, vals[lowest].tolist()))
+    cells = _basin_starts(lowest.tolist(), grid_n, m)
+    # (i, j) / grid_n is (us[i], vs[j]) bit for bit, the same rounded quotients
+    starts = np.array([divmod(c, m) for c in cells]) / grid_n
     points, values, iterations = _newton_polish(derivatives, starts, 1.0 / grid_n, tol)
-    j = int(np.argmin(values))
+    j = min(range(len(values)), key=values.__getitem__)  # the first lowest, as np.argmin
     return points[j], values[j], iterations
 
 

@@ -872,6 +872,7 @@ class ShiftedSumEvaluator:
         scan, accurate only to eps times the value at the origin, would not.
         """
         us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+        us_list, vs_list = us.tolist(), vs.tolist()
         out = np.zeros((len(us), len(vs)))
         g00, g01, g11 = self._plan.near[:3]
         spread = 2.0 * abs(g01) * float(self._rates.max()) if self._near else 0.0
@@ -879,10 +880,14 @@ class ShiftedSumEvaluator:
         while tiles:
             su, sv = tiles.pop()
             tu, tv = us[su], vs[sv]
-            c1, c2 = 0.5 * (tu.max() + tu.min()), 0.5 * (tv.max() + tv.min())
+            # the axis ends, from Python floats; rounding is monotone, so the
+            # largest |t - c| is at an end: the ends give max |d| exactly
+            lo1, hi1 = min(us_list[su]), max(us_list[su])
+            lo2, hi2 = min(vs_list[sv]), max(vs_list[sv])
+            c1, c2 = 0.5 * (hi1 + lo1), 0.5 * (hi2 + lo2)
             d1, d2 = tu - c1, tv - c2
             n, m = len(tu), len(tv)
-            cross = spread * float(np.abs(d1).max() * np.abs(d2).max())  # the tile's L
+            cross = spread * (max(hi1 - c1, c1 - lo1) * max(hi2 - c2, c2 - lo2))  # the tile's L
             if n * m > _MAX_BOX_CELLS or cross > _TILE_CROSS:
                 # n = 1 leaves w1 = 0, so this halves an axis of at least 2 points
                 s, half = (su, n // 2) if n >= m else (sv, m // 2)

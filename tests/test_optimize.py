@@ -10,6 +10,7 @@ from latsum.optimize import (
     _N_STARTS,
     _ROUNDING,
     _newton_polish,
+    _lowest,
     _saddle_free_step,
     minimize_over_cell,
     minimize_torus,
@@ -177,17 +178,76 @@ def _hessians(rng, kind, n):
 
 def _basin_cells(scan, n_starts):
     """The grid cells (i, j) of the ``n_starts`` lowest values of the (n, m)
-    ``scan`` that none of the lower ones among them is an 8-neighbour of,
-    i wrapping mod n, in value order."""
+    ``scan`` of an even function, grid step 1/n, that none of the lower ones
+    among them is an 8-neighbour of on the torus, itself or mirrored,
+    (p, q) -> (-p, -q) mod n, in value order."""
     n, m = scan.shape
+
+    def torus_neighbours(i, j, p, q):
+        return min((i - p) % n, (p - i) % n) <= 1 and min((j - q) % n, (q - j) % n) <= 1
+
     lowest = [divmod(c, m) for c in np.argsort(scan.ravel(), kind="stable")[:n_starts].tolist()]
     return [
         (i, j)
         for rank, (i, j) in enumerate(lowest)
         if not any(
-            min((i - p) % n, (p - i) % n) <= 1 and abs(j - q) <= 1 for p, q in lowest[:rank]
+            torus_neighbours(i, j, p, q) or torus_neighbours(i, j, -p, -q)
+            for p, q in lowest[:rank]
         )
     ]
+
+
+def _even_wells(wells):
+    """``batch`` and ``derivatives`` of the even function with a well
+    -w exp(-30 (2 - cos 2 pi (u - p0) - cos 2 pi (v - p1))) of depth w at
+    each (p0, p1, w) of ``wells`` and at its mirror (-p0, -p1)."""
+    wells = wells + [(-u, -v, w) for u, v, w in wells]
+
+    def derivatives(zs):
+        f, g, h = np.zeros(len(zs)), np.zeros((len(zs), 2)), np.zeros((len(zs), 2, 2))
+        for u, v, w in wells:
+            phase = 2 * math.pi * (zs - [u, v])
+            t = -w * np.exp(-30.0 * (2.0 - np.cos(phase).sum(axis=1)))
+            d = -30.0 * 2 * math.pi * np.sin(phase)
+            f += t
+            g += t[:, None] * d
+            h += t[:, None, None] * (d[:, :, None] * d[:, None, :])
+            h[:, [0, 1], [0, 1]] += t[:, None] * (-30.0 * 4 * math.pi**2 * np.cos(phase))
+        return f, g, h
+
+    def batch(axes):
+        uu, vv = np.meshgrid(*axes, indexing="ij")
+        return derivatives(np.column_stack([uu.ravel(), vv.ravel()]))[0].reshape(uu.shape)
+
+    return batch, derivatives
+
+
+class TestStartSelection:
+    """``_lowest`` picks the scan's ``_N_STARTS`` lowest cells by one partition;
+    they must be ``np.argsort(vals, kind="stable")[:_N_STARTS]`` in order."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ties_signed_zeros_and_nan(self, seed):
+        """Small integers, so values tie exactly; zeros of either sign; NaN
+        in up to all cells; sizes on both sides of ``_N_STARTS``."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 80))
+        vals = rng.integers(-2, 3, size).astype(float)
+        zeros = vals == 0.0
+        vals[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        vals[rng.random(size) < rng.choice([0.0, 0.3, 0.97])] = np.nan
+        stable = np.argsort(vals, kind="stable")[:_N_STARTS]
+        assert _lowest(vals, _N_STARTS).tolist() == stable.tolist()
+
+    @pytest.mark.parametrize("x, y, alpha", [(0.5, Y_HEX, 1.0), (0.5, 2.5, 8.0), (0.5, Y_HEX, 1000.0)])
+    def test_real_scan(self, x, y, alpha):
+        """Half-cell scans: the hexagon's six-fold ties, the two valleys of
+        (1/2, 5/2) and the hexagon at alpha = 1000, where most cells are 0."""
+        ev = ShiftedSumEvaluator(lattice_from_tau(x, y), ((alpha, 1.0),))
+        us = np.arange(32) / 32
+        vals = ev._grid_centered(us, us[us <= 0.5 + 1.5 / 32]).ravel()
+        stable = np.argsort(vals, kind="stable")[:_N_STARTS]
+        assert _lowest(vals, _N_STARTS).tolist() == stable.tolist()
 
 
 class TestNewtonPolish:
@@ -250,25 +310,7 @@ class TestNewtonPolish:
         the wrap) and the second well's centre, so two starts are polished,
         and the deeper well's centre is found."""
         n = 32
-        wells = [(-0.5 / n, 0.25, 1.0), (0.5, 6 / n, 0.5)]
-        wells += [(-u, -v, w) for u, v, w in wells]  # their mirrors z -> -z
-
-        def derivatives(zs):
-            f, g, h = np.zeros(len(zs)), np.zeros((len(zs), 2)), np.zeros((len(zs), 2, 2))
-            for u, v, w in wells:
-                phase = 2 * math.pi * (zs - [u, v])
-                t = -w * np.exp(-30.0 * (2.0 - np.cos(phase).sum(axis=1)))
-                d = -30.0 * 2 * math.pi * np.sin(phase)
-                f += t
-                g += t[:, None] * d
-                h += t[:, None, None] * (d[:, :, None] * d[:, None, :])
-                h[:, [0, 1], [0, 1]] += t[:, None] * (-30.0 * 4 * math.pi**2 * np.cos(phase))
-            return f, g, h
-
-        def batch(axes):
-            uu, vv = np.meshgrid(*axes, indexing="ij")
-            return derivatives(np.column_stack([uu.ravel(), vv.ravel()]))[0].reshape(uu.shape)
-
+        batch, derivatives = _even_wells([(-0.5 / n, 0.25, 1.0), (0.5, 6 / n, 0.5)])
         grid = np.arange(n) / n
         scan = batch((grid, grid[grid <= 0.5 + 1.5 / n]))
         lowest = np.argsort(scan.ravel(), kind="stable")[:_N_STARTS]
@@ -280,6 +322,30 @@ class TestNewtonPolish:
         )
         assert rows[0] == 2
         assert math.hypot(point[0] - (1 - 0.5 / n), point[1] - 0.25) < 1e-9
+        assert value == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("row", [0, 16])
+    def test_one_start_per_mirror_pair(self, row):
+        """An even function with one well beside the grid point (1/4, row/32),
+        on v = 0 or v = 1/2: its two lowest grid points are that point and
+        its mirror (3/4, -row/32 mod 1), which no u-wrapped neighbour test
+        joins.  One start is polished, and it reaches the well or its
+        mirror."""
+        n = 32
+        well = ((8 + 0.3) / n, (row + 0.3) / n)
+        batch, derivatives = _even_wells([(*well, 1.0)])
+        grid = np.arange(n) / n
+        scan = batch((grid, grid[grid <= 0.5 + 1.5 / n]))
+        lowest = np.argsort(scan.ravel(), kind="stable")[:2]
+        assert sorted(divmod(c, scan.shape[1]) for c in lowest.tolist()) == [(8, row), (24, row)]
+        assert len(_basin_cells(scan, _N_STARTS)) == 1
+        rows = []
+        point, value, _ = minimize_torus(
+            batch, n, lambda zs: rows.append(len(zs)) or derivatives(zs)
+        )
+        assert rows[0] == 1
+        offsets = [(point - s * np.array(well) + 0.5) % 1.0 - 0.5 for s in (1, -1)]
+        assert min(math.hypot(*d) for d in offsets) < 1e-9
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     @staticmethod

@@ -849,6 +849,31 @@ class TestGridScan:
         monkeypatch.setattr(theta, "_MAX_BOX_CELLS", 40)
         assert_grid_matches_oracle(ev, *scan_axes(16))
 
+    @pytest.mark.parametrize("alpha", [1.0, 8.0, 100.0])
+    @pytest.mark.parametrize("shape", [(0.5, Y_HEX), (0.45, 0.9), (0.2, 1.3)])
+    def test_axes_in_any_order_on_the_lattice_side(self, shape, alpha, monkeypatch):
+        """Each tile takes its centre and half-widths from its axes' ends, the
+        least and largest point, whatever their order: reversed, shuffled and
+        repeated axes and single-point axes match the oracle on sheared
+        lattice-side shapes, in one tile and, with the cell cap at 12, in
+        several."""
+        ev = ShiftedSumEvaluator(lattice_from_tau(*shape), one_node(alpha))
+        assert ev._near and not ev._far
+        us, vs = scan_axes(16)
+        shuffle = np.random.default_rng(20261022).permutation
+        axes = [
+            (us[::-1], vs[::-1]),
+            (shuffle(us), shuffle(vs)),
+            (np.repeat(us[::-1], 2), vs[[3, 3, 0, 8, 3, 9]]),
+            (us[[5]], vs),
+            (us, vs[[7]]),
+            (us[[5]], vs[[7]]),
+        ]
+        for cap in (theta._MAX_BOX_CELLS, 12):
+            monkeypatch.setattr(theta, "_MAX_BOX_CELLS", cap)
+            for u, v in axes:
+                assert_grid_matches_oracle(ev, u, v)
+
     def test_unit_cell_tie_takes_the_lattice_side(self):
         """The float covolume of tau = (0, 10^1.5) is 1 - eps, so alpha = 1 is
         a tie; on the lattice side the value 1.8e-10 at v = 1/2, far below the
