@@ -148,13 +148,12 @@ def _newton_polish(
 
 
 def _lowest(vals: np.ndarray, k: int) -> np.ndarray:
-    """``np.argsort(vals, kind="stable")[:k]`` without sorting all of ``vals``:
-    the cells not above the k-th lowest value (NaN, which sorts last, among
-    them) found by one partition, and only those sorted."""
-    if len(vals) <= k:
-        return np.argsort(vals, kind="stable")
+    """``np.argsort(vals, kind="stable")[:k]`` for NaN-free ``vals`` without
+    sorting all of them: the cells not above the k-th lowest value, found by
+    one partition, and only those sorted."""
+    k = min(k, len(vals))
     kth = np.partition(vals, k - 1)[k - 1]
-    candidates = (~(vals > kth)).nonzero()[0]
+    candidates = (vals <= kth).nonzero()[0]
     return candidates[vals[candidates].argsort(kind="stable")[:k]]
 
 
@@ -187,7 +186,8 @@ def minimize_torus(
     """Minimize an even function on the unit torus: grid scan, then Newton polish.
 
     ``batch`` maps the axes (us, vs) of a product grid of lattice coordinates
-    to the (n, m) array of values at (us[i], vs[j]), and ``derivatives`` maps
+    to the (n, m) array of values at (us[i], vs[j]), none of them NaN (each
+    term of an evaluator's scan lies in [0, 1]), and ``derivatives`` maps
     an (n, 2) array of points to (values, gradients (n, 2), Hessians (n, 2, 2)).
     The function must be even, f(-z) = f(z), so the scan is the one ``batch``
     call on the half cell, us = i / grid_n and vs = us up to 1/2 + 1.5/grid_n.
@@ -217,7 +217,8 @@ def minimize_torus(
     # (i, j) / grid_n is (us[i], vs[j]) bit for bit, the same rounded quotients
     starts = np.array([divmod(c, m) for c in cells]) / grid_n
     points, values, iterations = _newton_polish(derivatives, starts, 1.0 / grid_n, tol)
-    j = min(range(len(values)), key=values.__getitem__)  # the first lowest, as np.argmin
+    # the first lowest, as np.argmin on values without NaN
+    j = min(range(len(values)), key=values.__getitem__)
     return points[j], values[j], iterations
 
 

@@ -227,15 +227,14 @@ class TestStartSelection:
     they must be ``np.argsort(vals, kind="stable")[:_N_STARTS]`` in order."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_ties_signed_zeros_and_nan(self, seed):
-        """Small integers, so values tie exactly; zeros of either sign; NaN
-        in up to all cells; sizes on both sides of ``_N_STARTS``."""
+    def test_ties_and_signed_zeros(self, seed):
+        """Small integers, so values tie exactly; zeros of either sign; sizes
+        on both sides of ``_N_STARTS``.  Scan values are never NaN."""
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 80))
         vals = rng.integers(-2, 3, size).astype(float)
         zeros = vals == 0.0
         vals[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
-        vals[rng.random(size) < rng.choice([0.0, 0.3, 0.97])] = np.nan
         stable = np.argsort(vals, kind="stable")[:_N_STARTS]
         assert _lowest(vals, _N_STARTS).tolist() == stable.tolist()
 
@@ -270,9 +269,9 @@ class TestNewtonPolish:
     def test_call_structure(self):
         """``batch`` is called once, on the axes of the half-cell scan grid;
         ``derivatives`` once per iteration at most, plus once for the starts.
-        The starts are the ``_N_STARTS`` lowest grid points that no lower one
-        of them is an 8-neighbour of (u wrapping), counted here from the scan,
-        and no later batch has more rows.  The value returned is one
+        The starts are those of the ``_N_STARTS`` lowest grid points that are
+        no 8-neighbour on the torus of a lower one or of its mirror image,
+        counted here from the scan, and no later batch has more rows.  The value returned is one
         ``derivatives`` gave: no batch re-evaluates the polished points."""
         counts = []
         for x, y, alpha in [(0.5, Y_HEX, 1.0), (0.2, 1.3, 0.25), (0.5, 2.5, 8.0), (0.0, 1.0, 4.0)]:
