@@ -5,7 +5,8 @@ style, '.' decimal separator).  Floats are serialized with shortest
 round-trip precision, so identical invocations produce byte-identical
 output; a NaN or infinite result is an error, not output.  Exit codes:
 0 success, 2 argument/validation error (an arithmetic overflow or division
-by zero included), 3 numerical tolerance not met, 4 lemma-suite failure.
+by zero, or an --out path that cannot be written, included), 3 numerical
+tolerance not met, 4 lemma-suite failure.
 """
 
 from __future__ import annotations
@@ -403,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LatSumError, ValueError, ArithmeticError) as exc:
+    except (LatSumError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -186,8 +186,10 @@ def minimize_torus(
     """Minimize an even function on the unit torus: grid scan, then Newton polish.
 
     ``batch`` maps the axes (us, vs) of a product grid of lattice coordinates
-    to the (n, m) array of values at (us[i], vs[j]), none of them NaN (each
-    term of an evaluator's scan lies in [0, 1]), and ``derivatives`` maps
+    to the (n, m) array of values at (us[i], vs[j]), none of them NaN (an
+    evaluator's scan sums finite node weights times factors its tiling keeps
+    finite; a mixture's values can reach 1e5 and its dual terms are
+    negative), and ``derivatives`` maps
     an (n, 2) array of points to (values, gradients (n, 2), Hessians (n, 2, 2)).
     The function must be even, f(-z) = f(z), so the scan is the one ``batch``
     call on the half cell, us = i / grid_n and vs = us up to 1/2 + 1.5/grid_n.

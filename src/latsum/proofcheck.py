@@ -64,24 +64,10 @@ def _box(radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat index arrays (k, l) over |k|, |l| <= radius, in k-major order.
 
     The families below take such arrays as well as scalars, and broadcast
-    them against a column of y values.  A checker that sweeps a y grid over
-    a large box walks it in ``_row_blocks``, so no array outgrows a few rows.
+    them against a column of y values.
     """
     side = np.arange(-radius, radius + 1)
     return np.repeat(side, side.size), np.tile(side, side.size)
-
-
-def _row_blocks(ys: np.ndarray):
-    """The y grid as (8, 1) columns, so that a family evaluated on a block
-    against flat index arrays makes one (8, columns) array, below glibc's
-    default 128 KiB mmap and trim thresholds, so repeated checks reuse heap
-    pages instead of faulting in fresh ones.  ``check_growth11_composite``
-    is the one checker that sweeps a y grid over a box.  It evaluates each
-    value once: one column of each class of ``_column_classes`` (609 at
-    radius 15, 38 KiB per temporary), with the y-free parts formed once,
-    before the first block."""
-    column = np.asarray(ys, dtype=float).reshape(-1, 1)
-    return [column[i:i + 8] for i in range(0, len(column), 8)]
 
 
 def q1(k: int, l: int) -> float:
@@ -94,18 +80,13 @@ def q2(k: int, l: int) -> float:
     return 1.0 * (k * k + k * l + l * l)
 
 
-def _phi_f_ints(k, l):
-    """The y-free integers of phi_f and its derivatives: m^2, (2l+1)^2 and
-    ``_phi_f_c``, with m = 2k + l + 1.  With k + (l+1)/2 = m/2, exact in
-    floats, they make q1, phi_f, its derivatives and shifted_term_d2
-    functions of m^2 and l: every float step sees the same operands at
-    (k, l) and (-k-l-1, l), where m changes sign, so the values there are
-    equal bit for bit."""
-    return (2 * k + l + 1) ** 2, (2 * l + 1) ** 2, _phi_f_c(k, l)
-
-
 def _phi_f_c(k, l):
-    """c = 8k^2 + 8k(l+1) + 2l(l+1) + 1 = 2m^2 - 2l - 1."""
+    """c = 8k^2 + 8k(l+1) + 2l(l+1) + 1 = 2m^2 - 2l - 1, with m = 2k + l + 1.
+
+    With k + (l+1)/2 = m/2, exact in floats, and this integer c, q1, phi_f,
+    its derivatives and shifted_term_d2 are functions of m^2 and l: every
+    float step sees the same operands at (k, l) and (-k-l-1, l), where m
+    changes sign, so the values there are equal bit for bit."""
     return 8 * k * k + 8 * k * (l + 1) + 2 * l * (l + 1) + 1
 
 
@@ -122,12 +103,8 @@ def _column_classes(radius: int) -> tuple[np.ndarray, np.ndarray]:
 def phi_f(k, l, y):
     """Shifted-family exponent: (2k+l+1)^2/(4y) + y (l + b2(y))^2, with
     b2(y) = 1/2 - 1/(8 y^2) the second coordinate of the moving point."""
-    return _phi_f((2 * k + l + 1) ** 2, l, np.asarray(y, dtype=float))
-
-
-def _phi_f(m2, l, y):
-    # phi_f and its derivatives below from the integers of ``_phi_f_ints``
-    return m2 / (4.0 * y) + y * (l + _point_b(0.5, y)[1]) ** 2
+    y = np.asarray(y, dtype=float)
+    return (2 * k + l + 1) ** 2 / (4.0 * y) + y * (l + _point_b(0.5, y)[1]) ** 2
 
 
 def phi_f_d1(k, l, y):
@@ -156,17 +133,13 @@ def phi_g(k, l, y):
 
 
 def shifted_term_d2(k, l, y, alpha):
-    """d^2/dy^2 of exp(-pi alpha phi_f)."""
+    """d^2/dy^2 of exp(-pi alpha phi_f).  exp(-pi alpha phi_f) is clipped at
+    e^``_EXP_FLOOR``, which overstates a term by less than its prefactor
+    times e^-700 and spares an exp near underflow its slow path."""
     y = np.asarray(y, dtype=float)
-    return _shifted_d2(math.pi * alpha, phi_f(k, l, y), phi_f_d1(k, l, y), phi_f_d2(k, l, y))
-
-
-def _shifted_d2(pa, f, d1, d2):
-    """``shifted_term_d2`` at pa = pi alpha from phi_f, phi_f' and phi_f'',
-    which do not depend on alpha.  exp(-pa f) is clipped at e^``_EXP_FLOOR``,
-    which overstates a term by less than its prefactor times e^-700 and
-    spares an exp near underflow its slow path."""
-    return (pa * pa * d1 * d1 - pa * d2) * _clipped_exp(pa * f)
+    pa = math.pi * alpha
+    d1 = phi_f_d1(k, l, y)
+    return (pa * pa * d1 * d1 - pa * phi_f_d2(k, l, y)) * _clipped_exp(pa * phi_f(k, l, y))
 
 
 def charged_term_d2(k, l, y, alpha):
@@ -317,62 +290,63 @@ def check_growth_lemma_1() -> LemmaReport:
     )
 
 
+def _phi_f_peaks(k, l, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """max |phi_f'| and max |phi_f''| over y in [lo, hi], 0 < lo <= hi, at
+    each pair of the flat index arrays k, l.  With w = 1/y^2, 64 phi_f' =
+    16 (2l+1)^2 - 8 c w - 3 w^2 is concave in w, so |phi_f'| peaks at an end of
+    the window or at w = -4c/3.  With v = 1/y, 16 phi_f'' = 4 c v^3 + 3 v^5
+    has v-derivative 3 v^2 (4c + 5 v^2), so |phi_f''| peaks at an end or at
+    v^2 = -4c/5.  A critical point outside the window, or none (c >= 0), is
+    clipped onto an end."""
+    c = _phi_f_c(k, l)
+    ends = np.full((2, c.size), [[lo], [hi]])
+    # the critical 1/y^2 of phi_f' and of phi_f'' as y, floored at 1/hi^2
+    d1_y, d2_y = np.clip(1.0 / np.sqrt(np.maximum(-4.0 * c / [[3.0], [5.0]], hi**-2)), lo, hi)
+    return (
+        np.abs(phi_f_d1(k, l, np.vstack([ends, d1_y]))).max(axis=0),
+        np.abs(phi_f_d2(k, l, np.vstack([ends, d2_y]))).max(axis=0),
+    )
+
+
 def check_derivative_bounds() -> LemmaReport:
     """|phi_f'| <= 2 Q1 and |phi_f''| <= 3 Q1 for y in [sqrt3/2, 10], at the
-    points where each side's |derivative| peaks.  With w = 1/y^2,
-    64 phi_f' = 16 s2 - 8 c w - 3 w^2 is concave in w, so |phi_f'| peaks at an
-    end of the window or at w = -4c/3.  With v = 1/y, 16 phi_f'' =
-    4 c v^3 + 3 v^5 has v-derivative 3 v^2 (4c + 5 v^2), so |phi_f''| peaks
-    at an end or at v^2 = -4c/5.  A critical point outside the window, or
-    none (c >= 0), is clipped onto an end.  Both sides depend on (k, l)
-    through m^2 and l only, so one column of each class of
-    ``_column_classes`` gives the box's minimum."""
+    points where each side's |derivative| peaks (``_phi_f_peaks``).  Both
+    sides depend on (k, l) through m^2 and l only, so one column of each
+    class of ``_column_classes`` gives the box's minimum."""
     lo, hi, k_max = Y_HEX, 10.0, 20
     k, l = _column_classes(k_max)
-    _, s2, c = (np.asarray(v, dtype=float) for v in _phi_f_ints(k, l))
     qq = q1(k, l)
-    ends = np.full((2, qq.size), [[lo], [hi]])
-    # the critical 1/y^2 of phi_f' and of phi_f'' as y, floored at 1/hi^2 = 0.01
-    d1_y, d2_y = np.clip(1.0 / np.sqrt(np.maximum(-4.0 * c / [[3.0], [5.0]], 0.01)), lo, hi)
-    first = np.min(2.0 * qq - np.abs(_phi_f_d1(s2, c, np.vstack([ends, d1_y]))))
-    second = np.min(3.0 * qq - np.abs(_phi_f_d2(c, np.vstack([ends, d2_y]))))
-    return LemmaReport(
-        "derivative_bounds", f"|k|,|l| <= {k_max}, y in [sqrt3/2, 10]", min(first, second)
-    )
+    first, second = _phi_f_peaks(k, l, lo, hi)
+    margin = min(np.min(2.0 * qq - first), np.min(3.0 * qq - second))
+    return LemmaReport("derivative_bounds", f"|k|,|l| <= {k_max}, y in [sqrt3/2, 10]", margin)
 
 
 def check_growth11_composite() -> LemmaReport:
-    """|d^2/dy^2 exp(-pi a phi_f)| <= 5 pi^2 a^2 Q1^2 exp(-pi a sqrt(Q1)/2),
-    on one column of each class of ``_column_classes``: both sides depend on
-    (k, l) through m^2 and l only."""
+    """|d^2/dy^2 exp(-pi a phi_f)| <= 5 pi^2 a^2 Q1^2 exp(-pi a sqrt(Q1)/2)
+    for y in [sqrt3/2, 8], on the whole window.  With p = pi a the left side
+    is |p^2 phi_f'^2 - p phi_f''| exp(-p phi_f), at most
+    (p^2 M1^2 + p M2) exp(-p m), where M1 and M2 are the peaks of |phi_f'|
+    and |phi_f''| on the window (``_phi_f_peaks``) and m = ``min_phi_f``,
+    the minimum over y >= sqrt3/2, which is at most the window's; this
+    holds up to float rounding.  exp(-p m) is clipped at e^``_EXP_FLOOR``, which can only raise the
+    bound.  Both sides depend on (k, l) through m^2 and l only, so one
+    column of each class of ``_column_classes`` gives the box's minimum."""
     alphas, k_max = (5.0, 10.0), 15
-    ys = np.linspace(Y_HEX, 8.0, 160)
     k, l = _column_classes(k_max)
-    m2, s2, c = (np.asarray(v, dtype=float) for v in _phi_f_ints(k, l))
-    ints = (m2, np.asarray(l, dtype=float), s2, c)
     qq = q1(k, l)
-    worst = np.zeros((len(alphas), qq.size))
-    for rows in _row_blocks(ys):
-        np.maximum(worst, _shifted_d2_maxima(ints, rows, alphas), out=worst)
+    peak1, peak2 = _phi_f_peaks(k, l, Y_HEX, 8.0)
+    low = min_phi_f(k, l)
     margin = math.inf
-    for alpha, w in zip(alphas, worst):
-        bound = 5.0 * math.pi**2 * alpha**2 * qq * qq * np.exp(
-            -0.5 * math.pi * alpha * np.sqrt(qq)
-        )
-        margin = min(margin, np.min((bound - w) / bound))
+    for alpha in alphas:
+        p = math.pi * alpha
+        lhs = (p * p * peak1 * peak1 + p * peak2) * _clipped_exp(p * low)
+        bound = 5.0 * math.pi**2 * alpha**2 * qq * qq * np.exp(-0.5 * p * np.sqrt(qq))
+        margin = min(margin, np.min((bound - lhs) / bound))
     return LemmaReport(
-        "growth11", f"alphas {alphas}, |k|,|l| <= {k_max}, relative slack", margin
+        "growth11",
+        f"alphas {alphas}, |k|,|l| <= {k_max}, y in [sqrt3/2, 8], relative slack",
+        margin,
     )
-
-
-def _shifted_d2_maxima(ints, rows, alphas) -> list[np.ndarray]:
-    """max over a block of y rows of |shifted_term_d2| at each alpha, from one
-    evaluation of phi_f and its derivatives, which do not depend on alpha;
-    ``ints`` holds m^2, l, (2l+1)^2 and c of ``_phi_f_ints`` as floats.
-    Its arrays die on return, so no two blocks' arrays are live at once."""
-    m2, l, s2, c = ints
-    f, d1, d2 = _phi_f(m2, l, rows), _phi_f_d1(s2, c, rows), _phi_f_d2(c, rows)
-    return [np.abs(_shifted_d2(math.pi * alpha, f, d1, d2)).max(axis=0) for alpha in alphas]
 
 
 def min_phi_g(k: int, l: int) -> float:
@@ -813,8 +787,9 @@ _ALPHA_SCAN = np.arange(0.05, 10.0 + 0.05, 0.05)
 def _scan_values() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """id -> lhs and rhs on ``_ALPHA_SCAN`` of every threshold inequality,
     evaluated in blocks of 8 alphas: a table of the 1331 distinct Q1 levels
-    is then an (8, 1331) array of 83 KiB, below glibc's 128 KiB thresholds as
-    in ``_row_blocks``.  Each block runs every id before the next block, so
+    is then an (8, 1331) array of 83 KiB, below glibc's default 128 KiB mmap
+    and trim thresholds, so repeated scans reuse heap pages instead of
+    faulting in fresh ones.  Each block runs every id before the next block, so
     each level family builds its table once per block and its sums share it.
     A sum takes from it the elements its own table would hold, the same
     products of the same floats, in an array of the same shape for the same

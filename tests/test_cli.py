@@ -474,3 +474,13 @@ class TestOtherCommands:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["product"] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
+        # the OSError from opening --out is a usage error: exit 2, one error line
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, ["reduce", "--tau", "2.5,0.9", "--out", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err

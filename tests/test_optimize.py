@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latsum.applications import CMPotential
 from latsum.errors import NonPositiveAlpha
 from latsum.lattice import PhasePoint, lattice_from_tau, special_point_a, special_point_b
 from latsum.optimize import (
@@ -247,6 +248,16 @@ class TestStartSelection:
         vals = ev._grid_centered(us, us[us <= 0.5 + 1.5 / 32]).ravel()
         stable = np.argsort(vals, kind="stable")[:_N_STARTS]
         assert _lowest(vals, _N_STARTS).tolist() == stable.tolist()
+
+    @pytest.mark.parametrize("x, y", [(0.5, Y_HEX), (0.3, 2.4)])
+    def test_mixture_scan_is_finite(self, x, y):
+        """A Riesz mixture's node weights reach 1.6e5 and its scan 3.6e5, so
+        scan values are not bounded by 1; they are finite, which ``_lowest``
+        and the Python ``min`` and ``max`` after it rely on."""
+        ev = ShiftedSumEvaluator(lattice_from_tau(x, y), CMPotential.riesz(4.0, tol=1e-9).nodes)
+        us = np.arange(32) / 32
+        vals = ev._grid_centered(us, us[us <= 0.5 + 1.5 / 32])
+        assert np.isfinite(vals).all() and vals.max() > 1e5
 
 
 class TestNewtonPolish:
