@@ -20,6 +20,7 @@ import numpy as np
 
 from .lattice import _point_b
 from .theta import (
+    _BLOCK_ITEMS,
     _EPS,
     _EXP_FLOOR,
     _ball,
@@ -291,21 +292,21 @@ def check_growth_lemma_1() -> LemmaReport:
 
 
 def _phi_f_peaks(k, l, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """max |phi_f'| and max |phi_f''| over y in [lo, hi], 0 < lo <= hi, at
-    each pair of the flat index arrays k, l.  With w = 1/y^2, 64 phi_f' =
-    16 (2l+1)^2 - 8 c w - 3 w^2 is concave in w, so |phi_f'| peaks at an end of
-    the window or at w = -4c/3.  With v = 1/y, 16 phi_f'' = 4 c v^3 + 3 v^5
-    has v-derivative 3 v^2 (4c + 5 v^2), so |phi_f''| peaks at an end or at
-    v^2 = -4c/5.  A critical point outside the window, or none (c >= 0), is
-    clipped onto an end."""
-    c = _phi_f_c(k, l)
-    ends = np.full((2, c.size), [[lo], [hi]])
-    # the critical 1/y^2 of phi_f' and of phi_f'' as y, floored at 1/hi^2
-    d1_y, d2_y = np.clip(1.0 / np.sqrt(np.maximum(-4.0 * c / [[3.0], [5.0]], hi**-2)), lo, hi)
-    return (
-        np.abs(phi_f_d1(k, l, np.vstack([ends, d1_y]))).max(axis=0),
-        np.abs(phi_f_d2(k, l, np.vstack([ends, d2_y]))).max(axis=0),
-    )
+    """max |phi_f'| and max |phi_f''| over y in [lo, hi], sqrt(5/12) <= lo <= hi,
+    at each pair of the flat index arrays k, l: the larger |value| at the two
+    window ends.  With w = 1/y^2, 64 phi_f' = 16 (2l+1)^2 - 8 c w - 3 w^2 is
+    concave in w, so |phi_f'| peaks at an end of the window or at w = -4c/3.
+    With v = 1/y, 16 phi_f'' = 4 c v^3 + 3 v^5 has v-derivative
+    3 v^2 (4c + 5 v^2), so |phi_f''| peaks at an end or at v^2 = -4c/5.  Only
+    c < 0 has a critical point, and c = 2m^2 - 2l - 1 (``_phi_f_c``) is odd
+    and never -1: c = -1 needs l = m^2, while m = 2k + l + 1 and l have
+    opposite parity, as then have m^2 and l.  So c <= -3, and the critical
+    points lie at y^2 = -3/(4c) <= 1/4 and y^2 = -5/(4c) <= 5/12, at or below
+    the window: phi_f' is monotone in w there, and phi_f'' in v."""
+    if lo < math.sqrt(5 / 12):
+        raise ValueError(f"the window must start at sqrt(5/12) or above, not at {lo}")
+    ends = np.array([[lo], [hi]])
+    return np.abs(phi_f_d1(k, l, ends)).max(axis=0), np.abs(phi_f_d2(k, l, ends)).max(axis=0)
 
 
 def check_derivative_bounds() -> LemmaReport:
@@ -673,21 +674,43 @@ def check_montgomery_sandwich() -> LemmaReport:
     )
 
 
+# the depth D of ``_LevelFamily``'s cut less its log weight ratio: e^-40 < 1e-17
+_CUT_DEPTH = 40
+
+
 class _LevelFamily:
-    """exp(c a s(Q)), Q = q_of(level), at the distinct values of a
-    non-negative integer level array, sorted so that s rises.  A table holds
-    the levels whose exponent is not below ``_EXP_FLOOR`` at the smallest
-    alpha asked; one that falls below it at a larger alpha is clipped there,
-    which overstates its term by less than its weight times e^-700, and no
-    exp takes its slow path near underflow.  Every sum of the family gathers
-    its own columns of one table, and the family keeps its last table: the
-    sums called in turn on one block of alphas build it once."""
+    """exp(c a s(Q)), c < 0, Q = q_of(level), at the distinct values of a
+    non-negative integer level array, sorted so that s rises.  A table at
+    alphas of least a0 holds the leading levels of the family up to a cut:
+    those whose exponent c a0 s lies within a depth D of c a0 s_lead, s_lead
+    the largest s of a sum's first level, and is not below ``_EXP_FLOOR``.
+    Each sum adds a bound on the levels it drops, their total weight times
+    e^(c a s_d), s_d the s of its first dropped level: c < 0 and s rises with
+    the level, so the bound holds at every alpha of the table, and the sum
+    stays an upper bound on its terms, up to rounding.  With W a sum's total
+    weight and w0 that of its first level, D = ``_CUT_DEPTH`` + the largest
+    ln(W / w0) puts that bound below e^-40 w0 e^(c a s0) < 1e-17 of the sum:
+    s_d lies past the cut and s0 <= s_lead.  An exponent that falls below the floor
+    at a larger alpha is clipped there, the bound's too, which overstates a
+    term by less than its weight times e^-700, and no exp takes its slow path
+    near underflow.  A family with no sums cuts at the floor only.  Every
+    sum gathers its own columns of one table, and the family keeps its last
+    table: the sums called in turn on one block of alphas build it once."""
 
     def __init__(self, c, level, q_of=np.float64, s_of=np.sqrt):
         self.c, self.q_of = c, q_of
         self.levels = np.flatnonzero(np.bincount(level))
         self.s = s_of(q_of(self.levels))
+        # s_lead and D once a sum is made
+        self._lead = self._depth = None
         self._last_table = functools.lru_cache(maxsize=1)(self._exp)
+
+    def width(self, a0) -> int:
+        """The number of leading levels a table at alphas of least a0 holds."""
+        x = _EXP_FLOOR
+        if self._lead is not None:
+            x = max(x, self.c * a0 * self._lead - self._depth)
+        return int(np.searchsorted(self.s, x / (self.c * a0), side="right"))
 
     def table(self, a):
         """The read-only table at a float or a 1-D array of alphas, kept by
@@ -697,19 +720,27 @@ class _LevelFamily:
 
     def _exp(self, key, shape):
         a = np.frombuffer(key).reshape(shape)
-        n = np.searchsorted(self.s, _EXP_FLOOR / (self.c * np.min(a)), side="right")
-        x = np.multiply.outer(self.c * a, self.s[:n])
+        x = np.multiply.outer(self.c * a, self.s[: self.width(np.min(a))])
         np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x)
         x.flags.writeable = False
         return x
 
     def sum(self, level, power=0):
         """a -> the sum of Q^power exp(c a s(Q)) over the terms of the given
-        levels, as one column per distinct level weighted by its count."""
+        levels, as one column per distinct level weighted by its count, and
+        the bound on the levels the table drops."""
         count = np.bincount(level)
         lev = np.flatnonzero(count > 0)
         cols = np.searchsorted(self.levels, lev)
         w = count[lev] * self.q_of(lev) ** power
+        # rest[i] is the weight of the levels from the i-th on
+        rest = np.cumsum(w[::-1])[::-1]
+        lead, depth = self.s[cols[0]], _CUT_DEPTH + math.log(rest[0] / w[0])
+        if self._lead is not None:
+            lead, depth = max(lead, self._lead), max(depth, self._depth)
+        self._lead, self._depth = lead, depth
+        # a table kept from before this sum may hold too few levels for it
+        self._last_table.cache_clear()
         # consecutive columns are read as a view of the table, not copied
         run = cols[-1] - cols[0] + 1 == len(cols)
 
@@ -717,15 +748,25 @@ class _LevelFamily:
             table = self.table(a)
             n = np.searchsorted(cols, table.shape[-1])
             if run:
-                return table[..., cols[0] : cols[0] + n] @ w[:n]
-            return np.take(table, cols[:n], axis=-1) @ w[:n]
+                head = table[..., cols[0] : cols[0] + n] @ w[:n]
+            else:
+                head = np.take(table, cols[:n], axis=-1) @ w[:n]
+            if n == len(cols):
+                return head
+            return head + self._dropped(a, rest[n], self.s[cols[n]])
 
         return total
 
+    def _dropped(self, a, weight, s):
+        """weight e^(c a s), clipped at ``_EXP_FLOOR``: the bound on levels of
+        that total weight from the level of s on."""
+        return weight * np.exp(np.maximum(self.c * np.asarray(a, dtype=float) * s, _EXP_FLOOR))
 
-def _threshold_table() -> dict:
-    """Tail-sum threshold inequalities: id -> (stated alpha0, usage floor,
-    lhs(a), rhs(a)), where lhs and rhs take a float or a 1-D array of alphas.
+
+def _threshold_table() -> tuple[dict, tuple[_LevelFamily, ...]]:
+    """Tail-sum threshold inequalities, id -> (stated alpha0, usage floor,
+    lhs(a), rhs(a)), where lhs and rhs take a float or a 1-D array of alphas,
+    and the level families their sums read.
     Each lhs is a masked sum over |k|, |l| <= 40 whose terms depend on an
     integer level only: n2 = k^2 + l^2, q2 = k^2 + k l + l^2, or
     n = q2 + k + l, for which Q1 = (2/sqrt 3)(n + 1/3).  The sum is kept as
@@ -749,15 +790,14 @@ def _threshold_table() -> dict:
 
     q1_family = _LevelFamily(-0.5 * pi, q1_level, q1_of)
     q2_family = _LevelFamily(-pi, q2_level)
+    n2_family = _LevelFamily(-pi, n2, s_of=np.positive)
+    k_family = _LevelFamily(-pi, ks, s_of=np.square)
     composite = q1_family.sum(q1_level[cheb > 1], power=2)
     charged = q2_family.sum(q2_level[(l != 0) & (cheb > 1)], power=2)
     # sum over 2 <= k < 40 of k^4 exp(-pi a k^2)
-    quartic = _LevelFamily(-pi, ks, s_of=np.square).sum(ks[ks >= 2], power=4)
-    return {
-        "square_tail": (
-            0.5, 0.5, _LevelFamily(-pi, n2, s_of=np.positive).sum(n2[n2 >= 2]),
-            lambda a: np.exp(-pi * a),
-        ),
+    quartic = k_family.sum(ks[ks >= 2], power=4)
+    table = {
+        "square_tail": (0.5, 0.5, n2_family.sum(n2[n2 >= 2]), lambda a: np.exp(-pi * a)),
         "far_q1": (1.0, 1.0, q1_family.sum(q1_level[cheb > 5]), lambda a: dominant(a) / 200.0),
         # Q1 >= 4u, i.e. n >= 1
         "nondominant_q1": (
@@ -776,9 +816,10 @@ def _threshold_table() -> dict:
             lambda a: 0.6 * pi**2 * a**2 * np.exp(pi * a * (Y_HEX - 2.0)),
         ),
     }
+    return table, (q1_family, q2_family, n2_family, k_family)
 
 
-_THRESHOLDS = _threshold_table()
+_THRESHOLDS, _FAMILIES = _threshold_table()
 
 # the alpha grid 0.05, 0.10, ..., 10 of the threshold scan
 _ALPHA_SCAN = np.arange(0.05, 10.0 + 0.05, 0.05)
@@ -786,18 +827,24 @@ _ALPHA_SCAN = np.arange(0.05, 10.0 + 0.05, 0.05)
 
 def _scan_values() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """id -> lhs and rhs on ``_ALPHA_SCAN`` of every threshold inequality,
-    evaluated in blocks of 8 alphas: a table of the 1331 distinct Q1 levels
-    is then an (8, 1331) array of 83 KiB, below glibc's default 128 KiB mmap
-    and trim thresholds, so repeated scans reuse heap pages instead of
-    faulting in fresh ones.  Each block runs every id before the next block, so
-    each level family builds its table once per block and its sums share it.
-    A sum takes from it the elements its own table would hold, the same
-    products of the same floats, in an array of the same shape for the same
-    product with its weights: the values equal those of one id's own scan
-    bit for bit."""
+    evaluated in blocks of alphas.  A block holds as many alphas as fit in
+    ``theta._BLOCK_ITEMS`` at the widest family's table width at its first,
+    smallest alpha, where its tables are cut (``_LevelFamily``): 9 alphas
+    while all 1331 distinct Q1 levels are kept, more as the cut narrows the
+    tables.  Every table is then at most 96 KiB, below glibc's default
+    128 KiB mmap and trim thresholds, so repeated scans reuse heap pages
+    instead of faulting in fresh ones.  Each block runs every id before the
+    next block, so each level family builds its table once per block and its
+    sums share it.  A sum takes from it the elements its own table would
+    hold, the same products of the same floats, in an array of the same
+    shape for the same product with its weights: the values equal those of
+    one id's own scan, cut where its family cuts, bit for bit."""
     scans = {name: ([], []) for name in _THRESHOLDS}
-    for i in range(0, len(_ALPHA_SCAN), 8):
-        a = _ALPHA_SCAN[i : i + 8]
+    i = 0
+    while i < len(_ALPHA_SCAN):
+        width = max(family.width(_ALPHA_SCAN[i]) for family in _FAMILIES)
+        a = _ALPHA_SCAN[i : i + _BLOCK_ITEMS // width]
+        i += len(a)
         for name, (lhs_blocks, rhs_blocks) in scans.items():
             _, _, lhs, rhs = _THRESHOLDS[name]
             lhs_blocks.append(lhs(a))

@@ -19,6 +19,7 @@ from latsum.lattice import (
 )
 from latsum.proofcheck import phi_g
 from latsum.theta import (
+    _BLOCK_ITEMS,
     _EXP_FLOOR,
     DEFAULT_POLICY,
     TWO_PI,
@@ -539,25 +540,51 @@ def growth11_oracle() -> pc.LemmaReport:
     )
 
 
-def _level_sum_oracle(c, level, mask, q_of=np.float64, s_of=np.sqrt, power=0):
-    """a -> sum over the mask of Q^power exp(c a s(Q)), Q = q_of(level), one
-    term per distinct level weighted by its count, from an exp table of its
-    own over its levels, clipped as ``proofcheck._LevelFamily`` clips."""
-    count = np.bincount(level[mask])
-    lev = np.flatnonzero(count > 0)
-    q = q_of(lev)
-    w, s = count[lev] * q**power, s_of(q)
+def _level_family_oracle(c, level, sums, q_of=np.float64, s_of=np.sqrt):
+    """The sums of one level family, each (mask, power) as a -> the sum over
+    the mask of Q^power exp(c a s(Q)), Q = q_of(level), one term per distinct
+    level weighted by its count, from an exp table of its own over its
+    levels, cut, clipped and bounded as ``proofcheck._LevelFamily`` cuts,
+    clips and bounds; and the family's table width at a least alpha a0.
 
-    def total(a):
-        n = np.searchsorted(s, _EXP_FLOOR / (c * np.min(a)), side="right")
-        x = np.multiply.outer(c * a, s[:n])
-        return np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x) @ w[:n]
+    The cut keeps the levels whose exponent at a0 lies within
+    D = ``_CUT_DEPTH`` + max ln(W / w0) of c a0 s_lead, s_lead the largest s
+    of a sum's first level, W a sum's total weight and w0 its first level's,
+    and not below ``_EXP_FLOOR``; each sum adds the weight of the levels it
+    drops times exp(c a s) at the first of them."""
+    parts = []
+    for mask, power in sums:
+        count = np.bincount(level[mask])
+        lev = np.flatnonzero(count > 0)
+        q = q_of(lev)
+        w = count[lev] * q**power
+        parts.append((w, s_of(q), np.cumsum(w[::-1])[::-1]))
+    lead = max(s[0] for _, s, _ in parts)
+    depth = max(pc._CUT_DEPTH + math.log(rest[0] / w[0]) for w, _, rest in parts)
+    family_s = s_of(q_of(np.flatnonzero(np.bincount(level))))
 
-    return total
+    def cut(s, a0):
+        return np.searchsorted(s, max(_EXP_FLOOR, c * a0 * lead - depth) / (c * a0), side="right")
+
+    def own(w, s, rest):
+        def total(a):
+            n = cut(s, np.min(a))
+            x = np.multiply.outer(c * a, s[:n])
+            head = np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x) @ w[:n]
+            if n == len(s):
+                return head
+            return head + rest[n] * np.exp(
+                np.maximum(c * np.asarray(a, dtype=float) * s[n], _EXP_FLOOR)
+            )
+
+        return total
+
+    return [own(*part) for part in parts], lambda a0: cut(family_s, a0)
 
 
-def _threshold_lhs_oracles() -> dict:
-    """id -> lhs of ``proofcheck._THRESHOLDS``, each sum on its own."""
+def _threshold_lhs_oracles() -> tuple[dict, list]:
+    """id -> lhs of ``proofcheck._THRESHOLDS``, each sum on its own, and the
+    table width of each level family at a least alpha."""
     pi, sqrt3 = math.pi, math.sqrt(3.0)
     k, l = pc._box(40)
     cheb = np.maximum(np.abs(k), np.abs(l))
@@ -569,26 +596,38 @@ def _threshold_lhs_oracles() -> dict:
     def q1_of(n):
         return (2.0 / sqrt3) * (n + 1.0 / 3.0)
 
-    composite = _level_sum_oracle(-0.5 * pi, q1_level, cheb > 1, q1_of, power=2)
-    charged = _level_sum_oracle(-pi, q2_level, (l != 0) & (cheb > 1), power=2)
-    quartic = _level_sum_oracle(-pi, ks, ks >= 2, s_of=np.square, power=4)
-    return {
-        "square_tail": _level_sum_oracle(-pi, n2, n2 >= 2, s_of=np.positive),
-        "far_q1": _level_sum_oracle(-0.5 * pi, q1_level, cheb > 5, q1_of),
-        "nondominant_q1": _level_sum_oracle(-0.5 * pi, q1_level, q1_level >= 1, q1_of),
+    (far, nondominant, composite), q1_width = _level_family_oracle(
+        -0.5 * pi, q1_level, [(cheb > 5, 0), (q1_level >= 1, 0), (cheb > 1, 2)], q1_of
+    )
+    (charged_far, charged), q2_width = _level_family_oracle(
+        -pi, q2_level, [((l != 0) & (q2_level > 1), 0), ((l != 0) & (cheb > 1), 2)]
+    )
+    (square,), n2_width = _level_family_oracle(-pi, n2, [(n2 >= 2, 0)], s_of=np.positive)
+    (quartic,), k_width = _level_family_oracle(-pi, ks, [(ks >= 2, 4)], s_of=np.square)
+    lhs = {
+        "square_tail": square,
+        "far_q1": far,
+        "nondominant_q1": nondominant,
         "composite_q1": lambda a: 5.0 * pi**2 * a**2 * composite(a),
-        "charged_far": _level_sum_oracle(-pi, q2_level, (l != 0) & (q2_level > 1)),
+        "charged_far": charged_far,
         "charged_composite": lambda a: 40.0 * a * a * quartic(a) + 3.0 * pi**2 * a**2 * charged(a),
     }
+    return lhs, [q1_width, q2_width, n2_width, k_width]
 
 
-THRESHOLD_LHS_ORACLES = _threshold_lhs_oracles()
+THRESHOLD_LHS_ORACLES, _FAMILY_WIDTHS = _threshold_lhs_oracles()
 
 
 def threshold_scan_oracle(name: str) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs of one threshold id on ``proofcheck._ALPHA_SCAN``, block by
-    block of 8 alphas, the lhs from ``THRESHOLD_LHS_ORACLES``."""
+    block, the lhs from ``THRESHOLD_LHS_ORACLES``: each block holds as many
+    alphas as fit in ``theta._BLOCK_ITEMS`` at the widest family's table
+    width at its first alpha."""
     lhs, rhs = THRESHOLD_LHS_ORACLES[name], pc._THRESHOLDS[name][3]
     scan = pc._ALPHA_SCAN
-    blocks = [scan[i : i + 8] for i in range(0, len(scan), 8)]
+    blocks, i = [], 0
+    while i < len(scan):
+        width = max(family_width(scan[i]) for family_width in _FAMILY_WIDTHS)
+        blocks.append(scan[i : i + _BLOCK_ITEMS // width])
+        i += len(blocks[-1])
     return np.concatenate([lhs(a) for a in blocks]), np.concatenate([rhs(a) for a in blocks])

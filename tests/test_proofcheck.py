@@ -102,6 +102,34 @@ def _ref_threshold_lhs(name, a):
     )
 
 
+def _box_threshold_lhs(name, alphas):
+    """``_ref_threshold_lhs`` at each of a 1-D array of alphas: every term of
+    the box, one column per pair, summed by numpy along each alpha's row."""
+    pi = math.pi
+    a = np.asarray(alphas, dtype=float)[:, None]
+    k, l = pc._box(40)
+    cheb = np.maximum(np.abs(k), np.abs(l))
+    q1, q2 = pc.q1(k, l), pc.q2(k, l)
+    if name == "square_tail":
+        n2 = k * k + l * l
+        return np.exp(-pi * a * n2[n2 >= 2]).sum(axis=1)
+    if name == "far_q1":
+        return np.exp(-0.5 * pi * a * np.sqrt(q1[cheb > 5])).sum(axis=1)
+    if name == "nondominant_q1":
+        return np.exp(-0.5 * pi * a * np.sqrt(q1[q1 >= 8.0 / (3.0 * SQRT3) - 1e-9])).sum(axis=1)
+    if name == "composite_q1":
+        qq = q1[cheb > 1]
+        return 5.0 * pi**2 * a[:, 0] ** 2 * (qq**2 * np.exp(-0.5 * pi * a * np.sqrt(qq))).sum(axis=1)
+    if name == "charged_far":
+        return np.exp(-pi * a * np.sqrt(q2[(l != 0) & (q2 > 1)])).sum(axis=1)
+    assert name == "charged_composite"
+    ks = np.arange(2, 40)
+    qq = q2[(l != 0) & (cheb > 1)]
+    quartic = (a * a * ks**4 * np.exp(-pi * a * ks * ks)).sum(axis=1)
+    charged = (qq**2 * np.exp(-pi * a * np.sqrt(qq))).sum(axis=1)
+    return 40.0 * quartic + 3.0 * pi**2 * a[:, 0] ** 2 * charged
+
+
 THRESHOLD_IDS = [
     "square_tail", "far_q1", "nondominant_q1", "composite_q1", "charged_far", "charged_composite",
 ]
@@ -407,12 +435,11 @@ class TestGrowthLemmas:
     def test_growth11_composite_pass(self):
         assert pc.check_growth11_composite().passed
 
-    @pytest.mark.parametrize("lo, hi", [(Y_HEX, 8.0), (Y_HEX, 10.0), (0.3, 8.0)])
+    @pytest.mark.parametrize("lo, hi", [(Y_HEX, 8.0), (Y_HEX, 10.0), (math.sqrt(5 / 12), 8.0)])
     def test_phi_f_peaks_bound_a_dense_grid(self, lo, hi):
-        # the ends and the clipped critical points hold each |derivative|'s
-        # largest value on the window; both sides carry their own rounding.
-        # c = 2m^2 - 2l - 1 is odd and never -1, so no critical point of an
-        # integer pair lies above sqrt(5/12): only the window from 0.3 holds some
+        # the window ends hold each |derivative|'s largest value on the window;
+        # both sides carry their own rounding.  The window from sqrt(5/12)
+        # starts at the highest critical point of an integer pair (c = -3)
         k, l = pc._column_classes(20)
         peak1, peak2 = pc._phi_f_peaks(k, l, lo, hi)
         ys = np.linspace(lo, hi, 4000)
@@ -420,6 +447,37 @@ class TestGrowthLemmas:
             y = ys[i : i + 500, None]
             assert np.all(peak1 * (1.0 + 1e-12) >= np.abs(pc.phi_f_d1(k, l, y)).max(axis=0))
             assert np.all(peak2 * (1.0 + 1e-12) >= np.abs(pc.phi_f_d2(k, l, y)).max(axis=0))
+
+    def test_phi_f_c_is_odd_and_never_minus_one(self):
+        # so c >= 1 or c <= -3, which puts every critical point of phi_f' and
+        # phi_f'' at y <= sqrt(5/12)
+        k, l = pc._box(200)
+        c = pc._phi_f_c(k, l)
+        assert np.all(c % 2 == 1) and not np.any(c == -1)
+        assert c[c < 0].max() == -3
+
+    def test_phi_f_peaks_reject_a_window_below_sqrt_5_12(self):
+        k, l = pc._column_classes(5)
+        pc._phi_f_peaks(k, l, math.sqrt(5 / 12), 8.0)
+        for lo in (0.3, np.nextafter(math.sqrt(5 / 12), 0.0)):
+            with pytest.raises(ValueError, match="sqrt"):
+                pc._phi_f_peaks(k, l, lo, 8.0)
+
+    @pytest.mark.parametrize("k_max, hi", [(20, 10.0), (15, 8.0)])
+    def test_phi_f_peaks_match_the_three_point_peaks(self, k_max, hi):
+        # both callers' boxes and windows: the two ends give the peaks that the
+        # ends and each derivative's clipped critical point gave, bit for bit
+        k, l = pc._column_classes(k_max)
+        c = pc._phi_f_c(k, l)
+        ends = np.full((2, c.size), [[Y_HEX], [hi]])
+        d1_y, d2_y = np.clip(
+            1.0 / np.sqrt(np.maximum(-4.0 * c / [[3.0], [5.0]], hi**-2)), Y_HEX, hi
+        )
+        want1 = np.abs(pc.phi_f_d1(k, l, np.vstack([ends, d1_y]))).max(axis=0)
+        want2 = np.abs(pc.phi_f_d2(k, l, np.vstack([ends, d2_y]))).max(axis=0)
+        peak1, peak2 = pc._phi_f_peaks(k, l, Y_HEX, hi)
+        assert peak1.tobytes() == want1.tobytes()
+        assert peak2.tobytes() == want2.tobytes()
 
     @pytest.mark.parametrize("alpha", [5.0, 10.0])
     def test_growth11_enclosure_bounds_a_dense_grid(self, alpha):
@@ -732,6 +790,75 @@ class TestSuite:
         assert family.table(a.copy()) is table and not table.flags.writeable
         a[0] = 0.25
         assert not np.array_equal(family.table(a), table)
+
+    def test_scan_tables_fit_a_block(self, monkeypatch):
+        # every table a scan builds or reuses holds at most _BLOCK_ITEMS
+        # exponentials, 96 KiB, on any platform
+        table, sizes = pc._LevelFamily.table, []
+
+        def recorded(family, a):
+            sizes.append(table(family, a).size)
+            return table(family, a)
+
+        monkeypatch.setattr(pc._LevelFamily, "table", recorded)
+        pc._scan_values()
+        assert sizes and max(sizes) <= pc._BLOCK_ITEMS
+
+    @pytest.mark.parametrize("cut", ["default", "shallow"])
+    def test_cut_lhs_bounds_the_box_sum(self, monkeypatch, cut):
+        # on the scan's blocks and at single alphas, lhs is at least the box
+        # sum and above it by no more than its bound on the dropped levels.
+        # At the default depth that bound lies below half an ulp of each lhs,
+        # so a shallow cut (depth 0 + the log weight ratio) shows that it
+        # carries the dropped levels: without it lhs falls below the box sum
+        if cut == "shallow":
+            monkeypatch.setattr(pc, "_CUT_DEPTH", 0)
+            thresholds, families = pc._threshold_table()
+            monkeypatch.setattr(pc, "_THRESHOLDS", thresholds)
+            monkeypatch.setattr(pc, "_FAMILIES", families)
+        singles = (0.05, 1.2, 6.0, 12.0)
+        dropped = pc._LevelFamily._dropped
+
+        def lhs_with_bound_times(scale):
+            monkeypatch.setattr(
+                pc._LevelFamily, "_dropped", lambda *args: scale * dropped(*args)
+            )
+            scans = pc._scan_values()
+            return {
+                name: np.append(scans[name][0], [pc._THRESHOLDS[name][2](a) for a in singles])
+                for name in THRESHOLD_IDS
+            }
+
+        # each id's bound, a positive combination of its sums' bounds, is read
+        # off exactly scaled by 2^200 above the bare sum
+        lhs, bare, scaled = (lhs_with_bound_times(x) for x in (1.0, 0.0, 2.0**200))
+        alphas = np.append(pc._ALPHA_SCAN, singles)
+        uncovered = 0
+        for name in THRESHOLD_IDS:
+            box = _box_threshold_lhs(name, alphas)
+            for a, want in zip(singles, box[-len(singles) :]):
+                assert want == pytest.approx(_ref_threshold_lhs(name, a), rel=1e-13, abs=0.0)
+            bound = (scaled[name] - bare[name]) / 2.0**200
+            assert np.all(lhs[name] >= box * (1.0 - 1e-13)), name
+            assert np.all(lhs[name] - box <= bound + 1e-13 * box), name
+            uncovered += np.count_nonzero(bare[name] < box * (1.0 - 1e-13))
+            if cut == "default":
+                assert np.all(bound <= 1e-17 * bare[name]), name
+                assert np.count_nonzero(bound) > 0, name
+        assert (uncovered > 0) == (cut == "shallow")
+
+    def test_first_holding(self):
+        scan = pc._ALPHA_SCAN
+        rhs = np.ones_like(scan)
+        assert pc._first_holding(np.zeros_like(scan), rhs) == scan[0]
+        last_fails = np.zeros_like(scan)
+        last_fails[-1] = 2.0
+        assert pc._first_holding(last_fails, rhs) == math.inf
+        mid_fails = np.zeros_like(scan)
+        mid_fails[[3, 57]] = 2.0
+        assert pc._first_holding(mid_fails, rhs) == scan[58]
+        # equality fails: lhs < rhs is strict
+        assert pc._first_holding(np.where(scan < 1.0, 1.0, 0.0), rhs) == scan[scan >= 1.0][0]
 
     def test_threshold_table_ids(self):
         assert list(pc._THRESHOLDS) == THRESHOLD_IDS
